@@ -8,10 +8,16 @@
 // JSON report (--out=, default BENCH_train_epoch.json) so CI can assert the
 // steady-state invariants and the numbers can be tracked across PRs.
 //
+// The first model/dataset point also gets a profiled twin: the same loop in
+// pairs of one profiled and one unprofiled epoch, reported as
+// profiling_overhead_pct (p50 over the pairs), which tools/bench_check.py
+// gates.
+//
 // Flags (on top of the shared bench flags --datasets/--epochs/--warmup/
 // --scale/--max-feat/--profile):
 //   --models=gcn,gat   model filter (default: both)
 //   --out=<path>       JSON report path (default: BENCH_train_epoch.json)
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -38,6 +44,9 @@ namespace {
 // the plan cache, epoch 1 absorbs any second-order effects (e.g. the
 // backward graph's first full reuse), epoch 2+ must be steady.
 constexpr int kSteadyFirstEpoch = 2;
+// Minimum profiled/unprofiled epoch pairs in the profiled twin, so its p50
+// is stable even for short --epochs runs.
+constexpr int kMinOverheadPairs = 30;
 
 struct EpochStats {
   double wall_ms = 0.0;
@@ -62,18 +71,48 @@ struct RunReport {
 using ModelFactory =
     std::function<std::unique_ptr<GnnModel>(const Dataset&, std::shared_ptr<const Executor>)>;
 
+// One timed training step, with allocator and plan-cache deltas.
+EpochStats RunEpoch(GnnModel& model, Adam& adam, const Dataset& data, int epoch) {
+  TensorAllocator& allocator = TensorAllocator::Get();
+  PlanCache& plans = PlanCache::Get();
+  const uint64_t requests_before = allocator.total_allocations();
+  const uint64_t mallocs_before = allocator.fresh_mallocs();
+  const uint64_t hits_before = allocator.pool_hits();
+  const uint64_t plan_misses_before = plans.misses();
+  Stopwatch watch;
+
+  trace::AmbientSpan epoch_span("epoch", "bench");
+  epoch_span.Set(trace::Arg::kEpoch, epoch);
+  Var logits = model.Forward(/*training=*/true);
+  Var loss = ag::NllLoss(ag::LogSoftmax(logits), data.labels, data.train_mask);
+  Backward(loss, Tensor::Ones({1}));
+  adam.Step();
+  adam.ZeroGrad();
+
+  EpochStats stats;
+  stats.wall_ms = watch.ElapsedMillis();
+  stats.loss = loss.value().at(0);
+  stats.alloc_requests = allocator.total_allocations() - requests_before;
+  stats.fresh_mallocs = allocator.fresh_mallocs() - mallocs_before;
+  stats.pool_hits = allocator.pool_hits() - hits_before;
+  stats.plan_misses = plans.misses() - plan_misses_before;
+  return stats;
+}
+
+// Upper median of a non-empty sample.
+double P50(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2, values.end());
+  return values[values.size() / 2];
+}
+
 RunReport RunOne(const std::string& model_name, const ModelFactory& factory,
-                 const DatasetSpec& spec, const BenchOptions& options, Profiler* profiler) {
+                 const DatasetSpec& spec, const BenchOptions& options, trace::Tracer* profile) {
   Dataset data = LoadDataset(spec, options);
   std::unique_ptr<GnnModel> model =
       factory(data, std::move(*ExecutorFactory::Create("seastar")));
-  model->SetProfiler(profiler);
-
   std::vector<Var> parameters = model->Parameters();
   Adam adam(parameters, /*lr=*/0.01f);
-
-  TensorAllocator& allocator = TensorAllocator::Get();
-  PlanCache& plans = PlanCache::Get();
+  trace::ScopedRun run(profile, trace::Intern(spec.name + "/" + model_name), "bench");
 
   RunReport report;
   report.model = model_name;
@@ -83,27 +122,7 @@ RunReport RunOne(const std::string& model_name, const ModelFactory& factory,
 
   const int epochs = options.epochs + options.warmup;
   for (int epoch = 0; epoch < epochs; ++epoch) {
-    const uint64_t requests_before = allocator.total_allocations();
-    const uint64_t mallocs_before = allocator.fresh_mallocs();
-    const uint64_t hits_before = allocator.pool_hits();
-    const uint64_t plan_misses_before = plans.misses();
-    Stopwatch watch;
-
-    ProfileScope epoch_span(profiler, spec.name + "/" + model_name + " epoch", "bench");
-    Var logits = model->Forward(/*training=*/true);
-    Var loss = ag::NllLoss(ag::LogSoftmax(logits), data.labels, data.train_mask);
-    Backward(loss, Tensor::Ones({1}));
-    adam.Step();
-    adam.ZeroGrad();
-
-    EpochStats stats;
-    stats.wall_ms = watch.ElapsedMillis();
-    stats.loss = loss.value().at(0);
-    stats.alloc_requests = allocator.total_allocations() - requests_before;
-    stats.fresh_mallocs = allocator.fresh_mallocs() - mallocs_before;
-    stats.pool_hits = allocator.pool_hits() - hits_before;
-    stats.plan_misses = plans.misses() - plan_misses_before;
-    report.epochs.push_back(stats);
+    report.epochs.push_back(RunEpoch(*model, adam, data, epoch));
   }
 
   int steady = 0;
@@ -118,15 +137,52 @@ RunReport RunOne(const std::string& model_name, const ModelFactory& factory,
     report.steady_fresh_mallocs /= steady;
     report.steady_alloc_requests /= steady;
   }
-  model->SetProfiler(nullptr);
   return report;
 }
 
-void WriteReport(const std::string& path, const std::vector<RunReport>& reports) {
+// The profiled twin of one model/dataset point: a fresh model trained in
+// steady-state epoch pairs, one epoch profiled and one not, alternating which
+// runs first, so host drift lands on both sides alike and each pair gives one
+// overhead sample. Each profiled epoch is one run on a run-scoped tracer,
+// recorded exactly as --profile= records it. Returns the p50 overhead in
+// percent.
+double MeasureProfilingOverhead(const ModelFactory& factory, const DatasetSpec& spec,
+                                const BenchOptions& options) {
+  Dataset data = LoadDataset(spec, options);
+  std::unique_ptr<GnnModel> model =
+      factory(data, std::move(*ExecutorFactory::Create("seastar")));
+  std::vector<Var> parameters = model->Parameters();
+  Adam adam(parameters, /*lr=*/0.01f);
+  trace::Tracer tracer(trace::TracerConfig{}, trace::Retention::kRun);
+
+  int epoch = 0;
+  for (; epoch < kSteadyFirstEpoch; ++epoch) {
+    RunEpoch(*model, adam, data, epoch);
+  }
+  std::vector<double> overhead_pct;
+  const int pairs = std::max(options.epochs, kMinOverheadPairs);
+  for (int pair = 0; pair < pairs; ++pair) {
+    double wall_ms[2];  // [unprofiled, profiled]
+    for (int side = 0; side < 2; ++side) {
+      const int profiled = (pair + side) % 2;
+      trace::ScopedRun run(profiled == 1 ? &tracer : nullptr, "profiled epoch", "bench");
+      wall_ms[profiled] = RunEpoch(*model, adam, data, epoch++).wall_ms;
+    }
+    overhead_pct.push_back(100.0 * (wall_ms[1] / wall_ms[0] - 1.0));
+  }
+  return P50(std::move(overhead_pct));
+}
+
+void WriteReport(const std::string& path, const std::vector<RunReport>& reports,
+                 double profiling_overhead_pct) {
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "train_epoch");
   json.Field("steady_first_epoch", kSteadyFirstEpoch);
+  // p50 over the profiled twin's epoch pairs of the profiled epoch's
+  // overhead, in percent. Gated by tools/bench_check.py at an absolute
+  // ceiling.
+  json.FieldDouble("profiling_overhead_pct", profiling_overhead_pct, 2);
   json.Key("runs");
   json.BeginArray();
   for (const RunReport& report : reports) {
@@ -197,6 +253,7 @@ int Main(int argc, char** argv) {
   PrintHeaderRule(84);
 
   std::vector<RunReport> reports;
+  double profiling_overhead_pct = 0.0;
   for (const auto& [model_name, factory] : models) {
     for (const DatasetSpec& spec : HomogeneousDatasets()) {
       if (!DatasetSelected(options, spec.name)) {
@@ -208,11 +265,16 @@ int Main(int argc, char** argv) {
                   static_cast<long long>(report.num_edges), report.steady_avg_ms,
                   report.steady_fresh_mallocs, report.steady_alloc_requests);
       std::fflush(stdout);
+      if (reports.empty()) {
+        profiling_overhead_pct = MeasureProfilingOverhead(factory, spec, options);
+      }
       reports.push_back(std::move(report));
     }
   }
+  std::printf("\nprofiling overhead (first run's profiled twin): %+.2f%%, p50 over epoch pairs\n",
+              profiling_overhead_pct);
 
-  WriteReport(out_path, reports);
+  WriteReport(out_path, reports, profiling_overhead_pct);
   WriteMetricsSnapshots(options);
   profile.Finish();
   return 0;

@@ -15,12 +15,13 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/common/string_util.h"
+#include "src/common/tracing.h"
 #include "src/core/train.h"
 #include "src/graph/datasets.h"
 
@@ -84,34 +85,37 @@ inline void WriteMetricsSnapshots(const BenchOptions& options) {
   }
 }
 
-// Owns the bench's Profiler when --profile= was given. sink() is null when
-// profiling is off, so benches can unconditionally forward it into
-// TrainConfig::profiler / RunContext and pay nothing by default.
+// Owns the bench's run-scoped tracer when --profile= was given. sink() is
+// null when profiling is off, so benches can unconditionally wrap each run
+// in trace::ScopedRun(profile.sink(), ...) and pay nothing by default.
 class BenchProfile {
  public:
-  explicit BenchProfile(const BenchOptions& options)
-      : path_(options.profile_path), profiler_(!options.profile_path.empty()) {}
+  explicit BenchProfile(const BenchOptions& options) : path_(options.profile_path) {
+    if (!path_.empty()) {
+      tracer_ = std::make_unique<trace::Tracer>(trace::TracerConfig{}, trace::Retention::kRun);
+    }
+  }
 
-  Profiler* sink() { return path_.empty() ? nullptr : &profiler_; }
+  trace::Tracer* sink() { return tracer_.get(); }
 
   // Writes the Chrome trace and prints the aggregate summary table. Call
   // once, after the last profiled run.
   void Finish() {
-    if (path_.empty() || profiler_.events().empty()) {
+    if (tracer_ == nullptr || tracer_->stats().retained_run == 0) {
       return;
     }
-    if (profiler_.WriteChromeTrace(path_)) {
-      std::printf("\nprofile: %zu spans -> %s (open in chrome://tracing)\n",
-                  profiler_.events().size(), path_.c_str());
+    if (tracer_->WriteChromeTraceFile(path_)) {
+      std::printf("\nprofile: %lld runs -> %s (open in chrome://tracing)\n",
+                  static_cast<long long>(tracer_->stats().retained_run), path_.c_str());
     } else {
       std::fprintf(stderr, "profile: failed to write %s\n", path_.c_str());
     }
-    std::printf("%s", profiler_.SummaryTable().c_str());
+    std::printf("%s", tracer_->SummaryTable().c_str());
   }
 
  private:
   std::string path_;
-  Profiler profiler_;
+  std::unique_ptr<trace::Tracer> tracer_;
 };
 
 inline bool DatasetSelected(const BenchOptions& options, const std::string& name) {

@@ -45,8 +45,7 @@ inline int RunFig10(const char* figure, const char* model_name, int argc, char**
     for (int i = 0; i < 3; ++i) {
       std::unique_ptr<GnnModel> model =
           factory(data, std::move(*ExecutorFactory::Create(kSpecs[i])));
-      train.profiler = profile.sink();
-      ProfileScope bench_span(profile.sink(), spec.name + "/" + kSpecs[i], "bench");
+      trace::ScopedRun run(profile.sink(), trace::Intern(spec.name + "/" + kSpecs[i]), "bench");
       TrainResult result = TrainNodeClassification(*model, data, train);
       cells[i] = TimeCell(result);
       if (i == 0) {

@@ -48,8 +48,8 @@ inline int RunRgcnTable(const char* table, bool time_metric, int argc, char** ar
       config.mode = mode;
       Rgcn model(data, config);
       ResetKernelLaunchCount();
-      train.profiler = profile.sink();
-      ProfileScope bench_span(profile.sink(), spec.name + "/" + RgcnModeName(mode), "bench");
+      trace::ScopedRun run(profile.sink(), trace::Intern(spec.name + "/" + RgcnModeName(mode)),
+                           "bench");
       TrainResult result = TrainNodeClassification(model, data, train);
       const int64_t launches_per_epoch =
           result.epochs_run > 0 ? KernelLaunchCount() / result.epochs_run : 0;

@@ -51,7 +51,6 @@ class MaxPoolGnn : public GnnModel {
   }
 
   Var Forward(bool training) override {
-    BindProfiler();
     Var h = ag::Relu(in_layer_.Forward(features_));
     h = program_.Run({.vertex = {{"h", h}}, .edge = {{"w", edge_weight_}}}, session());
     return out_layer_.Forward(h);

@@ -26,7 +26,9 @@
 //   --outage-at=<i>      arm a hard allocation outage when request i is
 //   --outage-requests=<n>   submitted, lasting n requests: a guaranteed
 //                        breaker trip + degraded window + probe recovery
-//   --profile=<path>     Chrome-trace of the serving thread
+//   --profile=<path>     run-scoped Chrome trace of this thread's snapshot
+//                        training and server boot/warmup (request spans go
+//                        to --trace-out)
 //   --seed=<n>           request-stream RNG seed
 //   --metrics-out=<p>    write the metrics-registry JSON snapshot on exit
 //   --metrics-text=<p>   same data, Prometheus text exposition
@@ -70,7 +72,6 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/common/tracing.h"
@@ -176,6 +177,11 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
+  std::unique_ptr<trace::Tracer> profile;
+  if (!profile_path.empty()) {
+    profile = std::make_unique<trace::Tracer>(trace::TracerConfig{}, trace::Retention::kRun);
+  }
+
   // Produce the snapshot the server boots from, *before* arming any faults:
   // the drill is about serving surviving faults, not training.
   if (!checkpoint_path.empty()) {
@@ -195,6 +201,7 @@ int Run(int argc, char** argv) {
       train.verbose = false;
       train.checkpoint_path = checkpoint_path;
       train.checkpoint_every = 1;
+      trace::ScopedRun run(profile.get(), "snapshot_training", "train");
       TrainResult trained = TrainNodeClassification(*model, data, train);
       if (trained.failed) {
         std::fprintf(stderr, "snapshot training failed: %s\n", trained.error.c_str());
@@ -213,7 +220,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  Profiler profiler(!profile_path.empty());
   serve::ServeConfig config;
   config.queue_capacity = static_cast<int>(shed_at);
   config.default_deadline_ms = deadline_ms > 0.0 ? deadline_ms : 100.0;
@@ -224,7 +230,6 @@ int Run(int argc, char** argv) {
   config.breaker_trip_after = static_cast<int>(trip_after);
   config.breaker_probe_interval_ms = probe_ms;
   config.checkpoint_path = checkpoint_path;
-  config.profiler = profile_path.empty() ? nullptr : &profiler;
   config.tracing.head_sample_rate = trace_sample;
   config.tracing.seed = seed;
   // The drill's verdicts quote "every anomalous request is in the export":
@@ -277,7 +282,11 @@ int Run(int argc, char** argv) {
     server_owner = std::make_unique<serve::Server>(*model, data, config);
   }
   serve::Server& server = *server_owner;
-  Status started = server.Start();
+  Status started;
+  {
+    trace::ScopedRun run(profile.get(), "server_start", "serve");
+    started = server.Start();
+  }
   if (!started.ok()) {
     std::fprintf(stderr, "server failed to start: %s\n", started.ToString().c_str());
     return 2;
@@ -539,9 +548,10 @@ int Run(int argc, char** argv) {
     }
   }
 
-  if (!profile_path.empty()) {
-    if (profiler.WriteChromeTrace(profile_path)) {
-      std::printf("profile: %zu spans -> %s\n", profiler.events().size(), profile_path.c_str());
+  if (profile != nullptr) {
+    if (profile->WriteChromeTraceFile(profile_path)) {
+      std::printf("profile: %lld runs -> %s\n",
+                  static_cast<long long>(profile->stats().retained_run), profile_path.c_str());
     } else {
       std::fprintf(stderr, "profile: failed to write %s\n", profile_path.c_str());
     }

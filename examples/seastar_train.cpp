@@ -12,7 +12,8 @@
 //        --epochs --warmup --lr
 //        --scale --max-feat --hidden --budget-gb --csv
 //        --edges=<file.tsv|file.mtx>  (train on your own graph instead)
-//        --profile=<trace.json>  (Chrome-trace of the run; see docs/INTERNALS.md)
+//        --profile=<trace.json>  (Chrome trace of the run plus a summary table;
+//                                 see docs/INTERNALS.md §17)
 //
 // Fault tolerance (docs/INTERNALS.md §9):
 //        --checkpoint=<path>       checkpoint file (written atomically)
@@ -34,8 +35,8 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/common/string_util.h"
+#include "src/common/tracing.h"
 #include "src/core/executor_factory.h"
 #include "src/core/models/appnp.h"
 #include "src/core/models/gat.h"
@@ -255,11 +256,16 @@ int Run(int argc, char** argv) {
   if (budget_gb > 0.0) {
     train.memory_budget_bytes = static_cast<uint64_t>(budget_gb * 1024.0 * 1024.0 * 1024.0);
   }
-  Profiler profiler(!profile_path.empty());
+  std::unique_ptr<trace::Tracer> profile;
   if (!profile_path.empty()) {
-    train.profiler = &profiler;
+    profile = std::make_unique<trace::Tracer>(trace::TracerConfig{}, trace::Retention::kRun);
   }
-  TrainResult result = TrainNodeClassification(*model, data, train);
+  TrainResult result;
+  {
+    const std::string run_name = std::string(model->name()) + "/" + data.spec.name;
+    trace::ScopedRun run(profile.get(), trace::Intern(run_name), "train");
+    result = TrainNodeClassification(*model, data, train);
+  }
 
   // Dump observability artifacts on both the success and failure paths: a
   // failed run is exactly when the snapshot and event ring matter most.
@@ -285,15 +291,15 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  if (!profile_path.empty()) {
-    if (profiler.WriteChromeTrace(profile_path)) {
-      std::printf("profile: %zu spans -> %s (open in chrome://tracing)\n",
-                  profiler.events().size(), profile_path.c_str());
+  if (profile != nullptr) {
+    if (profile->WriteChromeTraceFile(profile_path)) {
+      std::printf("profile: %lld runs -> %s (open in chrome://tracing)\n",
+                  static_cast<long long>(profile->stats().retained_run), profile_path.c_str());
     } else {
       std::fprintf(stderr, "profile: failed to write %s\n", profile_path.c_str());
     }
     if (!csv) {
-      std::printf("%s", profiler.SummaryTable().c_str());
+      std::printf("%s", profile->SummaryTable().c_str());
     }
   }
 

@@ -19,7 +19,7 @@
 //
 // Aborting via an exception is safe here because the check sites run on the
 // thread that orchestrates the run (never inside pool workers), and
-// everything the run owns — tensors, tape nodes, profiler spans — is RAII.
+// everything the run owns — tensors, tape nodes, trace spans — is RAII.
 #ifndef SRC_COMMON_DEADLINE_H_
 #define SRC_COMMON_DEADLINE_H_
 

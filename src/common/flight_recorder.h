@@ -2,8 +2,9 @@
 // structured events, dumped alongside a metrics snapshot when the process
 // dies (SEASTAR_LOG(Fatal) / CHECK failure) or a fault-injection drill ends.
 //
-// The Profiler answers "where did the time go" for a run you chose to
-// profile; the metrics registry answers "what are the totals"; the flight
+// Traces (tracing.h) answer "where did the time go" for a run you chose to
+// profile or a request the sampler kept; the metrics registry answers "what
+// are the totals"; the flight
 // recorder answers the post-mortem question neither can: *what happened in
 // the last few milliseconds before it died* — which request ids were in
 // flight, which fault sites tripped, which way the breaker just moved, which

@@ -2,15 +2,16 @@
 // a MetricsRegistry, with Prometheus-style text exposition and a JSON
 // snapshot exporter.
 //
-// Relationship to the Profiler (profiler.h): the Profiler is run-scoped and
-// opt-in — it records every span of one training run or serving session for
-// offline trace analysis, and costs nothing when not installed. Metrics are
-// the opposite trade: always on, aggregated in place (a counter bump or a
-// histogram bucket increment, never an event record), and readable at any
-// moment by an exporter. The Profiler answers "where did this run spend its
-// time"; the registry answers "what is the process doing right now and what
-// has it done since boot" — the §7-style measured behaviour (per-kernel
-// time, memory, queue pressure) as live counters instead of one-off tables.
+// Relationship to tracing (tracing.h): a trace records individual spans —
+// every span of a profiled run, or the sampled requests of a server — for
+// offline analysis, and costs one thread-local test when none is installed.
+// Metrics are the opposite trade: always on, aggregated in place (a counter
+// bump or a histogram bucket increment, never an event record), and readable
+// at any moment by an exporter. A trace answers "where did this run or
+// request spend its time"; the registry answers "what is the process doing
+// right now and what has it done since boot" — the §7-style measured
+// behaviour (per-kernel time, memory, queue pressure) as live counters
+// instead of one-off tables.
 //
 // Overhead discipline (why hot paths can afford this):
 //  * Handles are registered once and cached by the instrumented code (a

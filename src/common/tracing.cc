@@ -1,11 +1,15 @@
 #include "src/common/tracing.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <unordered_set>
+#include <utility>
 
 #include "src/common/json.h"
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 
 namespace seastar {
 namespace trace {
@@ -42,7 +46,27 @@ constexpr FlagName kFlagNames[] = {
     {kRetried, "retried"}, {kBreaker, "breaker"}, {kFailed, "failed"},
 };
 
+// Export keys, in Arg order.
+constexpr const char* kArgNames[kNumArgs] = {
+    "edges", "bytes_materialized", "fat_groups", "fat_group_size", "num_blocks", "block_size",
+    "dispatches", "kernel_launches", "alloc_delta_bytes", "peak_delta_bytes",
+    "plan_cache_hits", "plan_cache_misses", "pool_hits", "pool_misses",
+    "tile_segments", "tile_passes", "tile_width",
+    "epoch", "batch", "shards",
+    "stride_lag_x1000", "queued_ahead", "occupancy", "batch_key", "attempt", "status", "retries",
+    "leader_trace", "vertices",
+};
+
 }  // namespace
+
+const char* Intern(std::string_view text) {
+  // Node-based set: element addresses survive rehashing, and nothing is ever
+  // erased, so returned pointers live as long as the process.
+  static std::mutex mutex;
+  static std::unordered_set<std::string>* interned = new std::unordered_set<std::string>();
+  std::lock_guard<std::mutex> lock(mutex);
+  return interned->emplace(text).first->c_str();
+}
 
 std::string FlagNames(uint32_t flags) {
   if (flags == 0) {
@@ -89,26 +113,27 @@ int64_t RequestTrace::RelMicros(Clock::time_point tp) const {
   return std::chrono::duration_cast<std::chrono::microseconds>(tp - epoch_).count();
 }
 
-int RequestTrace::Append(const char* name, int64_t start_us, int64_t dur_us) {
+int RequestTrace::Append(const char* name, const char* category, int64_t start_us,
+                         int64_t dur_us) {
   if (static_cast<int>(spans_.size()) >= max_spans_) {
     ++dropped_spans_;
     return -1;
   }
-  Span span;
+  Span& span = spans_.emplace_back();
   span.name = name;
+  span.category = category;
   span.parent = open_;
   span.start_us = start_us;
   span.dur_us = dur_us;
-  spans_.push_back(span);
   return static_cast<int>(spans_.size()) - 1;
 }
 
-int RequestTrace::BeginSpan(const char* name) {
-  return BeginSpanAt(name, Clock::now());
+int RequestTrace::BeginSpan(const char* name, const char* category) {
+  return BeginSpanAt(name, Clock::now(), category);
 }
 
-int RequestTrace::BeginSpanAt(const char* name, Clock::time_point start) {
-  const int token = Append(name, RelMicros(start), -1);
+int RequestTrace::BeginSpanAt(const char* name, Clock::time_point start, const char* category) {
+  const int token = Append(name, category, RelMicros(start), -1);
   if (token >= 0) {
     open_ = token;
   }
@@ -130,41 +155,32 @@ void RequestTrace::EndSpan(int token) {
 
 int RequestTrace::AddSpan(const char* name, Clock::time_point start, Clock::time_point end) {
   const int64_t start_us = RelMicros(start);
-  return Append(name, start_us, std::max<int64_t>(0, RelMicros(end) - start_us));
+  return Append(name, "serve", start_us, std::max<int64_t>(0, RelMicros(end) - start_us));
+}
+
+Span* RequestTrace::mutable_span(int token) {
+  if (token < 0 || token >= static_cast<int>(spans_.size())) {
+    return nullptr;
+  }
+  return &spans_[static_cast<size_t>(token)];
 }
 
 void RequestTrace::SetDetail(int token, std::string_view detail) {
-  if (token < 0 || token >= static_cast<int>(spans_.size())) {
-    return;
+  if (Span* span = mutable_span(token)) {
+    CopyTruncated(span->detail, sizeof(span->detail), detail);
   }
-  CopyTruncated(spans_[static_cast<size_t>(token)].detail,
-                sizeof(spans_[static_cast<size_t>(token)].detail), detail);
 }
 
-void RequestTrace::SetArg(int token, const char* a_name, int64_t a) {
-  if (token < 0 || token >= static_cast<int>(spans_.size())) {
-    return;
+void RequestTrace::SetArg(int token, Arg key, int64_t value) {
+  if (Span* span = mutable_span(token)) {
+    span->Set(key, value);
   }
-  Span& span = spans_[static_cast<size_t>(token)];
-  span.a_name = a_name;
-  span.a = a;
-}
-
-void RequestTrace::SetArgs(int token, const char* a_name, int64_t a, const char* b_name,
-                           int64_t b) {
-  if (token < 0 || token >= static_cast<int>(spans_.size())) {
-    return;
-  }
-  Span& span = spans_[static_cast<size_t>(token)];
-  span.a_name = a_name;
-  span.a = a;
-  span.b_name = b_name;
-  span.b = b;
 }
 
 // ---- Tracer -----------------------------------------------------------------
 
-Tracer::Tracer(TracerConfig config) : config_(std::move(config)), epoch_(Clock::now()) {
+Tracer::Tracer(TracerConfig config, Retention retention)
+    : config_(std::move(config)), retention_(retention), epoch_(Clock::now()) {
   SEASTAR_CHECK_GT(config_.tail_keep, 0);
   SEASTAR_CHECK_GT(config_.sampled_keep, 0);
   SEASTAR_CHECK_GT(config_.anomaly_keep, 0);
@@ -206,9 +222,11 @@ RequestTrace* Tracer::StartTrace(uint32_t tenant_index, uint64_t request_id) {
   if (trace_id == 0) {
     trace_id = 1;  // 0 means "no trace" everywhere downstream.
   }
-  const bool sampled = HeadSampled(trace_id, config_.head_sample_rate);
+  const bool run = retention_ == Retention::kRun;
+  const bool sampled = !run && HeadSampled(trace_id, config_.head_sample_rate);
   std::unique_ptr<RequestTrace> trace = Acquire();
-  trace->Reset(trace_id, sampled, tenant_index, request_id, epoch_, config_.max_spans_per_trace);
+  trace->Reset(trace_id, sampled, tenant_index, request_id, epoch_,
+               run ? INT_MAX : config_.max_spans_per_trace);
   ++stats_.started;
   if (sampled) {
     ++stats_.head_sampled;
@@ -255,6 +273,10 @@ void Tracer::FinishTrace(RequestTrace* trace, double total_ms, const char* outco
   std::unique_ptr<RequestTrace> owned(trace);
   ++stats_.finished;
   stats_.spans_dropped += trace->dropped_spans();
+  if (retention_ == Retention::kRun) {
+    runs_.push_back(std::move(owned));
+    return;
+  }
   if (trace->flags() != 0) {
     ++stats_.anomalies_observed;
     anomalies_.push_back(std::move(owned));
@@ -291,20 +313,29 @@ TracerStats Tracer::stats() const {
   stats.retained_sampled = static_cast<int64_t>(sampled_.size());
   stats.retained_anomaly = static_cast<int64_t>(anomalies_.size());
   stats.retained_tail = static_cast<int64_t>(tail_.size());
+  stats.retained_run = static_cast<int64_t>(runs_.size());
   return stats;
+}
+
+void Tracer::VisitRetained(
+    const std::function<void(const RequestTrace&, const char*)>& fn) const {
+  for (const std::unique_ptr<RequestTrace>& trace : anomalies_) {
+    fn(*trace, "anomaly");
+  }
+  for (const std::unique_ptr<RequestTrace>& trace : sampled_) {
+    fn(*trace, "sampled");
+  }
+  for (const std::unique_ptr<RequestTrace>& trace : tail_) {
+    fn(*trace, "tail");
+  }
+  for (const std::unique_ptr<RequestTrace>& trace : runs_) {
+    fn(*trace, "run");
+  }
 }
 
 void Tracer::ForEachRetained(const std::function<void(const RequestTrace&)>& fn) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::unique_ptr<RequestTrace>& trace : anomalies_) {
-    fn(*trace);
-  }
-  for (const std::unique_ptr<RequestTrace>& trace : sampled_) {
-    fn(*trace);
-  }
-  for (const std::unique_ptr<RequestTrace>& trace : tail_) {
-    fn(*trace);
-  }
+  VisitRetained([&fn](const RequestTrace& trace, const char*) { fn(trace); });
 }
 
 namespace {
@@ -316,7 +347,7 @@ void WriteTraceEvents(JsonWriter& writer, const RequestTrace& trace, const char*
     const Span& span = trace.span(i);
     writer.BeginObject();
     writer.Field("name", span.name);
-    writer.Field("cat", "serve");
+    writer.Field("cat", span.category);
     writer.Field("ph", "X");
     writer.Field("pid", pid);
     writer.Field("tid", tid);
@@ -330,11 +361,16 @@ void WriteTraceEvents(JsonWriter& writer, const RequestTrace& trace, const char*
     if (span.detail[0] != '\0') {
       writer.Field("detail", span.detail);
     }
-    if (span.a_name != nullptr) {
-      writer.Field(span.a_name, span.a);
+    for (int a = 0; a < kNumArgs; ++a) {
+      if (span.has(static_cast<Arg>(a))) {
+        writer.Field(kArgNames[a], span.args[a]);
+      }
     }
-    if (span.b_name != nullptr) {
-      writer.Field(span.b_name, span.b);
+    if (span.schedule != nullptr) {
+      writer.Field("schedule", span.schedule);
+    }
+    if (span.simd_isa != nullptr) {
+      writer.Field("simd_isa", span.simd_isa);
     }
     if (span.parent < 0) {
       // Trace-level facts ride on the root span, where trace viewers (and
@@ -372,18 +408,13 @@ void Tracer::WriteChromeTrace(JsonWriter& writer) const {
     writer.EndObject();
     writer.EndObject();
   }
-  for (const std::unique_ptr<RequestTrace>& trace : anomalies_) {
-    WriteTraceEvents(writer, *trace, "anomaly");
-  }
-  for (const std::unique_ptr<RequestTrace>& trace : sampled_) {
-    WriteTraceEvents(writer, *trace, "sampled");
-  }
-  for (const std::unique_ptr<RequestTrace>& trace : tail_) {
-    WriteTraceEvents(writer, *trace, "tail");
-  }
+  VisitRetained([&writer](const RequestTrace& trace, const char* retained_by) {
+    WriteTraceEvents(writer, trace, retained_by);
+  });
   writer.EndArray();
   writer.Key("traceStats");
   writer.BeginObject();
+  writer.Field("retention", retention_ == Retention::kRun ? "run" : "sampled");
   writer.Field("started", stats_.started);
   writer.Field("finished", stats_.finished);
   writer.Field("head_sampled", stats_.head_sampled);
@@ -391,6 +422,7 @@ void Tracer::WriteChromeTrace(JsonWriter& writer) const {
   writer.Field("retained_sampled", static_cast<int64_t>(sampled_.size()));
   writer.Field("retained_anomaly", static_cast<int64_t>(anomalies_.size()));
   writer.Field("retained_tail", static_cast<int64_t>(tail_.size()));
+  writer.Field("retained_run", static_cast<int64_t>(runs_.size()));
   writer.Field("evicted", stats_.evicted);
   writer.Field("spans_dropped", stats_.spans_dropped);
   writer.Field("pool_misses", stats_.pool_misses);
@@ -411,6 +443,116 @@ bool Tracer::WriteChromeTraceFile(const std::string& path) const {
   JsonWriter writer;
   WriteChromeTrace(writer);
   return writer.WriteToFile(path);
+}
+
+std::string Tracer::SummaryTable() const {
+  struct Row {
+    int64_t count = 0;
+    int64_t total_us = 0;
+    int64_t sums[kNumArgs] = {};
+    int64_t tile_width = 0;
+    const char* simd_isa = "";
+  };
+  // Keyed by (category, name); std::map gives a stable report order.
+  std::map<std::pair<std::string, std::string>, Row> rows;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    VisitRetained([&rows](const RequestTrace& trace, const char*) {
+      for (int i = 0; i < trace.num_spans(); ++i) {
+        const Span& span = trace.span(i);
+        Row& row = rows[{span.category, span.name}];
+        ++row.count;
+        row.total_us += std::max<int64_t>(0, span.dur_us);
+        for (int a = 0; a < kNumArgs; ++a) {
+          row.sums[a] += span.args[a];
+        }
+        row.tile_width = std::max(row.tile_width, span.arg(Arg::kTileWidth));
+        if (row.simd_isa[0] == '\0' && span.simd_isa != nullptr) {
+          row.simd_isa = span.simd_isa;
+        }
+      }
+    });
+  }
+  // Names print whole: the text columns widen to the longest entry.
+  size_t category_width = 8;
+  size_t name_width = 36;
+  for (const auto& [key, row] : rows) {
+    category_width = std::max(category_width, key.first.size());
+    name_width = std::max(name_width, key.second.size());
+  }
+  std::string out;
+  const auto text_columns = [&](const std::string& category, const std::string& name) {
+    out += category + std::string(category_width + 1 - category.size(), ' ');
+    out += name + std::string(name_width + 1 - name.size(), ' ');
+  };
+  char line[256];
+  text_columns("category", "name");
+  std::snprintf(line, sizeof(line), "%7s %12s %10s %14s %12s %10s %9s %9s %8s %6s\n", "count",
+                "total ms", "avg ms", "edges", "mat bytes", "launches", "plan h/m", "pool hit%",
+                "segs/tw", "isa");
+  out += line;
+  out += std::string(category_width + name_width + 102, '-') + "\n";
+  for (const auto& [key, row] : rows) {
+    const auto sum = [&row](Arg a) { return row.sums[static_cast<int>(a)]; };
+    // "plan h/m" and "pool hit%" only apply to spans that recorded the
+    // caching counters (exec runs, epochs); blank elsewhere.
+    char plan[48] = "";
+    if (sum(Arg::kPlanCacheHits) + sum(Arg::kPlanCacheMisses) > 0) {
+      std::snprintf(plan, sizeof(plan), "%lld/%lld",
+                    static_cast<long long>(sum(Arg::kPlanCacheHits)),
+                    static_cast<long long>(sum(Arg::kPlanCacheMisses)));
+    }
+    char pool[32] = "";
+    const int64_t pool_total = sum(Arg::kPoolHits) + sum(Arg::kPoolMisses);
+    if (pool_total > 0) {
+      std::snprintf(pool, sizeof(pool), "%5.1f",
+                    100.0 * static_cast<double>(sum(Arg::kPoolHits)) /
+                        static_cast<double>(pool_total));
+    }
+    // "segs/tw" summarizes the tiled partitioning (segments executed and the
+    // feature-tile width); blank for spans that ran untiled.
+    char tiling[48] = "";
+    if (sum(Arg::kTileSegments) > 0) {
+      std::snprintf(tiling, sizeof(tiling), "%lld/%lld",
+                    static_cast<long long>(sum(Arg::kTileSegments)),
+                    static_cast<long long>(row.tile_width));
+    }
+    text_columns(key.first, key.second);
+    std::snprintf(line, sizeof(line), "%7lld %12.3f %10.4f %14lld %12s %10lld %9s %9s %8s %6s\n",
+                  static_cast<long long>(row.count), static_cast<double>(row.total_us) / 1e3,
+                  static_cast<double>(row.total_us) / 1e3 /
+                      static_cast<double>(std::max<int64_t>(1, row.count)),
+                  static_cast<long long>(sum(Arg::kEdges)),
+                  HumanBytes(static_cast<uint64_t>(
+                                 std::max<int64_t>(0, sum(Arg::kBytesMaterialized))))
+                      .c_str(),
+                  static_cast<long long>(sum(Arg::kKernelLaunches)), plan, pool, tiling,
+                  row.simd_isa);
+    out += line;
+  }
+  return out;
+}
+
+// ---- ScopedRun --------------------------------------------------------------
+
+ScopedRun::ScopedRun(Tracer* tracer, const char* name, const char* category)
+    : tracer_(tracer),
+      trace_(tracer != nullptr ? tracer->StartTrace(0, static_cast<uint64_t>(
+                                                           tracer->stats().started))
+                               : nullptr),
+      start_(Tracer::Clock::now()),
+      context_(trace_ != nullptr ? trace_ : CurrentTrace()) {
+  if (trace_ != nullptr) {
+    trace_->BeginSpan(name, category);
+  }
+}
+
+ScopedRun::~ScopedRun() {
+  if (trace_ != nullptr) {
+    tracer_->FinishTrace(
+        trace_, std::chrono::duration<double, std::milli>(Tracer::Clock::now() - start_).count(),
+        "done");
+  }
 }
 
 }  // namespace trace

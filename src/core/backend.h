@@ -37,7 +37,7 @@ struct BackendConfig {
 };
 
 // Runs `gir` under `config`. Thin dispatch wrapper over the executors; `ctx`
-// carries the per-run state (seed values, retain set, profiler) through to
+// carries the per-run state (seed values, retain set) through to
 // whichever executor the config selects — see RunContext in exec/runtime.h.
 //
 // Deprecated: constructs a throwaway executor per call and can only name the

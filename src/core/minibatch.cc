@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/common/profiler.h"
 #include "src/common/stopwatch.h"
+#include "src/common/tracing.h"
 #include "src/core/nn.h"
 #include "src/core/program.h"
 #include "src/tensor/ops.h"
@@ -51,19 +51,16 @@ MiniBatchResult TrainMiniBatchGcn(const Dataset& data, const MiniBatchConfig& co
   double accuracy_acc = 0.0;
   int accuracy_batches = 0;
 
-  Profiler* profiler =
-      config.profiler != nullptr && config.profiler->enabled() ? config.profiler : nullptr;
-
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     const bool last_epoch = epoch + 1 == config.epochs;
     for (const std::vector<int32_t>& seeds :
          MakeSeedBatches(data.spec.num_vertices, config.batch_size, rng)) {
       Stopwatch watch;
-      ProfileScope batch_span(
-          profiler, "batch " + std::to_string(result.batches_run), "minibatch");
+      trace::AmbientSpan batch_span("batch", "minibatch");
+      batch_span.Set(trace::Arg::kBatch, result.batches_run);
       SampledSubgraph block;
       {
-        ProfileScope sample_span(profiler, "sample", "minibatch");
+        trace::AmbientSpan sample_span("sample", "minibatch");
         block = SampleNeighborhood(data.graph, seeds, config.fanouts, rng);
       }
 
@@ -80,7 +77,6 @@ MiniBatchResult TrainMiniBatchGcn(const Dataset& data, const MiniBatchConfig& co
       // The block graph is batch-local, so the session is too; it lives
       // until Backward below finishes with the block.
       ExecutionSession block_session = MakeSession(executor, block.graph);
-      block_session.set_profiler(profiler);
 
       for (size_t layer = 0; layer < layers.size(); ++layer) {
         Var transformed = layers[layer].Forward(h);

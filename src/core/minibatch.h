@@ -22,8 +22,8 @@
 
 namespace seastar {
 
-class Profiler;
-
+// Under an ambient trace (tracing.h) the loop records per-batch spans
+// (sampling vs compute) around the executors' per-unit spans.
 struct MiniBatchConfig {
   int64_t hidden_dim = 16;
   int num_layers = 2;
@@ -33,9 +33,6 @@ struct MiniBatchConfig {
   int epochs = 3;
   float learning_rate = 1e-2f;
   uint64_t seed = 0xba7c4;
-  // When set, records per-batch spans (sampling vs compute) plus the
-  // executors' per-unit spans. Null = no recording, no overhead.
-  Profiler* profiler = nullptr;
 };
 
 struct MiniBatchResult {

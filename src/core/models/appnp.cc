@@ -26,7 +26,6 @@ Appnp::Appnp(const Dataset& data, const AppnpConfig& config,
 }
 
 Var Appnp::Forward(bool training) {
-  BindProfiler();
   Var h = ag::Dropout(features_, config_.dropout, rng_, training);
   h = ag::Relu(mlp_in_.Forward(h));
   h = ag::Dropout(h, config_.dropout, rng_, training);

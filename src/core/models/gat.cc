@@ -50,7 +50,6 @@ Var Gat::RunHead(const Layer& layer, const Head& head, const Var& h) const {
 }
 
 Var Gat::Forward(bool training) {
-  BindProfiler();
   Var h = features_;
   for (size_t layer_index = 0; layer_index < layers_.size(); ++layer_index) {
     const Layer& layer = layers_[layer_index];

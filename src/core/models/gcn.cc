@@ -31,7 +31,6 @@ Gcn::Gcn(const Dataset& data, const GcnConfig& config, std::shared_ptr<const Exe
 }
 
 Var Gcn::Forward(bool training) {
-  BindProfiler();
   Var h = features_;
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
     const bool last = layer + 1 == layers_.size();

@@ -30,7 +30,6 @@ Gin::Gin(const Dataset& data, const GinConfig& config, std::shared_ptr<const Exe
 }
 
 Var Gin::Forward(bool training) {
-  BindProfiler();
   Var h = features_;
   for (size_t layer_index = 0; layer_index < layers_.size(); ++layer_index) {
     const Layer& layer = layers_[layer_index];

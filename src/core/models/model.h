@@ -17,8 +17,6 @@
 
 namespace seastar {
 
-class Profiler;
-
 class GnnModel {
  public:
   virtual ~GnnModel() = default;
@@ -37,25 +35,14 @@ class GnnModel {
   // Null for models without stochastic state.
   virtual Rng* MutableRng() { return nullptr; }
 
-  // Observability: the training loop installs its run profiler here for the
-  // duration of a run; models thread it into every vertex-program launch via
-  // the session. Null (the default) disables all recording.
-  void SetProfiler(Profiler* profiler) { profiler_ = profiler; }
-  Profiler* profiler() const { return profiler_; }
-
   // The model's execution binding: executor + prepared graph view. Valid
   // after construction for every concrete model.
   const ExecutionSession& session() const { return session_; }
 
  protected:
   // Concrete models bind this in their constructor (MakeSession over the
-  // dataset graph) and call BindProfiler() at the top of Forward so a
-  // profiler installed after construction reaches the executors.
+  // dataset graph).
   ExecutionSession session_;
-  void BindProfiler() { session_.set_profiler(profiler()); }
-
- private:
-  Profiler* profiler_ = nullptr;
 };
 
 }  // namespace seastar

@@ -173,10 +173,6 @@ Var Rgcn::ForwardLayer(const Layer& layer, const Var& h, bool last) {
 }
 
 Var Rgcn::Forward(bool /*training*/) {
-  BindProfiler();
-  for (ExecutionSession& relation_session : relation_sessions_) {
-    relation_session.set_profiler(profiler());
-  }
   Var h = embedding_.Full();
   for (size_t layer_index = 0; layer_index < layers_.size(); ++layer_index) {
     h = ForwardLayer(layers_[layer_index], h, layer_index + 1 == layers_.size());

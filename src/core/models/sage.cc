@@ -39,7 +39,6 @@ Sage::Sage(const Dataset& data, const SageConfig& config,
 }
 
 Var Sage::Forward(bool training) {
-  BindProfiler();
   Var h = features_;
   for (size_t layer_index = 0; layer_index < layers_.size(); ++layer_index) {
     const Layer& layer = layers_[layer_index];

@@ -4,7 +4,7 @@
 
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
-#include "src/common/profiler.h"
+#include "src/common/tracing.h"
 #include "src/core/executor_factory.h"
 #include "src/gir/fusion.h"
 #include "src/gir/passes.h"
@@ -112,7 +112,6 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
   // programs aborts between layers without entering the next executor run.
   CheckExecutionDeadline("vertex program");
   const std::shared_ptr<const Data> data = data_;
-  Profiler* profiler = session.profiler();
 
   ValidateInputs(data->forward, session.graph(), inputs);
 
@@ -139,10 +138,9 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
   }
   RunResult fwd;
   {
-    ProfileScope forward_span(profiler, "vertex_program/forward", "program");
+    trace::AmbientSpan forward_span("vertex_program/forward", "program");
     RunContext forward_ctx;
     forward_ctx.retain = &forward_retain;
-    forward_ctx.profiler = profiler;
     fwd = session.Execute(data->forward, features, forward_ctx);
   }
   SEASTAR_CHECK_EQ(fwd.outputs.size(), 1u);
@@ -200,14 +198,13 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
     grad_output_names.push_back(entry.grad_outputs);
   }
 
-  // The profiler pointer is captured raw: it must stay alive until backward
-  // runs (the training loop owns it for the whole step). The executor is
-  // kept alive by its shared_ptr; the view's graph pointer and prepared
-  // shard state must outlive the tape (the session contract).
+  // The executor is kept alive by its shared_ptr; the view's graph pointer
+  // and prepared shard state must outlive the tape (the session contract).
+  // Backward records into whatever trace is ambient when the tape runs it.
   std::shared_ptr<const Executor> executor = session.executor_ptr();
   GraphView view = session.view();
-  auto backward_fn = [data, executor, view, features, saved, grad_output_names,
-                      profiler](const Tensor& grad_out) {
+  auto backward_fn = [data, executor, view, features, saved,
+                      grad_output_names](const Tensor& grad_out) {
     FeatureMap backward_features = features;
     backward_features.vertex[kGradInputKey] = grad_out;
 
@@ -231,11 +228,10 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
     const std::vector<int32_t> no_retain;
     RunResult bwd;
     {
-      ProfileScope backward_span(profiler, "vertex_program/backward", "program");
+      trace::AmbientSpan backward_span("vertex_program/backward", "program");
       RunContext backward_ctx;
       backward_ctx.seed = seed_ptr;
       backward_ctx.retain = &no_retain;
-      backward_ctx.profiler = profiler;
       // Through the same recovery ladder as the session's forward Execute —
       // a transient shard fault mid-backward must not escape into autograd.
       bwd = ExecuteWithRecovery(*executor, view, data->backward.graph, backward_features,
@@ -267,13 +263,11 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
 }
 
 Var VertexProgram::Run(const Graph& graph, const Inputs& inputs, const BackendConfig& config,
-                       const RunContext& ctx) const {
+                       const RunContext& /*ctx*/) const {
   // Compatibility shim: one throwaway executor + session per call. Any
   // per-graph prepared state (a shard partition) is rebuilt every call —
   // exactly the waste sessions exist to remove.
-  ExecutionSession session = MakeSession(MakeExecutor(config), graph);
-  session.set_profiler(ctx.profiler);
-  return Run(inputs, session);
+  return Run(inputs, MakeSession(MakeExecutor(config), graph));
 }
 
 std::string VertexProgram::DebugString() const {

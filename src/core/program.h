@@ -57,9 +57,9 @@ class VertexProgram {
   // with the declared shape ([N, w] vertex, [E, w] edge, [T, N, w] typed);
   // missing or mis-shaped inputs fail with an error naming the input.
   //
-  // The session's profiler, when set, records forward/backward program spans
-  // plus the executors' per-unit / per-op spans; seed and retain are managed
-  // internally by the autograd bridge.
+  // Under an ambient trace (tracing.h) it records forward/backward program
+  // spans around the executors' per-unit / per-op spans; seed and retain are
+  // managed internally by the autograd bridge.
   Var Run(const Inputs& inputs, const ExecutionSession& session) const;
 
   // Deprecated compatibility shim: builds a throwaway executor from `config`

@@ -9,8 +9,8 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/common/stopwatch.h"
+#include "src/common/tracing.h"
 #include "src/core/checkpoint.h"
 #include "src/core/nn.h"
 #include "src/parallel/thread_pool.h"
@@ -187,10 +187,6 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
   allocator.SetSoftBudgetBytes(config.memory_budget_bytes);
   allocator.ClearInjectedFailure();
 
-  Profiler* profiler =
-      config.profiler != nullptr && config.profiler->enabled() ? config.profiler : nullptr;
-  model.SetProfiler(profiler);
-
   std::vector<Var> parameters = model.Parameters();
   std::unique_ptr<Adam> adam;
   std::unique_ptr<Sgd> sgd;
@@ -207,7 +203,6 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     GetTrainMetrics().failures->Add(1);
     FlightRecorder::Get().Record("train", result.error.c_str());
     SEASTAR_LOG(Error) << "training failed: " << result.error;
-    model.SetProfiler(nullptr);
     allocator.SetSoftBudgetBytes(0);
     return result;
   };
@@ -253,8 +248,8 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
   // recoverable condition: it is logged as a recovery event and training
   // continues on the in-memory anchor.
   const auto take_snapshot = [&](int completed_epoch) {
-    ProfileScope span(profiler, "checkpoint epoch " + std::to_string(completed_epoch),
-                      "checkpoint");
+    trace::AmbientSpan span("checkpoint", "checkpoint");
+    span.Set(trace::Arg::kEpoch, completed_epoch);
     // Release pooled (cached, non-live) blocks so process footprint at
     // snapshot time reflects live tensors only; the next epoch re-warms the
     // pool from its own frees.
@@ -290,18 +285,19 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     Stopwatch epoch_watch;
     allocator.ResetPeak();
 
-    // What went wrong this epoch ("" = healthy) and the log detail.
-    std::string problem;
+    // What went wrong this epoch (null = healthy) and the log detail.
+    const char* problem = nullptr;
     std::string detail;
 
-    ProfileScope epoch_span(profiler, "epoch " + std::to_string(epoch), "train");
+    trace::AmbientSpan epoch_span("epoch", "train");
+    epoch_span.Set(trace::Arg::kEpoch, epoch);
     const uint64_t epoch_pool_hits_before = allocator.pool_hits();
     const uint64_t epoch_fresh_mallocs_before = allocator.fresh_mallocs();
     Var logits;
     Var loss;
     float loss_value = 0.0f;
     {
-      ProfileScope forward_span(profiler, "forward", "train");
+      trace::AmbientSpan forward_span("forward", "train");
       logits = model.Forward(/*training=*/true);
       loss = ag::NllLoss(ag::LogSoftmax(logits), data.labels, data.train_mask);
       loss_value = loss.value().at(0);
@@ -316,8 +312,8 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
                  std::to_string(config.divergence_threshold);
       }
     }
-    if (problem.empty()) {
-      ProfileScope backward_span(profiler, "backward", "train");
+    if (problem == nullptr) {
+      trace::AmbientSpan backward_span("backward", "train");
       Backward(loss, Tensor::Ones({1}));
       if (config.health_checks) {
         if (std::string bad = FirstNonFiniteGrad(parameters); !bad.empty()) {
@@ -326,8 +322,8 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
         }
       }
     }
-    if (problem.empty()) {
-      ProfileScope step_span(profiler, "optimizer_step", "train");
+    if (problem == nullptr) {
+      trace::AmbientSpan step_span("optimizer_step", "train");
       if (adam != nullptr) {
         adam->Step();
         adam->ZeroGrad();
@@ -351,19 +347,19 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     }
     if (allocator.failure_injected()) {
       allocator.ClearInjectedFailure();
-      if (problem.empty()) {
+      if (problem == nullptr) {
         problem = "alloc_failure";
         detail = "injected allocation failure mid-epoch";
       }
     }
 
-    if (!problem.empty()) {
+    if (problem != nullptr) {
       ++retries_used;
       ++result.rollbacks;
       GetTrainMetrics().recoveries->Add(1);
-      FlightRecorder::Get().Record("train", problem.c_str(), epoch, retries_used);
+      FlightRecorder::Get().Record("train", problem, epoch, retries_used);
       {
-        ProfileScope recovery_span(profiler, problem, "recovery");
+        trace::AmbientSpan recovery_span(problem, "recovery");
         // Grads of a poisoned epoch must not leak into the retry.
         if (adam != nullptr) {
           adam->ZeroGrad();
@@ -409,11 +405,10 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     last_logits = logits.value();
     result.peak_bytes = std::max(result.peak_bytes, allocator.peak_bytes());
     best_loss = std::min(best_loss, loss_value);
-    if (ProfileEvent* event = epoch_span.event()) {
-      event->pool_hits = static_cast<int64_t>(allocator.pool_hits() - epoch_pool_hits_before);
-      event->pool_misses =
-          static_cast<int64_t>(allocator.fresh_mallocs() - epoch_fresh_mallocs_before);
-    }
+    epoch_span.Set(trace::Arg::kPoolHits,
+                   static_cast<int64_t>(allocator.pool_hits() - epoch_pool_hits_before));
+    epoch_span.Set(trace::Arg::kPoolMisses,
+                   static_cast<int64_t>(allocator.fresh_mallocs() - epoch_fresh_mallocs_before));
 
     const double epoch_ms = epoch_watch.ElapsedMillis();
     {
@@ -445,7 +440,6 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     take_snapshot(config.epochs);
   }
 
-  model.SetProfiler(nullptr);
   allocator.SetSoftBudgetBytes(0);
   result.total_seconds = total_watch.ElapsedSeconds();
   result.avg_epoch_ms = timed_epochs > 0 ? timed_ms / timed_epochs : 0.0;

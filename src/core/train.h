@@ -22,8 +22,10 @@
 
 namespace seastar {
 
-class Profiler;
-
+// Observability: under an ambient trace (tracing.h — e.g. trace::ScopedRun
+// around the call) the loop records epoch / forward / backward /
+// optimizer_step spans around the executors' per-unit spans, plus
+// "recovery" and "checkpoint" spans. No trace installed = no recording.
 struct TrainConfig {
   int epochs = 200;
   int warmup_epochs = 3;  // Discarded from timing (paper §7).
@@ -33,11 +35,6 @@ struct TrainConfig {
   // training stops and the result is flagged oom.
   uint64_t memory_budget_bytes = 0;
   bool verbose = false;
-  // When set, the loop installs this profiler on the model for the run and
-  // records epoch / forward / backward / optimizer spans around the
-  // executors' per-unit spans. Recovery actions and checkpoint writes get
-  // "recovery" / "checkpoint" spans. Null = no recording, no overhead.
-  Profiler* profiler = nullptr;
 
   // ---- Fault tolerance ---------------------------------------------------
 
@@ -65,8 +62,8 @@ struct TrainConfig {
   float lr_backoff = 0.5f;
 };
 
-// One recovery action taken by the loop, mirrored as a Profiler span
-// (category "recovery") when profiling is on.
+// One recovery action taken by the loop, mirrored as a span (category
+// "recovery") on the ambient trace.
 struct RecoveryEvent {
   int epoch = 0;        // Epoch whose failure triggered the recovery.
   std::string kind;     // "non_finite_loss" | "non_finite_grad" | "divergence" |

@@ -8,13 +8,15 @@
 
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
-#include "src/common/profiler.h"
+#include "src/common/tracing.h"
 #include "src/exec/kernel_counter.h"
 #include "src/exec/pointwise.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/allocator.h"
 
 namespace seastar {
+
+using trace::Arg;
 namespace {
 
 inline void AtomicAdd(float* target, float value) {
@@ -80,10 +82,9 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
                                 const FeatureMap& features, const RunContext& ctx) const {
   const SeedMap* seed = ctx.seed;
   const std::vector<int32_t>* retain = ctx.retain;
-  Profiler* profiler =
-      ctx.profiler != nullptr && ctx.profiler->enabled() ? ctx.profiler : nullptr;
-  ProfileScope run_span(profiler,
-                        options_.flavor == BaselineFlavor::kDglLike ? "dgl" : "pyg", "exec");
+  trace::AmbientSpan run_span(options_.flavor == BaselineFlavor::kDglLike ? "dgl" : "pyg",
+                             "exec");
+  const bool traced = run_span.active();
   const uint64_t run_live_before = TensorAllocator::Get().live_bytes();
   const uint64_t run_peak_before = TensorAllocator::Get().peak_bytes();
   const int64_t run_launches_before = KernelLaunchCount();
@@ -470,7 +471,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
 
   // ---- Main interpretation loop ------------------------------------------------------------------
   // One operator evaluation, factored out so the loop below can wrap it in a
-  // profiler span without duplicating the dispatch.
+  // trace span without duplicating the dispatch.
   const auto exec_node = [&](const Node& node) {
     switch (node.kind) {
       case OpKind::kConst:
@@ -614,30 +615,30 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
     // of the trace so per-op spans correspond to launched kernels.
     const bool is_kernel = node.kind != OpKind::kConst && node.kind != OpKind::kInput &&
                            node.kind != OpKind::kInputTypedSrc && node.type != GraphType::kParam;
-    if (profiler == nullptr || !is_kernel) {
+    if (!traced || !is_kernel) {
       exec_node(node);
       continue;
     }
-    ProfileScope op_span(profiler, OpKindName(node.kind), "op");
+    trace::AmbientSpan op_span(OpKindName(node.kind), "op");
     const uint64_t live_before = TensorAllocator::Get().live_bytes();
     const uint64_t peak_before = TensorAllocator::Get().peak_bytes();
     const int64_t launches_before = KernelLaunchCount();
     exec_node(node);
-    if (ProfileEvent* event = op_span.event()) {
+    if (trace::Span* span = op_span.span()) {
       // Edge-wise ops and aggregations are the graph-traversal kernels; the
       // rest are plain vertex/param tensor kernels.
       if (IsAggregation(node.kind) || node.type == GraphType::kEdge) {
-        event->edges = num_edges;
+        span->Set(Arg::kEdges, num_edges);
       }
       auto out_it = saved->find(node.id);
       if (out_it != saved->end()) {
-        event->bytes_materialized = static_cast<int64_t>(out_it->second.nbytes());
+        span->Set(Arg::kBytesMaterialized, static_cast<int64_t>(out_it->second.nbytes()));
       }
-      event->kernel_launches = KernelLaunchCount() - launches_before;
-      event->alloc_delta_bytes = static_cast<int64_t>(TensorAllocator::Get().live_bytes()) -
-                                 static_cast<int64_t>(live_before);
-      event->peak_delta_bytes = static_cast<int64_t>(TensorAllocator::Get().peak_bytes()) -
-                                static_cast<int64_t>(peak_before);
+      span->Set(Arg::kKernelLaunches, KernelLaunchCount() - launches_before);
+      span->Set(Arg::kAllocDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().live_bytes()) -
+                                           static_cast<int64_t>(live_before));
+      span->Set(Arg::kPeakDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().peak_bytes()) -
+                                          static_cast<int64_t>(peak_before));
     }
   }
 
@@ -648,12 +649,12 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
     result.outputs[gir.output_names()[i]] = value_of(id);
   }
 
-  if (ProfileEvent* event = run_span.event()) {
-    event->kernel_launches = KernelLaunchCount() - run_launches_before;
-    event->alloc_delta_bytes = static_cast<int64_t>(TensorAllocator::Get().live_bytes()) -
-                               static_cast<int64_t>(run_live_before);
-    event->peak_delta_bytes = static_cast<int64_t>(TensorAllocator::Get().peak_bytes()) -
-                              static_cast<int64_t>(run_peak_before);
+  if (trace::Span* span = run_span.span()) {
+    span->Set(Arg::kKernelLaunches, KernelLaunchCount() - run_launches_before);
+    span->Set(Arg::kAllocDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().live_bytes()) -
+                                         static_cast<int64_t>(run_live_before));
+    span->Set(Arg::kPeakDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().peak_bytes()) -
+                                        static_cast<int64_t>(run_peak_before));
   }
   return result;
 }

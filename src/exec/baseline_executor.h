@@ -64,10 +64,10 @@ class BaselineExecutor : public Executor {
   // a real tensor framework releases temporaries; when null, everything is
   // kept (useful for tests and for seeding).
   //
-  // `ctx.profiler`, when set, receives one span per operator kernel with
-  // edges traversed, bytes materialized, kernel-launch and allocator
-  // watermark deltas — the whole-graph tensor-system counterpart of the
-  // Seastar executor's per-unit spans.
+  // Under an ambient trace (tracing.h) it records one span per operator
+  // kernel with edges traversed, bytes materialized, kernel-launch and
+  // allocator watermark deltas — the whole-graph tensor-system counterpart
+  // of the Seastar executor's per-unit spans.
   RunResult Run(const GirGraph& gir, const Graph& graph, const FeatureMap& features,
                 const RunContext& ctx = {}) const;
 

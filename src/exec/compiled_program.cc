@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/common/tracing.h"
 
 namespace seastar {
 namespace {
@@ -108,7 +109,7 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
   program.unit_labels.reserve(plan.units.size());
   for (size_t unit_index = 0; unit_index < plan.units.size(); ++unit_index) {
     const FusedUnit& fused = plan.units[unit_index];
-    program.unit_labels.push_back(UnitLabel(gir, fused, unit_index));
+    program.unit_labels.push_back(trace::Intern(UnitLabel(gir, fused, unit_index)));
 
     CompiledUnit unit;
     unit.orientation = fused.orientation;

@@ -122,7 +122,9 @@ class CompiledProgram {
  public:
   ExecutionPlan plan;
   std::vector<CompiledUnit> units;       // Templates (null base pointers).
-  std::vector<std::string> unit_labels;  // "unit3:Mul+AggSum" trace labels.
+  // Span names, interned ("unit3:Mul+AggSum"): recorded traces keep them
+  // whole after this program is evicted.
+  std::vector<const char*> unit_labels;
   // Host-side values of P-typed nodes (constants and arithmetic on
   // constants), indexed by node id. P values cannot depend on features or the
   // graph, so they are fixed at compile time.

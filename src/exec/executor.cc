@@ -48,12 +48,6 @@ const Executor& ExecutionSession::executor() const {
 
 PlanCache& ExecutionSession::plan_cache() const { return PlanCache::Get(); }
 
-RunContext ExecutionSession::MakeRunContext() const {
-  RunContext ctx;
-  ctx.profiler = profiler_;
-  return ctx;
-}
-
 RunResult ExecutionSession::Execute(const GirGraph& gir, const FeatureMap& features,
                                     const RunContext& ctx) const {
   return ExecuteWithRecovery(executor(), view_, gir, features, ctx);
@@ -89,10 +83,6 @@ RunResult ExecuteWithRecovery(const Executor& executor, const GraphView& view,
     // cannot trip over the failing shard decomposition.
     return fallback->Execute(gir, GraphView(view.graph()), features, ctx);
   }
-}
-
-RunResult ExecutionSession::Execute(const GirGraph& gir, const FeatureMap& features) const {
-  return Execute(gir, features, MakeRunContext());
 }
 
 ExecutionSession MakeSession(std::shared_ptr<const Executor> executor, const Graph& graph) {

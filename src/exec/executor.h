@@ -63,8 +63,8 @@ class Executor {
   virtual ~Executor() = default;
 
   // Runs `gir` over the view's graph with `features`, returning globally
-  // indexed outputs. `ctx` carries the per-run state (seed, retain,
-  // profiler) exactly as RunContext documents.
+  // indexed outputs. `ctx` carries the per-run state (seed, retain) exactly
+  // as RunContext documents.
   virtual RunResult Execute(const GirGraph& gir, const GraphView& view,
                             const FeatureMap& features, const RunContext& ctx = {}) const = 0;
 
@@ -106,13 +106,11 @@ RunResult ExecuteWithRecovery(const Executor& executor, const GraphView& view,
                               const GirGraph& gir, const FeatureMap& features,
                               const RunContext& ctx);
 
-// One caller's binding of (executor, graph view, observability). What the
-// old (config, graph, features, ctx) parameter tail collapses into: models
-// hold one session per bound graph, the serve path one per request graph,
-// and VertexProgram::Run takes the session as its single execution
-// parameter. Copying a session is three pointer copies; the executor is
-// shared, the profiler is borrowed (callers own its lifetime, as with
-// RunContext::profiler before).
+// One caller's binding of (executor, graph view). What the old (config,
+// graph, features, ctx) parameter tail collapses into: models hold one
+// session per bound graph, the serve path one per request graph, and
+// VertexProgram::Run takes the session as its single execution parameter.
+// Copying a session is two pointer copies; the executor is shared.
 class ExecutionSession {
  public:
   ExecutionSession() = default;
@@ -129,22 +127,14 @@ class ExecutionSession {
   // call sites.
   PlanCache& plan_cache() const;
 
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
-  Profiler* profiler() const { return profiler_; }
-
-  // The session's baseline run context (currently: the profiler binding).
-  RunContext MakeRunContext() const;
-
-  // Runs through the session's executor. `ctx` overrides MakeRunContext()
-  // for callers that thread seed/retain state (the autograd bridge).
+  // Runs through the session's executor. `ctx` carries seed/retain state
+  // for callers that thread it (the autograd bridge).
   RunResult Execute(const GirGraph& gir, const FeatureMap& features,
-                    const RunContext& ctx) const;
-  RunResult Execute(const GirGraph& gir, const FeatureMap& features) const;
+                    const RunContext& ctx = {}) const;
 
  private:
   std::shared_ptr<const Executor> executor_;
   GraphView view_;
-  Profiler* profiler_ = nullptr;
 };
 
 // Binds `executor` to `graph`, running the executor's per-graph preparation

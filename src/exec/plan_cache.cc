@@ -1,5 +1,7 @@
 #include "src/exec/plan_cache.h"
 
+#include <optional>
+
 #include "src/common/metrics.h"
 
 namespace seastar {
@@ -24,31 +26,39 @@ PlanCache::PlanCache() {
 std::shared_ptr<const CompiledProgram> PlanCache::GetOrCompile(const GirGraph& gir,
                                                               const FusionOptions& options,
                                                               bool* cache_hit) {
-  const std::pair<uint64_t, bool> key{gir.Fingerprint(), options.enable_fusion};
+  const Key key{gir.Fingerprint(), options.enable_fusion};
+  std::optional<std::promise<std::shared_ptr<const CompiledProgram>>> compiled;  // Miss only.
+  Entry entry;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
+      entry = it->second;
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (cache_hit != nullptr) {
-        *cache_hit = true;
+    } else {
+      if (entries_.size() >= kMaxEntries) {
+        entries_.clear();
       }
-      return it->second;
+      entry = compiled.emplace().get_future().share();
+      entries_.emplace(key, entry);
+      misses_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Compile outside the lock: compilation is the expensive part and two
-  // threads racing on the same new GIR just do redundant work once.
-  std::shared_ptr<const CompiledProgram> program = CompileProgram(gir, options);
-  misses_.fetch_add(1, std::memory_order_relaxed);
   if (cache_hit != nullptr) {
-    *cache_hit = false;
+    *cache_hit = !compiled.has_value();
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.size() >= kMaxEntries) {
-    entries_.clear();
+  if (compiled.has_value()) {
+    // Compile outside the lock (it is the expensive part); other threads
+    // asking for this key meanwhile wait on `entry`, not on the mutex.
+    try {
+      compiled->set_value(CompileProgram(gir, options));
+    } catch (...) {
+      compiled->set_exception(std::current_exception());
+      std::lock_guard<std::mutex> lock(mutex_);
+      entries_.erase(key);
+    }
   }
-  auto [it, inserted] = entries_.emplace(key, std::move(program));
-  return it->second;
+  return entry.get();
 }
 
 size_t PlanCache::size() const {

@@ -18,11 +18,16 @@
 //     cached on the Graph object itself.
 //   * GIR change      -> different fingerprint, different entry.
 // Clear() drops everything (tests use it to get deterministic miss counts).
+//
+// Compilation is single-flight per key: concurrent first requests for one
+// GIR (pool workers, shard workers) wait on the one compile in flight, so a
+// new GIR counts exactly one miss however many threads race on it.
 #ifndef SRC_EXEC_PLAN_CACHE_H_
 #define SRC_EXEC_PLAN_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,7 +45,9 @@ class PlanCache {
 
   // Returns the cached program for (gir fingerprint, options), compiling on
   // first sight. `cache_hit`, if non-null, reports whether this call was
-  // served from the cache.
+  // served from the cache (a call that waited on another thread's compile
+  // was). A compile that throws leaves no entry behind: the next call
+  // retries.
   std::shared_ptr<const CompiledProgram> GetOrCompile(const GirGraph& gir,
                                                       const FusionOptions& options,
                                                       bool* cache_hit = nullptr);
@@ -60,7 +67,9 @@ class PlanCache {
   static constexpr size_t kMaxEntries = 256;
 
   mutable std::mutex mutex_;
-  std::map<std::pair<uint64_t, bool>, std::shared_ptr<const CompiledProgram>> entries_;
+  using Key = std::pair<uint64_t, bool>;
+  using Entry = std::shared_future<std::shared_ptr<const CompiledProgram>>;
+  std::map<Key, Entry> entries_;  // Ready, or compiling on one thread.
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

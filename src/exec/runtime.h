@@ -42,13 +42,12 @@ struct RunResult {
 // tensors in the baseline executors.
 using SeedMap = std::map<int32_t, Tensor>;
 
-class Profiler;
-
 // Run-scoped execution context threaded through RunWithBackend, both
 // executors and VertexProgram::Run. Replaces the old raw-pointer tail
-// parameters (SeedMap*, retain vector) with one named carrier and adds the
-// observability sink, so growing the execution API means adding a field
-// here instead of another defaulted pointer at every call site.
+// parameters (SeedMap*, retain vector) with one named carrier, so growing
+// the execution API means adding a field here instead of another defaulted
+// pointer at every call site. Observability is not a field: executors
+// record into the caller's ambient trace (src/common/tracing.h).
 struct RunContext {
   // Node values already known before the run; seeded nodes are not
   // recomputed (the baseline executors' autograd saved-tensor path). The
@@ -61,10 +60,6 @@ struct RunContext {
   // Ignored by the Seastar executor, which only materializes unit-crossing
   // values in the first place.
   const std::vector<int32_t>* retain = nullptr;
-
-  // Observability sink (src/common/profiler.h). Null — the default — means
-  // profiling is off and every hook reduces to a pointer test.
-  Profiler* profiler = nullptr;
 };
 
 }  // namespace seastar

@@ -8,7 +8,6 @@
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/common/tracing.h"
 #include "src/exec/compiled_program.h"
 #include "src/exec/kernel_counter.h"
@@ -20,6 +19,8 @@
 #include "src/tensor/simd.h"
 
 namespace seastar {
+
+using trace::Arg;
 namespace {
 
 // Always-on per-tile observability (cached handles; bumped once per unit
@@ -215,11 +216,10 @@ ExecutionPlan SeastarExecutor::Plan(const GirGraph& gir) const {
 
 RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
                                const FeatureMap& features, const RunContext& ctx) const {
-  // Hoisted once: with no (enabled) profiler installed every hook below is a
-  // null-pointer test on the orchestration path only.
-  Profiler* profiler =
-      ctx.profiler != nullptr && ctx.profiler->enabled() ? ctx.profiler : nullptr;
-  ProfileScope run_span(profiler, "seastar", "exec");
+  // With no ambient trace installed every hook below is a branch on
+  // `traced`, on the orchestration path only.
+  trace::AmbientSpan run_span("seastar", "exec");
+  const bool traced = run_span.active();
   const TensorAllocator& allocator = TensorAllocator::Get();
   const uint64_t run_live_before = allocator.live_bytes();
   const uint64_t run_peak_before = allocator.peak_bytes();
@@ -316,6 +316,21 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     node_base[static_cast<size_t>(id)] = tensor.data();
   }
 
+  // Traced-only per-worker traversal counters, zeroed per unit and merged
+  // after its launch (never touched untraced; one padded slot per worker so
+  // the edge loop stays contention-free).
+  const int num_workers = ThreadPool::Current().num_threads() + 1;
+  std::vector<WorkerEdgeCount> edge_counts(traced ? static_cast<size_t>(num_workers) : 0);
+  WorkerEdgeCount* edge_slots = edge_counts.empty() ? nullptr : edge_counts.data();
+  const auto edges_counted = [&edge_counts] {
+    int64_t edges = 0;
+    for (WorkerEdgeCount& count : edge_counts) {
+      edges += count.edges;
+      count.edges = 0;
+    }
+    return edges;
+  };
+
   // ---- Run each unit ----------------------------------------------------------------------------
   for (size_t unit_index = 0; unit_index < plan.units.size(); ++unit_index) {
     // A fused unit is the smallest schedulable quantum: poll the ambient
@@ -323,13 +338,10 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     // SIMT pool for another kernel. No-deadline runs pay one TLS load.
     CheckExecutionDeadline("seastar unit");
     const FusedUnit& fused = plan.units[unit_index];
-    ProfileScope unit_span(
-        profiler, profiler != nullptr ? program->unit_labels[unit_index] : std::string(),
-        "unit");
-    // Per-unit launch span on the ambient request trace: the finest grain of
-    // tail-latency attribution ("which fused kernel ate the budget").
-    trace::AmbientSpan trace_unit_span("unit");
-    trace_unit_span.Detail(program->unit_labels[unit_index]);
+    // One span per fused unit, named by its label: the finest grain of both
+    // per-kernel attribution and tail-latency attribution ("which fused
+    // kernel ate the budget").
+    trace::AmbientSpan unit_span(program->unit_labels[unit_index], "unit");
     AddKernelLaunches(1);
 
     CompiledUnit unit = program->units[unit_index];  // Copy the template...
@@ -340,7 +352,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
 
     // ---- Launch -------------------------------------------------------------------------------
     const int64_t typed_stride = num_vertices;
-    const int num_workers = ThreadPool::Current().num_threads() + 1;
 
     // Per-worker register scratch, one cacheline-aligned row per worker so
     // concurrent FAT groups never false-share. A pooled Tensor rather than
@@ -350,13 +361,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
         (static_cast<int64_t>(std::max(unit.scratch_floats, 1)) + 15) & ~int64_t{15};
     Tensor scratch_tensor = Tensor::Zeros({num_workers, scratch_stride});
     float* scratch_base = scratch_tensor.data();
-
-    // Profiling-only per-worker traversal counters, merged after the launch
-    // (never touched when profiling is off; one padded slot per worker so
-    // the edge loop stays contention-free when it is on).
-    std::vector<WorkerEdgeCount> edge_counts(
-        profiler != nullptr ? static_cast<size_t>(num_workers) : 0);
-    WorkerEdgeCount* edge_slots = edge_counts.empty() ? nullptr : edge_counts.data();
 
     // Cache-blocked tiled launch (ISSUE 8): fast-path units whose per-vertex
     // work is only the edge loop plus the aggregation store run segment-by-
@@ -379,7 +383,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       launch.num_blocks = num_segments;
       launch.schedule = options_.schedule;
       launch.chunk_size = options_.dynamic_chunk;
-      launch.stats = profiler != nullptr ? &launch_stats : nullptr;
+      launch.stats = traced ? &launch_stats : nullptr;
 
       LaunchBlocks(launch, [&](int64_t segment, int worker) {
         float* acc = scratch_base + worker * scratch_stride;
@@ -416,24 +420,20 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       counters.tiled_units->Add(1);
       counters.simd_dispatch->Add(1);
 
-      if (ProfileEvent* event = unit_span.event()) {
-        int64_t edges = 0;
-        for (const WorkerEdgeCount& count : edge_counts) {
-          edges += count.edges;
-        }
-        event->edges = edges;
-        event->fat_groups = num_vertices;
-        event->fat_group_size = 1;  // Vertex-sequential within a segment.
-        event->num_blocks = num_segments;
-        event->dispatches = launch_stats.dispatches;
-        event->schedule = BlockScheduleName(options_.schedule);
-        event->kernel_launches = 1;
-        event->tile_segments = num_segments;
-        event->tile_passes = tile_passes;
-        event->tile_width = tile_width;
-        event->simd_isa = simd::SimdIsaName();
-        event->bytes_materialized =
-            num_vertices * w * static_cast<int64_t>(sizeof(float));
+      const int64_t edges = edges_counted();
+      if (trace::Span* span = unit_span.span()) {
+        span->Set(Arg::kEdges, edges);
+        span->Set(Arg::kFatGroups, num_vertices);
+        span->Set(Arg::kFatGroupSize, 1);  // Vertex-sequential within a segment.
+        span->Set(Arg::kNumBlocks, num_segments);
+        span->Set(Arg::kDispatches, launch_stats.dispatches);
+        span->Set(Arg::kKernelLaunches, 1);
+        span->Set(Arg::kTileSegments, num_segments);
+        span->Set(Arg::kTilePasses, tile_passes);
+        span->Set(Arg::kTileWidth, tile_width);
+        span->Set(Arg::kBytesMaterialized, num_vertices * w * static_cast<int64_t>(sizeof(float)));
+        span->schedule = BlockScheduleName(options_.schedule);
+        span->simd_isa = simd::SimdIsaName();
       }
       continue;
     }
@@ -446,7 +446,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     launch.num_blocks = geometry.num_blocks;
     launch.schedule = options_.schedule;
     launch.chunk_size = options_.dynamic_chunk;
-    launch.stats = profiler != nullptr ? &launch_stats : nullptr;
+    launch.stats = traced ? &launch_stats : nullptr;
 
     LaunchBlocks(launch, [&](int64_t block_id, int worker) {
       float* scratch = scratch_base + worker * scratch_stride;
@@ -622,19 +622,17 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       }
     });
 
-    if (ProfileEvent* event = unit_span.event()) {
-      int64_t edges = 0;
-      for (const WorkerEdgeCount& count : edge_counts) {
-        edges += count.edges;
-      }
-      event->edges = edges;
-      event->fat_groups = num_vertices;
-      event->fat_group_size = geometry.group_size;
-      event->num_blocks = geometry.num_blocks;
-      event->block_size = geometry.block_size;
-      event->dispatches = launch_stats.dispatches;
-      event->schedule = BlockScheduleName(options_.schedule);
-      event->kernel_launches = 1;
+    const int64_t edges = edges_counted();
+    if (trace::Span* span = unit_span.span()) {
+      span->Set(Arg::kEdges, edges);
+      span->Set(Arg::kFatGroups, num_vertices);
+      span->Set(Arg::kFatGroupSize, geometry.group_size);
+      span->Set(Arg::kNumBlocks, geometry.num_blocks);
+      span->Set(Arg::kBlockSize, geometry.block_size);
+      span->Set(Arg::kDispatches, launch_stats.dispatches);
+      span->Set(Arg::kKernelLaunches, 1);
+      span->schedule = BlockScheduleName(options_.schedule);
+      int64_t bytes_materialized = 0;
       for (int32_t id : fused.nodes) {
         if (!plan.materialized[static_cast<size_t>(id)]) {
           continue;
@@ -643,22 +641,23 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
         const int64_t rows = node.kind == OpKind::kAggTypedToSrc
                                  ? static_cast<int64_t>(num_types) * num_vertices
                                  : (node.type == GraphType::kEdge ? num_edges : num_vertices);
-        event->bytes_materialized += rows * node.width * static_cast<int64_t>(sizeof(float));
+        bytes_materialized += rows * node.width * static_cast<int64_t>(sizeof(float));
       }
+      span->Set(Arg::kBytesMaterialized, bytes_materialized);
     }
   }
 
-  if (ProfileEvent* event = run_span.event()) {
-    event->kernel_launches = static_cast<int64_t>(plan.units.size());
-    event->alloc_delta_bytes = static_cast<int64_t>(allocator.live_bytes()) -
-                               static_cast<int64_t>(run_live_before);
-    event->peak_delta_bytes = static_cast<int64_t>(allocator.peak_bytes()) -
-                              static_cast<int64_t>(run_peak_before);
-    event->plan_cache_hits = plan_hit ? 1 : 0;
-    event->plan_cache_misses = plan_hit ? 0 : 1;
-    event->pool_hits = static_cast<int64_t>(allocator.pool_hits() - run_pool_hits_before);
-    event->pool_misses =
-        static_cast<int64_t>(allocator.fresh_mallocs() - run_fresh_mallocs_before);
+  if (trace::Span* span = run_span.span()) {
+    span->Set(Arg::kKernelLaunches, static_cast<int64_t>(plan.units.size()));
+    span->Set(Arg::kAllocDeltaBytes, static_cast<int64_t>(allocator.live_bytes()) -
+                                         static_cast<int64_t>(run_live_before));
+    span->Set(Arg::kPeakDeltaBytes, static_cast<int64_t>(allocator.peak_bytes()) -
+                                        static_cast<int64_t>(run_peak_before));
+    span->Set(Arg::kPlanCacheHits, plan_hit ? 1 : 0);
+    span->Set(Arg::kPlanCacheMisses, plan_hit ? 0 : 1);
+    span->Set(Arg::kPoolHits, static_cast<int64_t>(allocator.pool_hits() - run_pool_hits_before));
+    span->Set(Arg::kPoolMisses,
+              static_cast<int64_t>(allocator.fresh_mallocs() - run_fresh_mallocs_before));
   }
 
   RunResult result;

@@ -61,9 +61,10 @@ class SeastarExecutor : public Executor {
   // are accepted for interface parity with the baselines but ignored:
   // Seastar recomputes intra-unit values in backward kernels instead of
   // saving them (§6.3.4), and only materializes unit-crossing values in the
-  // first place. `ctx.profiler`, when set, receives one span per fused unit
-  // with the §6.3 kernel counters (FAT geometry, dispatch grants, edges
-  // traversed, bytes materialized, allocator watermark deltas).
+  // first place. Under an ambient trace (tracing.h) it records one span per
+  // fused unit with the §6.3 kernel counters (FAT geometry, dispatch grants,
+  // edges traversed, bytes materialized) inside a run span carrying the
+  // allocator, pool and plan-cache deltas.
   RunResult Run(const GirGraph& gir, const Graph& graph, const FeatureMap& features,
                 const RunContext& ctx = {}) const;
 

@@ -15,7 +15,6 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/common/tracing.h"
 #include "src/parallel/channel.h"
 
@@ -312,9 +311,8 @@ RunResult ShardRuntime::Execute(const GirGraph& gir, const GraphView& view,
   }
 
   Counters().runs->Add(1);
-  ProfileScope span(ctx.profiler, "shard_runtime/execute", "program");
-  trace::AmbientSpan trace_span("shard_runtime");
-  trace_span.Arg("shards", options_.num_shards);
+  trace::AmbientSpan span("shard_runtime", "exec");
+  span.Set(trace::Arg::kShards, options_.num_shards);
   return ExecuteSharded(gir, graph, *sharded, features);
 }
 
@@ -524,9 +522,9 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
       return;  // Never start an interpreter run into a cancelled execution.
     }
     MaybeInjectShardFault(FaultSite::kShardWorker, shard_id);
-    // No profiler inside the workers: spans are recorded per run by the
-    // orchestrator; the inner executors' hooks are not built for concurrent
-    // sinks.
+    // No trace inside the workers, whichever thread runs the shard: spans
+    // are recorded per pass by the orchestrator, and a trace is single-owner.
+    trace::ScopedTraceContext no_trace(nullptr);
     RunResult local = inner_.Run(gir, shard.local, local_features, RunContext{});
     local_feature_sets[static_cast<size_t>(shard_id)] = FeatureMap{};
 
@@ -724,21 +722,21 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
   // its whole pass). The shard workers themselves have no ambient trace —
   // attribution is at pass granularity by design.
   {
-    trace::AmbientSpan pass_span("shard_pass");
+    trace::AmbientSpan pass_span("shard_pass", "exec");
     pass_span.Detail("features");
-    pass_span.Arg("shards", num_shards);
+    pass_span.Set(trace::Arg::kShards, num_shards);
     run_pass(pass_features);
   }
   {
-    trace::AmbientSpan pass_span("shard_pass");
+    trace::AmbientSpan pass_span("shard_pass", "exec");
     pass_span.Detail("run");
-    pass_span.Arg("shards", num_shards);
+    pass_span.Set(trace::Arg::kShards, num_shards);
     run_pass(pass_run);
   }
   {
-    trace::AmbientSpan pass_span("shard_pass");
+    trace::AmbientSpan pass_span("shard_pass", "exec");
     pass_span.Detail("combine");
-    pass_span.Arg("shards", num_shards);
+    pass_span.Set(trace::Arg::kShards, num_shards);
     run_pass(pass_combine);
   }
   if (std::exception_ptr error = cancel.error()) {

@@ -11,7 +11,6 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/common/profiler.h"
 #include "src/core/checkpoint.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/autograd.h"
@@ -141,8 +140,6 @@ Server::Server(GnnModel& model, const Dataset& data, ServeConfig config)
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config)
     : config_(NormalizeTenants(std::move(config), *registry)),
-      profiler_((config_.profiler != nullptr && config_.profiler->enabled()) ? config_.profiler
-                                                                             : nullptr),
       registry_(std::move(registry)),
       queue_(config_.queue_capacity),
       batcher_(queue_, BatcherOptions{config_.max_batch, config_.max_batch_delay_ms,
@@ -232,7 +229,9 @@ Status Server::Start() {
   }
 
   {
-    ProfileScope boot_scope(profiler_, "boot", "serve");
+    // Boot and warmup run on the caller's thread: their spans land on the
+    // caller's ambient trace (a run-scoped profile), if any.
+    trace::AmbientSpan boot_span("boot");
     if (!config_.checkpoint_path.empty()) {
       std::shared_ptr<const ModelEntry> entry =
           registry_->Lookup(tenants_[0]->config.model_id);
@@ -249,7 +248,7 @@ Status Server::Start() {
     // last-known-good caches so degraded mode has answers from the first
     // request on. Warmup shares the serving retry policy because boot-time
     // fault injection hits it too.
-    ProfileScope warm_scope(profiler_, "warmup", "serve");
+    trace::AmbientSpan warm_span("warmup");
     std::map<const ModelEntry*, Tensor> warm_logits;
     for (const std::unique_ptr<Tenant>& tenant : tenants_) {
       std::shared_ptr<const ModelEntry> entry = registry_->Lookup(tenant->config.model_id);
@@ -410,9 +409,9 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
     // stride_lag > 0: this tenant is behind the dispatch frontier (fair-share
     // debt); queued_ahead: its own backlog at admission. Together they say
     // whether a long queue span was scheduling or load.
-    rtrace->SetArgs(admission, "stride_lag_x1000",
-                    static_cast<int64_t>((stride.pass - stride.virtual_time) * 1000.0),
-                    "queued_ahead", static_cast<int64_t>(stride.queued));
+    rtrace->SetArg(admission, trace::Arg::kStrideLagX1000,
+                   static_cast<int64_t>((stride.pass - stride.virtual_time) * 1000.0));
+    rtrace->SetArg(admission, trace::Arg::kQueuedAhead, static_cast<int64_t>(stride.queued));
     pending->trace = rtrace;
   }
 
@@ -542,7 +541,6 @@ void Server::ProcessPendingSwaps() {
     const std::string model_id = swap.staged->model_id();
     const int64_t version = swap.staged->version();
     char detail[88];
-    ProfileScope swap_scope(profiler_, "swap", "serve");
 
     // Warmup forward of the staged entry: compiles nothing new (same
     // architecture -> PlanCache hits), touches only pooled tensors, and
@@ -695,11 +693,10 @@ Server::AttemptResult Server::ExecuteWithRetries(const ModelEntry& entry, const 
       // swap warming, which run without one): a retried request's trace
       // shows each attempt's duration, with the backoff gaps between them.
       trace::AmbientSpan attempt_span("attempt");
-      attempt_span.Arg("attempt", attempt);
+      attempt_span.Set(trace::Arg::kAttempt, attempt);
       result = RunForwardOnce(entry, deadline);
       if (!result.status.ok()) {
-        attempt_span.Args("attempt", attempt, "status",
-                          static_cast<int64_t>(result.status.code()));
+        attempt_span.Set(trace::Arg::kStatus, static_cast<int64_t>(result.status.code()));
       }
     }
     if (result.status.ok()) {
@@ -755,7 +752,6 @@ void Server::FulfillFromLogits(const Tensor& logits,
                                  << "deadline expired before fulfillment");
       continue;
     }
-    ProfileScope request_scope(profiler_, degraded ? "request:degraded" : "request", "serve");
     const std::vector<int32_t>& vertices = pending->request.vertices;
     InferenceResponse response;
     response.logits = Tensor({static_cast<int64_t>(vertices.size()), num_classes});
@@ -765,7 +761,8 @@ void Server::FulfillFromLogits(const Tensor& logits,
     }
     if (pending->trace != nullptr) {
       const int fulfill = pending->trace->AddSpan("fulfill", now, Clock::now());
-      pending->trace->SetArg(fulfill, "vertices", static_cast<int64_t>(vertices.size()));
+      pending->trace->SetArg(fulfill, trace::Arg::kVertices,
+                             static_cast<int64_t>(vertices.size()));
     }
     response.degraded = degraded;
     response.retries = retries_paid;
@@ -882,16 +879,15 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
     const int batch_span = pending->trace->AddSpan("batch", pending->dequeued_at, formed_at);
     pending->trace->SetDetail(batch_span,
                               pending->trace == leader_trace ? "leader" : "follower");
-    pending->trace->SetArgs(batch_span, "occupancy", static_cast<int64_t>(live.size()),
-                            "batch_key", static_cast<int64_t>(pending->batch_key));
+    pending->trace->SetArg(batch_span, trace::Arg::kOccupancy, static_cast<int64_t>(live.size()));
+    pending->trace->SetArg(batch_span, trace::Arg::kBatchKey,
+                           static_cast<int64_t>(pending->batch_key));
   }
   // Ambient trace for everything downstream — breaker decisions, executor
   // unit spans, shard-runtime spans, flight-recorder events — without
   // touching their signatures. The batch shares one forward, so its shared
   // work lands on the leader's span tree; followers link to it by trace id.
   trace::ScopedTraceContext trace_ctx(leader_trace);
-
-  ProfileScope batch_scope(profiler_, "batch", "serve");
 
   if (!breaker.AllowExecution()) {
     // Breaker open: answer from this tenant's last-known-good cache, never
@@ -907,7 +903,6 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
       }
     }
     if (config_.degraded_fallback && lkg.defined()) {
-      ProfileScope degraded_scope(profiler_, "degraded", "serve");
       FulfillFromLogits(lkg, live, tenant, /*degraded=*/true, /*retries_paid=*/0);
     } else {
       FailBatch(live, tenant,
@@ -918,7 +913,6 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
     return;
   }
   const bool is_probe = breaker.state() == BreakerState::kHalfOpen;
-  ProfileScope probe_scope(is_probe ? profiler_ : nullptr, "probe", "serve");
 
   // Execute under the *most patient* deadline in the batch: abort only once
   // even the slackest request's budget is gone. Tighter requests are checked
@@ -959,8 +953,9 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   }
   AttemptResult result = ExecuteWithRetries(*entry, exec_deadline, &retries_paid);
   if (leader_trace != nullptr) {
-    leader_trace->SetArgs(exec_span, "retries", retries_paid, "status",
-                          static_cast<int64_t>(result.status.code()));
+    leader_trace->SetArg(exec_span, trace::Arg::kRetries, retries_paid);
+    leader_trace->SetArg(exec_span, trace::Arg::kStatus,
+                         static_cast<int64_t>(result.status.code()));
     leader_trace->EndSpan(exec_span);
   }
   const Clock::time_point exec_end = Clock::now();
@@ -972,7 +967,7 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
     // mirror span carries the leader's trace id so the shared execution is
     // one hop away in the export.
     const int span = pending->trace->AddSpan("execute", exec_start, exec_end);
-    pending->trace->SetArg(span, "leader_trace", static_cast<int64_t>(leader_trace_id));
+    pending->trace->SetArg(span, trace::Arg::kLeaderTrace, static_cast<int64_t>(leader_trace_id));
     if (retries_paid > 0) {
       pending->trace->AddFlag(trace::kRetried);
     }
@@ -1020,7 +1015,6 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
     lkg = tenant.lkg;
   }
   if (config_.degraded_fallback && lkg.defined()) {
-    ProfileScope degraded_scope(profiler_, "degraded", "serve");
     FulfillFromLogits(lkg, live, tenant, /*degraded=*/true, retries_paid);
   } else {
     FailBatch(live, tenant, result.status);

@@ -68,9 +68,6 @@
 #include "src/serve/request.h"
 
 namespace seastar {
-
-class Profiler;
-
 namespace serve {
 
 // One serving tenant: a named traffic class bound to a registry model id,
@@ -128,11 +125,8 @@ struct ServeConfig {
   bool warmup = true;
 
   // ---- Observability -----------------------------------------------------
-  // Span sink, driven from the serving thread (plus boot-time spans before
-  // the thread starts). Null = off.
-  Profiler* profiler = nullptr;
-
-  // Per-request distributed tracing (tracing.h). On by default: every
+  // Start() records "boot" / "warmup" spans on the caller's ambient trace
+  // (tracing.h), if any. Per-request distributed tracing (tracing.h). On by default: every
   // request gets a span tree; *retention* is what sampling decides. The head
   // sampler keeps ~1% of clean traffic and the tail reservoir keeps the
   // slowest-N plus every anomalous request (shed / expired / degraded /
@@ -357,7 +351,6 @@ class Server {
   }
 
   const ServeConfig config_;
-  Profiler* profiler_;  // Hoisted: non-null only when enabled.
   // Owns every RequestTrace (pooled); null when tracing is disabled, so the
   // per-request cost with tracing off is one pointer test.
   std::unique_ptr<trace::Tracer> tracer_;

@@ -1,7 +1,7 @@
 // Fault-tolerance tests: deterministic fault injection, checkpoint
 // durability (roundtrip, corruption detection, atomic replace), and the
 // training loop's recovery policy (kill/resume equivalence, rollback on
-// injected allocation failures, bounded retries, recovery profiler spans).
+// injected allocation failures, bounded retries, recovery trace spans).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "src/common/fault.h"
-#include "src/common/profiler.h"
 #include "src/common/rng.h"
+#include "src/common/tracing.h"
 #include "src/core/checkpoint.h"
 #include "src/core/executor_factory.h"
 #include "src/core/models/gcn.h"
@@ -527,14 +527,17 @@ TEST(TrainRecoveryTest, InjectedAllocFailureRollsBackAndRecovers) {
   // must roll back to its anchor, back off the learning rate, and finish.
   FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/100, /*count=*/1);
 
-  Profiler profiler;
+  trace::Tracer profile(trace::TracerConfig{}, trace::Retention::kRun);
   TrainConfig train;
   train.epochs = 8;
   train.warmup_epochs = 1;
   train.learning_rate = 0.02f;
   train.checkpoint_every = 2;  // In-memory anchor refresh only (no path).
-  train.profiler = &profiler;
-  TrainResult result = TrainNodeClassification(model, data, train);
+  TrainResult result;
+  {
+    trace::ScopedRun run(&profile, "train", "train");
+    result = TrainNodeClassification(model, data, train);
+  }
 
   ASSERT_FALSE(result.failed) << result.error;
   EXPECT_EQ(result.epochs_run, 8);
@@ -550,12 +553,14 @@ TEST(TrainRecoveryTest, InjectedAllocFailureRollsBackAndRecovers) {
 
   // The recovery is visible in the trace as a "recovery" span.
   bool saw_recovery_span = false;
-  for (const ProfileEvent& span : profiler.events()) {
-    if (span.category == "recovery") {
-      saw_recovery_span = true;
-      EXPECT_EQ(span.name, "alloc_failure");
+  profile.ForEachRetained([&](const trace::RequestTrace& run) {
+    for (int i = 0; i < run.num_spans(); ++i) {
+      if (std::string(run.span(i).category) == "recovery") {
+        saw_recovery_span = true;
+        EXPECT_STREQ(run.span(i).name, "alloc_failure");
+      }
     }
-  }
+  });
   EXPECT_TRUE(saw_recovery_span);
 }
 

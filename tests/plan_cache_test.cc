@@ -3,7 +3,10 @@
 // and plan reuse across different graphs with unchanged results.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/exec/plan_cache.h"
@@ -111,6 +114,40 @@ TEST(PlanCacheTest, ClearDropsEntriesAndNextLookupRecompiles) {
   EXPECT_EQ(cache.size(), 0u);
   cache.GetOrCompile(b.graph(), FusionOptions{}, &hit);
   EXPECT_FALSE(hit);
+}
+
+TEST(PlanCacheTest, RacingFirstRequestsCompileAndCountOnce) {
+  PlanCache& cache = PlanCache::Get();
+  cache.Clear();
+  GirBuilder b;
+  BuildGcnLike(&b, 12);
+  const GirGraph gir = b.graph();
+  const uint64_t misses_before = cache.misses();
+
+  // Every thread blocks on the start flag, then asks for the same new GIR.
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::shared_ptr<const CompiledProgram>> programs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      programs[static_cast<size_t>(t)] = cache.GetOrCompile(gir, FusionOptions{});
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(cache.misses() - misses_before, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  for (const auto& program : programs) {
+    ASSERT_NE(program, nullptr);
+    EXPECT_EQ(program.get(), programs[0].get()) << "every thread shares the one compile";
+  }
 }
 
 TEST(PlanCacheTest, ExecutorCompilesOncePerProgramAcrossRuns) {

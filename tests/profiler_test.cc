@@ -1,15 +1,20 @@
+// Run-scoped profiling through the one span recorder (src/common/tracing.h):
+// a Retention::kRun tracer installed with trace::ScopedRun records the
+// executors' per-unit / per-op spans with their kernel counters, exports
+// them as Chrome-trace JSON, and aggregates them in the summary table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "src/common/profiler.h"
 #include "src/common/rng.h"
-#include "src/core/backend.h"
-#include "src/core/program.h"
+#include "src/common/tracing.h"
 #include "src/exec/baseline_executor.h"
+#include "src/exec/plan_cache.h"
 #include "src/exec/seastar_executor.h"
 #include "src/gir/builder.h"
 #include "src/gir/passes.h"
@@ -19,6 +24,14 @@
 
 namespace seastar {
 namespace {
+
+using trace::AmbientSpan;
+using trace::Arg;
+using trace::Retention;
+using trace::ScopedRun;
+using trace::Span;
+using trace::Tracer;
+using trace::TracerConfig;
 
 Graph RandomGraph(int64_t n, int64_t m, uint64_t seed) {
   Rng rng(seed);
@@ -40,86 +53,120 @@ GirGraph AggSumProgram(int32_t width) {
   return RunStandardPasses(b.graph()).graph;
 }
 
-// ---- Profiler core -------------------------------------------------------
+// Every span the tracer retained, in recording order.
+std::vector<Span> RetainedSpans(const Tracer& tracer) {
+  std::vector<Span> spans;
+  tracer.ForEachRetained([&spans](const trace::RequestTrace& run) {
+    for (int i = 0; i < run.num_spans(); ++i) {
+      spans.push_back(run.span(i));
+    }
+  });
+  return spans;
+}
+
+std::vector<Span> SpansInCategory(const Tracer& tracer, const std::string& category) {
+  std::vector<Span> spans;
+  for (const Span& span : RetainedSpans(tracer)) {
+    if (category == span.category) {
+      spans.push_back(span);
+    }
+  }
+  return spans;
+}
+
+// ---- Run-scoped recorder -------------------------------------------------
 
 TEST(ProfilerTest, RecordsNestedSpansWithCounters) {
-  Profiler profiler;
-  const int64_t outer = profiler.Begin("outer", "test");
-  const int64_t inner = profiler.Begin("inner", "test");
-  profiler.Mutable(inner)->edges = 42;
-  profiler.End(inner);
-  profiler.End(outer);
+  Tracer tracer(TracerConfig{}, Retention::kRun);
+  {
+    ScopedRun run(&tracer, "run", "test");
+    AmbientSpan outer("outer", "test");
+    AmbientSpan inner("inner", "test");
+    inner.Set(Arg::kEdges, 42);
+  }
 
-  ASSERT_EQ(profiler.events().size(), 2u);
-  const ProfileEvent& first = profiler.events()[0];
-  const ProfileEvent& second = profiler.events()[1];
-  EXPECT_EQ(first.name, "outer");
-  EXPECT_EQ(second.name, "inner");
-  EXPECT_EQ(second.edges, 42);
-  EXPECT_GE(first.dur_us, 0.0);
-  EXPECT_GE(second.dur_us, 0.0);
+  const std::vector<Span> spans = RetainedSpans(tracer);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_STREQ(spans[0].name, "run");
+  EXPECT_STREQ(spans[1].name, "outer");
+  EXPECT_STREQ(spans[2].name, "inner");
+  EXPECT_EQ(spans[1].parent, 0);
+  EXPECT_EQ(spans[2].parent, 1);
+  EXPECT_EQ(spans[2].arg(Arg::kEdges), 42);
+  EXPECT_FALSE(spans[1].has(Arg::kEdges));
+  for (const Span& span : spans) {
+    EXPECT_GE(span.dur_us, 0);
+  }
   // The inner span is contained in the outer one.
-  EXPECT_GE(second.start_us, first.start_us);
-  EXPECT_LE(second.start_us + second.dur_us, first.start_us + first.dur_us + 1.0);
-  EXPECT_GT(profiler.TotalUs("test"), 0.0);
+  EXPECT_GE(spans[2].start_us, spans[1].start_us);
+  EXPECT_LE(spans[2].start_us + spans[2].dur_us, spans[1].start_us + spans[1].dur_us + 1);
+  EXPECT_EQ(tracer.stats().retained_run, 1);
 }
 
 TEST(ProfilerTest, DisabledProfilerRecordsNothing) {
-  Profiler profiler(/*enabled=*/false);
-  EXPECT_FALSE(profiler.enabled());
-  const int64_t token = profiler.Begin("span", "test");
-  EXPECT_EQ(token, -1);
-  EXPECT_EQ(profiler.Mutable(token), nullptr);
-  profiler.End(token);
-
+  // A run-scoped tracer nobody installed, a null ScopedRun, and a span with
+  // no ambient trace: nothing is recorded anywhere.
+  Tracer tracer(TracerConfig{}, Retention::kRun);
   {
-    ProfileScope scope(&profiler, "scoped", "test");
-    EXPECT_FALSE(static_cast<bool>(scope));
-    EXPECT_EQ(scope.event(), nullptr);
+    ScopedRun run(nullptr, "run", "test");
+    EXPECT_EQ(trace::CurrentTrace(), nullptr);
+    AmbientSpan span("scoped", "test");
+    EXPECT_FALSE(span.active());
+    EXPECT_EQ(span.span(), nullptr);
+    span.Set(Arg::kEdges, 1);
   }
-  {
-    ProfileScope scope(nullptr, "scoped", "test");
-    EXPECT_EQ(scope.event(), nullptr);
-  }
-  EXPECT_TRUE(profiler.events().empty());
-  EXPECT_EQ(profiler.ChromeTraceJson().find("\"ph\""), std::string::npos);
+  EXPECT_TRUE(RetainedSpans(tracer).empty());
+  EXPECT_EQ(tracer.ChromeTraceJson().find("\"ph\""), std::string::npos);
 }
 
 TEST(ProfilerTest, ChromeTraceJsonIsWellFormed) {
-  Profiler profiler;
+  Tracer tracer(TracerConfig{}, Retention::kRun);
   {
-    ProfileScope scope(&profiler, "unit0:Mul+AggSum", "unit");
-    scope.event()->edges = 100;
-    scope.event()->schedule = "dynamic";
+    ScopedRun run(&tracer, "run", "test");
+    AmbientSpan span(trace::Intern("unit0:Mul+AggSum"), "unit");
+    span.Set(Arg::kEdges, 100);
+    span.span()->schedule = "dynamic";
   }
-  const std::string json = profiler.ChromeTraceJson();
+  const std::string json = tracer.ChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("unit0:Mul+AggSum"), std::string::npos);
-  EXPECT_NE(json.find("\"edges\":100"), std::string::npos);
-  EXPECT_NE(json.find("\"schedule\":\"dynamic\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"unit0:Mul+AggSum\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\": \"unit\""), std::string::npos);
+  EXPECT_NE(json.find("\"edges\": 100"), std::string::npos);
+  EXPECT_NE(json.find("\"schedule\": \"dynamic\""), std::string::npos);
+  EXPECT_NE(json.find("\"retained_by\": \"run\""), std::string::npos);
+  EXPECT_NE(json.find("\"retention\": \"run\""), std::string::npos);
   // Balanced braces (crude structural check without a JSON parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
 
   const std::string path = ::testing::TempDir() + "/profiler_test_trace.json";
-  ASSERT_TRUE(profiler.WriteChromeTrace(path));
+  ASSERT_TRUE(tracer.WriteChromeTraceFile(path));
   std::ifstream in(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), json);
+  EXPECT_EQ(buffer.str(), json + "\n");
   std::remove(path.c_str());
 }
 
 TEST(ProfilerTest, SummaryTableAggregatesByName) {
-  Profiler profiler;
-  for (int i = 0; i < 3; ++i) {
-    ProfileScope scope(&profiler, "AggSum", "op");
-    scope.event()->edges = 10;
+  const std::string long_label = "unit3:Identity+DotProduct+Mul+AggSum+LeakyRelu+Exp";
+  Tracer tracer(TracerConfig{}, Retention::kRun);
+  {
+    ScopedRun run(&tracer, "run", "test");
+    for (int i = 0; i < 3; ++i) {
+      AmbientSpan span("AggSum", "op");
+      span.Set(Arg::kEdges, 10);
+    }
+    AmbientSpan unit(trace::Intern(long_label), "unit");
   }
-  const std::string table = profiler.SummaryTable();
+  const std::string table = tracer.SummaryTable();
   EXPECT_NE(table.find("AggSum"), std::string::npos);
-  EXPECT_NE(table.find("30"), std::string::npos);  // Edges summed over spans.
+  EXPECT_NE(table.find(" 30 "), std::string::npos);  // Edges summed over spans.
+  EXPECT_NE(table.find(long_label), std::string::npos) << "labels print whole";
+  for (const char* column : {"plan h/m", "pool hit%", "segs/tw", "isa", "mat bytes"}) {
+    EXPECT_NE(table.find(column), std::string::npos) << column;
+  }
 }
 
 // ---- Deterministic executor counters -------------------------------------
@@ -135,25 +182,28 @@ TEST(ProfilerTest, SeastarUnitSpanCountsEveryEdgeOnce) {
     SeastarExecutorOptions options;
     options.schedule = schedule;
     SeastarExecutor executor(options);
-    Profiler profiler;
-    RunContext ctx;
-    ctx.profiler = &profiler;
-    executor.Run(gir, g, features, ctx);
-
-    const ProfileEvent* unit = nullptr;
-    for (const ProfileEvent& event : profiler.events()) {
-      if (event.category == "unit") {
-        ASSERT_EQ(unit, nullptr) << "expected exactly one fused unit";
-        unit = &event;
-      }
+    Tracer tracer(TracerConfig{}, Retention::kRun);
+    {
+      ScopedRun run(&tracer, "run", "test");
+      executor.Run(gir, g, features);
     }
-    ASSERT_NE(unit, nullptr);
+
+    const std::vector<Span> units = SpansInCategory(tracer, "unit");
+    ASSERT_EQ(units.size(), 1u) << "expected exactly one fused unit";
+    const Span& unit = units[0];
     // Vertex-parallel edge-sequential: each edge slot visited exactly once.
-    EXPECT_EQ(unit->edges, g.num_edges());
-    EXPECT_EQ(unit->fat_groups, g.num_vertices());
-    EXPECT_GT(unit->fat_group_size, 0);
-    EXPECT_EQ(unit->schedule, BlockScheduleName(schedule));
-    EXPECT_GT(unit->num_blocks, 0);
+    EXPECT_EQ(unit.arg(Arg::kEdges), g.num_edges());
+    EXPECT_EQ(unit.arg(Arg::kFatGroups), g.num_vertices());
+    EXPECT_GT(unit.arg(Arg::kFatGroupSize), 0);
+    ASSERT_NE(unit.schedule, nullptr);
+    EXPECT_STREQ(unit.schedule, BlockScheduleName(schedule));
+    EXPECT_GT(unit.arg(Arg::kNumBlocks), 0);
+    EXPECT_EQ(std::string(unit.name).rfind("unit0:", 0), 0u) << unit.name;
+
+    const std::vector<Span> runs = SpansInCategory(tracer, "exec");
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].arg(Arg::kKernelLaunches), 1);
+    EXPECT_EQ(runs[0].arg(Arg::kPlanCacheHits) + runs[0].arg(Arg::kPlanCacheMisses), 1);
   }
 }
 
@@ -168,39 +218,40 @@ TEST(ProfilerTest, DispatchCountsMatchScheduleMode) {
     options.schedule = schedule;
     options.dynamic_chunk = chunk;
     SeastarExecutor executor(options);
-    Profiler profiler;
-    RunContext ctx;
-    ctx.profiler = &profiler;
-    executor.Run(gir, g, features, ctx);
-    for (const ProfileEvent& event : profiler.events()) {
-      if (event.category == "unit") {
-        return event;
-      }
+    Tracer tracer(TracerConfig{}, Retention::kRun);
+    {
+      ScopedRun scope(&tracer, "run", "test");
+      executor.Run(gir, g, features);
     }
-    ADD_FAILURE() << "no unit span recorded";
-    return ProfileEvent{};
+    const std::vector<Span> units = SpansInCategory(tracer, "unit");
+    if (units.empty()) {
+      ADD_FAILURE() << "no unit span recorded";
+      return Span{};
+    }
+    return units[0];
   };
 
   // Static: one contiguous range per participating worker.
-  const ProfileEvent static_event = run(BlockSchedule::kStatic, 16);
-  const int64_t per_worker =
-      (static_event.num_blocks + participants - 1) / participants;
+  const Span static_span = run(BlockSchedule::kStatic, 16);
+  const int64_t num_blocks = static_span.arg(Arg::kNumBlocks);
+  const int64_t per_worker = (num_blocks + participants - 1) / participants;
   int64_t expected_static = 0;
   for (int64_t w = 0; w < participants; ++w) {
-    if (std::min((w + 1) * per_worker, static_event.num_blocks) > w * per_worker) {
+    if (std::min((w + 1) * per_worker, num_blocks) > w * per_worker) {
       ++expected_static;
     }
   }
-  EXPECT_EQ(static_event.dispatches, expected_static);
+  EXPECT_EQ(static_span.arg(Arg::kDispatches), expected_static);
 
   // Atomic: one RMW grant per block.
-  const ProfileEvent atomic_event = run(BlockSchedule::kAtomicPerBlock, 16);
-  EXPECT_EQ(atomic_event.dispatches, atomic_event.num_blocks);
+  const Span atomic_span = run(BlockSchedule::kAtomicPerBlock, 16);
+  EXPECT_EQ(atomic_span.arg(Arg::kDispatches), atomic_span.arg(Arg::kNumBlocks));
 
   // Chunked dynamic: one grant per chunk of blocks.
   const int64_t chunk = 16;
-  const ProfileEvent dynamic_event = run(BlockSchedule::kChunkedDynamic, chunk);
-  EXPECT_EQ(dynamic_event.dispatches, (dynamic_event.num_blocks + chunk - 1) / chunk);
+  const Span dynamic_span = run(BlockSchedule::kChunkedDynamic, chunk);
+  EXPECT_EQ(dynamic_span.arg(Arg::kDispatches),
+            (dynamic_span.arg(Arg::kNumBlocks) + chunk - 1) / chunk);
 }
 
 TEST(ProfilerTest, BaselineOpSpansCoverTraversalKernels) {
@@ -218,22 +269,23 @@ TEST(ProfilerTest, BaselineOpSpansCoverTraversalKernels) {
     BaselineExecutorOptions options;
     options.flavor = flavor;
     BaselineExecutor executor(options);
-    Profiler profiler;
-    RunContext ctx;
-    ctx.profiler = &profiler;
-    executor.Run(gir, g, features, ctx);
+    Tracer tracer(TracerConfig{}, Retention::kRun);
+    {
+      ScopedRun run(&tracer, "run", "test");
+      executor.Run(gir, g, features);
+    }
 
     int64_t traversal_spans = 0;
-    for (const ProfileEvent& event : profiler.events()) {
-      if (event.category == "op" && event.edges > 0) {
-        EXPECT_EQ(event.edges, g.num_edges());
+    for (const Span& span : SpansInCategory(tracer, "op")) {
+      if (span.arg(Arg::kEdges) > 0) {
+        EXPECT_EQ(span.arg(Arg::kEdges), g.num_edges());
         ++traversal_spans;
-      }
-      if (event.category == "exec") {
-        EXPECT_GT(event.kernel_launches, 0);
       }
     }
     EXPECT_GE(traversal_spans, 1);
+    const std::vector<Span> runs = SpansInCategory(tracer, "exec");
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_GT(runs[0].arg(Arg::kKernelLaunches), 0);
   }
 }
 
@@ -242,12 +294,39 @@ TEST(ProfilerTest, ExecutorsRecordNothingWithoutProfiler) {
   const GirGraph gir = AggSumProgram(4);
   const FeatureMap features = VertexFeature(g, "h", 4, 0x100);
 
-  Profiler disabled(/*enabled=*/false);
-  RunContext ctx;
-  ctx.profiler = &disabled;
-  SeastarExecutor().Run(gir, g, features, ctx);
-  BaselineExecutor().Run(gir, g, features, ctx);
-  EXPECT_TRUE(disabled.events().empty());
+  // No ambient trace: the executors' hooks are inert.
+  ASSERT_EQ(trace::CurrentTrace(), nullptr);
+  SeastarExecutor().Run(gir, g, features);
+  BaselineExecutor().Run(gir, g, features);
+
+  // A null context hides an installed run: only the run's root is recorded.
+  Tracer tracer(TracerConfig{}, Retention::kRun);
+  {
+    ScopedRun run(&tracer, "run", "test");
+    trace::ScopedTraceContext hidden(nullptr);
+    SeastarExecutor().Run(gir, g, features);
+    BaselineExecutor().Run(gir, g, features);
+  }
+  const std::vector<Span> spans = RetainedSpans(tracer);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "run");
+}
+
+TEST(ProfilerTest, UnitLabelsSurvivePlanCacheClear) {
+  const Graph g = RandomGraph(40, 160, 0xc1ea);
+  const GirGraph gir = AggSumProgram(4);
+  const FeatureMap features = VertexFeature(g, "h", 4, 0xc1eb);
+  Tracer tracer(TracerConfig{}, Retention::kRun);
+  {
+    ScopedRun run(&tracer, "run", "test");
+    SeastarExecutor().Run(gir, g, features);
+  }
+  const std::string label = SpansInCategory(tracer, "unit").at(0).name;
+  // Evicts (and frees) the compiled program the label was built from.
+  PlanCache::Get().Clear();
+  EXPECT_EQ(label, SpansInCategory(tracer, "unit").at(0).name);
+  EXPECT_NE(tracer.ChromeTraceJson().find("\"name\": \"" + label + "\""), std::string::npos);
+  EXPECT_NE(tracer.SummaryTable().find(label), std::string::npos);
 }
 
 // ---- RunContext regression (api_redesign) --------------------------------
@@ -278,54 +357,6 @@ TEST(ProfilerTest, RetainThroughRunContextMatchesDefaultRun) {
   // Eager-free mode must drop intermediates the keep-everything run saved.
   EXPECT_LT(eager.saved->size(), keep_all.saved->size());
 }
-
-// ---- BackendFromString (api_redesign) ------------------------------------
-
-TEST(ProfilerTest, BackendFromStringParsesKnownNamesAndRejectsJunk) {
-  EXPECT_EQ(BackendFromString("seastar"), Backend::kSeastar);
-  EXPECT_EQ(BackendFromString("seastar-nofuse"), Backend::kSeastarNoFusion);
-  EXPECT_EQ(BackendFromString("nofuse"), Backend::kSeastarNoFusion);
-  EXPECT_EQ(BackendFromString("dgl"), Backend::kDglLike);
-  EXPECT_EQ(BackendFromString("pyg"), Backend::kPygLike);
-  EXPECT_FALSE(BackendFromString("tensorflow").has_value());
-  EXPECT_FALSE(BackendFromString("").has_value());
-  EXPECT_NE(std::string(BackendChoices()).find("seastar"), std::string::npos);
-}
-
-// ---- VertexProgram input validation --------------------------------------
-//
-// These intentionally run through the deprecated BackendConfig overload of
-// VertexProgram::Run: they double as coverage that the compatibility shim
-// still validates inputs exactly like the ExecutionSession path.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ProfilerDeathTest, MissingProgramInputNamesTheInput) {
-  const Graph g = RandomGraph(20, 60, 0xdead);
-  GirBuilder b;
-  b.MarkOutput(AggSum(b.Src("h", 4)), "out");
-  VertexProgram program = VertexProgram::Compile(std::move(b));
-  BackendConfig config;
-  EXPECT_DEATH(program.Run(g, {}, config), "missing vertex input 'h'");
-}
-
-TEST(ProfilerDeathTest, MisShapedProgramInputNamesTheInput) {
-  const Graph g = RandomGraph(20, 60, 0xdeae);
-  GirBuilder b;
-  b.MarkOutput(AggSum(b.Src("h", 4)), "out");
-  VertexProgram program = VertexProgram::Compile(std::move(b));
-  BackendConfig config;
-  // Wrong width (3 != 4).
-  Var bad_width = Var::Leaf(Tensor::Zeros({g.num_vertices(), 3}), /*requires_grad=*/false);
-  EXPECT_DEATH(program.Run(g, {.vertex = {{"h", bad_width}}}, config),
-               "vertex input 'h' has shape");
-  // Wrong row count (vertex tensor sized for a different graph).
-  Var bad_rows = Var::Leaf(Tensor::Zeros({g.num_vertices() + 1, 4}), /*requires_grad=*/false);
-  EXPECT_DEATH(program.Run(g, {.vertex = {{"h", bad_rows}}}, config),
-               "vertex input 'h' has shape");
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace seastar

@@ -122,9 +122,10 @@ TEST(SpanTreeTest, BeginEndNestingProducesParentIndices) {
   const int queue = trace->AddSpan("queue", Tracer::Clock::now(), Tracer::Clock::now());
   const int exec = trace->BeginSpan("execute");
   const int attempt = trace->BeginSpan("attempt");
-  trace->SetArg(attempt, "attempt", 1);
+  trace->SetArg(attempt, trace::Arg::kAttempt, 1);
   trace->EndSpan(attempt);
-  trace->SetArgs(exec, "retries", 0, "status", 0);
+  trace->SetArg(exec, trace::Arg::kRetries, 0);
+  trace->SetArg(exec, trace::Arg::kStatus, 0);
   trace->EndSpan(exec);
   trace->SetDetail(queue, "tenant-a");
   trace->EndSpan(root);
@@ -135,8 +136,10 @@ TEST(SpanTreeTest, BeginEndNestingProducesParentIndices) {
   EXPECT_EQ(trace->span(exec).parent, root);
   EXPECT_EQ(trace->span(attempt).parent, exec);
   EXPECT_STREQ(trace->span(queue).detail, "tenant-a");
-  EXPECT_STREQ(trace->span(attempt).a_name, "attempt");
-  EXPECT_EQ(trace->span(attempt).a, 1);
+  EXPECT_TRUE(trace->span(attempt).has(trace::Arg::kAttempt));
+  EXPECT_EQ(trace->span(attempt).arg(trace::Arg::kAttempt), 1);
+  EXPECT_TRUE(trace->span(exec).has(trace::Arg::kStatus)) << "zero-valued args still record";
+  EXPECT_FALSE(trace->span(exec).has(trace::Arg::kAttempt));
   EXPECT_GE(trace->span(root).dur_us, 0);
   // Children close before (or with) their parent.
   EXPECT_LE(trace->span(attempt).start_us + trace->span(attempt).dur_us,
@@ -169,7 +172,7 @@ TEST(SpanTreeTest, BudgetDropsBeyondMaxSpansAndCountsThem) {
       EXPECT_EQ(token, -1) << "span " << i << " should be over budget";
     }
     trace->SetDetail(token, "ignored");  // Must not crash on a dropped token.
-    trace->SetArg(token, "attempt", i);
+    trace->SetArg(token, trace::Arg::kAttempt, i);
     trace->EndSpan(token);
   }
   EXPECT_EQ(trace->num_spans(), 4);
@@ -330,7 +333,7 @@ TEST(AmbientTest, NoContextMeansInertSpans) {
   AmbientSpan span("unit");
   EXPECT_FALSE(span.active());
   span.Detail("ignored");
-  span.Arg("a", 1);  // Must be a no-op, not a crash.
+  span.Set(trace::Arg::kAttempt, 1);  // Must be a no-op, not a crash.
 }
 
 TEST(AmbientTest, ScopedContextNestsAndRestores) {
@@ -366,6 +369,49 @@ TEST(AmbientTest, ScopedContextNestsAndRestores) {
   tracer.FinishTrace(inner, 0.1, "served");
 }
 
+// ---- Run retention ------------------------------------------------------------------------------
+
+TEST(RunRetentionTest, KeepsEveryRunWholeWithNoSpanBudget) {
+  TracerConfig config;
+  config.max_spans_per_trace = 4;  // Ignored: runs have no span budget.
+  config.head_sample_rate = 0.0;
+  Tracer tracer(config, trace::Retention::kRun);
+  for (int r = 0; r < 3; ++r) {
+    trace::ScopedRun run(&tracer, "run", "bench");
+    ASSERT_NE(trace::CurrentTrace(), nullptr);
+    for (int i = 0; i < 50; ++i) {
+      AmbientSpan span("epoch", "train");
+      span.Set(trace::Arg::kEpoch, i);
+    }
+  }
+  EXPECT_EQ(trace::CurrentTrace(), nullptr) << "ScopedRun restores the previous context";
+
+  const TracerStats stats = tracer.stats();
+  EXPECT_EQ(stats.retained_run, 3);
+  EXPECT_EQ(stats.spans_dropped, 0);
+  EXPECT_EQ(stats.retained_tail + stats.retained_sampled + stats.retained_anomaly, 0);
+  int runs = 0;
+  tracer.ForEachRetained([&runs](const RequestTrace& run) {
+    ++runs;
+    ASSERT_EQ(run.num_spans(), 51);
+    EXPECT_STREQ(run.span(0).name, "run");
+    EXPECT_EQ(run.span(0).parent, -1);
+    EXPECT_GE(run.span(0).dur_us, 0);
+    EXPECT_EQ(run.span(50).arg(trace::Arg::kEpoch), 49);
+    EXPECT_STREQ(run.outcome(), "done");
+  });
+  EXPECT_EQ(runs, 3);
+}
+
+TEST(RunRetentionTest, InternReturnsOneStablePointerPerString) {
+  std::string label = "unit7:Mul+AggSum";
+  const char* interned = trace::Intern(label);
+  label[0] = 'X';  // The caller's buffer may change or die afterwards.
+  EXPECT_STREQ(interned, "unit7:Mul+AggSum");
+  EXPECT_EQ(trace::Intern("unit7:Mul+AggSum"), interned);
+  EXPECT_NE(trace::Intern("unit8:Mul+AggSum"), interned);
+}
+
 // ---- Concurrency (exercised under TSan in CI) ---------------------------------------------------
 
 TEST(ConcurrencyTest, ParallelStartFinishKeepsAccountingExact) {
@@ -386,7 +432,7 @@ TEST(ConcurrencyTest, ParallelStartFinishKeepsAccountingExact) {
         const int root = trace->BeginSpan("request");
         {
           AmbientSpan span("execute");
-          span.Arg("attempt", 1);
+          span.Set(trace::Arg::kAttempt, 1);
         }
         trace->EndSpan(root);
         if (i % 97 == 0) {

@@ -21,10 +21,12 @@ Two kinds of gate:
     matching the steady-state bound the CI smoke already asserts).
 
 The serve report additionally carries a top-level tracing_overhead_pct
-(p50 delta of the traced scenario over the identical untraced one), gated
-at an absolute ceiling (--tracing-overhead-max, default 5%): always-on
-request tracing is only acceptable while it stays within noise of the
-warm path. Negative overhead is runner noise and passes.
+(p50 delta of the traced scenario over the identical untraced one), and the
+train report a profiling_overhead_pct (p50, over the profiled twin's epoch
+pairs, of the profiled epoch's overhead over the unprofiled one). Both are gated at one absolute
+ceiling (--tracing-overhead-max, default 5%): recording spans is only
+acceptable while it stays within noise of the unrecorded path. Negative
+overhead is runner noise and passes.
 
 Scenarios/runs are matched by identity keys (model+dataset for training,
 scenario name for serving). A baseline entry with no fresh counterpart is a
@@ -105,7 +107,23 @@ class Gate:
         return 1 if self.failures else 0
 
 
-def check_train(gate, baseline, fresh, timing_tol, malloc_slack):
+TRACING_OVERHEAD_MAX_PCT = 5.0
+
+
+def check_overhead(gate, where, metric, baseline, fresh, ceiling, detail):
+    """Absolute ceiling, not baseline-relative: the requirement is "recording
+    is near-free", which does not loosen just because a past run was also
+    slow. Negative deltas are runner noise; clamp to zero."""
+    if metric in fresh:
+        gate.check(where, metric, max(0.0, fresh[metric]),
+                   max(0.0, baseline.get(metric, 0.0)), ceiling,
+                   f"absolute ceiling on {detail}")
+
+
+def check_train(gate, baseline, fresh, timing_tol, malloc_slack,
+                overhead_max=TRACING_OVERHEAD_MAX_PCT):
+    check_overhead(gate, "train", "profiling_overhead_pct", baseline, fresh,
+                   overhead_max, "profiled over unprofiled epochs, p50 over pairs")
     base_runs = {(r["model"], r["dataset"]): r for r in baseline.get("runs", [])}
     fresh_runs = {(r["model"], r["dataset"]): r for r in fresh.get("runs", [])}
     for key, base in sorted(base_runs.items()):
@@ -130,21 +148,10 @@ def check_train(gate, baseline, fresh, timing_tol, malloc_slack):
         gate.extra(f"train {key[0]}/{key[1]}")
 
 
-TRACING_OVERHEAD_MAX_PCT = 5.0
-
-
 def check_serve(gate, baseline, fresh, timing_tol, malloc_slack,
                 tracing_overhead_max=TRACING_OVERHEAD_MAX_PCT):
-    if "tracing_overhead_pct" in fresh:
-        # Absolute ceiling, not baseline-relative: the requirement is "tracing
-        # is near-free", which does not loosen just because a past run was
-        # also slow. Negative deltas are runner noise; clamp to zero.
-        gate.check("serve", "tracing_overhead_pct",
-                   max(0.0, fresh["tracing_overhead_pct"]),
-                   max(0.0, baseline.get("tracing_overhead_pct", 0.0)),
-                   tracing_overhead_max,
-                   f"absolute ceiling: traced p50 within "
-                   f"{tracing_overhead_max:g}% of clean p50")
+    check_overhead(gate, "serve", "tracing_overhead_pct", baseline, fresh,
+                   tracing_overhead_max, "traced p50 over clean p50")
     base_scen = {s["name"]: s for s in baseline.get("scenarios", [])}
     fresh_scen = {s["name"]: s for s in fresh.get("scenarios", [])}
     for name, base in sorted(base_scen.items()):
@@ -293,12 +300,16 @@ def run_gate(args):
     def shard_checker(g, base, fresh_report, timing_tol, _slack):
         check_shard(g, base, fresh_report, timing_tol, args.shard_speedup_floor)
 
+    def train_checker(g, base, fresh_report, timing_tol, slack):
+        check_train(g, base, fresh_report, timing_tol, slack,
+                    args.tracing_overhead_max)
+
     def serve_checker(g, base, fresh_report, timing_tol, slack):
         check_serve(g, base, fresh_report, timing_tol, slack,
                     args.tracing_overhead_max)
 
     pairs = (
-        (args.train, os.path.join(args.baseline_dir, TRAIN_BASELINE), check_train),
+        (args.train, os.path.join(args.baseline_dir, TRAIN_BASELINE), train_checker),
         (args.serve, os.path.join(args.baseline_dir, SERVE_BASELINE), serve_checker),
         (args.shard, os.path.join(args.baseline_dir, SHARD_BASELINE), shard_checker),
         (args.kernels, os.path.join(args.baseline_dir, KERNELS_BASELINE),
@@ -485,6 +496,19 @@ def self_test(args):
     check_serve(g, serve_base, costly_tracing, 3.0, 5.0)
     expect("tracing-overhead-regressed", g, want_fail=True)
 
+    # 5g. The profiled training twin's overhead is gated the same way.
+    cheap_profile = copy.deepcopy(train_base)
+    cheap_profile["profiling_overhead_pct"] = 3.9
+    g = Gate()
+    check_train(g, train_base, cheap_profile, 3.0, 5.0)
+    expect("profiling-overhead-in-band", g, want_fail=False)
+
+    costly_profile = copy.deepcopy(train_base)
+    costly_profile["profiling_overhead_pct"] = 7.5
+    g = Gate()
+    check_train(g, train_base, costly_profile, 3.0, 5.0)
+    expect("profiling-overhead-regressed", g, want_fail=True)
+
     # 6. A dropped benchmark fails; a new one passes with a note.
     g = Gate()
     check_serve(g, serve_base, {"scenarios": []}, 3.0, 5.0)
@@ -550,7 +574,7 @@ def self_test(args):
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(22 cases)")
+          f"(24 cases)")
     return 1 if failures else 0
 
 
@@ -573,7 +597,9 @@ def main():
     parser.add_argument("--tracing-overhead-max", type=float,
                         default=TRACING_OVERHEAD_MAX_PCT,
                         help="max %% p50 overhead of the traced serve "
-                             "scenario over the clean one")
+                             "scenario over the clean one, and of the "
+                             "profiled training twin over its unprofiled "
+                             "epochs")
     parser.add_argument("--shard-speedup-floor", type=float, default=1.2,
                         help="minimum speedup_at_max_shards in the fresh "
                              "shard report")

@@ -1,18 +1,30 @@
 #!/usr/bin/env python3
-"""CI validator for the Chrome-trace JSON exported by the serving stack.
+"""CI validator for the Chrome-trace JSON exported by the span recorder.
 
-Consumes a trace file written by `seastar_serve --trace-out=...` (or
-`Server::DumpTraces`) and optionally the metrics JSON from the same run,
-and exits non-zero if the trace violates any structural invariant the
-tracer is supposed to guarantee:
+Consumes a trace file written by a serving run (`seastar_serve
+--trace-out=...`, `Server::DumpTraces`) or a run-scoped profile (`--profile=`
+on seastar_train and the benches), and optionally the metrics JSON from the
+same serving run, and exits non-zero if the trace violates any structural
+invariant the tracer is supposed to guarantee. traceStats.retention says
+which shape the file has ("sampled" for serving, "run" for profiles).
 
+Both shapes:
   * Well-formedness: a top-level object with "traceEvents" (a list of
     ph="M" metadata and ph="X" complete events carrying name/pid/tid/
     ts/dur and an args block with idx/parent/trace_id) and "traceStats".
-  * Span-tree shape: every trace has exactly one root span (parent == -1)
-    named "request"; every non-root span's parent index refers to an
-    earlier span of the same trace; a child's [ts, ts+dur] interval nests
-    inside its parent's, within --nest-slack-us of clock truncation.
+  * Span-tree shape: every trace has exactly one root span (parent == -1);
+    every non-root span's parent index refers to an earlier span of the
+    same trace; a child's [ts, ts+dur] interval nests inside its parent's,
+    within --nest-slack-us of clock truncation.
+  * Counter args: every kernel counter and loop position a span carries
+    (edges, dispatches, tile_*, pool_*, plan_cache_*, epoch, ...) is a
+    non-negative integer; signed deltas are integers.
+
+Run-scoped profiles ("run"): at least one trace, every root retained_by
+"run", and one trace per finished run (retained_run == finished).
+
+Serving exports ("sampled"), additionally:
+  * Every root span is named "request".
   * Retention accounting: the number of distinct traces in the file equals
     retained_anomaly + retained_sampled + retained_tail from traceStats,
     and the per-root "retained_by" labels match those counts bucket by
@@ -43,6 +55,18 @@ import argparse
 import copy
 import json
 import sys
+
+# Span args that count something: non-negative integers wherever they
+# appear. SIGNED_ARGS are deltas or opaque ids: integers of either sign.
+COUNTER_ARGS = frozenset((
+    "edges", "bytes_materialized", "fat_groups", "fat_group_size",
+    "num_blocks", "block_size", "dispatches", "kernel_launches",
+    "peak_delta_bytes", "plan_cache_hits", "plan_cache_misses", "pool_hits",
+    "pool_misses", "tile_segments", "tile_passes", "tile_width", "epoch",
+    "batch", "shards", "queued_ahead", "occupancy", "attempt", "status",
+    "retries", "vertices"))
+SIGNED_ARGS = frozenset(("alloc_delta_bytes", "stride_lag_x1000",
+                         "batch_key", "leader_trace"))
 
 
 class Checker:
@@ -83,12 +107,22 @@ def group_traces(checker, events):
             checker.expect(field in args, f"{where}: args missing {field!r}")
         checker.expect(event.get("dur", 0) >= 0,
                        f"{where}: negative dur {event.get('dur')}")
+        for key, value in sorted(args.items()):
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if key in COUNTER_ARGS:
+                checker.expect(is_int and value >= 0,
+                               f"{where} ({event.get('name')}): counter "
+                               f"{key}={value!r} is not a non-negative integer")
+            elif key in SIGNED_ARGS:
+                checker.expect(is_int, f"{where} ({event.get('name')}): "
+                               f"{key}={value!r} is not an integer")
         traces.setdefault(args.get("trace_id"), []).append(event)
     return traces
 
 
-def check_span_tree(checker, trace_id, events, nest_slack_us):
-    """One root named "request"; parents precede children and contain them."""
+def check_span_tree(checker, trace_id, events, nest_slack_us, root_name):
+    """One root (named `root_name` unless None); parents precede children
+    and contain them."""
     where = f"trace {trace_id}"
     by_idx = {}
     for event in events:
@@ -101,8 +135,10 @@ def check_span_tree(checker, trace_id, events, nest_slack_us):
     if len(roots) != 1:
         return None
     root = roots[0]
-    checker.expect(root["name"] == "request",
-                   f"{where}: root span named {root['name']!r}, not 'request'")
+    if root_name is not None:
+        checker.expect(root["name"] == root_name,
+                       f"{where}: root span named {root['name']!r}, "
+                       f"not {root_name!r}")
     for field in ("request_id", "flags", "sampled", "outcome", "retained_by",
                   "total_ms"):
         checker.expect(field in root["args"],
@@ -143,12 +179,18 @@ def check_trace(checker, doc, metrics, expect_trace_id, nest_slack_us):
     if not isinstance(events, list) or not isinstance(stats, dict):
         return
 
+    run_scoped = stats.get("retention") == "run"
     traces = group_traces(checker, events)
     roots = {}
     for trace_id, trace_events in sorted(traces.items(), key=lambda kv: str(kv[0])):
-        root = check_span_tree(checker, trace_id, trace_events, nest_slack_us)
+        root = check_span_tree(checker, trace_id, trace_events, nest_slack_us,
+                               None if run_scoped else "request")
         if root is not None:
             roots[trace_id] = root
+
+    if run_scoped:
+        check_runs(checker, traces, roots, stats)
+        return
 
     # Retention accounting: the file is the reservoir, so the counters in
     # traceStats must describe exactly what is in the file.
@@ -200,6 +242,19 @@ def check_trace(checker, doc, metrics, expect_trace_id, nest_slack_us):
         check_exemplars(checker, metrics, roots)
 
 
+def check_runs(checker, traces, roots, stats):
+    """A run-scoped profile keeps every run whole: one trace per run."""
+    checker.expect(len(traces) > 0, "run-scoped profile holds no runs")
+    for trace_id, root in sorted(roots.items(), key=lambda kv: str(kv[0])):
+        checker.expect(root["args"]["retained_by"] == "run",
+                       f"trace {trace_id}: retained_by="
+                       f"{root['args']['retained_by']!r} in a run-scoped profile")
+    checker.expect(
+        len(traces) == stats.get("retained_run", -1) == stats.get("finished", -1),
+        f"{len(traces)} runs in file vs traceStats.retained_run="
+        f"{stats.get('retained_run')} finished={stats.get('finished')}")
+
+
 def check_exemplars(checker, metrics, roots):
     """Every exported exemplar must point at a trace retained in the file."""
     histograms = metrics.get("histograms", {})
@@ -235,6 +290,21 @@ def make_span(trace_id, idx, parent, name, ts, dur, tid=7, pid=0, **root_args):
     args.update(root_args)
     return {"name": name, "cat": "serve", "ph": "X", "pid": pid, "tid": tid,
             "ts": ts, "dur": dur, "args": args}
+
+
+def make_run(trace_id, tid):
+    """A profiled training run: root > epoch > exec run > fused unit."""
+    return [
+        make_span(trace_id, 0, -1, "cora/seastar", 0, 9000, tid=tid,
+                  request_id=tid, flags="clean", sampled=False, outcome="done",
+                  retained_by="run", total_ms=9.0),
+        make_span(trace_id, 1, 0, "epoch", 100, 8000, tid=tid, epoch=0,
+                  pool_hits=40, pool_misses=0),
+        make_span(trace_id, 2, 1, "seastar", 300, 900, tid=tid,
+                  plan_cache_misses=1, alloc_delta_bytes=-512),
+        make_span(trace_id, 3, 2, "unit0:Mul+AggSum", 350, 800, tid=tid,
+                  edges=13265, dispatches=4, tile_width=16, schedule="static"),
+    ]
 
 
 def make_trace(trace_id, tid, flags="clean", retained_by="tail",
@@ -343,17 +413,46 @@ def self_test(_args):
     del shapeless["traceEvents"][4]["args"]["trace_id"]
     expect_case("missing-trace-id", shapeless, True)
 
+    # 12. A run-scoped training profile (two runs) passes.
+    good_run = {
+        "displayTimeUnit": "ms",
+        "traceEvents": make_run("r1", 0) + make_run("r2", 1),
+        "traceStats": {"retention": "run", "started": 2, "finished": 2,
+                       "retained_run": 2, "retained_sampled": 0,
+                       "retained_anomaly": 0, "retained_tail": 0},
+    }
+    expect_case("good-run", good_run, False)
+
+    # 13. Negative or fractional counter args fail.
+    negative = copy.deepcopy(good_run)
+    negative["traceEvents"][3]["args"]["edges"] = -3
+    expect_case("run-negative-counter", negative, True)
+    fractional = copy.deepcopy(good_run)
+    fractional["traceEvents"][1]["args"]["pool_hits"] = 2.5
+    expect_case("run-fractional-counter", fractional, True)
+
+    # 14. A run with two roots (a span that lost its parent) fails.
+    split = copy.deepcopy(good_run)
+    split["traceEvents"][2]["args"]["parent"] = -1
+    expect_case("run-two-roots", split, True)
+
+    # 15. A run missing from the file fails accounting.
+    short = copy.deepcopy(good_run)
+    short["traceEvents"] = [e for e in short["traceEvents"]
+                            if e["args"]["trace_id"] != "r2"]
+    expect_case("run-lost", short, True)
+
     for line in failures:
         print(line, file=sys.stderr)
     print(f"trace_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(11 cases)")
+          f"(15 cases)")
     return 1 if failures else 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", nargs="?", default="",
-                        help="Chrome-trace JSON from --trace-out")
+                        help="Chrome-trace JSON from --trace-out or --profile=")
     parser.add_argument("--metrics", default="",
                         help="metrics JSON from the same run; enables the "
                              "exemplar-linkage check")
