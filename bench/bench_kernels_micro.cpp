@@ -4,8 +4,9 @@
 // table/figure binaries with statistically sound per-kernel numbers.
 //
 // --sweep-out=<path> additionally runs the tiled-vs-untiled aggregation
-// sweep (CopySum / MulSum × feature dims 16/64/256 × uniform / power-law
-// degree skew) and writes a BENCH_kernels.json report gated by
+// sweep (CopySum / MulSum × feature dims 16/64/256, and GAT's SDDMM-shaped
+// forward units, × uniform / power-law degree skew; untiled = the
+// single-segment plan) and writes a BENCH_kernels.json report gated by
 // tools/bench_check.py. The sweep checks bitwise tiled/untiled parity on
 // every configuration, so the report doubles as a correctness probe.
 #include <benchmark/benchmark.h>
@@ -142,14 +143,14 @@ void BM_CsrBuild(benchmark::State& state) {
 BENCHMARK(BM_CsrBuild);
 
 // ---- Tiled-vs-untiled aggregation sweep ---------------------------------------------------------
-// One data point: the same fused aggregation executed with the cache-blocked
-// tiled edge loops and with the flat untiled ones, on the same graph and
-// features. Both paths share the runtime-dispatched SIMD row kernels
+// One data point: the same fused unit executed on the segment plan and on
+// the single-segment plan (SEASTAR_TILING=0), on the same graph and
+// features. Both run the same lowered code over the same SIMD row kernels
 // (src/tensor/simd.h), so the outputs must be bit-identical — the sweep
 // asserts that with a memcmp per configuration, making the perf report a
 // correctness probe too.
 struct SweepPoint {
-  std::string kernel;  // "copy_sum" | "mul_sum"
+  std::string kernel;  // A kSweepKernels name.
   std::string skew;    // "uniform" | "zipf"
   int64_t feat_dim = 0;
   int64_t num_vertices = 0;
@@ -174,6 +175,33 @@ double BestOfMs(int reps, const Fn& fn) {
   return best;
 }
 
+// One sweep kernel: a single-unit vertex program at feature width d.
+struct SweepKernel {
+  const char* name;
+  std::vector<int64_t> dims;
+  Value (*program)(GirBuilder& b, int32_t d);
+};
+
+// The SpMM-shaped reductions (copy-sum, mul-sum) and GAT's two SDDMM-shaped
+// forward units: the edge score Add+LeakyRelu+Exp+AggSum and the weighted
+// aggregation Div+Mul+AggSum (edge score / key-side sum, times u.h).
+const SweepKernel kSweepKernels[] = {
+    {"copy_sum", {16, 64, 256}, [](GirBuilder& b, int32_t d) { return AggSum(b.Src("h", d)); }},
+    {"mul_sum",
+     {16, 64, 256},
+     [](GirBuilder& b, int32_t d) { return AggSum(b.Src("h", d) * b.Dst("g", d)); }},
+    {"gat_score",
+     {1},
+     [](GirBuilder& b, int32_t) {
+       return AggSum(Exp(LeakyRelu(b.Src("eu", 1) + b.Dst("ev", 1), 0.2f)));
+     }},
+    {"gat_weighted",
+     {16, 64},
+     [](GirBuilder& b, int32_t d) {
+       return AggSum(b.Edge("e", 1) / b.Dst("s", 1) * b.Src("h", d));
+     }},
+};
+
 std::vector<SweepPoint> RunKernelSweep() {
   const bool tiling_was_enabled = TilingEnabled();
   metrics::Counter* segments_counter =
@@ -187,23 +215,21 @@ std::vector<SweepPoint> RunKernelSweep() {
     CooEdges edges = std::string(skew) == "uniform" ? ErdosRenyi(kVertices, kEdges, graph_rng)
                                                     : Rmat(kVertices, kEdges, graph_rng);
     Graph graph = ToGraph(std::move(edges));
-    for (const char* kernel : {"copy_sum", "mul_sum"}) {
-      for (const int64_t d : {int64_t{16}, int64_t{64}, int64_t{256}}) {
+    for (const SweepKernel& kernel : kSweepKernels) {
+      for (const int64_t d : kernel.dims) {
         GirBuilder b;
-        if (std::string(kernel) == "copy_sum") {
-          b.MarkOutput(AggSum(b.Src("h", static_cast<int32_t>(d))), "out");
-        } else {
-          b.MarkOutput(
-              AggSum(b.Src("h", static_cast<int32_t>(d)) * b.Dst("g", static_cast<int32_t>(d))),
-              "out");
-        }
+        b.MarkOutput(kernel.program(b, static_cast<int32_t>(d)), "out");
         GirGraph gir = b.TakeGraph();
         Rng rng(29);
+        const int64_t n = graph.num_vertices();
         FeatureMap features;
-        features.vertex["h"] = ops::RandomNormal({graph.num_vertices(), d}, 0, 1, rng);
-        features.vertex["g"] = ops::RandomNormal({graph.num_vertices(), d}, 0, 1, rng);
+        features.vertex["h"] = ops::RandomNormal({n, d}, 0, 1, rng);
+        features.vertex["g"] = ops::RandomNormal({n, d}, 0, 1, rng);
+        features.vertex["eu"] = ops::RandomNormal({n, 1}, 0, 1, rng);
+        features.vertex["ev"] = ops::RandomNormal({n, 1}, 0, 1, rng);
+        features.vertex["s"] = ops::Exp(ops::RandomNormal({n, 1}, 0, 1, rng));
+        features.edge["e"] = ops::Exp(ops::RandomNormal({graph.num_edges(), 1}, 0, 1, rng));
         SeastarExecutor executor;
-
         SetTilingEnabled(false);
         Tensor untiled = executor.Run(gir, graph, features).outputs.at("out");
         const double untiled_ms = BestOfMs(
@@ -217,7 +243,7 @@ std::vector<SweepPoint> RunKernelSweep() {
             kReps, [&] { benchmark::DoNotOptimize(executor.Run(gir, graph, features).outputs); });
 
         SweepPoint point;
-        point.kernel = kernel;
+        point.kernel = kernel.name;
         point.skew = skew;
         point.feat_dim = d;
         point.num_vertices = graph.num_vertices();
@@ -233,8 +259,8 @@ std::vector<SweepPoint> RunKernelSweep() {
               std::max(point.max_abs_diff, std::fabs(double(tiled.data()[i]) - untiled.data()[i]));
         }
         points.push_back(std::move(point));
-        std::printf("sweep %-8s %-7s d=%-3lld untiled %7.3f ms  tiled %7.3f ms  (%.2fx)  %s\n",
-                    kernel, skew, static_cast<long long>(d), untiled_ms, tiled_ms,
+        std::printf("sweep %-12s %-7s d=%-3lld untiled %7.3f ms  tiled %7.3f ms  (%.2fx)  %s\n",
+                    kernel.name, skew, static_cast<long long>(d), untiled_ms, tiled_ms,
                     untiled_ms / tiled_ms, points.back().bitwise_equal ? "bit-identical" : "DIFF");
       }
     }

@@ -25,6 +25,149 @@ std::string UnitLabel(const GirGraph& gir, const FusedUnit& fused, size_t index)
   return label;
 }
 
+// Float offset rounded up to a 64-byte boundary.
+int32_t AlignFloats(int64_t floats) { return static_cast<int32_t>((floats + 15) & ~int64_t{15}); }
+
+bool IsKeySide(const Operand& op) { return op.src == Src::kKeyRow || op.src == Src::kReg; }
+
+// Lowers `unit` onto the segment launch (see CompiledUnit) when its shape
+// allows; leaves it for the interpreter otherwise. Eligible: at most one
+// aggregation, and that a plain sum or mean; no typed operand; no per-edge
+// store to a neighbour row (concurrent segments would race on it).
+void LowerUnit(CompiledUnit* unit) {
+  if (unit->has_typed_agg || unit->aggs.size() > 1) {
+    return;
+  }
+  if (!unit->aggs.empty()) {
+    const AggInstr& agg = unit->aggs[0];
+    if (agg.kind != OpKind::kAggSum && agg.kind != OpKind::kAggMean) {
+      return;
+    }
+    if (agg.input.src == Src::kTypedRow ||
+        (agg.input.width != agg.width && agg.input.width != 1)) {
+      return;
+    }
+  }
+  for (const std::vector<Instr>* list : {&unit->invariant, &unit->edge, &unit->post}) {
+    for (const Instr& instr : *list) {
+      if (instr.a.src == Src::kTypedRow || (instr.binary && instr.b.src == Src::kTypedRow) ||
+          instr.mat == MatKind::kNbrRow) {
+        return;
+      }
+    }
+  }
+
+  // Fold full-width Identity copies into their readers: the prologue then
+  // reads the copied row where it lives instead of staging it in the batch.
+  std::map<int32_t, Operand> alias;  // Register -> the operand it copies.
+  const auto rewrite = [&alias](Operand* op) {
+    if (op->src != Src::kReg) {
+      return;
+    }
+    auto it = alias.find(op->reg);
+    if (it != alias.end()) {
+      *op = it->second;
+    }
+  };
+  std::vector<Instr> prologue;
+  for (Instr instr : unit->edge) {
+    rewrite(&instr.a);
+    if (instr.binary) {
+      rewrite(&instr.b);
+    }
+    if (instr.kind == OpKind::kIdentity && instr.mat == MatKind::kNone &&
+        instr.a.width == instr.width) {
+      alias[instr.out_reg] = instr.a;
+      continue;
+    }
+    prologue.push_back(instr);
+  }
+
+  // The reduction. A non-materialized Mul that feeds the aggregation and
+  // nothing else folds into the row kernel (acc += x * y), as long as its
+  // operands are the full row and a width-1 scale, or two full rows.
+  if (!unit->aggs.empty()) {
+    Operand input = unit->aggs[0].input;
+    rewrite(&input);
+    const int32_t w = unit->aggs[0].width;
+    unit->reduce = Reduce::kAdd;
+    unit->reduce_x = input;
+    const auto reads_input = [&input](const Instr& instr) {
+      const auto same = [&input](const Operand& op) {
+        return op.src == Src::kReg && op.reg == input.reg;
+      };
+      return same(instr.a) || (instr.binary && same(instr.b));
+    };
+    auto mul = std::find_if(prologue.begin(), prologue.end(), [&input](const Instr& instr) {
+      return input.src == Src::kReg && instr.out_reg == input.reg;
+    });
+    if (mul != prologue.end() && mul->kind == OpKind::kMul && mul->mat == MatKind::kNone &&
+        input.width == w && std::none_of(prologue.begin(), prologue.end(), reads_input)) {
+      if (mul->a.width == w && mul->b.width == 1) {
+        unit->reduce = Reduce::kAxpy;
+        unit->reduce_x = mul->a;
+        unit->reduce_y = mul->b;
+      } else if (mul->a.width == 1 && mul->b.width == w) {
+        unit->reduce = Reduce::kAxpy;
+        unit->reduce_x = mul->b;
+        unit->reduce_y = mul->a;
+      } else if (mul->a.width == w && mul->b.width == w) {
+        unit->reduce = Reduce::kMulAdd;
+        unit->reduce_x = mul->a;
+        unit->reduce_y = mul->b;
+      }
+      if (unit->reduce != Reduce::kAdd) {
+        prologue.erase(mul);
+      }
+    }
+  }
+
+  // Batch geometry: half the L1 budget for the key register rows, half for
+  // the edge batch (prologue regions plus two int32 slot-index arrays).
+  const int64_t half_budget = TilePlanOptions{}.l1_budget_bytes / int64_t{2 * sizeof(float)};
+  int64_t edge_floats = 2;
+  for (const Instr& instr : prologue) {
+    edge_floats += instr.width;
+  }
+  unit->key_stride = AlignFloats(std::max(unit->scratch_floats, 1));
+  unit->batch_keys = static_cast<int32_t>(std::max<int64_t>(1, half_budget / unit->key_stride));
+  unit->batch_edges = static_cast<int32_t>(std::max<int64_t>(16, half_budget / edge_floats));
+
+  // Give every prologue op a batch region and point its readers there.
+  std::map<int32_t, int32_t> region;  // Register -> batch offset.
+  const auto to_batch = [&region](Operand* op) {
+    if (op->src != Src::kReg) {
+      return;
+    }
+    auto it = region.find(op->reg);
+    if (it != region.end()) {
+      op->src = Src::kBatch;
+      op->reg = it->second;
+    }
+  };
+  int32_t cursor = 0;
+  for (Instr& instr : prologue) {
+    to_batch(&instr.a);
+    if (instr.binary) {
+      to_batch(&instr.b);
+    }
+    region[instr.out_reg] = cursor;
+    instr.out_reg = cursor;
+    cursor += AlignFloats(int64_t{unit->batch_edges} * instr.width);
+  }
+  to_batch(&unit->reduce_x);
+  to_batch(&unit->reduce_y);
+  unit->batch_floats = cursor;
+
+  unit->needs_slot_keys = IsKeySide(unit->reduce_x) || IsKeySide(unit->reduce_y);
+  for (const Instr& instr : prologue) {
+    unit->needs_slot_keys = unit->needs_slot_keys || IsKeySide(instr.a) ||
+                            (instr.binary && IsKeySide(instr.b));
+  }
+  unit->edge = std::move(prologue);
+  unit->lowered = true;
+}
+
 }  // namespace
 
 FatGeometry CompiledProgram::GeometryFor(size_t unit_index, int64_t num_items,
@@ -43,15 +186,18 @@ FatGeometry CompiledProgram::GeometryFor(size_t unit_index, int64_t num_items,
 
 std::shared_ptr<const TilePlan> CompiledProgram::TilingFor(size_t unit_index, const Csr& csr,
                                                            int num_workers) const {
-  const TilingKey key{unit_index, csr.num_vertices, csr.num_edges};
+  const bool tiled = TilingEnabled();
+  const TilingKey key{unit_index, csr.num_vertices, csr.num_edges, tiled};
   std::lock_guard<std::mutex> lock(tiling_mutex_);
   auto it = tiling_cache_.find(key);
   if (it == tiling_cache_.end()) {
     const CompiledUnit& unit = units[unit_index];
     const int32_t width = unit.aggs.empty() ? unit.max_width : unit.aggs[0].width;
     it = tiling_cache_
-             .emplace(key, std::make_shared<TilePlan>(ComputeTilePlan(
-                               csr.offsets, csr.num_vertices, width, num_workers)))
+             .emplace(key, std::make_shared<TilePlan>(
+                               tiled ? ComputeTilePlan(csr.offsets, csr.num_vertices, width,
+                                                       num_workers)
+                                     : SingleSegmentPlan(csr.num_vertices, width)))
              .first;
   }
   return it->second;
@@ -204,52 +350,7 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
     }
     unit.scratch_floats = cursor;
 
-    // Classify the edge loop (see FastPath in compiled_program.h). Typed
-    // rows are excluded: their resolution needs the edge type, which the
-    // specialized loops do not track.
-    const auto plain_row = [](const Operand& op) {
-      return op.src == Src::kKeyRow || op.src == Src::kNbrRow || op.src == Src::kEdgeRow ||
-             op.src == Src::kScalar || op.src == Src::kReg;
-    };
-    if (!unit.has_typed_agg && unit.needs_edge_loop && unit.aggs.size() == 1) {
-      const AggInstr& agg = unit.aggs[0];
-      const bool sum_like = agg.kind == OpKind::kAggSum || agg.kind == OpKind::kAggMean;
-      if (sum_like && unit.edge.empty() && agg.input.src != Src::kReg &&
-          agg.input.src != Src::kTypedRow) {
-        unit.fast_path = FastPath::kCopySum;
-      } else if (sum_like && unit.edge.size() == 1) {
-        const Instr& e = unit.edge[0];
-        if (e.kind == OpKind::kMul && e.mat == MatKind::kNone && agg.input.src == Src::kReg &&
-            agg.input.reg == e.out_reg && agg.input.width == agg.width &&
-            plain_row(e.a) && plain_row(e.b)) {
-          unit.fast_path = FastPath::kMulSum;
-        }
-      }
-    }
-
-    // Tilable: a fast-path unit whose per-vertex work is *only* the edge loop
-    // plus the aggregation store — no invariant/post instructions whose
-    // register values would have to survive across feature tiles — and whose
-    // operands are plain rows (or full-row copies) so a column range [c0, c1)
-    // of the accumulator depends only on the same column range (or the
-    // width-1 broadcast) of the inputs.
-    if (unit.fast_path != FastPath::kNone && unit.invariant.empty() && unit.post.empty() &&
-        unit.aggs.size() == 1 && unit.aggs[0].materialized) {
-      const AggInstr& agg = unit.aggs[0];
-      if (unit.fast_path == FastPath::kCopySum) {
-        unit.tilable = agg.input.width == agg.width || agg.input.width == 1;
-      } else {
-        const Instr& e = unit.edge[0];
-        const auto concrete_row = [](const Operand& op) {
-          return op.src == Src::kKeyRow || op.src == Src::kNbrRow || op.src == Src::kEdgeRow;
-        };
-        const int32_t w = agg.width;
-        const bool widths_ok = (e.a.width == w && e.b.width == 1) ||
-                               (e.a.width == 1 && e.b.width == w) ||
-                               (e.a.width == w && e.b.width == w);
-        unit.tilable = concrete_row(e.a) && concrete_row(e.b) && widths_ok;
-      }
-    }
+    LowerUnit(&unit);
     program.units.push_back(std::move(unit));
   }
   return result;
@@ -291,6 +392,8 @@ void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base, int64_t
   for (Instr& instr : unit->post) {
     PatchInstr(&instr, node_base);
   }
+  PatchOperand(&unit->reduce_x, node_base);
+  PatchOperand(&unit->reduce_y, node_base);
   for (AggInstr& agg : unit->aggs) {
     PatchOperand(&agg.input, node_base);
     agg.typed_rows = num_vertices;

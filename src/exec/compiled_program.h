@@ -12,6 +12,18 @@
 // the pointers in (PatchUnit). The hot kernel loop then runs on fully
 // resolved pointers, exactly as it did when compilation happened per run.
 //
+// Compiling also picks each unit's execution form, once. Every unit whose
+// shape allows it is *lowered* (LowerUnit in compiled_program.cc): at most
+// one sum/mean aggregation, no typed operand, no per-edge store to a
+// neighbour row. A lowered unit is FeatGraph's split of a vertex program —
+// an SDDMM-shaped edge prologue (the unit's per-edge ops, evaluated over
+// L1-sized chunks of CSR slots with one op dispatch per chunk) feeding an
+// SpMM-shaped reduction (one SIMD row kernel per edge, see Reduce) — and
+// runs on the tile-plan segment launch. The plain copy-sum and mul-sum
+// aggregations are its empty-prologue and folded-Mul cases. Everything else
+// (max and typed aggregations, several aggregations, neighbour-row stores)
+// runs the per-edge Algorithm-1 interpreter.
+//
 // FAT geometry is cached here too, keyed by (unit, num_items, block_size):
 // geometry depends only on those plus the unit's max feature width, so a
 // graph change (different num_vertices) or option change (block_size) misses
@@ -42,6 +54,7 @@ enum class Src : uint8_t {
   kEdgeRow,   // base + edge_id * width.
   kTypedRow,  // base + (edge_type * num_vertices + nbr_vertex) * width.
   kScalar,    // Immediate.
+  kBatch,     // Lowered units only: a region of the edge batch (see CompiledUnit).
 };
 
 struct Operand {
@@ -83,36 +96,53 @@ struct AggInstr {
   int64_t typed_rows = 0;  // = num_vertices for kAggTypedToSrc; set per run.
 };
 
-// Edge-loop specialization, classified once at compile time. The generic
-// interpreter pays a dispatch cascade (operand Resolve + op switch + agg
-// switch) per edge, which dominates at GNN feature widths; the two shapes
-// every sum-style vertex program lowers to get fused inner loops instead:
-//   kCopySum — no per-edge ops, one AggSum/AggMean pulling a row directly:
-//              acc[j] += row[j]. (E.g. GCN backward, APPNP propagation.)
-//   kMulSum  — one non-materialized Mul feeding one AggSum/AggMean:
-//              acc[j] += a[j] * b[j] (with width-1 broadcast on either side).
-//              (E.g. GCN forward, GAT's weighted aggregation.)
-// Unit semantics are unchanged — only the loop body is specialized, and only
-// when no typed aggregation / typed operand is involved.
-enum class FastPath : uint8_t { kNone, kCopySum, kMulSum };
+// How a lowered unit folds one edge's value into its accumulator. Each form
+// is one runtime-dispatched SIMD row kernel (src/tensor/simd.h) per edge:
+//   kNone   — no aggregation (an edge-only unit: the prologue's edge-row
+//             materializations are its whole output);
+//   kAdd    — acc[j] += x[j] (AddRow), or acc[j] += x[0] (AddScalarRow) for
+//             a width-1 x feeding a wider aggregation;
+//   kAxpy   — acc[j] += x[j] * y[0] (AxpyRow): the unit's last Mul, folded
+//             into the reduction, with its width-1 operand as y;
+//   kMulAdd — acc[j] += x[j] * y[j] (MulAddRow): the same for a Mul of two
+//             full-width rows.
+enum class Reduce : uint8_t { kNone, kAdd, kAxpy, kMulAdd };
 
 struct CompiledUnit {
   GraphType orientation = GraphType::kDst;
   bool needs_edge_loop = false;
   bool has_typed_agg = false;
-  FastPath fast_path = FastPath::kNone;
-  // True when the unit can run under the cache-blocked tiled scheme (see
-  // tiling.h): a fast-path edge loop with no invariant/post instructions and
-  // a single materialized sum/mean aggregation, so per-(segment, tile)
-  // execution needs nothing but the agg accumulator. Classified once at
-  // compile time; the executor additionally consults TilingEnabled().
-  bool tilable = false;
+  // True when the unit runs on the lowered segment launch (below) instead of
+  // the per-edge interpreter. Classified once at compile time.
+  bool lowered = false;
   std::vector<Instr> invariant;  // Key-side pre ops (loop hoisted).
-  std::vector<Instr> edge;       // Per-edge ops.
+  // Per-edge ops. In a lowered unit this is the edge prologue: Identity
+  // copies are folded into their readers, the Mul feeding the reduction is
+  // folded into `reduce`, and every remaining op writes a region of the
+  // per-worker edge batch — `out_reg` and the `reg` of each Src::kBatch
+  // operand are float offsets into that batch, row i at offset + i * width.
+  std::vector<Instr> edge;
   std::vector<AggInstr> aggs;
   std::vector<Instr> post;       // Post-aggregation key-side ops.
   int32_t scratch_floats = 0;
   int32_t max_width = 1;
+
+  // ---- Lowered form (FeatGraph-style SDDMM prologue + SpMM reduction) ----
+  // A lowered unit runs per tile-plan segment: key positions are taken in
+  // batches of at most `batch_keys`, each with its own `key_stride`-float
+  // register row (invariant ops, accumulator, post ops run per key against
+  // it, exactly as in the interpreter); the batch's CSR slots — contiguous —
+  // run the edge prologue in chunks of at most `batch_edges`, one op dispatch
+  // per instruction per chunk; then each key folds its slots into its
+  // accumulator with the `reduce` row kernel, in slot order.
+  Reduce reduce = Reduce::kNone;
+  Operand reduce_x;                 // kAdd/kAxpy/kMulAdd: the width-w row.
+  Operand reduce_y;                 // kAxpy: the width-1 scale; kMulAdd: a row.
+  bool needs_slot_keys = false;     // Some prologue/reduce operand is key-side.
+  int32_t batch_edges = 0;
+  int32_t batch_keys = 0;
+  int32_t key_stride = 0;           // Floats per key register row (64B-aligned).
+  int32_t batch_floats = 0;         // Floats per edge batch (all prologue regions).
 };
 
 // Everything about a GIR that survives from one run to the next. Immutable
@@ -133,15 +163,16 @@ class CompiledProgram {
   // FAT geometry for one unit, memoized per (num_items, block_size).
   FatGeometry GeometryFor(size_t unit_index, int64_t num_items, int block_size) const;
 
-  // Cache-blocked tile plan for one unit over `csr`, memoized per
-  // (unit, num_vertices, num_edges) — the same scheme as the FAT-geometry
+  // Segment plan for one lowered unit over `csr`, memoized per
+  // (unit, num_vertices, num_edges, TilingEnabled()) — the same scheme as the FAT-geometry
   // memo, so a graph change misses naturally. The key deliberately does not
   // fingerprint the degree distribution: two distinct graphs with identical
   // (V, E) would share a plan, which can only cost locality, never
   // correctness (any position partition is exact — see tiling.h). Plans are
   // derived from the CSR's offset array (the cached degree data) on first
   // use; `num_workers` shapes the parallel grain of the first computation
-  // and is not part of the key (pool size is fixed per process).
+  // and is not part of the key (pool size is fixed per process). With
+  // tiling disabled the plan is SingleSegmentPlan.
   std::shared_ptr<const TilePlan> TilingFor(size_t unit_index, const Csr& csr,
                                             int num_workers) const;
 
@@ -163,10 +194,12 @@ class CompiledProgram {
     size_t unit;
     int64_t vertices;
     int64_t edges;
+    bool tiled;  // TilingEnabled() when planned.
     bool operator<(const TilingKey& o) const {
       if (unit != o.unit) return unit < o.unit;
       if (vertices != o.vertices) return vertices < o.vertices;
-      return edges < o.edges;
+      if (edges != o.edges) return edges < o.edges;
+      return tiled < o.tiled;
     }
   };
   mutable std::mutex tiling_mutex_;

@@ -68,6 +68,8 @@ inline const float* Resolve(const Operand& op, const float* scratch, int64_t key
       return op.base + (static_cast<int64_t>(etype) * typed_stride + nbr) * op.width;
     case Src::kScalar:
       return &op.scalar;
+    case Src::kBatch:
+      break;  // Lowered units only.
   }
   return nullptr;
 }
@@ -91,119 +93,249 @@ struct alignas(64) WorkerEdgeCount {
   int64_t edges = 0;
 };
 
-// ---- FastPath edge loops ------------------------------------------------------------------------
-// Operand resolution for the specialized loops: registers, immediates and key
-// rows do not change across one vertex's edge loop and collapse to a single
-// pointer; nbr/edge rows index their base per slot.
-enum class RowVary : uint8_t { kFixed, kNbr, kEdge };
-
-inline RowVary ClassifyRow(const Operand& op, const float* scratch, int64_t key,
-                           const float** fixed) {
-  switch (op.src) {
-    case Src::kReg:
-      *fixed = scratch + op.reg;
-      return RowVary::kFixed;
-    case Src::kScalar:
-      *fixed = &op.scalar;
-      return RowVary::kFixed;
-    case Src::kKeyRow:
-      *fixed = op.base + key * op.width;
-      return RowVary::kFixed;
-    case Src::kNbrRow:
-      return RowVary::kNbr;
-    case Src::kEdgeRow:
-      return RowVary::kEdge;
-    case Src::kTypedRow:
-      break;  // Excluded by fast-path detection.
+// ---- Lowered units ------------------------------------------------------------------------------
+// One operand across an edge chunk: row i at base + (idx ? idx[i] : i) * stride.
+struct BatchRows {
+  const float* base = nullptr;
+  const int32_t* idx = nullptr;
+  int64_t stride = 0;
+  const float* operator()(int64_t i) const {
+    return base + (idx != nullptr ? static_cast<int64_t>(idx[i]) : i) * stride;
   }
-  return RowVary::kFixed;
+};
+
+// A worker's slice of the launch scratch (layout in LoweredWorkFloats).
+struct LoweredWork {
+  float* regs;          // batch_keys register rows of key_stride floats.
+  float* batch;         // The prologue's regions (CompiledUnit::batch_floats).
+  int32_t* slot_key;    // Per chunk slot: the key vertex.
+  int32_t* slot_local;  // Per chunk slot: its key's row in `regs`.
+};
+
+// Floats per chunk-slot array, 64B-aligned.
+int64_t SlotFloats(const CompiledUnit& unit) {
+  return (int64_t{unit.batch_edges} + 15) & ~int64_t{15};
 }
 
-// Fused replacements for the interpreted edge loop (semantics identical; see
-// FastPath in compiled_program.h). These exist because per-edge dispatch —
-// two operand switches, an op switch and an agg switch — costs more than the
-// arithmetic itself at GNN feature widths.
-//
-// The loop is column-ranged: it accumulates columns [c0, c0 + n) of the
-// feature row into `acc[0 .. n)`. The untiled path calls it once per vertex
-// with the full width; the tiled path calls it once per (vertex, feature
-// tile). Both route every column through the *same* runtime-dispatched SIMD
-// kernel (src/tensor/simd.h), and each kernel is elementwise-independent
-// across columns, so the two partitionings produce bit-identical results —
-// the invariant the SEASTAR_TILING=0 parity tests pin down.
-inline void RunFastEdgeLoop(const CompiledUnit& unit, const Csr& csr, float* scratch, float* acc,
-                            int64_t key, int64_t begin, int64_t end, int32_t c0, int32_t n) {
-  const AggInstr& agg = unit.aggs[0];
-  const int32_t w = agg.width;
+int64_t LoweredWorkFloats(const CompiledUnit& unit) {
+  return int64_t{unit.batch_keys} * unit.key_stride + unit.batch_floats + 2 * SlotFloats(unit);
+}
 
-  if (unit.fast_path == FastPath::kCopySum) {
-    const Operand& in = agg.input;
-    const float* fixed = nullptr;
-    const RowVary vary = ClassifyRow(in, scratch, key, &fixed);
-    const auto row = [&](int64_t slot) {
-      return vary == RowVary::kFixed
-                 ? fixed
-                 : in.base + (vary == RowVary::kNbr ? csr.nbr_ids[static_cast<size_t>(slot)]
-                                                    : csr.edge_ids[static_cast<size_t>(slot)]) *
-                                 in.width;
-    };
-    if (in.width == 1 && w > 1) {
-      for (int64_t slot = begin; slot < end; ++slot) {
-        simd::AddScalarRow(acc, row(slot)[0], n);
-      }
-    } else {
-      for (int64_t slot = begin; slot < end; ++slot) {
-        simd::AddRow(acc, row(slot) + c0, n);
-      }
+LoweredWork CarveLoweredWork(const CompiledUnit& unit, float* base) {
+  const int64_t slots = SlotFloats(unit);
+  LoweredWork work;
+  work.regs = base;
+  work.batch = work.regs + int64_t{unit.batch_keys} * unit.key_stride;
+  work.slot_key = reinterpret_cast<int32_t*>(work.batch + unit.batch_floats);
+  work.slot_local = work.slot_key + slots;
+  return work;
+}
+
+// Rows of `op` over the chunk starting at CSR slot s0.
+BatchRows BindRows(const Operand& op, const Csr& csr, int64_t s0, const LoweredWork& work,
+                   int32_t key_stride) {
+  switch (op.src) {
+    case Src::kBatch:
+      return {work.batch + op.reg, nullptr, op.width};
+    case Src::kReg:
+      return {work.regs + op.reg, work.slot_local, key_stride};
+    case Src::kKeyRow:
+      return {op.base, work.slot_key, op.width};
+    case Src::kNbrRow:
+      return {op.base, csr.nbr_ids.data() + s0, op.width};
+    case Src::kEdgeRow:
+      return {op.base, csr.edge_ids.data() + s0, op.width};
+    case Src::kScalar:
+      return {&op.scalar, nullptr, 0};
+    case Src::kTypedRow:
+      break;  // Never lowered.
+  }
+  return {};
+}
+
+// Key-side instructions (invariant / post) on one key's register row —
+// the interpreter's per-key code path.
+inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* regs, int64_t key,
+                         int64_t typed_stride) {
+  for (const Instr& instr : instrs) {
+    const float* a = Resolve(instr.a, regs, key, 0, 0, 0, typed_stride);
+    const float* b = instr.binary ? Resolve(instr.b, regs, key, 0, 0, 0, typed_stride) : nullptr;
+    EvalInstr(instr, regs, a, b);
+    if (instr.mat == MatKind::kKeyRow) {
+      std::memcpy(instr.mat_base + key * instr.width, regs + instr.out_reg,
+                  static_cast<size_t>(instr.width) * sizeof(float));
     }
+  }
+}
+
+// Folds chunk rows [i0, i1) into acc[0, n) = columns [c0, c0 + n) of one
+// key's accumulator, in slot order, one row-kernel call per edge. A width-1
+// accumulator runs the kernels' scalar tail inline (the same add / fma per
+// edge) instead of paying an indirect call per edge.
+void ReduceRows(Reduce reduce, const BatchRows& x, int32_t x_width, const BatchRows& y,
+                float* acc, int32_t w, int64_t i0, int64_t i1, int32_t c0, int32_t n) {
+  if (w == 1) {
+    float sum = acc[0];
+    switch (reduce) {
+      case Reduce::kNone:
+        return;
+      case Reduce::kAdd:
+        for (int64_t i = i0; i < i1; ++i) {
+          sum += x(i)[0];
+        }
+        break;
+      case Reduce::kAxpy:
+      case Reduce::kMulAdd:
+        for (int64_t i = i0; i < i1; ++i) {
+          sum = __builtin_fmaf(x(i)[0], y(i)[0], sum);
+        }
+        break;
+    }
+    acc[0] = sum;
     return;
   }
+  switch (reduce) {
+    case Reduce::kNone:
+      return;
+    case Reduce::kAdd:
+      if (x_width == 1) {
+        for (int64_t i = i0; i < i1; ++i) {
+          simd::AddScalarRow(acc, x(i)[0], n);
+        }
+      } else {
+        for (int64_t i = i0; i < i1; ++i) {
+          simd::AddRow(acc, x(i) + c0, n);
+        }
+      }
+      return;
+    case Reduce::kAxpy:
+      for (int64_t i = i0; i < i1; ++i) {
+        simd::AxpyRow(acc, x(i) + c0, y(i)[0], n);
+      }
+      return;
+    case Reduce::kMulAdd:
+      for (int64_t i = i0; i < i1; ++i) {
+        simd::MulAddRow(acc, x(i) + c0, y(i) + c0, n);
+      }
+      return;
+  }
+}
 
-  // kMulSum: acc[j] += a[j] * b[j], width-1 broadcast on either operand.
-  const Instr& mul = unit.edge[0];
-  const int32_t wa = mul.a.width;
-  const int32_t wb = mul.b.width;
-  const float* a_fixed = nullptr;
-  const float* b_fixed = nullptr;
-  const RowVary a_vary = ClassifyRow(mul.a, scratch, key, &a_fixed);
-  const RowVary b_vary = ClassifyRow(mul.b, scratch, key, &b_fixed);
-  const auto a_row = [&](int64_t slot) {
-    return a_vary == RowVary::kFixed
-               ? a_fixed
-               : mul.a.base + (a_vary == RowVary::kNbr ? csr.nbr_ids[static_cast<size_t>(slot)]
-                                                       : csr.edge_ids[static_cast<size_t>(slot)]) *
-                                  wa;
+// Runs one tile-plan segment of a lowered unit (see CompiledUnit). Returns
+// the number of edges walked. Every key's result depends only on its own
+// slots, taken in slot order, so the segment and chunk boundaries — and
+// hence the plan, tiled or SingleSegmentPlan — never change a bit.
+int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan& plan,
+                          int64_t segment, const LoweredWork& work, int64_t typed_stride) {
+  const AggInstr* agg = unit.aggs.empty() ? nullptr : &unit.aggs[0];
+  const int32_t w = agg != nullptr ? agg->width : 0;
+  const int32_t stride = unit.key_stride;
+  const auto slot = [&](int64_t k) {
+    return unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k)] : int64_t{0};
   };
-  const auto b_row = [&](int64_t slot) {
-    return b_vary == RowVary::kFixed
-               ? b_fixed
-               : mul.b.base + (b_vary == RowVary::kNbr ? csr.nbr_ids[static_cast<size_t>(slot)]
-                                                       : csr.edge_ids[static_cast<size_t>(slot)]) *
-                                  wb;
+  const auto key_at = [&](int64_t k) -> int64_t {
+    return csr.position_vertex.empty() ? k : csr.position_vertex[static_cast<size_t>(k)];
   };
-  if (wa == w && wb == 1) {
-    for (int64_t slot = begin; slot < end; ++slot) {
-      simd::AxpyRow(acc, a_row(slot) + c0, b_row(slot)[0], n);
+  const int64_t p_end = plan.bounds[static_cast<size_t>(segment) + 1];
+  int64_t edges = 0;
+  for (int64_t k0 = plan.bounds[static_cast<size_t>(segment)]; k0 < p_end;) {
+    // Key batch [k0, k1): up to batch_keys keys whose slots fit one chunk. A
+    // key whose slots alone overflow a chunk is a batch of its own and runs
+    // over several chunks.
+    const int64_t s_begin = slot(k0);
+    int64_t k1 = k0 + 1;
+    while (k1 < p_end && k1 - k0 < unit.batch_keys &&
+           slot(k1 + 1) - s_begin <= unit.batch_edges) {
+      ++k1;
     }
-  } else if (wa == 1 && wb == w) {
-    for (int64_t slot = begin; slot < end; ++slot) {
-      simd::AxpyRow(acc, b_row(slot) + c0, a_row(slot)[0], n);
-    }
-  } else if (wa == w && wb == w) {
-    for (int64_t slot = begin; slot < end; ++slot) {
-      simd::MulAddRow(acc, a_row(slot) + c0, b_row(slot) + c0, n);
-    }
-  } else {
-    // Unusual width mix; broadcast-indexed scalar form. Never tiled
-    // (`tilable` requires one of the three shapes above), so c0 == 0 here.
-    for (int64_t slot = begin; slot < end; ++slot) {
-      const float* x = a_row(slot);
-      const float* y = b_row(slot);
-      for (int32_t j = 0; j < w; ++j) {
-        acc[j] = __builtin_fmaf(x[wa == 1 ? 0 : j], y[wb == 1 ? 0 : j], acc[j]);
+    const int64_t s_end = slot(k1);
+    edges += s_end - s_begin;
+
+    // Algorithm 1 lines 5-7 per key: invariant ops, accumulator init.
+    for (int64_t k = k0; k < k1; ++k) {
+      float* regs = work.regs + (k - k0) * stride;
+      RunKeyInstrs(unit.invariant, regs, key_at(k), typed_stride);
+      if (agg != nullptr) {
+        for (int32_t j = 0; j < w; ++j) {
+          regs[agg->acc_reg + j] = 0.0f;
+        }
       }
     }
+
+    // Lines 8-14 chunk by chunk: the edge prologue, one dispatch per op,
+    // then each key folds its slots of the chunk into its accumulator.
+    for (int64_t s0 = s_begin; s0 < s_end; s0 += unit.batch_edges) {
+      const int64_t s1 = std::min<int64_t>(s0 + unit.batch_edges, s_end);
+      if (unit.needs_slot_keys) {
+        for (int64_t k = k0; k < k1; ++k) {
+          const int64_t key = key_at(k);
+          for (int64_t s = std::max(slot(k), s0); s < std::min(slot(k + 1), s1); ++s) {
+            work.slot_key[s - s0] = static_cast<int32_t>(key);
+            work.slot_local[s - s0] = static_cast<int32_t>(k - k0);
+          }
+        }
+      }
+      const int64_t n = s1 - s0;
+      for (const Instr& instr : unit.edge) {
+        float* out = work.batch + instr.out_reg;
+        const int32_t width = instr.width;
+        const BatchRows a = BindRows(instr.a, csr, s0, work, stride);
+        const BatchRows b = instr.binary ? BindRows(instr.b, csr, s0, work, stride) : a;
+        PointwiseApplyRows(instr.kind, instr.attr, n, width, instr.a.width, instr.b.width,
+                           [&](int64_t i) {
+                             return PointwiseRows{out + i * width, a(i), b(i)};
+                           });
+        if (instr.mat == MatKind::kEdgeRow) {  // Scatter the chunk by edge id.
+          const int32_t* eids = csr.edge_ids.data() + s0;
+          if (width == 1) {
+            for (int64_t i = 0; i < n; ++i) {
+              instr.mat_base[eids[i]] = out[i];
+            }
+          } else {
+            for (int64_t i = 0; i < n; ++i) {
+              std::memcpy(instr.mat_base + int64_t{eids[i]} * width, out + i * width,
+                          static_cast<size_t>(width) * sizeof(float));
+            }
+          }
+        }
+      }
+      if (agg == nullptr) {
+        continue;
+      }
+      const BatchRows x = BindRows(unit.reduce_x, csr, s0, work, stride);
+      const BatchRows y = BindRows(unit.reduce_y, csr, s0, work, stride);
+      for (int32_t c0 = 0; c0 < w; c0 += plan.tile_width) {
+        const int32_t cols = std::min(plan.tile_width, w - c0);
+        for (int64_t k = k0; k < k1; ++k) {
+          const int64_t i0 = std::max(slot(k), s0) - s0;
+          const int64_t i1 = std::min(slot(k + 1), s1) - s0;
+          float* acc = work.regs + (k - k0) * stride + agg->acc_reg + c0;
+          ReduceRows(unit.reduce, x, unit.reduce_x.width, y, acc, w, i0, i1, c0, cols);
+        }
+      }
+    }
+
+    // Lines 15-17 per key: mean scaling, the aggregation store, post ops.
+    for (int64_t k = k0; k < k1; ++k) {
+      float* regs = work.regs + (k - k0) * stride;
+      const int64_t key = key_at(k);
+      if (agg != nullptr) {
+        float* acc = regs + agg->acc_reg;
+        if (agg->kind == OpKind::kAggMean) {
+          const int64_t degree = slot(k + 1) - slot(k);
+          simd::ScaleRow(acc, degree > 0 ? 1.0f / static_cast<float>(degree) : 0.0f, w);
+        }
+        if (agg->materialized) {
+          for (int32_t j = 0; j < w; ++j) {
+            agg->mat_base[key * w + j] = acc[j];
+          }
+        }
+      }
+      RunKeyInstrs(unit.post, regs, key, typed_stride);
+    }
+    k0 = k1;
   }
+  return edges;
 }
 
 }  // namespace
@@ -352,31 +484,34 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
 
     // ---- Launch -------------------------------------------------------------------------------
     const int64_t typed_stride = num_vertices;
+    // Bytes this unit writes to its materialized tensors (span arg).
+    const auto bytes_materialized = [&] {
+      int64_t bytes = 0;
+      for (int32_t id : fused.nodes) {
+        if (!plan.materialized[static_cast<size_t>(id)]) {
+          continue;
+        }
+        const Node& node = gir.node(id);
+        const int64_t rows = node.kind == OpKind::kAggTypedToSrc
+                                 ? static_cast<int64_t>(num_types) * num_vertices
+                                 : (node.type == GraphType::kEdge ? num_edges : num_vertices);
+        bytes += rows * node.width * static_cast<int64_t>(sizeof(float));
+      }
+      return bytes;
+    };
 
-    // Per-worker register scratch, one cacheline-aligned row per worker so
-    // concurrent FAT groups never false-share. A pooled Tensor rather than
-    // fresh vectors: in steady state (same GIR, same pool) the allocation is
-    // a pool hit, so the whole epoch runs with zero fresh mallocs.
-    const int64_t scratch_stride =
-        (static_cast<int64_t>(std::max(unit.scratch_floats, 1)) + 15) & ~int64_t{15};
-    Tensor scratch_tensor = Tensor::Zeros({num_workers, scratch_stride});
-    float* scratch_base = scratch_tensor.data();
-
-    // Cache-blocked tiled launch (ISSUE 8): fast-path units whose per-vertex
-    // work is only the edge loop plus the aggregation store run segment-by-
-    // segment (L2-sized destination ranges) and feature-tile-by-tile
-    // (L1-sized column ranges), re-walking each segment's edges once per
-    // tile. Same kernels, same per-column operation order as the untiled
-    // loop below — only the iteration space is reshaped.
-    const bool tiled = unit.tilable && TilingEnabled();
-    if (tiled) {
+    // Lowered units: one block per tile-plan segment (L2-sized destination
+    // ranges; SEASTAR_TILING=0 plans a single segment), the edge prologue in
+    // L1-sized chunks and the reduction on the SIMD row kernels. The
+    // per-worker key rows and edge batch are one pooled tensor, so steady
+    // state allocates nothing fresh.
+    if (unit.lowered) {
       const std::shared_ptr<const TilePlan> tile_plan =
           program->TilingFor(unit_index, csr, num_workers);
       const int64_t num_segments = tile_plan->num_segments();
-      const AggInstr& agg = unit.aggs[0];
-      const int32_t w = agg.width;
-      const int32_t tile_width = tile_plan->tile_width;
-      const bool is_mean = agg.kind == OpKind::kAggMean;
+      const int64_t work_stride = LoweredWorkFloats(unit);
+      Tensor work_tensor({num_workers, work_stride});  // Every read is written first.
+      float* work_base = work_tensor.data();
 
       SimtLaunchStats launch_stats;
       SimtLaunchParams launch;
@@ -384,31 +519,12 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       launch.schedule = options_.schedule;
       launch.chunk_size = options_.dynamic_chunk;
       launch.stats = traced ? &launch_stats : nullptr;
-
       LaunchBlocks(launch, [&](int64_t segment, int worker) {
-        float* acc = scratch_base + worker * scratch_stride;
-        const int64_t p_begin = tile_plan->bounds[static_cast<size_t>(segment)];
-        const int64_t p_end = tile_plan->bounds[static_cast<size_t>(segment) + 1];
-        for (int32_t c0 = 0; c0 < w; c0 += tile_width) {
-          const int32_t n = std::min(tile_width, w - c0);
-          for (int64_t k = p_begin; k < p_end; ++k) {
-            const int64_t key = csr.position_vertex[static_cast<size_t>(k)];
-            const int64_t begin = csr.offsets[static_cast<size_t>(k)];
-            const int64_t end = csr.offsets[static_cast<size_t>(k) + 1];
-            if (edge_slots != nullptr && c0 == 0) {
-              edge_slots[worker].edges += end - begin;  // Unique edges, not re-walks.
-            }
-            for (int32_t j = 0; j < n; ++j) {
-              acc[j] = 0.0f;
-            }
-            RunFastEdgeLoop(unit, csr, acc, acc, key, begin, end, c0, n);
-            if (is_mean) {
-              const float inv = end > begin ? 1.0f / static_cast<float>(end - begin) : 0.0f;
-              simd::ScaleRow(acc, inv, n);
-            }
-            std::memcpy(agg.mat_base + key * w + c0, acc,
-                        static_cast<size_t>(n) * sizeof(float));
-          }
+        const LoweredWork work = CarveLoweredWork(unit, work_base + worker * work_stride);
+        const int64_t edges =
+            RunLoweredSegment(unit, csr, *tile_plan, segment, work, typed_stride);
+        if (edge_slots != nullptr) {
+          edge_slots[worker].edges += edges;
         }
       });
 
@@ -416,7 +532,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       const int64_t tile_passes = num_segments * tile_plan->num_tiles;
       counters.segments->Add(num_segments);
       counters.tile_passes->Add(tile_passes);
-      counters.edge_visits->Add(csr.num_edges * tile_plan->num_tiles);
+      counters.edge_visits->Add(unit.needs_edge_loop ? csr.num_edges * tile_plan->num_tiles : 0);
       counters.tiled_units->Add(1);
       counters.simd_dispatch->Add(1);
 
@@ -430,13 +546,23 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
         span->Set(Arg::kKernelLaunches, 1);
         span->Set(Arg::kTileSegments, num_segments);
         span->Set(Arg::kTilePasses, tile_passes);
-        span->Set(Arg::kTileWidth, tile_width);
-        span->Set(Arg::kBytesMaterialized, num_vertices * w * static_cast<int64_t>(sizeof(float)));
+        span->Set(Arg::kTileWidth, tile_plan->tile_width);
+        span->Set(Arg::kBytesMaterialized, bytes_materialized());
         span->schedule = BlockScheduleName(options_.schedule);
         span->simd_isa = simd::SimdIsaName();
       }
       continue;
     }
+
+    // The interpreter (Algorithm 1 verbatim) for units the lowering cannot
+    // express: max / typed aggregations, several aggregations, per-edge
+    // stores to neighbour rows. Per-worker register scratch, one
+    // cacheline-aligned row per worker so concurrent FAT groups never
+    // false-share; pooled, so steady state allocates nothing fresh.
+    const int64_t scratch_stride =
+        (static_cast<int64_t>(std::max(unit.scratch_floats, 1)) + 15) & ~int64_t{15};
+    Tensor scratch_tensor = Tensor::Zeros({num_workers, scratch_stride});
+    float* scratch_base = scratch_tensor.data();
     Tiling().untiled_units->Add(1);
 
     const FatGeometry geometry =
@@ -494,12 +620,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
           edge_slots[worker].edges += degree;
         }
 
-        // 3. Edge-sequential loop (Alg. 1 lines 8-14) — fused fast path when
-        // the unit's shape allows, interpreted otherwise.
-        if (unit.fast_path != FastPath::kNone) {
-          RunFastEdgeLoop(unit, csr, scratch, scratch + unit.aggs[0].acc_reg, key, begin, end,
-                          /*c0=*/0, unit.aggs[0].width);
-        } else
+        // 3. Edge-sequential loop (Alg. 1 lines 8-14).
         for (int64_t slot = begin; slot < end; ++slot) {
           const int64_t nbr = csr.nbr_ids[static_cast<size_t>(slot)];
           const int64_t eid = csr.edge_ids[static_cast<size_t>(slot)];
@@ -632,18 +753,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       span->Set(Arg::kDispatches, launch_stats.dispatches);
       span->Set(Arg::kKernelLaunches, 1);
       span->schedule = BlockScheduleName(options_.schedule);
-      int64_t bytes_materialized = 0;
-      for (int32_t id : fused.nodes) {
-        if (!plan.materialized[static_cast<size_t>(id)]) {
-          continue;
-        }
-        const Node& node = gir.node(id);
-        const int64_t rows = node.kind == OpKind::kAggTypedToSrc
-                                 ? static_cast<int64_t>(num_types) * num_vertices
-                                 : (node.type == GraphType::kEdge ? num_edges : num_vertices);
-        bytes_materialized += rows * node.width * static_cast<int64_t>(sizeof(float));
-      }
-      span->Set(Arg::kBytesMaterialized, bytes_materialized);
+      span->Set(Arg::kBytesMaterialized, bytes_materialized());
     }
   }
 

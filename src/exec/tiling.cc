@@ -74,4 +74,12 @@ TilePlan ComputeTilePlan(const std::vector<int64_t>& offsets, int64_t num_vertic
   return plan;
 }
 
+TilePlan SingleSegmentPlan(int64_t num_vertices, int32_t feature_width) {
+  TilePlan plan;
+  plan.tile_width = feature_width;
+  plan.num_tiles = 1;
+  plan.bounds = {0, num_vertices};
+  return plan;
+}
+
 }  // namespace seastar

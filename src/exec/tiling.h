@@ -1,6 +1,6 @@
-// Cache-blocked tiling plans for the fused aggregation kernels (FeatGraph-
-// style, see PAPERS.md): the two-level scheme behind the tiled edge loops in
-// src/exec/seastar_executor.cc.
+// Cache-blocked tiling plans for the lowered units (FeatGraph-style, see
+// PAPERS.md): the segment launch in src/exec/seastar_executor.cc runs one
+// block per segment of a unit's plan.
 //
 //  * CSR segment blocking. Destination positions (degree-sorted CSR order)
 //    are partitioned into contiguous segments sized so one segment's source-
@@ -8,26 +8,30 @@
 //    stays L2-resident across the segment's whole edge loop. Consecutive
 //    destinations share sources (community structure, and degree sorting
 //    clusters the hubs), so re-touched source rows hit cache instead of DRAM.
-//  * Feature-dimension tiling. Wide feature rows are processed one column
-//    tile at a time: the same edges are walked once per tile, but each pass
-//    only touches tile_width columns of every source row, so the rows the
-//    segment revisits fit in L1. For narrow features (width <= kMaxTileWidth)
-//    there is exactly one tile and only segment blocking remains.
+//  * Feature-dimension tiling. Wide feature rows are reduced one column
+//    tile at a time: each pass only touches tile_width columns of every
+//    source row. For narrow features (width <= max_tile_width) there is
+//    exactly one tile and only segment blocking remains.
+//
+// Inside a segment the edge prologue runs over L1-sized chunks of the
+// segment's (contiguous) CSR slots; that batch geometry is fixed per unit at
+// compile time (CompiledUnit::batch_edges), so the plan does not count it.
 //
 // A TilePlan is pure geometry — position boundaries plus a tile width. Any
-// partition is *correct* (each destination's edge loop runs exactly once per
-// tile, in slot order, and columns are independent), so the plan only shapes
-// locality and parallel grain, never results. Plans are computed from the
-// CSR's offset (degree) array at first use and memoized on the
+// partition is *correct* (each destination's slots are reduced exactly once
+// per tile, in slot order, and columns are independent), so the plan only
+// shapes locality and parallel grain, never results. Plans are computed from
+// the CSR's offset (degree) array at first use and memoized on the
 // CompiledProgram alongside the FAT geometry (see compiled_program.h), which
 // lives in the process-wide plan cache: steady-state epochs reuse the plan
 // without re-deriving it.
 //
-// SEASTAR_TILING=0 in the environment (mirroring SEASTAR_POOL=0) forces the
-// untiled edge loops — the escape hatch the tiled-vs-untiled parity tests
-// and A/B benches are built on. Tiled and untiled paths share the SIMD row
-// kernels (src/tensor/simd.h), so toggling changes loop partitioning only
-// and outputs stay bit-identical.
+// SEASTAR_TILING=0 in the environment (mirroring SEASTAR_POOL=0) plans
+// every lowered unit as SingleSegmentPlan — one segment, one tile — and runs
+// it through the same lowered code, so toggling changes the partition only
+// and outputs stay bit-identical. It is the escape hatch the
+// tiled-vs-untiled parity tests and the kernel sweep are built on; it does
+// not bring back the interpreter.
 #ifndef SRC_EXEC_TILING_H_
 #define SRC_EXEC_TILING_H_
 
@@ -36,14 +40,15 @@
 
 namespace seastar {
 
-// Whether the tiled aggregation path is active. Reads SEASTAR_TILING from
-// the environment once ("0" disables); tests and A/B benches override via
-// SetTilingEnabled.
+// Whether lowered units run on ComputeTilePlan (true) or SingleSegmentPlan.
+// Reads SEASTAR_TILING from the environment once ("0" disables); tests and
+// A/B benches override via SetTilingEnabled.
 bool TilingEnabled();
 void SetTilingEnabled(bool enabled);
 
 struct TilePlan {
-  // Columns per feature tile; always min(feature_width, kMaxTileWidth).
+  // Columns per feature tile: min(feature_width, max_tile_width) from
+  // ComputeTilePlan, the whole row from SingleSegmentPlan.
   int32_t tile_width = 0;
   // Number of feature tiles = ceil(feature_width / tile_width).
   int32_t num_tiles = 0;
@@ -86,6 +91,10 @@ struct TilePlanOptions {
 TilePlan ComputeTilePlan(const std::vector<int64_t>& offsets, int64_t num_vertices,
                          int32_t feature_width, int num_workers,
                          const TilePlanOptions& options = {});
+
+// The plan SEASTAR_TILING=0 runs: every position in one segment, the whole
+// feature row in one tile.
+TilePlan SingleSegmentPlan(int64_t num_vertices, int32_t feature_width);
 
 }  // namespace seastar
 

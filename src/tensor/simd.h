@@ -1,9 +1,9 @@
-// Shared SIMD row kernels for the aggregation fast paths and the dense ops.
+// Shared SIMD row kernels for the lowered units' reductions and the dense ops.
 //
-// These are the 8/16-wide inner loops behind kCopySum / kMulSum (see
-// src/exec/seastar_executor.cc) and the gather/scatter row accumulations the
-// baseline executors are built on. They exist as out-of-line, runtime-
-// dispatched functions for two reasons:
+// These are the 8/16-wide inner loops behind every lowered unit's reduction
+// (Reduce in src/exec/compiled_program.h) and the gather/scatter row
+// accumulations the baseline executors are built on. They exist as
+// out-of-line, runtime-dispatched functions for two reasons:
 //
 //  * Bit-reproducibility across loop *partitionings*. The tiled executor
 //    runs the same per-edge accumulation as the untiled one, just restricted
@@ -40,13 +40,13 @@ const char* SimdIsaName();
 // and the tile-size heuristic use it to align tile widths to full vectors.
 int SimdLanes();
 
-// acc[i] += x[i]                       (CopySum body)
+// acc[i] += x[i]                       (Reduce::kAdd)
 extern void (*AddRow)(float* acc, const float* x, int64_t n);
-// acc[i] += s                          (CopySum, width-1 -> w broadcast)
+// acc[i] += s                          (Reduce::kAdd, width-1 -> w broadcast)
 extern void (*AddScalarRow)(float* acc, float s, int64_t n);
-// acc[i] += x[i] * s                   (MulSum, one side width-1)
+// acc[i] += x[i] * s                   (Reduce::kAxpy)
 extern void (*AxpyRow)(float* acc, const float* x, float s, int64_t n);
-// acc[i] += x[i] * y[i]                (MulSum, both sides width-w)
+// acc[i] += x[i] * y[i]                (Reduce::kMulAdd)
 extern void (*MulAddRow)(float* acc, const float* x, const float* y, int64_t n);
 // x[i] *= s                            (AggMean finalization)
 extern void (*ScaleRow)(float* x, float s, int64_t n);

@@ -1,5 +1,6 @@
 // Tests for the specialized hot-path kernels added for steady-state training:
-// the compile-time FastPath classification of fused edge loops, the
+// the compile-time lowering of fused units onto the segment launch (edge
+// prologue + row-kernel reduction) and its differential checks, the
 // register-blocked GEMM kernels, the batched dropout mask, and the
 // scalar-broadcast elementwise forms. Every fast form is checked against an
 // independent reference (baseline executors, naive triple loops, the
@@ -7,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/core/program.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/compiled_program.h"
 #include "src/exec/seastar_executor.h"
+#include "src/gir/autodiff.h"
 #include "src/gir/builder.h"
 #include "src/graph/generators.h"
 #include "src/tensor/ops.h"
@@ -37,20 +41,45 @@ FeatureMap RandomVertexFeatures(const Graph& g, std::vector<std::pair<std::strin
   return features;
 }
 
-FastPath ClassifiedFastPath(const GirGraph& gir) {
-  auto program = CompileProgram(gir, FusionOptions{});
-  FastPath path = FastPath::kNone;
-  for (const CompiledUnit& unit : program->units) {
-    if (unit.fast_path != FastPath::kNone) {
-      EXPECT_EQ(path, FastPath::kNone) << "more than one specialized unit";
-      path = unit.fast_path;
-    }
-  }
-  return path;
+// The compiled units of `gir` (fusion on).
+std::shared_ptr<CompiledProgram> Compiled(const GirGraph& gir) {
+  return CompileProgram(gir, FusionOptions{});
 }
 
-// Checks the specialized seastar loop against the independent baseline
-// implementations (which never take fast paths).
+// The unit of a single-unit program.
+CompiledUnit OnlyUnit(const GirGraph& gir) {
+  auto program = Compiled(gir);
+  EXPECT_EQ(program->units.size(), 1u);
+  return program->units.at(0);
+}
+
+// GAT's attention program (paper Fig. 3) with `width`-wide features.
+VertexProgram GatProgram(int32_t width) {
+  GirBuilder b;
+  Value e = Exp(LeakyRelu(b.Src("eu", 1) + b.Dst("ev", 1), 0.2f));
+  Value a = e / AggSum(e);
+  b.MarkOutput(AggSum(a * b.Src("h", width)), "out");
+  return VertexProgram::Compile(std::move(b));
+}
+
+FeatureMap GatFeatures(const Graph& g, int64_t width, uint64_t seed) {
+  Rng rng(seed);
+  FeatureMap features;
+  features.vertex["eu"] = ops::RandomNormal({g.num_vertices(), 1}, 0.0f, 0.5f, rng);
+  features.vertex["ev"] = ops::RandomNormal({g.num_vertices(), 1}, 0.0f, 0.5f, rng);
+  features.vertex["h"] = ops::RandomNormal({g.num_vertices(), width}, 0.0f, 1.0f, rng);
+  return features;
+}
+
+// Backward features: the forward inputs plus an incoming output gradient.
+FeatureMap WithOutputGrad(FeatureMap features, int64_t rows, int64_t width, uint64_t seed) {
+  Rng rng(seed);
+  features.vertex[kGradInputKey] = ops::RandomNormal({rows, width}, 0.0f, 1.0f, rng);
+  return features;
+}
+
+// Checks the seastar executor against the independent baseline
+// implementations (which share only the pointwise op definitions).
 void ExpectMatchesBaselines(const GirGraph& gir, const Graph& graph, const FeatureMap& features,
                             float tol = 1e-4f) {
   SeastarExecutor seastar;
@@ -77,43 +106,103 @@ void ExpectMatchesBaselines(const GirGraph& gir, const Graph& graph, const Featu
   }
 }
 
-// ---- FastPath classification ------------------------------------------------
+// ---- Lowering classification ----------------------------------------------
+// Every sum/mean unit lowers to an edge prologue plus one row-kernel
+// reduction; the old copy-sum and mul-sum shapes are its empty-prologue and
+// folded-Mul cases.
 
 TEST(FastPathTest, PlainAggSumClassifiesAsCopySum) {
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8)), "out");
-  EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kCopySum);
+  const CompiledUnit unit = OnlyUnit(b.graph());
+  EXPECT_TRUE(unit.lowered);
+  EXPECT_EQ(unit.reduce, Reduce::kAdd);
+  EXPECT_TRUE(unit.edge.empty());
+  EXPECT_EQ(unit.reduce_x.src, Src::kNbrRow);
 }
 
 TEST(FastPathTest, WeightedAggSumClassifiesAsMulSum) {
   // GCN's aggregation shape: per-edge product feeding a sum.
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8) * b.Src("norm", 1)), "out");
-  EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kMulSum);
+  const CompiledUnit unit = OnlyUnit(b.graph());
+  EXPECT_TRUE(unit.lowered);
+  EXPECT_EQ(unit.reduce, Reduce::kAxpy);
+  EXPECT_TRUE(unit.edge.empty()) << "the Mul folds into the reduction";
+  EXPECT_EQ(unit.reduce_x.width, 8);
+  EXPECT_EQ(unit.reduce_y.width, 1);
 }
 
 TEST(FastPathTest, AggMeanAlsoSpecializes) {
   // Mean lowers to sum plus a post-division, so the edge loop is identical.
   GirBuilder b;
   b.MarkOutput(AggMean(b.Src("h", 4)), "out");
-  EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kCopySum);
+  const CompiledUnit unit = OnlyUnit(b.graph());
+  EXPECT_TRUE(unit.lowered);
+  EXPECT_EQ(unit.reduce, Reduce::kAdd);
 }
 
 TEST(FastPathTest, MaxAndMultiOpUnitsStayInterpreted) {
   {
     GirBuilder b;
     b.MarkOutput(AggMax(b.Src("h", 4)), "out");
-    EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kNone);
+    EXPECT_FALSE(OnlyUnit(b.graph()).lowered) << "max aggregation";
   }
   {
-    // Two chained edge ops: the single-Mul shape does not apply.
+    GirBuilder b;
+    b.MarkOutput(b.AggTypeSumThenMax(b.Src("h", 4)), "out");
+    EXPECT_FALSE(OnlyUnit(b.graph()).lowered) << "typed aggregation";
+  }
+  {
+    // u.h * 2 is consumed outside its unit, so the edge loop stores it to
+    // the neighbour's row — concurrent segments would race on that row.
+    GirBuilder b;
+    Value scaled = b.Src("h", 4) * 2.0f;
+    b.MarkOutput(AggSum(scaled + b.Dst("c", 4)), "out");
+    b.MarkOutput(scaled, "scaled");
+    bool any_nbr_store = false;
+    const auto program = Compiled(b.graph());
+    for (const CompiledUnit& unit : program->units) {
+      for (const Instr& instr : unit.edge) {
+        if (instr.mat == MatKind::kNbrRow) {
+          any_nbr_store = true;
+          EXPECT_FALSE(unit.lowered) << "nbr-row materialization";
+        }
+      }
+    }
+    EXPECT_TRUE(any_nbr_store);
+  }
+  {
+    // Chained edge ops are a prologue, not an obstacle.
     GirBuilder b;
     b.MarkOutput(AggSum(Exp(b.Src("h", 4) * b.Src("w", 1))), "out");
-    EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kNone);
+    const CompiledUnit unit = OnlyUnit(b.graph());
+    EXPECT_TRUE(unit.lowered);
+    EXPECT_EQ(unit.reduce, Reduce::kAdd);
+    EXPECT_EQ(unit.edge.size(), 2u);
   }
 }
 
-// ---- FastPath correctness ---------------------------------------------------
+TEST(FastPathTest, EveryGatUnitClassifiesAsLowered) {
+  const VertexProgram program = GatProgram(8);
+  const auto forward = Compiled(program.forward());
+  const auto backward = Compiled(program.backward().graph);
+  EXPECT_EQ(forward->units.size(), 2u);
+  EXPECT_EQ(backward->units.size(), 6u);
+  for (const auto* compiled : {forward.get(), backward.get()}) {
+    for (size_t i = 0; i < compiled->units.size(); ++i) {
+      EXPECT_TRUE(compiled->units[i].lowered) << compiled->unit_labels[i];
+    }
+  }
+  // Forward: Add+LeakyRelu+Exp+AggSum keeps its three ops as the prologue;
+  // Div+Mul+AggSum keeps Div and folds the Mul into an axpy.
+  EXPECT_EQ(forward->units[0].edge.size(), 3u);
+  EXPECT_EQ(forward->units[0].reduce, Reduce::kAdd);
+  EXPECT_EQ(forward->units[1].edge.size(), 1u);
+  EXPECT_EQ(forward->units[1].reduce, Reduce::kAxpy);
+}
+
+// ---- Lowered units vs the baselines ---------------------------------------------------
 
 TEST(FastPathTest, CopySumMatchesBaselinesOnRandomGraphs) {
   for (bool skewed : {false, true}) {
@@ -145,8 +234,8 @@ TEST(FastPathTest, MulSumMatchesBaselinesAcrossOperandWidths) {
 }
 
 TEST(FastPathTest, MulSumWithFixedDstOperandMatchesBaselines) {
-  // v.deg-style operand: constant across the key vertex's edge loop, so the
-  // fast path resolves it once outside the loop.
+  // v.deg-style operand: constant across the key vertex's edge loop, read
+  // through the chunk's slot-to-key map.
   Graph g = RandomGraph(160, 1100, 61);
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8) * b.Dst("scale", 1)), "out");
@@ -165,6 +254,117 @@ TEST(FastPathTest, CopySumOnStarHandComputed) {
   EXPECT_FLOAT_EQ(out.at(0, 0), 10.0f);
   EXPECT_FLOAT_EQ(out.at(0, 1), 100.0f);
   EXPECT_FLOAT_EQ(out.at(3, 0), 0.0f);
+}
+
+TEST(FastPathTest, LoweredUnitsMatchBaselinesWithZeroDegreeVertices) {
+  // No self loops and |E| < |V|: many keys have no slots at all, so their
+  // sum is 0, their mean is 0 (not NaN) and post ops still run.
+  Rng rng(81);
+  Graph g = ToGraph(ErdosRenyi(300, 250, rng));
+  int64_t isolated = 0;
+  for (int64_t k = 0; k < g.num_vertices(); ++k) {
+    isolated += g.in_csr().DegreeAtPosition(k) == 0;
+  }
+  ASSERT_GT(isolated, 50);
+  FeatureMap features = RandomVertexFeatures(g, {{"h", 8}, {"c", 1}, {"s", 1}}, 83);
+  {
+    GirBuilder b;
+    b.MarkOutput(AggMean(b.Src("h", 8) - b.Dst("c", 1)), "out");
+    ExpectMatchesBaselines(b.graph(), g, features);
+  }
+  {
+    // Post ops on the accumulator and a key row.
+    GirBuilder b;
+    b.MarkOutput(Sigmoid(AggSum(b.Dst("s", 1) * b.Src("h", 8))) * b.Dst("s", 1), "out");
+    ASSERT_FALSE(OnlyUnit(b.graph()).post.empty());
+    ExpectMatchesBaselines(b.graph(), g, features);
+  }
+  const VertexProgram gat = GatProgram(8);
+  FeatureMap gat_features = GatFeatures(g, 8, 85);
+  ExpectMatchesBaselines(gat.forward(), g, gat_features);
+  ExpectMatchesBaselines(gat.backward().graph, g,
+                         WithOutputGrad(gat_features, g.num_vertices(), 8, 87));
+}
+
+TEST(FastPathTest, LoweredUnitsMatchBaselinesWithHubInSingletonSegment) {
+  // A star hub whose in-degree exceeds one edge chunk: its key batch holds
+  // it alone, its slots run over several chunks, and the tile plan gives it
+  // a segment of its own.
+  Rng rng(91);
+  CooEdges edges = ErdosRenyi(3000, 6000, rng);
+  const CooEdges star = Star(3000);
+  edges.src.insert(edges.src.end(), star.src.begin(), star.src.end());
+  edges.dst.insert(edges.dst.end(), star.dst.begin(), star.dst.end());
+  Graph g = ToGraph(std::move(edges));
+  const VertexProgram gat = GatProgram(16);
+  const auto forward = Compiled(gat.forward());
+  const Csr& csr = g.in_csr();
+  ASSERT_GT(csr.DegreeAtPosition(0), forward->units[1].batch_edges);
+  const std::shared_ptr<const TilePlan> plan = forward->TilingFor(1, csr, 4);
+  ASSERT_GE(plan->num_segments(), 2);
+  EXPECT_EQ(plan->bounds[1], 1) << "the hub (position 0) is a singleton segment";
+
+  FeatureMap features = GatFeatures(g, 16, 93);
+  ExpectMatchesBaselines(gat.forward(), g, features);
+  ExpectMatchesBaselines(gat.backward().graph, g,
+                         WithOutputGrad(features, g.num_vertices(), 16, 95));
+  GirBuilder b;
+  b.MarkOutput(AggSum(b.Src("eu", 1) * b.Src("h", 16)), "out");
+  ExpectMatchesBaselines(b.graph(), g, features);
+}
+
+TEST(FastPathTest, LoweredBroadcastsMatchBaselines) {
+  // Width-1 <-> w broadcasts on either side of prologue ops and of the
+  // reduction, with edge, key and neighbour rows, and a vertex-only unit.
+  Graph g = RandomGraph(220, 1500, 101, /*skewed=*/true);
+  Rng rng(103);
+  FeatureMap features = RandomVertexFeatures(g, {{"h", 8}, {"s", 1}}, 105);
+  features.edge["e"] = ops::RandomNormal({g.num_edges(), 1}, 0.0f, 1.0f, rng);
+  features.edge["f"] = ops::RandomNormal({g.num_edges(), 8}, 0.0f, 1.0f, rng);
+  std::vector<std::function<Value(GirBuilder&)>> programs = {
+      [](GirBuilder& b) { return AggSum(b.Dst("s", 1) - b.Src("h", 8)); },
+      [](GirBuilder& b) { return AggSum(b.Src("h", 8) / Exp(b.Edge("e", 1))); },
+      [](GirBuilder& b) { return AggSum(Exp(b.Src("s", 1)) * b.Src("h", 8)); },
+      [](GirBuilder& b) { return AggSum(b.Edge("f", 8) * b.Src("h", 8)); },
+      [](GirBuilder& b) { return AggMean(Tanh(b.Edge("f", 8) + b.Dst("s", 1))); },
+      [](GirBuilder& b) { return AggSum(b.Edge("e", 1) * b.Dst("h", 8)); },
+      // Vertex-only: a lowered unit with no edge loop at all.
+      [](GirBuilder& b) { return Tanh(b.Dst("h", 8)) * b.Dst("s", 1); },
+  };
+  for (size_t i = 0; i < programs.size(); ++i) {
+    SCOPED_TRACE(i);
+    GirBuilder b;
+    b.MarkOutput(programs[i](b), "out");
+    const auto program = Compiled(b.graph());
+    for (const CompiledUnit& unit : program->units) {
+      EXPECT_TRUE(unit.lowered);
+    }
+    ExpectMatchesBaselines(b.graph(), g, features);
+  }
+}
+
+TEST(FastPathTest, LoweredDotProductAndEdgeOnlyUnitsMatchBaselines) {
+  // GAT's backward holds both: the attention-gradient unit computes
+  // DotProduct(grad_out, h) per edge, and the Div unit aggregates nothing.
+  const VertexProgram gat = GatProgram(8);
+  const GirGraph& backward = gat.backward().graph;
+  const auto compiled = Compiled(backward);
+  bool has_dot = false;
+  bool has_edge_only = false;
+  for (const CompiledUnit& unit : compiled->units) {
+    ASSERT_TRUE(unit.lowered);
+    has_edge_only = has_edge_only || (unit.aggs.empty() && unit.needs_edge_loop);
+    for (const Instr& instr : unit.edge) {
+      has_dot = has_dot || instr.kind == OpKind::kDotProduct;
+    }
+  }
+  EXPECT_TRUE(has_dot);
+  EXPECT_TRUE(has_edge_only);
+  for (bool skewed : {false, true}) {
+    Graph g = RandomGraph(250, 2000, skewed ? 111 : 113, skewed);
+    FeatureMap features = WithOutputGrad(GatFeatures(g, 8, 115), g.num_vertices(), 8, 117);
+    ExpectMatchesBaselines(backward, g, features);
+  }
 }
 
 // ---- Register-blocked GEMM --------------------------------------------------

@@ -549,7 +549,11 @@ TEST(MultiTenantServeTest, HotSwapUnderLoadLosesNothingAndPinsVersions) {
     ASSERT_TRUE(server.Infer(RequestFor({1, 2}, "alpha")).has_value());
   }
   EXPECT_EQ(plans.misses(), misses_before);
-  EXPECT_EQ(allocator.fresh_mallocs(), mallocs_before);
+  // With the pool off (SEASTAR_POOL=0, e.g. under TSan) every allocation is
+  // fresh by definition; pooled runs must allocate nothing fresh.
+  if (allocator.pooling_enabled()) {
+    EXPECT_EQ(allocator.fresh_mallocs(), mallocs_before);
+  }
 
   // Swap lifecycle left its trail in the flight recorder.
   bool saw_flip = false, saw_retire = false;

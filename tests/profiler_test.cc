@@ -11,16 +11,22 @@
 #include <string>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/common/tracing.h"
+#include "src/core/executor_factory.h"
+#include "src/core/models/gat.h"
+#include "src/core/train.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/plan_cache.h"
 #include "src/exec/seastar_executor.h"
 #include "src/gir/builder.h"
 #include "src/gir/passes.h"
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd.h"
 
 namespace seastar {
 namespace {
@@ -356,6 +362,47 @@ TEST(ProfilerTest, RetainThroughRunContextMatchesDefaultRun) {
   EXPECT_TRUE(keep_all.outputs.at("out").AllClose(eager.outputs.at("out"), 1e-6f));
   // Eager-free mode must drop intermediates the keep-everything run saved.
   EXPECT_LT(eager.saved->size(), keep_all.saved->size());
+}
+
+
+TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
+  // Every GAT unit — forward and backward, all heads — runs on the lowered
+  // segment launch: each unit span carries its tile plan and the dispatched
+  // ISA, and the interpreter counter does not move.
+  DatasetOptions options;
+  options.scale = 0.06;
+  options.max_feature_dim = 32;
+  const Dataset data = MakeDataset(*FindDataset("cora"), options);
+  GatConfig config;
+  config.num_heads = 2;
+  config.hidden_dim = 4;
+  Gat model(data, config, std::move(*ExecutorFactory::Create("seastar")));
+  TrainConfig train;
+  train.epochs = 1;
+  train.warmup_epochs = 0;
+
+  metrics::Counter* untiled =
+      metrics::MetricsRegistry::Get().GetCounter("seastar_tiling_units_untiled_total");
+  const int64_t untiled_before = untiled->value();
+  Tracer tracer(TracerConfig{}, Retention::kRun);
+  {
+    ScopedRun run(&tracer, "gat", "train");
+    TrainNodeClassification(model, data, train);
+  }
+  EXPECT_EQ(untiled->value() - untiled_before, 0);
+
+  const std::vector<Span> units = SpansInCategory(tracer, "unit");
+  // 2 hidden heads + 1 output head, 2 forward + 6 backward units each.
+  EXPECT_EQ(units.size(), 3u * 8u);
+  for (const Span& span : units) {
+    SCOPED_TRACE(span.name);
+    EXPECT_TRUE(span.has(Arg::kTileSegments));
+    EXPECT_GE(span.arg(Arg::kTileSegments), 1);
+    EXPECT_TRUE(span.has(Arg::kTileWidth));
+    EXPECT_GE(span.arg(Arg::kTileWidth), 1);
+    ASSERT_NE(span.simd_isa, nullptr);
+    EXPECT_STREQ(span.simd_isa, simd::SimdIsaName());
+  }
 }
 
 }  // namespace

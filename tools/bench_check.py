@@ -132,6 +132,10 @@ def check_train(gate, baseline, fresh, timing_tol, malloc_slack,
         if run is None:
             gate.missing(where)
             continue
+        if "profiling_overhead_pct" in base and "profiling_overhead_pct" not in run:
+            gate.missing(f"{where} profiled twin")
+        check_overhead(gate, where, "profiling_overhead_pct", base, run,
+                       overhead_max, "profiled over unprofiled epochs, p50 over pairs")
         gate.check(where, "steady_avg_ms", run["steady_avg_ms"],
                    base["steady_avg_ms"], base["steady_avg_ms"] * timing_tol,
                    f"{timing_tol:g}x timing band")
@@ -509,6 +513,26 @@ def self_test(args):
     check_train(g, train_base, costly_profile, 3.0, 5.0)
     expect("profiling-overhead-regressed", g, want_fail=True)
 
+    # 5h. Every run's own twin (GAT/cora: ~10x GCN's spans) is gated at the
+    #     same ceiling, and a twin dropped from a baselined run fails.
+    twinned_base = copy.deepcopy(train_base)
+    twinned_base["runs"][0]["profiling_overhead_pct"] = 1.0
+    costly_twin = copy.deepcopy(twinned_base)
+    costly_twin["runs"][0]["profiling_overhead_pct"] = 6.2
+    g = Gate()
+    check_train(g, twinned_base, costly_twin, 3.0, 5.0)
+    expect("run-twin-overhead-regressed", g, want_fail=True)
+
+    untwinned = copy.deepcopy(twinned_base)
+    del untwinned["runs"][0]["profiling_overhead_pct"]
+    g = Gate()
+    check_train(g, twinned_base, untwinned, 3.0, 5.0)
+    expect("run-twin-dropped", g, want_fail=True)
+
+    g = Gate()
+    check_train(g, twinned_base, copy.deepcopy(twinned_base), 3.0, 5.0)
+    expect("run-twin-in-band", g, want_fail=False)
+
     # 6. A dropped benchmark fails; a new one passes with a note.
     g = Gate()
     check_serve(g, serve_base, {"scenarios": []}, 3.0, 5.0)
@@ -574,7 +598,7 @@ def self_test(args):
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(24 cases)")
+          f"(27 cases)")
     return 1 if failures else 0
 
 
