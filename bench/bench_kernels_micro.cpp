@@ -8,7 +8,10 @@
 // forward units, × uniform / power-law degree skew; untiled = the
 // single-segment plan) and writes a BENCH_kernels.json report gated by
 // tools/bench_check.py. The sweep checks bitwise tiled/untiled parity on
-// every configuration, so the report doubles as a correctness probe.
+// every configuration, so the report doubles as a correctness probe. It
+// also times the dense combination kernels at the training workloads'
+// shapes (Aᵀ·B, forward Matmul, dropout), each checked bit for bit against a
+// reference computed another way.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -269,7 +272,100 @@ std::vector<SweepPoint> RunKernelSweep() {
   return points;
 }
 
-bool WriteSweepReport(const std::string& path, const std::vector<SweepPoint>& points) {
+// ---- Dense combination kernels ------------------------------------------------------------------
+// The dense ops an epoch spends its non-aggregation time in, at the shapes
+// of GCN/amz_comp's first layer ([13753, 128] features, 16 hidden) and of one
+// GAT/cora head ([2709, 128], 8 per head). Each point's result is compared
+// bit for bit with a reference that gets there another way:
+//  * matmul_at_b (the weight gradient Xᵀ·G) against
+//    Matmul(Transpose(X), G) — both are one i-ascending chain per element;
+//  * matmul (the forward projection X·W) against
+//    MatmulTransposeA(Transpose(X), W), the same chains read the other way;
+//  * dropout (no mask, as on a features input) against x * mask with the
+//    mask drawn per element as NextDouble() < p, plus the Rng state after.
+struct DensePoint {
+  std::string kernel;
+  std::string shape;
+  double ms = 0.0;            // Best of kDenseReps.
+  double reference_ms = 0.0;  // The reference computation, for scale.
+  bool bitwise_equal = false;
+};
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+std::vector<DensePoint> RunDensePoints() {
+  constexpr int kDenseReps = 7;
+  std::vector<DensePoint> points;
+  struct GemmShape {
+    int64_t n, k, m;
+  };
+  for (const GemmShape& g : {GemmShape{13753, 128, 16}, GemmShape{2709, 128, 8}}) {
+    Rng rng(31);
+    const Tensor x = ops::RandomNormal({g.n, g.k}, 0, 1, rng);
+    const Tensor grad = ops::RandomNormal({g.n, g.m}, 0, 1, rng);
+    const Tensor w = ops::RandomNormal({g.k, g.m}, 0, 1, rng);
+    const std::string shape =
+        std::to_string(g.n) + "x" + std::to_string(g.k) + "x" + std::to_string(g.m);
+
+    DensePoint at_b{"matmul_at_b", shape};
+    at_b.bitwise_equal =
+        SameBits(ops::MatmulTransposeA(x, grad), ops::Matmul(ops::Transpose(x), grad));
+    at_b.ms = BestOfMs(kDenseReps,
+                       [&] { benchmark::DoNotOptimize(ops::MatmulTransposeA(x, grad)); });
+    at_b.reference_ms = BestOfMs(
+        kDenseReps, [&] { benchmark::DoNotOptimize(ops::Matmul(ops::Transpose(x), grad)); });
+    points.push_back(at_b);
+
+    DensePoint forward{"matmul", shape};
+    forward.bitwise_equal =
+        SameBits(ops::Matmul(x, w), ops::MatmulTransposeA(ops::Transpose(x), w));
+    forward.ms = BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(ops::Matmul(x, w)); });
+    forward.reference_ms = BestOfMs(kDenseReps, [&] {
+      benchmark::DoNotOptimize(ops::MatmulTransposeA(ops::Transpose(x), w));
+    });
+    points.push_back(forward);
+  }
+
+  Rng rng(37);
+  const Tensor features = ops::RandomNormal({13753, 128}, 0, 1, rng);
+  const float p = 0.5f;
+  const float keep = 1.0f / (1.0f - p);
+  const auto reference = [&](Rng& stream) {
+    Tensor out(features.shape());
+    for (int64_t i = 0; i < features.numel(); ++i) {
+      out.data()[i] = features.data()[i] * (stream.NextDouble() < p ? 0.0f : keep);
+    }
+    return out;
+  };
+  Rng drawn(41);
+  Rng replayed(41);
+  DensePoint dropout{"dropout", "13753x128"};
+  const Tensor out = ops::Dropout(features, p, drawn, /*with_mask=*/false).output;
+  const Tensor want = reference(replayed);
+  const RngState drawn_state = drawn.SaveState();
+  const RngState replayed_state = replayed.SaveState();
+  dropout.bitwise_equal =
+      SameBits(out, want) &&
+      std::memcmp(drawn_state.words, replayed_state.words, sizeof(drawn_state.words)) == 0;
+  dropout.ms = BestOfMs(kDenseReps, [&] {
+    benchmark::DoNotOptimize(ops::Dropout(features, p, drawn, /*with_mask=*/false).output);
+  });
+  dropout.reference_ms = BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(reference(drawn)); });
+  points.push_back(dropout);
+
+  for (const DensePoint& point : points) {
+    std::printf("dense %-12s %-13s %7.3f ms  reference %7.3f ms  %s\n", point.kernel.c_str(),
+                point.shape.c_str(), point.ms, point.reference_ms,
+                point.bitwise_equal ? "bit-identical" : "DIFF");
+  }
+  return points;
+}
+
+bool WriteSweepReport(const std::string& path, const std::vector<SweepPoint>& points,
+                      const std::vector<DensePoint>& dense) {
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "kernels");
@@ -290,6 +386,18 @@ bool WriteSweepReport(const std::string& path, const std::vector<SweepPoint>& po
     json.Field("bitwise_equal", point.bitwise_equal);
     json.FieldDouble("max_abs_diff", point.max_abs_diff, 9);
     json.Field("tile_segments", point.tile_segments);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("dense");
+  json.BeginArray();
+  for (const DensePoint& point : dense) {
+    json.BeginObject();
+    json.Field("kernel", point.kernel);
+    json.Field("shape", point.shape);
+    json.FieldDouble("ms", point.ms, 3);
+    json.FieldDouble("reference_ms", point.reference_ms, 3);
+    json.Field("bitwise_equal", point.bitwise_equal);
     json.EndObject();
   }
   json.EndArray();
@@ -325,7 +433,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (!sweep_out.empty()) {
     const std::vector<seastar::SweepPoint> points = seastar::RunKernelSweep();
-    if (!seastar::WriteSweepReport(sweep_out, points)) {
+    const std::vector<seastar::DensePoint> dense = seastar::RunDensePoints();
+    if (!seastar::WriteSweepReport(sweep_out, points, dense)) {
       std::fprintf(stderr, "cannot write %s\n", sweep_out.c_str());
       return 1;
     }

@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -118,8 +119,15 @@ void Rng::FillDropoutMask(float* mask, int64_t n, double p, float keep_scale) {
     }
     return;
   }
-  // Inlined NextUint64/NextDouble with the xoshiro words in locals; the
-  // sequence is draw-for-draw what the per-element path would produce.
+  // Inlined NextUint64 with the xoshiro words in locals; the sequence is
+  // draw-for-draw what the per-element path would produce. The per-element
+  // test u < p, with u = x * 2^-53 and x = bits >> 11, is decided on the
+  // integer x instead: p * 2^53 is exact (a power-of-two scaling), and for
+  // an integer x, x < p * 2^53 holds exactly when x < ceil(p * 2^53). The
+  // keep/drop select is a bit mask rather than a ternary, which compiled to
+  // a branch that mispredicted on about half the elements at p = 0.5.
+  const uint64_t threshold = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+  const uint32_t keep_bits = std::bit_cast<uint32_t>(keep_scale);
   uint64_t s0 = state_[0];
   uint64_t s1 = state_[1];
   uint64_t s2 = state_[2];
@@ -133,8 +141,8 @@ void Rng::FillDropoutMask(float* mask, int64_t n, double p, float keep_scale) {
     s0 ^= s3;
     s2 ^= t;
     s3 = Rotl(s3, 45);
-    const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-    mask[i] = u < p ? 0.0f : keep_scale;
+    const uint32_t keep = -static_cast<uint32_t>((bits >> 11) >= threshold);
+    mask[i] = std::bit_cast<float>(keep & keep_bits);
   }
   state_[0] = s0;
   state_[1] = s1;

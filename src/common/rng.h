@@ -63,9 +63,10 @@ class Rng {
   bool NextBernoulli(double p);
 
   // mask[i] = 0.0f with probability p, else keep_scale, for i in [0, n).
-  // Consumes exactly the draws n successive NextBernoulli(p) calls would
-  // (so checkpointed streams replay identically); batched so the generator
-  // state stays in registers across the fill instead of a call per element.
+  // Consumes exactly the draws n successive NextBernoulli(p) calls would and
+  // decides each the same way (so checkpointed streams replay identically);
+  // batched so the generator state stays in registers across the fill, and
+  // branch-free (an integer threshold and a bit-mask select).
   void FillDropoutMask(float* mask, int64_t n, double p, float keep_scale);
 
   // Samples an index in [0, weights.size()) proportionally to weights.

@@ -15,7 +15,7 @@ namespace seastar {
 namespace trace {
 
 namespace trace_internal {
-thread_local RequestTrace* tls_trace = nullptr;
+constinit thread_local RequestTrace* tls_trace = nullptr;
 }  // namespace trace_internal
 
 namespace {

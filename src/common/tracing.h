@@ -307,7 +307,10 @@ class Tracer {
 // ---- Ambient propagation (the ScopedDeadline pattern) -----------------------
 
 namespace trace_internal {
-extern thread_local RequestTrace* tls_trace;
+// constinit: the compiler knows the variable needs no dynamic initialization,
+// so every access is a direct thread-local load, with no TLS wrapper call and
+// no check for an initialization function.
+extern thread_local constinit RequestTrace* tls_trace;
 }  // namespace trace_internal
 
 // Installs `trace` as the calling thread's ambient trace for the scope's

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/common/tracing.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
 
@@ -62,6 +63,7 @@ Var StackedRelationMatmul(const Var& x, const std::vector<Var>& weights) {
   Tensor x_value = x.value();
   auto backward = [x_value, weight_values, num_relations, n, dim](const Tensor& grad) {
     // grad: [R, N, dim]. dX = sum_r grad_r @ W_r^T; dW_r = X^T @ grad_r.
+    trace::AmbientSpan span("stacked_relation_matmul/backward", "dense");
     std::vector<Tensor> grads;
     grads.reserve(static_cast<size_t>(num_relations) + 1);
     Tensor dx = Tensor::Zeros({n, x_value.dim(1)});

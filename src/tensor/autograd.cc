@@ -1,9 +1,11 @@
 #include "src/tensor/autograd.h"
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/logging.h"
+#include "src/common/tracing.h"
 #include "src/tensor/ops.h"
 
 namespace seastar {
@@ -133,6 +135,12 @@ void Backward(const Var& root, const Tensor& seed) {
     }
     SEASTAR_CHECK(node->grad.defined())
         << "node '" << node->op_name << "' reached without gradient";
+    // One span per dense backward node. Untraced that is a thread-local load
+    // and a null test; the op name is interned only while recording.
+    std::optional<trace::AmbientSpan> span;
+    if (node->dense_backward && trace::CurrentTrace() != nullptr) {
+      span.emplace(trace::Intern(node->op_name + "/backward"), "dense");
+    }
     std::vector<Tensor> input_grads = node->backward_fn(node->grad);
     SEASTAR_CHECK_EQ(input_grads.size(), node->inputs.size())
         << "op '" << node->op_name << "' returned wrong grad count";
@@ -191,13 +199,16 @@ Var AddRowBroadcast(const Var& matrix, const Var& row) {
 
 Var Matmul(const Var& a, const Var& b) {
   Tensor out = ops::Matmul(a.value(), b.value());
-  Tensor av = a.value();
-  Tensor bv = b.value();
+  // dA = g @ B^T needs only B, dB = A^T @ g only A. An input that needs no
+  // gradient (the features leaf under a first-layer weight) gets none
+  // computed: its entry stays undefined, which Backward() skips.
+  const Tensor av = b.requires_grad() ? a.value() : Tensor();
+  const Tensor bv = a.requires_grad() ? b.value() : Tensor();
   return Var::MakeNode(
       std::move(out), {a, b},
       [av, bv](const Tensor& g) {
-        // dA = g @ B^T ; dB = A^T @ g.
-        return std::vector<Tensor>{ops::MatmulTransposeB(g, bv), ops::MatmulTransposeA(av, g)};
+        return std::vector<Tensor>{bv.defined() ? ops::MatmulTransposeB(g, bv) : Tensor(),
+                                   av.defined() ? ops::MatmulTransposeA(av, g) : Tensor()};
       },
       "matmul");
 }
@@ -288,8 +299,10 @@ Var Dropout(const Var& a, float p, Rng& rng, bool training) {
   if (!training || p <= 0.0f) {
     return a;
   }
-  ops::DropoutResult result = ops::Dropout(a.value(), p, rng);
-  Tensor mask = result.mask;
+  trace::AmbientSpan span("dropout", "dense");
+  // An input that needs no gradient (the features leaf) gets no mask tensor.
+  ops::DropoutResult result = ops::Dropout(a.value(), p, rng, a.requires_grad());
+  Tensor mask = std::move(result.mask);
   return Var::MakeNode(
       std::move(result.output), {a},
       [mask](const Tensor& g) { return std::vector<Tensor>{ops::Mul(g, mask)}; }, "dropout");
@@ -344,8 +357,10 @@ Var NllLoss(const Var& log_probs, std::vector<int32_t> labels, std::vector<int32
 
 Var CustomOp(std::vector<Var> inputs, Tensor output,
              std::function<std::vector<Tensor>(const Tensor&)> backward_fn, std::string op_name) {
-  return Var::MakeNode(std::move(output), std::move(inputs), std::move(backward_fn),
-                       std::move(op_name));
+  Var out = Var::MakeNode(std::move(output), std::move(inputs), std::move(backward_fn),
+                          std::move(op_name));
+  out.node()->dense_backward = false;
+  return out;
 }
 
 }  // namespace ag

@@ -37,6 +37,10 @@ struct VarNode {
   // inputs[i] does not require grad). Null for leaves.
   std::function<std::vector<Tensor>(const Tensor&)> backward_fn;
   std::string op_name = "leaf";
+  // Whether Backward() wraps backward_fn in a "dense" span named
+  // "<op_name>/backward". CustomOp nodes clear it: their backward may run
+  // anything (a graph executor pass, say) and opens its own spans.
+  bool dense_backward = true;
 
   void AccumulateGrad(const Tensor& g);
 };
@@ -104,7 +108,7 @@ Var NllLoss(const Var& log_probs, std::vector<int32_t> labels, std::vector<int32
 
 // Generic escape hatch used by the GIR bridge: `output` was computed outside
 // the tape from inputs' values; `backward_fn` maps grad(output) to grads of
-// each input.
+// each input. Backward() opens no span around it; backward_fn opens its own.
 Var CustomOp(std::vector<Var> inputs, Tensor output,
              std::function<std::vector<Tensor>(const Tensor&)> backward_fn, std::string op_name);
 

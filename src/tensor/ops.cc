@@ -324,29 +324,39 @@ Tensor MulColBroadcast(const Tensor& matrix, const Tensor& col) {
 
 namespace {
 
-// Sub-16-column GEMM tail: out[kRows, kPanel] = a-rows @ b-panel, all
-// row-major dense, accumulators held in registers (both extents are
-// compile-time constants so the autovectorizer keeps them there). The full
-// 16-wide panels go through the runtime-dispatched micro-kernels in
-// src/tensor/simd.h instead — with a runtime B stride the compiler cannot
-// prove the panel rows disjoint and spills this accumulator block to the
-// stack, which turns the k loop into a store-forward chain; the narrow
-// tails here (<= 8 columns) fit registers either way and measured fine.
+// Sub-16-column GEMM tail: out[kRows, kPanel] (+)= a-rows @ b-panel,
+// accumulators held in registers (both extents are compile-time constants
+// so the autovectorizer keeps them there). A element (r, s) sits at
+// pa[r * lda + s * astep] and `accumulate` starts from the output's current
+// contents, exactly as for the micro-kernels in src/tensor/simd.h. The full
+// 16-wide panels go through those runtime-dispatched kernels instead — with
+// a runtime B stride the compiler cannot prove the panel rows disjoint and
+// spills this accumulator block to the stack, which turns the k loop into a
+// store-forward chain; the narrow tails here (<= 8 columns) fit registers
+// either way and measured fine.
 // No zero-skipping: GNN activations are ~half zeros after dropout/ReLU, and
 // a data-dependent branch mispredicting on them costs more than the
 // multiplies it saves.
 //
-// Every output element is one k-ascending mul-add chain regardless of which
-// tile shape covers it, so results are deterministic across row counts,
-// panel splits, and thread partitionings.
+// Every output element is one step-ascending mul-add chain regardless of
+// which tile shape covers it, so results are deterministic across row
+// counts, panel splits, chunkings and thread partitionings.
 template <int kPanel, int kRows>
-inline void GemmTile(const float* __restrict__ pa, int64_t lda, const float* __restrict__ pb,
-                     int64_t ldb, float* __restrict__ po, int64_t ldo, int64_t k) {
+inline void GemmTile(const float* __restrict__ pa, int64_t lda, int64_t astep,
+                     const float* __restrict__ pb, int64_t ldb, float* __restrict__ po,
+                     int64_t ldo, int64_t k, bool accumulate) {
   float acc[kRows][kPanel] = {};
+  if (accumulate) {
+    for (int r = 0; r < kRows; ++r) {
+      for (int j = 0; j < kPanel; ++j) {
+        acc[r][j] = po[r * ldo + j];
+      }
+    }
+  }
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* __restrict__ brow = pb + kk * ldb;
     for (int r = 0; r < kRows; ++r) {
-      const float av = pa[r * lda + kk];
+      const float av = pa[r * lda + kk * astep];
       for (int j = 0; j < kPanel; ++j) {
         acc[r][j] += av * brow[j];
       }
@@ -359,56 +369,81 @@ inline void GemmTile(const float* __restrict__ pa, int64_t lda, const float* __r
   }
 }
 
-// One kRows-row block of output: full 16-wide panels through the dispatched
-// micro-kernels, then a power-of-two panel cascade (8/4/2/1) for the
-// remainder, so a non-multiple-of-16 feature dim (7, 33, 257, ...) still
-// takes a register-blocked path for every column — the old per-column
-// scalar tail walked B with a stride-m load per k step, which at m = 7
-// meant the *entire* matrix went through strided dots.
+// One kRows-row block of output over `steps` steps: full 16-wide panels
+// through the dispatched micro-kernels, then a power-of-two panel cascade
+// (8/4/2/1) for the remainder, so a non-multiple-of-16 feature dim (7, 33,
+// 257, ...) still takes a register-blocked path for every column — the old
+// per-column scalar tail walked B with a stride-m load per k step, which at
+// m = 7 meant the *entire* matrix went through strided dots. B and the
+// output are row-major with m columns.
 template <int kRows>
-inline void GemmRowBlock(const float* __restrict__ arows, const float* __restrict__ pb,
-                         float* __restrict__ orows, int64_t k, int64_t m) {
+inline void GemmRowBlock(const float* __restrict__ arows, int64_t lda, int64_t astep,
+                         const float* __restrict__ pb, float* __restrict__ orows, int64_t steps,
+                         int64_t m, bool accumulate) {
   int64_t j0 = 0;
   for (; j0 + 16 <= m; j0 += 16) {
     if constexpr (kRows == 4) {
-      simd::GemmTile4x16(arows, k, pb + j0, m, orows + j0, m, k);
+      simd::GemmTile4x16(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
     } else {
       for (int r = 0; r < kRows; ++r) {
-        simd::GemmTile1x16(arows + r * k, pb + j0, m, orows + r * m + j0, k);
+        simd::GemmTile1x16(arows + r * lda, astep, pb + j0, m, orows + r * m + j0, steps,
+                           accumulate);
       }
     }
   }
   if (j0 + 8 <= m) {
-    GemmTile<8, kRows>(arows, k, pb + j0, m, orows + j0, m, k);
+    GemmTile<8, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
     j0 += 8;
   }
   if (j0 + 4 <= m) {
-    GemmTile<4, kRows>(arows, k, pb + j0, m, orows + j0, m, k);
+    GemmTile<4, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
     j0 += 4;
   }
   if (j0 + 2 <= m) {
-    GemmTile<2, kRows>(arows, k, pb + j0, m, orows + j0, m, k);
+    GemmTile<2, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
     j0 += 2;
   }
   if (j0 < m) {
-    GemmTile<1, kRows>(arows, k, pb + j0, m, orows + j0, m, k);
+    GemmTile<1, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
   }
 }
 
-void GemmRowMajor(const float* pa, const float* pb, float* po, int64_t k, int64_t m,
-                  int64_t row_begin, int64_t row_end) {
-  int64_t i = row_begin;
-  for (; i + 4 <= row_end; i += 4) {
-    GemmRowBlock<4>(pa + i * k, pb, po + i * m, k, m);
+// Output rows [row_begin, row_end) of C[rows, m] (+)= A @ B over `steps`
+// steps: 4-row blocks, then a 2/1 cascade for the remainder. Output row r
+// reads A elements pa[r * lda + s * astep].
+void GemmRows(const float* pa, int64_t lda, int64_t astep, const float* pb, float* po,
+              int64_t steps, int64_t m, int64_t row_begin, int64_t row_end, bool accumulate) {
+  int64_t r = row_begin;
+  for (; r + 4 <= row_end; r += 4) {
+    GemmRowBlock<4>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
   }
-  if (i + 2 <= row_end) {
-    GemmRowBlock<2>(pa + i * k, pb, po + i * m, k, m);
-    i += 2;
+  if (r + 2 <= row_end) {
+    GemmRowBlock<2>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
+    r += 2;
   }
-  if (i < row_end) {
-    GemmRowBlock<1>(pa + i * k, pb, po + i * m, k, m);
+  if (r < row_end) {
+    GemmRowBlock<1>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
   }
 }
+
+// Row-major C[n, m] = A[n, k] @ B[k, m], rows chunked across the pool.
+Tensor GemmRowMajor(const float* pa, const float* pb, int64_t n, int64_t k, int64_t m) {
+  Tensor out({n, m});
+  float* po = out.data();
+  ParallelFor(
+      n,
+      [&](int64_t row_begin, int64_t row_end) {
+        GemmRows(pa, /*lda=*/k, /*astep=*/1, pb, po, k, m, row_begin, row_end,
+                 /*accumulate=*/false);
+      },
+      /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, k * m)));
+  return out;
+}
+
+// Input rows per pass of MatmulTransposeA's output blocks: a [32, k] slab of
+// A (16 KB at k = 128) plus the matching rows of B stay in L1 while every
+// 4-row output block of the pass sweeps them.
+constexpr int64_t kTransposeAChunk = 32;
 
 }  // namespace
 
@@ -416,39 +451,17 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   SEASTAR_CHECK_EQ(a.ndim(), 2);
   SEASTAR_CHECK_EQ(b.ndim(), 2);
   SEASTAR_CHECK_EQ(a.dim(1), b.dim(0));
-  const int64_t n = a.dim(0);
-  const int64_t k = a.dim(1);
-  const int64_t m = b.dim(1);
-  Tensor out({n, m});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  ParallelFor(
-      n,
-      [&](int64_t row_begin, int64_t row_end) { GemmRowMajor(pa, pb, po, k, m, row_begin, row_end); },
-      /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, k * m)));
-  return out;
+  return GemmRowMajor(a.data(), b.data(), a.dim(0), a.dim(1), b.dim(1));
 }
 
 Tensor MatmulTransposeB(const Tensor& a, const Tensor& b) {
   SEASTAR_CHECK_EQ(a.ndim(), 2);
   SEASTAR_CHECK_EQ(b.ndim(), 2);
   SEASTAR_CHECK_EQ(a.dim(1), b.dim(1));
-  const int64_t n = a.dim(0);
-  const int64_t k = a.dim(1);
-  const int64_t m = b.dim(0);
   // b is streamed n times; transposing it once (a pooled allocation) turns
   // every pass into the contiguous ikj kernel instead of k-strided dots.
   Tensor bt = Transpose(b);
-  Tensor out({n, m});
-  const float* pa = a.data();
-  const float* pb = bt.data();
-  float* po = out.data();
-  ParallelFor(
-      n,
-      [&](int64_t row_begin, int64_t row_end) { GemmRowMajor(pa, pb, po, k, m, row_begin, row_end); },
-      /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, k * m)));
-  return out;
+  return GemmRowMajor(a.data(), bt.data(), a.dim(0), a.dim(1), b.dim(0));
 }
 
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
@@ -458,22 +471,21 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
   const int64_t n = a.dim(0);
   const int64_t k = a.dim(1);
   const int64_t m = b.dim(1);
+  // out[kk, :] = sum_i a[i, kk] * b[i, :]: the GEMM micro-kernels read Aᵀ
+  // in place (lda = 1, astep = k), so no transpose is materialized. The
+  // input is walked in kTransposeAChunk-row passes; every 4-row output block
+  // sweeps each pass, reloading its accumulators between passes, so every
+  // element stays one i-ascending fma chain. Serial: split across threads,
+  // each block would stream all of A again, which measured slower than one
+  // thread.
   Tensor out = Tensor::Zeros({k, m});
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  // Serial over n to avoid write contention on the [k, m] accumulator (which
-  // stays L1-resident at GNN sizes); the inner loops stream contiguously.
-  for (int64_t i = 0; i < n; ++i) {
-    const float* __restrict__ arow = pa + i * k;
-    const float* __restrict__ brow = pb + i * m;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      float* __restrict__ orow = po + kk * m;
-      for (int64_t j = 0; j < m; ++j) {
-        orow[j] += av * brow[j];
-      }
-    }
+  for (int64_t i0 = 0; i0 < n; i0 += kTransposeAChunk) {
+    GemmRows(pa + i0 * k, /*lda=*/1, /*astep=*/k, pb + i0 * m, po,
+             std::min(kTransposeAChunk, n - i0), m, /*row_begin=*/0, /*row_end=*/k,
+             /*accumulate=*/true);
   }
   return out;
 }
@@ -762,22 +774,30 @@ Tensor CrossEntropyGrad(const Tensor& log_probs, const std::vector<int32_t>& lab
 
 // ---- Dropout ----------------------------------------------------------------------------------------
 
-DropoutResult Dropout(const Tensor& a, float p, Rng& rng) {
+DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask) {
   SEASTAR_CHECK_GE(p, 0.0f);
   SEASTAR_CHECK_LT(p, 1.0f);
-  DropoutResult result{Tensor(a.shape()), Tensor(a.shape())};
+  DropoutResult result{Tensor(a.shape()), with_mask ? Tensor(a.shape()) : Tensor()};
   const float keep_scale = 1.0f / (1.0f - p);
   const float* pa = a.data();
   float* po = result.output.data();
-  float* pm = result.mask.data();
+  float* pm = with_mask ? result.mask.data() : po;
   // Mask generation is sequential (one RNG stream); the apply step is not.
+  // Without a mask tensor the mask is drawn into the output, which the
+  // apply step then scales in place.
   rng.FillDropoutMask(pm, a.numel(), p, keep_scale);
   ParallelPointwise(a.numel(), [=](int64_t begin, int64_t end) {
     const float* __restrict__ x = pa;
-    const float* __restrict__ m = pm;
     float* __restrict__ o = po;
-    for (int64_t i = begin; i < end; ++i) {
-      o[i] = x[i] * m[i];
+    if (with_mask) {
+      const float* __restrict__ m = pm;
+      for (int64_t i = begin; i < end; ++i) {
+        o[i] = x[i] * m[i];
+      }
+    } else {
+      for (int64_t i = begin; i < end; ++i) {
+        o[i] = x[i] * o[i];
+      }
     }
   });
   return result;

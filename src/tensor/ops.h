@@ -109,11 +109,15 @@ Tensor CrossEntropyGrad(const Tensor& log_probs, const std::vector<int32_t>& lab
 
 // Inverted dropout: zeroes with prob p, scales survivors by 1/(1-p). The
 // returned mask (same shape, values 0 or 1/(1-p)) is needed for backward.
+// With `with_mask` false (an input that needs no gradient) no mask is
+// allocated: the draws land in the output, which is scaled in place, and
+// `mask` stays undefined. The output bits and the Rng draws are the same
+// either way.
 struct DropoutResult {
   Tensor output;
   Tensor mask;
 };
-DropoutResult Dropout(const Tensor& a, float p, Rng& rng);
+DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask = true);
 
 // ---- Row gather / scatter (graph materialization primitives) ------------------------------------
 

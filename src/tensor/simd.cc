@@ -46,13 +46,21 @@ void ScaleRowScalar(float* __restrict__ x, float s, int64_t n) {
   }
 }
 
-void GemmTile4x16Scalar(const float* __restrict__ pa, int64_t lda, const float* __restrict__ pb,
-                        int64_t ldb, float* __restrict__ po, int64_t ldo, int64_t k) {
+void GemmTile4x16Scalar(const float* __restrict__ pa, int64_t lda, int64_t astep,
+                        const float* __restrict__ pb, int64_t ldb, float* __restrict__ po,
+                        int64_t ldo, int64_t k, bool accumulate) {
   float acc[4][16] = {};
+  if (accumulate) {
+    for (int r = 0; r < 4; ++r) {
+      for (int j = 0; j < 16; ++j) {
+        acc[r][j] = po[r * ldo + j];
+      }
+    }
+  }
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* __restrict__ brow = pb + kk * ldb;
     for (int r = 0; r < 4; ++r) {
-      const float av = pa[r * lda + kk];
+      const float av = pa[r * lda + kk * astep];
       for (int j = 0; j < 16; ++j) {
         acc[r][j] += av * brow[j];
       }
@@ -65,11 +73,16 @@ void GemmTile4x16Scalar(const float* __restrict__ pa, int64_t lda, const float* 
   }
 }
 
-void GemmTile1x16Scalar(const float* __restrict__ pa, const float* __restrict__ pb, int64_t ldb,
-                        float* __restrict__ po, int64_t k) {
+void GemmTile1x16Scalar(const float* __restrict__ pa, int64_t astep, const float* __restrict__ pb,
+                        int64_t ldb, float* __restrict__ po, int64_t k, bool accumulate) {
   float acc[16] = {};
+  if (accumulate) {
+    for (int j = 0; j < 16; ++j) {
+      acc[j] = po[j];
+    }
+  }
   for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = pa[kk];
+    const float av = pa[kk * astep];
     const float* __restrict__ brow = pb + kk * ldb;
     for (int j = 0; j < 16; ++j) {
       acc[j] += av * brow[j];
@@ -154,33 +167,43 @@ __attribute__((target("avx2,fma"))) void ScaleRowAvx2(float* __restrict__ x, flo
 // k loop; each 16-float B row costs two loads and is reused by all four A
 // rows (one broadcast + two fmadds each) — 8 fma per 2 loads, enough
 // arithmetic density to run at port throughput instead of load throughput.
+// The four A elements of a step are lda apart and successive steps astep
+// apart, so A and Aᵀ cost the same: one pointer bump per step either way.
 __attribute__((target("avx2,fma"))) void GemmTile4x16Avx2(const float* __restrict__ pa,
-                                                          int64_t lda,
+                                                          int64_t lda, int64_t astep,
                                                           const float* __restrict__ pb,
                                                           int64_t ldb, float* __restrict__ po,
-                                                          int64_t ldo, int64_t k) {
+                                                          int64_t ldo, int64_t k,
+                                                          bool accumulate) {
   __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
   __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
   __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
   __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
-  const float* a0 = pa;
-  const float* a1 = pa + lda;
-  const float* a2 = pa + 2 * lda;
-  const float* a3 = pa + 3 * lda;
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = pb + kk * ldb;
+  if (accumulate) {
+    acc00 = _mm256_loadu_ps(po);
+    acc01 = _mm256_loadu_ps(po + 8);
+    acc10 = _mm256_loadu_ps(po + ldo);
+    acc11 = _mm256_loadu_ps(po + ldo + 8);
+    acc20 = _mm256_loadu_ps(po + 2 * ldo);
+    acc21 = _mm256_loadu_ps(po + 2 * ldo + 8);
+    acc30 = _mm256_loadu_ps(po + 3 * ldo);
+    acc31 = _mm256_loadu_ps(po + 3 * ldo + 8);
+  }
+  const float* a = pa;
+  const float* brow = pb;
+  for (int64_t kk = 0; kk < k; ++kk, a += astep, brow += ldb) {
     const __m256 b0 = _mm256_loadu_ps(brow);
     const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    __m256 va = _mm256_set1_ps(a0[kk]);
+    __m256 va = _mm256_set1_ps(a[0]);
     acc00 = _mm256_fmadd_ps(va, b0, acc00);
     acc01 = _mm256_fmadd_ps(va, b1, acc01);
-    va = _mm256_set1_ps(a1[kk]);
+    va = _mm256_set1_ps(a[lda]);
     acc10 = _mm256_fmadd_ps(va, b0, acc10);
     acc11 = _mm256_fmadd_ps(va, b1, acc11);
-    va = _mm256_set1_ps(a2[kk]);
+    va = _mm256_set1_ps(a[2 * lda]);
     acc20 = _mm256_fmadd_ps(va, b0, acc20);
     acc21 = _mm256_fmadd_ps(va, b1, acc21);
-    va = _mm256_set1_ps(a3[kk]);
+    va = _mm256_set1_ps(a[3 * lda]);
     acc30 = _mm256_fmadd_ps(va, b0, acc30);
     acc31 = _mm256_fmadd_ps(va, b1, acc31);
   }
@@ -195,14 +218,15 @@ __attribute__((target("avx2,fma"))) void GemmTile4x16Avx2(const float* __restric
 }
 
 __attribute__((target("avx2,fma"))) void GemmTile1x16Avx2(const float* __restrict__ pa,
+                                                          int64_t astep,
                                                           const float* __restrict__ pb,
                                                           int64_t ldb, float* __restrict__ po,
-                                                          int64_t k) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
+                                                          int64_t k, bool accumulate) {
+  __m256 acc0 = accumulate ? _mm256_loadu_ps(po) : _mm256_setzero_ps();
+  __m256 acc1 = accumulate ? _mm256_loadu_ps(po + 8) : _mm256_setzero_ps();
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* brow = pb + kk * ldb;
-    const __m256 va = _mm256_set1_ps(pa[kk]);
+    const __m256 va = _mm256_set1_ps(pa[kk * astep]);
     acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(brow), acc0);
     acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(brow + 8), acc1);
   }
@@ -250,9 +274,10 @@ void (*AddScalarRow)(float*, float, int64_t) = AddScalarRowScalar;
 void (*AxpyRow)(float*, const float*, float, int64_t) = AxpyRowScalar;
 void (*MulAddRow)(float*, const float*, const float*, int64_t) = MulAddRowScalar;
 void (*ScaleRow)(float*, float, int64_t) = ScaleRowScalar;
-void (*GemmTile4x16)(const float*, int64_t, const float*, int64_t, float*, int64_t, int64_t) =
-    GemmTile4x16Scalar;
-void (*GemmTile1x16)(const float*, const float*, int64_t, float*, int64_t) = GemmTile1x16Scalar;
+void (*GemmTile4x16)(const float*, int64_t, int64_t, const float*, int64_t, float*, int64_t,
+                     int64_t, bool) = GemmTile4x16Scalar;
+void (*GemmTile1x16)(const float*, int64_t, const float*, int64_t, float*, int64_t,
+                     bool) = GemmTile1x16Scalar;
 
 const char* SimdIsaName() { return g_dispatch.isa; }
 int SimdLanes() { return g_dispatch.lanes; }

@@ -51,17 +51,25 @@ extern void (*MulAddRow)(float* acc, const float* x, const float* y, int64_t n);
 // x[i] *= s                            (AggMean finalization)
 extern void (*ScaleRow)(float* x, float s, int64_t n);
 
-// Dense-GEMM micro-kernels (the 16-column panels of ops.cc's GemmRowMajor).
-// C[rows][16] = A[rows][k] @ B[k][16], row-major; A rows strided by lda, B
-// rows by ldb, C rows by ldo. Written as explicit intrinsics because the
-// shape that makes a GEMM fast — a 4-row × 16-column block of accumulators
-// living in 8 vector registers while each streamed B row is reused 4 times —
-// is exactly the shape autovectorizers lose when the strides are runtime
-// values. Every output element is one k-ascending fma chain, so results are
-// deterministic across row counts and panel splits.
-extern void (*GemmTile4x16)(const float* pa, int64_t lda, const float* pb, int64_t ldb,
-                            float* po, int64_t ldo, int64_t k);
-extern void (*GemmTile1x16)(const float* pa, const float* pb, int64_t ldb, float* po, int64_t k);
+// Dense-GEMM micro-kernels (the 16-column panels of ops.cc's GEMMs).
+// C[rows][16] = A[rows][k] @ B[k][16] over k steps, row-major B and C (B's
+// step rows strided by ldb, C rows by ldo). A element (r, s) sits at
+// pa[r * lda + s * astep]: lda = row length and astep = 1 read A, lda = 1
+// and astep = row length read Aᵀ in place, which is how Matmul and
+// MatmulTransposeA share one kernel. With `accumulate` the accumulators
+// start from C's current contents instead of zero, so a long k range can be
+// split into chunks that each keep their slab of A in L1. Written as
+// explicit intrinsics because the shape that makes a GEMM fast — a 4-row ×
+// 16-column block of accumulators living in 8 vector registers while each
+// streamed B row is reused 4 times — is exactly the shape autovectorizers
+// lose when the strides are runtime values. Every output element is one
+// step-ascending fma chain (a float store and reload between chunks is
+// exact), so results are deterministic across row counts, panel splits and
+// chunkings.
+extern void (*GemmTile4x16)(const float* pa, int64_t lda, int64_t astep, const float* pb,
+                            int64_t ldb, float* po, int64_t ldo, int64_t k, bool accumulate);
+extern void (*GemmTile1x16)(const float* pa, int64_t astep, const float* pb, int64_t ldb,
+                            float* po, int64_t k, bool accumulate);
 
 }  // namespace simd
 }  // namespace seastar

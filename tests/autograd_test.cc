@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/tensor/allocator.h"
 #include "src/tensor/autograd.h"
 #include "src/tensor/ops.h"
 
@@ -173,6 +176,55 @@ TEST(AutogradTest, DropoutBackwardUsesMask) {
   for (int64_t i = 0; i < 100; ++i) {
     EXPECT_FLOAT_EQ(x.grad().at(i), y.value().at(i));
   }
+}
+
+TEST(AutogradTest, MatmulComputesNoGradientForANoGradInput) {
+  // dA = g @ Bᵀ is skipped when A needs no gradient (a features leaf), and
+  // dB = Aᵀ @ g when B needs none; the computed one is unchanged.
+  Rng rng(9);
+  const Tensor x_val = ops::RandomNormal({33, 12}, 0.0f, 1.0f, rng);
+  const Tensor w_val = ops::RandomNormal({12, 5}, 0.0f, 1.0f, rng);
+  const Tensor g = ops::RandomNormal({33, 5}, 0.0f, 1.0f, rng);
+
+  Var y = ag::Matmul(Var::Leaf(x_val, false), Var::Leaf(w_val, true));
+  std::vector<Tensor> grads = y.node()->backward_fn(g);
+  ASSERT_EQ(grads.size(), 2u);
+  EXPECT_FALSE(grads[0].defined());
+  ASSERT_TRUE(grads[1].defined());
+  const Tensor dw = ops::MatmulTransposeA(x_val, g);
+  EXPECT_TRUE(grads[1].AllClose(dw, 0.0f));
+
+  Var z = ag::Matmul(Var::Leaf(x_val, true), Var::Leaf(w_val, false));
+  grads = z.node()->backward_fn(g);
+  ASSERT_EQ(grads.size(), 2u);
+  ASSERT_TRUE(grads[0].defined());
+  EXPECT_TRUE(grads[0].AllClose(ops::MatmulTransposeB(g, w_val), 0.0f));
+  EXPECT_FALSE(grads[1].defined());
+}
+
+TEST(AutogradTest, DropoutOnANoGradInputAllocatesNoMask) {
+  // Backward never reads a no-grad input's mask, so only the output is
+  // allocated; its bits and the Rng's draws match the masked path.
+  Rng data_rng(10);
+  const Tensor x_val = ops::RandomNormal({64, 32}, 0.0f, 1.0f, data_rng);
+  TensorAllocator& allocator = TensorAllocator::Get();
+  Rng masked_rng(11);
+  Rng unmasked_rng(11);
+
+  uint64_t before = allocator.total_allocations();
+  Var masked = ag::Dropout(Var::Leaf(x_val, true), 0.5f, masked_rng, /*training=*/true);
+  EXPECT_EQ(allocator.total_allocations() - before, 2u);  // Output + mask.
+
+  before = allocator.total_allocations();
+  Var unmasked = ag::Dropout(Var::Leaf(x_val, false), 0.5f, unmasked_rng, /*training=*/true);
+  EXPECT_EQ(allocator.total_allocations() - before, 1u);  // Output only.
+
+  EXPECT_FALSE(unmasked.requires_grad());
+  EXPECT_TRUE(unmasked.value().AllClose(masked.value(), 0.0f));
+  EXPECT_EQ(std::memcmp(unmasked.value().data(), masked.value().data(),
+                        sizeof(float) * x_val.numel()),
+            0);
+  EXPECT_EQ(masked_rng.NextUint64(), unmasked_rng.NextUint64());
 }
 
 TEST(AutogradTest, DropoutEvalModeIsIdentity) {

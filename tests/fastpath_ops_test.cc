@@ -7,8 +7,10 @@
 // per-element RNG path).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -418,24 +420,54 @@ TEST(GemmTest, MatmulTransposeAMatchesNaive) {
 
 TEST(DropoutMaskTest, BatchedFillMatchesPerElementBernoulliDrawForDraw) {
   // Checkpoint determinism depends on the batched fill consuming exactly the
-  // draws the old per-element path consumed.
+  // draws the old per-element path consumed, and deciding each the same way.
+  // The fill compares bits >> 11 against ceil(p * 2^53); cover products
+  // p * 2^53 that are integers (0.5, any float p, 0.5 + 2^-53) and that are
+  // not (0.37, 0.6, 1/3, 0.1 as doubles).
   const int64_t n = 1000;
-  const double p = 0.37;
-  const float keep = 1.0f / (1.0f - static_cast<float>(p));
-  Rng batched(12345), reference(12345);
+  for (const double p :
+       {0.37, 0.5, 0.6, 1.0 / 3.0, 0.1, static_cast<double>(0.6f), 0.5 + 0x1.0p-53}) {
+    SCOPED_TRACE(p);
+    const float keep = 1.0f / (1.0f - static_cast<float>(p));
+    Rng batched(12345), reference(12345);
 
-  std::vector<float> mask(n);
-  batched.FillDropoutMask(mask.data(), n, p, keep);
-  int64_t dropped = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const float expected = reference.NextBernoulli(p) ? 0.0f : keep;
-    ASSERT_EQ(mask[i], expected) << "element " << i;
-    dropped += mask[i] == 0.0f;
+    std::vector<float> mask(n);
+    batched.FillDropoutMask(mask.data(), n, p, keep);
+    int64_t dropped = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const float expected = reference.NextBernoulli(p) ? 0.0f : keep;
+      ASSERT_EQ(mask[i], expected) << "element " << i;
+      dropped += mask[i] == 0.0f;
+    }
+    // Streams must be in sync afterwards, or a resumed run would diverge.
+    const RngState got = batched.SaveState();
+    const RngState want = reference.SaveState();
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(got.words[w], want.words[w]);
+    }
+    // Sanity: the drop rate is in the right ballpark.
+    EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(n), p, 0.08);
   }
-  // Streams must be in sync afterwards, or a resumed run would diverge.
-  EXPECT_EQ(batched.NextUint64(), reference.NextUint64());
-  // Sanity: the drop rate is in the right ballpark.
-  EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(n), p, 0.08);
+}
+
+TEST(DropoutMaskTest, ThresholdIsExactAtTheDrawnValue) {
+  // For the next draw u = x * 2^-53: p = u keeps (u < p is false), the next
+  // double above u drops, the one below keeps.
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng peek(seed);
+    const double u = peek.NextDouble();
+    for (const auto& [p, dropped] : {std::pair{u, false},
+                                     std::pair{std::nextafter(u, 1.0), true},
+                                     std::pair{std::nextafter(u, 0.0), false}}) {
+      if (p <= 0.0) {
+        continue;  // A degenerate p draws nothing.
+      }
+      Rng rng(seed);
+      float mask = -1.0f;
+      rng.FillDropoutMask(&mask, 1, p, 2.0f);
+      EXPECT_EQ(mask, dropped ? 0.0f : 2.0f) << "seed " << seed << " p " << p;
+    }
+  }
 }
 
 TEST(DropoutMaskTest, DegenerateProbabilitiesConsumeNoDraws) {

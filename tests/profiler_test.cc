@@ -16,6 +16,7 @@
 #include "src/common/tracing.h"
 #include "src/core/executor_factory.h"
 #include "src/core/models/gat.h"
+#include "src/core/models/gcn.h"
 #include "src/core/train.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/plan_cache.h"
@@ -364,6 +365,49 @@ TEST(ProfilerTest, RetainThroughRunContextMatchesDefaultRun) {
   EXPECT_LT(eager.saved->size(), keep_all.saved->size());
 }
 
+
+TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
+  // The dense half of an epoch is visible in the run trace: every tape-op
+  // backward node gets a "dense" span named "<op>/backward" (one matmul per
+  // layer), and each training-mode dropout one "dropout" span. The vertex
+  // program's backward is aggregation: it stays in its own "program" span,
+  // outside the dense category.
+  DatasetOptions options;
+  options.scale = 0.06;
+  options.max_feature_dim = 32;
+  const Dataset data = MakeDataset(*FindDataset("cora"), options);
+  GcnConfig config;
+  config.num_layers = 2;
+  Gcn model(data, config, std::move(*ExecutorFactory::Create("seastar")));
+  TrainConfig train;
+  train.epochs = 1;
+  train.warmup_epochs = 0;
+
+  Tracer tracer(TracerConfig{}, Retention::kRun);
+  {
+    ScopedRun run(&tracer, "gcn", "train");
+    TrainNodeClassification(model, data, train);
+  }
+  const std::vector<Span> dense = SpansInCategory(tracer, "dense");
+  const auto count = [&dense](const std::string& name) {
+    return std::count_if(dense.begin(), dense.end(),
+                         [&name](const Span& span) { return name == span.name; });
+  };
+  EXPECT_EQ(count("matmul/backward"), config.num_layers);
+  EXPECT_EQ(count("dropout"), config.num_layers);
+  EXPECT_EQ(count("vertex_program/backward"), 0);
+  const std::vector<Span> program = SpansInCategory(tracer, "program");
+  EXPECT_GE(std::count_if(program.begin(), program.end(),
+                          [](const Span& span) {
+                            return std::string(span.name) == "vertex_program/backward";
+                          }),
+            1);
+  for (const Span& span : dense) {
+    SCOPED_TRACE(span.name);
+    EXPECT_GE(span.parent, 0);
+    EXPECT_GE(span.dur_us, 0);
+  }
+}
 
 TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
   // Every GAT unit — forward and backward, all heads — runs on the lowered

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/tensor/allocator.h"
@@ -155,6 +158,35 @@ TEST(OpsTest, MatmulLargeParallelMatchesSmallChunks) {
         acc += a.at(i, k) * b.at(k, j);
       }
       EXPECT_NEAR(c.at(i, j), acc, 1e-3);
+    }
+  }
+}
+
+TEST(OpsTest, MatmulTransposeABitwiseMatchesExplicitTranspose) {
+  // MatmulTransposeA reads Aᵀ in place, 4 output rows at a time, over
+  // 32-row passes of the input. Every element must still be the i-ascending
+  // chain Matmul(Transpose(a), b) computes: bit for bit across the 16-wide
+  // panels, the 8/4/2/1 column tails, the k % 4 row tails and the pass
+  // boundaries.
+  Rng rng(41);
+  for (const int64_t n : {0, 1, 3, 33, 1000}) {
+    for (const int64_t k : {1, 3, 4, 5, 128, 130}) {
+      for (const int64_t m : {1, 7, 8, 10, 16, 17, 33, 64}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                     " m=" + std::to_string(m));
+        const Tensor a = ops::RandomNormal({n, k}, 0.0f, 1.0f, rng);
+        const Tensor b = ops::RandomNormal({n, m}, 0.0f, 1.0f, rng);
+        const Tensor got = ops::MatmulTransposeA(a, b);
+        const Tensor want = ops::Matmul(ops::Transpose(a), b);
+        ASSERT_EQ(got.shape(), (std::vector<int64_t>{k, m}));
+        ASSERT_EQ(want.shape(), got.shape());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.numel()), 0);
+        if (n == 0) {
+          for (int64_t i = 0; i < got.numel(); ++i) {
+            ASSERT_EQ(got.data()[i], 0.0f);
+          }
+        }
+      }
     }
   }
 }

@@ -19,6 +19,10 @@ Two kinds of gate:
     so they are gated hard: plan misses must be exactly zero, and fresh
     mallocs may exceed the baseline by at most --malloc-slack (default 5,
     matching the steady-state bound the CI smoke already asserts).
+  * Training losses are gated exactly: every baseline epoch's loss must
+    appear in the fresh run with the same digits at the report's 6-decimal
+    precision. Kernel work may get faster, never change the numbers a
+    training run produces; a fresh run with fewer epochs fails too.
 
 The serve report additionally carries a top-level tracing_overhead_pct
 (p50 delta of the traced scenario over the identical untraced one), and the
@@ -38,7 +42,9 @@ The kernel report (BENCH_kernels.json, from ./bench_kernels_micro
 --sweep-out=...) gates the tiled aggregation path: every sweep point must
 report bitwise tiled-vs-untiled parity (machine-independent, gated exactly
 — a single differing bit means the tiled loops changed results, which the
-design forbids), and both timings sit inside the usual band.
+design forbids), and both timings sit inside the usual band. Its dense
+points (Aᵀ·B, forward Matmul and dropout at the training shapes) are gated
+the same way: bitwise equal to their reference, time inside the band.
 
 The shard report (BENCH_shard.json, from ./bench_shard_scaling) adds a
 scaling-floor gate: speedup_at_max_shards must reach --shard-speedup-floor,
@@ -120,6 +126,20 @@ def check_overhead(gate, where, metric, baseline, fresh, ceiling, detail):
                    f"absolute ceiling on {detail}")
 
 
+def check_losses(gate, where, base_run, fresh_run):
+    """Every baseline epoch's loss, exactly, at the report's 6 decimals."""
+    fresh_losses = {e["epoch"]: e.get("loss") for e in fresh_run.get("epochs", [])}
+    mismatched = []
+    for e in base_run.get("epochs", []):
+        if "loss" not in e:
+            continue
+        fresh = fresh_losses.get(e["epoch"])
+        if fresh is None or f"{fresh:.6f}" != f"{e['loss']:.6f}":
+            mismatched.append(f"epoch {e['epoch']}: {fresh} vs {e['loss']}")
+    gate.check(where, "loss_mismatches", len(mismatched), 0, 0,
+               "exact: " + ("; ".join(mismatched[:3]) or "every epoch loss"))
+
+
 def check_train(gate, baseline, fresh, timing_tol, malloc_slack,
                 overhead_max=TRACING_OVERHEAD_MAX_PCT):
     check_overhead(gate, "train", "profiling_overhead_pct", baseline, fresh,
@@ -148,6 +168,7 @@ def check_train(gate, baseline, fresh, timing_tol, malloc_slack,
             e["plan_misses"] for e in run.get("epochs", [])[first_steady:])
         gate.check(where, "steady_plan_misses", steady_misses, 0, 0,
                    "exact: steady epochs must not recompile plans")
+        check_losses(gate, where, base, run)
     for key in sorted(set(fresh_runs) - set(base_runs)):
         gate.extra(f"train {key[0]}/{key[1]}")
 
@@ -245,6 +266,24 @@ def check_kernels(gate, baseline, fresh, timing_tol, _slack):
                    f"exact: max_abs_diff={sweep.get('max_abs_diff', '?')}")
     for k in sorted(set(fresh_sweeps) - set(base_sweeps)):
         gate.extra(f"kernels {k[0]}/{k[1]}/d{k[2]}")
+    dense_key = lambda d: (d["kernel"], d["shape"])
+    base_dense = {dense_key(d): d for d in baseline.get("dense", [])}
+    fresh_dense = {dense_key(d): d for d in fresh.get("dense", [])}
+    for k, base in sorted(base_dense.items()):
+        where = f"kernels dense {k[0]}/{k[1]}"
+        point = fresh_dense.get(k)
+        if point is None:
+            gate.missing(where)
+            continue
+        gate.check(where, "ms", point["ms"], base["ms"],
+                   base["ms"] * timing_tol, f"{timing_tol:g}x timing band")
+        # Machine-independent: the point and its reference compute every
+        # element through the same chain of roundings.
+        gate.check(where, "reference_mismatch",
+                   0 if point["bitwise_equal"] else 1, 0, 0,
+                   "exact: bitwise equal to the reference")
+    for k in sorted(set(fresh_dense) - set(base_dense)):
+        gate.extra(f"kernels dense {k[0]}/{k[1]}")
 
 
 def check_shard(gate, baseline, fresh, timing_tol, speedup_floor):
@@ -344,7 +383,8 @@ def self_test(args):
         "runs": [{
             "model": "GCN", "dataset": "cora", "steady_avg_ms": 10.0,
             "steady_fresh_mallocs": 1.0,
-            "epochs": [{"epoch": i, "plan_misses": 0} for i in range(6)],
+            "epochs": [{"epoch": i, "plan_misses": 0, "loss": 2.0 - 0.1 * i}
+                       for i in range(6)],
         }],
     }
     serve_base = {
@@ -382,6 +422,12 @@ def self_test(args):
             {"kernel": "mul_sum", "skew": "zipf", "feat_dim": 256,
              "untiled_ms": 40.0, "tiled_ms": 32.0, "bitwise_equal": True,
              "max_abs_diff": 0.0},
+        ],
+        "dense": [
+            {"kernel": "matmul_at_b", "shape": "13753x128x16", "ms": 1.0,
+             "reference_ms": 4.0, "bitwise_equal": True},
+            {"kernel": "dropout", "shape": "13753x128", "ms": 3.0,
+             "reference_ms": 20.0, "bitwise_equal": True},
         ],
     }
 
@@ -432,6 +478,20 @@ def self_test(args):
     g = Gate()
     check_train(g, train_base, recompiles, 3.0, 5.0)
     expect("steady-plan-miss", g, want_fail=True)
+
+    # 3b. A loss that moves in the 6th decimal fails, timing unchanged; so
+    #     does a fresh run that stops before the baseline's last epoch.
+    drifted = copy.deepcopy(train_base)
+    drifted["runs"][0]["epochs"][5]["loss"] += 2e-6
+    g = Gate()
+    check_train(g, train_base, drifted, 3.0, 5.0)
+    expect("loss-drift", g, want_fail=True)
+
+    truncated = copy.deepcopy(train_base)
+    del truncated["runs"][0]["epochs"][5]
+    g = Gate()
+    check_train(g, train_base, truncated, 3.0, 5.0)
+    expect("loss-epoch-missing", g, want_fail=True)
 
     # 4. Serving p99 blowup fails.
     spiky = copy.deepcopy(serve_base)
@@ -595,10 +655,30 @@ def self_test(args):
                   3.0, 5.0)
     expect("kernel-dropped-sweep", g, want_fail=True)
 
+    # 13. A dense point that no longer matches its reference fails exactly;
+    #     one slower than the band fails; one dropped fails.
+    diverged = copy.deepcopy(kernels_base)
+    diverged["dense"][0]["bitwise_equal"] = False
+    g = Gate()
+    check_kernels(g, kernels_base, diverged, 3.0, 5.0)
+    expect("dense-reference-mismatch", g, want_fail=True)
+
+    slow_dense = copy.deepcopy(kernels_base)
+    slow_dense["dense"][1]["ms"] = 10.0
+    g = Gate()
+    check_kernels(g, kernels_base, slow_dense, 3.0, 5.0)
+    expect("dense-timing-cliff", g, want_fail=True)
+
+    dropped_dense = copy.deepcopy(kernels_base)
+    del dropped_dense["dense"][1]
+    g = Gate()
+    check_kernels(g, kernels_base, dropped_dense, 3.0, 5.0)
+    expect("dense-dropped-point", g, want_fail=True)
+
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(27 cases)")
+          f"(32 cases)")
     return 1 if failures else 0
 
 
