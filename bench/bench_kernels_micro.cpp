@@ -4,14 +4,16 @@
 // table/figure binaries with statistically sound per-kernel numbers.
 //
 // --sweep-out=<path> additionally runs the tiled-vs-untiled aggregation
-// sweep (CopySum / MulSum × feature dims 16/64/256, and GAT's SDDMM-shaped
-// forward units, × uniform / power-law degree skew; untiled = the
-// single-segment plan) and writes a BENCH_kernels.json report gated by
-// tools/bench_check.py. The sweep checks bitwise tiled/untiled parity on
-// every configuration, so the report doubles as a correctness probe. It
-// also times the dense combination kernels at the training workloads'
-// shapes (Aᵀ·B, forward Matmul, dropout), each checked bit for bit against a
-// reference computed another way.
+// sweep (CopySum / MulSum × feature dims 16/64/256, GCN's norm-scaled sum at
+// 10/16, and GAT's SDDMM-shaped forward units, × uniform / power-law degree
+// skew; untiled = the single-segment plan) and writes a BENCH_kernels.json
+// report gated by tools/bench_check.py. The sweep checks bitwise
+// tiled/untiled parity on every configuration, so the report doubles as a
+// correctness probe. Before the sweep it records the host's parallel
+// headroom (the gate refuses a baseline measured without it). It also times
+// the dense combination kernels at the training workloads' shapes (Aᵀ·B,
+// forward Matmul, dropout), each checked bit for bit against a reference
+// computed another way.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -31,6 +33,7 @@
 #include "src/gir/builder.h"
 #include "src/graph/generators.h"
 #include "src/parallel/simt.h"
+#include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/simd.h"
 
@@ -148,7 +151,7 @@ BENCHMARK(BM_CsrBuild);
 // ---- Tiled-vs-untiled aggregation sweep ---------------------------------------------------------
 // One data point: the same fused unit executed on the segment plan and on
 // the single-segment plan (SEASTAR_TILING=0), on the same graph and
-// features. Both run the same lowered code over the same SIMD row kernels
+// features. Both run the same lowered code over the same SIMD gather-reduce kernels
 // (src/tensor/simd.h), so the outputs must be bit-identical — the sweep
 // asserts that with a memcmp per configuration, making the perf report a
 // correctness probe too.
@@ -185,14 +188,19 @@ struct SweepKernel {
   Value (*program)(GirBuilder& b, int32_t d);
 };
 
-// The SpMM-shaped reductions (copy-sum, mul-sum) and GAT's two SDDMM-shaped
-// forward units: the edge score Add+LeakyRelu+Exp+AggSum and the weighted
-// aggregation Div+Mul+AggSum (edge score / key-side sum, times u.h).
+// The SpMM-shaped reductions (copy-sum, mul-sum, and GCN's own neighbour-
+// scaled sum at its hidden and class widths, the kAxpy reduction) and GAT's
+// two SDDMM-shaped forward units: the edge score Add+LeakyRelu+Exp+AggSum
+// and the weighted aggregation Div+Mul+AggSum (edge score / key-side sum,
+// times u.h).
 const SweepKernel kSweepKernels[] = {
     {"copy_sum", {16, 64, 256}, [](GirBuilder& b, int32_t d) { return AggSum(b.Src("h", d)); }},
     {"mul_sum",
      {16, 64, 256},
      [](GirBuilder& b, int32_t d) { return AggSum(b.Src("h", d) * b.Dst("g", d)); }},
+    {"gcn_norm",
+     {10, 16},
+     [](GirBuilder& b, int32_t d) { return AggSum(b.Src("h", d) * b.Src("norm", 1)); }},
     {"gat_score",
      {1},
      [](GirBuilder& b, int32_t) {
@@ -231,6 +239,7 @@ std::vector<SweepPoint> RunKernelSweep() {
         features.vertex["eu"] = ops::RandomNormal({n, 1}, 0, 1, rng);
         features.vertex["ev"] = ops::RandomNormal({n, 1}, 0, 1, rng);
         features.vertex["s"] = ops::Exp(ops::RandomNormal({n, 1}, 0, 1, rng));
+        features.vertex["norm"] = ops::RandomUniform({n, 1}, 0.1f, 1.0f, rng);
         features.edge["e"] = ops::Exp(ops::RandomNormal({graph.num_edges(), 1}, 0, 1, rng));
         SeastarExecutor executor;
         SetTilingEnabled(false);
@@ -270,6 +279,59 @@ std::vector<SweepPoint> RunKernelSweep() {
   }
   SetTilingEnabled(tiling_was_enabled);
   return points;
+}
+
+// ---- Parallel headroom ----------------------------------------------------------------------------
+// How much of the pool's parallelism the host gives this process right now:
+// a fixed gather-reduce loop's one-thread time × pool participants ÷ its time
+// with every participant running its own copy at once. ≈ participants on an
+// idle host, ≈ 1 when other tenants hold the vCPUs — when the tiled sweep
+// points lose their multi-thread speedup. Measured before the sweep so the
+// report says what kind of host its tiled_ms came from.
+struct Headroom {
+  int workers = 0;  // Pool threads plus the calling thread.
+  double headroom = 0.0;
+};
+
+Headroom MeasureParallelHeadroom() {
+  // 4096 keys of 16 neighbours over 16-wide rows, walked 8 times (~1.5 ms on
+  // one AVX2 core): the shared inputs and each participant's accumulator
+  // ring fit in its L2, so an idle host scales the loop to every core.
+  constexpr int64_t kKeys = 4096;
+  constexpr int64_t kDegree = 16;
+  constexpr int64_t kWidth = 16;
+  constexpr int64_t kAccRows = 256;
+  constexpr int kPasses = 8;
+  constexpr int kReps = 7;
+  Rng rng(43);
+  const Tensor x = ops::RandomNormal({kKeys, kWidth}, 0, 1, rng);
+  const Tensor scale = ops::RandomUniform({kKeys, 1}, 0.1f, 1.0f, rng);
+  std::vector<int32_t> nbrs(static_cast<size_t>(kKeys * kDegree));
+  for (int32_t& v : nbrs) {
+    v = static_cast<int32_t>(rng.NextBounded(kKeys));
+  }
+  ThreadPool& pool = ThreadPool::Get();
+  Headroom result;
+  result.workers = pool.num_threads() + 1;
+  std::vector<std::vector<float>> acc(static_cast<size_t>(result.workers),
+                                      std::vector<float>(kAccRows * kWidth));
+  const simd::Rows rows{x.data(), nbrs.data(), kWidth};
+  const simd::Rows scales{scale.data(), nbrs.data(), 1};
+  const auto gather_loop = [&](int worker) {
+    float* out = acc[static_cast<size_t>(worker)].data();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (int64_t k = 0; k < kKeys; ++k) {
+        simd::AxpyGather(out + (k % kAccRows) * kWidth, rows, scales, k * kDegree,
+                         (k + 1) * kDegree, 0, kWidth);
+      }
+    }
+  };
+  const double one = BestOfMs(kReps, [&] { gather_loop(0); });
+  const double all = BestOfMs(kReps, [&] { pool.RunOnAllWorkers(gather_loop); });
+  result.headroom = one * result.workers / std::max(all, 1e-9);
+  std::printf("parallel headroom %.2f of %d workers (one %.3f ms, all %.3f ms)\n", result.headroom,
+              result.workers, one, all);
+  return result;
 }
 
 // ---- Dense combination kernels ------------------------------------------------------------------
@@ -364,13 +426,15 @@ std::vector<DensePoint> RunDensePoints() {
   return points;
 }
 
-bool WriteSweepReport(const std::string& path, const std::vector<SweepPoint>& points,
-                      const std::vector<DensePoint>& dense) {
+bool WriteSweepReport(const std::string& path, const Headroom& headroom,
+                      const std::vector<SweepPoint>& points, const std::vector<DensePoint>& dense) {
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "kernels");
   json.Field("simd_isa", simd::SimdIsaName());
   json.Field("simd_lanes", static_cast<int64_t>(simd::SimdLanes()));
+  json.Field("parallel_workers", static_cast<int64_t>(headroom.workers));
+  json.FieldDouble("parallel_headroom", headroom.headroom, 3);
   json.Key("sweeps");
   json.BeginArray();
   for (const SweepPoint& point : points) {
@@ -432,9 +496,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!sweep_out.empty()) {
+    const seastar::Headroom headroom = seastar::MeasureParallelHeadroom();
     const std::vector<seastar::SweepPoint> points = seastar::RunKernelSweep();
     const std::vector<seastar::DensePoint> dense = seastar::RunDensePoints();
-    if (!seastar::WriteSweepReport(sweep_out, points, dense)) {
+    if (!seastar::WriteSweepReport(sweep_out, headroom, points, dense)) {
       std::fprintf(stderr, "cannot write %s\n", sweep_out.c_str());
       return 1;
     }

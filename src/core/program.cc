@@ -1,5 +1,7 @@
 #include "src/core/program.h"
 
+#include <algorithm>
+#include <mutex>
 #include <sstream>
 
 #include "src/common/deadline.h"
@@ -80,6 +82,12 @@ void ValidateInputs(const GirGraph& gir, const Graph& graph,
 struct VertexProgram::Data {
   GirGraph forward;
   BackwardGir backward;
+
+  // Restrictions of `backward` by requires-grad mask (VertexProgram::
+  // backward(needs_grad)), each built once and shared by every later Run;
+  // the plan cache keys on GIR content, so each also compiles once.
+  mutable std::mutex mu;
+  mutable std::map<std::vector<bool>, std::shared_ptr<const BackwardGir>> selected;
 };
 
 VertexProgram VertexProgram::Compile(GirBuilder&& builder) {
@@ -105,6 +113,20 @@ const BackwardGir& VertexProgram::backward() const {
   return data_->backward;
 }
 
+std::shared_ptr<const BackwardGir> VertexProgram::backward(
+    const std::vector<bool>& needs_grad) const {
+  SEASTAR_CHECK(data_ != nullptr);
+  if (std::find(needs_grad.begin(), needs_grad.end(), false) == needs_grad.end()) {
+    return std::shared_ptr<const BackwardGir>(data_, &data_->backward);
+  }
+  std::lock_guard<std::mutex> lock(data_->mu);
+  std::shared_ptr<const BackwardGir>& slot = data_->selected[needs_grad];
+  if (slot == nullptr) {
+    slot = std::make_shared<const BackwardGir>(SelectInputGrads(data_->backward, needs_grad));
+  }
+  return slot;
+}
+
 Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) const {
   SEASTAR_CHECK(data_ != nullptr);
   SEASTAR_CHECK(session.defined()) << "vertex program: undefined execution session";
@@ -127,12 +149,31 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
     features.typed_vertex[key] = var.value();
   }
 
+  // The tape inputs: every distinct Var whose gradient is needed, together
+  // with the backward output names feeding it. An input that needs no
+  // gradient (a requires_grad=false leaf such as GCN's norm) is left off the
+  // tape, and the backward GIR run for this call does not compute it.
+  const auto input_var = [&](const InputGradInfo& info) -> const Var& {
+    const std::map<std::string, Var>& vars =
+        info.typed ? inputs.typed_vertex
+                   : (info.access == GraphType::kEdge ? inputs.edge : inputs.vertex);
+    auto it = vars.find(info.key);
+    SEASTAR_CHECK(it != vars.end()) << "missing input " << info.key;
+    return it->second;
+  };
+  std::vector<bool> needs_grad;
+  needs_grad.reserve(data->backward.input_grads.size());
+  for (const InputGradInfo& info : data->backward.input_grads) {
+    needs_grad.push_back(input_var(info).requires_grad());
+  }
+  const std::shared_ptr<const BackwardGir> backward = this->backward(needs_grad);
+
   // What autograd retains from the forward pass: exactly the values the
   // backward GIR reads through its (seeded) forward-copy nodes. Everything
   // else is a temporary the framework frees eagerly.
   std::vector<int32_t> forward_retain;
-  for (size_t fwd_id = 0; fwd_id < data->backward.forward_copy.size(); ++fwd_id) {
-    if (data->backward.forward_copy[fwd_id] >= 0) {
+  for (size_t fwd_id = 0; fwd_id < backward->forward_copy.size(); ++fwd_id) {
+    if (backward->forward_copy[fwd_id] >= 0) {
       forward_retain.push_back(static_cast<int32_t>(fwd_id));
     }
   }
@@ -146,35 +187,19 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
   SEASTAR_CHECK_EQ(fwd.outputs.size(), 1u);
   Tensor output = fwd.outputs.begin()->second;
 
-  // Assemble the tape inputs: every distinct Var whose gradient the backward
-  // GIR produces, together with the backward output names feeding it.
   struct TapeInput {
     Var var;
     std::vector<std::string> grad_outputs;
   };
   std::vector<TapeInput> tape_inputs;
-  const auto attach = [&](const Var& var, const std::string& grad_output) {
-    for (TapeInput& entry : tape_inputs) {
-      if (entry.var.node() == var.node()) {
-        entry.grad_outputs.push_back(grad_output);
-        return;
-      }
-    }
-    tape_inputs.push_back(TapeInput{var, {grad_output}});
-  };
-  for (const InputGradInfo& info : data->backward.input_grads) {
-    if (info.typed) {
-      auto it = inputs.typed_vertex.find(info.key);
-      SEASTAR_CHECK(it != inputs.typed_vertex.end()) << "missing typed input " << info.key;
-      attach(it->second, info.output_name);
-    } else if (info.access == GraphType::kEdge) {
-      auto it = inputs.edge.find(info.key);
-      SEASTAR_CHECK(it != inputs.edge.end()) << "missing edge input " << info.key;
-      attach(it->second, info.output_name);
+  for (const InputGradInfo& info : backward->input_grads) {
+    const Var& var = input_var(info);
+    const auto same = [&](const TapeInput& entry) { return entry.var.node() == var.node(); };
+    auto it = std::find_if(tape_inputs.begin(), tape_inputs.end(), same);
+    if (it != tape_inputs.end()) {
+      it->grad_outputs.push_back(info.output_name);
     } else {
-      auto it = inputs.vertex.find(info.key);
-      SEASTAR_CHECK(it != inputs.vertex.end()) << "missing vertex input " << info.key;
-      attach(it->second, info.output_name);
+      tape_inputs.push_back(TapeInput{var, {info.output_name}});
     }
   }
 
@@ -203,7 +228,7 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
   // Backward records into whatever trace is ambient when the tape runs it.
   std::shared_ptr<const Executor> executor = session.executor_ptr();
   GraphView view = session.view();
-  auto backward_fn = [data, executor, view, features, saved,
+  auto backward_fn = [backward, executor, view, features, saved,
                       grad_output_names](const Tensor& grad_out) {
     FeatureMap backward_features = features;
     backward_features.vertex[kGradInputKey] = grad_out;
@@ -211,8 +236,8 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
     SeedMap seed;
     const SeedMap* seed_ptr = nullptr;
     if (saved != nullptr) {
-      for (size_t fwd_id = 0; fwd_id < data->backward.forward_copy.size(); ++fwd_id) {
-        const int32_t bwd_id = data->backward.forward_copy[fwd_id];
+      for (size_t fwd_id = 0; fwd_id < backward->forward_copy.size(); ++fwd_id) {
+        const int32_t bwd_id = backward->forward_copy[fwd_id];
         if (bwd_id < 0) {
           continue;
         }
@@ -234,7 +259,7 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
       backward_ctx.retain = &no_retain;
       // Through the same recovery ladder as the session's forward Execute —
       // a transient shard fault mid-backward must not escape into autograd.
-      bwd = ExecuteWithRecovery(*executor, view, data->backward.graph, backward_features,
+      bwd = ExecuteWithRecovery(*executor, view, backward->graph, backward_features,
                                 backward_ctx);
     }
     std::vector<Tensor> grads;

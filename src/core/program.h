@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/backend.h"
 #include "src/exec/executor.h"
@@ -71,6 +72,10 @@ class VertexProgram {
 
   const GirGraph& forward() const;
   const BackwardGir& backward() const;
+  // The backward GIR restricted to the gradients of the inputs with
+  // needs_grad[i] (indexed like backward().input_grads): what Run executes
+  // when only those inputs require grad. Built once per mask.
+  std::shared_ptr<const BackwardGir> backward(const std::vector<bool>& needs_grad) const;
 
   // Human-readable dump of both GIRs and the Seastar execution plans.
   std::string DebugString() const;

@@ -84,8 +84,8 @@ void LowerUnit(CompiledUnit* unit) {
   }
 
   // The reduction. A non-materialized Mul that feeds the aggregation and
-  // nothing else folds into the row kernel (acc += x * y), as long as its
-  // operands are the full row and a width-1 scale, or two full rows.
+  // nothing else folds into the reduction kernel (acc += x * y), as long as
+  // its operands are the full row and a width-1 scale, or two full rows.
   if (!unit->aggs.empty()) {
     Operand input = unit->aggs[0].input;
     rewrite(&input);

@@ -18,8 +18,8 @@
 // neighbour row. A lowered unit is FeatGraph's split of a vertex program —
 // an SDDMM-shaped edge prologue (the unit's per-edge ops, evaluated over
 // L1-sized chunks of CSR slots with one op dispatch per chunk) feeding an
-// SpMM-shaped reduction (one SIMD row kernel per edge, see Reduce) — and
-// runs on the tile-plan segment launch. The plain copy-sum and mul-sum
+// SpMM-shaped reduction (one SIMD gather-reduce call per key, see Reduce) —
+// and runs on the tile-plan segment launch. The plain copy-sum and mul-sum
 // aggregations are its empty-prologue and folded-Mul cases. Everything else
 // (max and typed aggregations, several aggregations, neighbour-row stores)
 // runs the per-edge Algorithm-1 interpreter.
@@ -96,16 +96,17 @@ struct AggInstr {
   int64_t typed_rows = 0;  // = num_vertices for kAggTypedToSrc; set per run.
 };
 
-// How a lowered unit folds one edge's value into its accumulator. Each form
-// is one runtime-dispatched SIMD row kernel (src/tensor/simd.h) per edge:
+// How a lowered unit folds each edge's value into its accumulator. Each form
+// is one runtime-dispatched SIMD gather-reduce kernel (src/tensor/simd.h),
+// called once per key, chunk and column tile over the key's slots:
 //   kNone   — no aggregation (an edge-only unit: the prologue's edge-row
 //             materializations are its whole output);
-//   kAdd    — acc[j] += x[j] (AddRow), or acc[j] += x[0] (AddScalarRow) for
-//             a width-1 x feeding a wider aggregation;
-//   kAxpy   — acc[j] += x[j] * y[0] (AxpyRow): the unit's last Mul, folded
-//             into the reduction, with its width-1 operand as y;
-//   kMulAdd — acc[j] += x[j] * y[j] (MulAddRow): the same for a Mul of two
-//             full-width rows.
+//   kAdd    — acc[j] += x[j] (AddGather), or acc[j] += x[0]
+//             (AddScalarGather) for a width-1 x feeding a wider aggregation;
+//   kAxpy   — acc[j] += x[j] * y[0] (AxpyGather): the unit's last Mul,
+//             folded into the reduction, with its width-1 operand as y;
+//   kMulAdd — acc[j] += x[j] * y[j] (MulAddGather): the same for a Mul of
+//             two full-width rows.
 enum class Reduce : uint8_t { kNone, kAdd, kAxpy, kMulAdd };
 
 struct CompiledUnit {
@@ -134,7 +135,7 @@ struct CompiledUnit {
   // it, exactly as in the interpreter); the batch's CSR slots — contiguous —
   // run the edge prologue in chunks of at most `batch_edges`, one op dispatch
   // per instruction per chunk; then each key folds its slots into its
-  // accumulator with the `reduce` row kernel, in slot order.
+  // accumulator with the `reduce` gather kernel, in slot order.
   Reduce reduce = Reduce::kNone;
   Operand reduce_x;                 // kAdd/kAxpy/kMulAdd: the width-w row.
   Operand reduce_y;                 // kAxpy: the width-1 scale; kMulAdd: a row.

@@ -94,16 +94,6 @@ struct alignas(64) WorkerEdgeCount {
 };
 
 // ---- Lowered units ------------------------------------------------------------------------------
-// One operand across an edge chunk: row i at base + (idx ? idx[i] : i) * stride.
-struct BatchRows {
-  const float* base = nullptr;
-  const int32_t* idx = nullptr;
-  int64_t stride = 0;
-  const float* operator()(int64_t i) const {
-    return base + (idx != nullptr ? static_cast<int64_t>(idx[i]) : i) * stride;
-  }
-};
-
 // A worker's slice of the launch scratch (layout in LoweredWorkFloats).
 struct LoweredWork {
   float* regs;          // batch_keys register rows of key_stride floats.
@@ -132,8 +122,8 @@ LoweredWork CarveLoweredWork(const CompiledUnit& unit, float* base) {
 }
 
 // Rows of `op` over the chunk starting at CSR slot s0.
-BatchRows BindRows(const Operand& op, const Csr& csr, int64_t s0, const LoweredWork& work,
-                   int32_t key_stride) {
+simd::Rows BindRows(const Operand& op, const Csr& csr, int64_t s0, const LoweredWork& work,
+                    int32_t key_stride) {
   switch (op.src) {
     case Src::kBatch:
       return {work.batch + op.reg, nullptr, op.width};
@@ -168,55 +158,26 @@ inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* regs, int64_t 
   }
 }
 
-// Folds chunk rows [i0, i1) into acc[0, n) = columns [c0, c0 + n) of one
-// key's accumulator, in slot order, one row-kernel call per edge. A width-1
-// accumulator runs the kernels' scalar tail inline (the same add / fma per
-// edge) instead of paying an indirect call per edge.
-void ReduceRows(Reduce reduce, const BatchRows& x, int32_t x_width, const BatchRows& y,
-                float* acc, int32_t w, int64_t i0, int64_t i1, int32_t c0, int32_t n) {
-  if (w == 1) {
-    float sum = acc[0];
-    switch (reduce) {
-      case Reduce::kNone:
-        return;
-      case Reduce::kAdd:
-        for (int64_t i = i0; i < i1; ++i) {
-          sum += x(i)[0];
-        }
-        break;
-      case Reduce::kAxpy:
-      case Reduce::kMulAdd:
-        for (int64_t i = i0; i < i1; ++i) {
-          sum = __builtin_fmaf(x(i)[0], y(i)[0], sum);
-        }
-        break;
-    }
-    acc[0] = sum;
-    return;
-  }
+// Folds chunk rows [i0, i1) — one key's slots — into acc[0, n) = columns
+// [c0, c0 + n) of the key's accumulator: one gather-reduce kernel call, which
+// keeps the accumulator in registers across the rows, in slot order.
+void ReduceRows(Reduce reduce, const simd::Rows& x, int32_t x_width, const simd::Rows& y,
+                float* acc, int64_t i0, int64_t i1, int32_t c0, int32_t n) {
   switch (reduce) {
     case Reduce::kNone:
       return;
     case Reduce::kAdd:
       if (x_width == 1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          simd::AddScalarRow(acc, x(i)[0], n);
-        }
+        simd::AddScalarGather(acc, x, i0, i1, n);
       } else {
-        for (int64_t i = i0; i < i1; ++i) {
-          simd::AddRow(acc, x(i) + c0, n);
-        }
+        simd::AddGather(acc, x, i0, i1, c0, n);
       }
       return;
     case Reduce::kAxpy:
-      for (int64_t i = i0; i < i1; ++i) {
-        simd::AxpyRow(acc, x(i) + c0, y(i)[0], n);
-      }
+      simd::AxpyGather(acc, x, y, i0, i1, c0, n);
       return;
     case Reduce::kMulAdd:
-      for (int64_t i = i0; i < i1; ++i) {
-        simd::MulAddRow(acc, x(i) + c0, y(i) + c0, n);
-      }
+      simd::MulAddGather(acc, x, y, i0, i1, c0, n);
       return;
   }
 }
@@ -279,8 +240,8 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
       for (const Instr& instr : unit.edge) {
         float* out = work.batch + instr.out_reg;
         const int32_t width = instr.width;
-        const BatchRows a = BindRows(instr.a, csr, s0, work, stride);
-        const BatchRows b = instr.binary ? BindRows(instr.b, csr, s0, work, stride) : a;
+        const simd::Rows a = BindRows(instr.a, csr, s0, work, stride);
+        const simd::Rows b = instr.binary ? BindRows(instr.b, csr, s0, work, stride) : a;
         PointwiseApplyRows(instr.kind, instr.attr, n, width, instr.a.width, instr.b.width,
                            [&](int64_t i) {
                              return PointwiseRows{out + i * width, a(i), b(i)};
@@ -302,15 +263,15 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
       if (agg == nullptr) {
         continue;
       }
-      const BatchRows x = BindRows(unit.reduce_x, csr, s0, work, stride);
-      const BatchRows y = BindRows(unit.reduce_y, csr, s0, work, stride);
+      const simd::Rows x = BindRows(unit.reduce_x, csr, s0, work, stride);
+      const simd::Rows y = BindRows(unit.reduce_y, csr, s0, work, stride);
       for (int32_t c0 = 0; c0 < w; c0 += plan.tile_width) {
         const int32_t cols = std::min(plan.tile_width, w - c0);
         for (int64_t k = k0; k < k1; ++k) {
           const int64_t i0 = std::max(slot(k), s0) - s0;
           const int64_t i1 = std::min(slot(k + 1), s1) - s0;
           float* acc = work.regs + (k - k0) * stride + agg->acc_reg + c0;
-          ReduceRows(unit.reduce, x, unit.reduce_x.width, y, acc, w, i0, i1, c0, cols);
+          ReduceRows(unit.reduce, x, unit.reduce_x.width, y, acc, i0, i1, c0, cols);
         }
       }
     }

@@ -266,4 +266,24 @@ void OptimizeBackward(BackwardGir* backward) {
   }
 }
 
+BackwardGir SelectInputGrads(const BackwardGir& backward, const std::vector<bool>& keep) {
+  SEASTAR_CHECK_EQ(keep.size(), backward.input_grads.size());
+  BackwardGir selected;
+  for (const Node& node : backward.graph.nodes()) {
+    Node copy = node;
+    copy.id = -1;
+    selected.graph.AddNode(std::move(copy));
+  }
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i]) {
+      const InputGradInfo& info = backward.input_grads[i];
+      selected.graph.AddOutput(info.backward_output, info.output_name);
+      selected.input_grads.push_back(info);
+    }
+  }
+  selected.forward_copy = backward.forward_copy;
+  OptimizeBackward(&selected);
+  return selected;
+}
+
 }  // namespace seastar

@@ -43,6 +43,11 @@ PassResult RunStandardPasses(const GirGraph& graph);
 // forward_copy / input_grads tables through the remap.
 void OptimizeBackward(BackwardGir* backward);
 
+// The backward GIR restricted to the gradients of input_grads[i] with
+// keep[i]: the other outputs are dropped, then the standard passes eliminate
+// everything only they needed (forward_copy / input_grads follow the remap).
+BackwardGir SelectInputGrads(const BackwardGir& backward, const std::vector<bool>& keep);
+
 }  // namespace seastar
 
 #endif  // SRC_GIR_PASSES_H_

@@ -415,21 +415,26 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
     pending->trace = rtrace;
   }
 
+  // Counted as submitted before the push: once queued, the serving thread
+  // may answer the request and count its outcome at once, and no stats()
+  // snapshot may show an outcome whose submission it does not.
+  UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
+    ++g.submitted;
+    ++t.submitted;
+  });
   const AdmitResult admitted = queue_.TryPush(std::move(pending));
   switch (admitted) {
     case AdmitResult::kAdmitted:
-      UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.submitted;
-        ++t.submitted;
-      });
       metrics.submitted->Add(1);
       tenant->m_submitted->Add(1);
       metrics.queue_depth->Set(static_cast<double>(queue_.size()));
       return future;
     case AdmitResult::kClosed:
       // The request never entered the serving pipeline: a rejection, outside
-      // the submitted identity.
+      // the submitted identity, so its submission moves to rejected.
       UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
+        --g.submitted;
+        --t.submitted;
         ++g.rejected;
         ++t.rejected;
       });
@@ -444,12 +449,10 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
     case AdmitResult::kShedCapacity:
     case AdmitResult::kShedQuota: {
       // Answer immediately so the client can back off instead of waiting out
-      // its deadline. Sheds are inside the submitted identity — all counters
-      // move under one lock so no reader sees the request half accounted.
+      // its deadline. Sheds are inside the submitted identity: the submission
+      // was counted before the push, the shed counters move under one lock.
       const bool quota = admitted == AdmitResult::kShedQuota;
       UpdateStats(*tenant, [quota](ServerStats& g, TenantStats& t) {
-        ++g.submitted;
-        ++t.submitted;
         ++g.shed;
         ++t.shed;
         if (quota) {

@@ -135,16 +135,18 @@ struct ServeConfig {
   trace::TracerConfig tracing;
 };
 
-// Monotone counters; a quiesced server satisfies
+// Counters; a quiesced server satisfies
 //   submitted == served + degraded + shed + expired + failed.
 // Rejected requests never enter the serving pipeline and sit outside that
 // identity; quota_shed is the subset of shed attributed to a tenant's own
 // admission quota (not the shared capacity). stats() returns one snapshot
 // taken under a single lock, so the identity holds for the snapshot itself
-// whenever the server is quiesced — readers never see `submitted` without
-// the matching outcome counter. The same increments are mirrored into the
-// process metrics registry (seastar_serve_*_total), so the identity can be
-// checked from a --metrics-out snapshot too.
+// whenever the server is quiesced, and every snapshot has outcomes <=
+// submitted: a request is counted as submitted before it is queued (a push
+// refused because the queue closed then moves it to rejected), so no reader
+// sees an outcome before its submission. The same increments are mirrored
+// into the process metrics registry (seastar_serve_*_total), so the identity
+// can be checked from a --metrics-out snapshot too.
 struct ServerStats {
   int64_t submitted = 0;  // Requests admitted or shed (validated, not rejected).
   int64_t rejected = 0;   // Invalid (bad vertices / fingerprint / tenant) or queue closed.
@@ -342,8 +344,8 @@ class Server {
   // Applies `mutate` to the global and per-tenant stats in one critical
   // section. All identity counters move through here, so a concurrent
   // stats()/tenant_stats() reader always sees a consistent snapshot at both
-  // granularities (never a request counted as submitted but not yet as an
-  // outcome, or counted globally but not for its tenant).
+  // granularities (never an outcome counted before its submission, or a
+  // request counted globally but not for its tenant).
   template <typename Fn>
   void UpdateStats(Tenant& tenant, Fn&& mutate) {
     std::lock_guard<std::mutex> lock(stats_mutex_);

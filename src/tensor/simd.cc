@@ -1,5 +1,8 @@
 #include "src/tensor/simd.h"
 
+#include <algorithm>
+#include <cstring>
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SEASTAR_SIMD_X86 1
 #include <immintrin.h>
@@ -15,30 +18,79 @@ namespace {
 // variants below is the SEASTAR_NATIVE_ARCH=OFF binary, where the baseline is
 // SSE2 and the 8-wide FMA forms are only reachable via runtime dispatch.
 
-void AddRowScalar(float* __restrict__ acc, const float* __restrict__ x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    acc[i] += x[i];
+// Multiply-add as the scalar bodies round it: fused where the build targets
+// FMA (the compiler contracts `acc += x * y` to exactly this there), a
+// rounded multiply then add on baseline builds.
+inline float MulAddScalar(float x, float y, float acc) {
+#if defined(__FMA__)
+  return __builtin_fmaf(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
+
+// Gather-reduce bodies: the accumulator columns are folded a block at a
+// time in a local array, over every row of the range, then stored once.
+constexpr int64_t kGatherBlock = 32;
+
+template <class FoldRow>
+void GatherScalar(float* __restrict__ acc, int64_t i0, int64_t i1, int64_t n, FoldRow fold_row) {
+  if (i0 >= i1) {
+    return;
+  }
+  for (int64_t b = 0; b < n; b += kGatherBlock) {
+    const int64_t bn = std::min(kGatherBlock, n - b);
+    float block[kGatherBlock];
+    std::memcpy(block, acc + b, static_cast<size_t>(bn) * sizeof(float));
+    for (int64_t i = i0; i < i1; ++i) {
+      fold_row(block, i, b, bn);
+    }
+    std::memcpy(acc + b, block, static_cast<size_t>(bn) * sizeof(float));
   }
 }
 
-void AddScalarRowScalar(float* __restrict__ acc, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    acc[i] += s;
-  }
+void AddGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0, int64_t n) {
+  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
+    const float* xr = x(i) + c0 + b;
+    for (int64_t j = 0; j < bn; ++j) {
+      block[j] += xr[j];
+    }
+  });
 }
 
-void AxpyRowScalar(float* __restrict__ acc, const float* __restrict__ x, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    acc[i] += x[i] * s;
-  }
+void AddScalarGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t n) {
+  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t /*b*/, int64_t bn) {
+    const float s = x(i)[0];
+    for (int64_t j = 0; j < bn; ++j) {
+      block[j] += s;
+    }
+  });
 }
 
-void MulAddRowScalar(float* __restrict__ acc, const float* __restrict__ x,
-                     const float* __restrict__ y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    acc[i] += x[i] * y[i];
-  }
+void AxpyGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
+                      int64_t c0, int64_t n) {
+  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
+    const float* xr = x(i) + c0 + b;
+    const float s = y(i)[0];
+    for (int64_t j = 0; j < bn; ++j) {
+      block[j] = MulAddScalar(xr[j], s, block[j]);
+    }
+  });
 }
+
+void MulAddGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
+                        int64_t c0, int64_t n) {
+  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
+    const float* xr = x(i) + c0 + b;
+    const float* yr = y(i) + c0 + b;
+    for (int64_t j = 0; j < bn; ++j) {
+      block[j] = MulAddScalar(xr[j], yr[j], block[j]);
+    }
+  });
+}
+
+constexpr GatherKernels kScalarGather = {AddGatherScalar, AddScalarGatherScalar,
+                                         AxpyGatherScalar, MulAddGatherScalar};
 
 void ScaleRowScalar(float* __restrict__ x, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -96,61 +148,203 @@ void GemmTile1x16Scalar(const float* __restrict__ pa, int64_t astep, const float
 #if defined(SEASTAR_SIMD_X86)
 
 // ---- AVX2 + FMA variants ------------------------------------------------------------------------
-// Each is the scalar loop with the body lifted to 8 lanes; every column is
-// still exactly one fused multiply-add (or add), so results are bitwise
-// independent of how the caller slices n into tiles. Tails run the scalar
-// body — same contraction (fmaf lowers to vfmadd
-// when the target has it, which these functions always do).
+// Every column is one fma (or add) per row, in row order, so results are
+// bitwise independent of how the caller slices columns into tiles and of
+// which lane a column lands in.
 
-__attribute__((target("avx2,fma"))) void AddRowAvx2(float* __restrict__ acc,
-                                                    const float* __restrict__ x, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), _mm256_loadu_ps(x + i)));
+#define SEASTAR_AVX2 __attribute__((target("avx2,fma")))
+
+// Which operand columns a fold reads: x's row slice [c0, c0 + n) unless it
+// broadcasts x(i)[0]; y's only for the elementwise product.
+enum class Fold { kAdd, kAddScalar, kAxpy, kMulAdd };
+constexpr bool XReadsColumns(Fold f) { return f != Fold::kAddScalar; }
+constexpr bool YReadsColumns(Fold f) { return f == Fold::kMulAdd; }
+constexpr bool ReadsY(Fold f) { return f == Fold::kAxpy || f == Fold::kMulAdd; }
+
+// Row walkers with the `idx == nullptr` test resolved once per call, so the
+// edge loop carries no branch on it.
+struct DenseRows {
+  const float* base;
+  int64_t stride;
+  const float* operator()(int64_t i) const { return base + i * stride; }
+  DenseRows At(int64_t c) const { return {base + c, stride}; }
+};
+struct IndexedRows {
+  const float* base;
+  const int32_t* idx;
+  int64_t stride;
+  const float* operator()(int64_t i) const { return base + int64_t{idx[i]} * stride; }
+  IndexedRows At(int64_t c) const { return {base + c, idx, stride}; }
+};
+
+// Lane group g of a G-group block: only the last group of a ragged block is
+// masked; full groups are plain unaligned loads and stores.
+template <int G, bool kTail>
+SEASTAR_AVX2 inline __m256 LoadGroup(const float* p, int g, __m256i tail) {
+  return kTail && g == G - 1 ? _mm256_maskload_ps(p + 8 * g, tail) : _mm256_loadu_ps(p + 8 * g);
+}
+
+// Folds rows [i0, i1) into acc[0, 8 * G) (the last group `tail`-masked when
+// kTail) with the accumulator held in G ymm registers across the rows. G is
+// a template parameter so the arrays below are fully unrolled registers; a
+// runtime group count spills them to the stack.
+template <Fold F, int G, bool kTail, class X, class Y>
+SEASTAR_AVX2 inline void FoldBlockAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1,
+                                       __m256i tail) {
+  __m256 a[G];
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    a[g] = LoadGroup<G, kTail>(acc, g, tail);
   }
-  for (; i < n; ++i) {
-    acc[i] += x[i];
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* xr = x(i);
+    if constexpr (F == Fold::kAdd) {
+#pragma GCC unroll 4
+      for (int g = 0; g < G; ++g) {
+        a[g] = _mm256_add_ps(a[g], LoadGroup<G, kTail>(xr, g, tail));
+      }
+    } else if constexpr (F == Fold::kAddScalar) {
+      const __m256 s = _mm256_set1_ps(xr[0]);
+#pragma GCC unroll 4
+      for (int g = 0; g < G; ++g) {
+        a[g] = _mm256_add_ps(a[g], s);
+      }
+    } else if constexpr (F == Fold::kAxpy) {
+      const __m256 s = _mm256_set1_ps(y(i)[0]);
+#pragma GCC unroll 4
+      for (int g = 0; g < G; ++g) {
+        a[g] = _mm256_fmadd_ps(LoadGroup<G, kTail>(xr, g, tail), s, a[g]);
+      }
+    } else {
+      const float* yr = y(i);
+#pragma GCC unroll 4
+      for (int g = 0; g < G; ++g) {
+        a[g] = _mm256_fmadd_ps(LoadGroup<G, kTail>(xr, g, tail),
+                               LoadGroup<G, kTail>(yr, g, tail), a[g]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    if (kTail && g == G - 1) {
+      _mm256_maskstore_ps(acc + 8 * g, tail, a[g]);
+    } else {
+      _mm256_storeu_ps(acc + 8 * g, a[g]);
+    }
   }
 }
 
-__attribute__((target("avx2,fma"))) void AddScalarRowAvx2(float* __restrict__ acc, float s,
-                                                          int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), vs));
+// A single column (GAT's attention sums and their gradients) folds as one
+// scalar chain: a masked lane group costs more there than the column's
+// arithmetic. Same add / fma per row, so the same bits.
+template <Fold F, class X, class Y>
+SEASTAR_AVX2 inline void FoldColumnAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1) {
+  float a = acc[0];
+  for (int64_t i = i0; i < i1; ++i) {
+    if constexpr (ReadsY(F)) {
+      a = __builtin_fmaf(x(i)[0], y(i)[0], a);
+    } else {
+      a += x(i)[0];
+    }
   }
-  for (; i < n; ++i) {
-    acc[i] += s;
+  acc[0] = a;
+}
+
+// Walks the n accumulator columns in blocks of up to 32 (4 ymm), re-reading
+// the range's row indices per block, as column tiles already do.
+template <Fold F, class X, class Y>
+SEASTAR_AVX2 void FoldAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1, int64_t n) {
+  if (n == 1) {
+    FoldColumnAvx2<F>(acc, x, y, i0, i1);
+    return;
+  }
+  for (int64_t b = 0; b < n; b += 32) {
+    const int64_t bn = std::min<int64_t>(32, n - b);
+    const int groups = static_cast<int>((bn + 7) / 8);
+    const int last = static_cast<int>(bn) - 8 * (groups - 1);  // Lanes in use, 1..8.
+    const __m256i tail =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(last), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const X xb = XReadsColumns(F) ? x.At(b) : x;
+    const Y yb = YReadsColumns(F) ? y.At(b) : y;
+    float* ab = acc + b;
+    switch (groups * 2 + (last < 8 ? 1 : 0)) {
+      case 2:
+        FoldBlockAvx2<F, 1, false>(ab, xb, yb, i0, i1, tail);
+        break;
+      case 3:
+        FoldBlockAvx2<F, 1, true>(ab, xb, yb, i0, i1, tail);
+        break;
+      case 4:
+        FoldBlockAvx2<F, 2, false>(ab, xb, yb, i0, i1, tail);
+        break;
+      case 5:
+        FoldBlockAvx2<F, 2, true>(ab, xb, yb, i0, i1, tail);
+        break;
+      case 6:
+        FoldBlockAvx2<F, 3, false>(ab, xb, yb, i0, i1, tail);
+        break;
+      case 7:
+        FoldBlockAvx2<F, 3, true>(ab, xb, yb, i0, i1, tail);
+        break;
+      case 8:
+        FoldBlockAvx2<F, 4, false>(ab, xb, yb, i0, i1, tail);
+        break;
+      default:
+        FoldBlockAvx2<F, 4, true>(ab, xb, yb, i0, i1, tail);
+        break;
+    }
   }
 }
 
-__attribute__((target("avx2,fma"))) void AxpyRowAvx2(float* __restrict__ acc,
-                                                     const float* __restrict__ x, float s,
-                                                     int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i,
-                     _mm256_fmadd_ps(_mm256_loadu_ps(x + i), vs, _mm256_loadu_ps(acc + i)));
-  }
-  for (; i < n; ++i) {
-    acc[i] = __builtin_fmaf(x[i], s, acc[i]);
+template <Fold F, class X>
+SEASTAR_AVX2 void FoldAvx2WithY(float* acc, X x, const Rows& y, int64_t i0, int64_t i1,
+                                int64_t c0, int64_t n) {
+  const int64_t yc = YReadsColumns(F) ? c0 : 0;
+  if constexpr (!ReadsY(F)) {
+    FoldAvx2<F>(acc, x, x, i0, i1, n);
+  } else if (y.idx != nullptr) {
+    FoldAvx2<F>(acc, x, IndexedRows{y.base + yc, y.idx, y.stride}, i0, i1, n);
+  } else {
+    FoldAvx2<F>(acc, x, DenseRows{y.base + yc, y.stride}, i0, i1, n);
   }
 }
 
-__attribute__((target("avx2,fma"))) void MulAddRowAvx2(float* __restrict__ acc,
-                                                       const float* __restrict__ x,
-                                                       const float* __restrict__ y, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i, _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i),
-                                              _mm256_loadu_ps(acc + i)));
+template <Fold F>
+SEASTAR_AVX2 void GatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
+                             int64_t c0, int64_t n) {
+  if (i0 >= i1 || n <= 0) {
+    return;
   }
-  for (; i < n; ++i) {
-    acc[i] = __builtin_fmaf(x[i], y[i], acc[i]);
+  const int64_t xc = XReadsColumns(F) ? c0 : 0;
+  if (x.idx != nullptr) {
+    FoldAvx2WithY<F>(acc, IndexedRows{x.base + xc, x.idx, x.stride}, y, i0, i1, c0, n);
+  } else {
+    FoldAvx2WithY<F>(acc, DenseRows{x.base + xc, x.stride}, y, i0, i1, c0, n);
   }
 }
+
+SEASTAR_AVX2 void AddGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0,
+                                int64_t n) {
+  GatherAvx2<Fold::kAdd>(acc, x, x, i0, i1, c0, n);
+}
+
+SEASTAR_AVX2 void AddScalarGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i1,
+                                      int64_t n) {
+  GatherAvx2<Fold::kAddScalar>(acc, x, x, i0, i1, 0, n);
+}
+
+SEASTAR_AVX2 void AxpyGatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i0,
+                                 int64_t i1, int64_t c0, int64_t n) {
+  GatherAvx2<Fold::kAxpy>(acc, x, y, i0, i1, c0, n);
+}
+
+SEASTAR_AVX2 void MulAddGatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i0,
+                                   int64_t i1, int64_t c0, int64_t n) {
+  GatherAvx2<Fold::kMulAdd>(acc, x, y, i0, i1, c0, n);
+}
+
+constexpr GatherKernels kAvx2Gather = {AddGatherAvx2, AddScalarGatherAvx2, AxpyGatherAvx2,
+                                       MulAddGatherAvx2};
 
 __attribute__((target("avx2,fma"))) void ScaleRowAvx2(float* __restrict__ x, float s, int64_t n) {
   const __m256 vs = _mm256_set1_ps(s);
@@ -249,10 +443,10 @@ struct Dispatch {
 Dispatch ResolveDispatch() {
 #if defined(SEASTAR_SIMD_X86)
   if (CpuHasAvx2Fma()) {
-    AddRow = AddRowAvx2;
-    AddScalarRow = AddScalarRowAvx2;
-    AxpyRow = AxpyRowAvx2;
-    MulAddRow = MulAddRowAvx2;
+    AddGather = kAvx2Gather.add;
+    AddScalarGather = kAvx2Gather.add_scalar;
+    AxpyGather = kAvx2Gather.axpy;
+    MulAddGather = kAvx2Gather.mul_add;
     ScaleRow = ScaleRowAvx2;
     GemmTile4x16 = GemmTile4x16Avx2;
     GemmTile1x16 = GemmTile1x16Avx2;
@@ -269,15 +463,26 @@ const Dispatch g_dispatch = ResolveDispatch();
 
 }  // namespace
 
-void (*AddRow)(float*, const float*, int64_t) = AddRowScalar;
-void (*AddScalarRow)(float*, float, int64_t) = AddScalarRowScalar;
-void (*AxpyRow)(float*, const float*, float, int64_t) = AxpyRowScalar;
-void (*MulAddRow)(float*, const float*, const float*, int64_t) = MulAddRowScalar;
+decltype(AddGather) AddGather = AddGatherScalar;
+decltype(AddScalarGather) AddScalarGather = AddScalarGatherScalar;
+decltype(AxpyGather) AxpyGather = AxpyGatherScalar;
+decltype(MulAddGather) MulAddGather = MulAddGatherScalar;
 void (*ScaleRow)(float*, float, int64_t) = ScaleRowScalar;
 void (*GemmTile4x16)(const float*, int64_t, int64_t, const float*, int64_t, float*, int64_t,
                      int64_t, bool) = GemmTile4x16Scalar;
 void (*GemmTile1x16)(const float*, int64_t, const float*, int64_t, float*, int64_t,
                      bool) = GemmTile1x16Scalar;
+
+const GatherKernels& ScalarGatherKernels() { return kScalarGather; }
+
+const GatherKernels* Avx2GatherKernels() {
+#if defined(SEASTAR_SIMD_X86)
+  if (CpuHasAvx2Fma()) {
+    return &kAvx2Gather;
+  }
+#endif
+  return nullptr;
+}
 
 const char* SimdIsaName() { return g_dispatch.isa; }
 int SimdLanes() { return g_dispatch.lanes; }

@@ -1,16 +1,18 @@
-// Shared SIMD row kernels for the lowered units' reductions and the dense ops.
+// Shared SIMD kernels for the lowered units' reductions and the dense ops.
 //
-// These are the 8/16-wide inner loops behind every lowered unit's reduction
-// (Reduce in src/exec/compiled_program.h) and the gather/scatter row
-// accumulations the baseline executors are built on. They exist as
-// out-of-line, runtime-dispatched functions for two reasons:
+// These are the vector inner loops behind every lowered unit's reduction
+// (Reduce in src/exec/compiled_program.h: gather-reduce kernels that fold a
+// key's rows into its accumulator, held in registers) and the dense GEMM
+// panels. They exist as out-of-line, runtime-dispatched functions for two
+// reasons:
 //
 //  * Bit-reproducibility across loop *partitionings*. The tiled executor
-//    runs the same per-edge accumulation as the untiled one, just restricted
+//    runs the same per-key accumulation as the untiled one, just restricted
 //    to a column range [c0, c1) of the feature row. Because both paths call
 //    the same kernel — and every kernel here is elementwise-independent
-//    across columns (one fma / add per column, no horizontal operations) —
-//    splitting a row into tiles cannot change a single bit of the result.
+//    across columns (one fma / add per column per row, no horizontal
+//    operations) — splitting a row into tiles cannot change a single bit of
+//    the result.
 //    Inlining the loops separately at each call site would instead leave the
 //    rounding behaviour (FMA contraction, vector tails) to whatever the
 //    optimizer chose per site.
@@ -23,7 +25,8 @@
 //    loops (correct, just slower) everywhere else.
 //
 // Dispatch is resolved once into function pointers at static-init time;
-// callers pay an indirect call per *row segment*, never per element. The
+// callers pay an indirect call per key slice (one key's rows of a chunk, for
+// one column tile) or per GEMM panel, never per edge or element. The
 // chosen ISA is queryable (SimdIsaName) so executors can attribute kernel
 // time to the dispatch that actually ran.
 #ifndef SRC_TENSOR_SIMD_H_
@@ -40,14 +43,49 @@ const char* SimdIsaName();
 // and the tile-size heuristic use it to align tile widths to full vectors.
 int SimdLanes();
 
-// acc[i] += x[i]                       (Reduce::kAdd)
-extern void (*AddRow)(float* acc, const float* x, int64_t n);
-// acc[i] += s                          (Reduce::kAdd, width-1 -> w broadcast)
-extern void (*AddScalarRow)(float* acc, float s, int64_t n);
-// acc[i] += x[i] * s                   (Reduce::kAxpy)
-extern void (*AxpyRow)(float* acc, const float* x, float s, int64_t n);
-// acc[i] += x[i] * y[i]                (Reduce::kMulAdd)
-extern void (*MulAddRow)(float* acc, const float* x, const float* y, int64_t n);
+// One operand's rows across an edge chunk: row i starts at
+// base + (idx ? idx[i] : i) * stride. A null idx walks the rows densely (a
+// chunk-local batch region); stride 0 repeats one row (a scalar operand).
+struct Rows {
+  const float* base = nullptr;
+  const int32_t* idx = nullptr;
+  int64_t stride = 0;
+  const float* operator()(int64_t i) const {
+    return base + (idx != nullptr ? static_cast<int64_t>(idx[i]) : i) * stride;
+  }
+};
+
+// Gather-reduce kernels: each call folds rows [i0, i1) — one key's slots of
+// a chunk — into acc[0, n), the accumulator columns [c0, c0 + n). Every
+// column is one add / multiply-add chain over the rows in ascending order,
+// starting from acc's current value; an empty range leaves acc untouched.
+// The multiply-add is fused (written fma below) in the AVX2 bodies and in
+// the scalar ones wherever the build targets FMA; a scalar body built
+// without FMA rounds the product first.
+// acc[j] += x(i)[c0 + j]                            (Reduce::kAdd)
+extern void (*AddGather)(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0,
+                         int64_t n);
+// acc[j] += x(i)[0]                                 (Reduce::kAdd, width-1 x)
+extern void (*AddScalarGather)(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t n);
+// acc[j] = fma(x(i)[c0 + j], y(i)[0], acc[j])       (Reduce::kAxpy)
+extern void (*AxpyGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
+                          int64_t c0, int64_t n);
+// acc[j] = fma(x(i)[c0 + j], y(i)[c0 + j], acc[j])  (Reduce::kMulAdd)
+extern void (*MulAddGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
+                            int64_t c0, int64_t n);
+
+// The gather kernels of one ISA, so tests can run each variant directly.
+struct GatherKernels {
+  decltype(AddGather) add;
+  decltype(AddScalarGather) add_scalar;
+  decltype(AxpyGather) axpy;
+  decltype(MulAddGather) mul_add;
+};
+// The portable bodies (always available) and the AVX2+FMA ones (null when
+// the CPU or the compiler lacks them).
+const GatherKernels& ScalarGatherKernels();
+const GatherKernels* Avx2GatherKernels();
+
 // x[i] *= s                            (AggMean finalization)
 extern void (*ScaleRow)(float* x, float s, int64_t n);
 

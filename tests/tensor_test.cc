@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd.h"
 #include "src/tensor/tensor.h"
 
 namespace seastar {
@@ -357,6 +359,124 @@ TEST(OpsTest, XavierBoundsRespectFanInOut) {
 TEST(OpsTest, OneHot) {
   Tensor t = ops::OneHot({1, 0, 2}, 3);
   EXPECT_TRUE(t.AllClose(Tensor({3, 3}, {0, 1, 0, 1, 0, 0, 0, 0, 1})));
+}
+
+// ---- Gather-reduce kernels ----------------------------------------------------------------------
+// Each fold is checked bitwise against the per-edge form it replaced: one
+// add or fma per row per column, in row order, from a nonzero accumulator.
+
+struct GatherVariant {
+  const char* isa;
+  const simd::GatherKernels* kernels;
+  bool fused;  // Whether the variant's multiply-add is one fused rounding.
+};
+
+std::vector<GatherVariant> GatherVariants() {
+#if defined(__FMA__)
+  constexpr bool kScalarFused = true;
+#else
+  constexpr bool kScalarFused = false;
+#endif
+  std::vector<GatherVariant> variants = {
+      {"scalar", &simd::ScalarGatherKernels(), kScalarFused}};
+  if (const simd::GatherKernels* avx2 = simd::Avx2GatherKernels()) {
+    variants.push_back({"avx2", avx2, true});
+  }
+  return variants;
+}
+
+float RefMulAdd(float x, float y, float acc, bool fused) {
+  if (fused) {
+    return std::fma(x, y, acc);
+  }
+  volatile float product = x * y;  // Rounded before the add.
+  return acc + product;
+}
+
+TEST(SimdGatherTest, EachFoldMatchesThePerEdgeChainBitwise) {
+  constexpr int64_t kRows = 48;
+  constexpr int64_t kC0 = 5;
+  constexpr int64_t kGuard = 8;
+  Rng rng(17);
+  const auto fill = [&](std::vector<float>& v) {
+    for (float& f : v) {
+      f = rng.NextFloat(-3.0f, 3.0f);
+    }
+  };
+  std::vector<int32_t> idx(kRows);
+  for (int32_t& i : idx) {
+    i = static_cast<int32_t>(rng.NextBounded(kRows));
+  }
+  const std::pair<int64_t, int64_t> ranges[] = {{3, 29}, {0, kRows}, {7, 7}};
+  const int64_t widths[] = {1, 3, 7, 8, 9, 10, 16, 17, 31, 32, 33, 64, 100, 256};
+  for (const GatherVariant& variant : GatherVariants()) {
+    const simd::GatherKernels& k = *variant.kernels;
+    for (const int64_t n : widths) {
+      const int64_t row = kC0 + n + 3;  // Rows wider than the folded columns.
+      std::vector<float> xs(static_cast<size_t>(kRows * row));
+      std::vector<float> ys(xs.size());
+      std::vector<float> scales(kRows);
+      std::vector<float> acc0(static_cast<size_t>(n + kGuard));
+      fill(xs);
+      fill(ys);
+      fill(scales);
+      fill(acc0);
+      for (const bool indexed : {false, true}) {
+        const int32_t* ix = indexed ? idx.data() : nullptr;
+        const simd::Rows x{xs.data(), ix, row};
+        const simd::Rows y{ys.data(), ix, row};
+        const simd::Rows s{scales.data(), ix, 1};
+        const simd::Rows x1{scales.data(), ix, 1};  // A width-1 x.
+        for (const auto& [i0, i1] : ranges) {
+          SCOPED_TRACE(std::string(variant.isa) + " n=" + std::to_string(n) +
+                       (indexed ? " indexed" : " dense") + " rows [" + std::to_string(i0) +
+                       ", " + std::to_string(i1) + ")");
+          // One reference and one kernel run per fold; the guard floats past
+          // n must come back untouched.
+          const auto check = [&](const char* fold, const auto& ref_step, const auto& run) {
+            std::vector<float> want = acc0;
+            for (int64_t i = i0; i < i1; ++i) {
+              for (int64_t j = 0; j < n; ++j) {
+                want[static_cast<size_t>(j)] = ref_step(i, j, want[static_cast<size_t>(j)]);
+              }
+            }
+            std::vector<float> got = acc0;
+            run(got.data());
+            EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
+                << fold;
+          };
+          check(
+              "add", [&](int64_t i, int64_t j, float a) { return a + x(i)[kC0 + j]; },
+              [&](float* acc) { k.add(acc, x, i0, i1, kC0, n); });
+          check(
+              "add_scalar", [&](int64_t i, int64_t, float a) { return a + x1(i)[0]; },
+              [&](float* acc) { k.add_scalar(acc, x1, i0, i1, n); });
+          check(
+              "axpy",
+              [&](int64_t i, int64_t j, float a) {
+                return RefMulAdd(x(i)[kC0 + j], s(i)[0], a, variant.fused);
+              },
+              [&](float* acc) { k.axpy(acc, x, s, i0, i1, kC0, n); });
+          check(
+              "mul_add",
+              [&](int64_t i, int64_t j, float a) {
+                return RefMulAdd(x(i)[kC0 + j], y(i)[kC0 + j], a, variant.fused);
+              },
+              [&](float* acc) { k.mul_add(acc, x, y, i0, i1, kC0, n); });
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGatherTest, DispatchedKernelsAreTheWidestVariant) {
+  const simd::GatherKernels* avx2 = simd::Avx2GatherKernels();
+  const simd::GatherKernels& want = avx2 != nullptr ? *avx2 : simd::ScalarGatherKernels();
+  EXPECT_EQ(simd::AddGather, want.add);
+  EXPECT_EQ(simd::AddScalarGather, want.add_scalar);
+  EXPECT_EQ(simd::AxpyGather, want.axpy);
+  EXPECT_EQ(simd::MulAddGather, want.mul_add);
+  EXPECT_STREQ(simd::SimdIsaName(), avx2 != nullptr ? "avx2" : "scalar");
 }
 
 }  // namespace

@@ -45,6 +45,10 @@ report bitwise tiled-vs-untiled parity (machine-independent, gated exactly
 design forbids), and both timings sit inside the usual band. Its dense
 points (Aᵀ·B, forward Matmul and dropout at the training shapes) are gated
 the same way: bitwise equal to their reference, time inside the band.
+A baseline that records a parallel_headroom (measured by the sweep before it
+runs) must show at least 0.75 x its pool workers: one measured while other
+tenants held the vCPUs reads every tiled_ms several times slower and would
+loosen the band by as much, so it is refused outright.
 
 The shard report (BENCH_shard.json, from ./bench_shard_scaling) adds a
 scaling-floor gate: speedup_at_max_shards must reach --shard-speedup-floor,
@@ -243,7 +247,26 @@ def check_serve_tenants(gate, where, base, scen, timing_tol):
         gate.extra(f"{where}/{name}")
 
 
+HEADROOM_FLOOR = 0.75  # x pool workers, for a kernels baseline
+
+
 def check_kernels(gate, baseline, fresh, timing_tol, _slack):
+    # A band is only as tight as the host its baseline was measured on. The
+    # check is on the baseline, not the fresh report: a contended fresh run
+    # can only fail the band, never loosen it.
+    workers = baseline.get("parallel_workers", 0)
+    headroom = baseline.get("parallel_headroom", 0.0)
+    if workers <= 0:
+        gate.notes.append(
+            "  note kernels baseline: no parallel_headroom recorded (measured "
+            "before the probe existed); refresh it on a quiet host to arm the "
+            "headroom check")
+    else:
+        floor = HEADROOM_FLOOR * workers
+        gate.check("kernels baseline", "headroom_shortfall",
+                   max(0.0, floor - headroom), 0, 0,
+                   f"parallel_headroom {headroom:g} must reach "
+                   f"{HEADROOM_FLOOR:g} x {workers} workers")
     key = lambda s: (s["kernel"], s["skew"], s["feat_dim"])
     base_sweeps = {key(s): s for s in baseline.get("sweeps", [])}
     fresh_sweeps = {key(s): s for s in fresh.get("sweeps", [])}
@@ -415,6 +438,7 @@ def self_test(args):
 
     kernels_base = {
         "bench": "kernels", "simd_isa": "avx2", "simd_lanes": 8,
+        "parallel_workers": 4, "parallel_headroom": 3.8,
         "sweeps": [
             {"kernel": "copy_sum", "skew": "uniform", "feat_dim": 16,
              "untiled_ms": 2.0, "tiled_ms": 1.5, "bitwise_equal": True,
@@ -675,10 +699,18 @@ def self_test(args):
     check_kernels(g, kernels_base, dropped_dense, 3.0, 5.0)
     expect("dense-dropped-point", g, want_fail=True)
 
+    # 14. A baseline measured on a contended host (headroom 1.1 of 4
+    #     workers) is refused even against an identical fresh report.
+    contended = copy.deepcopy(kernels_base)
+    contended["parallel_headroom"] = 1.1
+    g = Gate()
+    check_kernels(g, contended, copy.deepcopy(contended), 3.0, 5.0)
+    expect("kernel-contended-baseline", g, want_fail=True)
+
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(32 cases)")
+          f"(33 cases)")
     return 1 if failures else 0
 
 
