@@ -336,8 +336,10 @@ Headroom MeasureParallelHeadroom() {
 
 // ---- Dense combination kernels ------------------------------------------------------------------
 // The dense ops an epoch spends its non-aggregation time in, at the shapes
-// of GCN/amz_comp's first layer ([13753, 128] features, 16 hidden) and of one
-// GAT/cora head ([2709, 128], 8 per head). Each point's result is compared
+// of GCN/amz_comp's first layer ([13753, 128] features, 16 hidden), of one
+// GAT/cora head ([2709, 128], 8 per head), and of the two narrow column
+// tails: GAT/cora's output layer ([2709, 64] to 7 classes) and GCN/amz_comp's
+// second layer ([13753, 16] to 10 classes). Each point's result is compared
 // bit for bit with a reference that gets there another way:
 //  * matmul_at_b (the weight gradient Xᵀ·G) against
 //    Matmul(Transpose(X), G) — both are one i-ascending chain per element;
@@ -364,7 +366,8 @@ std::vector<DensePoint> RunDensePoints() {
   struct GemmShape {
     int64_t n, k, m;
   };
-  for (const GemmShape& g : {GemmShape{13753, 128, 16}, GemmShape{2709, 128, 8}}) {
+  for (const GemmShape& g : {GemmShape{13753, 128, 16}, GemmShape{2709, 128, 8},
+                             GemmShape{2709, 64, 7}, GemmShape{13753, 16, 10}}) {
     Rng rng(31);
     const Tensor x = ops::RandomNormal({g.n, g.k}, 0, 1, rng);
     const Tensor grad = ops::RandomNormal({g.n, g.m}, 0, 1, rng);

@@ -198,7 +198,11 @@ Var AddRowBroadcast(const Var& matrix, const Var& row) {
 }
 
 Var Matmul(const Var& a, const Var& b) {
-  Tensor out = ops::Matmul(a.value(), b.value());
+  Tensor out;
+  {
+    trace::AmbientSpan span("matmul", "dense");
+    out = ops::Matmul(a.value(), b.value());
+  }
   // dA = g @ B^T needs only B, dB = A^T @ g only A. An input that needs no
   // gradient (the features leaf under a first-layer weight) gets none
   // computed: its entry stays undefined, which Backward() skips.

@@ -245,9 +245,17 @@ Tensor TanhGradFromOutput(const Tensor& grad_out, const Tensor& output) {
 
 Tensor EluGradFromOutput(const Tensor& grad_out, const Tensor& output, float alpha) {
   // For y = elu(x): dy/dx = 1 when y > 0 else y + alpha.
-  return BinaryElementwise(
-      grad_out, output, [alpha](float g, float y) { return y > 0.0f ? g : g * (y + alpha); },
-      "EluGrad");
+  SEASTAR_CHECK(grad_out.defined() && output.defined()) << "EluGrad: undefined input";
+  SEASTAR_CHECK(grad_out.shape() == output.shape())
+      << "EluGrad: shape mismatch " << grad_out.ShapeString() << " vs " << output.ShapeString();
+  Tensor out(output.shape());
+  const float* pg = grad_out.data();
+  const float* py = output.data();
+  float* po = out.data();
+  ParallelPointwise(out.numel(), [=](int64_t begin, int64_t end) {
+    simd::EluGradRow(po + begin, pg + begin, py + begin, alpha, end - begin);
+  });
+  return out;
 }
 
 Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
@@ -324,104 +332,51 @@ Tensor MulColBroadcast(const Tensor& matrix, const Tensor& col) {
 
 namespace {
 
-// Sub-16-column GEMM tail: out[kRows, kPanel] (+)= a-rows @ b-panel,
-// accumulators held in registers (both extents are compile-time constants
-// so the autovectorizer keeps them there). A element (r, s) sits at
-// pa[r * lda + s * astep] and `accumulate` starts from the output's current
-// contents, exactly as for the micro-kernels in src/tensor/simd.h. The full
-// 16-wide panels go through those runtime-dispatched kernels instead — with
-// a runtime B stride the compiler cannot prove the panel rows disjoint and
-// spills this accumulator block to the stack, which turns the k loop into a
-// store-forward chain; the narrow tails here (<= 8 columns) fit registers
-// either way and measured fine.
+// One kRows-row block (4 or 1) of output over `steps` steps: full 16-wide
+// panels, then the remaining < 16 columns in steps of up to 8, every tile
+// through the dispatched micro-kernels of src/tensor/simd.h. A element
+// (r, s) sits at pa[r * lda + s * astep] and `accumulate` starts from the
+// output's current contents; B and the output are row-major with m columns.
 // No zero-skipping: GNN activations are ~half zeros after dropout/ReLU, and
 // a data-dependent branch mispredicting on them costs more than the
 // multiplies it saves.
 //
-// Every output element is one step-ascending mul-add chain regardless of
-// which tile shape covers it, so results are deterministic across row
-// counts, panel splits, chunkings and thread partitionings.
-template <int kPanel, int kRows>
-inline void GemmTile(const float* __restrict__ pa, int64_t lda, int64_t astep,
-                     const float* __restrict__ pb, int64_t ldb, float* __restrict__ po,
-                     int64_t ldo, int64_t k, bool accumulate) {
-  float acc[kRows][kPanel] = {};
-  if (accumulate) {
-    for (int r = 0; r < kRows; ++r) {
-      for (int j = 0; j < kPanel; ++j) {
-        acc[r][j] = po[r * ldo + j];
-      }
-    }
-  }
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* __restrict__ brow = pb + kk * ldb;
-    for (int r = 0; r < kRows; ++r) {
-      const float av = pa[r * lda + kk * astep];
-      for (int j = 0; j < kPanel; ++j) {
-        acc[r][j] += av * brow[j];
-      }
-    }
-  }
-  for (int r = 0; r < kRows; ++r) {
-    for (int j = 0; j < kPanel; ++j) {
-      po[r * ldo + j] = acc[r][j];
-    }
-  }
-}
-
-// One kRows-row block of output over `steps` steps: full 16-wide panels
-// through the dispatched micro-kernels, then a power-of-two panel cascade
-// (8/4/2/1) for the remainder, so a non-multiple-of-16 feature dim (7, 33,
-// 257, ...) still takes a register-blocked path for every column — the old
-// per-column scalar tail walked B with a stride-m load per k step, which at
-// m = 7 meant the *entire* matrix went through strided dots. B and the
-// output are row-major with m columns.
+// Every output element is one step-ascending fma chain whichever tile
+// covers it, so results are deterministic across row counts, column splits,
+// chunkings and thread partitionings.
 template <int kRows>
 inline void GemmRowBlock(const float* __restrict__ arows, int64_t lda, int64_t astep,
                          const float* __restrict__ pb, float* __restrict__ orows, int64_t steps,
                          int64_t m, bool accumulate) {
+  static_assert(kRows == 4 || kRows == 1);
   int64_t j0 = 0;
   for (; j0 + 16 <= m; j0 += 16) {
     if constexpr (kRows == 4) {
       simd::GemmTile4x16(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
     } else {
-      for (int r = 0; r < kRows; ++r) {
-        simd::GemmTile1x16(arows + r * lda, astep, pb + j0, m, orows + r * m + j0, steps,
-                           accumulate);
-      }
+      simd::GemmTile1x16(arows, astep, pb + j0, m, orows + j0, steps, accumulate);
     }
   }
-  if (j0 + 8 <= m) {
-    GemmTile<8, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
-    j0 += 8;
-  }
-  if (j0 + 4 <= m) {
-    GemmTile<4, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
-    j0 += 4;
-  }
-  if (j0 + 2 <= m) {
-    GemmTile<2, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
-    j0 += 2;
-  }
-  if (j0 < m) {
-    GemmTile<1, kRows>(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
+  for (; j0 < m; j0 += 8) {
+    const int64_t n = std::min<int64_t>(8, m - j0);
+    if constexpr (kRows == 4) {
+      simd::GemmTile4xN(arows, lda, astep, pb + j0, m, orows + j0, m, steps, n, accumulate);
+    } else {
+      simd::GemmTile1xN(arows, astep, pb + j0, m, orows + j0, steps, n, accumulate);
+    }
   }
 }
 
 // Output rows [row_begin, row_end) of C[rows, m] (+)= A @ B over `steps`
-// steps: 4-row blocks, then a 2/1 cascade for the remainder. Output row r
-// reads A elements pa[r * lda + s * astep].
+// steps: 4-row blocks, then single rows. Output row r reads A elements
+// pa[r * lda + s * astep].
 void GemmRows(const float* pa, int64_t lda, int64_t astep, const float* pb, float* po,
               int64_t steps, int64_t m, int64_t row_begin, int64_t row_end, bool accumulate) {
   int64_t r = row_begin;
   for (; r + 4 <= row_end; r += 4) {
     GemmRowBlock<4>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
   }
-  if (r + 2 <= row_end) {
-    GemmRowBlock<2>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
-    r += 2;
-  }
-  if (r < row_end) {
+  for (; r < row_end; ++r) {
     GemmRowBlock<1>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
   }
 }

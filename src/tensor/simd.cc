@@ -98,50 +98,64 @@ void ScaleRowScalar(float* __restrict__ x, float s, int64_t n) {
   }
 }
 
-void GemmTile4x16Scalar(const float* __restrict__ pa, int64_t lda, int64_t astep,
-                        const float* __restrict__ pb, int64_t ldb, float* __restrict__ po,
-                        int64_t ldo, int64_t k, bool accumulate) {
-  float acc[4][16] = {};
+// C[kRows][n] (+)= A-rows @ B[.., 0, n) for n <= kCols columns, the
+// accumulator block a local array folded with one multiply-add per step.
+template <int kRows, int kCols>
+inline void GemmTileScalar(const float* __restrict__ pa, int64_t lda, int64_t astep,
+                           const float* __restrict__ pb, int64_t ldb, float* __restrict__ po,
+                           int64_t ldo, int64_t k, int64_t n, bool accumulate) {
+  float acc[kRows][kCols] = {};
   if (accumulate) {
-    for (int r = 0; r < 4; ++r) {
-      for (int j = 0; j < 16; ++j) {
+    for (int r = 0; r < kRows; ++r) {
+      for (int64_t j = 0; j < n; ++j) {
         acc[r][j] = po[r * ldo + j];
       }
     }
   }
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* __restrict__ brow = pb + kk * ldb;
-    for (int r = 0; r < 4; ++r) {
+    for (int r = 0; r < kRows; ++r) {
       const float av = pa[r * lda + kk * astep];
-      for (int j = 0; j < 16; ++j) {
-        acc[r][j] += av * brow[j];
+      for (int64_t j = 0; j < n; ++j) {
+        acc[r][j] = MulAddScalar(av, brow[j], acc[r][j]);
       }
     }
   }
-  for (int r = 0; r < 4; ++r) {
-    for (int j = 0; j < 16; ++j) {
+  for (int r = 0; r < kRows; ++r) {
+    for (int64_t j = 0; j < n; ++j) {
       po[r * ldo + j] = acc[r][j];
     }
   }
 }
 
-void GemmTile1x16Scalar(const float* __restrict__ pa, int64_t astep, const float* __restrict__ pb,
-                        int64_t ldb, float* __restrict__ po, int64_t k, bool accumulate) {
-  float acc[16] = {};
-  if (accumulate) {
-    for (int j = 0; j < 16; ++j) {
-      acc[j] = po[j];
-    }
-  }
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = pa[kk * astep];
-    const float* __restrict__ brow = pb + kk * ldb;
-    for (int j = 0; j < 16; ++j) {
-      acc[j] += av * brow[j];
-    }
-  }
-  for (int j = 0; j < 16; ++j) {
-    po[j] = acc[j];
+void GemmTile4x16Scalar(const float* pa, int64_t lda, int64_t astep, const float* pb,
+                        int64_t ldb, float* po, int64_t ldo, int64_t k, bool accumulate) {
+  GemmTileScalar<4, 16>(pa, lda, astep, pb, ldb, po, ldo, k, 16, accumulate);
+}
+
+void GemmTile1x16Scalar(const float* pa, int64_t astep, const float* pb, int64_t ldb, float* po,
+                        int64_t k, bool accumulate) {
+  GemmTileScalar<1, 16>(pa, 0, astep, pb, ldb, po, 0, k, 16, accumulate);
+}
+
+void GemmTile4xNScalar(const float* pa, int64_t lda, int64_t astep, const float* pb,
+                       int64_t ldb, float* po, int64_t ldo, int64_t k, int64_t n,
+                       bool accumulate) {
+  GemmTileScalar<4, 8>(pa, lda, astep, pb, ldb, po, ldo, k, n, accumulate);
+}
+
+void GemmTile1xNScalar(const float* pa, int64_t astep, const float* pb, int64_t ldb, float* po,
+                       int64_t k, int64_t n, bool accumulate) {
+  GemmTileScalar<1, 8>(pa, 0, astep, pb, ldb, po, 0, k, n, accumulate);
+}
+
+constexpr GemmKernels kScalarGemm = {GemmTile4x16Scalar, GemmTile1x16Scalar, GemmTile4xNScalar,
+                                     GemmTile1xNScalar};
+
+void EluGradRowScalar(float* __restrict__ out, const float* __restrict__ g,
+                      const float* __restrict__ y, float alpha, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = y[i] > 0.0f ? g[i] : g[i] * (y[i] + alpha);
   }
 }
 
@@ -176,6 +190,12 @@ struct IndexedRows {
   const float* operator()(int64_t i) const { return base + int64_t{idx[i]} * stride; }
   IndexedRows At(int64_t c) const { return {base + c, idx, stride}; }
 };
+
+// Lanes [0, n) set.
+SEASTAR_AVX2 inline __m256i ColumnMask(int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
 
 // Lane group g of a G-group block: only the last group of a ragged block is
 // masked; full groups are plain unaligned loads and stores.
@@ -262,8 +282,7 @@ SEASTAR_AVX2 void FoldAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1, int64_t
     const int64_t bn = std::min<int64_t>(32, n - b);
     const int groups = static_cast<int>((bn + 7) / 8);
     const int last = static_cast<int>(bn) - 8 * (groups - 1);  // Lanes in use, 1..8.
-    const __m256i tail =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(last), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256i tail = ColumnMask(last);
     const X xb = XReadsColumns(F) ? x.At(b) : x;
     const Y yb = YReadsColumns(F) ? y.At(b) : y;
     float* ab = acc + b;
@@ -428,6 +447,86 @@ __attribute__((target("avx2,fma"))) void GemmTile1x16Avx2(const float* __restric
   _mm256_storeu_ps(po + 8, acc1);
 }
 
+// Column tails (n <= 8): one ymm accumulator per row, each B row loaded
+// once per step and reused by every row of the block. Below 8 columns the
+// loads and stores are masked to the n live lanes, so B's and C's columns
+// past n are never touched.
+template <bool kMasked>
+SEASTAR_AVX2 inline __m256 LoadCols(const float* p, __m256i cols) {
+  return kMasked ? _mm256_maskload_ps(p, cols) : _mm256_loadu_ps(p);
+}
+
+template <bool kMasked>
+SEASTAR_AVX2 inline void StoreCols(float* p, __m256i cols, __m256 v) {
+  if (kMasked) {
+    _mm256_maskstore_ps(p, cols, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+template <int kRows, bool kMasked>
+SEASTAR_AVX2 inline void GemmTileNAvx2(const float* pa, int64_t lda, int64_t astep,
+                                       const float* pb, int64_t ldb, float* po, int64_t ldo,
+                                       int64_t k, __m256i cols, bool accumulate) {
+  __m256 acc[kRows];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+    acc[r] = accumulate ? LoadCols<kMasked>(po + r * ldo, cols) : _mm256_setzero_ps();
+  }
+  const float* a = pa;
+  const float* brow = pb;
+  for (int64_t kk = 0; kk < k; ++kk, a += astep, brow += ldb) {
+    const __m256 b = LoadCols<kMasked>(brow, cols);
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r * lda]), b, acc[r]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+    StoreCols<kMasked>(po + r * ldo, cols, acc[r]);
+  }
+}
+
+SEASTAR_AVX2 void GemmTile4xNAvx2(const float* pa, int64_t lda, int64_t astep, const float* pb,
+                                  int64_t ldb, float* po, int64_t ldo, int64_t k, int64_t n,
+                                  bool accumulate) {
+  if (n == 8) {
+    GemmTileNAvx2<4, false>(pa, lda, astep, pb, ldb, po, ldo, k, __m256i{}, accumulate);
+  } else {
+    GemmTileNAvx2<4, true>(pa, lda, astep, pb, ldb, po, ldo, k, ColumnMask(n), accumulate);
+  }
+}
+
+SEASTAR_AVX2 void GemmTile1xNAvx2(const float* pa, int64_t astep, const float* pb, int64_t ldb,
+                                  float* po, int64_t k, int64_t n, bool accumulate) {
+  if (n == 8) {
+    GemmTileNAvx2<1, false>(pa, 0, astep, pb, ldb, po, 0, k, __m256i{}, accumulate);
+  } else {
+    GemmTileNAvx2<1, true>(pa, 0, astep, pb, ldb, po, 0, k, ColumnMask(n), accumulate);
+  }
+}
+
+constexpr GemmKernels kAvx2Gemm = {GemmTile4x16Avx2, GemmTile1x16Avx2, GemmTile4xNAvx2,
+                                   GemmTile1xNAvx2};
+
+// The same select as the scalar body, as a compare and blend: g * (y + alpha)
+// is two roundings in either form, so the bits match.
+SEASTAR_AVX2 void EluGradRowAvx2(float* __restrict__ out, const float* __restrict__ g,
+                                 const float* __restrict__ y, float alpha, int64_t n) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 yv = _mm256_loadu_ps(y + i);
+    const __m256 positive = _mm256_cmp_ps(yv, _mm256_setzero_ps(), _CMP_GT_OQ);
+    const __m256 scaled = _mm256_mul_ps(gv, _mm256_add_ps(yv, va));
+    _mm256_storeu_ps(out + i, _mm256_blendv_ps(scaled, gv, positive));
+  }
+  EluGradRowScalar(out + i, g + i, y + i, alpha, n - i);
+}
+
 bool CpuHasAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -448,8 +547,11 @@ Dispatch ResolveDispatch() {
     AxpyGather = kAvx2Gather.axpy;
     MulAddGather = kAvx2Gather.mul_add;
     ScaleRow = ScaleRowAvx2;
-    GemmTile4x16 = GemmTile4x16Avx2;
-    GemmTile1x16 = GemmTile1x16Avx2;
+    GemmTile4x16 = kAvx2Gemm.tile4x16;
+    GemmTile1x16 = kAvx2Gemm.tile1x16;
+    GemmTile4xN = kAvx2Gemm.tile4xn;
+    GemmTile1xN = kAvx2Gemm.tile1xn;
+    EluGradRow = EluGradRowAvx2;
     return {"avx2", 8};
   }
 #endif
@@ -468,10 +570,11 @@ decltype(AddScalarGather) AddScalarGather = AddScalarGatherScalar;
 decltype(AxpyGather) AxpyGather = AxpyGatherScalar;
 decltype(MulAddGather) MulAddGather = MulAddGatherScalar;
 void (*ScaleRow)(float*, float, int64_t) = ScaleRowScalar;
-void (*GemmTile4x16)(const float*, int64_t, int64_t, const float*, int64_t, float*, int64_t,
-                     int64_t, bool) = GemmTile4x16Scalar;
-void (*GemmTile1x16)(const float*, int64_t, const float*, int64_t, float*, int64_t,
-                     bool) = GemmTile1x16Scalar;
+decltype(GemmTile4x16) GemmTile4x16 = kScalarGemm.tile4x16;
+decltype(GemmTile1x16) GemmTile1x16 = kScalarGemm.tile1x16;
+decltype(GemmTile4xN) GemmTile4xN = kScalarGemm.tile4xn;
+decltype(GemmTile1xN) GemmTile1xN = kScalarGemm.tile1xn;
+decltype(EluGradRow) EluGradRow = EluGradRowScalar;
 
 const GatherKernels& ScalarGatherKernels() { return kScalarGather; }
 
@@ -479,6 +582,17 @@ const GatherKernels* Avx2GatherKernels() {
 #if defined(SEASTAR_SIMD_X86)
   if (CpuHasAvx2Fma()) {
     return &kAvx2Gather;
+  }
+#endif
+  return nullptr;
+}
+
+const GemmKernels& ScalarGemmKernels() { return kScalarGemm; }
+
+const GemmKernels* Avx2GemmKernels() {
+#if defined(SEASTAR_SIMD_X86)
+  if (CpuHasAvx2Fma()) {
+    return &kAvx2Gemm;
   }
 #endif
   return nullptr;

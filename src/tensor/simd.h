@@ -2,8 +2,9 @@
 //
 // These are the vector inner loops behind every lowered unit's reduction
 // (Reduce in src/exec/compiled_program.h: gather-reduce kernels that fold a
-// key's rows into its accumulator, held in registers) and the dense GEMM
-// panels. They exist as out-of-line, runtime-dispatched functions for two
+// key's rows into its accumulator, held in registers), the dense GEMM
+// tiles (16-column panels and the narrow column tails) and one pointwise
+// blend. They exist as out-of-line, runtime-dispatched functions for two
 // reasons:
 //
 //  * Bit-reproducibility across loop *partitionings*. The tiled executor
@@ -26,9 +27,9 @@
 //
 // Dispatch is resolved once into function pointers at static-init time;
 // callers pay an indirect call per key slice (one key's rows of a chunk, for
-// one column tile) or per GEMM panel, never per edge or element. The
-// chosen ISA is queryable (SimdIsaName) so executors can attribute kernel
-// time to the dispatch that actually ran.
+// one column tile), per GEMM tile or per pointwise chunk, never per edge or
+// element. The chosen ISA is queryable (SimdIsaName) so executors can
+// attribute kernel time to the dispatch that actually ran.
 #ifndef SRC_TENSOR_SIMD_H_
 #define SRC_TENSOR_SIMD_H_
 
@@ -89,9 +90,9 @@ const GatherKernels* Avx2GatherKernels();
 // x[i] *= s                            (AggMean finalization)
 extern void (*ScaleRow)(float* x, float s, int64_t n);
 
-// Dense-GEMM micro-kernels (the 16-column panels of ops.cc's GEMMs).
-// C[rows][16] = A[rows][k] @ B[k][16] over k steps, row-major B and C (B's
-// step rows strided by ldb, C rows by ldo). A element (r, s) sits at
+// Dense-GEMM micro-kernels (every tile of ops.cc's GEMMs). C[rows][cols] =
+// A[rows][k] @ B[k][cols] over k steps, row-major B and C (B's step rows
+// strided by ldb, C rows by ldo). A element (r, s) sits at
 // pa[r * lda + s * astep]: lda = row length and astep = 1 read A, lda = 1
 // and astep = row length read Aᵀ in place, which is how Matmul and
 // MatmulTransposeA share one kernel. With `accumulate` the accumulators
@@ -100,14 +101,39 @@ extern void (*ScaleRow)(float* x, float s, int64_t n);
 // explicit intrinsics because the shape that makes a GEMM fast — a 4-row ×
 // 16-column block of accumulators living in 8 vector registers while each
 // streamed B row is reused 4 times — is exactly the shape autovectorizers
-// lose when the strides are runtime values. Every output element is one
-// step-ascending fma chain (a float store and reload between chunks is
-// exact), so results are deterministic across row counts, panel splits and
-// chunkings.
+// lose when the strides are runtime values (left to them, the narrow column
+// tails even rounded differently per row-block shape under -O3). Every
+// output element is one step-ascending fma chain (a float store and reload
+// between chunks is exact; a scalar body built without FMA rounds the
+// product first), so results are deterministic across row counts, column
+// splits, chunkings and threads.
+// The 16-column panels:
 extern void (*GemmTile4x16)(const float* pa, int64_t lda, int64_t astep, const float* pb,
                             int64_t ldb, float* po, int64_t ldo, int64_t k, bool accumulate);
 extern void (*GemmTile1x16)(const float* pa, int64_t astep, const float* pb, int64_t ldb,
                             float* po, int64_t k, bool accumulate);
+// The column tails: n in [1, 8] columns, one vector accumulator per row. No
+// load or store touches B's or C's columns past n.
+extern void (*GemmTile4xN)(const float* pa, int64_t lda, int64_t astep, const float* pb,
+                           int64_t ldb, float* po, int64_t ldo, int64_t k, int64_t n,
+                           bool accumulate);
+extern void (*GemmTile1xN)(const float* pa, int64_t astep, const float* pb, int64_t ldb,
+                           float* po, int64_t k, int64_t n, bool accumulate);
+
+// The GEMM kernels of one ISA, so tests can run each variant directly.
+struct GemmKernels {
+  decltype(GemmTile4x16) tile4x16;
+  decltype(GemmTile1x16) tile1x16;
+  decltype(GemmTile4xN) tile4xn;
+  decltype(GemmTile1xN) tile1xn;
+};
+const GemmKernels& ScalarGemmKernels();
+const GemmKernels* Avx2GemmKernels();
+
+// out[i] = y[i] > 0 ? g[i] : g[i] * (y[i] + alpha)   (ELU's backward from its
+// output). A blend, not a branch: on random signs a branch mispredicts about
+// half the time.
+extern void (*EluGradRow)(float* out, const float* g, const float* y, float alpha, int64_t n);
 
 }  // namespace simd
 }  // namespace seastar

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -61,6 +62,41 @@ TEST(ParallelEquivTest, SoftmaxRowChunkingIsBitwiseExact) {
     Tensor part = ops::SliceRows(x, r, r + block);
     ExpectBitwiseEqual(ops::Softmax(part).data(), softmax.Row(r), block * cols);
     ExpectBitwiseEqual(ops::LogSoftmax(part).data(), log_softmax.Row(r), block * cols);
+  }
+}
+
+TEST(ParallelEquivTest, MatmulRowChunkingIsBitwiseExact) {
+  // The GEMMs cover output rows in 4-row blocks and then single rows, and
+  // the forward splits its rows across the pool wherever the chunking
+  // falls, so a row's bits must not depend on which block computes it.
+  // Each product is computed whole and again on 1-, 2-, 3- and 5-row
+  // slices of its output, for column counts on and around the 8- and
+  // 16-wide tile edges.
+  const int64_t n = 517, k = 64;
+  Rng rng(31);
+  const Tensor x = ops::RandomNormal({n, k}, 0.0f, 1.0f, rng);
+  const Tensor xt = ops::Transpose(x);
+  for (const int64_t m : {1, 2, 3, 7, 8, 9, 10, 15, 17, 24, 33}) {
+    SCOPED_TRACE("m=" + std::to_string(m));
+    const Tensor w = ops::RandomNormal({k, m}, 0.0f, 1.0f, rng);
+    const Tensor g = ops::RandomNormal({n, m}, 0.0f, 1.0f, rng);
+    const Tensor forward = ops::Matmul(x, w);
+    // Xᵀ·G's output rows are X's columns: slice those.
+    const Tensor weight_grad = ops::MatmulTransposeA(x, g);
+    for (const int64_t slice : {1, 2, 3, 5}) {
+      SCOPED_TRACE("slice=" + std::to_string(slice));
+      for (int64_t r = 0; r < n; r += slice) {
+        const int64_t end = std::min(r + slice, n);
+        ExpectBitwiseEqual(ops::Matmul(ops::SliceRows(x, r, end), w).data(), forward.Row(r),
+                           (end - r) * m);
+      }
+      for (int64_t c = 0; c < k; c += slice) {
+        const int64_t end = std::min(c + slice, k);
+        const Tensor cols = ops::Transpose(ops::SliceRows(xt, c, end));
+        ExpectBitwiseEqual(ops::MatmulTransposeA(cols, g).data(), weight_grad.Row(c),
+                           (end - c) * m);
+      }
+    }
   }
 }
 

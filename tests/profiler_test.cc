@@ -367,9 +367,10 @@ TEST(ProfilerTest, RetainThroughRunContextMatchesDefaultRun) {
 
 
 TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
-  // The dense half of an epoch is visible in the run trace: every tape-op
-  // backward node gets a "dense" span named "<op>/backward" (one matmul per
-  // layer), and each training-mode dropout one "dropout" span. The vertex
+  // The dense half of an epoch is visible in the run trace: each forward
+  // projection gets a "dense" span named "matmul", every tape-op backward
+  // node one named "<op>/backward" (one matmul per layer), and each
+  // training-mode dropout one "dropout" span. The vertex
   // program's backward is aggregation: it stays in its own "program" span,
   // outside the dense category.
   DatasetOptions options;
@@ -393,8 +394,17 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
     return std::count_if(dense.begin(), dense.end(),
                          [&name](const Span& span) { return name == span.name; });
   };
+  EXPECT_EQ(count("matmul"), config.num_layers);
   EXPECT_EQ(count("matmul/backward"), config.num_layers);
   EXPECT_EQ(count("dropout"), config.num_layers);
+  // One run, so span indices are positions in the retained list.
+  const std::vector<Span> all = RetainedSpans(tracer);
+  for (const Span& span : dense) {
+    if (std::string(span.name) == "matmul") {
+      ASSERT_GE(span.parent, 0);
+      EXPECT_STREQ(all.at(static_cast<size_t>(span.parent)).name, "forward");
+    }
+  }
   EXPECT_EQ(count("vertex_program/backward"), 0);
   const std::vector<Span> program = SpansInCategory(tracer, "program");
   EXPECT_GE(std::count_if(program.begin(), program.end(),
@@ -434,6 +444,12 @@ TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
     TrainNodeClassification(model, data, train);
   }
   EXPECT_EQ(untiled->value() - untiled_before, 0);
+  // Each head projects once and scores twice (eu, ev): three forward
+  // matmul spans per head.
+  const std::vector<Span> dense = SpansInCategory(tracer, "dense");
+  EXPECT_EQ(std::count_if(dense.begin(), dense.end(),
+                          [](const Span& span) { return std::string(span.name) == "matmul"; }),
+            3 * 3);
 
   const std::vector<Span> units = SpansInCategory(tracer, "unit");
   // 2 hidden heads + 1 output head, 2 forward + 6 backward units each.

@@ -371,12 +371,15 @@ struct GatherVariant {
   bool fused;  // Whether the variant's multiply-add is one fused rounding.
 };
 
-std::vector<GatherVariant> GatherVariants() {
+// Whether the scalar bodies' multiply-add is fused: where the build
+// targets FMA.
 #if defined(__FMA__)
-  constexpr bool kScalarFused = true;
+constexpr bool kScalarFused = true;
 #else
-  constexpr bool kScalarFused = false;
+constexpr bool kScalarFused = false;
 #endif
+
+std::vector<GatherVariant> GatherVariants() {
   std::vector<GatherVariant> variants = {
       {"scalar", &simd::ScalarGatherKernels(), kScalarFused}};
   if (const simd::GatherKernels* avx2 = simd::Avx2GatherKernels()) {
@@ -477,6 +480,115 @@ TEST(SimdGatherTest, DispatchedKernelsAreTheWidestVariant) {
   EXPECT_EQ(simd::AxpyGather, want.axpy);
   EXPECT_EQ(simd::MulAddGather, want.mul_add);
   EXPECT_STREQ(simd::SimdIsaName(), avx2 != nullptr ? "avx2" : "scalar");
+}
+
+// ---- GEMM tiles ---------------------------------------------------------------------------------
+// Each tile kernel, in each ISA variant, is checked bitwise against one
+// step-ascending multiply-add chain per output element, reading A and Aᵀ
+// in place, from zero and from C's contents, with C's columns past the tile
+// left untouched.
+
+struct GemmVariant {
+  const char* isa;
+  const simd::GemmKernels* kernels;
+  bool fused;
+};
+
+std::vector<GemmVariant> GemmVariants() {
+  std::vector<GemmVariant> variants = {{"scalar", &simd::ScalarGemmKernels(), kScalarFused}};
+  if (const simd::GemmKernels* avx2 = simd::Avx2GemmKernels()) {
+    variants.push_back({"avx2", avx2, true});
+  }
+  return variants;
+}
+
+TEST(SimdGemmTest, EachTileMatchesTheStepAscendingChainBitwise) {
+  constexpr int64_t kSteps = 37;
+  constexpr int64_t kLdo = 21;  // C rows wider than any tile: guard columns.
+  Rng rng(43);
+  std::vector<float> a(static_cast<size_t>(4 * kSteps));
+  std::vector<float> b(static_cast<size_t>(kSteps * kLdo));
+  std::vector<float> c0(static_cast<size_t>(4 * kLdo));
+  for (std::vector<float>* v : {&a, &b, &c0}) {
+    for (float& f : *v) {
+      f = rng.NextFloat(-2.0f, 2.0f);
+    }
+  }
+  for (const GemmVariant& variant : GemmVariants()) {
+    const simd::GemmKernels& kern = *variant.kernels;
+    for (const bool transposed : {false, true}) {
+      // A is [4, kSteps] row-major; read as Aᵀ it is [kSteps, 4] column by
+      // column, the layout MatmulTransposeA hands the kernels.
+      const int64_t lda = transposed ? 1 : kSteps;
+      const int64_t astep = transposed ? 4 : 1;
+      for (const bool accumulate : {false, true}) {
+        for (const int64_t n : {1, 2, 3, 5, 7, 8, 16}) {
+          for (const int rows : {1, 4}) {
+            SCOPED_TRACE(std::string(variant.isa) + " n=" + std::to_string(n) +
+                         " rows=" + std::to_string(rows) + (transposed ? " Aᵀ" : " A") +
+                         (accumulate ? " accumulate" : ""));
+            std::vector<float> want = c0;
+            for (int r = 0; r < rows; ++r) {
+              for (int64_t j = 0; j < n; ++j) {
+                float acc = accumulate ? c0[static_cast<size_t>(r * kLdo + j)] : 0.0f;
+                for (int64_t s = 0; s < kSteps; ++s) {
+                  acc = RefMulAdd(a[static_cast<size_t>(r * lda + s * astep)],
+                                  b[static_cast<size_t>(s * kLdo + j)], acc, variant.fused);
+                }
+                want[static_cast<size_t>(r * kLdo + j)] = acc;
+              }
+            }
+            std::vector<float> got = c0;
+            if (n == 16 && rows == 4) {
+              kern.tile4x16(a.data(), lda, astep, b.data(), kLdo, got.data(), kLdo, kSteps,
+                            accumulate);
+            } else if (n == 16) {
+              kern.tile1x16(a.data(), astep, b.data(), kLdo, got.data(), kSteps, accumulate);
+            } else if (rows == 4) {
+              kern.tile4xn(a.data(), lda, astep, b.data(), kLdo, got.data(), kLdo, kSteps, n,
+                           accumulate);
+            } else {
+              kern.tile1xn(a.data(), astep, b.data(), kLdo, got.data(), kSteps, n, accumulate);
+            }
+            EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGemmTest, DispatchedKernelsAreTheWidestVariant) {
+  const simd::GemmKernels* avx2 = simd::Avx2GemmKernels();
+  const simd::GemmKernels& want = avx2 != nullptr ? *avx2 : simd::ScalarGemmKernels();
+  EXPECT_EQ(simd::GemmTile4x16, want.tile4x16);
+  EXPECT_EQ(simd::GemmTile1x16, want.tile1x16);
+  EXPECT_EQ(simd::GemmTile4xN, want.tile4xn);
+  EXPECT_EQ(simd::GemmTile1xN, want.tile1xn);
+  if (avx2 != nullptr) {
+    EXPECT_NE(simd::GemmTile4xN, simd::ScalarGemmKernels().tile4xn);
+    EXPECT_NE(simd::GemmTile1xN, simd::ScalarGemmKernels().tile1xn);
+  }
+}
+
+// ---- ELU backward blend -------------------------------------------------------------------------
+
+TEST(OpsTest, EluGradFromOutputMatchesTheSelectBitwise) {
+  constexpr float kAlpha = 0.7f;
+  Rng rng(47);
+  for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, int64_t{9}, int64_t{2709 * 64 + 3}}) {
+    Tensor g = ops::RandomNormal({n}, 0, 1, rng);
+    Tensor y = ops::RandomNormal({n}, 0, 1, rng);
+    y.data()[0] = 0.0f;  // The boundary takes the y + alpha branch.
+    Tensor got = ops::EluGradFromOutput(g, y, kAlpha);
+    for (int64_t i = 0; i < n; ++i) {
+      const float gi = g.data()[i];
+      const float yi = y.data()[i];
+      const float want = yi > 0.0f ? gi : gi * (yi + kAlpha);
+      ASSERT_EQ(std::memcmp(&want, got.data() + i, sizeof(float)), 0)
+          << "n=" << n << " element " << i;
+    }
+  }
 }
 
 }  // namespace

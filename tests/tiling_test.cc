@@ -5,6 +5,8 @@
 // multiple of the 16-wide micro-kernel panel).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -199,10 +201,13 @@ TEST(TilingParityTest, WideFeatureForwardBitIdenticalTiledVsUntiled) {
 }
 
 // ---- Dense-GEMM panel tails ---------------------------------------------------------------------
-// GemmRowMajor covers full 16-column panels with the dispatched micro-
-// kernels and the remainder with a narrowing register-blocked cascade.
-// Feature dims that are not a multiple of 16 (7, 33, 257) must still match
-// a plain reference matmul on every element, including the final columns.
+// GemmRowMajor covers full 16-column panels and the remaining columns in
+// up-to-8-wide tails, all through the dispatched micro-kernels. Feature dims
+// that are not a multiple of 16 (7, 10, 33, 257) must match a plain
+// reference matmul on every element, including the final columns: bit for
+// bit on FMA builds, where every element is one k-ascending fma chain.
+// Without FMA in the build, the dispatched AVX2 kernels still fuse while the
+// reference rounds each product, so there the drift is only bounded.
 
 Tensor ReferenceMatmul(const Tensor& a, const Tensor& b) {
   const int64_t n = a.dim(0);
@@ -213,47 +218,55 @@ Tensor ReferenceMatmul(const Tensor& a, const Tensor& b) {
     for (int64_t kk = 0; kk < k; ++kk) {
       const float av = a.data()[i * k + kk];
       for (int64_t j = 0; j < m; ++j) {
-        out.data()[i * m + j] += av * b.data()[kk * m + j];
+        float& o = out.data()[i * m + j];
+#if defined(__FMA__)
+        o = std::fma(av, b.data()[kk * m + j], o);
+#else
+        o += av * b.data()[kk * m + j];
+#endif
       }
     }
   }
   return out;
 }
 
+void ExpectMatchesReference(const Tensor& got, const Tensor& want, int64_t k, int64_t m) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < got.numel(); ++i) {
+#if defined(__FMA__)
+    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(float)), 0)
+        << "m=" << m << " element " << i << ": " << got.data()[i] << " vs " << want.data()[i];
+#else
+    ASSERT_NEAR(got.data()[i], want.data()[i], 1e-4f * static_cast<float>(k))
+        << "m=" << m << " element " << i;
+#endif
+  }
+}
+
 TEST(GemmTailTest, NonMultipleOf16ColumnCountsMatchReference) {
   Rng rng(23);
-  for (const int64_t m : {int64_t{7}, int64_t{33}, int64_t{257}}) {
+  for (const int64_t m : {int64_t{7}, int64_t{10}, int64_t{33}, int64_t{257}}) {
     const int64_t n = 37;
     const int64_t k = 51;
     Tensor a = ops::RandomNormal({n, k}, 0, 1, rng);
     Tensor b = ops::RandomNormal({k, m}, 0, 1, rng);
-    Tensor got = ops::Matmul(a, b);
-    Tensor want = ReferenceMatmul(a, b);
-    ASSERT_EQ(got.numel(), want.numel());
-    for (int64_t i = 0; i < got.numel(); ++i) {
-      // FMA contraction in the dispatched kernels rounds differently from
-      // the reference's separate mul+add; bound the drift, don't expect
-      // bit equality across *different* algorithms.
-      ASSERT_NEAR(got.data()[i], want.data()[i], 1e-4f * static_cast<float>(k))
-          << "m=" << m << " element " << i;
-    }
+    ExpectMatchesReference(ops::Matmul(a, b), ReferenceMatmul(a, b), k, m);
+    // The weight gradient reads Aᵀ in place through the same tiles.
+    Tensor g = ops::RandomNormal({n, m}, 0, 1, rng);
+    ExpectMatchesReference(ops::MatmulTransposeA(a, g), ReferenceMatmul(ops::Transpose(a), g), n,
+                           m);
   }
 }
 
 TEST(GemmTailTest, TransposeBTailsMatchReference) {
   Rng rng(29);
-  for (const int64_t m : {int64_t{7}, int64_t{33}, int64_t{257}}) {
+  for (const int64_t m : {int64_t{7}, int64_t{10}, int64_t{33}, int64_t{257}}) {
     const int64_t n = 21;
     const int64_t k = 19;
     Tensor a = ops::RandomNormal({n, k}, 0, 1, rng);
     Tensor b = ops::RandomNormal({m, k}, 0, 1, rng);
-    Tensor got = ops::MatmulTransposeB(a, b);
-    Tensor bt = ops::Transpose(b);
-    Tensor want = ReferenceMatmul(a, bt);
-    for (int64_t i = 0; i < got.numel(); ++i) {
-      ASSERT_NEAR(got.data()[i], want.data()[i], 1e-4f * static_cast<float>(k))
-          << "m=" << m << " element " << i;
-    }
+    ExpectMatchesReference(ops::MatmulTransposeB(a, b), ReferenceMatmul(a, ops::Transpose(b)), k,
+                           m);
   }
 }
 
