@@ -345,8 +345,10 @@ Headroom MeasureParallelHeadroom() {
 //    Matmul(Transpose(X), G) — both are one i-ascending chain per element;
 //  * matmul (the forward projection X·W) against
 //    MatmulTransposeA(Transpose(X), W), the same chains read the other way;
-//  * dropout (no mask, as on a features input) against x * mask with the
-//    mask drawn per element as NextDouble() < p, plus the Rng state after.
+//  * dropout (no mask, as on a features input) and dropout_mask (with the
+//    mask, at a hidden layer's shape and at 2709x127, not a multiple of 8
+//    elements) against x * mask with the mask drawn per element as
+//    NextDouble() < p, plus the Rng state after.
 struct DensePoint {
   std::string kernel;
   std::string shape;
@@ -394,32 +396,47 @@ std::vector<DensePoint> RunDensePoints() {
     points.push_back(forward);
   }
 
-  Rng rng(37);
-  const Tensor features = ops::RandomNormal({13753, 128}, 0, 1, rng);
-  const float p = 0.5f;
-  const float keep = 1.0f / (1.0f - p);
-  const auto reference = [&](Rng& stream) {
-    Tensor out(features.shape());
-    for (int64_t i = 0; i < features.numel(); ++i) {
-      out.data()[i] = features.data()[i] * (stream.NextDouble() < p ? 0.0f : keep);
-    }
-    return out;
+  // Dropout at GCN/amz_comp's input (no mask, as on a features input) and
+  // hidden layer (with the mask backward reads), and at an element count
+  // that is not a multiple of the 8 lanes (a serial tail and ragged lane
+  // tiles).
+  struct DropoutShape {
+    int64_t rows, cols;
+    bool with_mask;
   };
-  Rng drawn(41);
-  Rng replayed(41);
-  DensePoint dropout{"dropout", "13753x128"};
-  const Tensor out = ops::Dropout(features, p, drawn, /*with_mask=*/false).output;
-  const Tensor want = reference(replayed);
-  const RngState drawn_state = drawn.SaveState();
-  const RngState replayed_state = replayed.SaveState();
-  dropout.bitwise_equal =
-      SameBits(out, want) &&
-      std::memcmp(drawn_state.words, replayed_state.words, sizeof(drawn_state.words)) == 0;
-  dropout.ms = BestOfMs(kDenseReps, [&] {
-    benchmark::DoNotOptimize(ops::Dropout(features, p, drawn, /*with_mask=*/false).output);
-  });
-  dropout.reference_ms = BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(reference(drawn)); });
-  points.push_back(dropout);
+  for (const DropoutShape& d : {DropoutShape{13753, 128, false}, DropoutShape{13753, 16, true},
+                                DropoutShape{2709, 127, true}}) {
+    Rng rng(37);
+    const Tensor features = ops::RandomNormal({d.rows, d.cols}, 0, 1, rng);
+    const float p = 0.5f;
+    const float keep = 1.0f / (1.0f - p);
+    const auto reference = [&](Rng& stream) {
+      ops::DropoutResult result{Tensor(features.shape()), Tensor(features.shape())};
+      for (int64_t i = 0; i < features.numel(); ++i) {
+        const float m = stream.NextDouble() < p ? 0.0f : keep;
+        result.mask.data()[i] = m;
+        result.output.data()[i] = features.data()[i] * m;
+      }
+      return result;
+    };
+    Rng drawn(41);
+    Rng replayed(41);
+    DensePoint dropout{d.with_mask ? "dropout_mask" : "dropout",
+                       std::to_string(d.rows) + "x" + std::to_string(d.cols)};
+    const ops::DropoutResult got = ops::Dropout(features, p, drawn, d.with_mask);
+    const ops::DropoutResult want = reference(replayed);
+    const RngState drawn_state = drawn.SaveState();
+    const RngState replayed_state = replayed.SaveState();
+    dropout.bitwise_equal =
+        SameBits(got.output, want.output) && (!d.with_mask || SameBits(got.mask, want.mask)) &&
+        std::memcmp(drawn_state.words, replayed_state.words, sizeof(drawn_state.words)) == 0;
+    dropout.ms = BestOfMs(kDenseReps, [&] {
+      benchmark::DoNotOptimize(ops::Dropout(features, p, drawn, d.with_mask).output);
+    });
+    dropout.reference_ms =
+        BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(reference(drawn).output); });
+    points.push_back(dropout);
+  }
 
   for (const DensePoint& point : points) {
     std::printf("dense %-12s %-13s %7.3f ms  reference %7.3f ms  %s\n", point.kernel.c_str(),

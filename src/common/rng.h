@@ -7,6 +7,7 @@
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -26,6 +27,21 @@ class SplitMix64 {
   uint64_t state_;
 };
 
+// One xoshiro256** draw: returns the output for the state (s0, s1, s2, s3)
+// and advances it. Rng, RngJump and the dropout kernel's scalar lanes all
+// step the generator through this one definition.
+inline uint64_t XoshiroNext(uint64_t& s0, uint64_t& s1, uint64_t& s2, uint64_t& s3) {
+  const uint64_t result = std::rotl(s1 * 5, 7) * 9;
+  const uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = std::rotl(s3, 45);
+  return result;
+}
+
 // Serializable snapshot of an Rng (xoshiro words + Box-Muller cache).
 // Restoring it makes the stream continue exactly where the snapshot was
 // taken, which is what checkpoint/resume needs for bit-identical training.
@@ -33,6 +49,35 @@ struct RngState {
   uint64_t words[4] = {0, 0, 0, 0};
   bool have_cached_gaussian = false;
   double cached_gaussian = 0.0;
+};
+
+// Jump-ahead for xoshiro256 by an arbitrary number of draws. The generator's
+// state transition T is linear over GF(2)^256, so T^m = q(T) for
+// q(x) = x^m mod P(x), P being T's characteristic polynomial (degree 256,
+// Cayley-Hamilton). The constructor forms q from a table of x^(2^k) mod P;
+// Apply then evaluates q(T) on a state the way xoshiro's own jump() does:
+// 256 generator steps, XOR-accumulating the state at q's set coefficients.
+// Build q once and apply it to several states to space streams `steps`
+// draws apart (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random
+// Number Generators", 2008).
+class RngJump {
+ public:
+  explicit RngJump(uint64_t steps);
+
+  // Advances the xoshiro256 state `words` by `steps` draws.
+  void Apply(uint64_t words[4]) const;
+
+  // P(x) - x^256, coefficient i in bit i % 64 of word i / 64. Derived by
+  // Berlekamp-Massey from the generator's own output and checked by
+  // RngTest.JumpConstantsMatchTheGenerator, as is the table below;
+  // x^(2^128) mod P is xoshiro256's published JUMP constant.
+  static constexpr uint64_t kCharPoly[4] = {0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
+                                            0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
+  // kPowers[k] = x^(2^k) mod P, in the same layout.
+  static const uint64_t kPowers[64][4];
+
+ private:
+  uint64_t poly_[4];  // q(x) = x^steps mod P.
 };
 
 // xoshiro256**: fast, high-quality 64-bit PRNG (Blackman & Vigna).
@@ -62,12 +107,9 @@ class Rng {
   // Returns true with probability p (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
-  // mask[i] = 0.0f with probability p, else keep_scale, for i in [0, n).
-  // Consumes exactly the draws n successive NextBernoulli(p) calls would and
-  // decides each the same way (so checkpointed streams replay identically);
-  // batched so the generator state stays in registers across the fill, and
-  // branch-free (an integer threshold and a bit-mask select).
-  void FillDropoutMask(float* mask, int64_t n, double p, float keep_scale);
+  // Advances the stream by `steps` draws: the state afterwards is the one
+  // `steps` NextUint64 calls would leave (the Box-Muller cache is kept).
+  void Jump(uint64_t steps);
 
   // Samples an index in [0, weights.size()) proportionally to weights.
   // All weights must be non-negative with a positive sum.

@@ -306,6 +306,9 @@ Var Dropout(const Var& a, float p, Rng& rng, bool training) {
   trace::AmbientSpan span("dropout", "dense");
   // An input that needs no gradient (the features leaf) gets no mask tensor.
   ops::DropoutResult result = ops::Dropout(a.value(), p, rng, a.requires_grad());
+  span.Set(trace::Arg::kBytesMaterialized,
+           static_cast<int64_t>(result.output.nbytes() +
+                                (result.mask.defined() ? result.mask.nbytes() : 0)));
   Tensor mask = std::move(result.mask);
   return Var::MakeNode(
       std::move(result.output), {a},

@@ -460,44 +460,6 @@ Tensor Transpose(const Tensor& a) {
   return out;
 }
 
-Tensor BatchedMatmul(const Tensor& a, const Tensor& b) {
-  SEASTAR_CHECK_EQ(a.ndim(), 3);
-  SEASTAR_CHECK_EQ(b.ndim(), 3);
-  SEASTAR_CHECK_EQ(a.dim(0), b.dim(0));
-  SEASTAR_CHECK_EQ(a.dim(2), b.dim(1));
-  const int64_t batch = a.dim(0);
-  const int64_t n = a.dim(1);
-  const int64_t k = a.dim(2);
-  const int64_t m = b.dim(2);
-  Tensor out = Tensor::Zeros({batch, n, m});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  ParallelFor(
-      batch * n,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t idx = begin; idx < end; ++idx) {
-          const int64_t bi = idx / n;
-          const int64_t i = idx % n;
-          const float* arow = pa + bi * n * k + i * k;
-          const float* bmat = pb + bi * k * m;
-          float* orow = po + bi * n * m + i * m;
-          for (int64_t kk = 0; kk < k; ++kk) {
-            const float av = arow[kk];
-            if (av == 0.0f) {
-              continue;
-            }
-            const float* brow = bmat + kk * m;
-            for (int64_t j = 0; j < m; ++j) {
-              orow[j] += av * brow[j];
-            }
-          }
-        }
-      },
-      /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, k * m)));
-  return out;
-}
-
 // ---- Reductions -----------------------------------------------------------------------------------
 
 float SumAll(const Tensor& a) {
@@ -733,28 +695,36 @@ DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask) {
   SEASTAR_CHECK_GE(p, 0.0f);
   SEASTAR_CHECK_LT(p, 1.0f);
   DropoutResult result{Tensor(a.shape()), with_mask ? Tensor(a.shape()) : Tensor()};
+  const int64_t n = a.numel();
   const float keep_scale = 1.0f / (1.0f - p);
-  const float* pa = a.data();
-  float* po = result.output.data();
-  float* pm = with_mask ? result.mask.data() : po;
-  // Mask generation is sequential (one RNG stream); the apply step is not.
-  // Without a mask tensor the mask is drawn into the output, which the
-  // apply step then scales in place.
-  rng.FillDropoutMask(pm, a.numel(), p, keep_scale);
-  ParallelPointwise(a.numel(), [=](int64_t begin, int64_t end) {
-    const float* __restrict__ x = pa;
-    float* __restrict__ o = po;
-    if (with_mask) {
-      const float* __restrict__ m = pm;
-      for (int64_t i = begin; i < end; ++i) {
-        o[i] = x[i] * m[i];
-      }
-    } else {
-      for (int64_t i = begin; i < end; ++i) {
-        o[i] = x[i] * o[i];
-      }
+  // Element i drops when NextBernoulli(p) would be true: u * 2^-53 < p for
+  // u = draw >> 11. p * 2^53 is exact (a power-of-two scaling), and for an
+  // integer u, u < p * 2^53 holds exactly when u < ceil(p * 2^53).
+  const uint64_t threshold = static_cast<uint64_t>(std::ceil(static_cast<double>(p) * 0x1.0p53));
+  // Lane j starts j * block draws into the stream, so the lanes and the tail
+  // draw exactly what n successive NextUint64 calls would, in order.
+  const int64_t block =
+      n / simd::kDropoutLanes >= kDropoutMinLaneBlock ? n / simd::kDropoutLanes : 0;
+  RngState state = rng.SaveState();
+  const RngJump jump(static_cast<uint64_t>(block));
+  simd::XoshiroLanes lanes;
+  for (int j = 0; j < simd::kDropoutLanes; ++j) {
+    if (j > 0 && block > 0) {
+      jump.Apply(state.words);
     }
-  });
+    for (int w = 0; w < 4; ++w) {
+      lanes.words[w][j] = state.words[w];
+    }
+  }
+  simd::DropoutLanes(a.data(), result.output.data(), with_mask ? result.mask.data() : nullptr,
+                     block, n - simd::kDropoutLanes * block, threshold, keep_scale, lanes);
+  // NextBernoulli(0) draws nothing: p == 0 leaves the stream where it was.
+  if (p > 0.0f) {
+    for (int w = 0; w < 4; ++w) {
+      state.words[w] = lanes.words[w][simd::kDropoutLanes - 1];
+    }
+    rng.RestoreState(state);
+  }
   return result;
 }
 

@@ -74,9 +74,6 @@ Tensor MatmulTransposeB(const Tensor& a, const Tensor& b);
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b);
 // 2-D transpose.
 Tensor Transpose(const Tensor& a);
-// Batched matmul: [B, N, K] x [B, K, M] -> [B, N, M]. This is the kernel the
-// paper's "DGL-bmm / PyG-bmm" R-GCN baselines are built on.
-Tensor BatchedMatmul(const Tensor& a, const Tensor& b);
 
 // ---- Reductions --------------------------------------------------------------------------------
 
@@ -110,9 +107,17 @@ Tensor CrossEntropyGrad(const Tensor& log_probs, const std::vector<int32_t>& lab
 // Inverted dropout: zeroes with prob p, scales survivors by 1/(1-p). The
 // returned mask (same shape, values 0 or 1/(1-p)) is needed for backward.
 // With `with_mask` false (an input that needs no gradient) no mask is
-// allocated: the draws land in the output, which is scaled in place, and
-// `mask` stays undefined. The output bits and the Rng draws are the same
-// either way.
+// allocated and `mask` stays undefined; the output bits and the Rng draws
+// are the same either way. Element i drops exactly when the i-th of
+// numel() successive NextBernoulli(p) calls would be true, and the Rng ends
+// where those calls would leave it (p = 0 draws nothing), so checkpointed
+// streams replay identically. One fused pass (simd::DropoutLanes) draws
+// and applies the mask: 8 xoshiro lanes, each jumped (RngJump) to its block
+// of numel() / 8 draws, then a serial tail.
+// Calls with fewer than kDropoutMinLaneBlock elements per lane skip the
+// jump and draw everything on the serial tail: the jump's fixed cost
+// would exceed what the lanes save.
+inline constexpr int64_t kDropoutMinLaneBlock = 512;
 struct DropoutResult {
   Tensor output;
   Tensor mask;

@@ -1,7 +1,10 @@
 #include "src/tensor/simd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+
+#include "src/common/rng.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SEASTAR_SIMD_X86 1
@@ -158,6 +161,69 @@ void EluGradRowScalar(float* __restrict__ out, const float* __restrict__ g,
     out[i] = y[i] > 0.0f ? g[i] : g[i] * (y[i] + alpha);
   }
 }
+
+// ---- Dropout ----------------------------------------------------------------------------------
+
+// keep_scale (as bits) where u >> 11 >= threshold, else +0.0f: a bit-mask
+// select, since a branch mispredicts on about half the elements at p = 0.5.
+inline float KeepValue(uint64_t u, uint64_t threshold, uint32_t keep_bits) {
+  return std::bit_cast<float>(-static_cast<uint32_t>((u >> 11) >= threshold) & keep_bits);
+}
+
+// The serial tail: elements [i0, i1) drawn in order from lane 7.
+template <bool kMask>
+void DropoutSerial(const float* __restrict__ x, float* __restrict__ out, float* __restrict__ mask,
+                   int64_t i0, int64_t i1, uint64_t threshold, uint32_t keep_bits,
+                   XoshiroLanes& lanes) {
+  uint64_t s0 = lanes.words[0][7];
+  uint64_t s1 = lanes.words[1][7];
+  uint64_t s2 = lanes.words[2][7];
+  uint64_t s3 = lanes.words[3][7];
+  for (int64_t i = i0; i < i1; ++i) {
+    const float keep = KeepValue(XoshiroNext(s0, s1, s2, s3), threshold, keep_bits);
+    out[i] = x[i] * keep;
+    if constexpr (kMask) {
+      mask[i] = keep;
+    }
+  }
+  lanes.words[0][7] = s0;
+  lanes.words[1][7] = s1;
+  lanes.words[2][7] = s2;
+  lanes.words[3][7] = s3;
+}
+
+template <bool kMask>
+void DropoutLanesScalarImpl(const float* __restrict__ x, float* __restrict__ out,
+                            float* __restrict__ mask, int64_t block, int64_t tail,
+                            uint64_t threshold, float keep_scale, XoshiroLanes& lanes) {
+  const uint32_t keep_bits = std::bit_cast<uint32_t>(keep_scale);
+  XoshiroLanes s = lanes;
+  for (int64_t t = 0; t < block; ++t) {
+    for (int j = 0; j < kDropoutLanes; ++j) {
+      const uint64_t u = XoshiroNext(s.words[0][j], s.words[1][j], s.words[2][j], s.words[3][j]);
+      const float keep = KeepValue(u, threshold, keep_bits);
+      const int64_t i = j * block + t;
+      out[i] = x[i] * keep;
+      if constexpr (kMask) {
+        mask[i] = keep;
+      }
+    }
+  }
+  lanes = s;
+  DropoutSerial<kMask>(x, out, mask, kDropoutLanes * block, kDropoutLanes * block + tail,
+                       threshold, keep_bits, lanes);
+}
+
+void DropoutLanesScalar(const float* x, float* out, float* mask, int64_t block, int64_t tail,
+                        uint64_t threshold, float keep_scale, XoshiroLanes& lanes) {
+  if (mask != nullptr) {
+    DropoutLanesScalarImpl<true>(x, out, mask, block, tail, threshold, keep_scale, lanes);
+  } else {
+    DropoutLanesScalarImpl<false>(x, out, mask, block, tail, threshold, keep_scale, lanes);
+  }
+}
+
+constexpr DropoutKernels kScalarDropout = {DropoutLanesScalar};
 
 #if defined(SEASTAR_SIMD_X86)
 
@@ -527,6 +593,161 @@ SEASTAR_AVX2 void EluGradRowAvx2(float* __restrict__ out, const float* __restric
   EluGradRowScalar(out + i, g + i, y + i, alpha, n - i);
 }
 
+// ---- AVX2 dropout -----------------------------------------------------------------------------
+// Lanes 0-3 and 4-7 each as one xoshiro state of four ymm words.
+struct XoshiroVec {
+  __m256i s0, s1, s2, s3;
+};
+
+// Lanes [j0, j0 + 4) of `lanes`.
+SEASTAR_AVX2 inline XoshiroVec LoadLanesAvx2(const XoshiroLanes& lanes, int j0) {
+  return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(&lanes.words[0][j0])),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&lanes.words[1][j0])),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&lanes.words[2][j0])),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&lanes.words[3][j0]))};
+}
+
+SEASTAR_AVX2 inline void StoreLanesAvx2(const XoshiroVec& s, XoshiroLanes& lanes, int j0) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(&lanes.words[0][j0]), s.s0);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(&lanes.words[1][j0]), s.s1);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(&lanes.words[2][j0]), s.s2);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(&lanes.words[3][j0]), s.s3);
+}
+
+template <int k>
+SEASTAR_AVX2 inline __m256i RotlEpi64(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+// One xoshiro256** draw on four lanes. AVX2 has no 64-bit multiply: s1 * 5
+// and r * 9 are a shift and an add (mod 2^64 either way).
+SEASTAR_AVX2 inline __m256i XoshiroDrawAvx2(XoshiroVec& s) {
+  const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s.s1, 2), s.s1);
+  const __m256i rotated = RotlEpi64<7>(times5);
+  const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(rotated, 3), rotated);
+  const __m256i t = _mm256_slli_epi64(s.s1, 17);
+  s.s2 = _mm256_xor_si256(s.s2, s.s0);
+  s.s3 = _mm256_xor_si256(s.s3, s.s1);
+  s.s1 = _mm256_xor_si256(s.s1, s.s2);
+  s.s0 = _mm256_xor_si256(s.s0, s.s3);
+  s.s2 = _mm256_xor_si256(s.s2, t);
+  s.s3 = RotlEpi64<45>(s.s3);
+  return result;
+}
+
+// One step of all 8 lanes as keep values (keep_scale or +0.0f), in the lane
+// order kPackedLane. u >> 11 and threshold are both below 2^63, so the
+// signed 64-bit compare is exact.
+SEASTAR_AVX2 inline __m256 KeepStepAvx2(XoshiroVec& lo, XoshiroVec& hi, __m256i threshold,
+                                        __m256 keep) {
+  const __m256i drop_lo =
+      _mm256_cmpgt_epi64(threshold, _mm256_srli_epi64(XoshiroDrawAvx2(lo), 11));
+  const __m256i drop_hi =
+      _mm256_cmpgt_epi64(threshold, _mm256_srli_epi64(XoshiroDrawAvx2(hi), 11));
+  // The low half of each 64-bit compare result, per 128-bit half: lanes
+  // 0, 1, 4, 5 | 2, 3, 6, 7.
+  const __m256 drop =
+      _mm256_shuffle_ps(_mm256_castsi256_ps(drop_lo), _mm256_castsi256_ps(drop_hi), 0x88);
+  return _mm256_andnot_ps(drop, keep);
+}
+constexpr int kPackedLane[kDropoutLanes] = {0, 1, 4, 5, 2, 3, 6, 7};
+
+// In-register 8x8 transpose: v[r][c] becomes v[c][r].
+SEASTAR_AVX2 inline void Transpose8x8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  v[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  v[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  v[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  v[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  v[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  v[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  v[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  v[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+// Steps [t, t + steps) of every lane block, steps <= 8: one tile of keep
+// values, transposed so each lane's steps are one vector, then applied to
+// x. A partial tile (kPartial, steps < 8) loads and stores only its `steps`
+// columns (`columns` = ColumnMask(steps)): the next lane's block, or the
+// buffer's end, starts right after.
+template <bool kMask, bool kPartial>
+SEASTAR_AVX2 inline void DropoutTileAvx2(const float* x, float* out, float* mask, int64_t block,
+                                         int64_t t, int steps, __m256i columns, XoshiroVec& lo,
+                                         XoshiroVec& hi, __m256i threshold, __m256 keep) {
+  __m256 tile[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) {
+    tile[r] = !kPartial || r < steps ? KeepStepAvx2(lo, hi, threshold, keep) : _mm256_setzero_ps();
+  }
+  Transpose8x8(tile);
+#pragma GCC unroll 8
+  for (int c = 0; c < 8; ++c) {
+    const int64_t i = kPackedLane[c] * block + t;
+    if constexpr (kPartial) {
+      const __m256 xv = _mm256_maskload_ps(x + i, columns);
+      _mm256_maskstore_ps(out + i, columns, _mm256_mul_ps(xv, tile[c]));
+      if constexpr (kMask) {
+        _mm256_maskstore_ps(mask + i, columns, tile[c]);
+      }
+    } else {
+      _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), tile[c]));
+      if constexpr (kMask) {
+        _mm256_storeu_ps(mask + i, tile[c]);
+      }
+    }
+  }
+}
+
+template <bool kMask>
+SEASTAR_AVX2 void DropoutLanesAvx2Impl(const float* x, float* out, float* mask, int64_t block,
+                                       int64_t tail, uint64_t threshold, float keep_scale,
+                                       XoshiroLanes& lanes) {
+  XoshiroVec lo = LoadLanesAvx2(lanes, 0);
+  XoshiroVec hi = LoadLanesAvx2(lanes, 4);
+  const __m256i thr = _mm256_set1_epi64x(static_cast<int64_t>(threshold));
+  const __m256 keep = _mm256_set1_ps(keep_scale);
+  int64_t t = 0;
+  for (; t + 8 <= block; t += 8) {
+    DropoutTileAvx2<kMask, false>(x, out, mask, block, t, 8, __m256i{}, lo, hi, thr, keep);
+  }
+  if (t < block) {
+    const int steps = static_cast<int>(block - t);
+    DropoutTileAvx2<kMask, true>(x, out, mask, block, t, steps, ColumnMask(steps), lo, hi, thr,
+                                 keep);
+  }
+  StoreLanesAvx2(lo, lanes, 0);
+  StoreLanesAvx2(hi, lanes, 4);
+  DropoutSerial<kMask>(x, out, mask, kDropoutLanes * block, kDropoutLanes * block + tail,
+                       threshold, std::bit_cast<uint32_t>(keep_scale), lanes);
+}
+
+SEASTAR_AVX2 void DropoutLanesAvx2(const float* x, float* out, float* mask, int64_t block,
+                                   int64_t tail, uint64_t threshold, float keep_scale,
+                                   XoshiroLanes& lanes) {
+  if (mask != nullptr) {
+    DropoutLanesAvx2Impl<true>(x, out, mask, block, tail, threshold, keep_scale, lanes);
+  } else {
+    DropoutLanesAvx2Impl<false>(x, out, mask, block, tail, threshold, keep_scale, lanes);
+  }
+}
+
+constexpr DropoutKernels kAvx2Dropout = {DropoutLanesAvx2};
+
 bool CpuHasAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -552,6 +773,7 @@ Dispatch ResolveDispatch() {
     GemmTile4xN = kAvx2Gemm.tile4xn;
     GemmTile1xN = kAvx2Gemm.tile1xn;
     EluGradRow = EluGradRowAvx2;
+    DropoutLanes = kAvx2Dropout.lanes;
     return {"avx2", 8};
   }
 #endif
@@ -575,6 +797,7 @@ decltype(GemmTile1x16) GemmTile1x16 = kScalarGemm.tile1x16;
 decltype(GemmTile4xN) GemmTile4xN = kScalarGemm.tile4xn;
 decltype(GemmTile1xN) GemmTile1xN = kScalarGemm.tile1xn;
 decltype(EluGradRow) EluGradRow = EluGradRowScalar;
+decltype(DropoutLanes) DropoutLanes = kScalarDropout.lanes;
 
 const GatherKernels& ScalarGatherKernels() { return kScalarGather; }
 
@@ -593,6 +816,17 @@ const GemmKernels* Avx2GemmKernels() {
 #if defined(SEASTAR_SIMD_X86)
   if (CpuHasAvx2Fma()) {
     return &kAvx2Gemm;
+  }
+#endif
+  return nullptr;
+}
+
+const DropoutKernels& ScalarDropoutKernels() { return kScalarDropout; }
+
+const DropoutKernels* Avx2DropoutKernels() {
+#if defined(SEASTAR_SIMD_X86)
+  if (CpuHasAvx2Fma()) {
+    return &kAvx2Dropout;
   }
 #endif
   return nullptr;

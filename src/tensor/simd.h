@@ -3,9 +3,9 @@
 // These are the vector inner loops behind every lowered unit's reduction
 // (Reduce in src/exec/compiled_program.h: gather-reduce kernels that fold a
 // key's rows into its accumulator, held in registers), the dense GEMM
-// tiles (16-column panels and the narrow column tails) and one pointwise
-// blend. They exist as out-of-line, runtime-dispatched functions for two
-// reasons:
+// tiles (16-column panels and the narrow column tails), one pointwise
+// blend and the dropout draw. They exist as out-of-line, runtime-dispatched
+// functions for two reasons:
 //
 //  * Bit-reproducibility across loop *partitionings*. The tiled executor
 //    runs the same per-key accumulation as the untiled one, just restricted
@@ -129,6 +129,35 @@ struct GemmKernels {
 };
 const GemmKernels& ScalarGemmKernels();
 const GemmKernels* Avx2GemmKernels();
+
+// Dropout on kDropoutLanes xoshiro256** streams (ops::Dropout). Lane j's
+// state is lanes.words[0..3][j]. The elements [0, 8 * block) split into
+// lane blocks: lane j draws elements [j * block, (j + 1) * block), one draw
+// each, in order. The serial tail [8 * block, 8 * block + tail) then
+// continues from lane 7's end state, which is where lane 7 is left on
+// return. With lane j started j * block draws into one stream (RngJump),
+// the call draws exactly what 8 * block + tail successive draws would.
+// Element i with draw u keeps when u >> 11 >= threshold: keep_i =
+// keep_scale if so, else 0.0f; out[i] = x[i] * keep_i and, unless mask is
+// null, mask[i] = keep_i. threshold must not exceed 2^53. The AVX2 body
+// steps all 8 lanes at once (two 4-lane ymm states, the multiplies by 5 and
+// 9 as shift+add) and transposes each 8-step × 8-lane tile of keep values so
+// that every lane writes 8 consecutive elements; the scalar body steps 8
+// independent chains. Integer draws and one multiply per element: both give
+// the same bits.
+constexpr int kDropoutLanes = 8;
+struct XoshiroLanes {
+  uint64_t words[4][kDropoutLanes];
+};
+extern void (*DropoutLanes)(const float* x, float* out, float* mask, int64_t block, int64_t tail,
+                            uint64_t threshold, float keep_scale, XoshiroLanes& lanes);
+
+// The dropout kernel of one ISA, so tests can run each variant directly.
+struct DropoutKernels {
+  decltype(DropoutLanes) lanes;
+};
+const DropoutKernels& ScalarDropoutKernels();
+const DropoutKernels* Avx2DropoutKernels();
 
 // out[i] = y[i] > 0 ? g[i] : g[i] * (y[i] + alpha)   (ELU's backward from its
 // output). A blend, not a branch: on random signs a branch mispredicts about

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bitset>
+#include <cstring>
 #include <set>
 
 #include "src/common/rng.h"
@@ -90,6 +92,143 @@ TEST(RngTest, WeightedRespectsWeights) {
   }
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / (counts[0] + counts[2]), 0.75, 0.02);
+}
+
+bool SameWords(const Rng& a, const Rng& b) {
+  const RngState sa = a.SaveState();
+  const RngState sb = b.SaveState();
+  return std::memcmp(sa.words, sb.words, sizeof(sa.words)) == 0;
+}
+
+TEST(RngTest, JumpMatchesSequentialSteps) {
+  for (const uint64_t m : {0u, 1u, 7u, 255u, 256u, 257u, 65537u, 220048u}) {
+    Rng jumped(29);
+    Rng stepped(29);
+    jumped.Jump(m);
+    for (uint64_t i = 0; i < m; ++i) {
+      stepped.NextUint64();
+    }
+    EXPECT_TRUE(SameWords(jumped, stepped)) << "m=" << m;
+    // One RngJump applied twice is a jump by 2m.
+    uint64_t words[4];
+    std::memcpy(words, Rng(29).SaveState().words, sizeof(words));
+    const RngJump jump(m);
+    jump.Apply(words);
+    jump.Apply(words);
+    for (uint64_t i = 0; i < m; ++i) {
+      stepped.NextUint64();
+    }
+    EXPECT_EQ(std::memcmp(words, stepped.SaveState().words, sizeof(words)), 0) << "m=" << m;
+  }
+  // Jumps compose: Jump(a) then Jump(b) is Jump(a + b), for a and b near 2^40.
+  const uint64_t a = (uint64_t{1} << 40) - 3;
+  const uint64_t b = (uint64_t{1} << 40) + 12345;
+  Rng twice(31);
+  twice.Jump(a);
+  twice.Jump(b);
+  Rng once(31);
+  once.Jump(a + b);
+  EXPECT_TRUE(SameWords(twice, once));
+  Rng other(31);
+  other.Jump(a + b + 1);
+  EXPECT_FALSE(SameWords(twice, other));
+  // The Box-Muller cache is not part of the xoshiro state and survives.
+  Rng cached(37);
+  const double first = cached.NextGaussian();
+  cached.Jump(5);
+  EXPECT_TRUE(cached.SaveState().have_cached_gaussian);
+  EXPECT_NE(cached.NextGaussian(), first);
+}
+
+// GF(2) polynomials of degree < 512 for re-deriving the jump constants
+// independently of rng.cc's arithmetic.
+using Poly512 = std::bitset<512>;
+
+Poly512 FromWords(const uint64_t words[4]) {
+  Poly512 p;
+  for (int i = 0; i < 256; ++i) {
+    p[static_cast<size_t>(i)] = (words[i / 64] >> (i % 64)) & 1;
+  }
+  return p;
+}
+
+Poly512 MulModP(const Poly512& a, const Poly512& b, const Poly512& p) {
+  Poly512 r;
+  for (size_t i = 0; i < 256; ++i) {
+    if (b[i]) {
+      r ^= a << i;
+    }
+  }
+  for (size_t i = 511; i >= 256; --i) {
+    if (r[i]) {
+      r ^= p << (i - 256);
+    }
+  }
+  return r;
+}
+
+TEST(RngTest, JumpConstantsMatchTheGenerator) {
+  // Berlekamp-Massey over one state bit of successive draws gives the
+  // transition's minimal polynomial, which for a full-period generator is
+  // its degree-256 characteristic polynomial P.
+  Rng rng(41);
+  std::vector<int> bits;
+  for (int i = 0; i < 600; ++i) {
+    bits.push_back(static_cast<int>(rng.SaveState().words[0] & 1));
+    rng.NextUint64();
+  }
+  std::vector<int> c = {1};
+  std::vector<int> prev = {1};
+  size_t length = 0;
+  size_t gap = 1;
+  for (size_t n = 0; n < bits.size(); ++n) {
+    int discrepancy = bits[n];
+    for (size_t i = 1; i <= length && i < c.size(); ++i) {
+      discrepancy ^= c[i] & bits[n - i];
+    }
+    if (discrepancy == 0) {
+      ++gap;
+      continue;
+    }
+    std::vector<int> next = c;
+    next.resize(std::max(c.size(), prev.size() + gap), 0);
+    for (size_t i = 0; i < prev.size(); ++i) {
+      next[i + gap] ^= prev[i];
+    }
+    if (2 * length <= n) {
+      prev = c;
+      length = n + 1 - length;
+      gap = 1;
+    } else {
+      ++gap;
+    }
+    c = next;
+  }
+  ASSERT_EQ(length, 256u);
+  c.resize(257, 0);
+  Poly512 p;  // P(x) = x^256 * C(1/x).
+  for (size_t i = 0; i <= 256; ++i) {
+    p[256 - i] = c[i] != 0;
+  }
+  ASSERT_TRUE(p[256]);
+  Poly512 low = p;
+  low[256] = false;
+  EXPECT_EQ(low, FromWords(RngJump::kCharPoly));
+
+  // kPowers[k] = x^(2^k) mod P, by repeated squaring.
+  Poly512 power;
+  power[1] = true;
+  for (int k = 0; k < 64; ++k) {
+    EXPECT_EQ(power, FromWords(RngJump::kPowers[k])) << "k=" << k;
+    power = MulModP(power, power, p);
+  }
+  // And x^(2^128) mod P is xoshiro256's published JUMP polynomial.
+  for (int k = 64; k < 128; ++k) {
+    power = MulModP(power, power, p);
+  }
+  const uint64_t kPublishedJump[4] = {0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+                                      0xa9582618e03fc9aaull, 0x39abdc4529b1661cull};
+  EXPECT_EQ(power, FromWords(kPublishedJump));
 }
 
 TEST(RngTest, ShufflePermutes) {

@@ -1,7 +1,7 @@
 // Tests for the specialized hot-path kernels added for steady-state training:
 // the compile-time lowering of fused units onto the segment launch (edge
 // prologue + row-kernel reduction) and its differential checks, the
-// register-blocked GEMM kernels, the batched dropout mask, and the
+// register-blocked GEMM kernels, the lane-parallel dropout, and the
 // scalar-broadcast elementwise forms. Every fast form is checked against an
 // independent reference (baseline executors, naive triple loops, the
 // per-element RNG path).
@@ -22,6 +22,7 @@
 #include "src/gir/builder.h"
 #include "src/graph/generators.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd.h"
 
 namespace seastar {
 namespace {
@@ -416,72 +417,244 @@ TEST(GemmTest, MatmulTransposeAMatchesNaive) {
   EXPECT_TRUE(ops::MatmulTransposeA(at, b).AllClose(ref, 1e-4f));
 }
 
-// ---- Batched dropout mask ---------------------------------------------------
+// ---- Dropout -----------------------------------------------------------------------------------
+// ops::Dropout draws on 8 jumped xoshiro lanes plus a serial tail; every
+// case is checked bit for bit against the per-element path it replaces:
+// mask_i = NextBernoulli(p) ? 0 : 1/(1-p), out_i = x_i * mask_i, and the
+// Rng left where those draws leave it.
+
+// Normal values with every 61st element one of ±0, NaN and ±Inf.
+Tensor DropoutInput(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  Tensor x = ops::RandomNormal({n}, 0, 1, rng);
+  const float specials[] = {0.0f, -0.0f, std::nanf(""), INFINITY, -INFINITY};
+  for (int64_t i = 0; i < n; i += 61) {
+    x.data()[i] = specials[(i / 61) % 5];
+  }
+  return x;
+}
+
+struct DropoutReference {
+  std::vector<float> out;
+  std::vector<float> mask;
+  RngState state;
+};
+
+// The per-element path, for a double p (the kernel's threshold is exact for
+// any double, the op's p is a float).
+DropoutReference PerElementDropout(const float* x, int64_t n, double p, float keep, Rng rng) {
+  DropoutReference ref;
+  for (int64_t i = 0; i < n; ++i) {
+    const float m = rng.NextBernoulli(p) ? 0.0f : keep;
+    ref.mask.push_back(m);
+    ref.out.push_back(x[i] * m);
+  }
+  ref.state = rng.SaveState();
+  return ref;
+}
+
+bool SameBits(const float* a, const std::vector<float>& b) {
+  return std::memcmp(a, b.data(), b.size() * sizeof(float)) == 0;
+}
+
+bool SameWords(const RngState& a, const RngState& b) {
+  return std::memcmp(a.words, b.words, sizeof(a.words)) == 0;
+}
+
+// Products p * 2^53 that are integers (0.5, any float p, 0.5 + 2^-53) and
+// that are not (0.37, 0.6, 1/3, 0.1 as doubles).
+const double kDropoutProbabilities[] = {
+    0.37, 0.5, 0.6, 1.0 / 3.0, 0.1, static_cast<double>(0.6f), 0.5 + 0x1.0p-53};
 
 TEST(DropoutMaskTest, BatchedFillMatchesPerElementBernoulliDrawForDraw) {
-  // Checkpoint determinism depends on the batched fill consuming exactly the
-  // draws the old per-element path consumed, and deciding each the same way.
-  // The fill compares bits >> 11 against ceil(p * 2^53); cover products
-  // p * 2^53 that are integers (0.5, any float p, 0.5 + 2^-53) and that are
-  // not (0.37, 0.6, 1/3, 0.1 as doubles).
-  const int64_t n = 1000;
-  for (const double p :
-       {0.37, 0.5, 0.6, 1.0 / 3.0, 0.1, static_cast<double>(0.6f), 0.5 + 0x1.0p-53}) {
-    SCOPED_TRACE(p);
-    const float keep = 1.0f / (1.0f - static_cast<float>(p));
-    Rng batched(12345), reference(12345);
-
-    std::vector<float> mask(n);
-    batched.FillDropoutMask(mask.data(), n, p, keep);
-    int64_t dropped = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float expected = reference.NextBernoulli(p) ? 0.0f : keep;
-      ASSERT_EQ(mask[i], expected) << "element " << i;
-      dropped += mask[i] == 0.0f;
+  constexpr int64_t kMin = ops::kDropoutMinLaneBlock;
+  for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{8}, int64_t{9}, kMin - 1,
+                          kMin + 1, 8 * kMin - 1, 8 * kMin, 8 * kMin + 1, 8 * kMin + 13,
+                          int64_t{1760384}}) {
+    const Tensor x = DropoutInput(n, static_cast<uint64_t>(n) + 3);
+    for (const double p_double : kDropoutProbabilities) {
+      const float p = static_cast<float>(p_double);
+      const float keep = 1.0f / (1.0f - p);
+      const DropoutReference ref = PerElementDropout(x.data(), n, p, keep, Rng(12345));
+      for (const bool with_mask : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << p << " mask=" << with_mask);
+        Rng rng(12345);
+        const ops::DropoutResult got = ops::Dropout(x, p, rng, with_mask);
+        ASSERT_TRUE(SameBits(got.output.data(), ref.out));
+        if (with_mask) {
+          ASSERT_TRUE(SameBits(got.mask.data(), ref.mask));
+        } else {
+          EXPECT_FALSE(got.mask.defined());
+        }
+        // Streams must be in sync afterwards, or a resumed run would diverge.
+        EXPECT_TRUE(SameWords(rng.SaveState(), ref.state));
+      }
+      if (n >= 1000) {  // Sanity: the drop rate is in the right ballpark.
+        int64_t dropped = 0;
+        for (const float m : ref.mask) {
+          dropped += m == 0.0f;
+        }
+        EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(n), p, 0.08);
+      }
     }
-    // Streams must be in sync afterwards, or a resumed run would diverge.
-    const RngState got = batched.SaveState();
-    const RngState want = reference.SaveState();
-    for (int w = 0; w < 4; ++w) {
-      EXPECT_EQ(got.words[w], want.words[w]);
-    }
-    // Sanity: the drop rate is in the right ballpark.
-    EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(n), p, 0.08);
   }
 }
 
+struct DropoutVariant {
+  const char* isa;
+  const simd::DropoutKernels* kernels;
+};
+
+std::vector<DropoutVariant> DropoutVariants() {
+  std::vector<DropoutVariant> variants = {{"scalar", &simd::ScalarDropoutKernels()}};
+  if (const simd::DropoutKernels* avx2 = simd::Avx2DropoutKernels()) {
+    variants.push_back({"avx2", avx2});
+  }
+  return variants;
+}
+
+// Lane j started j * block draws into `rng`'s stream.
+simd::XoshiroLanes JumpedLanes(const Rng& rng, int64_t block) {
+  uint64_t words[4];
+  std::memcpy(words, rng.SaveState().words, sizeof(words));
+  const RngJump jump(static_cast<uint64_t>(block));
+  simd::XoshiroLanes lanes;
+  for (int j = 0; j < simd::kDropoutLanes; ++j) {
+    if (j > 0) {
+      jump.Apply(words);
+    }
+    for (int w = 0; w < 4; ++w) {
+      lanes.words[w][j] = words[w];
+    }
+  }
+  return lanes;
+}
+
+TEST(DropoutMaskTest, EachKernelVariantMatchesPerElementDraws) {
+  // Every block length through two full 8-step tiles, with ragged tiles and
+  // tails of every length, and a long block; double p (non-integer
+  // p * 2^53 included); with and without a mask. Guard elements past the
+  // end must stay untouched.
+  constexpr int64_t kGuard = 8;
+  constexpr float kSentinel = -7.0f;
+  std::vector<std::pair<int64_t, int64_t>> shapes;  // (block, tail)
+  for (int64_t block = 0; block <= 17; ++block) {
+    for (int64_t tail = 0; tail <= 9; ++tail) {
+      shapes.emplace_back(block, tail);
+    }
+  }
+  shapes.emplace_back(1029, 5);
+  for (const DropoutVariant& variant : DropoutVariants()) {
+    for (const auto& [block, tail] : shapes) {
+      const int64_t n = simd::kDropoutLanes * block + tail;
+      const Tensor x = DropoutInput(n, static_cast<uint64_t>(block * 31 + tail));
+      for (const double p : kDropoutProbabilities) {
+        const float keep = 1.0f / (1.0f - static_cast<float>(p));
+        const uint64_t threshold = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+        const Rng start(static_cast<uint64_t>(n) * 7 + 1);
+        const DropoutReference ref = PerElementDropout(x.data(), n, p, keep, start);
+        for (const bool with_mask : {true, false}) {
+          SCOPED_TRACE(testing::Message() << variant.isa << " block=" << block << " tail=" << tail
+                                          << " p=" << p << " mask=" << with_mask);
+          std::vector<float> out(static_cast<size_t>(n + kGuard), kSentinel);
+          std::vector<float> mask(out.size(), kSentinel);
+          simd::XoshiroLanes lanes = JumpedLanes(start, block);
+          variant.kernels->lanes(x.data(), out.data(), with_mask ? mask.data() : nullptr, block,
+                                 tail, threshold, keep, lanes);
+          ASSERT_TRUE(SameBits(out.data(), ref.out));
+          if (with_mask) {
+            ASSERT_TRUE(SameBits(mask.data(), ref.mask));
+          }
+          for (int64_t i = n; i < n + kGuard; ++i) {
+            ASSERT_EQ(out[static_cast<size_t>(i)], kSentinel) << "guard " << i - n;
+            ASSERT_EQ(mask[static_cast<size_t>(i)], kSentinel) << "guard " << i - n;
+          }
+          for (int w = 0; w < 4; ++w) {
+            EXPECT_EQ(lanes.words[w][simd::kDropoutLanes - 1], ref.state.words[w]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DropoutMaskTest, DispatchedKernelIsTheWidestVariant) {
+  const simd::DropoutKernels* avx2 = simd::Avx2DropoutKernels();
+  EXPECT_EQ(simd::DropoutLanes,
+            avx2 != nullptr ? avx2->lanes : simd::ScalarDropoutKernels().lanes);
+}
+
 TEST(DropoutMaskTest, ThresholdIsExactAtTheDrawnValue) {
-  // For the next draw u = x * 2^-53: p = u keeps (u < p is false), the next
-  // double above u drops, the one below keeps.
+  // For a draw u = x * 2^-53: p = u keeps (u < p is false), the next double
+  // above u drops, the one below keeps — in every lane and on the tail. All
+  // lanes start from one state here, so each lane's first draw is u.
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     Rng peek(seed);
     const double u = peek.NextDouble();
     for (const auto& [p, dropped] : {std::pair{u, false},
                                      std::pair{std::nextafter(u, 1.0), true},
                                      std::pair{std::nextafter(u, 0.0), false}}) {
-      if (p <= 0.0) {
-        continue;  // A degenerate p draws nothing.
+      const float want = dropped ? 0.0f : 2.0f;
+      const uint64_t threshold = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+      for (const DropoutVariant& variant : DropoutVariants()) {
+        for (const int64_t block : {int64_t{0}, int64_t{1}, int64_t{9}}) {
+          simd::XoshiroLanes lanes = JumpedLanes(Rng(seed), 0);
+          const int64_t n = simd::kDropoutLanes * block + 1;
+          std::vector<float> ones(static_cast<size_t>(n), 1.0f);
+          std::vector<float> out(ones.size(), -1.0f);
+          variant.kernels->lanes(ones.data(), out.data(), nullptr, block, 1, threshold, 2.0f,
+                                 lanes);
+          for (int64_t j = 0; j < simd::kDropoutLanes && block > 0; ++j) {
+            EXPECT_EQ(out[static_cast<size_t>(j * block)], want)
+                << variant.isa << " seed " << seed << " p " << p << " lane " << j;
+          }
+          if (block == 0) {
+            EXPECT_EQ(out[0], want) << variant.isa << " seed " << seed << " p " << p;
+          }
+        }
+      }
+    }
+    // Through the op, p is a float: the floats on either side of u.
+    const float below = static_cast<float>(u) <= u ? static_cast<float>(u)
+                                                    : std::nextafter(static_cast<float>(u), 0.0f);
+    const float above = std::nextafter(below, 1.0f);
+    for (const auto& [p, dropped] : {std::pair{below, false}, std::pair{above, true}}) {
+      if (p <= 0.0f || p >= 1.0f) {
+        continue;  // The op takes p in [0, 1); 0 draws nothing.
       }
       Rng rng(seed);
-      float mask = -1.0f;
-      rng.FillDropoutMask(&mask, 1, p, 2.0f);
-      EXPECT_EQ(mask, dropped ? 0.0f : 2.0f) << "seed " << seed << " p " << p;
+      const ops::DropoutResult result = ops::Dropout(Tensor::Ones({1}), p, rng);
+      EXPECT_EQ(result.mask.at(0), dropped ? 0.0f : 1.0f / (1.0f - p))
+          << "seed " << seed << " p " << p;
     }
   }
 }
 
 TEST(DropoutMaskTest, DegenerateProbabilitiesConsumeNoDraws) {
-  Rng a(7), b(7);
-  std::vector<float> mask(64);
-  a.FillDropoutMask(mask.data(), 64, 0.0, 2.0f);
-  for (float v : mask) {
-    EXPECT_EQ(v, 2.0f);
+  // NextBernoulli(0) draws nothing: p = 0 keeps everything (x * 1, NaN and
+  // ±0 included), leaves every xoshiro word as it was, and on a lane-sized
+  // call too. p >= 1 is rejected.
+  for (const int64_t n : {int64_t{64}, 8 * ops::kDropoutMinLaneBlock + 5}) {
+    const Tensor x = DropoutInput(n, 11);
+    std::vector<float> want(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      want[static_cast<size_t>(i)] = x.data()[i] * 1.0f;
+    }
+    for (const bool with_mask : {true, false}) {
+      Rng a(7);
+      const Rng b(7);
+      const ops::DropoutResult result = ops::Dropout(x, 0.0f, a, with_mask);
+      EXPECT_TRUE(SameBits(result.output.data(), want)) << "n=" << n;
+      if (with_mask) {
+        for (int64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(result.mask.data()[i], 1.0f);
+        }
+      }
+      EXPECT_TRUE(SameWords(a.SaveState(), b.SaveState())) << "n=" << n;
+    }
   }
-  a.FillDropoutMask(mask.data(), 64, 1.0, 2.0f);
-  for (float v : mask) {
-    EXPECT_EQ(v, 0.0f);
-  }
-  EXPECT_EQ(a.NextUint64(), b.NextUint64());  // NextBernoulli(0/1) draws nothing.
+  Rng rng(7);
+  EXPECT_DEATH(ops::Dropout(Tensor::Ones({4}), 1.0f, rng), "");
 }
 
 // ---- Scalar broadcast in binary elementwise ---------------------------------

@@ -397,6 +397,20 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
   EXPECT_EQ(count("matmul"), config.num_layers);
   EXPECT_EQ(count("matmul/backward"), config.num_layers);
   EXPECT_EQ(count("dropout"), config.num_layers);
+  // Each dropout span counts what it wrote: the features input needs no
+  // gradient, so layer 0 writes only its output; layer 1 also its mask.
+  std::vector<int64_t> dropout_bytes;
+  for (const Span& span : dense) {
+    if (std::string(span.name) == "dropout") {
+      ASSERT_TRUE(span.has(Arg::kBytesMaterialized));
+      dropout_bytes.push_back(span.arg(Arg::kBytesMaterialized));
+    }
+  }
+  const int64_t n = data.features.dim(0);
+  const int64_t bytes = static_cast<int64_t>(sizeof(float));
+  EXPECT_EQ(dropout_bytes,
+            (std::vector<int64_t>{n * data.features.dim(1) * bytes,
+                                  2 * n * config.hidden_dim * bytes}));
   // One run, so span indices are positions in the retained list.
   const std::vector<Span> all = RetainedSpans(tracer);
   for (const Span& span : dense) {

@@ -193,26 +193,6 @@ TEST(OpsTest, MatmulTransposeABitwiseMatchesExplicitTranspose) {
   }
 }
 
-TEST(OpsTest, BatchedMatmul) {
-  Rng rng(3);
-  Tensor a = ops::RandomNormal({3, 4, 5}, 0, 1, rng);
-  Tensor b = ops::RandomNormal({3, 5, 2}, 0, 1, rng);
-  Tensor c = ops::BatchedMatmul(a, b);
-  ASSERT_EQ(c.dim(0), 3);
-  for (int64_t bi = 0; bi < 3; ++bi) {
-    Tensor ai({4, 5});
-    Tensor bi_m({5, 2});
-    std::copy(a.data() + bi * 20, a.data() + (bi + 1) * 20, ai.data());
-    std::copy(b.data() + bi * 10, b.data() + (bi + 1) * 10, bi_m.data());
-    Tensor expected = ops::Matmul(ai, bi_m);
-    for (int64_t i = 0; i < 4; ++i) {
-      for (int64_t j = 0; j < 2; ++j) {
-        EXPECT_NEAR(c.data()[bi * 8 + i * 2 + j], expected.at(i, j), 1e-4);
-      }
-    }
-  }
-}
-
 TEST(OpsTest, Reductions) {
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
   EXPECT_FLOAT_EQ(ops::SumAll(a), 21.0f);
