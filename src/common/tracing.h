@@ -79,8 +79,8 @@ enum class Arg : uint8_t {
   // Kernel behaviour (paper §7): edges traversed, tensor bytes written, FAT
   // geometry, simulated thread blocks, block-scheduler dispatch grants,
   // kernel launches, allocator live-byte delta (signed) and watermark rise.
-  kEdges, kBytesMaterialized, kFatGroups, kFatGroupSize, kNumBlocks, kBlockSize,
-  kDispatches, kKernelLaunches, kAllocDeltaBytes, kPeakDeltaBytes,
+  kEdges, kBytesMaterialized, kFatGroups, kFatGroupSize, kNumBlocks, kDispatches,
+  kKernelLaunches, kAllocDeltaBytes, kPeakDeltaBytes,
   // Steady-state caching: whether the plan came from the PlanCache, and how
   // allocations split between pool reuse and fresh mallocs.
   kPlanCacheHits, kPlanCacheMisses, kPoolHits, kPoolMisses,

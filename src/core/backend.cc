@@ -1,7 +1,5 @@
 #include "src/core/backend.h"
 
-#include "src/common/logging.h"
-
 namespace seastar {
 
 const char* BackendName(Backend backend) {
@@ -35,39 +33,5 @@ std::optional<Backend> BackendFromString(const std::string& name) {
 }
 
 const char* BackendChoices() { return "seastar|seastar-nofuse|dgl|pyg"; }
-
-RunResult RunWithBackend(const BackendConfig& config, const GirGraph& gir, const Graph& graph,
-                         const FeatureMap& features, const RunContext& ctx) {
-  switch (config.backend) {
-    case Backend::kSeastar: {
-      SeastarExecutor executor(config.seastar_options);
-      return executor.Run(gir, graph, features, ctx);
-    }
-    case Backend::kSeastarNoFusion: {
-      SeastarExecutorOptions options = config.seastar_options;
-      options.enable_fusion = false;
-      SeastarExecutor executor(options);
-      return executor.Run(gir, graph, features, ctx);
-    }
-    case Backend::kDglLike: {
-      BaselineExecutorOptions options = config.baseline_options;
-      options.flavor = BaselineFlavor::kDglLike;
-      BaselineExecutor executor(options);
-      return executor.Run(gir, graph, features, ctx);
-    }
-    case Backend::kPygLike: {
-      BaselineExecutorOptions options = config.baseline_options;
-      options.flavor = BaselineFlavor::kPygLike;
-      BaselineExecutor executor(options);
-      return executor.Run(gir, graph, features, ctx);
-    }
-  }
-  SEASTAR_LOG(Fatal) << "unknown backend";
-  return RunResult{};
-}
-
-bool BackendSavesIntermediates(Backend backend) {
-  return backend == Backend::kDglLike || backend == Backend::kPygLike;
-}
 
 }  // namespace seastar

@@ -36,24 +36,6 @@ struct BackendConfig {
   BaselineExecutorOptions baseline_options;
 };
 
-// Runs `gir` under `config`. Thin dispatch wrapper over the executors; `ctx`
-// carries the per-run state (seed values, retain set) through to
-// whichever executor the config selects — see RunContext in exec/runtime.h.
-//
-// Deprecated: constructs a throwaway executor per call and can only name the
-// whole-graph strategies. Build an Executor once (ExecutorFactory::Create or
-// MakeExecutor(config)) and run through an ExecutionSession instead — see
-// src/exec/executor.h.
-[[deprecated(
-    "build an Executor via ExecutorFactory::Create / MakeExecutor and run through an "
-    "ExecutionSession (src/exec/executor.h)")]]
-RunResult RunWithBackend(const BackendConfig& config, const GirGraph& gir, const Graph& graph,
-                         const FeatureMap& features, const RunContext& ctx = {});
-
-// True when the backend materializes (and must keep alive for backward)
-// every intermediate — i.e. the whole-graph tensor systems.
-bool BackendSavesIntermediates(Backend backend);
-
 }  // namespace seastar
 
 #endif  // SRC_CORE_BACKEND_H_

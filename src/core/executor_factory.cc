@@ -41,27 +41,25 @@ StatusOr<ExecutorSpec> ParseExecutorSpec(const std::string& spec) {
   return parsed;
 }
 
-StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(
-    const std::string& spec, const ExecutorFactoryOptions& options) {
+StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(const std::string& spec) {
   StatusOr<ExecutorSpec> parsed = ParseExecutorSpec(spec);
   if (!parsed) {
     return parsed.status();
   }
-  return Create(*parsed, options);
+  return Create(*parsed);
 }
 
-StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(
-    const ExecutorSpec& spec, const ExecutorFactoryOptions& options) {
+StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(const ExecutorSpec& spec) {
   if (spec.kind == "seastar") {
-    return std::unique_ptr<Executor>(std::make_unique<SeastarExecutor>(options.seastar_options));
+    return std::unique_ptr<Executor>(std::make_unique<SeastarExecutor>());
   }
   if (spec.kind == "seastar-nofuse") {
-    SeastarExecutorOptions seastar_options = options.seastar_options;
+    SeastarExecutorOptions seastar_options;
     seastar_options.enable_fusion = false;
     return std::unique_ptr<Executor>(std::make_unique<SeastarExecutor>(seastar_options));
   }
   if (spec.kind == "dgl" || spec.kind == "pyg") {
-    BaselineExecutorOptions baseline_options = options.baseline_options;
+    BaselineExecutorOptions baseline_options;
     baseline_options.flavor =
         spec.kind == "dgl" ? BaselineFlavor::kDglLike : BaselineFlavor::kPygLike;
     return std::unique_ptr<Executor>(std::make_unique<BaselineExecutor>(baseline_options));
@@ -73,8 +71,6 @@ StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(
     }
     ShardRuntimeOptions shard_options;
     shard_options.num_shards = spec.num_shards;
-    shard_options.seastar_options = options.seastar_options;
-    shard_options.use_pool_slices = options.use_pool_slices;
     return std::unique_ptr<Executor>(std::make_unique<ShardRuntime>(shard_options));
   }
   return ErrorStatus(StatusCode::kInvalidArgument)

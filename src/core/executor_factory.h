@@ -37,29 +37,17 @@ struct ExecutorSpec {
 // print it next to Choices().
 StatusOr<ExecutorSpec> ParseExecutorSpec(const std::string& spec);
 
-// Knob overrides applied to whichever executor the spec selects (a bench
-// sweeping block schedules passes seastar_options; everyone else defaults).
-struct ExecutorFactoryOptions {
-  SeastarExecutorOptions seastar_options;
-  BaselineExecutorOptions baseline_options;
-  // Sharded only: give each shard worker a private thread-pool slice.
-  bool use_pool_slices = true;
-};
-
 class ExecutorFactory {
  public:
-  static StatusOr<std::unique_ptr<Executor>> Create(const std::string& spec,
-                                                    const ExecutorFactoryOptions& options = {});
-  static StatusOr<std::unique_ptr<Executor>> Create(const ExecutorSpec& spec,
-                                                    const ExecutorFactoryOptions& options = {});
+  static StatusOr<std::unique_ptr<Executor>> Create(const std::string& spec);
+  static StatusOr<std::unique_ptr<Executor>> Create(const ExecutorSpec& spec);
 
   // The accepted spellings, for CLI error messages.
   static const char* Choices();
 };
 
-// Bridges the legacy Backend enum to the executor API (the deprecated
-// RunWithBackend / VertexProgram::Run(graph, ..., config) shims and the few
-// call sites that still select by enum go through here).
+// Bridges the legacy Backend enum to the executor API (the call sites that
+// still select by enum go through here).
 std::unique_ptr<Executor> MakeExecutor(const BackendConfig& config);
 
 }  // namespace seastar

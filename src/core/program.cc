@@ -287,14 +287,6 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
                       "vertex_program");
 }
 
-Var VertexProgram::Run(const Graph& graph, const Inputs& inputs, const BackendConfig& config,
-                       const RunContext& /*ctx*/) const {
-  // Compatibility shim: one throwaway executor + session per call. Any
-  // per-graph prepared state (a shard partition) is rebuilt every call —
-  // exactly the waste sessions exist to remove.
-  return Run(inputs, MakeSession(MakeExecutor(config), graph));
-}
-
 std::string VertexProgram::DebugString() const {
   SEASTAR_CHECK(data_ != nullptr);
   std::ostringstream os;

@@ -63,13 +63,6 @@ class VertexProgram {
   // managed internally by the autograd bridge.
   Var Run(const Inputs& inputs, const ExecutionSession& session) const;
 
-  // Deprecated compatibility shim: builds a throwaway executor from `config`
-  // and a single-use session per call (re-partitioning per call for any
-  // strategy with prepared state). Migrate to Run(inputs, session).
-  [[deprecated("build an ExecutionSession (MakeSession) and call Run(inputs, session)")]]
-  Var Run(const Graph& graph, const Inputs& inputs, const BackendConfig& config,
-          const RunContext& ctx = {}) const;
-
   const GirGraph& forward() const;
   const BackwardGir& backward() const;
   // The backward GIR restricted to the gradients of the inputs with

@@ -30,29 +30,19 @@ int32_t AlignFloats(int64_t floats) { return static_cast<int32_t>((floats + 15) 
 
 bool IsKeySide(const Operand& op) { return op.src == Src::kKeyRow || op.src == Src::kReg; }
 
-// Lowers `unit` onto the segment launch (see CompiledUnit) when its shape
-// allows; leaves it for the interpreter otherwise. Eligible: at most one
-// aggregation, and that a plain sum or mean; no typed operand; no per-edge
-// store to a neighbour row (concurrent segments would race on it).
-void LowerUnit(CompiledUnit* unit) {
-  if (unit->has_typed_agg || unit->aggs.size() > 1) {
-    return;
-  }
-  if (!unit->aggs.empty()) {
-    const AggInstr& agg = unit->aggs[0];
-    if (agg.kind != OpKind::kAggSum && agg.kind != OpKind::kAggMean) {
-      return;
-    }
-    if (agg.input.src == Src::kTypedRow ||
-        (agg.input.width != agg.width && agg.input.width != 1)) {
-      return;
-    }
-  }
-  for (const std::vector<Instr>* list : {&unit->invariant, &unit->edge, &unit->post}) {
+// Compiles `unit`'s register program into the segment-launch form (see
+// CompiledUnit): folds Identity copies into their readers, picks each
+// aggregation's reducer, and lays out the per-worker edge batch.
+// `register_floats` is the register-row width the allocation needs.
+void LowerUnit(CompiledUnit* unit, int32_t register_floats) {
+  // Key-side ops run per key against its register row, which holds no
+  // per-edge value.
+  for (const std::vector<Instr>* list : {&unit->invariant, &unit->post}) {
     for (const Instr& instr : *list) {
-      if (instr.a.src == Src::kTypedRow || (instr.binary && instr.b.src == Src::kTypedRow) ||
-          instr.mat == MatKind::kNbrRow) {
-        return;
+      for (const Operand* op : {&instr.a, &instr.b}) {
+        SEASTAR_CHECK(op->src == Src::kReg || op->src == Src::kKeyRow ||
+                      op->src == Src::kScalar)
+            << "key-side op " << OpKindName(instr.kind) << " reads a per-edge operand";
       }
     }
   }
@@ -82,54 +72,83 @@ void LowerUnit(CompiledUnit* unit) {
     }
     prologue.push_back(instr);
   }
+  for (AggInstr& agg : unit->aggs) {
+    rewrite(&agg.x);
+  }
 
-  // The reduction. A non-materialized Mul that feeds the aggregation and
-  // nothing else folds into the reduction kernel (acc += x * y), as long as
-  // its operands are the full row and a width-1 scale, or two full rows.
-  if (!unit->aggs.empty()) {
-    Operand input = unit->aggs[0].input;
-    rewrite(&input);
-    const int32_t w = unit->aggs[0].width;
-    unit->reduce = Reduce::kAdd;
-    unit->reduce_x = input;
-    const auto reads_input = [&input](const Instr& instr) {
-      const auto same = [&input](const Operand& op) {
-        return op.src == Src::kReg && op.reg == input.reg;
-      };
-      return same(instr.a) || (instr.binary && same(instr.b));
-    };
-    auto mul = std::find_if(prologue.begin(), prologue.end(), [&input](const Instr& instr) {
-      return input.src == Src::kReg && instr.out_reg == input.reg;
-    });
-    if (mul != prologue.end() && mul->kind == OpKind::kMul && mul->mat == MatKind::kNone &&
-        input.width == w && std::none_of(prologue.begin(), prologue.end(), reads_input)) {
-      if (mul->a.width == w && mul->b.width == 1) {
-        unit->reduce = Reduce::kAxpy;
-        unit->reduce_x = mul->a;
-        unit->reduce_y = mul->b;
-      } else if (mul->a.width == 1 && mul->b.width == w) {
-        unit->reduce = Reduce::kAxpy;
-        unit->reduce_x = mul->b;
-        unit->reduce_y = mul->a;
-      } else if (mul->a.width == w && mul->b.width == w) {
-        unit->reduce = Reduce::kMulAdd;
-        unit->reduce_x = mul->a;
-        unit->reduce_y = mul->b;
-      }
-      if (unit->reduce != Reduce::kAdd) {
-        prologue.erase(mul);
-      }
+  // The reductions. Max folds with its own reducer; every sum folds with an
+  // add, except that a non-materialized Mul feeding a sum and nothing else
+  // folds into the reduction kernel (acc += x * y), as long as its operands
+  // are the full row and a width-1 scale, or two full rows. The inner sums
+  // of kAggTypeSumThenMax stay plain adds, so max units keep the bits of
+  // rounding each product.
+  const auto reads = [](const Operand& op, int32_t reg) {
+    return op.src == Src::kReg && op.reg == reg;
+  };
+  for (AggInstr& agg : unit->aggs) {
+    agg.reduce = agg.kind == OpKind::kAggMax ? Reduce::kMax : Reduce::kAdd;
+    if (agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax ||
+        agg.x.src != Src::kReg || agg.x.width != agg.width) {
+      continue;
+    }
+    const int32_t reg = agg.x.reg;
+    auto mul = std::find_if(prologue.begin(), prologue.end(),
+                            [reg](const Instr& instr) { return instr.out_reg == reg; });
+    const bool read_elsewhere =
+        std::any_of(prologue.begin(), prologue.end(),
+                    [&](const Instr& instr) {
+                      return reads(instr.a, reg) || (instr.binary && reads(instr.b, reg));
+                    }) ||
+        std::any_of(unit->aggs.begin(), unit->aggs.end(), [&](const AggInstr& other) {
+          return &other != &agg && (reads(other.x, reg) || reads(other.y, reg));
+        });
+    if (mul == prologue.end() || mul->kind != OpKind::kMul || mul->mat != MatKind::kNone ||
+        read_elsewhere) {
+      continue;
+    }
+    const int32_t w = agg.width;
+    if (mul->a.width == w && mul->b.width == 1) {
+      agg.reduce = Reduce::kAxpy;
+      agg.x = mul->a;
+      agg.y = mul->b;
+    } else if (mul->a.width == 1 && mul->b.width == w) {
+      agg.reduce = Reduce::kAxpy;
+      agg.x = mul->b;
+      agg.y = mul->a;
+    } else if (mul->a.width == w && mul->b.width == w) {
+      agg.reduce = Reduce::kMulAdd;
+      agg.x = mul->a;
+      agg.y = mul->b;
+    }
+    if (agg.reduce != Reduce::kAdd) {
+      prologue.erase(mul);
     }
   }
 
+  // Which per-slot index arrays the chunk needs.
+  const auto note = [unit](const Operand& op) {
+    unit->needs_slot_keys = unit->needs_slot_keys || IsKeySide(op);
+    unit->needs_typed_slots = unit->needs_typed_slots || op.src == Src::kTypedRow;
+  };
+  for (const Instr& instr : prologue) {
+    note(instr.a);
+    if (instr.binary) {
+      note(instr.b);
+    }
+  }
+  for (const AggInstr& agg : unit->aggs) {
+    note(agg.x);
+    note(agg.y);
+  }
+
   // Batch geometry: half the L1 budget for the key register rows, half for
-  // the edge batch (prologue regions plus two int32 slot-index arrays).
+  // the edge batch (prologue regions plus the int32 slot-index arrays).
   const int64_t half_budget = TilePlanOptions{}.l1_budget_bytes / int64_t{2 * sizeof(float)};
-  int64_t edge_floats = 2;
+  int64_t edge_floats = unit->needs_typed_slots ? 3 : 2;
   for (const Instr& instr : prologue) {
     edge_floats += instr.width;
   }
-  unit->key_stride = AlignFloats(std::max(unit->scratch_floats, 1));
+  unit->key_stride = AlignFloats(std::max(register_floats, 1));
   unit->batch_keys = static_cast<int32_t>(std::max<int64_t>(1, half_budget / unit->key_stride));
   unit->batch_edges = static_cast<int32_t>(std::max<int64_t>(16, half_budget / edge_floats));
 
@@ -155,34 +174,15 @@ void LowerUnit(CompiledUnit* unit) {
     instr.out_reg = cursor;
     cursor += AlignFloats(int64_t{unit->batch_edges} * instr.width);
   }
-  to_batch(&unit->reduce_x);
-  to_batch(&unit->reduce_y);
-  unit->batch_floats = cursor;
-
-  unit->needs_slot_keys = IsKeySide(unit->reduce_x) || IsKeySide(unit->reduce_y);
-  for (const Instr& instr : prologue) {
-    unit->needs_slot_keys = unit->needs_slot_keys || IsKeySide(instr.a) ||
-                            (instr.binary && IsKeySide(instr.b));
+  for (AggInstr& agg : unit->aggs) {
+    to_batch(&agg.x);
+    to_batch(&agg.y);
   }
+  unit->batch_floats = cursor;
   unit->edge = std::move(prologue);
-  unit->lowered = true;
 }
 
 }  // namespace
-
-FatGeometry CompiledProgram::GeometryFor(size_t unit_index, int64_t num_items,
-                                         int block_size) const {
-  const GeometryKey key{unit_index, num_items, block_size};
-  std::lock_guard<std::mutex> lock(geometry_mutex_);
-  auto it = geometry_cache_.find(key);
-  if (it == geometry_cache_.end()) {
-    it = geometry_cache_
-             .emplace(key, FatGeometry::Compute(num_items, units[unit_index].max_width,
-                                                block_size))
-             .first;
-  }
-  return it->second;
-}
 
 std::shared_ptr<const TilePlan> CompiledProgram::TilingFor(size_t unit_index, const Csr& csr,
                                                            int num_workers) const {
@@ -192,7 +192,10 @@ std::shared_ptr<const TilePlan> CompiledProgram::TilingFor(size_t unit_index, co
   auto it = tiling_cache_.find(key);
   if (it == tiling_cache_.end()) {
     const CompiledUnit& unit = units[unit_index];
-    const int32_t width = unit.aggs.empty() ? unit.max_width : unit.aggs[0].width;
+    int32_t width = unit.aggs.empty() ? unit.max_width : 1;
+    for (const AggInstr& agg : unit.aggs) {
+      width = std::max(width, agg.width);
+    }
     it = tiling_cache_
              .emplace(key, std::make_shared<TilePlan>(
                                tiled ? ComputeTilePlan(csr.offsets, csr.num_vertices, width,
@@ -305,12 +308,11 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
         AggInstr agg;
         agg.kind = node.kind;
         agg.width = node.width;
-        agg.input = make_operand(node.inputs[0]);
+        agg.x = make_operand(node.inputs[0]);
         agg.acc_reg = reg_of.at(id);
-        if (node.kind == OpKind::kAggTypeSumThenMax || node.kind == OpKind::kAggTypedToSrc) {
+        if (IsTwoLevel(node.kind)) {
           agg.inner_reg = cursor;
           cursor += node.width;
-          unit.has_typed_agg = true;
         }
         agg.materialized = plan.materialized[static_cast<size_t>(id)];
         if (agg.materialized) {
@@ -348,9 +350,7 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
         unit.edge.push_back(instr);
       }
     }
-    unit.scratch_floats = cursor;
-
-    LowerUnit(&unit);
+    LowerUnit(&unit, cursor);
     program.units.push_back(std::move(unit));
   }
   return result;
@@ -382,7 +382,7 @@ void PatchInstr(Instr* instr, const std::vector<float*>& node_base) {
 
 }  // namespace
 
-void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base, int64_t num_vertices) {
+void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base) {
   for (Instr& instr : unit->invariant) {
     PatchInstr(&instr, node_base);
   }
@@ -392,11 +392,9 @@ void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base, int64_t
   for (Instr& instr : unit->post) {
     PatchInstr(&instr, node_base);
   }
-  PatchOperand(&unit->reduce_x, node_base);
-  PatchOperand(&unit->reduce_y, node_base);
   for (AggInstr& agg : unit->aggs) {
-    PatchOperand(&agg.input, node_base);
-    agg.typed_rows = num_vertices;
+    PatchOperand(&agg.x, node_base);
+    PatchOperand(&agg.y, node_base);
     if (agg.mat_node >= 0) {
       agg.mat_base = node_base[static_cast<size_t>(agg.mat_node)];
       SEASTAR_CHECK(agg.mat_base != nullptr)

@@ -12,22 +12,15 @@
 // the pointers in (PatchUnit). The hot kernel loop then runs on fully
 // resolved pointers, exactly as it did when compilation happened per run.
 //
-// Compiling also picks each unit's execution form, once. Every unit whose
-// shape allows it is *lowered* (LowerUnit in compiled_program.cc): at most
-// one sum/mean aggregation, no typed operand, no per-edge store to a
-// neighbour row. A lowered unit is FeatGraph's split of a vertex program —
-// an SDDMM-shaped edge prologue (the unit's per-edge ops, evaluated over
-// L1-sized chunks of CSR slots with one op dispatch per chunk) feeding an
-// SpMM-shaped reduction (one SIMD gather-reduce call per key, see Reduce) —
-// and runs on the tile-plan segment launch. The plain copy-sum and mul-sum
-// aggregations are its empty-prologue and folded-Mul cases. Everything else
-// (max and typed aggregations, several aggregations, neighbour-row stores)
-// runs the per-edge Algorithm-1 interpreter.
-//
-// FAT geometry is cached here too, keyed by (unit, num_items, block_size):
-// geometry depends only on those plus the unit's max feature width, so a
-// graph change (different num_vertices) or option change (block_size) misses
-// naturally and recomputes — no explicit invalidation hook needed.
+// Every fused unit compiles to one form (LowerUnit in compiled_program.cc),
+// FeatGraph's split of a vertex program: an SDDMM-shaped edge prologue (the
+// unit's per-edge ops, evaluated over L1-sized chunks of CSR slots with one
+// op dispatch per chunk) feeding an SpMM-shaped reduction per aggregation
+// (one SIMD gather-reduce call per key, see Reduce), run on the tile-plan
+// segment launch. The plain copy-sum and mul-sum aggregations are its
+// empty-prologue and folded-Mul cases; max folds with its own reducer, and
+// the typed two-level aggregations fold each (key, edge type) run of slots
+// into an inner accumulator that is flushed at the run's end.
 #ifndef SRC_EXEC_COMPILED_PROGRAM_H_
 #define SRC_EXEC_COMPILED_PROGRAM_H_
 
@@ -42,17 +35,16 @@
 #include "src/gir/fusion.h"
 #include "src/gir/ir.h"
 #include "src/graph/csr.h"
-#include "src/parallel/simt.h"
 
 namespace seastar {
 
 // Where an operand's bytes come from at kernel time.
 enum class Src : uint8_t {
-  kReg,       // Scratch register of the current FAT group.
+  kReg,       // A register of the current key's register row.
   kKeyRow,    // base + key_vertex * width (key-side vertex tensor).
   kNbrRow,    // base + nbr_vertex * width.
   kEdgeRow,   // base + edge_id * width.
-  kTypedRow,  // base + (edge_type * num_vertices + nbr_vertex) * width.
+  kTypedRow,  // base + (edge_type * num_vertices + src_vertex) * width.
   kScalar,    // Immediate.
   kBatch,     // Lowered units only: a region of the edge batch (see CompiledUnit).
 };
@@ -82,64 +74,68 @@ struct Instr {
   int32_t mat_node = -1;
 };
 
+// How an aggregation folds each edge's value into its accumulator. Each form
+// is one runtime-dispatched SIMD gather-reduce kernel (src/tensor/simd.h),
+// called once per key, chunk and column tile over the key's slots (per
+// (key, edge type) run of them in a typed aggregation):
+//   kAdd    — acc[j] += x[j] (AddGather), or acc[j] += x[0]
+//             (AddScalarGather) for a width-1 x;
+//   kAxpy   — acc[j] += x[j] * y[0] (AxpyGather): a Mul feeding only this
+//             sum, folded into the reduction, with its width-1 operand as y;
+//   kMulAdd — acc[j] += x[j] * y[j] (MulAddGather): the same for a Mul of
+//             two full-width rows;
+//   kMax    — acc[j] = std::max(acc[j], x[j]) (MaxGather).
+enum class Reduce : uint8_t { kAdd, kAxpy, kMulAdd, kMax };
+
 struct AggInstr {
   OpKind kind = OpKind::kAggSum;
   int32_t width = 1;
-  Operand input;
+  Reduce reduce = Reduce::kAdd;
+  Operand x;              // The aggregated value (the folded Mul's row operand).
+  Operand y;              // kAxpy: the width-1 scale; kMulAdd: the other row.
   int32_t acc_reg = 0;    // Outer accumulator.
-  int32_t inner_reg = 0;  // Inner (per-type) accumulator for typed aggs.
+  // Inner accumulator of the two-level aggregations (kAggTypeSumThenMax,
+  // kAggTypedToSrc): each (key, edge type) run of slots sums into it, and
+  // the run's end maxes it into the outer one or writes its typed row.
+  int32_t inner_reg = 0;
   // Materialization (aggregation results are key-side rows, except
   // kAggTypedToSrc which writes a [num_types, N, width] stack).
   float* mat_base = nullptr;  // Null in the template; patched per run.
   int32_t mat_node = -1;
   bool materialized = false;
-  int64_t typed_rows = 0;  // = num_vertices for kAggTypedToSrc; set per run.
 };
 
-// How a lowered unit folds each edge's value into its accumulator. Each form
-// is one runtime-dispatched SIMD gather-reduce kernel (src/tensor/simd.h),
-// called once per key, chunk and column tile over the key's slots:
-//   kNone   — no aggregation (an edge-only unit: the prologue's edge-row
-//             materializations are its whole output);
-//   kAdd    — acc[j] += x[j] (AddGather), or acc[j] += x[0]
-//             (AddScalarGather) for a width-1 x feeding a wider aggregation;
-//   kAxpy   — acc[j] += x[j] * y[0] (AxpyGather): the unit's last Mul,
-//             folded into the reduction, with its width-1 operand as y;
-//   kMulAdd — acc[j] += x[j] * y[j] (MulAddGather): the same for a Mul of
-//             two full-width rows.
-enum class Reduce : uint8_t { kNone, kAdd, kAxpy, kMulAdd };
+// The aggregations that sum each (key, edge type) run of slots into an inner
+// accumulator (paper §6.3.5).
+inline bool IsTwoLevel(OpKind kind) {
+  return kind == OpKind::kAggTypeSumThenMax || kind == OpKind::kAggTypedToSrc;
+}
 
+// A compiled unit runs per tile-plan segment: key positions are taken in
+// batches of at most `batch_keys`, each with its own `key_stride`-float
+// register row (invariant ops, accumulators and post ops run per key against
+// it, Algorithm 1 lines 5-7 and 15-17); the batch's CSR slots — contiguous —
+// run the edge prologue in chunks of at most `batch_edges`, one op dispatch
+// per instruction per chunk; then each key folds its slots of the chunk into
+// each aggregation's accumulator with that aggregation's `reduce` kernel, in
+// slot order.
 struct CompiledUnit {
   GraphType orientation = GraphType::kDst;
   bool needs_edge_loop = false;
-  bool has_typed_agg = false;
-  // True when the unit runs on the lowered segment launch (below) instead of
-  // the per-edge interpreter. Classified once at compile time.
-  bool lowered = false;
   std::vector<Instr> invariant;  // Key-side pre ops (loop hoisted).
-  // Per-edge ops. In a lowered unit this is the edge prologue: Identity
-  // copies are folded into their readers, the Mul feeding the reduction is
-  // folded into `reduce`, and every remaining op writes a region of the
-  // per-worker edge batch — `out_reg` and the `reg` of each Src::kBatch
-  // operand are float offsets into that batch, row i at offset + i * width.
+  // The edge prologue: Identity copies are folded into their readers, a Mul
+  // feeding a sum is folded into that aggregation's `reduce`, and every
+  // remaining op writes a region of the per-worker edge batch — `out_reg`
+  // and the `reg` of each Src::kBatch operand are float offsets into that
+  // batch, row i at offset + i * width. Materialized results are scattered
+  // by edge id (edge rows) or neighbour id (neighbour rows).
   std::vector<Instr> edge;
   std::vector<AggInstr> aggs;
   std::vector<Instr> post;       // Post-aggregation key-side ops.
-  int32_t scratch_floats = 0;
   int32_t max_width = 1;
 
-  // ---- Lowered form (FeatGraph-style SDDMM prologue + SpMM reduction) ----
-  // A lowered unit runs per tile-plan segment: key positions are taken in
-  // batches of at most `batch_keys`, each with its own `key_stride`-float
-  // register row (invariant ops, accumulator, post ops run per key against
-  // it, exactly as in the interpreter); the batch's CSR slots — contiguous —
-  // run the edge prologue in chunks of at most `batch_edges`, one op dispatch
-  // per instruction per chunk; then each key folds its slots into its
-  // accumulator with the `reduce` gather kernel, in slot order.
-  Reduce reduce = Reduce::kNone;
-  Operand reduce_x;                 // kAdd/kAxpy/kMulAdd: the width-w row.
-  Operand reduce_y;                 // kAxpy: the width-1 scale; kMulAdd: a row.
   bool needs_slot_keys = false;     // Some prologue/reduce operand is key-side.
+  bool needs_typed_slots = false;   // Some prologue/reduce operand is Src::kTypedRow.
   int32_t batch_edges = 0;
   int32_t batch_keys = 0;
   int32_t key_stride = 0;           // Floats per key register row (64B-aligned).
@@ -147,7 +143,7 @@ struct CompiledUnit {
 };
 
 // Everything about a GIR that survives from one run to the next. Immutable
-// after CompileProgram (the geometry cache is a mutable memo); shared across
+// after CompileProgram (the tile-plan cache is a mutable memo); shared across
 // threads via shared_ptr<const CompiledProgram>.
 class CompiledProgram {
  public:
@@ -161,12 +157,9 @@ class CompiledProgram {
   // graph, so they are fixed at compile time.
   std::vector<float> scalar_value;
 
-  // FAT geometry for one unit, memoized per (num_items, block_size).
-  FatGeometry GeometryFor(size_t unit_index, int64_t num_items, int block_size) const;
-
-  // Segment plan for one lowered unit over `csr`, memoized per
-  // (unit, num_vertices, num_edges, TilingEnabled()) — the same scheme as the FAT-geometry
-  // memo, so a graph change misses naturally. The key deliberately does not
+  // Segment plan for one unit over `csr`, memoized per
+  // (unit, num_vertices, num_edges, TilingEnabled()), so a graph change
+  // misses naturally with no invalidation hook. The key deliberately does not
   // fingerprint the degree distribution: two distinct graphs with identical
   // (V, E) would share a plan, which can only cost locality, never
   // correctness (any position partition is exact — see tiling.h). Plans are
@@ -178,19 +171,6 @@ class CompiledProgram {
                                             int num_workers) const;
 
  private:
-  struct GeometryKey {
-    size_t unit;
-    int64_t items;
-    int block;
-    bool operator<(const GeometryKey& o) const {
-      if (unit != o.unit) return unit < o.unit;
-      if (items != o.items) return items < o.items;
-      return block < o.block;
-    }
-  };
-  mutable std::mutex geometry_mutex_;
-  mutable std::map<GeometryKey, FatGeometry> geometry_cache_;
-
   struct TilingKey {
     size_t unit;
     int64_t vertices;
@@ -208,15 +188,15 @@ class CompiledProgram {
 };
 
 // Plans (fusion + materialization) and register-compiles `gir`. Returned via
-// shared_ptr because CompiledProgram owns a mutex (the geometry memo) and is
-// therefore immovable.
+// shared_ptr because CompiledProgram owns a mutex (the tile-plan memo) and
+// is therefore immovable.
 std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir, const FusionOptions& options);
 
 // Fills in the null base pointers of a per-run copy of a template unit.
 // `node_base[id]` is the base pointer of node id's backing tensor this run
 // (leaf binding, degree tensor, or materialization buffer); entries for
 // register-resident nodes stay null and are never consulted.
-void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base, int64_t num_vertices);
+void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base);
 
 }  // namespace seastar
 

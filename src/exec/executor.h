@@ -1,10 +1,10 @@
 // The unified execution entry point: every strategy that can run a GIR —
-// the fused Seastar interpreter, the DGL/PyG-style whole-graph baselines,
+// the fused Seastar executor, the DGL/PyG-style whole-graph baselines,
 // and the owner/mirror sharded runtime — implements `Executor`, and every
 // caller (models, VertexProgram, the train loop, the serve path, benches,
 // examples) reaches them through an `ExecutionSession`.
 //
-// This replaces the old free-function tail `RunWithBackend(config, graph,
+// This replaced the old free-function tail `RunWithBackend(config, graph,
 // features, ctx)`: a free function over a bare Graph hard-codes the
 // whole-graph single-address-space assumption, leaving no seam for
 // executors that need per-graph prepared state (a shard partition, and
@@ -83,7 +83,7 @@ class Executor {
 
   // Non-null when this executor has a slower-but-safe strategy for the same
   // program after a transient failure: the shard runtime returns its inner
-  // whole-graph interpreter. Executors returning null opt out of the
+  // whole-graph SeastarExecutor. Executors returning null opt out of the
   // recovery ladder entirely — their failures propagate on the first throw
   // exactly as before (the training health monitor and the serving retry
   // loop own those policies). The pointer must stay valid as long as the

@@ -9,13 +9,13 @@
 // and a rebuilt-but-identical GIR still hits.
 //
 // Invalidation rules:
-//   * options change  -> enable_fusion is part of the key; other executor
-//     options (block size, schedule) do not affect compilation, only launch
-//     geometry, which is memoized per (num_items, block_size) inside the
-//     CompiledProgram and so misses naturally when they change.
+//   * options change  -> enable_fusion is part of the key; the other
+//     executor options (block schedule, dynamic chunk) do not affect
+//     compilation, only how the launch hands out segments.
 //   * graph change    -> compilation never reads the graph; the per-graph
-//     state (geometry, degree tensors) is keyed by graph properties and
-//     cached on the Graph object itself.
+//     state is keyed by graph properties (the tile plans, memoized per
+//     (unit, V, E) inside the CompiledProgram) or cached on the Graph
+//     object itself (degree tensors).
 //   * GIR change      -> different fingerprint, different entry.
 // Clear() drops everything (tests use it to get deterministic miss counts).
 //

@@ -1,5 +1,5 @@
-// Scalar/vector evaluation of pointwise GIR ops, shared by the fused-kernel
-// interpreter, the lowered units' edge prologue and the baseline executors so
+// Scalar/vector evaluation of pointwise GIR ops, shared by the fused units'
+// edge prologue and key-side ops and by the baseline executors, so
 // all backends compute identical arithmetic (differences between systems must
 // come from strategy, not math).
 #ifndef SRC_EXEC_POINTWISE_H_
@@ -61,7 +61,7 @@ struct PointwiseRows {
 
 // Applies one op to n rows with a single dispatch on `kind`: for each
 // i < n, rows(i) returns application i's rows, and out = op(a, b) with
-// width-1 broadcast on either operand. The edge-batch prologue of a lowered
+// width-1 broadcast on either operand. The edge-batch prologue of a fused
 // unit (n = a batch) and PointwiseApply (n = 1) share this one definition
 // of every op, so both compute the same bits. For kDotProduct /
 // kReduceWidthSum, w is the *input* width and out has width 1.

@@ -42,8 +42,8 @@ struct RunResult {
 // tensors in the baseline executors.
 using SeedMap = std::map<int32_t, Tensor>;
 
-// Run-scoped execution context threaded through RunWithBackend, both
-// executors and VertexProgram::Run. Replaces the old raw-pointer tail
+// Run-scoped execution context threaded through the executors and
+// VertexProgram::Run. Replaces the old raw-pointer tail
 // parameters (SeedMap*, retain vector) with one named carrier, so growing
 // the execution API means adding a field here instead of another defaulted
 // pointer at every call site. Observability is not a field: executors

@@ -1,8 +1,9 @@
 #include "src/exec/seastar_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cfloat>
-#include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "src/common/deadline.h"
@@ -32,7 +33,6 @@ struct TilingCounters {
   metrics::Counter* tile_passes;     // seastar_tiling_tile_passes_total
   metrics::Counter* edge_visits;     // seastar_tiling_edge_visits_total
   metrics::Counter* tiled_units;     // seastar_tiling_units_tiled_total
-  metrics::Counter* untiled_units;   // seastar_tiling_units_untiled_total
   metrics::Counter* simd_dispatch;   // seastar_simd_unit_dispatch_total{isa=...}
 };
 
@@ -44,7 +44,6 @@ const TilingCounters& Tiling() {
     c.tile_passes = registry.GetCounter("seastar_tiling_tile_passes_total");
     c.edge_visits = registry.GetCounter("seastar_tiling_edge_visits_total");
     c.tiled_units = registry.GetCounter("seastar_tiling_units_tiled_total");
-    c.untiled_units = registry.GetCounter("seastar_tiling_units_untiled_total");
     c.simd_dispatch = registry.GetCounter(std::string("seastar_simd_unit_dispatch_total{isa=\"") +
                                           simd::SimdIsaName() + "\"}");
     registry.GetGauge("seastar_simd_lanes")->Set(static_cast<double>(simd::SimdLanes()));
@@ -53,36 +52,10 @@ const TilingCounters& Tiling() {
   return counters;
 }
 
-inline const float* Resolve(const Operand& op, const float* scratch, int64_t key, int64_t nbr,
-                            int64_t eid, int32_t etype, int64_t typed_stride) {
-  switch (op.src) {
-    case Src::kReg:
-      return scratch + op.reg;
-    case Src::kKeyRow:
-      return op.base + key * op.width;
-    case Src::kNbrRow:
-      return op.base + nbr * op.width;
-    case Src::kEdgeRow:
-      return op.base + eid * op.width;
-    case Src::kTypedRow:
-      return op.base + (static_cast<int64_t>(etype) * typed_stride + nbr) * op.width;
-    case Src::kScalar:
-      return &op.scalar;
-    case Src::kBatch:
-      break;  // Lowered units only.
-  }
-  return nullptr;
-}
-
-// Evaluates one pointwise instruction into scratch.
-inline void EvalInstr(const Instr& instr, float* scratch, const float* a, const float* b) {
-  PointwiseApply(instr.kind, instr.attr, scratch + instr.out_reg, instr.width, a, instr.a.width,
-                 b, instr.b.width);
-}
-
 inline void AtomicStoreRow(float* dst, const float* src, int32_t width) {
-  // Benign overwrite of identical values from concurrent FAT groups;
-  // relaxed atomics keep it defined behaviour.
+  // Benign overwrite of identical values: every slot of a neighbour stores
+  // the same row, possibly from concurrent segments; relaxed atomics keep it
+  // defined behaviour.
   for (int32_t j = 0; j < width; ++j) {
     std::atomic_ref<float>(dst[j]).store(src[j], std::memory_order_relaxed);
   }
@@ -93,13 +66,14 @@ struct alignas(64) WorkerEdgeCount {
   int64_t edges = 0;
 };
 
-// ---- Lowered units ------------------------------------------------------------------------------
+// ---- The segment launch ------------------------------------------------------------------------
 // A worker's slice of the launch scratch (layout in LoweredWorkFloats).
 struct LoweredWork {
   float* regs;          // batch_keys register rows of key_stride floats.
   float* batch;         // The prologue's regions (CompiledUnit::batch_floats).
   int32_t* slot_key;    // Per chunk slot: the key vertex.
   int32_t* slot_local;  // Per chunk slot: its key's row in `regs`.
+  int32_t* slot_typed;  // Per chunk slot: edge_type * num_vertices + source (typed units).
 };
 
 // Floats per chunk-slot array, 64B-aligned.
@@ -108,7 +82,9 @@ int64_t SlotFloats(const CompiledUnit& unit) {
 }
 
 int64_t LoweredWorkFloats(const CompiledUnit& unit) {
-  return int64_t{unit.batch_keys} * unit.key_stride + unit.batch_floats + 2 * SlotFloats(unit);
+  const int64_t slot_arrays = unit.needs_typed_slots ? 3 : 2;
+  return int64_t{unit.batch_keys} * unit.key_stride + unit.batch_floats +
+         slot_arrays * SlotFloats(unit);
 }
 
 LoweredWork CarveLoweredWork(const CompiledUnit& unit, float* base) {
@@ -118,6 +94,7 @@ LoweredWork CarveLoweredWork(const CompiledUnit& unit, float* base) {
   work.batch = work.regs + int64_t{unit.batch_keys} * unit.key_stride;
   work.slot_key = reinterpret_cast<int32_t*>(work.batch + unit.batch_floats);
   work.slot_local = work.slot_key + slots;
+  work.slot_typed = work.slot_local + slots;
   return work;
 }
 
@@ -135,22 +112,30 @@ simd::Rows BindRows(const Operand& op, const Csr& csr, int64_t s0, const Lowered
       return {op.base, csr.nbr_ids.data() + s0, op.width};
     case Src::kEdgeRow:
       return {op.base, csr.edge_ids.data() + s0, op.width};
+    case Src::kTypedRow:
+      return {op.base, work.slot_typed, op.width};
     case Src::kScalar:
       return {&op.scalar, nullptr, 0};
-    case Src::kTypedRow:
-      break;  // Never lowered.
   }
   return {};
 }
 
-// Key-side instructions (invariant / post) on one key's register row —
-// the interpreter's per-key code path.
-inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* regs, int64_t key,
-                         int64_t typed_stride) {
+// A key-side operand: a register, the key's row or an immediate (LowerUnit
+// checks that key-side ops read nothing else).
+inline const float* KeyOperand(const Operand& op, const float* regs, int64_t key) {
+  if (op.src == Src::kReg) {
+    return regs + op.reg;
+  }
+  return op.src == Src::kKeyRow ? op.base + key * op.width : &op.scalar;
+}
+
+// Key-side instructions (invariant / post) on one key's register row.
+inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* regs, int64_t key) {
   for (const Instr& instr : instrs) {
-    const float* a = Resolve(instr.a, regs, key, 0, 0, 0, typed_stride);
-    const float* b = instr.binary ? Resolve(instr.b, regs, key, 0, 0, 0, typed_stride) : nullptr;
-    EvalInstr(instr, regs, a, b);
+    const float* a = KeyOperand(instr.a, regs, key);
+    const float* b = instr.binary ? KeyOperand(instr.b, regs, key) : nullptr;
+    PointwiseApply(instr.kind, instr.attr, regs + instr.out_reg, instr.width, a, instr.a.width,
+                   b, instr.b.width);
     if (instr.mat == MatKind::kKeyRow) {
       std::memcpy(instr.mat_base + key * instr.width, regs + instr.out_reg,
                   static_cast<size_t>(instr.width) * sizeof(float));
@@ -164,8 +149,6 @@ inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* regs, int64_t 
 void ReduceRows(Reduce reduce, const simd::Rows& x, int32_t x_width, const simd::Rows& y,
                 float* acc, int64_t i0, int64_t i1, int32_t c0, int32_t n) {
   switch (reduce) {
-    case Reduce::kNone:
-      return;
     case Reduce::kAdd:
       if (x_width == 1) {
         simd::AddScalarGather(acc, x, i0, i1, n);
@@ -179,17 +162,36 @@ void ReduceRows(Reduce reduce, const simd::Rows& x, int32_t x_width, const simd:
     case Reduce::kMulAdd:
       simd::MulAddGather(acc, x, y, i0, i1, c0, n);
       return;
+    case Reduce::kMax:
+      simd::MaxGather(acc, x, i0, i1, c0, n);
+      return;
   }
 }
 
-// Runs one tile-plan segment of a lowered unit (see CompiledUnit). Returns
-// the number of edges walked. Every key's result depends only on its own
-// slots, taken in slot order, so the segment and chunk boundaries — and
-// hence the plan, tiled or SingleSegmentPlan — never change a bit.
+// Ends a two-level aggregation's (key, edge type) run: kAggTypeSumThenMax
+// maxes the run's sum into the outer accumulator, kAggTypedToSrc writes it
+// to the key's row of the type's plane. The inner accumulator restarts at 0.
+void FlushTypeRun(const AggInstr& agg, float* regs, int64_t key, int32_t type,
+                  int64_t num_vertices) {
+  float* inner = regs + agg.inner_reg;
+  if (agg.kind == OpKind::kAggTypeSumThenMax) {
+    float* acc = regs + agg.acc_reg;
+    for (int32_t j = 0; j < agg.width; ++j) {
+      acc[j] = std::max(acc[j], inner[j]);
+    }
+  } else {
+    std::memcpy(agg.mat_base + (int64_t{type} * num_vertices + key) * agg.width, inner,
+                static_cast<size_t>(agg.width) * sizeof(float));
+  }
+  std::fill_n(inner, agg.width, 0.0f);
+}
+
+// Runs one tile-plan segment of a unit (see CompiledUnit). Returns the
+// number of edges walked. Every key's result depends only on its own slots,
+// taken in slot order, so the segment and chunk boundaries — and hence the
+// plan, tiled or SingleSegmentPlan — never change a bit.
 int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan& plan,
-                          int64_t segment, const LoweredWork& work, int64_t typed_stride) {
-  const AggInstr* agg = unit.aggs.empty() ? nullptr : &unit.aggs[0];
-  const int32_t w = agg != nullptr ? agg->width : 0;
+                          int64_t segment, const LoweredWork& work, int64_t num_vertices) {
   const int32_t stride = unit.key_stride;
   const auto slot = [&](int64_t k) {
     return unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k)] : int64_t{0};
@@ -197,6 +199,9 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
   const auto key_at = [&](int64_t k) -> int64_t {
     return csr.position_vertex.empty() ? k : csr.position_vertex[static_cast<size_t>(k)];
   };
+  // Edge type per slot; a graph without types has one (type 0).
+  const int32_t* types = csr.edge_types.empty() ? nullptr : csr.edge_types.data();
+  const auto type_at = [types](int64_t s) { return types != nullptr ? types[s] : 0; };
   const int64_t p_end = plan.bounds[static_cast<size_t>(segment) + 1];
   int64_t edges = 0;
   for (int64_t k0 = plan.bounds[static_cast<size_t>(segment)]; k0 < p_end;) {
@@ -215,18 +220,21 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
     // Algorithm 1 lines 5-7 per key: invariant ops, accumulator init.
     for (int64_t k = k0; k < k1; ++k) {
       float* regs = work.regs + (k - k0) * stride;
-      RunKeyInstrs(unit.invariant, regs, key_at(k), typed_stride);
-      if (agg != nullptr) {
-        for (int32_t j = 0; j < w; ++j) {
-          regs[agg->acc_reg + j] = 0.0f;
+      RunKeyInstrs(unit.invariant, regs, key_at(k));
+      for (const AggInstr& agg : unit.aggs) {
+        const bool max = agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax;
+        std::fill_n(regs + agg.acc_reg, agg.width, max ? -FLT_MAX : 0.0f);
+        if (IsTwoLevel(agg.kind)) {
+          std::fill_n(regs + agg.inner_reg, agg.width, 0.0f);
         }
       }
     }
 
     // Lines 8-14 chunk by chunk: the edge prologue, one dispatch per op,
-    // then each key folds its slots of the chunk into its accumulator.
+    // then each key folds its slots of the chunk into its accumulators.
     for (int64_t s0 = s_begin; s0 < s_end; s0 += unit.batch_edges) {
       const int64_t s1 = std::min<int64_t>(s0 + unit.batch_edges, s_end);
+      const int64_t n = s1 - s0;
       if (unit.needs_slot_keys) {
         for (int64_t k = k0; k < k1; ++k) {
           const int64_t key = key_at(k);
@@ -236,7 +244,18 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
           }
         }
       }
-      const int64_t n = s1 - s0;
+      if (unit.needs_typed_slots) {  // Fits int32: checked per run.
+        // A typed row belongs to the edge's source: the neighbour in a
+        // destination-keyed unit, the key itself in a source-keyed one.
+        const bool src_is_nbr = unit.orientation == GraphType::kDst;
+        for (int64_t k = k0; k < k1; ++k) {
+          const int64_t key = key_at(k);
+          for (int64_t s = std::max(slot(k), s0); s < std::min(slot(k + 1), s1); ++s) {
+            const int64_t src = src_is_nbr ? csr.nbr_ids[static_cast<size_t>(s)] : key;
+            work.slot_typed[s - s0] = static_cast<int32_t>(type_at(s) * num_vertices + src);
+          }
+        }
+      }
       for (const Instr& instr : unit.edge) {
         float* out = work.batch + instr.out_reg;
         const int32_t width = instr.width;
@@ -258,41 +277,76 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
                           static_cast<size_t>(width) * sizeof(float));
             }
           }
+        } else if (instr.mat == MatKind::kNbrRow) {  // ...or by neighbour id.
+          const int32_t* nbrs = csr.nbr_ids.data() + s0;
+          for (int64_t i = 0; i < n; ++i) {
+            AtomicStoreRow(instr.mat_base + int64_t{nbrs[i]} * width, out + i * width, width);
+          }
         }
       }
-      if (agg == nullptr) {
-        continue;
-      }
-      const simd::Rows x = BindRows(unit.reduce_x, csr, s0, work, stride);
-      const simd::Rows y = BindRows(unit.reduce_y, csr, s0, work, stride);
-      for (int32_t c0 = 0; c0 < w; c0 += plan.tile_width) {
-        const int32_t cols = std::min(plan.tile_width, w - c0);
+      for (const AggInstr& agg : unit.aggs) {
+        const int32_t w = agg.width;
+        const simd::Rows x = BindRows(agg.x, csr, s0, work, stride);
+        const simd::Rows y = BindRows(agg.y, csr, s0, work, stride);
+        if (!IsTwoLevel(agg.kind)) {
+          for (int32_t c0 = 0; c0 < w; c0 += plan.tile_width) {
+            const int32_t cols = std::min(plan.tile_width, w - c0);
+            for (int64_t k = k0; k < k1; ++k) {
+              const int64_t i0 = std::max(slot(k), s0) - s0;
+              const int64_t i1 = std::min(slot(k + 1), s1) - s0;
+              float* acc = work.regs + (k - k0) * stride + agg.acc_reg + c0;
+              ReduceRows(agg.reduce, x, agg.x.width, y, acc, i0, i1, c0, cols);
+            }
+          }
+          continue;
+        }
+        // Two-level: the key's slots are sorted by edge type, so each
+        // (key, type) run is contiguous. Sum each run into the inner
+        // accumulator; a run ends at the key's last slot or where the next
+        // slot — in this chunk or the next — has another type.
         for (int64_t k = k0; k < k1; ++k) {
-          const int64_t i0 = std::max(slot(k), s0) - s0;
-          const int64_t i1 = std::min(slot(k + 1), s1) - s0;
-          float* acc = work.regs + (k - k0) * stride + agg->acc_reg + c0;
-          ReduceRows(unit.reduce, x, unit.reduce_x.width, y, acc, i0, i1, c0, cols);
+          float* regs = work.regs + (k - k0) * stride;
+          const int64_t key_end = slot(k + 1);
+          const int64_t i1 = std::min(key_end, s1) - s0;
+          for (int64_t r0 = std::max(slot(k), s0) - s0; r0 < i1;) {
+            const int32_t type = type_at(s0 + r0);
+            int64_t r1 = r0 + 1;
+            while (r1 < i1 && type_at(s0 + r1) == type) {
+              ++r1;
+            }
+            for (int32_t c0 = 0; c0 < w; c0 += plan.tile_width) {
+              ReduceRows(agg.reduce, x, agg.x.width, y, regs + agg.inner_reg + c0, r0, r1, c0,
+                         std::min(plan.tile_width, w - c0));
+            }
+            if (s0 + r1 == key_end || type_at(s0 + r1) != type) {
+              FlushTypeRun(agg, regs, key_at(k), type, num_vertices);
+            }
+            r0 = r1;
+          }
         }
       }
     }
 
-    // Lines 15-17 per key: mean scaling, the aggregation store, post ops.
+    // Lines 15-17 per key: mean scaling, a slot-less max's 0, the
+    // aggregation stores, post ops.
     for (int64_t k = k0; k < k1; ++k) {
       float* regs = work.regs + (k - k0) * stride;
       const int64_t key = key_at(k);
-      if (agg != nullptr) {
-        float* acc = regs + agg->acc_reg;
-        if (agg->kind == OpKind::kAggMean) {
-          const int64_t degree = slot(k + 1) - slot(k);
+      const int64_t degree = slot(k + 1) - slot(k);
+      for (const AggInstr& agg : unit.aggs) {
+        const int32_t w = agg.width;
+        float* acc = regs + agg.acc_reg;
+        if (agg.kind == OpKind::kAggMean) {
           simd::ScaleRow(acc, degree > 0 ? 1.0f / static_cast<float>(degree) : 0.0f, w);
+        } else if (degree == 0 && (agg.kind == OpKind::kAggMax ||
+                                   agg.kind == OpKind::kAggTypeSumThenMax)) {
+          std::fill_n(acc, w, 0.0f);
         }
-        if (agg->materialized) {
-          for (int32_t j = 0; j < w; ++j) {
-            agg->mat_base[key * w + j] = acc[j];
-          }
+        if (agg.materialized && agg.kind != OpKind::kAggTypedToSrc) {
+          std::memcpy(agg.mat_base + key * w, acc, static_cast<size_t>(w) * sizeof(float));
         }
       }
-      RunKeyInstrs(unit.post, regs, key, typed_stride);
+      RunKeyInstrs(unit.post, regs, key);
     }
     k0 = k1;
   }
@@ -438,13 +492,12 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     AddKernelLaunches(1);
 
     CompiledUnit unit = program->units[unit_index];  // Copy the template...
-    PatchUnit(&unit, node_base, num_vertices);       // ...and bind this run's pointers.
+    PatchUnit(&unit, node_base);                     // ...and bind this run's pointers.
 
     const Csr& csr =
         unit.orientation == GraphType::kDst ? graph.in_csr() : graph.out_csr();
 
     // ---- Launch -------------------------------------------------------------------------------
-    const int64_t typed_stride = num_vertices;
     // Bytes this unit writes to its materialized tensors (span arg).
     const auto bytes_materialized = [&] {
       int64_t bytes = 0;
@@ -460,261 +513,60 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       }
       return bytes;
     };
-
-    // Lowered units: one block per tile-plan segment (L2-sized destination
-    // ranges; SEASTAR_TILING=0 plans a single segment), the edge prologue in
-    // L1-sized chunks and the reduction on the SIMD row kernels. The
-    // per-worker key rows and edge batch are one pooled tensor, so steady
-    // state allocates nothing fresh.
-    if (unit.lowered) {
-      const std::shared_ptr<const TilePlan> tile_plan =
-          program->TilingFor(unit_index, csr, num_workers);
-      const int64_t num_segments = tile_plan->num_segments();
-      const int64_t work_stride = LoweredWorkFloats(unit);
-      Tensor work_tensor({num_workers, work_stride});  // Every read is written first.
-      float* work_base = work_tensor.data();
-
-      SimtLaunchStats launch_stats;
-      SimtLaunchParams launch;
-      launch.num_blocks = num_segments;
-      launch.schedule = options_.schedule;
-      launch.chunk_size = options_.dynamic_chunk;
-      launch.stats = traced ? &launch_stats : nullptr;
-      LaunchBlocks(launch, [&](int64_t segment, int worker) {
-        const LoweredWork work = CarveLoweredWork(unit, work_base + worker * work_stride);
-        const int64_t edges =
-            RunLoweredSegment(unit, csr, *tile_plan, segment, work, typed_stride);
-        if (edge_slots != nullptr) {
-          edge_slots[worker].edges += edges;
-        }
-      });
-
-      const TilingCounters& counters = Tiling();
-      const int64_t tile_passes = num_segments * tile_plan->num_tiles;
-      counters.segments->Add(num_segments);
-      counters.tile_passes->Add(tile_passes);
-      counters.edge_visits->Add(unit.needs_edge_loop ? csr.num_edges * tile_plan->num_tiles : 0);
-      counters.tiled_units->Add(1);
-      counters.simd_dispatch->Add(1);
-
-      const int64_t edges = edges_counted();
-      if (trace::Span* span = unit_span.span()) {
-        span->Set(Arg::kEdges, edges);
-        span->Set(Arg::kFatGroups, num_vertices);
-        span->Set(Arg::kFatGroupSize, 1);  // Vertex-sequential within a segment.
-        span->Set(Arg::kNumBlocks, num_segments);
-        span->Set(Arg::kDispatches, launch_stats.dispatches);
-        span->Set(Arg::kKernelLaunches, 1);
-        span->Set(Arg::kTileSegments, num_segments);
-        span->Set(Arg::kTilePasses, tile_passes);
-        span->Set(Arg::kTileWidth, tile_plan->tile_width);
-        span->Set(Arg::kBytesMaterialized, bytes_materialized());
-        span->schedule = BlockScheduleName(options_.schedule);
-        span->simd_isa = simd::SimdIsaName();
-      }
-      continue;
+    if (unit.needs_typed_slots) {
+      SEASTAR_CHECK_LE(int64_t{num_types} * num_vertices, int64_t{INT32_MAX})
+          << "typed rows (" << num_types << " types x " << num_vertices
+          << " vertices) overflow the int32 slot index";
     }
 
-    // The interpreter (Algorithm 1 verbatim) for units the lowering cannot
-    // express: max / typed aggregations, several aggregations, per-edge
-    // stores to neighbour rows. Per-worker register scratch, one
-    // cacheline-aligned row per worker so concurrent FAT groups never
-    // false-share; pooled, so steady state allocates nothing fresh.
-    const int64_t scratch_stride =
-        (static_cast<int64_t>(std::max(unit.scratch_floats, 1)) + 15) & ~int64_t{15};
-    Tensor scratch_tensor = Tensor::Zeros({num_workers, scratch_stride});
-    float* scratch_base = scratch_tensor.data();
-    Tiling().untiled_units->Add(1);
+    // One block per tile-plan segment (L2-sized destination ranges; a
+    // single segment when tiling is off), the edge prologue in L1-sized
+    // chunks and the reductions on the SIMD gather kernels. The per-worker
+    // key rows and edge batch are one pooled tensor, so steady state
+    // allocates nothing fresh.
+    const std::shared_ptr<const TilePlan> tile_plan =
+        program->TilingFor(unit_index, csr, num_workers);
+    const int64_t num_segments = tile_plan->num_segments();
+    const int64_t work_stride = LoweredWorkFloats(unit);
+    Tensor work_tensor({num_workers, work_stride});  // Every read is written first.
+    float* work_base = work_tensor.data();
 
-    const FatGeometry geometry =
-        program->GeometryFor(unit_index, num_vertices, options_.block_size);
     SimtLaunchStats launch_stats;
     SimtLaunchParams launch;
-    launch.num_blocks = geometry.num_blocks;
+    launch.num_blocks = num_segments;
     launch.schedule = options_.schedule;
     launch.chunk_size = options_.dynamic_chunk;
     launch.stats = traced ? &launch_stats : nullptr;
-
-    LaunchBlocks(launch, [&](int64_t block_id, int worker) {
-      float* scratch = scratch_base + worker * scratch_stride;
-      const int64_t first = geometry.FirstItemOfBlock(block_id);
-      const int64_t last = std::min<int64_t>(first + geometry.groups_per_block, num_vertices);
-      for (int64_t k = first; k < last; ++k) {
-        const int64_t key = unit.needs_edge_loop || !csr.position_vertex.empty()
-                                ? csr.position_vertex[static_cast<size_t>(k)]
-                                : k;
-        // 1. Loop-invariant key-side ops.
-        for (const Instr& instr : unit.invariant) {
-          const float* a = Resolve(instr.a, scratch, key, /*nbr=*/0, /*eid=*/0, 0, typed_stride);
-          const float* b = instr.binary
-                               ? Resolve(instr.b, scratch, key, 0, 0, 0, typed_stride)
-                               : nullptr;
-          EvalInstr(instr, scratch, a, b);
-          if (instr.mat == MatKind::kKeyRow) {
-            std::memcpy(instr.mat_base + key * instr.width, scratch + instr.out_reg,
-                        static_cast<size_t>(instr.width) * sizeof(float));
-          }
-        }
-        // 2. Aggregation initialization (Alg. 1 line 7).
-        for (const AggInstr& agg : unit.aggs) {
-          float* acc = scratch + agg.acc_reg;
-          const float init =
-              (agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) ? -FLT_MAX
-                                                                                      : 0.0f;
-          for (int32_t j = 0; j < agg.width; ++j) {
-            acc[j] = init;
-          }
-          if (agg.inner_reg > 0 || agg.kind == OpKind::kAggTypeSumThenMax ||
-              agg.kind == OpKind::kAggTypedToSrc) {
-            float* inner = scratch + agg.inner_reg;
-            for (int32_t j = 0; j < agg.width; ++j) {
-              inner[j] = 0.0f;
-            }
-          }
-        }
-
-        const int64_t begin = unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k)] : 0;
-        const int64_t end = unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k) + 1] : 0;
-        const int64_t degree = end - begin;
-        int32_t prev_type = -1;
-        if (edge_slots != nullptr) {
-          edge_slots[worker].edges += degree;
-        }
-
-        // 3. Edge-sequential loop (Alg. 1 lines 8-14).
-        for (int64_t slot = begin; slot < end; ++slot) {
-          const int64_t nbr = csr.nbr_ids[static_cast<size_t>(slot)];
-          const int64_t eid = csr.edge_ids[static_cast<size_t>(slot)];
-          const int32_t etype =
-              csr.edge_types.empty() ? 0 : csr.edge_types[static_cast<size_t>(slot)];
-
-          // Edge-type boundary: flush two-level aggregations (§6.3.5).
-          if (unit.has_typed_agg && etype != prev_type && prev_type >= 0) {
-            for (const AggInstr& agg : unit.aggs) {
-              float* inner = scratch + agg.inner_reg;
-              float* acc = scratch + agg.acc_reg;
-              if (agg.kind == OpKind::kAggTypeSumThenMax) {
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  acc[j] = std::max(acc[j], inner[j]);
-                  inner[j] = 0.0f;
-                }
-              } else if (agg.kind == OpKind::kAggTypedToSrc) {
-                float* row = agg.mat_base +
-                             (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
-                std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  inner[j] = 0.0f;
-                }
-              }
-            }
-          }
-          prev_type = etype;
-
-          for (const Instr& instr : unit.edge) {
-            const float* a = Resolve(instr.a, scratch, key, nbr, eid, etype, typed_stride);
-            const float* b =
-                instr.binary ? Resolve(instr.b, scratch, key, nbr, eid, etype, typed_stride)
-                             : nullptr;
-            EvalInstr(instr, scratch, a, b);
-            if (instr.mat == MatKind::kEdgeRow) {
-              std::memcpy(instr.mat_base + eid * instr.width, scratch + instr.out_reg,
-                          static_cast<size_t>(instr.width) * sizeof(float));
-            } else if (instr.mat == MatKind::kNbrRow) {
-              AtomicStoreRow(instr.mat_base + nbr * instr.width, scratch + instr.out_reg,
-                             instr.width);
-            }
-          }
-          for (const AggInstr& agg : unit.aggs) {
-            const float* value =
-                Resolve(agg.input, scratch, key, nbr, eid, etype, typed_stride);
-            const int32_t wv = agg.input.width;
-            switch (agg.kind) {
-              case OpKind::kAggSum:
-              case OpKind::kAggMean: {
-                float* acc = scratch + agg.acc_reg;
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  acc[j] += value[wv == 1 ? 0 : j];
-                }
-                break;
-              }
-              case OpKind::kAggMax: {
-                float* acc = scratch + agg.acc_reg;
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  acc[j] = std::max(acc[j], value[wv == 1 ? 0 : j]);
-                }
-                break;
-              }
-              case OpKind::kAggTypeSumThenMax:
-              case OpKind::kAggTypedToSrc: {
-                float* inner = scratch + agg.inner_reg;
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  inner[j] += value[wv == 1 ? 0 : j];
-                }
-                break;
-              }
-              default:
-                break;
-            }
-          }
-        }
-
-        // 4. Aggregation output (Alg. 1 lines 15-16).
-        for (const AggInstr& agg : unit.aggs) {
-          float* acc = scratch + agg.acc_reg;
-          if (unit.has_typed_agg && prev_type >= 0) {
-            float* inner = scratch + agg.inner_reg;
-            if (agg.kind == OpKind::kAggTypeSumThenMax) {
-              for (int32_t j = 0; j < agg.width; ++j) {
-                acc[j] = std::max(acc[j], inner[j]);
-              }
-            } else if (agg.kind == OpKind::kAggTypedToSrc) {
-              float* row = agg.mat_base +
-                           (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
-              std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
-            }
-          }
-          if (agg.kind == OpKind::kAggMean) {
-            const float inv = degree > 0 ? 1.0f / static_cast<float>(degree) : 0.0f;
-            // Same dispatched kernel as the tiled finalize — a lone multiply
-            // per column, so partitioning cannot perturb the scaling either.
-            simd::ScaleRow(acc, inv, agg.width);
-          }
-          if ((agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) &&
-              degree == 0) {
-            for (int32_t j = 0; j < agg.width; ++j) {
-              acc[j] = 0.0f;
-            }
-          }
-          if (agg.materialized && agg.kind != OpKind::kAggTypedToSrc) {
-            std::memcpy(agg.mat_base + key * agg.width, acc,
-                        static_cast<size_t>(agg.width) * sizeof(float));
-          }
-        }
-        // 5. Post-aggregation vertex ops (Alg. 1 line 17).
-        for (const Instr& instr : unit.post) {
-          const float* a = Resolve(instr.a, scratch, key, 0, 0, 0, typed_stride);
-          const float* b =
-              instr.binary ? Resolve(instr.b, scratch, key, 0, 0, 0, typed_stride) : nullptr;
-          EvalInstr(instr, scratch, a, b);
-          if (instr.mat == MatKind::kKeyRow) {
-            std::memcpy(instr.mat_base + key * instr.width, scratch + instr.out_reg,
-                        static_cast<size_t>(instr.width) * sizeof(float));
-          }
-        }
+    LaunchBlocks(launch, [&](int64_t segment, int worker) {
+      const LoweredWork work = CarveLoweredWork(unit, work_base + worker * work_stride);
+      const int64_t edges = RunLoweredSegment(unit, csr, *tile_plan, segment, work, num_vertices);
+      if (edge_slots != nullptr) {
+        edge_slots[worker].edges += edges;
       }
     });
+
+    const TilingCounters& counters = Tiling();
+    const int64_t tile_passes = num_segments * tile_plan->num_tiles;
+    counters.segments->Add(num_segments);
+    counters.tile_passes->Add(tile_passes);
+    counters.edge_visits->Add(unit.needs_edge_loop ? csr.num_edges * tile_plan->num_tiles : 0);
+    counters.tiled_units->Add(1);
+    counters.simd_dispatch->Add(1);
 
     const int64_t edges = edges_counted();
     if (trace::Span* span = unit_span.span()) {
       span->Set(Arg::kEdges, edges);
       span->Set(Arg::kFatGroups, num_vertices);
-      span->Set(Arg::kFatGroupSize, geometry.group_size);
-      span->Set(Arg::kNumBlocks, geometry.num_blocks);
-      span->Set(Arg::kBlockSize, geometry.block_size);
+      span->Set(Arg::kFatGroupSize, 1);  // Vertex-sequential within a segment.
+      span->Set(Arg::kNumBlocks, num_segments);
       span->Set(Arg::kDispatches, launch_stats.dispatches);
       span->Set(Arg::kKernelLaunches, 1);
-      span->schedule = BlockScheduleName(options_.schedule);
+      span->Set(Arg::kTileSegments, num_segments);
+      span->Set(Arg::kTilePasses, tile_passes);
+      span->Set(Arg::kTileWidth, tile_plan->tile_width);
       span->Set(Arg::kBytesMaterialized, bytes_materialized());
+      span->schedule = BlockScheduleName(options_.schedule);
+      span->simd_isa = simd::SimdIsaName();
     }
   }
 

@@ -1,26 +1,28 @@
 // The Seastar execution engine: runs a GIR as a sequence of fused execution
 // units (paper §5.3, §6.3, Algorithm 1).
 //
-// Each fused unit is compiled to a small register program and executed with
-// the exact loop structure of the paper's CUDA template:
+// Each fused unit is compiled once (compiled_program.h) and launched with
+// one block per tile-plan segment — a contiguous range of key positions in
+// the degree-sorted CSR (tiling.h):
 //
-//   for each FAT group (one key vertex, dispatched per §6.3.3):      | grid
-//     evaluate loop-invariant (key-side) ops into registers          |
-//     initialize aggregation accumulators                            |
-//     for each incident edge slot (sequentially, §6.3.2):            | Alg. 1
-//       resolve nbr/edge ids from the CSR                            |
-//       evaluate edge-stage ops into registers                       |
-//       accumulate aggregations in registers                         |
-//     finalize aggregations; evaluate post-stage vertex ops          |
-//     write materialized rows                                        |
+//   for each key batch of the segment (keys whose slots fit one chunk):
+//     evaluate loop-invariant (key-side) ops into each key's registers
+//     initialize aggregation accumulators
+//     for each chunk of the batch's (contiguous) edge slots:
+//       evaluate the edge ops over the whole chunk, one dispatch per op
+//       fold each key's slots into its accumulators, in slot order
+//       (per edge-type run for the typed aggregations of §6.3.5)
+//     finalize aggregations; evaluate post-stage vertex ops
+//     write materialized rows
 //
 // Vertex-parallel edge-sequential execution gives the locality-centric
 // behaviour of §6.3.2 (destination rows loaded once, aggregation in
-// registers, no atomics); degree sorting lives in the Graph's CSRs; the
-// block-dispatch discipline (static / atomic / dynamic) is configurable for
-// the §6.3.3 ablations. Only unit-crossing values are materialized
-// (materialization planning) — everything else stays in registers, which is
-// where the memory savings over the whole-graph tensor systems come from.
+// registers, no atomics on accumulators); degree sorting lives in the
+// Graph's CSRs; the block-dispatch discipline (static / atomic / dynamic) is
+// configurable for the §6.3.3 ablations. Only unit-crossing values are
+// materialized (materialization planning) — everything else stays in
+// registers, which is where the memory savings over the whole-graph tensor
+// systems come from.
 #ifndef SRC_EXEC_SEASTAR_EXECUTOR_H_
 #define SRC_EXEC_SEASTAR_EXECUTOR_H_
 
@@ -33,7 +35,6 @@
 namespace seastar {
 
 struct SeastarExecutorOptions {
-  int block_size = 256;
   BlockSchedule schedule = BlockSchedule::kChunkedDynamic;
   int64_t dynamic_chunk = 16;
   // Off = the no-fusion ablation: one unit per op, all intermediates
@@ -62,7 +63,7 @@ class SeastarExecutor : public Executor {
   // Seastar recomputes intra-unit values in backward kernels instead of
   // saving them (§6.3.4), and only materializes unit-crossing values in the
   // first place. Under an ambient trace (tracing.h) it records one span per
-  // fused unit with the §6.3 kernel counters (FAT geometry, dispatch grants,
+  // fused unit with the §6.3 kernel counters (tile plan, dispatch grants,
   // edges traversed, bytes materialized) inside a run span carrying the
   // allocator, pool and plan-cache deltas.
   RunResult Run(const GirGraph& gir, const Graph& graph, const FeatureMap& features,

@@ -64,7 +64,7 @@ using Channel = BoundedChannel<HaloMessage>;
 // ever blocks on a Push/Pop against a dead shard; everyone else observes
 // either a closed channel (Push -> false, Pop -> nullopt) or the cancelled
 // flag at a loop boundary and unwinds without doing further work. Unwind is
-// bounded: after Cancel() no worker starts another interpreter run, so the
+// bounded: after Cancel() no worker starts another inner run, so the
 // slowest path out is one in-flight inner run plus the channel drains.
 class ShardCancellation {
  public:
@@ -226,7 +226,7 @@ void AddRows(float* matrix, const float* packed, const std::vector<int32_t>& row
 }  // namespace
 
 ShardRuntime::ShardRuntime(ShardRuntimeOptions options)
-    : options_(options), inner_(options.seastar_options) {
+    : options_(options) {
   SEASTAR_CHECK_GE(options_.num_shards, 1) << "ShardRuntime: need at least one shard";
 }
 
@@ -278,9 +278,7 @@ ThreadPool* ShardRuntime::SlicePool(int shard) const {
     // workers must never drive the shared process pool concurrently.
     const int global_participants = ThreadPool::Get().num_threads() + 1;
     const int per_shard =
-        options_.use_pool_slices
-            ? std::max(0, (global_participants - options_.num_shards) / options_.num_shards)
-            : 0;
+        std::max(0, (global_participants - options_.num_shards) / options_.num_shards);
     slice_pools_.reserve(static_cast<size_t>(options_.num_shards));
     for (int s = 0; s < options_.num_shards; ++s) {
       slice_pools_.push_back(std::make_unique<ThreadPool>(per_shard));
@@ -295,7 +293,7 @@ RunResult ShardRuntime::Execute(const GirGraph& gir, const GraphView& view,
   const Status shardable = CheckShardable(gir);
   if (!shardable.ok()) {
     // The program cannot run partitioned; run it whole on the inner
-    // interpreter so callers still get exact results.
+    // SeastarExecutor so callers still get exact results.
     Counters().fallbacks->Add(1);
     SEASTAR_LOG(Debug) << "shard runtime fallback: " << shardable.message();
     return inner_.Run(gir, graph, features, ctx);
@@ -471,7 +469,7 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     shard_bytes[static_cast<size_t>(shard_id)] += sent_bytes;
   };
 
-  // ---- Pass 2: absorb halo, run the unchanged Algorithm-1 interpreter
+  // ---- Pass 2: absorb halo, run the unchanged SeastarExecutor
   // shard-locally, stitch exact outputs, send additive partials. ------------
   const auto pass_run = [&](int shard_id) {
     const GraphShard& shard = sharded.shards[static_cast<size_t>(shard_id)];
@@ -519,7 +517,7 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     }
 
     if (cancel.cancelled()) {
-      return;  // Never start an interpreter run into a cancelled execution.
+      return;  // Never start an inner run into a cancelled execution.
     }
     MaybeInjectShardFault(FaultSite::kShardWorker, shard_id);
     // No trace inside the workers, whichever thread runs the shard: spans

@@ -1,7 +1,7 @@
 // Owner/mirror sharded execution runtime (ROADMAP item 1).
 //
-// ShardRuntime is an Executor that runs the *unchanged* fused Algorithm-1
-// interpreter (SeastarExecutor) once per shard, on shard-local graphs
+// ShardRuntime is an Executor that runs the *unchanged* fused-unit executor
+// (SeastarExecutor) once per shard, on shard-local graphs
 // produced by the Partitioner, stitched back together with an explicit
 // halo-exchange protocol over bounded message queues:
 //
@@ -52,7 +52,7 @@ namespace seastar {
 // shard_worker), later by real partial failures (a lost remote worker). The
 // recovery ladder (ExecuteWithRecovery in executor.cc) treats it like any
 // other transient std::exception: retry sharded once, then fall back to the
-// whole-graph interpreter. Deadline aborts are deliberately NOT a ShardFault.
+// whole-graph SeastarExecutor. Deadline aborts are deliberately NOT a ShardFault.
 class ShardFault : public std::runtime_error {
  public:
   ShardFault(FaultSite site, int shard_id)
@@ -71,12 +71,6 @@ class ShardFault : public std::runtime_error {
 
 struct ShardRuntimeOptions {
   int num_shards = 2;
-  // Options for the per-shard inner interpreter runs.
-  SeastarExecutorOptions seastar_options;
-  // Give each shard worker a private pool slice sized so the total worker
-  // count matches the process pool's. Off = shard workers run their kernels
-  // single-threaded (each worker is still its own OS thread).
-  bool use_pool_slices = true;
 };
 
 class ShardRuntime : public Executor {
@@ -98,7 +92,7 @@ class ShardRuntime : public Executor {
   const char* name() const override { return "sharded"; }
   bool saves_intermediates() const override { return false; }
 
-  // The recovery ladder's last rung: the same whole-graph interpreter the
+  // The recovery ladder's last rung: the same whole-graph executor the
   // CheckShardable fallback path uses, run over the plain full graph.
   const Executor* recovery_fallback() const override { return &inner_; }
 

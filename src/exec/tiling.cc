@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "src/common/logging.h"
 
@@ -10,10 +9,7 @@ namespace seastar {
 namespace {
 
 std::atomic<bool>& TilingFlag() {
-  static std::atomic<bool> enabled = [] {
-    const char* env = std::getenv("SEASTAR_TILING");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> enabled{true};
   return enabled;
 }
 

@@ -1,4 +1,4 @@
-// Cache-blocked tiling plans for the lowered units (FeatGraph-style, see
+// Cache-blocked tiling plans for the fused units (FeatGraph-style, see
 // PAPERS.md): the segment launch in src/exec/seastar_executor.cc runs one
 // block per segment of a unit's plan.
 //
@@ -22,16 +22,13 @@
 // per tile, in slot order, and columns are independent), so the plan only
 // shapes locality and parallel grain, never results. Plans are computed from
 // the CSR's offset (degree) array at first use and memoized on the
-// CompiledProgram alongside the FAT geometry (see compiled_program.h), which
-// lives in the process-wide plan cache: steady-state epochs reuse the plan
-// without re-deriving it.
+// CompiledProgram (see compiled_program.h), which lives in the process-wide
+// plan cache: steady-state epochs reuse the plan without re-deriving it.
 //
-// SEASTAR_TILING=0 in the environment (mirroring SEASTAR_POOL=0) plans
-// every lowered unit as SingleSegmentPlan — one segment, one tile — and runs
-// it through the same lowered code, so toggling changes the partition only
-// and outputs stay bit-identical. It is the escape hatch the
-// tiled-vs-untiled parity tests and the kernel sweep are built on; it does
-// not bring back the interpreter.
+// SetTilingEnabled(false) plans every unit as SingleSegmentPlan — one
+// segment, one tile — and runs it through the same code, so toggling changes
+// the partition only and outputs stay bit-identical. The tiled-vs-untiled
+// parity tests and the kernel sweep are built on it.
 #ifndef SRC_EXEC_TILING_H_
 #define SRC_EXEC_TILING_H_
 
@@ -40,9 +37,8 @@
 
 namespace seastar {
 
-// Whether lowered units run on ComputeTilePlan (true) or SingleSegmentPlan.
-// Reads SEASTAR_TILING from the environment once ("0" disables); tests and
-// A/B benches override via SetTilingEnabled.
+// Whether units run on ComputeTilePlan (true, the default) or
+// SingleSegmentPlan. Tests and A/B benches switch it with SetTilingEnabled.
 bool TilingEnabled();
 void SetTilingEnabled(bool enabled);
 
@@ -92,7 +88,7 @@ TilePlan ComputeTilePlan(const std::vector<int64_t>& offsets, int64_t num_vertic
                          int32_t feature_width, int num_workers,
                          const TilePlanOptions& options = {});
 
-// The plan SEASTAR_TILING=0 runs: every position in one segment, the whole
+// The plan with tiling off: every position in one segment, the whole
 // feature row in one tile.
 TilePlan SingleSegmentPlan(int64_t num_vertices, int32_t feature_width);
 

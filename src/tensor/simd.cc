@@ -92,8 +92,17 @@ void MulAddGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, in
   });
 }
 
+void MaxGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0, int64_t n) {
+  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
+    const float* xr = x(i) + c0 + b;
+    for (int64_t j = 0; j < bn; ++j) {
+      block[j] = std::max(block[j], xr[j]);
+    }
+  });
+}
+
 constexpr GatherKernels kScalarGather = {AddGatherScalar, AddScalarGatherScalar,
-                                         AxpyGatherScalar, MulAddGatherScalar};
+                                         AxpyGatherScalar, MulAddGatherScalar, MaxGatherScalar};
 
 void ScaleRowScalar(float* __restrict__ x, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -236,7 +245,7 @@ constexpr DropoutKernels kScalarDropout = {DropoutLanesScalar};
 
 // Which operand columns a fold reads: x's row slice [c0, c0 + n) unless it
 // broadcasts x(i)[0]; y's only for the elementwise product.
-enum class Fold { kAdd, kAddScalar, kAxpy, kMulAdd };
+enum class Fold { kAdd, kAddScalar, kAxpy, kMulAdd, kMax };
 constexpr bool XReadsColumns(Fold f) { return f != Fold::kAddScalar; }
 constexpr bool YReadsColumns(Fold f) { return f == Fold::kMulAdd; }
 constexpr bool ReadsY(Fold f) { return f == Fold::kAxpy || f == Fold::kMulAdd; }
@@ -295,6 +304,13 @@ SEASTAR_AVX2 inline void FoldBlockAvx2(float* acc, X x, Y y, int64_t i0, int64_t
       for (int g = 0; g < G; ++g) {
         a[g] = _mm256_add_ps(a[g], s);
       }
+    } else if constexpr (F == Fold::kMax) {
+      // max_ps returns its second operand unless the first is greater, so
+      // (x, acc) keeps acc on ties and NaNs, as std::max(acc, x) does.
+#pragma GCC unroll 4
+      for (int g = 0; g < G; ++g) {
+        a[g] = _mm256_max_ps(LoadGroup<G, kTail>(xr, g, tail), a[g]);
+      }
     } else if constexpr (F == Fold::kAxpy) {
       const __m256 s = _mm256_set1_ps(y(i)[0]);
 #pragma GCC unroll 4
@@ -329,6 +345,8 @@ SEASTAR_AVX2 inline void FoldColumnAvx2(float* acc, X x, Y y, int64_t i0, int64_
   for (int64_t i = i0; i < i1; ++i) {
     if constexpr (ReadsY(F)) {
       a = __builtin_fmaf(x(i)[0], y(i)[0], a);
+    } else if constexpr (F == Fold::kMax) {
+      a = std::max(a, x(i)[0]);
     } else {
       a += x(i)[0];
     }
@@ -428,8 +446,13 @@ SEASTAR_AVX2 void MulAddGatherAvx2(float* acc, const Rows& x, const Rows& y, int
   GatherAvx2<Fold::kMulAdd>(acc, x, y, i0, i1, c0, n);
 }
 
+SEASTAR_AVX2 void MaxGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0,
+                                int64_t n) {
+  GatherAvx2<Fold::kMax>(acc, x, x, i0, i1, c0, n);
+}
+
 constexpr GatherKernels kAvx2Gather = {AddGatherAvx2, AddScalarGatherAvx2, AxpyGatherAvx2,
-                                       MulAddGatherAvx2};
+                                       MulAddGatherAvx2, MaxGatherAvx2};
 
 __attribute__((target("avx2,fma"))) void ScaleRowAvx2(float* __restrict__ x, float s, int64_t n) {
   const __m256 vs = _mm256_set1_ps(s);
@@ -767,6 +790,7 @@ Dispatch ResolveDispatch() {
     AddScalarGather = kAvx2Gather.add_scalar;
     AxpyGather = kAvx2Gather.axpy;
     MulAddGather = kAvx2Gather.mul_add;
+    MaxGather = kAvx2Gather.max;
     ScaleRow = ScaleRowAvx2;
     GemmTile4x16 = kAvx2Gemm.tile4x16;
     GemmTile1x16 = kAvx2Gemm.tile1x16;
@@ -791,6 +815,7 @@ decltype(AddGather) AddGather = AddGatherScalar;
 decltype(AddScalarGather) AddScalarGather = AddScalarGatherScalar;
 decltype(AxpyGather) AxpyGather = AxpyGatherScalar;
 decltype(MulAddGather) MulAddGather = MulAddGatherScalar;
+decltype(MaxGather) MaxGather = MaxGatherScalar;
 void (*ScaleRow)(float*, float, int64_t) = ScaleRowScalar;
 decltype(GemmTile4x16) GemmTile4x16 = kScalarGemm.tile4x16;
 decltype(GemmTile1x16) GemmTile1x16 = kScalarGemm.tile1x16;

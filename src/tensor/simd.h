@@ -58,7 +58,7 @@ struct Rows {
 
 // Gather-reduce kernels: each call folds rows [i0, i1) — one key's slots of
 // a chunk — into acc[0, n), the accumulator columns [c0, c0 + n). Every
-// column is one add / multiply-add chain over the rows in ascending order,
+// column is one add / multiply-add / max chain over the rows in ascending order,
 // starting from acc's current value; an empty range leaves acc untouched.
 // The multiply-add is fused (written fma below) in the AVX2 bodies and in
 // the scalar ones wherever the build targets FMA; a scalar body built
@@ -74,6 +74,11 @@ extern void (*AxpyGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, 
 // acc[j] = fma(x(i)[c0 + j], y(i)[c0 + j], acc[j])  (Reduce::kMulAdd)
 extern void (*MulAddGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
                             int64_t c0, int64_t n);
+// acc[j] = std::max(acc[j], x(i)[c0 + j])           (Reduce::kMax)
+// acc is kept on a tie (so of +0 and -0 the earlier one wins) and when
+// either value is NaN: bit for bit what std::max(acc, x) gives.
+extern void (*MaxGather)(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0,
+                         int64_t n);
 
 // The gather kernels of one ISA, so tests can run each variant directly.
 struct GatherKernels {
@@ -81,6 +86,7 @@ struct GatherKernels {
   decltype(AddScalarGather) add_scalar;
   decltype(AxpyGather) axpy;
   decltype(MulAddGather) mul_add;
+  decltype(MaxGather) max;
 };
 // The portable bodies (always available) and the AVX2+FMA ones (null when
 // the CPU or the compiler lacks them).

@@ -3,6 +3,10 @@
 // degenerate programs, and width extremes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <limits>
+
 #include "src/common/rng.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/seastar_executor.h"
@@ -83,26 +87,45 @@ TEST(ExecEdgeCaseTest, WidthLargerThanBlockSize) {
   Rng rng(3);
   CooEdges edges = ErdosRenyi(12, 60, rng);
   Graph g = ToGraph(std::move(edges));
-  GirGraph gir = SumProgram(600);  // Wider than the 256-lane block.
+  GirGraph gir = SumProgram(600);  // Three 256-column tiles.
   FeatureMap features;
   features.vertex["h"] = ops::RandomNormal({12, 600}, 0, 1, rng);
   ExpectAllAgree(gir, g, features);
 }
 
-TEST(ExecEdgeCaseTest, TinyBlockSizeStillCorrect) {
-  Rng rng(4);
-  CooEdges edges = Rmat(50, 400, rng);
-  Graph g = ToGraph(std::move(edges));
-  GirGraph gir = SumProgram(8);
-  FeatureMap features;
-  features.vertex["h"] = ops::RandomNormal({50, 8}, 0, 1, rng);
-  SeastarExecutorOptions options;
-  options.block_size = 4;  // Degenerate but legal.
-  SeastarExecutor tiny(options);
-  SeastarExecutor normal;
-  Tensor a = tiny.Run(gir, g, features).outputs.at("out");
-  Tensor c = normal.Run(gir, g, features).outputs.at("out");
-  EXPECT_TRUE(a.AllClose(c, 1e-5f));
+TEST(ExecEdgeCaseTest, MaxFoldMatchesDglBitwiseOnTiesNaNsAndEmptyKeys) {
+  // Each column j of vertex v holds pattern[(v + j) % 7], so keys meet +0/-0
+  // ties in both orders, NaNs before, between and after finite values, and
+  // an all-NaN set; vertex 3 has no in-edges and must read exactly +0. The
+  // DGL-like executor walks the same CSR slots in order (one chunk at this
+  // size) with `acc < x` replacement: the same bits as std::max(acc, x).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float pattern[] = {0.0f, -0.0f, nan, -1.0f, nan, -0.0f, 0.0f};
+  Graph g = Graph::FromCoo(8, {1, 2, 4, 5, 6, 2, 4, 2, 0, 1, 2, 3, 4, 5, 6, 7, 4, 6},
+                           {0, 0, 0, 0, 0, 1, 1, 2, 5, 5, 5, 5, 5, 5, 5, 5, 6, 7});
+  ASSERT_EQ(g.in_csr().DegreeOfVertex(3), 0);
+  for (const int32_t width : {1, 9}) {
+    SCOPED_TRACE(width);
+    GirBuilder b;
+    b.MarkOutput(AggMax(b.Src("h", width)), "out");
+    FeatureMap features;
+    Tensor h({8, width});
+    for (int64_t v = 0; v < 8; ++v) {
+      for (int64_t j = 0; j < width; ++j) {
+        h.at(v, j) = pattern[(v + j) % 7];
+      }
+    }
+    features.vertex["h"] = h;
+    SeastarExecutor seastar;
+    BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+    const Tensor a = seastar.Run(b.graph(), g, features).outputs.at("out");
+    const Tensor c = dgl.Run(b.graph(), g, features).outputs.at("out");
+    ASSERT_EQ(a.numel(), c.numel());
+    EXPECT_EQ(std::memcmp(a.data(), c.data(), sizeof(float) * a.numel()), 0);
+    for (int64_t j = 0; j < width; ++j) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(a.at(3, j)), 0u) << "zero-degree key, column " << j;
+    }
+  }
 }
 
 TEST(ExecEdgeCaseTest, OutputIsPlainLeafPassThrough) {

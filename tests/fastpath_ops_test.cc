@@ -110,18 +110,18 @@ void ExpectMatchesBaselines(const GirGraph& gir, const Graph& graph, const Featu
 }
 
 // ---- Lowering classification ----------------------------------------------
-// Every sum/mean unit lowers to an edge prologue plus one row-kernel
-// reduction; the old copy-sum and mul-sum shapes are its empty-prologue and
+// Every unit lowers to an edge prologue plus one row-kernel reduction per
+// aggregation; the old copy-sum and mul-sum shapes are its empty-prologue and
 // folded-Mul cases.
 
 TEST(FastPathTest, PlainAggSumClassifiesAsCopySum) {
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8)), "out");
   const CompiledUnit unit = OnlyUnit(b.graph());
-  EXPECT_TRUE(unit.lowered);
-  EXPECT_EQ(unit.reduce, Reduce::kAdd);
+  ASSERT_EQ(unit.aggs.size(), 1u);
+  EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAdd);
   EXPECT_TRUE(unit.edge.empty());
-  EXPECT_EQ(unit.reduce_x.src, Src::kNbrRow);
+  EXPECT_EQ(unit.aggs[0].x.src, Src::kNbrRow);
 }
 
 TEST(FastPathTest, WeightedAggSumClassifiesAsMulSum) {
@@ -129,11 +129,11 @@ TEST(FastPathTest, WeightedAggSumClassifiesAsMulSum) {
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8) * b.Src("norm", 1)), "out");
   const CompiledUnit unit = OnlyUnit(b.graph());
-  EXPECT_TRUE(unit.lowered);
-  EXPECT_EQ(unit.reduce, Reduce::kAxpy);
+  ASSERT_EQ(unit.aggs.size(), 1u);
+  EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAxpy);
   EXPECT_TRUE(unit.edge.empty()) << "the Mul folds into the reduction";
-  EXPECT_EQ(unit.reduce_x.width, 8);
-  EXPECT_EQ(unit.reduce_y.width, 1);
+  EXPECT_EQ(unit.aggs[0].x.width, 8);
+  EXPECT_EQ(unit.aggs[0].y.width, 1);
 }
 
 TEST(FastPathTest, AggMeanAlsoSpecializes) {
@@ -141,24 +141,56 @@ TEST(FastPathTest, AggMeanAlsoSpecializes) {
   GirBuilder b;
   b.MarkOutput(AggMean(b.Src("h", 4)), "out");
   const CompiledUnit unit = OnlyUnit(b.graph());
-  EXPECT_TRUE(unit.lowered);
-  EXPECT_EQ(unit.reduce, Reduce::kAdd);
+  ASSERT_EQ(unit.aggs.size(), 1u);
+  EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAdd);
 }
 
-TEST(FastPathTest, MaxAndMultiOpUnitsStayInterpreted) {
+TEST(FastPathTest, MaxTypedMultiAggAndNbrStoreUnitsLower) {
   {
     GirBuilder b;
     b.MarkOutput(AggMax(b.Src("h", 4)), "out");
-    EXPECT_FALSE(OnlyUnit(b.graph()).lowered) << "max aggregation";
+    const CompiledUnit unit = OnlyUnit(b.graph());
+    ASSERT_EQ(unit.aggs.size(), 1u);
+    EXPECT_EQ(unit.aggs[0].reduce, Reduce::kMax);
+    EXPECT_TRUE(unit.edge.empty());
   }
   {
+    // The inner per-type sum never folds a Mul, so max units keep the bits
+    // of rounding each product.
     GirBuilder b;
-    b.MarkOutput(b.AggTypeSumThenMax(b.Src("h", 4)), "out");
-    EXPECT_FALSE(OnlyUnit(b.graph()).lowered) << "typed aggregation";
+    b.MarkOutput(b.AggTypeSumThenMax(b.Src("h", 4) * b.Src("s", 1)), "out");
+    const CompiledUnit unit = OnlyUnit(b.graph());
+    ASSERT_EQ(unit.aggs.size(), 1u);
+    EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAdd);
+    EXPECT_EQ(unit.edge.size(), 1u);
   }
   {
-    // u.h * 2 is consumed outside its unit, so the edge loop stores it to
-    // the neighbour's row — concurrent segments would race on that row.
+    // R-GCN's shape: the typed row and the edge norm fold into an axpy, and
+    // the chunk builds the typed slot index.
+    GirBuilder b;
+    b.MarkOutput(AggSum(b.TypedSrc("wh", 8) * b.Edge("norm", 1)), "out");
+    const CompiledUnit unit = OnlyUnit(b.graph());
+    ASSERT_EQ(unit.aggs.size(), 1u);
+    EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAxpy);
+    EXPECT_EQ(unit.aggs[0].x.src, Src::kTypedRow);
+    EXPECT_TRUE(unit.needs_typed_slots);
+  }
+  {
+    // Two aggregations of one orientation share a unit, each with its own
+    // reducer; the product read by both stays in the prologue.
+    GirBuilder b;
+    Value scaled = b.Src("h", 4) * b.Src("s", 1);
+    Value sum = AggSum(scaled);
+    b.MarkOutput(sum + AggMax(scaled), "out");
+    const CompiledUnit unit = OnlyUnit(b.graph());
+    ASSERT_EQ(unit.aggs.size(), 2u);
+    EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAdd);
+    EXPECT_EQ(unit.aggs[1].reduce, Reduce::kMax);
+    EXPECT_EQ(unit.edge.size(), 1u);
+  }
+  {
+    // u.h * 2 is consumed outside its unit, so the prologue scatters it to
+    // the neighbour's row.
     GirBuilder b;
     Value scaled = b.Src("h", 4) * 2.0f;
     b.MarkOutput(AggSum(scaled + b.Dst("c", 4)), "out");
@@ -167,10 +199,7 @@ TEST(FastPathTest, MaxAndMultiOpUnitsStayInterpreted) {
     const auto program = Compiled(b.graph());
     for (const CompiledUnit& unit : program->units) {
       for (const Instr& instr : unit.edge) {
-        if (instr.mat == MatKind::kNbrRow) {
-          any_nbr_store = true;
-          EXPECT_FALSE(unit.lowered) << "nbr-row materialization";
-        }
+        any_nbr_store = any_nbr_store || instr.mat == MatKind::kNbrRow;
       }
     }
     EXPECT_TRUE(any_nbr_store);
@@ -180,8 +209,8 @@ TEST(FastPathTest, MaxAndMultiOpUnitsStayInterpreted) {
     GirBuilder b;
     b.MarkOutput(AggSum(Exp(b.Src("h", 4) * b.Src("w", 1))), "out");
     const CompiledUnit unit = OnlyUnit(b.graph());
-    EXPECT_TRUE(unit.lowered);
-    EXPECT_EQ(unit.reduce, Reduce::kAdd);
+    ASSERT_EQ(unit.aggs.size(), 1u);
+    EXPECT_EQ(unit.aggs[0].reduce, Reduce::kAdd);
     EXPECT_EQ(unit.edge.size(), 2u);
   }
 }
@@ -192,17 +221,12 @@ TEST(FastPathTest, EveryGatUnitClassifiesAsLowered) {
   const auto backward = Compiled(program.backward().graph);
   EXPECT_EQ(forward->units.size(), 2u);
   EXPECT_EQ(backward->units.size(), 6u);
-  for (const auto* compiled : {forward.get(), backward.get()}) {
-    for (size_t i = 0; i < compiled->units.size(); ++i) {
-      EXPECT_TRUE(compiled->units[i].lowered) << compiled->unit_labels[i];
-    }
-  }
   // Forward: Add+LeakyRelu+Exp+AggSum keeps its three ops as the prologue;
   // Div+Mul+AggSum keeps Div and folds the Mul into an axpy.
   EXPECT_EQ(forward->units[0].edge.size(), 3u);
-  EXPECT_EQ(forward->units[0].reduce, Reduce::kAdd);
+  EXPECT_EQ(forward->units[0].aggs.at(0).reduce, Reduce::kAdd);
   EXPECT_EQ(forward->units[1].edge.size(), 1u);
-  EXPECT_EQ(forward->units[1].reduce, Reduce::kAxpy);
+  EXPECT_EQ(forward->units[1].aggs.at(0).reduce, Reduce::kAxpy);
 }
 
 // ---- Lowered units vs the baselines ---------------------------------------------------
@@ -338,10 +362,37 @@ TEST(FastPathTest, LoweredBroadcastsMatchBaselines) {
     SCOPED_TRACE(i);
     GirBuilder b;
     b.MarkOutput(programs[i](b), "out");
-    const auto program = Compiled(b.graph());
-    for (const CompiledUnit& unit : program->units) {
-      EXPECT_TRUE(unit.lowered);
-    }
+    ExpectMatchesBaselines(b.graph(), g, features);
+  }
+}
+
+TEST(FastPathTest, MaxMultiAggAndNbrStoreUnitsMatchBaselines) {
+  // Max (SAGE's pool), two aggregations in one unit and a neighbour-row
+  // store, on a skewed graph whose hubs span several chunks.
+  Rng rng(107);
+  CooEdges edges = Rmat(400, 5000, rng);
+  const CooEdges star = Star(400);
+  edges.src.insert(edges.src.end(), star.src.begin(), star.src.end());
+  edges.dst.insert(edges.dst.end(), star.dst.begin(), star.dst.end());
+  Graph g = ToGraph(std::move(edges));
+  FeatureMap features = RandomVertexFeatures(g, {{"h", 8}, {"s", 1}, {"c", 8}}, 109);
+  std::vector<std::function<void(GirBuilder&)>> programs = {
+      [](GirBuilder& b) { b.MarkOutput(AggMax(Relu(b.Src("h", 8))), "out"); },
+      [](GirBuilder& b) { b.MarkOutput(AggMax(b.Src("s", 1) - b.Dst("s", 1)), "out"); },
+      [](GirBuilder& b) {
+        Value scaled = b.Src("h", 8) * b.Src("s", 1);
+        b.MarkOutput(AggMean(scaled) - AggMax(scaled), "out");
+      },
+      [](GirBuilder& b) {
+        Value scaled = b.Src("h", 8) * 2.0f;
+        b.MarkOutput(AggSum(scaled + b.Dst("c", 8)), "out");
+        b.MarkOutput(scaled, "scaled");
+      },
+  };
+  for (size_t i = 0; i < programs.size(); ++i) {
+    SCOPED_TRACE(i);
+    GirBuilder b;
+    programs[i](b);
     ExpectMatchesBaselines(b.graph(), g, features);
   }
 }
@@ -355,7 +406,6 @@ TEST(FastPathTest, LoweredDotProductAndEdgeOnlyUnitsMatchBaselines) {
   bool has_dot = false;
   bool has_edge_only = false;
   for (const CompiledUnit& unit : compiled->units) {
-    ASSERT_TRUE(unit.lowered);
     has_edge_only = has_edge_only || (unit.aggs.empty() && unit.needs_edge_loop);
     for (const Instr& instr : unit.edge) {
       has_dot = has_dot || instr.kind == OpKind::kDotProduct;

@@ -17,6 +17,8 @@
 #include "src/core/executor_factory.h"
 #include "src/core/models/gat.h"
 #include "src/core/models/gcn.h"
+#include "src/core/models/rgcn.h"
+#include "src/core/models/sage.h"
 #include "src/core/train.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/plan_cache.h"
@@ -433,10 +435,28 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
   }
 }
 
+// Every unit span of a run carries its tile plan and the dispatched ISA:
+// the unit ran on the segment launch.
+void ExpectUnitSpansOnSegmentLaunch(const std::vector<Span>& units) {
+  for (const Span& span : units) {
+    SCOPED_TRACE(span.name);
+    EXPECT_TRUE(span.has(Arg::kTileSegments));
+    EXPECT_GE(span.arg(Arg::kTileSegments), 1);
+    EXPECT_TRUE(span.has(Arg::kTileWidth));
+    EXPECT_GE(span.arg(Arg::kTileWidth), 1);
+    ASSERT_NE(span.simd_isa, nullptr);
+    EXPECT_STREQ(span.simd_isa, simd::SimdIsaName());
+  }
+}
+
+metrics::Counter* TiledUnits() {
+  return metrics::MetricsRegistry::Get().GetCounter("seastar_tiling_units_tiled_total");
+}
+
 TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
-  // Every GAT unit — forward and backward, all heads — runs on the lowered
-  // segment launch: each unit span carries its tile plan and the dispatched
-  // ISA, and the interpreter counter does not move.
+  // Every GAT unit — forward and backward, all heads — runs on the segment
+  // launch: each unit span carries its tile plan and the dispatched ISA,
+  // and the launch counter counts each of them.
   DatasetOptions options;
   options.scale = 0.06;
   options.max_feature_dim = 32;
@@ -449,15 +469,12 @@ TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
   train.epochs = 1;
   train.warmup_epochs = 0;
 
-  metrics::Counter* untiled =
-      metrics::MetricsRegistry::Get().GetCounter("seastar_tiling_units_untiled_total");
-  const int64_t untiled_before = untiled->value();
+  const int64_t tiled_before = TiledUnits()->value();
   Tracer tracer(TracerConfig{}, Retention::kRun);
   {
     ScopedRun run(&tracer, "gat", "train");
     TrainNodeClassification(model, data, train);
   }
-  EXPECT_EQ(untiled->value() - untiled_before, 0);
   // Each head projects once and scores twice (eu, ev): three forward
   // matmul spans per head.
   const std::vector<Span> dense = SpansInCategory(tracer, "dense");
@@ -468,14 +485,54 @@ TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
   const std::vector<Span> units = SpansInCategory(tracer, "unit");
   // 2 hidden heads + 1 output head, 2 forward + 6 backward units each.
   EXPECT_EQ(units.size(), 3u * 8u);
-  for (const Span& span : units) {
-    SCOPED_TRACE(span.name);
-    EXPECT_TRUE(span.has(Arg::kTileSegments));
-    EXPECT_GE(span.arg(Arg::kTileSegments), 1);
-    EXPECT_TRUE(span.has(Arg::kTileWidth));
-    EXPECT_GE(span.arg(Arg::kTileWidth), 1);
-    ASSERT_NE(span.simd_isa, nullptr);
-    EXPECT_STREQ(span.simd_isa, simd::SimdIsaName());
+  EXPECT_EQ(TiledUnits()->value() - tiled_before, static_cast<int64_t>(units.size()));
+  ExpectUnitSpansOnSegmentLaunch(units);
+}
+
+TEST(ProfilerTest, RgcnAndSagePoolEveryUnitSpanReportsTilePlan) {
+  // The typed (R-GCN) and max (SAGE max-pool) aggregations, forward and
+  // backward, run on the segment launch like every other unit.
+  TrainConfig train;
+  train.epochs = 1;
+  train.warmup_epochs = 0;
+  const auto traced_units = [&](GnnModel& model, const Dataset& data) {
+    const int64_t tiled_before = TiledUnits()->value();
+    Tracer tracer(TracerConfig{}, Retention::kRun);
+    {
+      ScopedRun run(&tracer, model.name(), "train");
+      TrainNodeClassification(model, data, train);
+    }
+    const std::vector<Span> units = SpansInCategory(tracer, "unit");
+    EXPECT_EQ(TiledUnits()->value() - tiled_before, static_cast<int64_t>(units.size()));
+    return units;
+  };
+  {
+    DatasetOptions options;
+    options.scale = 0.03;
+    const Dataset data = MakeDataset(*FindDataset("aifb"), options);
+    RgcnConfig config;
+    config.mode = RgcnMode::kSeastar;
+    Rgcn model(data, config);
+    const std::vector<Span> units = traced_units(model, data);
+    SCOPED_TRACE("R-GCN");
+    // Two layers, one typed-sum forward and one per-(type, source) backward
+    // unit each.
+    EXPECT_EQ(units.size(), 4u);
+    ExpectUnitSpansOnSegmentLaunch(units);
+  }
+  {
+    DatasetOptions options;
+    options.scale = 0.06;
+    options.max_feature_dim = 32;
+    const Dataset data = MakeDataset(*FindDataset("cora"), options);
+    SageConfig config;
+    config.hidden_dim = 8;
+    config.aggregator = SageAggregator::kPool;
+    Sage model(data, config, std::move(*ExecutorFactory::Create("seastar")));
+    const std::vector<Span> units = traced_units(model, data);
+    SCOPED_TRACE("SAGE max-pool");
+    EXPECT_FALSE(units.empty());
+    ExpectUnitSpansOnSegmentLaunch(units);
   }
 }
 

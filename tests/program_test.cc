@@ -41,20 +41,14 @@ TEST(ProfilerTest, BackendFromStringParsesKnownNamesAndRejectsJunk) {
 }
 
 // ---- VertexProgram input validation --------------------------------------
-//
-// These intentionally run through the deprecated BackendConfig overload of
-// VertexProgram::Run: they double as coverage that the compatibility shim
-// still validates inputs exactly like the ExecutionSession path.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 TEST(ProfilerDeathTest, MissingProgramInputNamesTheInput) {
   const Graph g = RandomGraph(20, 60, 0xdead);
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 4)), "out");
   VertexProgram program = VertexProgram::Compile(std::move(b));
-  BackendConfig config;
-  EXPECT_DEATH(program.Run(g, {}, config), "missing vertex input 'h'");
+  const ExecutionSession session = MakeSession(*ExecutorFactory::Create("seastar"), g);
+  EXPECT_DEATH(program.Run({}, session), "missing vertex input 'h'");
 }
 
 TEST(ProfilerDeathTest, MisShapedProgramInputNamesTheInput) {
@@ -62,18 +56,16 @@ TEST(ProfilerDeathTest, MisShapedProgramInputNamesTheInput) {
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 4)), "out");
   VertexProgram program = VertexProgram::Compile(std::move(b));
-  BackendConfig config;
+  const ExecutionSession session = MakeSession(*ExecutorFactory::Create("seastar"), g);
   // Wrong width (3 != 4).
   Var bad_width = Var::Leaf(Tensor::Zeros({g.num_vertices(), 3}), /*requires_grad=*/false);
-  EXPECT_DEATH(program.Run(g, {.vertex = {{"h", bad_width}}}, config),
+  EXPECT_DEATH(program.Run({.vertex = {{"h", bad_width}}}, session),
                "vertex input 'h' has shape");
   // Wrong row count (vertex tensor sized for a different graph).
   Var bad_rows = Var::Leaf(Tensor::Zeros({g.num_vertices() + 1, 4}), /*requires_grad=*/false);
-  EXPECT_DEATH(program.Run(g, {.vertex = {{"h", bad_rows}}}, config),
+  EXPECT_DEATH(program.Run({.vertex = {{"h", bad_rows}}}, session),
                "vertex input 'h' has shape");
 }
-
-#pragma GCC diagnostic pop
 
 // ---- Backward restricted to the inputs that require grad ------------------
 

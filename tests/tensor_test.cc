@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -446,7 +449,48 @@ TEST(SimdGatherTest, EachFoldMatchesThePerEdgeChainBitwise) {
                 return RefMulAdd(x(i)[kC0 + j], y(i)[kC0 + j], a, variant.fused);
               },
               [&](float* acc) { k.mul_add(acc, x, y, i0, i1, kC0, n); });
+          check(
+              "max", [&](int64_t i, int64_t j, float a) { return std::max(a, x(i)[kC0 + j]); },
+              [&](float* acc) { k.max(acc, x, i0, i1, kC0, n); });
         }
+      }
+    }
+  }
+}
+
+TEST(SimdGatherTest, MaxFoldKeepsTiesAndNaNsAsStdMaxDoes) {
+  // std::max(acc, x) keeps acc unless acc < x: of +0 and -0 the earlier
+  // wins, a NaN row is skipped and a NaN accumulator stays. Every width
+  // class (one column, full and ragged lane groups, several blocks) in
+  // every variant, bit for bit.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pattern[] = {0.0f, -0.0f, nan, -inf, 1.5f, -0.0f, 0.0f, inf, nan, -2.0f, 0.0f};
+  constexpr int64_t kRows = 11;
+  const int64_t widths[] = {1, 5, 8, 13, 32, 41};
+  for (const GatherVariant& variant : GatherVariants()) {
+    for (const int64_t n : widths) {
+      SCOPED_TRACE(std::string(variant.isa) + " n=" + std::to_string(n));
+      // Row i, column j holds pattern[(i + j) % 11], so each column meets
+      // the ties and NaNs in a different order.
+      std::vector<float> xs(static_cast<size_t>(kRows * n));
+      for (int64_t i = 0; i < kRows; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          xs[static_cast<size_t>(i * n + j)] = pattern[(i + j) % kRows];
+        }
+      }
+      const simd::Rows x{xs.data(), nullptr, n};
+      for (const float start : {-FLT_MAX, -0.0f, 0.0f, nan}) {
+        std::vector<float> want(static_cast<size_t>(n), start);
+        for (int64_t i = 0; i < kRows; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            want[static_cast<size_t>(j)] = std::max(want[static_cast<size_t>(j)], x(i)[j]);
+          }
+        }
+        std::vector<float> got(static_cast<size_t>(n), start);
+        variant.kernels->max(got.data(), x, 0, kRows, 0, n);
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
+            << "start " << start;
       }
     }
   }
@@ -459,6 +503,7 @@ TEST(SimdGatherTest, DispatchedKernelsAreTheWidestVariant) {
   EXPECT_EQ(simd::AddScalarGather, want.add_scalar);
   EXPECT_EQ(simd::AxpyGather, want.axpy);
   EXPECT_EQ(simd::MulAddGather, want.mul_add);
+  EXPECT_EQ(simd::MaxGather, want.max);
   EXPECT_STREQ(simd::SimdIsaName(), avx2 != nullptr ? "avx2" : "scalar");
 }
 

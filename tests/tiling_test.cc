@@ -1,6 +1,7 @@
 // Tests for the cache-blocked tiled aggregation path (src/exec/tiling.h):
 // tile-plan geometry invariants, bit-exact tiled-vs-untiled training parity
-// for GCN / GAT / GraphSAGE on the full-graph and sharded executors, and
+// for GCN / GAT / GraphSAGE (mean and max-pool) on the full-graph and
+// sharded executors and for R-GCN's batched typed aggregation, and
 // the dense-GEMM panel-tail regression cases (feature dims that are not a
 // multiple of the 16-wide micro-kernel panel).
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/core/executor_factory.h"
 #include "src/core/models/gat.h"
 #include "src/core/models/gcn.h"
+#include "src/core/models/rgcn.h"
 #include "src/core/models/sage.h"
 #include "src/core/train.h"
 #include "src/exec/seastar_executor.h"
@@ -176,6 +178,42 @@ TEST(TilingParityTest, SageLossBitIdenticalTiledVsUntiled) {
     const float tiled = TrainLoss<Sage>(data, config, spec, true);
     EXPECT_EQ(untiled, tiled) << spec;
   }
+}
+
+TEST(TilingParityTest, SagePoolLossBitIdenticalTiledVsUntiled) {
+  // The max-pool aggregator: max units forward, their arg-max masks
+  // backward.
+  TilingFlagGuard guard;
+  Dataset data = SmallCora();
+  SageConfig config;
+  config.hidden_dim = 8;
+  config.aggregator = SageAggregator::kPool;
+  for (const char* spec : {"seastar", "sharded:4"}) {
+    const float untiled = TrainLoss<Sage>(data, config, spec, false);
+    const float tiled = TrainLoss<Sage>(data, config, spec, true);
+    EXPECT_EQ(untiled, tiled) << spec;
+  }
+}
+
+TEST(TilingParityTest, RgcnLossBitIdenticalTiledVsUntiled) {
+  // The batched Seastar mode: a typed-row sum forward, a per-(type, source)
+  // aggregation backward.
+  TilingFlagGuard guard;
+  DatasetOptions options;
+  options.scale = 0.03;
+  const Dataset data = MakeDataset(*FindDataset("aifb"), options);
+  RgcnConfig config;
+  config.mode = RgcnMode::kSeastar;
+  float loss[2];
+  for (const bool tiled : {false, true}) {
+    SetTilingEnabled(tiled);
+    Rgcn model(data, config);
+    TrainConfig train;
+    train.epochs = 3;
+    train.warmup_epochs = 0;
+    loss[tiled] = TrainNodeClassification(model, data, train).final_loss;
+  }
+  EXPECT_EQ(loss[0], loss[1]);
 }
 
 // A synthetic wide-feature program that actually exercises multi-tile

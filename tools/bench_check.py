@@ -48,14 +48,17 @@ the same way: bitwise equal to their reference, time inside the band.
 A baseline that records a parallel_headroom (measured by the sweep before it
 runs) must show at least 0.75 x its pool workers: one measured while other
 tenants held the vCPUs reads every tiled_ms several times slower and would
-loosen the band by as much, so it is refused outright.
+loosen the band by as much, so it is refused outright. When both reports
+record parallel_workers and the counts differ, the timings do not compare:
+the gate fails once as worker_mismatch and skips the timing bands (the
+exact parity checks still run).
 
 The shard report (BENCH_shard.json, from ./bench_shard_scaling) adds a
 scaling-floor gate: speedup_at_max_shards must reach --shard-speedup-floor,
 a single-shard run must exchange zero halo messages, and every run must
 report shard_retries == 0 and shard_fallbacks == 0 — a healthy steady-state
 bench that silently retried or demoted itself to the whole-graph
-interpreter is a regression, not noise.
+executor is a regression, not noise.
 
 Usage:
   tools/bench_check.py --baseline-dir bench/baselines \
@@ -267,6 +270,16 @@ def check_kernels(gate, baseline, fresh, timing_tol, _slack):
                    max(0.0, floor - headroom), 0, 0,
                    f"parallel_headroom {headroom:g} must reach "
                    f"{HEADROOM_FLOOR:g} x {workers} workers")
+    # Timings from different pool sizes do not compare: a 1-worker report
+    # reads every tiled_ms several times above a 4-worker baseline. Name the
+    # mismatch once instead of a REGRESSION per point; the exact parity
+    # checks below still run.
+    fresh_workers = fresh.get("parallel_workers", 0)
+    same_workers = workers <= 0 or fresh_workers <= 0 or fresh_workers == workers
+    if not same_workers:
+        gate.check("kernels", "worker_mismatch", 1, 0, 0,
+                   f"fresh report ran {fresh_workers} workers, the baseline "
+                   f"{workers}; rerun with the baseline's worker count")
     key = lambda s: (s["kernel"], s["skew"], s["feat_dim"])
     base_sweeps = {key(s): s for s in baseline.get("sweeps", [])}
     fresh_sweeps = {key(s): s for s in fresh.get("sweeps", [])}
@@ -276,7 +289,7 @@ def check_kernels(gate, baseline, fresh, timing_tol, _slack):
         if sweep is None:
             gate.missing(where)
             continue
-        for metric in ("tiled_ms", "untiled_ms"):
+        for metric in ("tiled_ms", "untiled_ms") if same_workers else ():
             gate.check(where, metric, sweep[metric], base[metric],
                        base[metric] * timing_tol, f"{timing_tol:g}x timing band")
         # Machine-independent: tiled and untiled edge loops share the
@@ -298,8 +311,9 @@ def check_kernels(gate, baseline, fresh, timing_tol, _slack):
         if point is None:
             gate.missing(where)
             continue
-        gate.check(where, "ms", point["ms"], base["ms"],
-                   base["ms"] * timing_tol, f"{timing_tol:g}x timing band")
+        if same_workers:
+            gate.check(where, "ms", point["ms"], base["ms"],
+                       base["ms"] * timing_tol, f"{timing_tol:g}x timing band")
         # Machine-independent: the point and its reference compute every
         # element through the same chain of roundings.
         gate.check(where, "reference_mismatch",
@@ -707,10 +721,30 @@ def self_test(args):
     check_kernels(g, contended, copy.deepcopy(contended), 3.0, 5.0)
     expect("kernel-contended-baseline", g, want_fail=True)
 
+    # 15. A fresh report from another pool size fails as one named
+    #     worker_mismatch, not as tiled_ms regressions; its parity is still
+    #     gated.
+    one_worker = copy.deepcopy(kernels_base)
+    one_worker["parallel_workers"] = 1
+    for sweep in one_worker["sweeps"]:
+        sweep["tiled_ms"] *= 4.0
+    g = Gate()
+    check_kernels(g, kernels_base, one_worker, 3.0, 5.0)
+    expect("kernel-worker-mismatch", g, want_fail=True)
+    if len(g.failures) != 1 or "worker_mismatch" not in g.failures[0]:
+        failures.append("self-test kernel-worker-mismatch: expected only "
+                        f"worker_mismatch, gate said {g.failures}")
+    one_worker["sweeps"][0]["bitwise_equal"] = False
+    g = Gate()
+    check_kernels(g, kernels_base, one_worker, 3.0, 5.0)
+    if not any("tiled_parity_violation" in f for f in g.failures):
+        failures.append("self-test kernel-worker-mismatch: parity not gated "
+                        f"across a worker mismatch, gate said {g.failures}")
+
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(33 cases)")
+          f"(34 cases)")
     return 1 if failures else 0
 
 
