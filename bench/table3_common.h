@@ -6,8 +6,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/exec/kernel_counter.h"
+#include "src/common/metrics.h"
 #include "src/core/models/rgcn.h"
+#include "src/exec/executor.h"
 
 namespace seastar {
 namespace bench {
@@ -47,12 +48,14 @@ inline int RunRgcnTable(const char* table, bool time_metric, int argc, char** ar
       RgcnConfig config;
       config.mode = mode;
       Rgcn model(data, config);
-      ResetKernelLaunchCount();
+      const int64_t launches_before = KernelLaunchesTotal().value();
       trace::ScopedRun run(profile.sink(), trace::Intern(spec.name + "/" + RgcnModeName(mode)),
                            "bench");
       TrainResult result = TrainNodeClassification(model, data, train);
       const int64_t launches_per_epoch =
-          result.epochs_run > 0 ? KernelLaunchCount() / result.epochs_run : 0;
+          result.epochs_run > 0
+              ? (KernelLaunchesTotal().value() - launches_before) / result.epochs_run
+              : 0;
       if (time_metric) {
         std::printf(" %9s | %4lld", TimeCell(result).c_str(),
                     static_cast<long long>(launches_per_epoch));

@@ -1,8 +1,10 @@
 // Quickstart: train a 2-layer GCN on a cora-sized synthetic citation graph
-// with the Seastar backend.
+// with the Seastar executor.
 //
-//   ./quickstart [--epochs=50] [--backend=seastar|dgl|pyg|sharded:N] [--scale=1.0]
-//               [--checkpoint=gcn.ckpt] [--resume]
+//   ./quickstart [--epochs=50] [--executor=seastar|seastar-nofuse|dgl|pyg|sharded[:N]]
+//                [--scale=1.0] [--checkpoint=gcn.ckpt] [--resume]
+//
+// Any other argument exits 1, naming it.
 //
 // With --checkpoint the run snapshots its full training state (parameters,
 // Adam moments, RNG stream, epoch) every 10 epochs, atomically; kill it at
@@ -25,8 +27,14 @@
 int main(int argc, char** argv) {
   using namespace seastar;
 
+  const std::string unknown =
+      FirstUnknownFlag(argc, argv, {"epochs", "executor", "scale", "checkpoint", "resume"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag '%s'\n", unknown.c_str());
+    return 1;
+  }
   const int64_t epochs = FlagInt(argc, argv, "epochs", 50);
-  const std::string backend_name = FlagValue(argc, argv, "backend", "seastar");
+  const std::string executor_spec = FlagValue(argc, argv, "executor", "seastar");
   const double scale = FlagDouble(argc, argv, "scale", 1.0);
   const std::string checkpoint_path = FlagValue(argc, argv, "checkpoint", "");
   const bool resume = FlagBool(argc, argv, "resume", false);
@@ -43,7 +51,7 @@ int main(int argc, char** argv) {
   std::printf("dataset: %s  %s\n", data.spec.name.c_str(), data.graph.DebugString().c_str());
 
   // 2. Model: 2-layer GCN, hidden 16, on the chosen executor.
-  StatusOr<std::unique_ptr<Executor>> executor = ExecutorFactory::Create(backend_name);
+  StatusOr<std::unique_ptr<Executor>> executor = ExecutorFactory::Create(executor_spec);
   if (!executor.has_value()) {
     std::fprintf(stderr, "%s\n", executor.status().ToString().c_str());
     return 1;
@@ -65,7 +73,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("\nbackend           : %s\n", model.session().executor().name());
+  std::printf("\nexecutor          : %s\n", model.session().executor().name());
   std::printf("epochs            : %d\n", result.epochs_run);
   std::printf("avg epoch time    : %.2f ms\n", result.avg_epoch_ms);
   std::printf("final train loss  : %.4f\n", result.final_loss);

@@ -1,16 +1,17 @@
-// General-purpose training driver: any model × any dataset × any backend
+// General-purpose training driver: any model × any dataset × any executor
 // from the command line, with optional CSV output for scripting sweeps.
 //
-//   ./seastar_train --model=gcn --dataset=cora --backend=seastar
-//   ./seastar_train --model=gcn --dataset=cora --backend=sharded:4
-//   ./seastar_train --model=gat --dataset=amz_photo --backend=pyg --epochs=20
+//   ./seastar_train --model=gcn --dataset=cora --executor=seastar
+//   ./seastar_train --model=gcn --dataset=cora --executor=sharded:4
+//   ./seastar_train --model=gat --dataset=amz_photo --executor=pyg --epochs=20
 //   ./seastar_train --model=rgcn --dataset=aifb --rgcn-mode=dgl-bmm
 //   ./seastar_train --model=sage --dataset=pubmed --csv
 //
 // Flags: --model=gcn|gat|appnp|rgcn|sage|gin|sgc  --dataset=<table-2 name>
-//        --executor=seastar|seastar-nofuse|dgl|pyg|sharded[:N]  (alias: --backend=)
+//        --executor=seastar|seastar-nofuse|dgl|pyg|sharded[:N]
 //        --epochs --warmup --lr
 //        --scale --max-feat --hidden --budget-gb --csv
+//        --rgcn-mode=seastar|dgl-bmm|pyg-bmm|dgl|pyg  --sage-agg=mean|pool
 //        --edges=<file.tsv|file.mtx>  (train on your own graph instead)
 //        --profile=<trace.json>  (Chrome trace of the run plus a summary table;
 //                                 see docs/INTERNALS.md §17)
@@ -26,6 +27,8 @@
 //        --metrics-out=<path>      metrics-registry JSON snapshot on exit
 //        --metrics-text=<path>     same data, Prometheus text exposition
 //        --events-out=<path>       flight-recorder event dump on exit
+//
+// Any other argument exits 1, naming it.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -113,12 +116,19 @@ StatusOr<Dataset> DatasetFromEdgeFile(const std::string& path, int64_t feature_d
 }
 
 int Run(int argc, char** argv) {
+  const std::string unknown = FirstUnknownFlag(
+      argc, argv,
+      {"model", "dataset", "executor", "edges", "epochs", "warmup", "lr", "scale", "max-feat",
+       "hidden", "budget-gb", "csv", "profile", "checkpoint", "checkpoint-every", "resume",
+       "max-retries", "faults", "metrics-out", "metrics-text", "events-out", "rgcn-mode",
+       "sage-agg"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag '%s'\n", unknown.c_str());
+    return 1;
+  }
   const std::string model_name = FlagValue(argc, argv, "model", "gcn");
   const std::string dataset_name = FlagValue(argc, argv, "dataset", "cora");
-  // --executor= is the canonical spelling (it names an ExecutorFactory
-  // spec); --backend= remains as the historical alias.
-  const std::string backend_name =
-      FlagValue(argc, argv, "executor", FlagValue(argc, argv, "backend", "seastar"));
+  const std::string executor_spec = FlagValue(argc, argv, "executor", "seastar");
   const std::string edge_file = FlagValue(argc, argv, "edges", "");
   const int epochs = static_cast<int>(FlagInt(argc, argv, "epochs", 30));
   const int warmup = static_cast<int>(FlagInt(argc, argv, "warmup", 3));
@@ -187,7 +197,7 @@ int Run(int argc, char** argv) {
     data = *std::move(made);
   }
 
-  StatusOr<std::unique_ptr<Executor>> created = ExecutorFactory::Create(backend_name);
+  StatusOr<std::unique_ptr<Executor>> created = ExecutorFactory::Create(executor_spec);
   if (!created.has_value()) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
@@ -306,7 +316,7 @@ int Run(int argc, char** argv) {
   if (csv) {
     std::printf("model,dataset,backend,epochs,avg_epoch_ms,final_loss,train_acc,peak_mb,oom\n");
     std::printf("%s,%s,%s,%d,%.3f,%.5f,%.4f,%.2f,%d\n", model_name.c_str(),
-                data.spec.name.c_str(), backend_name.c_str(), result.epochs_run,
+                data.spec.name.c_str(), executor_spec.c_str(), result.epochs_run,
                 result.avg_epoch_ms, result.final_loss, result.train_accuracy,
                 static_cast<double>(result.peak_bytes) / (1024.0 * 1024.0),
                 result.oom ? 1 : 0);

@@ -1,5 +1,6 @@
 #include "src/common/string_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -101,6 +102,17 @@ int64_t FlagInt(int argc, char** argv, const std::string& key, int64_t fallback)
     return fallback;
   }
   return std::strtoll(value.c_str(), nullptr, 10);
+}
+
+std::string FirstUnknownFlag(int argc, char** argv, std::initializer_list<std::string_view> known) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--") ||
+        std::find(known.begin(), known.end(), arg.substr(2, arg.find('=') - 2)) == known.end()) {
+      return std::string(arg);
+    }
+  }
+  return "";
 }
 
 bool FlagBool(int argc, char** argv, const std::string& key, bool fallback) {

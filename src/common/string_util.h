@@ -2,7 +2,9 @@
 #ifndef SRC_COMMON_STRING_UTIL_H_
 #define SRC_COMMON_STRING_UTIL_H_
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seastar {
@@ -31,6 +33,12 @@ std::string FlagValue(int argc, char** argv, const std::string& key, const std::
 double FlagDouble(int argc, char** argv, const std::string& key, double fallback);
 int64_t FlagInt(int argc, char** argv, const std::string& key, int64_t fallback);
 bool FlagBool(int argc, char** argv, const std::string& key, bool fallback);
+
+// The first argument that is not "--key" or "--key=value" for a `known` key
+// (a positional argument counts as unknown), or "" when every argument is
+// known. CLIs reject it, so a mistyped or retired flag fails loudly instead
+// of being ignored.
+std::string FirstUnknownFlag(int argc, char** argv, std::initializer_list<std::string_view> known);
 
 }  // namespace seastar
 

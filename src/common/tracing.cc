@@ -48,8 +48,8 @@ constexpr FlagName kFlagNames[] = {
 
 // Export keys, in Arg order.
 constexpr const char* kArgNames[kNumArgs] = {
-    "edges", "bytes_materialized", "fat_groups", "fat_group_size", "num_blocks",
-    "dispatches", "kernel_launches", "alloc_delta_bytes", "peak_delta_bytes",
+    "edges", "bytes_materialized", "num_blocks", "dispatches", "kernel_launches",
+    "alloc_delta_bytes", "peak_delta_bytes",
     "plan_cache_hits", "plan_cache_misses", "pool_hits", "pool_misses",
     "tile_segments", "tile_passes", "tile_width",
     "epoch", "batch", "shards",

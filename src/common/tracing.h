@@ -3,7 +3,7 @@
 //
 // A span is a fixed-size POD record (Span) in its trace's buffer: a static
 // name and category, the named int64 args it set (kernel counters such as
-// edges, FAT groups, dispatches, tiling, pool and plan-cache reuse; loop
+// edges, blocks, dispatches, tiling, pool and plan-cache reuse; loop
 // positions; serving annotations), two static-string args (block-dispatch
 // schedule, SIMD ISA) and a short dynamic detail. Dynamic names — a fused
 // unit's label "unit3:Identity+DotProduct+Mul+AggSum", a bench run's
@@ -76,11 +76,11 @@ std::string FlagNames(uint32_t flags);
 // The named int64 args a span can carry. A span records only the args it
 // sets; exports and the summary table skip the rest.
 enum class Arg : uint8_t {
-  // Kernel behaviour (paper §7): edges traversed, tensor bytes written, FAT
-  // geometry, simulated thread blocks, block-scheduler dispatch grants,
-  // kernel launches, allocator live-byte delta (signed) and watermark rise.
-  kEdges, kBytesMaterialized, kFatGroups, kFatGroupSize, kNumBlocks, kDispatches,
-  kKernelLaunches, kAllocDeltaBytes, kPeakDeltaBytes,
+  // Kernel behaviour (paper §7): edges traversed, tensor bytes written,
+  // simulated thread blocks, block-scheduler dispatch grants, kernel
+  // launches, allocator live-byte delta (signed) and watermark rise.
+  kEdges, kBytesMaterialized, kNumBlocks, kDispatches, kKernelLaunches, kAllocDeltaBytes,
+  kPeakDeltaBytes,
   // Steady-state caching: whether the plan came from the PlanCache, and how
   // allocations split between pool reuse and fresh mallocs.
   kPlanCacheHits, kPlanCacheMisses, kPoolHits, kPoolMisses,

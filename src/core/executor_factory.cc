@@ -1,9 +1,9 @@
 #include "src/core/executor_factory.h"
 
 #include <cstdlib>
-#include <utility>
 
-#include "src/common/logging.h"
+#include "src/exec/baseline_executor.h"
+#include "src/exec/seastar_executor.h"
 
 namespace seastar {
 
@@ -46,61 +46,25 @@ StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(const std::string& s
   if (!parsed) {
     return parsed.status();
   }
-  return Create(*parsed);
-}
-
-StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(const ExecutorSpec& spec) {
-  if (spec.kind == "seastar") {
+  const std::string& kind = parsed->kind;
+  if (kind == "seastar") {
     return std::unique_ptr<Executor>(std::make_unique<SeastarExecutor>());
   }
-  if (spec.kind == "seastar-nofuse") {
+  if (kind == "seastar-nofuse") {
     SeastarExecutorOptions seastar_options;
     seastar_options.enable_fusion = false;
     return std::unique_ptr<Executor>(std::make_unique<SeastarExecutor>(seastar_options));
   }
-  if (spec.kind == "dgl" || spec.kind == "pyg") {
+  if (kind == "dgl" || kind == "pyg") {
     BaselineExecutorOptions baseline_options;
-    baseline_options.flavor =
-        spec.kind == "dgl" ? BaselineFlavor::kDglLike : BaselineFlavor::kPygLike;
+    baseline_options.flavor = kind == "dgl" ? BaselineFlavor::kDglLike : BaselineFlavor::kPygLike;
     return std::unique_ptr<Executor>(std::make_unique<BaselineExecutor>(baseline_options));
   }
-  if (spec.kind == "sharded") {
-    if (spec.num_shards < 1) {
-      return ErrorStatus(StatusCode::kInvalidArgument)
-             << "sharded executor needs num_shards >= 1, got " << spec.num_shards;
-    }
-    ShardRuntimeOptions shard_options;
-    shard_options.num_shards = spec.num_shards;
-    return std::unique_ptr<Executor>(std::make_unique<ShardRuntime>(shard_options));
-  }
-  return ErrorStatus(StatusCode::kInvalidArgument)
-         << "unknown executor kind '" << spec.kind << "' (choices: " << Choices() << ")";
+  ShardRuntimeOptions shard_options;  // ParseExecutorSpec admits no other kind.
+  shard_options.num_shards = parsed->num_shards;
+  return std::unique_ptr<Executor>(std::make_unique<ShardRuntime>(shard_options));
 }
 
 const char* ExecutorFactory::Choices() { return "seastar|seastar-nofuse|dgl|pyg|sharded[:N]"; }
-
-std::unique_ptr<Executor> MakeExecutor(const BackendConfig& config) {
-  switch (config.backend) {
-    case Backend::kSeastar:
-      return std::make_unique<SeastarExecutor>(config.seastar_options);
-    case Backend::kSeastarNoFusion: {
-      SeastarExecutorOptions options = config.seastar_options;
-      options.enable_fusion = false;
-      return std::make_unique<SeastarExecutor>(options);
-    }
-    case Backend::kDglLike: {
-      BaselineExecutorOptions options = config.baseline_options;
-      options.flavor = BaselineFlavor::kDglLike;
-      return std::make_unique<BaselineExecutor>(options);
-    }
-    case Backend::kPygLike: {
-      BaselineExecutorOptions options = config.baseline_options;
-      options.flavor = BaselineFlavor::kPygLike;
-      return std::make_unique<BaselineExecutor>(options);
-    }
-  }
-  SEASTAR_LOG(Fatal) << "unknown backend";
-  return nullptr;
-}
 
 }  // namespace seastar

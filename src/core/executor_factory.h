@@ -8,11 +8,9 @@
 //   ExecutionSession session = MakeSession(std::move(*executor), graph);
 //
 // Accepted specs: "seastar", "seastar-nofuse" (alias "nofuse"), "dgl",
-// "pyg", "sharded" (2 shards), "sharded:<N>". This replaces the old
-// Backend-enum plumbing (BackendFromString + BackendConfig switch at every
-// call site), which could only ever name the three whole-graph strategies —
-// a strategy with its own parameters ("sharded:4") had nowhere to live in
-// an enum.
+// "pyg", "sharded" (2 shards), "sharded:<N>". A spec is a string, not an
+// enum, so a strategy with its own parameters ("sharded:4") spells the same
+// way as one without.
 #ifndef SRC_CORE_EXECUTOR_FACTORY_H_
 #define SRC_CORE_EXECUTOR_FACTORY_H_
 
@@ -20,7 +18,6 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/core/backend.h"
 #include "src/exec/executor.h"
 #include "src/exec/shard_runtime.h"
 
@@ -40,15 +37,10 @@ StatusOr<ExecutorSpec> ParseExecutorSpec(const std::string& spec);
 class ExecutorFactory {
  public:
   static StatusOr<std::unique_ptr<Executor>> Create(const std::string& spec);
-  static StatusOr<std::unique_ptr<Executor>> Create(const ExecutorSpec& spec);
 
   // The accepted spellings, for CLI error messages.
   static const char* Choices();
 };
-
-// Bridges the legacy Backend enum to the executor API (the call sites that
-// still select by enum go through here).
-std::unique_ptr<Executor> MakeExecutor(const BackendConfig& config);
 
 }  // namespace seastar
 

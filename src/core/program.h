@@ -3,10 +3,10 @@
 //
 // Compile() takes a traced GirBuilder, runs the graph-level optimization
 // passes, differentiates the (single) output into a backward GIR, and
-// optimizes that too. Run() executes the forward program on a chosen backend
+// optimizes that too. Run() executes the forward program on a chosen executor
 // and registers a custom autograd function whose backward executes the
-// backward GIR — for the Seastar backend by *recomputing* intra-unit edge
-// values inside fused kernels (nothing saved), for the baseline backends by
+// backward GIR — for the Seastar executor by *recomputing* intra-unit edge
+// values inside fused kernels (nothing saved), for the baseline executors by
 // seeding the recompute nodes from the tensors their forward pass
 // materialized (autograd saved-tensors, kept alive until backward, which is
 // what the peak-memory experiments observe).
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/backend.h"
 #include "src/exec/executor.h"
 #include "src/gir/autodiff.h"
 #include "src/gir/builder.h"

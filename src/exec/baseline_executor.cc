@@ -8,8 +8,8 @@
 
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
 #include "src/common/tracing.h"
-#include "src/exec/kernel_counter.h"
 #include "src/exec/pointwise.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/allocator.h"
@@ -87,7 +87,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
   const bool traced = run_span.active();
   const uint64_t run_live_before = TensorAllocator::Get().live_bytes();
   const uint64_t run_peak_before = TensorAllocator::Get().peak_bytes();
-  const int64_t run_launches_before = KernelLaunchCount();
+  int64_t launches = 0;  // This run's kernel launches (see KernelLaunchesTotal).
 
   const int64_t num_vertices = graph.num_vertices();
   const int64_t num_edges = graph.num_edges();
@@ -202,7 +202,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
                       static_cast<size_t>(node.width) * sizeof(float));
         }
       });
-      AddKernelLaunches(1);  // The gather is its own kernel in PyG.
+      ++launches;  // The gather is its own kernel in PyG.
       it = gathered_cache.emplace(id, edge_tensor).first;
       (*saved)[-1000 - id] = edge_tensor;  // Account it as a live intermediate.
     }
@@ -223,7 +223,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
 
   // Evaluates an edge-wise pointwise node into a [E, w] tensor.
   const auto eval_edge_pointwise = [&](const Node& node) {
-    AddKernelLaunches(1);
+    ++launches;
     Tensor out({num_edges, node.width});
     EdgeOperand a = edge_operand(node.inputs[0]);
     EdgeOperand b;
@@ -273,7 +273,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
   // DGL's BinaryReduce: when fused_kind != kIdentity the per-edge value is
   // op(a, b) computed on the fly.
   const auto eval_aggregate = [&](const Node& node) {
-    AddKernelLaunches(1);
+    ++launches;
     const GraphType orientation =
         node.kind == OpKind::kAggTypedToSrc
             ? GraphType::kSrc
@@ -393,7 +393,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
   // kAggTypeSumThenMax, whole-tensor style: per-type sums then max over
   // types (a tensor system computes this with a [T, N, w] temporary).
   const auto eval_type_sum_then_max = [&](const Node& node) {
-    AddKernelLaunches(2);  // Scatter pass + reduce pass.
+    launches += 2;  // Scatter pass + reduce pass.
     const int32_t w = node.width;
     Tensor per_type = Tensor::Zeros({num_types, num_vertices, w});
     EdgeOperand a = edge_operand(node.inputs[0]);
@@ -563,7 +563,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
 
     // Vertex-wise pointwise op (S- or D-typed): plain tensor kernel.
     {
-      AddKernelLaunches(1);
+      ++launches;
       const Node& in_a = gir.node(node.inputs[0]);
       const Tensor& ta = value_of(node.inputs[0]);
       const bool binary = node.inputs.size() > 1;
@@ -622,7 +622,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
     trace::AmbientSpan op_span(OpKindName(node.kind), "op");
     const uint64_t live_before = TensorAllocator::Get().live_bytes();
     const uint64_t peak_before = TensorAllocator::Get().peak_bytes();
-    const int64_t launches_before = KernelLaunchCount();
+    const int64_t launches_before = launches;
     exec_node(node);
     if (trace::Span* span = op_span.span()) {
       // Edge-wise ops and aggregations are the graph-traversal kernels; the
@@ -634,7 +634,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
       if (out_it != saved->end()) {
         span->Set(Arg::kBytesMaterialized, static_cast<int64_t>(out_it->second.nbytes()));
       }
-      span->Set(Arg::kKernelLaunches, KernelLaunchCount() - launches_before);
+      span->Set(Arg::kKernelLaunches, launches - launches_before);
       span->Set(Arg::kAllocDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().live_bytes()) -
                                            static_cast<int64_t>(live_before));
       span->Set(Arg::kPeakDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().peak_bytes()) -
@@ -649,8 +649,9 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
     result.outputs[gir.output_names()[i]] = value_of(id);
   }
 
+  KernelLaunchesTotal().Add(launches);
   if (trace::Span* span = run_span.span()) {
-    span->Set(Arg::kKernelLaunches, KernelLaunchCount() - run_launches_before);
+    span->Set(Arg::kKernelLaunches, launches);
     span->Set(Arg::kAllocDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().live_bytes()) -
                                          static_cast<int64_t>(run_live_before));
     span->Set(Arg::kPeakDeltaBytes, static_cast<int64_t>(TensorAllocator::Get().peak_bytes()) -

@@ -91,4 +91,10 @@ ExecutionSession MakeSession(std::shared_ptr<const Executor> executor, const Gra
   return ExecutionSession(std::move(executor), std::move(view));
 }
 
+metrics::Counter& KernelLaunchesTotal() {
+  static metrics::Counter* const counter =
+      metrics::MetricsRegistry::Get().GetCounter("seastar_exec_kernel_launches_total");
+  return *counter;
+}
+
 }  // namespace seastar

@@ -4,12 +4,11 @@
 // caller (models, VertexProgram, the train loop, the serve path, benches,
 // examples) reaches them through an `ExecutionSession`.
 //
-// This replaced the old free-function tail `RunWithBackend(config, graph,
-// features, ctx)`: a free function over a bare Graph hard-codes the
-// whole-graph single-address-space assumption, leaving no seam for
-// executors that need per-graph prepared state (a shard partition, and
-// later: ego-graph serving caches, per-tenant plan budgets). The session
-// makes "which slice of the graph am I running on" a first-class value:
+// A free function over a bare Graph would hard-code the whole-graph
+// single-address-space assumption, leaving no seam for executors that need
+// per-graph prepared state (a shard partition, and later: ego-graph serving
+// caches, per-tenant plan budgets). The session makes "which slice of the
+// graph am I running on" a first-class value:
 //
 //   auto executor = ExecutorFactory::Create("sharded:4");            // core/
 //   auto session = MakeSession(std::move(*executor), graph);  // partitions once
@@ -33,6 +32,9 @@
 namespace seastar {
 
 class PlanCache;
+namespace metrics {
+class Counter;
+}  // namespace metrics
 
 // A graph as an executor sees it: always the full graph (output tensors are
 // globally indexed regardless of strategy), optionally decorated with the
@@ -140,6 +142,20 @@ class ExecutionSession {
 // Binds `executor` to `graph`, running the executor's per-graph preparation
 // (for the shard runtime: the partition) exactly once.
 ExecutionSession MakeSession(std::shared_ptr<const Executor> executor, const Graph& graph);
+
+// Kernel launches. On a GPU every operator execution is a kernel launch
+// with fixed overhead, and the paper's Table 3 contrast (fused/batched R-GCN
+// vs per-relation sequential execution) is largely launch-bound. On this CPU
+// simulation all strategies execute the same arithmetic, so the wall-clock
+// contrast compresses; the launch count preserves the mechanism. The Seastar
+// executor counts one launch per fused unit; the baselines one per operator
+// kernel, plus PyG's gathers, plus the scatter and reduce passes of a
+// type-sum-then-max. Each run counts its own launches in a local, sets that
+// exact count as the `kernel_launches` arg of its run span (and of each
+// baseline op span), and adds it once to this registry counter,
+// seastar_exec_kernel_launches_total (the handle is resolved once per
+// process). Concurrent runs therefore never see each other's launches.
+metrics::Counter& KernelLaunchesTotal();
 
 }  // namespace seastar
 

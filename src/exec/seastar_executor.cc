@@ -11,7 +11,6 @@
 #include "src/common/metrics.h"
 #include "src/common/tracing.h"
 #include "src/exec/compiled_program.h"
-#include "src/exec/kernel_counter.h"
 #include "src/exec/plan_cache.h"
 #include "src/exec/pointwise.h"
 #include "src/exec/tiling.h"
@@ -489,7 +488,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     // per-kernel attribution and tail-latency attribution ("which fused
     // kernel ate the budget").
     trace::AmbientSpan unit_span(program->unit_labels[unit_index], "unit");
-    AddKernelLaunches(1);
 
     CompiledUnit unit = program->units[unit_index];  // Copy the template...
     PatchUnit(&unit, node_base);                     // ...and bind this run's pointers.
@@ -556,8 +554,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     const int64_t edges = edges_counted();
     if (trace::Span* span = unit_span.span()) {
       span->Set(Arg::kEdges, edges);
-      span->Set(Arg::kFatGroups, num_vertices);
-      span->Set(Arg::kFatGroupSize, 1);  // Vertex-sequential within a segment.
       span->Set(Arg::kNumBlocks, num_segments);
       span->Set(Arg::kDispatches, launch_stats.dispatches);
       span->Set(Arg::kKernelLaunches, 1);
@@ -570,8 +566,11 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     }
   }
 
+  // One launch per fused unit.
+  const auto launches = static_cast<int64_t>(plan.units.size());
+  KernelLaunchesTotal().Add(launches);
   if (trace::Span* span = run_span.span()) {
-    span->Set(Arg::kKernelLaunches, static_cast<int64_t>(plan.units.size()));
+    span->Set(Arg::kKernelLaunches, launches);
     span->Set(Arg::kAllocDeltaBytes, static_cast<int64_t>(allocator.live_bytes()) -
                                          static_cast<int64_t>(run_live_before));
     span->Set(Arg::kPeakDeltaBytes, static_cast<int64_t>(allocator.peak_bytes()) -

@@ -278,6 +278,21 @@ TEST(StringUtilTest, FlagParsing) {
   EXPECT_EQ(FlagValue(5, argv, "missing", "dflt"), "dflt");
 }
 
+TEST(StringUtilTest, FirstUnknownFlagNamesTheFirstUnreadArgument) {
+  const char* argv_c[] = {"prog", "--scale=0.5", "--full", "--backend=dgl", "extra"};
+  char** argv = const_cast<char**>(argv_c);
+  EXPECT_EQ(FirstUnknownFlag(1, argv, {}), "");
+  EXPECT_EQ(FirstUnknownFlag(3, argv, {"scale", "full"}), "");
+  EXPECT_EQ(FirstUnknownFlag(5, argv, {"scale", "full"}), "--backend=dgl");
+  EXPECT_EQ(FirstUnknownFlag(5, argv, {"scale", "full", "backend"}), "extra");
+  EXPECT_EQ(FirstUnknownFlag(3, argv, {"scale", "ful"}), "--full") << "keys match whole";
+  EXPECT_EQ(FirstUnknownFlag(2, argv, {"scale=0.5"}), "--scale=0.5") << "the key ends at '='";
+  const char* dashes_c[] = {"prog", "--", "-scale=1"};
+  char** dashes = const_cast<char**>(dashes_c);
+  EXPECT_EQ(FirstUnknownFlag(2, dashes, {"scale"}), "--");
+  EXPECT_EQ(FirstUnknownFlag(3, dashes, {"scale", ""}), "-scale=1");
+}
+
 TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("--scale=1", "--scale"));
   EXPECT_FALSE(StartsWith("-s", "--scale"));

@@ -38,9 +38,7 @@ Dataset SmallDataset() {
 }
 
 std::shared_ptr<const Executor> SeastarBackend() {
-  BackendConfig config;
-  config.backend = Backend::kSeastar;
-  return MakeExecutor(config);
+  return ExecutorFactory::Create("seastar").value();
 }
 
 // ---- FaultInjector ------------------------------------------------------------------------------

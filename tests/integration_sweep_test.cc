@@ -55,39 +55,35 @@ INSTANTIATE_TEST_SUITE_P(AllTwelve, CatalogueSweepTest,
                            return info.param;
                          });
 
+// Parameterized by (dataset, executor spec).
 class GcnBackendSweepTest
-    : public ::testing::TestWithParam<std::tuple<std::string, Backend>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(GcnBackendSweepTest, OneTrainingStepMatchesSeastar) {
-  const auto& [dataset_name, backend_kind] = GetParam();
+  const auto& [dataset_name, spec] = GetParam();
   DatasetOptions options;
   options.scale = 0.02;
   options.max_feature_dim = 16;
   Dataset data = MakeDatasetByName(dataset_name, options);
 
-  const auto loss_after_one_step = [&](Backend kind) {
-    BackendConfig backend;
-    backend.backend = kind;
+  const auto loss_after_one_step = [&](const std::string& executor_spec) {
     GcnConfig config;
-    config.dropout = 0.0f;  // Determinism across backends.
-    Gcn model(data, config, MakeExecutor(backend));
+    config.dropout = 0.0f;  // Determinism across executors.
+    Gcn model(data, config, ExecutorFactory::Create(executor_spec).value());
     TrainConfig train;
     train.epochs = 2;
     train.warmup_epochs = 0;
     return TrainNodeClassification(model, data, train).final_loss;
   };
-  EXPECT_NEAR(loss_after_one_step(backend_kind), loss_after_one_step(Backend::kSeastar), 2e-3)
-      << dataset_name;
+  EXPECT_NEAR(loss_after_one_step(spec), loss_after_one_step("seastar"), 2e-3) << dataset_name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndBackends, GcnBackendSweepTest,
     ::testing::Combine(::testing::Values("cora", "pubmed", "amz_photo"),
-                       ::testing::Values(Backend::kSeastarNoFusion, Backend::kDglLike,
-                                         Backend::kPygLike)),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, Backend>>& info) {
-      std::string name =
-          std::get<0>(info.param) + std::string("_") + BackendName(std::get<1>(info.param));
+                       ::testing::Values("seastar-nofuse", "dgl", "pyg")),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, std::string>>& info) {
+      std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) {
           c = '_';

@@ -14,7 +14,6 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/core/backend.h"
 #include "src/core/executor_factory.h"
 #include "src/core/models/gcn.h"
 #include "src/core/nn.h"
@@ -364,11 +363,9 @@ TEST(MetricsSteadyStateTest, SteadyTrainingEpochsAddNoAllocationsOrLookups) {
   options.scale = 0.05;
   options.max_feature_dim = 16;
   Dataset data = MakeDataset(*FindDataset("cora"), options);
-  BackendConfig backend;
-  backend.backend = Backend::kSeastar;
   GcnConfig config;
   config.hidden_dim = 8;
-  Gcn model(data, config, MakeExecutor(backend));
+  Gcn model(data, config, ExecutorFactory::Create("seastar").value());
   std::vector<Var> parameters = model.Parameters();
   Adam adam(parameters, /*lr=*/0.01f);
 

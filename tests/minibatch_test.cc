@@ -52,7 +52,7 @@ TEST(MiniBatchTest, LearnsCommunitiesOnSbm) {
   config.batch_size = 48;
   config.fanouts = {8, 8};
   config.learning_rate = 0.02f;
-  MiniBatchResult result = TrainMiniBatchGcn(data, config, MakeExecutor(BackendConfig{}));
+  MiniBatchResult result = TrainMiniBatchGcn(data, config, ExecutorFactory::Create("seastar").value());
   EXPECT_GT(result.batches_run, 0);
   EXPECT_GT(result.seed_accuracy, 0.8f);
   EXPECT_LT(result.final_loss, 1.0f);
@@ -60,15 +60,14 @@ TEST(MiniBatchTest, LearnsCommunitiesOnSbm) {
 
 TEST(MiniBatchTest, RunsOnEveryBackend) {
   Dataset data = SbmDataset(2, 120);
-  for (Backend backend_kind : {Backend::kSeastar, Backend::kDglLike, Backend::kPygLike}) {
+  for (const char* spec : {"seastar", "dgl", "pyg"}) {
     MiniBatchConfig config;
     config.epochs = 1;
     config.batch_size = 40;
     config.fanouts = {5, 5};
-    BackendConfig backend;
-    backend.backend = backend_kind;
-    MiniBatchResult result = TrainMiniBatchGcn(data, config, MakeExecutor(backend));
-    EXPECT_EQ(result.batches_run, 3) << BackendName(backend_kind);
+    MiniBatchResult result =
+        TrainMiniBatchGcn(data, config, ExecutorFactory::Create(spec).value());
+    EXPECT_EQ(result.batches_run, 3) << spec;
     EXPECT_GT(result.avg_batch_ms, 0.0);
   }
 }

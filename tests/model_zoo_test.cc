@@ -19,18 +19,17 @@ Dataset SmallDataset(const std::string& name = "cora", double scale = 0.08) {
   return MakeDataset(*FindDataset(name), options);
 }
 
-std::shared_ptr<const Executor> Config(Backend backend) {
-  BackendConfig config;
-  config.backend = backend;
-  return MakeExecutor(config);
+std::shared_ptr<const Executor> Config(const std::string& spec) {
+  return ExecutorFactory::Create(spec).value();
 }
 
-class ZooBackendTest : public ::testing::TestWithParam<Backend> {};
+// Parameterized by executor spec.
+class ZooBackendTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ZooBackendTest, SageMeanMatchesSeastar) {
   Dataset data = SmallDataset();
   SageConfig config;
-  Sage reference(data, config, Config(Backend::kSeastar));
+  Sage reference(data, config, Config("seastar"));
   Sage model(data, config, Config(GetParam()));
   EXPECT_TRUE(
       reference.Forward(false).value().AllClose(model.Forward(false).value(), 1e-3f));
@@ -39,17 +38,16 @@ TEST_P(ZooBackendTest, SageMeanMatchesSeastar) {
 TEST_P(ZooBackendTest, GinMatchesSeastar) {
   Dataset data = SmallDataset();
   GinConfig config;
-  Gin reference(data, config, Config(Backend::kSeastar));
+  Gin reference(data, config, Config("seastar"));
   Gin model(data, config, Config(GetParam()));
   EXPECT_TRUE(
       reference.Forward(false).value().AllClose(model.Forward(false).value(), 1e-3f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ZooBackendTest,
-                         ::testing::Values(Backend::kSeastarNoFusion, Backend::kDglLike,
-                                           Backend::kPygLike),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           std::string name = BackendName(info.param);
+                         ::testing::Values("seastar-nofuse", "dgl", "pyg"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
                            for (char& c : name) {
                              if (!std::isalnum(static_cast<unsigned char>(c))) {
                                c = '_';
@@ -63,7 +61,7 @@ TEST(SageModelTest, PoolVariantRunsAndLearns) {
   SageConfig config;
   config.aggregator = SageAggregator::kPool;
   config.dropout = 0.0f;
-  Sage model(data, config, Config(Backend::kSeastar));
+  Sage model(data, config, Config("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;
@@ -77,7 +75,7 @@ TEST(SageModelTest, MeanVariantLearns) {
   Dataset data = SmallDataset();
   SageConfig config;
   config.dropout = 0.0f;
-  Sage model(data, config, Config(Backend::kSeastar));
+  Sage model(data, config, Config("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;
@@ -96,8 +94,8 @@ TEST(GinModelTest, EpsilonScalesSelfContribution) {
   a.dropout = 0.0f;
   GinConfig b = a;
   b.epsilon = 1.0f;
-  Gin model_a(data, a, Config(Backend::kSeastar));
-  Gin model_b(data, b, Config(Backend::kSeastar));
+  Gin model_a(data, a, Config("seastar"));
+  Gin model_b(data, b, Config("seastar"));
   // Same seed -> same MLP weights; different eps -> different logits.
   EXPECT_FALSE(
       model_a.Forward(false).value().AllClose(model_b.Forward(false).value(), 1e-3f));
@@ -107,7 +105,7 @@ TEST(GinModelTest, Learns) {
   Dataset data = SmallDataset();
   GinConfig config;
   config.dropout = 0.0f;
-  Gin model(data, config, Config(Backend::kSeastar));
+  Gin model(data, config, Config("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;
@@ -120,9 +118,9 @@ TEST(GinModelTest, Learns) {
 TEST(SgcModelTest, PropagationIsBackendInvariant) {
   Dataset data = SmallDataset();
   SgcConfig config;
-  Sgc a(data, config, Config(Backend::kSeastar));
-  Sgc b(data, config, Config(Backend::kDglLike));
-  Sgc c(data, config, Config(Backend::kPygLike));
+  Sgc a(data, config, Config("seastar"));
+  Sgc b(data, config, Config("dgl"));
+  Sgc c(data, config, Config("pyg"));
   EXPECT_TRUE(a.propagated_features().AllClose(b.propagated_features(), 1e-3f));
   EXPECT_TRUE(a.propagated_features().AllClose(c.propagated_features(), 1e-3f));
 }
@@ -131,14 +129,14 @@ TEST(SgcModelTest, ZeroHopsEqualsRawFeatures) {
   Dataset data = SmallDataset();
   SgcConfig config;
   config.num_hops = 0;
-  Sgc model(data, config, Config(Backend::kSeastar));
+  Sgc model(data, config, Config("seastar"));
   EXPECT_TRUE(model.propagated_features().AllClose(data.features, 1e-6f));
 }
 
 TEST(SgcModelTest, TrainsFastAndLearns) {
   Dataset data = SmallDataset();
   SgcConfig config;
-  Sgc model(data, config, Config(Backend::kSeastar));
+  Sgc model(data, config, Config("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;

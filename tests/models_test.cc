@@ -25,16 +25,14 @@ Dataset SmallDataset(const std::string& name = "cora", double scale = 0.08) {
   return MakeDataset(*FindDataset(name), options);
 }
 
-std::shared_ptr<const Executor> Config(Backend backend) {
-  BackendConfig config;
-  config.backend = backend;
-  return MakeExecutor(config);
+std::shared_ptr<const Executor> Config(const std::string& spec) {
+  return ExecutorFactory::Create(spec).value();
 }
 
 TEST(GcnModelTest, ForwardShapeAndDeterminism) {
   Dataset data = SmallDataset();
   GcnConfig config;
-  Gcn model(data, config, Config(Backend::kSeastar));
+  Gcn model(data, config, Config("seastar"));
   Var logits = model.Forward(/*training=*/false);
   EXPECT_EQ(logits.value().dim(0), data.spec.num_vertices);
   EXPECT_EQ(logits.value().dim(1), data.spec.num_classes);
@@ -46,14 +44,13 @@ TEST(GcnModelTest, AllBackendsProduceSameLogits) {
   Dataset data = SmallDataset();
   GcnConfig config;
   Tensor reference;
-  for (Backend backend : {Backend::kSeastar, Backend::kSeastarNoFusion, Backend::kDglLike,
-                          Backend::kPygLike}) {
-    Gcn model(data, config, Config(backend));  // Same seed => same weights.
+  for (const char* spec : {"seastar", "seastar-nofuse", "dgl", "pyg"}) {
+    Gcn model(data, config, Config(spec));  // Same seed => same weights.
     Tensor logits = model.Forward(/*training=*/false).value();
     if (!reference.defined()) {
       reference = logits;
     } else {
-      EXPECT_TRUE(reference.AllClose(logits, 1e-3f)) << BackendName(backend);
+      EXPECT_TRUE(reference.AllClose(logits, 1e-3f)) << spec;
     }
   }
 }
@@ -62,8 +59,8 @@ TEST(GcnModelTest, AllBackendsProduceSameGradients) {
   Dataset data = SmallDataset();
   GcnConfig config;
   std::vector<Tensor> reference;
-  for (Backend backend : {Backend::kSeastar, Backend::kDglLike, Backend::kPygLike}) {
-    Gcn model(data, config, Config(backend));
+  for (const char* spec : {"seastar", "dgl", "pyg"}) {
+    Gcn model(data, config, Config(spec));
     Var loss = ag::NllLoss(ag::LogSoftmax(model.Forward(/*training=*/false)), data.labels,
                            data.train_mask);
     Backward(loss, Tensor::Ones({1}));
@@ -75,7 +72,7 @@ TEST(GcnModelTest, AllBackendsProduceSameGradients) {
     } else {
       for (size_t i = 0; i < params.size(); ++i) {
         EXPECT_TRUE(reference[i].AllClose(params[i].grad(), 1e-3f))
-            << BackendName(backend) << " param " << i;
+            << spec << " param " << i;
       }
     }
   }
@@ -84,7 +81,7 @@ TEST(GcnModelTest, AllBackendsProduceSameGradients) {
 TEST(GcnModelTest, LossDecreasesOverTraining) {
   Dataset data = SmallDataset();
   GcnConfig config;
-  Gcn model(data, config, Config(Backend::kSeastar));
+  Gcn model(data, config, Config("seastar"));
   TrainConfig train;
   train.epochs = 30;
   train.warmup_epochs = 1;
@@ -106,13 +103,13 @@ TEST(GatModelTest, AllBackendsProduceSameLogits) {
   config.num_heads = 2;
   config.hidden_dim = 4;
   Tensor reference;
-  for (Backend backend : {Backend::kSeastar, Backend::kDglLike, Backend::kPygLike}) {
-    Gat model(data, config, Config(backend));
+  for (const char* spec : {"seastar", "dgl", "pyg"}) {
+    Gat model(data, config, Config(spec));
     Tensor logits = model.Forward(/*training=*/false).value();
     if (!reference.defined()) {
       reference = logits;
     } else {
-      EXPECT_TRUE(reference.AllClose(logits, 1e-3f)) << BackendName(backend);
+      EXPECT_TRUE(reference.AllClose(logits, 1e-3f)) << spec;
     }
   }
 }
@@ -122,7 +119,7 @@ TEST(GatModelTest, MultiHeadOutputWidths) {
   GatConfig config;
   config.num_heads = 4;
   config.hidden_dim = 6;
-  Gat model(data, config, Config(Backend::kSeastar));
+  Gat model(data, config, Config("seastar"));
   Var logits = model.Forward(false);
   EXPECT_EQ(logits.value().dim(1), data.spec.num_classes);
 }
@@ -133,7 +130,7 @@ TEST(GatModelTest, TrainsToLowerLoss) {
   config.num_heads = 2;
   config.hidden_dim = 4;
   config.feat_dropout = 0.0f;
-  Gat model(data, config, Config(Backend::kSeastar));
+  Gat model(data, config, Config("seastar"));
   TrainConfig train;
   train.epochs = 25;
   train.learning_rate = 0.02f;
@@ -148,13 +145,13 @@ TEST(AppnpModelTest, AllBackendsProduceSameLogits) {
   AppnpConfig config;
   config.num_hops = 4;
   Tensor reference;
-  for (Backend backend : {Backend::kSeastar, Backend::kDglLike, Backend::kPygLike}) {
-    Appnp model(data, config, Config(backend));
+  for (const char* spec : {"seastar", "dgl", "pyg"}) {
+    Appnp model(data, config, Config(spec));
     Tensor logits = model.Forward(/*training=*/false).value();
     if (!reference.defined()) {
       reference = logits;
     } else {
-      EXPECT_TRUE(reference.AllClose(logits, 1e-3f)) << BackendName(backend);
+      EXPECT_TRUE(reference.AllClose(logits, 1e-3f)) << spec;
     }
   }
 }
@@ -166,10 +163,10 @@ TEST(AppnpModelTest, TeleportKeepsH0Influence) {
   config.alpha = 1.0f;
   config.num_hops = 5;
   config.dropout = 0.0f;
-  Appnp model(data, config, Config(Backend::kSeastar));
+  Appnp model(data, config, Config("seastar"));
   AppnpConfig mlp_only = config;
   mlp_only.num_hops = 0;
-  Appnp reference(data, mlp_only, Config(Backend::kSeastar));
+  Appnp reference(data, mlp_only, Config("seastar"));
   EXPECT_TRUE(model.Forward(false).value().AllClose(reference.Forward(false).value(), 1e-4f));
 }
 
@@ -178,7 +175,7 @@ TEST(AppnpModelTest, TrainsToLowerLoss) {
   AppnpConfig config;
   config.num_hops = 3;
   config.dropout = 0.0f;
-  Appnp model(data, config, Config(Backend::kSeastar));
+  Appnp model(data, config, Config("seastar"));
   TrainConfig train;
   train.epochs = 25;
   train.learning_rate = 0.05f;
@@ -268,16 +265,16 @@ TEST(MemoryTest, PygPeaksAboveSeastarOnDenseGraph) {
   config.hidden_dim = 8;
 
   TensorAllocator& allocator = TensorAllocator::Get();
-  const auto peak_for = [&](Backend backend) {
-    Gat model(data, config, Config(backend));
+  const auto peak_for = [&](const char* spec) {
+    Gat model(data, config, Config(spec));
     allocator.ResetPeak();
     Var loss = ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
     Backward(loss, Tensor::Ones({1}));
     return allocator.peak_bytes();
   };
-  const uint64_t seastar_peak = peak_for(Backend::kSeastar);
-  const uint64_t dgl_peak = peak_for(Backend::kDglLike);
-  const uint64_t pyg_peak = peak_for(Backend::kPygLike);
+  const uint64_t seastar_peak = peak_for("seastar");
+  const uint64_t dgl_peak = peak_for("dgl");
+  const uint64_t pyg_peak = peak_for("pyg");
   EXPECT_GT(pyg_peak, seastar_peak);
   EXPECT_GT(pyg_peak, dgl_peak);
   EXPECT_GE(dgl_peak, seastar_peak);
@@ -286,7 +283,7 @@ TEST(MemoryTest, PygPeaksAboveSeastarOnDenseGraph) {
 TEST(TrainerTest, OomFlagTriggersUnderTinyBudget) {
   Dataset data = SmallDataset();
   GcnConfig config;
-  Gcn model(data, config, Config(Backend::kPygLike));
+  Gcn model(data, config, Config("pyg"));
   TrainConfig train;
   train.epochs = 5;
   train.memory_budget_bytes = 1;  // Everything exceeds 1 byte.
@@ -298,7 +295,7 @@ TEST(TrainerTest, OomFlagTriggersUnderTinyBudget) {
 TEST(TrainerTest, ReportsTimingAndMemory) {
   Dataset data = SmallDataset();
   GcnConfig config;
-  Gcn model(data, config, Config(Backend::kSeastar));
+  Gcn model(data, config, Config("seastar"));
   TrainConfig train;
   train.epochs = 6;
   train.warmup_epochs = 2;

@@ -51,9 +51,7 @@ Dataset SmallDataset() {
 }
 
 std::shared_ptr<const Executor> SeastarBackend() {
-  BackendConfig config;
-  config.backend = Backend::kSeastar;
-  return MakeExecutor(config);
+  return ExecutorFactory::Create("seastar").value();
 }
 
 std::unique_ptr<Gcn> SmallGcn(const Dataset& data) {

@@ -202,8 +202,6 @@ TEST(ProfilerTest, SeastarUnitSpanCountsEveryEdgeOnce) {
     const Span& unit = units[0];
     // Vertex-parallel edge-sequential: each edge slot visited exactly once.
     EXPECT_EQ(unit.arg(Arg::kEdges), g.num_edges());
-    EXPECT_EQ(unit.arg(Arg::kFatGroups), g.num_vertices());
-    EXPECT_GT(unit.arg(Arg::kFatGroupSize), 0);
     ASSERT_NE(unit.schedule, nullptr);
     EXPECT_STREQ(unit.schedule, BlockScheduleName(schedule));
     EXPECT_GT(unit.arg(Arg::kNumBlocks), 0);

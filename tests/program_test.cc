@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "src/common/rng.h"
-#include "src/core/backend.h"
 #include "src/core/executor_factory.h"
 #include "src/core/program.h"
 #include "src/gir/builder.h"
@@ -25,19 +24,6 @@ Graph RandomGraph(int64_t n, int64_t m, uint64_t seed) {
   CooEdges edges = ErdosRenyi(n, m, rng);
   AddSelfLoops(edges);
   return ToGraph(std::move(edges));
-}
-
-// ---- BackendFromString (api_redesign) ------------------------------------
-
-TEST(ProfilerTest, BackendFromStringParsesKnownNamesAndRejectsJunk) {
-  EXPECT_EQ(BackendFromString("seastar"), Backend::kSeastar);
-  EXPECT_EQ(BackendFromString("seastar-nofuse"), Backend::kSeastarNoFusion);
-  EXPECT_EQ(BackendFromString("nofuse"), Backend::kSeastarNoFusion);
-  EXPECT_EQ(BackendFromString("dgl"), Backend::kDglLike);
-  EXPECT_EQ(BackendFromString("pyg"), Backend::kPygLike);
-  EXPECT_FALSE(BackendFromString("tensorflow").has_value());
-  EXPECT_FALSE(BackendFromString("").has_value());
-  EXPECT_NE(std::string(BackendChoices()).find("seastar"), std::string::npos);
 }
 
 // ---- VertexProgram input validation --------------------------------------
@@ -101,7 +87,7 @@ TEST(VertexProgramGradTest, GcnComputesNoGradientForANormThatNeedsNone) {
   Rng rng(0x6c18);
   const Tensor h = ops::RandomNormal({g.num_vertices(), 10}, 0, 1, rng);
   Tensor norm = ops::RandomUniform({g.num_vertices(), 1}, 0.5f, 1.5f, rng);
-  const ExecutionSession session = MakeSession(MakeExecutor(BackendConfig{}), g);
+  const ExecutionSession session = MakeSession(ExecutorFactory::Create("seastar").value(), g);
   // Sum-of-outputs loss; returns h's and norm's gradients.
   const auto grads = [&](bool norm_requires_grad) {
     Var hv = Var::Leaf(h, /*requires_grad=*/true);

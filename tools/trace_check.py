@@ -18,7 +18,9 @@ Both shapes:
     within --nest-slack-us of clock truncation.
   * Counter args: every kernel counter and loop position a span carries
     (edges, dispatches, tile_*, pool_*, plan_cache_*, epoch, ...) is a
-    non-negative integer; signed deltas are integers.
+    non-negative integer; signed deltas are integers. An integer arg in
+    neither list (nor a structural field: idx, parent, and the root's
+    request_id) fails, so the lists cannot drift from what the tracer emits.
 
 Run-scoped profiles ("run"): at least one trace, every root retained_by
 "run", and one trace per finished run (retained_run == finished).
@@ -59,14 +61,16 @@ import sys
 # Span args that count something: non-negative integers wherever they
 # appear. SIGNED_ARGS are deltas or opaque ids: integers of either sign.
 COUNTER_ARGS = frozenset((
-    "edges", "bytes_materialized", "fat_groups", "fat_group_size",
-    "num_blocks", "block_size", "dispatches", "kernel_launches",
-    "peak_delta_bytes", "plan_cache_hits", "plan_cache_misses", "pool_hits",
-    "pool_misses", "tile_segments", "tile_passes", "tile_width", "epoch",
-    "batch", "shards", "queued_ahead", "occupancy", "attempt", "status",
-    "retries", "vertices"))
+    "edges", "bytes_materialized", "num_blocks", "dispatches",
+    "kernel_launches", "peak_delta_bytes", "plan_cache_hits",
+    "plan_cache_misses", "pool_hits", "pool_misses", "tile_segments",
+    "tile_passes", "tile_width", "epoch", "batch", "shards", "queued_ahead",
+    "occupancy", "attempt", "status", "retries", "vertices"))
 SIGNED_ARGS = frozenset(("alloc_delta_bytes", "stride_lag_x1000",
                          "batch_key", "leader_trace"))
+# The exporter's own integer fields: span position and the root's request id
+# (trace_id is a hex string).
+STRUCTURAL_ARGS = frozenset(("idx", "parent", "request_id"))
 
 
 class Checker:
@@ -116,6 +120,11 @@ def group_traces(checker, events):
             elif key in SIGNED_ARGS:
                 checker.expect(is_int, f"{where} ({event.get('name')}): "
                                f"{key}={value!r} is not an integer")
+            elif is_int:
+                checker.expect(key in STRUCTURAL_ARGS,
+                               f"{where} ({event.get('name')}): integer arg "
+                               f"{key}={value!r} is in neither COUNTER_ARGS "
+                               f"nor SIGNED_ARGS")
         traces.setdefault(args.get("trace_id"), []).append(event)
     return traces
 
@@ -442,10 +451,16 @@ def self_test(_args):
                             if e["args"]["trace_id"] != "r2"]
     expect_case("run-lost", short, True)
 
+    # 16. An integer arg the checker does not know (a retired or new counter
+    # missing from COUNTER_ARGS / SIGNED_ARGS) fails.
+    unlisted = copy.deepcopy(good_run)
+    unlisted["traceEvents"][3]["args"]["fat_group_size"] = 1
+    expect_case("run-unlisted-arg", unlisted, True)
+
     for line in failures:
         print(line, file=sys.stderr)
     print(f"trace_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(15 cases)")
+          f"(16 cases)")
     return 1 if failures else 0
 
 
