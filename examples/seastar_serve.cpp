@@ -18,7 +18,8 @@
 //   --max-batch / --batch-delay-ms    micro-batcher knobs
 //   --max-retries / --backoff-ms      transient-fault retry policy
 //   --trip-after / --probe-ms         circuit breaker knobs
-//   --checkpoint=<path>  boot from this snapshot (with .prev fallback)
+//   --checkpoint=<path>  register the (single-tenant) model from this
+//                        snapshot (.prev fallback, transient reads retried)
 //   --train-epochs=<n>   train+save the snapshot first (default 2 when
 //                        --checkpoint is set and the file doesn't exist)
 //   --faults=<spec>      fault injector spec, armed *after* training so the
@@ -27,7 +28,7 @@
 //   --outage-requests=<n>   submitted, lasting n requests: a guaranteed
 //                        breaker trip + degraded window + probe recovery
 //   --profile=<path>     run-scoped Chrome trace of this thread's snapshot
-//                        training and server boot/warmup (request spans go
+//                        training and server warmup (request spans go
 //                        to --trace-out)
 //   --seed=<n>           request-stream RNG seed
 //   --metrics-out=<p>    write the metrics-registry JSON snapshot on exit
@@ -229,7 +230,6 @@ int Run(int argc, char** argv) {
   config.retry_base_backoff_ms = backoff_ms;
   config.breaker_trip_after = static_cast<int>(trip_after);
   config.breaker_probe_interval_ms = probe_ms;
-  config.checkpoint_path = checkpoint_path;
   config.tracing.head_sample_rate = trace_sample;
   config.tracing.seed = seed;
   // The drill's verdicts quote "every anomalous request is in the export":
@@ -240,16 +240,26 @@ int Run(int argc, char** argv) {
   config.tracing.anomaly_keep =
       static_cast<int>(std::max<int64_t>(config.tracing.anomaly_keep, max_submissions));
 
-  // Multi-tenant drill topology: every tenant is served by model id "m0"
-  // except the rogue, which runs its own "m1" generation of the same
-  // architecture — its breaker and degraded path are cleanly its own.
+  // One tenant: model id "default", booted from --checkpoint (retrying
+  // transient read faults) when one is given. Multi-tenant drill topology:
+  // every tenant is served by model id "m0" except the rogue, which runs its
+  // own "m1" generation of the same architecture — its breaker and degraded
+  // path are cleanly its own.
   std::vector<std::string> tenant_names;
   std::string rogue_name;
   auto registry = std::make_shared<serve::ModelRegistry>();
-  if (multi_tenant) {
-    const auto factory = [&]() -> std::unique_ptr<GnnModel> {
-      return MakeModel(model_name, data, hidden, std::move(*ExecutorFactory::Create("seastar")));
-    };
+  const auto factory = [&]() -> std::unique_ptr<GnnModel> {
+    return MakeModel(model_name, data, hidden, std::move(*ExecutorFactory::Create("seastar")));
+  };
+  if (!multi_tenant) {
+    StatusOr<std::shared_ptr<const serve::ModelEntry>> registered =
+        registry->Register("default", data, factory, checkpoint_path);
+    if (!registered.has_value()) {
+      std::fprintf(stderr, "failed to register the model: %s\n",
+                   registered.status().ToString().c_str());
+      return 2;
+    }
+  } else {
     if (!registry->Register("m0", data, factory).has_value()) {
       std::fprintf(stderr, "failed to register m0\n");
       return 2;
@@ -275,13 +285,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  std::unique_ptr<serve::Server> server_owner;
-  if (multi_tenant) {
-    server_owner = std::make_unique<serve::Server>(registry, config);
-  } else {
-    server_owner = std::make_unique<serve::Server>(*model, data, config);
-  }
-  serve::Server& server = *server_owner;
+  serve::Server server(registry, config);
   Status started;
   {
     trace::ScopedRun run(profile.get(), "server_start", "serve");
@@ -484,15 +488,19 @@ int Run(int argc, char** argv) {
               static_cast<long long>(stats.submitted), static_cast<long long>(stats.served),
               static_cast<long long>(stats.degraded), static_cast<long long>(stats.shed),
               static_cast<long long>(stats.expired), static_cast<long long>(stats.failed));
-  std::printf("forward passes %lld | retries %lld | unit-boundary deadline aborts %lld | boot retries %lld\n",
-              static_cast<long long>(stats.batches), static_cast<long long>(stats.retries),
-              static_cast<long long>(stats.deadline_unit_aborts),
-              static_cast<long long>(stats.boot_retries));
+  std::printf(
+      "forward passes %lld | retries %lld | unit-boundary deadline aborts %lld | checkpoint read "
+      "retries %lld\n",
+      static_cast<long long>(stats.batches), static_cast<long long>(stats.retries),
+      static_cast<long long>(stats.deadline_unit_aborts),
+      static_cast<long long>(metrics::MetricsRegistry::Get()
+                                 .GetCounter("seastar_serve_checkpoint_read_retries_total")
+                                 ->value()));
   std::printf("breaker: trips %lld, probes %lld, recoveries %lld (state now: %s)\n",
               static_cast<long long>(stats.breaker_trips),
               static_cast<long long>(stats.breaker_probes),
               static_cast<long long>(stats.breaker_recoveries),
-              serve::BreakerStateName(server.breaker_state()));
+              serve::BreakerStateName(*server.tenant_breaker_state(server.tenant_names()[0])));
   std::printf("latency over %lld answers: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, max %.2f ms\n",
               static_cast<long long>(latency.count), latency.p50_ms, latency.p95_ms,
               latency.p99_ms, latency.max_ms);

@@ -28,8 +28,11 @@ std::string FormatDouble(double value, int precision);
 bool StartsWith(const std::string& text, const std::string& prefix);
 
 // Parses "--key=value" style flags out of argv. Returns value for `key` or
-// `fallback` if absent. `key` is given without the leading dashes.
+// `fallback` if absent. `key` is given without the leading dashes; a bare
+// "--key" reads as "true".
 std::string FlagValue(int argc, char** argv, const std::string& key, const std::string& fallback);
+// Numeric flags: a malformed, out-of-range, non-finite, empty or bare value
+// prints the flag's name and exits 1, as the CLIs do for an unknown flag.
 double FlagDouble(int argc, char** argv, const std::string& key, double fallback);
 int64_t FlagInt(int argc, char** argv, const std::string& key, int64_t fallback);
 bool FlagBool(int argc, char** argv, const std::string& key, bool fallback);

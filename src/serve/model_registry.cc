@@ -1,16 +1,29 @@
 #include "src/serve/model_registry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 #include <utility>
 
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
 #include "src/core/checkpoint.h"
 
 namespace seastar {
 namespace serve {
 
+namespace {
+
+// Transient checkpoint reads (FaultSite::kCheckpointRead surfaces as
+// kUnavailable) are retried this many times, after 0.5 * 2^k ms.
+constexpr int kCheckpointReadRetries = 3;
+constexpr double kCheckpointRetryBaseMs = 0.5;
+
+// Copies `snapshot`'s parameters (and dropout RNG, when both sides have one)
+// into `model`, shape-checked; `what` names the source in errors. Gradients
+// are cleared: serving never trains.
 Status ApplyCheckpointToModel(const TrainCheckpoint& snapshot, GnnModel& model,
                               const std::string& what) {
   std::vector<Var> parameters = model.Parameters();
@@ -39,6 +52,51 @@ Status ApplyCheckpointToModel(const TrainCheckpoint& snapshot, GnnModel& model,
   }
   return Status::Ok();
 }
+
+// Builds one weights generation of `model_id`: a fresh factory model with
+// `checkpoint_path` ("" = its initialization) restored into it, tag-checked
+// against `model_id`. The registry's only weight-load path. Transient read
+// faults are retried with backoff; a missing file, a wrong tag or a corrupt
+// snapshot (after the .prev fallback) fails at once.
+StatusOr<std::shared_ptr<GnnModel>> BuildGeneration(const std::string& model_id,
+                                                    const ModelFactory& factory,
+                                                    const std::string& checkpoint_path) {
+  std::shared_ptr<GnnModel> model = factory();
+  if (model == nullptr) {
+    return ErrorStatus(StatusCode::kInternal)
+           << "model '" << model_id << "': factory returned null";
+  }
+  if (checkpoint_path.empty()) {
+    return model;
+  }
+  static metrics::Counter* const read_retries = metrics::MetricsRegistry::Get().GetCounter(
+      "seastar_serve_checkpoint_read_retries_total");
+  StatusOr<TrainCheckpoint> snapshot = LoadCheckpoint(checkpoint_path, model_id);
+  for (int attempt = 0; attempt < kCheckpointReadRetries && !snapshot.has_value() &&
+                        snapshot.status().code() == StatusCode::kUnavailable;
+       ++attempt) {
+    read_retries->Add(1);
+    const double backoff_ms = kCheckpointRetryBaseMs * static_cast<double>(1 << attempt);
+    SEASTAR_LOG(Warning) << "model '" << model_id << "': transient checkpoint read failure ("
+                         << snapshot.status().message() << "); retrying in " << backoff_ms
+                         << " ms";
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff_ms));
+    snapshot = LoadCheckpoint(checkpoint_path, model_id);
+  }
+  if (!snapshot.has_value()) {
+    return snapshot.status();
+  }
+  Status applied =
+      ApplyCheckpointToModel(snapshot.value(), *model, "checkpoint '" + checkpoint_path + "'");
+  if (!applied.ok()) {
+    return applied;
+  }
+  SEASTAR_LOG(Info) << "model '" << model_id << "': loaded '" << checkpoint_path << "' (epoch "
+                    << snapshot->epoch << ")";
+  return model;
+}
+
+}  // namespace
 
 uint64_t ComputeEntryFingerprint(const std::string& model_id, int64_t version,
                                  const GnnModel& model, const Dataset& data) {
@@ -88,24 +146,14 @@ StatusOr<std::shared_ptr<const ModelEntry>> ModelRegistry::Register(
     return ErrorStatus(StatusCode::kInvalidArgument)
            << "model '" << model_id << "': null factory";
   }
-  std::shared_ptr<GnnModel> model = factory();
-  if (model == nullptr) {
-    return ErrorStatus(StatusCode::kInternal)
-           << "model '" << model_id << "': factory returned null";
-  }
-  if (!initial_checkpoint.empty()) {
-    StatusOr<TrainCheckpoint> snapshot = LoadCheckpoint(initial_checkpoint, model_id);
-    if (!snapshot.has_value()) {
-      return snapshot.status();
-    }
-    Status applied = ApplyCheckpointToModel(snapshot.value(), *model,
-                                            "checkpoint '" + initial_checkpoint + "'");
-    if (!applied.ok()) {
-      return applied;
-    }
+  StatusOr<std::shared_ptr<GnnModel>> model =
+      BuildGeneration(model_id, factory, initial_checkpoint);
+  if (!model.has_value()) {
+    return model.status();
   }
   Slot slot;
-  slot.live = std::make_shared<const ModelEntry>(model_id, /*version=*/1, std::move(model), &data);
+  slot.live =
+      std::make_shared<const ModelEntry>(model_id, /*version=*/1, *std::move(model), &data);
   slot.factory = std::move(factory);
   slot.data = &data;
   return RegisterEntry(model_id, std::move(slot));
@@ -134,6 +182,10 @@ std::shared_ptr<const ModelEntry> ModelRegistry::Lookup(const std::string& model
 
 StatusOr<std::shared_ptr<const ModelEntry>> ModelRegistry::PrepareSwap(
     const std::string& model_id, const std::string& checkpoint_path) {
+  if (checkpoint_path.empty()) {
+    return ErrorStatus(StatusCode::kInvalidArgument)
+           << "hot-swap of '" << model_id << "' names no checkpoint";
+  }
   ModelFactory factory;
   const Dataset* data = nullptr;
   int64_t live_version = 0;
@@ -152,26 +204,16 @@ StatusOr<std::shared_ptr<const ModelEntry>> ModelRegistry::PrepareSwap(
     data = it->second.data;
     live_version = it->second.live->version();
   }
-  // Load + build + copy happen outside the registry lock: admissions keep
+  // Build + load + copy happen outside the registry lock: admissions keep
   // resolving the live entry while the next generation is assembled.
   FlightRecorder::Get().Record("swap", ("load " + model_id).c_str(), live_version + 1);
-  StatusOr<TrainCheckpoint> snapshot = LoadCheckpoint(checkpoint_path, model_id);
-  if (!snapshot.has_value()) {
-    return snapshot.status();
-  }
-  std::shared_ptr<GnnModel> model = factory();
-  if (model == nullptr) {
-    return ErrorStatus(StatusCode::kInternal)
-           << "model '" << model_id << "': factory returned null";
-  }
-  Status applied = ApplyCheckpointToModel(snapshot.value(), *model,
-                                          "checkpoint '" + checkpoint_path + "'");
-  if (!applied.ok()) {
-    return applied;
+  StatusOr<std::shared_ptr<GnnModel>> model = BuildGeneration(model_id, factory, checkpoint_path);
+  if (!model.has_value()) {
+    return model.status();
   }
   SEASTAR_LOG(Info) << "hot-swap: staged '" << model_id << "' version " << (live_version + 1)
-                    << " from '" << checkpoint_path << "' (epoch " << snapshot->epoch << ")";
-  return std::make_shared<const ModelEntry>(model_id, live_version + 1, std::move(model), data);
+                    << " from '" << checkpoint_path << "'";
+  return std::make_shared<const ModelEntry>(model_id, live_version + 1, *std::move(model), data);
 }
 
 StatusOr<std::shared_ptr<const ModelEntry>> ModelRegistry::Publish(

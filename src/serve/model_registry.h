@@ -1,5 +1,6 @@
-// Multi-tenant model registry: several (model, graph, weights-version)
-// entries served out of one process, with zero-downtime weight hot-swap.
+// Model registry: the (model, graph, weights-version) entries a Server
+// hosts, one or many, with zero-downtime weight hot-swap. A single-tenant
+// server is a one-entry registry; nothing else differs.
 //
 // Ownership model (RCU over shared_ptr):
 //
@@ -8,14 +9,22 @@
 //   admission pins it in PendingRequest::entry; the serving thread executes
 //   each batch against the entry its requests pinned, never "the latest".
 //
-//   PrepareSwap() builds version N+1 off to the side (factory + tag-checked
-//   checkpoint load) without touching the live entry; Publish() atomically
-//   flips the live pointer. Requests admitted before the flip keep — and are
-//   answered by — version N; requests admitted after get N+1. Version N is
+//   PrepareSwap() builds version N+1 off to the side without touching the
+//   live entry; Publish() atomically flips the live pointer. Requests
+//   admitted before the flip keep — and are answered by — version N;
+//   requests admitted after get N+1. Version N is
 //   *retired* (PollRetired reports it) only when the last pinned reference
 //   drains, generalizing the checkpoint ".prev" rotation to in-memory
 //   weights: there is always a moment where both generations exist, and the
 //   old one disappears only when provably unused.
+//
+// Weight loading: Register (version 1) and PrepareSwap (version N+1) share
+// one load-and-apply path: factory build, tag-checked checkpoint load
+// (riding the .prev fallback), shape-checked weight copy. A transient read
+// fault (kUnavailable) is retried 3 times after 0.5 * 2^k ms, each retry
+// counted in seastar_serve_checkpoint_read_retries_total; a missing file, a
+// wrong tag or a corrupt snapshot fails at once. Weights are written only
+// into a generation that is not yet published.
 //
 // All entries share the process-wide plan cache and the pool allocator by
 // construction (both are process singletons keyed by program/graph identity
@@ -42,16 +51,7 @@
 #include "src/graph/datasets.h"
 
 namespace seastar {
-
-struct TrainCheckpoint;
-
 namespace serve {
-
-// Copies `snapshot`'s parameters (and dropout RNG, when both sides have one)
-// into `model`, shape-checked; `what` names the source in errors. Gradients
-// are cleared — serving never trains. Shared by server boot and hot-swap.
-Status ApplyCheckpointToModel(const TrainCheckpoint& snapshot, GnnModel& model,
-                              const std::string& what);
 
 // Identity of what an entry executes: model id, weights version, model
 // architecture, and graph shape. Two entries that differ in *any* of these
@@ -62,8 +62,9 @@ uint64_t ComputeEntryFingerprint(const std::string& model_id, int64_t version,
 
 // One immutable (model, graph, version) generation. Entries are created by
 // the registry and published as shared_ptr<const ModelEntry>; the model
-// object itself is mutated only between generations (checkpoint restore in
-// PrepareSwap, before publication), never while reachable through Lookup.
+// object itself is written only while its generation is built (checkpoint
+// restore in Register or PrepareSwap, before publication), never while
+// reachable through Lookup.
 class ModelEntry {
  public:
   ModelEntry(std::string model_id, int64_t version, std::shared_ptr<GnnModel> model,
@@ -113,13 +114,15 @@ class ModelRegistry {
 
   // Factory-backed registration: builds version 1 now; `initial_checkpoint`
   // ("" = fresh initialization) is restored into it tag-checked against
-  // `model_id`. Only factory-backed entries can hot-swap.
+  // `model_id`, with transient read faults retried. Only factory-backed
+  // entries can hot-swap.
   StatusOr<std::shared_ptr<const ModelEntry>> Register(const std::string& model_id,
                                                        const Dataset& data, ModelFactory factory,
                                                        const std::string& initial_checkpoint = "");
 
   // Borrowed registration: the caller keeps ownership of `model` (which must
-  // outlive the registry) — the single-tenant Server compatibility path.
+  // outlive the registry) and its weights; the entry serves that very object
+  // and cannot hot-swap. Server(GnnModel&, ...) registers its model this way.
   StatusOr<std::shared_ptr<const ModelEntry>> RegisterBorrowed(const std::string& model_id,
                                                                GnnModel& model,
                                                                const Dataset& data);
@@ -127,10 +130,10 @@ class ModelRegistry {
   // The live entry for `model_id`, or null when unknown.
   std::shared_ptr<const ModelEntry> Lookup(const std::string& model_id) const;
 
-  // Stages weights version N+1: factory-builds a fresh model and restores
-  // `checkpoint_path` into it (tag-checked against `model_id`). Pure
-  // load-and-copy — no forward pass, no effect on the live entry — so it may
-  // run on any thread while serving continues. The staged entry becomes
+  // Stages weights version N+1 through the same load path as Register:
+  // factory-builds a fresh model and restores `checkpoint_path` into it.
+  // Pure load-and-copy — no forward pass, no effect on the live entry — so it
+  // may run on any thread while serving continues. The staged entry becomes
   // visible only through Publish().
   StatusOr<std::shared_ptr<const ModelEntry>> PrepareSwap(const std::string& model_id,
                                                           const std::string& checkpoint_path);

@@ -1,9 +1,11 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -11,7 +13,6 @@
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/core/checkpoint.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/autograd.h"
 
@@ -21,23 +22,29 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Metric base names of Server::Outcome, in enum order.
+constexpr const char* kOutcomeNames[] = {"submitted", "rejected", "shed",    "quota_shed",
+                                         "served",    "degraded", "expired", "failed"};
+
+// TenantStats and ServerStats fields of each Server::Outcome, in enum order.
+constexpr int64_t TenantStats::*kOutcomeFields[] = {
+    &TenantStats::submitted, &TenantStats::rejected, &TenantStats::shed,
+    &TenantStats::quota_shed, &TenantStats::served,  &TenantStats::degraded,
+    &TenantStats::expired,   &TenantStats::failed};
+constexpr int64_t ServerStats::*kServerFields[] = {
+    &ServerStats::submitted, &ServerStats::rejected, &ServerStats::shed,
+    &ServerStats::quota_shed, &ServerStats::served,  &ServerStats::degraded,
+    &ServerStats::expired,   &ServerStats::failed};
+
 // Registry handles for the serving path, resolved once per process and
 // cached (the static-init guard is the only per-call cost). Request-rate
 // code touches these through one relaxed add / store each; the registry is
 // never consulted per request — tests assert lookups() stays flat.
 struct ServeMetrics {
-  metrics::Counter* submitted;
-  metrics::Counter* rejected;
-  metrics::Counter* shed;
-  metrics::Counter* quota_shed;
-  metrics::Counter* served;
-  metrics::Counter* degraded;
-  metrics::Counter* expired;
-  metrics::Counter* failed;
+  std::array<metrics::Counter*, std::size(kOutcomeNames)> outcomes;  // Indexed by Outcome.
   metrics::Counter* retries;
   metrics::Counter* batches;
   metrics::Counter* unit_aborts;
-  metrics::Counter* boot_retries;
   metrics::Counter* swaps;
   metrics::Counter* swap_failures;
   metrics::Counter* swap_retired;
@@ -52,18 +59,12 @@ const ServeMetrics& GetServeMetrics() {
   static const ServeMetrics metrics = [] {
     metrics::MetricsRegistry& r = metrics::MetricsRegistry::Get();
     ServeMetrics m;
-    m.submitted = r.GetCounter("seastar_serve_submitted_total");
-    m.rejected = r.GetCounter("seastar_serve_rejected_total");
-    m.shed = r.GetCounter("seastar_serve_shed_total");
-    m.quota_shed = r.GetCounter("seastar_serve_quota_shed_total");
-    m.served = r.GetCounter("seastar_serve_served_total");
-    m.degraded = r.GetCounter("seastar_serve_degraded_total");
-    m.expired = r.GetCounter("seastar_serve_expired_total");
-    m.failed = r.GetCounter("seastar_serve_failed_total");
+    for (size_t o = 0; o < m.outcomes.size(); ++o) {
+      m.outcomes[o] = r.GetCounter(std::string("seastar_serve_") + kOutcomeNames[o] + "_total");
+    }
     m.retries = r.GetCounter("seastar_serve_retries_total");
     m.batches = r.GetCounter("seastar_serve_batches_total");
     m.unit_aborts = r.GetCounter("seastar_serve_deadline_unit_aborts_total");
-    m.boot_retries = r.GetCounter("seastar_serve_boot_retries_total");
     m.swaps = r.GetCounter("seastar_serve_swaps_total");
     m.swap_failures = r.GetCounter("seastar_serve_swap_failures_total");
     m.swap_retired = r.GetCounter("seastar_serve_swap_retired_total");
@@ -159,14 +160,10 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config)
     tenant->config = tc;
     tenant->breaker = std::make_unique<CircuitBreaker>(config_.breaker_trip_after,
                                                        config_.breaker_probe_interval_ms);
-    tenant->m_submitted = registry_metrics.GetCounter(TenantMetricName("submitted", tc.name));
-    tenant->m_rejected = registry_metrics.GetCounter(TenantMetricName("rejected", tc.name));
-    tenant->m_shed = registry_metrics.GetCounter(TenantMetricName("shed", tc.name));
-    tenant->m_quota_shed = registry_metrics.GetCounter(TenantMetricName("quota_shed", tc.name));
-    tenant->m_served = registry_metrics.GetCounter(TenantMetricName("served", tc.name));
-    tenant->m_degraded = registry_metrics.GetCounter(TenantMetricName("degraded", tc.name));
-    tenant->m_expired = registry_metrics.GetCounter(TenantMetricName("expired", tc.name));
-    tenant->m_failed = registry_metrics.GetCounter(TenantMetricName("failed", tc.name));
+    for (int o = 0; o < kNumOutcomes; ++o) {
+      tenant->counters[o] =
+          registry_metrics.GetCounter(TenantMetricName(kOutcomeNames[o], tc.name));
+    }
     const bool inserted =
         tenant_index_.emplace(tc.name, static_cast<uint32_t>(i)).second;
     SEASTAR_CHECK(inserted) << "duplicate tenant name '" << tc.name << "'";
@@ -179,39 +176,6 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config)
 }
 
 Server::~Server() { Shutdown(); }
-
-Status Server::RestoreFromCheckpoint(const ModelEntry& entry) {
-  // Boot-time transient faults (FaultSite::kCheckpointRead surfaces as
-  // kUnavailable) are retried with backoff; structural errors (corrupt file
-  // after .prev fallback, wrong model) are fatal to Start().
-  StatusOr<TrainCheckpoint> loaded = ErrorStatus(StatusCode::kInternal) << "unreachable";
-  for (int attempt = 0; attempt <= config_.boot_retries; ++attempt) {
-    loaded = LoadCheckpoint(config_.checkpoint_path);
-    if (loaded.has_value() || loaded.status().code() != StatusCode::kUnavailable) {
-      break;
-    }
-    if (attempt < config_.boot_retries) {
-      UpdateStats([](ServerStats& s) { ++s.boot_retries; });
-      GetServeMetrics().boot_retries->Add(1);
-      const double backoff_ms = config_.retry_base_backoff_ms * static_cast<double>(1 << attempt);
-      SEASTAR_LOG(Warning) << "serve boot: transient checkpoint read failure ("
-                           << loaded.status().message() << "); retrying in " << backoff_ms
-                           << " ms";
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff_ms));
-    }
-  }
-  if (!loaded.has_value()) {
-    return loaded.status();
-  }
-  Status applied = ApplyCheckpointToModel(loaded.value(), entry.model(),
-                                          "checkpoint '" + config_.checkpoint_path + "'");
-  if (!applied.ok()) {
-    return applied;
-  }
-  SEASTAR_LOG(Info) << "serve boot: restored '" << config_.checkpoint_path << "' (epoch "
-                    << loaded->epoch << ") into model '" << entry.model_id() << "'";
-  return Status::Ok();
-}
 
 Status Server::Start() {
   if (started_.load(std::memory_order_acquire)) {
@@ -229,25 +193,12 @@ Status Server::Start() {
   }
 
   {
-    // Boot and warmup run on the caller's thread: their spans land on the
-    // caller's ambient trace (a run-scoped profile), if any.
-    trace::AmbientSpan boot_span("boot");
-    if (!config_.checkpoint_path.empty()) {
-      std::shared_ptr<const ModelEntry> entry =
-          registry_->Lookup(tenants_[0]->config.model_id);
-      Status restored = RestoreFromCheckpoint(*entry);
-      if (!restored.ok()) {
-        return restored;
-      }
-    }
-  }
-
-  if (config_.warmup) {
     // First forward per distinct model compiles every plan into the
     // PlanCache and sizes the allocator pool; it also seeds the tenants'
     // last-known-good caches so degraded mode has answers from the first
     // request on. Warmup shares the serving retry policy because boot-time
-    // fault injection hits it too.
+    // fault injection hits it too. It runs on the caller's thread, so its
+    // span lands on the caller's ambient trace (a run-scoped profile), if any.
     trace::AmbientSpan warm_span("warmup");
     std::map<const ModelEntry*, Tensor> warm_logits;
     for (const std::unique_ptr<Tenant>& tenant : tenants_) {
@@ -257,11 +208,10 @@ Status Server::Start() {
         Deadline no_deadline;  // Unarmed: warmup may take as long as it takes.
         int retries_paid = 0;
         AttemptResult warm = ExecuteWithRetries(*entry, no_deadline, &retries_paid);
-        UpdateStats([retries_paid](ServerStats& s) { s.retries += retries_paid; });
-        GetServeMetrics().retries->Add(retries_paid);
+        CountRetries(nullptr, retries_paid);
         if (!warm.status.ok()) {
           // Not fatal: the breaker/retry machinery will keep trying per batch.
-          SEASTAR_LOG(Warning) << "serve boot: warmup forward of '" << entry->model_id()
+          SEASTAR_LOG(Warning) << "serve start: warmup forward of '" << entry->model_id()
                                << "' failed (" << warm.status.message() << "); starting anyway";
         }
         warmed = warm_logits.emplace(entry.get(), std::move(warm.logits)).first;
@@ -328,8 +278,7 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
     tenant = FindTenant(request.tenant);
     if (tenant == nullptr) {
       // No tenant to attribute this to — it only counts globally.
-      UpdateStats([](ServerStats& s) { ++s.rejected; });
-      metrics.rejected->Add(1);
+      Count(nullptr, kRejected);
       rejected.set_value(ErrorStatus(StatusCode::kInvalidArgument)
                          << "unknown tenant '" << request.tenant << "'");
       return rejected_future;
@@ -337,23 +286,13 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
   }
   std::shared_ptr<const ModelEntry> entry = registry_->Lookup(tenant->config.model_id);
   if (entry == nullptr) {
-    UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-      ++g.rejected;
-      ++t.rejected;
-    });
-    metrics.rejected->Add(1);
-    tenant->m_rejected->Add(1);
+    Count(tenant, kRejected);
     rejected.set_value(ErrorStatus(StatusCode::kUnavailable)
                        << "model id '" << tenant->config.model_id << "' is not registered");
     return rejected_future;
   }
   const auto reject_invalid = [&](Status status) {
-    UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-      ++g.rejected;
-      ++t.rejected;
-    });
-    metrics.rejected->Add(1);
-    tenant->m_rejected->Add(1);
+    Count(tenant, kRejected);
     rejected.set_value(std::move(status));
     return std::move(rejected_future);
   };
@@ -418,28 +357,18 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
   // Counted as submitted before the push: once queued, the serving thread
   // may answer the request and count its outcome at once, and no stats()
   // snapshot may show an outcome whose submission it does not.
-  UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-    ++g.submitted;
-    ++t.submitted;
-  });
+  Count(tenant, kSubmitted);
   const AdmitResult admitted = queue_.TryPush(std::move(pending));
   switch (admitted) {
     case AdmitResult::kAdmitted:
-      metrics.submitted->Add(1);
-      tenant->m_submitted->Add(1);
       metrics.queue_depth->Set(static_cast<double>(queue_.size()));
       return future;
     case AdmitResult::kClosed:
       // The request never entered the serving pipeline: a rejection, outside
-      // the submitted identity, so its submission moves to rejected.
-      UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-        --g.submitted;
-        --t.submitted;
-        ++g.rejected;
-        ++t.rejected;
-      });
-      metrics.rejected->Add(1);
-      tenant->m_rejected->Add(1);
+      // the submitted identity, so its submission moves to rejected (only a
+      // request racing Shutdown takes this path).
+      Count(tenant, kSubmitted, -1);
+      Count(tenant, kRejected);
       if (rtrace != nullptr) {
         tracer_->FinishTrace(rtrace, MillisBetween(admitted_at, Clock::now()), "closed");
       }
@@ -450,20 +379,9 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
     case AdmitResult::kShedQuota: {
       // Answer immediately so the client can back off instead of waiting out
       // its deadline. Sheds are inside the submitted identity: the submission
-      // was counted before the push, the shed counters move under one lock.
+      // was counted before the push, and quota_shed only after shed.
       const bool quota = admitted == AdmitResult::kShedQuota;
-      UpdateStats(*tenant, [quota](ServerStats& g, TenantStats& t) {
-        ++g.shed;
-        ++t.shed;
-        if (quota) {
-          ++g.quota_shed;
-          ++t.quota_shed;
-        }
-      });
-      metrics.submitted->Add(1);
-      tenant->m_submitted->Add(1);
-      metrics.shed->Add(1);
-      tenant->m_shed->Add(1);
+      Count(tenant, kShed);
       if (rtrace != nullptr) {
         // Sheds are anomalies: retained by the tracer regardless of head
         // sampling, so overload drills can name every turned-away request.
@@ -471,8 +389,7 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
         tracer_->FinishTrace(rtrace, MillisBetween(admitted_at, Clock::now()), "shed");
       }
       if (quota) {
-        metrics.quota_shed->Add(1);
-        tenant->m_quota_shed->Add(1);
+        Count(tenant, kQuotaShed);
         FlightRecorder::Get().Record("serve", "request shed (tenant over quota)", id,
                                      static_cast<int64_t>(tenant->index));
         rejected.set_value(ErrorStatus(StatusCode::kResourceExhausted)
@@ -555,8 +472,7 @@ void Server::ProcessPendingSwaps() {
     Deadline no_deadline;
     int retries_paid = 0;
     AttemptResult warm = ExecuteWithRetries(*swap.staged, no_deadline, &retries_paid);
-    UpdateStats([retries_paid](ServerStats& s) { s.retries += retries_paid; });
-    GetServeMetrics().retries->Add(retries_paid);
+    CountRetries(nullptr, retries_paid);
     if (!warm.status.ok()) {
       UpdateStats([](ServerStats& s) { ++s.swap_failures; });
       GetServeMetrics().swap_failures->Add(1);
@@ -731,6 +647,9 @@ Server::AttemptResult Server::ExecuteWithRetries(const ModelEntry& entry, const 
 void Server::FulfillFromLogits(const Tensor& logits,
                                std::vector<std::unique_ptr<PendingRequest>>& batch,
                                Tenant& tenant, bool degraded, int retries_paid) {
+  // Fulfillment finishes (and recycles) the batch's traces, the leader's
+  // too: events recorded below must not read it through the ambient context.
+  trace::ScopedTraceContext no_trace(nullptr);
   const ServeMetrics& metrics = GetServeMetrics();
   const int batch_size = static_cast<int>(batch.size());
   const int64_t num_classes = logits.dim(1);
@@ -739,12 +658,7 @@ void Server::FulfillFromLogits(const Tensor& logits,
     if (pending->deadline.armed() && pending->deadline.expired()) {
       // The batch made it, this request's budget didn't: its client has
       // already moved on, so the answer would only be discarded.
-      UpdateStats(tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.expired;
-        ++t.expired;
-      });
-      metrics.expired->Add(1);
-      tenant.m_expired->Add(1);
+      Count(&tenant, kExpired);
       FlightRecorder::Get().Record("serve", "request expired before fulfillment", pending->id);
       if (pending->trace != nullptr) {
         pending->trace->AddFlag(trace::kExpired);
@@ -790,12 +704,7 @@ void Server::FulfillFromLogits(const Tensor& logits,
       tracer_->FinishTrace(pending->trace, response.total_ms, degraded ? "degraded" : "served");
       pending->trace = nullptr;
     }
-    UpdateStats(tenant, [degraded](ServerStats& g, TenantStats& t) {
-      ++(degraded ? g.degraded : g.served);
-      ++(degraded ? t.degraded : t.served);
-    });
-    (degraded ? metrics.degraded : metrics.served)->Add(1);
-    (degraded ? tenant.m_degraded : tenant.m_served)->Add(1);
+    Count(&tenant, degraded ? kDegraded : kServed);
     metrics.queue_wait->Record(response.queue_ms);
     RecordLatency(tenant, response.total_ms, response.trace_id);
     pending->promise.set_value(std::move(response));
@@ -804,17 +713,12 @@ void Server::FulfillFromLogits(const Tensor& logits,
 
 void Server::FailBatch(std::vector<std::unique_ptr<PendingRequest>>& batch, Tenant& tenant,
                        const Status& status) {
-  const ServeMetrics& metrics = GetServeMetrics();
   const bool is_deadline = status.code() == StatusCode::kDeadlineExceeded;
   const int64_t n = static_cast<int64_t>(batch.size());
-  UpdateStats(tenant, [is_deadline, n](ServerStats& g, TenantStats& t) {
-    (is_deadline ? g.expired : g.failed) += n;
-    (is_deadline ? t.expired : t.failed) += n;
-  });
-  (is_deadline ? metrics.expired : metrics.failed)->Add(n);
-  (is_deadline ? tenant.m_expired : tenant.m_failed)->Add(n);
+  Count(&tenant, is_deadline ? kExpired : kFailed, n);
   FlightRecorder::Get().Record("serve", is_deadline ? "batch expired" : "batch failed", n,
                                static_cast<int64_t>(status.code()));
+  trace::ScopedTraceContext no_trace(nullptr);  // As in FulfillFromLogits.
   const Clock::time_point now = Clock::now();
   for (std::unique_ptr<PendingRequest>& pending : batch) {
     if (pending->trace != nullptr) {
@@ -842,12 +746,7 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   live.reserve(batch.size());
   for (std::unique_ptr<PendingRequest>& pending : batch) {
     if (pending->deadline.armed() && pending->deadline.expired()) {
-      UpdateStats(tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.expired;
-        ++t.expired;
-      });
-      metrics.expired->Add(1);
-      tenant.m_expired->Add(1);
+      Count(&tenant, kExpired);
       FlightRecorder::Get().Record("serve", "request expired while queued", pending->id);
       if (pending->trace != nullptr) {
         pending->trace->AddSpan("queue", pending->admitted_at, pending->dequeued_at);
@@ -905,7 +804,7 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
         pending->trace->AddFlag(trace::kBreaker);
       }
     }
-    if (config_.degraded_fallback && lkg.defined()) {
+    if (lkg.defined()) {
       FulfillFromLogits(lkg, live, tenant, /*degraded=*/true, /*retries_paid=*/0);
     } else {
       FailBatch(live, tenant,
@@ -981,12 +880,7 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   if (tenant_faults) {
     faults.DisarmAll();
   }
-  UpdateStats(tenant, [retries_paid](ServerStats& g, TenantStats& t) {
-    g.retries += retries_paid;
-    t.retries += retries_paid;
-    t.batches += retries_paid + 1;  // Attempts = retries + the final one.
-  });
-  metrics.retries->Add(retries_paid);
+  CountRetries(&tenant, retries_paid);
 
   if (result.status.ok()) {
     breaker.RecordSuccess();
@@ -1017,25 +911,54 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
     std::lock_guard<std::mutex> lock(lkg_mutex_);
     lkg = tenant.lkg;
   }
-  if (config_.degraded_fallback && lkg.defined()) {
+  if (lkg.defined()) {
     FulfillFromLogits(lkg, live, tenant, /*degraded=*/true, retries_paid);
   } else {
     FailBatch(live, tenant, result.status);
   }
 }
 
-uint64_t Server::serving_fingerprint() const {
-  std::shared_ptr<const ModelEntry> entry = registry_->Lookup(tenants_[0]->config.model_id);
-  return entry == nullptr ? 0 : entry->fingerprint();
+void Server::Count(Tenant* tenant, Outcome outcome, int64_t n) {
+  static_assert(std::size(kOutcomeNames) == kNumOutcomes &&
+                std::size(kOutcomeFields) == kNumOutcomes &&
+                std::size(kServerFields) == kNumOutcomes);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  TenantStats& slice = tenant != nullptr ? tenant->stats : unattributed_;
+  slice.*kOutcomeFields[outcome] += n;
+  GetServeMetrics().outcomes[outcome]->Add(n);
+  if (tenant != nullptr) {
+    tenant->counters[outcome]->Add(n);
+  }
+}
+
+void Server::CountRetries(Tenant* tenant, int retries_paid) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (tenant != nullptr) {
+    tenant->stats.retries += retries_paid;
+    tenant->stats.batches += retries_paid + 1;  // Attempts = retries + the final one.
+  } else {
+    unattributed_.retries += retries_paid;
+  }
+  GetServeMetrics().retries->Add(retries_paid);
 }
 
 ServerStats Server::stats() const {
   ServerStats stats;
   {
-    // One critical section copies every identity counter: a reader either
+    // One critical section reads every identity counter: a reader either
     // sees a request fully accounted (submitted + outcome) or not at all.
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats = stats_;
+    const auto add = [&stats](const TenantStats& t) {
+      for (int o = 0; o < kNumOutcomes; ++o) {
+        stats.*kServerFields[o] += t.*kOutcomeFields[o];
+      }
+      stats.retries += t.retries;
+    };
+    add(unattributed_);
+    for (const std::unique_ptr<Tenant>& tenant : tenants_) {
+      add(tenant->stats);
+    }
   }
   // Breaker counters sit outside the identity; each breaker's own mutex
   // keeps its counters mutually consistent.
@@ -1074,8 +997,6 @@ std::vector<std::string> Server::tenant_names() const {
   }
   return names;
 }
-
-BreakerState Server::breaker_state() const { return tenants_[0]->breaker->state(); }
 
 StatusOr<BreakerState> Server::tenant_breaker_state(const std::string& tenant) const {
   const Tenant* t = FindTenant(tenant);

@@ -1,4 +1,4 @@
-// Hardened multi-tenant inference server over trained GNN models.
+// Hardened inference server over trained GNN models, one tenant or many.
 //
 // The pipeline, per docs/INTERNALS.md §11 and §16:
 //
@@ -21,13 +21,15 @@
 // request's promise. Clients only touch the queue, so client threads never
 // contend on model state.
 //
-// Multi-tenancy: a ModelRegistry holds the (model, graph, version) entries;
-// each tenant names the model id it is served by, carries its own admission
-// quota and fair-share weight (enforced in AdmissionQueue), its own circuit
-// breaker and last-known-good cache, and its own accounting — the identity
+// Tenancy: a ModelRegistry holds the (model, graph, version) entries and
+// does every weight load; each tenant names the model id it is served by,
+// carries its own admission quota and fair-share weight (enforced in
+// AdmissionQueue), its own circuit breaker and last-known-good cache, and
+// its own accounting. A single-tenant server is the same code over a
+// one-entry registry and one default tenant. The identity
 //   submitted == served + degraded + shed + expired + failed
-// holds per tenant, not just globally, with every counter pair updated under
-// one lock.
+// holds per tenant; each outcome is counted once, on its tenant, and the
+// global stats() are the sum over tenants plus the requests no tenant owns.
 //
 // Hot swap (zero downtime): RequestHotSwap stages version N+1 on the calling
 // thread (checkpoint load + weight copy; serving continues unaffected), then
@@ -47,6 +49,7 @@
 #ifndef SRC_SERVE_SERVER_H_
 #define SRC_SERVE_SERVER_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -108,24 +111,13 @@ struct ServeConfig {
   double retry_base_backoff_ms = 0.5;  // Backoff = base * 2^attempt.
 
   // ---- Circuit breaker (instantiated per tenant) -------------------------
+  // While open (or once retries are exhausted), requests are answered from
+  // the tenant's last-known-good cache, or fail when it has none yet.
   int breaker_trip_after = 3;              // Consecutive batch failures.
   double breaker_probe_interval_ms = 25.0;  // One probe per interval while open.
-  // Serve last-known-good cached predictions while the breaker is open (or
-  // when retries are exhausted); false fails those requests instead.
-  bool degraded_fallback = true;
-
-  // ---- Boot --------------------------------------------------------------
-  // Trained snapshot restored into the *default tenant's* model before
-  // serving; "" serves the registered weights as-is. Multi-model fleets
-  // instead pass per-model checkpoints to ModelRegistry::Register.
-  std::string checkpoint_path;
-  int boot_retries = 3;  // Retries for transient checkpoint-read faults.
-  // Run one forward per distinct model at Start() to compile plans, warm the
-  // allocator pool, and seed the last-known-good caches.
-  bool warmup = true;
 
   // ---- Observability -----------------------------------------------------
-  // Start() records "boot" / "warmup" spans on the caller's ambient trace
+  // Start() records a "warmup" span on the caller's ambient trace
   // (tracing.h), if any. Per-request distributed tracing (tracing.h). On by default: every
   // request gets a span tree; *retention* is what sampling decides. The head
   // sampler keeps ~1% of clean traffic and the tail reservoir keeps the
@@ -144,9 +136,10 @@ struct ServeConfig {
 // whenever the server is quiesced, and every snapshot has outcomes <=
 // submitted: a request is counted as submitted before it is queued (a push
 // refused because the queue closed then moves it to rejected), so no reader
-// sees an outcome before its submission. The same increments are mirrored
-// into the process metrics registry (seastar_serve_*_total), so the identity
-// can be checked from a --metrics-out snapshot too.
+// sees an outcome before its submission. The identity fields (and retries)
+// are the sum over tenants plus what no tenant owns: unknown-tenant
+// rejections, warmup and swap-warm retries. The process metrics
+// (seastar_serve_*_total) move with them, so --metrics-out can check it too.
 struct ServerStats {
   int64_t submitted = 0;  // Requests admitted or shed (validated, not rejected).
   int64_t rejected = 0;   // Invalid (bad vertices / fingerprint / tenant) or queue closed.
@@ -157,12 +150,11 @@ struct ServerStats {
   int64_t expired = 0;    // Deadline passed (in queue or mid-execution).
   int64_t failed = 0;     // Everything else (retries exhausted, no LKG, ...).
   int64_t retries = 0;        // Transient-fault retry attempts paid.
-  int64_t batches = 0;        // Forward passes attempted (incl. retries).
+  int64_t batches = 0;        // Forward passes attempted (incl. retries and warmups).
   int64_t breaker_trips = 0;        // Summed over tenants.
   int64_t breaker_recoveries = 0;
   int64_t breaker_probes = 0;
   int64_t deadline_unit_aborts = 0;  // Executions aborted at a unit boundary.
-  int64_t boot_retries = 0;          // Checkpoint-read retries during Start().
   int64_t swaps = 0;           // Hot-swaps flipped live.
   int64_t swap_failures = 0;   // Staged swaps that failed warmup/publish.
   int64_t swap_retired = 0;    // Old generations fully drained and retired.
@@ -173,8 +165,8 @@ struct ServerStats {
 
 // Per-tenant slice of the identity, plus that tenant's breaker counters.
 // For every tenant, submitted == served + degraded + shed + expired + failed
-// holds exactly (quota_shed ⊆ shed), and the per-tenant counters sum to the
-// global ServerStats identity fields.
+// holds exactly (quota_shed ⊆ shed). The global ServerStats identity fields
+// are computed from these, so the per-tenant sum holds by construction.
 struct TenantStats {
   int64_t submitted = 0;
   int64_t rejected = 0;
@@ -201,24 +193,25 @@ struct LatencySummary {
 
 class Server {
  public:
-  // Single-tenant compatibility: serves `model` (which, with `data`, must
-  // outlive the server) as model id "default" through an internally owned
-  // registry. Borrowed models cannot hot-swap.
-  Server(GnnModel& model, const Dataset& data, ServeConfig config);
-
-  // Multi-tenant: serves the entries of `registry` (pre-populated by the
-  // caller; shared so swap tooling can address it too). Every tenant in
-  // `config.tenants` must resolve to a registered model id by Start().
+  // Serves the entries of `registry` (pre-populated by the caller; shared so
+  // swap tooling can address it too). Every tenant in `config.tenants` must
+  // resolve to a registered model id by Start(); no tenants means one
+  // "default" tenant bound to the registry's single entry.
   Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config);
+
+  // The same server over a one-entry registry that borrows `model` (which,
+  // with `data`, must outlive the server) as model id "default": requests
+  // are answered by that very object, which therefore cannot hot-swap.
+  Server(GnnModel& model, const Dataset& data, ServeConfig config);
 
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Boots (checkpoint restore with transient-fault retries, one warmup
-  // forward per distinct model) and starts the serving thread. Must be
-  // called once before Submit.
+  // Runs one warmup forward per distinct model (plans, allocator pool, LKG
+  // caches; a failure is logged, not fatal) and starts the serving thread.
+  // Must be called once before Submit.
   Status Start();
 
   // Closes admission, drains queued requests (every outstanding future is
@@ -246,16 +239,10 @@ class Server {
   // Blocking convenience wrapper around RequestHotSwap.
   StatusOr<int64_t> HotSwap(const std::string& model_id, const std::string& checkpoint_path);
 
-  // The (model, graph, version) identity requests may pin via
-  // model_fingerprint — the default tenant's *live* entry (changes on swap).
-  uint64_t serving_fingerprint() const;
-
   ServerStats stats() const;
   StatusOr<TenantStats> tenant_stats(const std::string& tenant) const;
   std::vector<std::string> tenant_names() const;
 
-  // Default tenant's breaker (single-tenant compatibility).
-  BreakerState breaker_state() const;
   StatusOr<BreakerState> tenant_breaker_state(const std::string& tenant) const;
 
   // Percentiles over end-to-end latency of answered (served or degraded)
@@ -288,6 +275,10 @@ class Server {
     bool unit_abort = false;  // Execution aborted at a deadline check.
   };
 
+  // The per-request outcomes, in TenantStats field order.
+  enum Outcome : int { kSubmitted, kRejected, kShed, kQuotaShed, kServed, kDegraded, kExpired,
+                       kFailed, kNumOutcomes };
+
   // Per-tenant runtime state. Stats fields are guarded by stats_mutex_, the
   // LKG tensor by lkg_mutex_; the breaker guards itself.
   struct Tenant {
@@ -297,16 +288,9 @@ class Server {
     Tensor lkg;               // Last-known-good full-graph logits.
     TenantStats stats;
     metrics::Histogram latency_hist{"tenant_latency_ms"};
-    // Cached registry handles (label baked into the metric name) so the
-    // per-request path never performs a registry lookup.
-    metrics::Counter* m_submitted = nullptr;
-    metrics::Counter* m_rejected = nullptr;
-    metrics::Counter* m_shed = nullptr;
-    metrics::Counter* m_quota_shed = nullptr;
-    metrics::Counter* m_served = nullptr;
-    metrics::Counter* m_degraded = nullptr;
-    metrics::Counter* m_expired = nullptr;
-    metrics::Counter* m_failed = nullptr;
+    // Cached registry handles per Outcome (label baked into the metric name)
+    // so the per-request path never performs a registry lookup.
+    std::array<metrics::Counter*, kNumOutcomes> counters{};
   };
 
   // A staged hot-swap awaiting the serving thread's warm + flip.
@@ -326,7 +310,6 @@ class Server {
                          Tenant& tenant, bool degraded, int retries_paid);
   void FailBatch(std::vector<std::unique_ptr<PendingRequest>>& batch, Tenant& tenant,
                  const Status& status);
-  Status RestoreFromCheckpoint(const ModelEntry& entry);
   // Applies queued swaps: warm forward, LKG seed, publish, breaker reset.
   void ProcessPendingSwaps();
   // Emits retire events for drained old generations.
@@ -334,22 +317,19 @@ class Server {
   void RecordLatency(Tenant& tenant, double total_ms, uint64_t trace_id);
   Tenant* FindTenant(const std::string& name) const;
 
-  // Applies `mutate` to the global stats under stats_mutex_.
+  // The one place identity counters move: `n` requests of `outcome` for
+  // `tenant` (null: owned by none) in its TenantStats, the process counter
+  // and its labelled counter, together under stats_mutex_.
+  void Count(Tenant* tenant, Outcome outcome, int64_t n = 1);
+  // Retries of a tenant's batch (plus its attempts), or of a warmup /
+  // swap-warm forward when `tenant` is null.
+  void CountRetries(Tenant* tenant, int retries_paid);
+
+  // Applies `mutate` to the server-level stats under stats_mutex_.
   template <typename Fn>
   void UpdateStats(Fn&& mutate) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     mutate(stats_);
-  }
-
-  // Applies `mutate` to the global and per-tenant stats in one critical
-  // section. All identity counters move through here, so a concurrent
-  // stats()/tenant_stats() reader always sees a consistent snapshot at both
-  // granularities (never an outcome counted before its submission, or a
-  // request counted globally but not for its tenant).
-  template <typename Fn>
-  void UpdateStats(Tenant& tenant, Fn&& mutate) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    mutate(stats_, tenant.stats);
   }
 
   const ServeConfig config_;
@@ -381,11 +361,12 @@ class Server {
   // All counters that participate in (or ride along with) the accounting
   // identity live behind one mutex; increments are a few nanoseconds under
   // an uncontended lock (client threads at admission, the serving thread at
-  // fulfillment), and stats() copies everything in one critical section.
+  // fulfillment), and stats() reads everything in one critical section.
   // Breaker counters stay with each tenant's breaker — they are not part of
   // the identity.
   mutable std::mutex stats_mutex_;
-  ServerStats stats_;
+  ServerStats stats_;          // Server-level: batches, unit aborts, swaps.
+  TenantStats unattributed_;  // What no tenant owns (see ServerStats).
   std::atomic<uint64_t> next_request_id_{1};
 
   // End-to-end latency of answered requests, all tenants pooled, for

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bitset>
+#include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
@@ -276,6 +279,43 @@ TEST(StringUtilTest, FlagParsing) {
   EXPECT_EQ(FlagInt(5, argv, "epochs", 200), 20);
   EXPECT_EQ(FlagValue(5, argv, "name", "cora"), "reddit");
   EXPECT_EQ(FlagValue(5, argv, "missing", "dflt"), "dflt");
+  EXPECT_EQ(FlagInt(5, argv, "missing", -3), -3);
+  EXPECT_DOUBLE_EQ(FlagDouble(5, argv, "missing", 2.5), 2.5);
+
+  const char* numbers_c[] = {"prog", "--n=-42", "--big=9223372036854775807", "--x=1e-3",
+                             "--y=+7.5"};
+  char** numbers = const_cast<char**>(numbers_c);
+  EXPECT_EQ(FlagInt(5, numbers, "n", 0), -42);
+  EXPECT_EQ(FlagInt(5, numbers, "big", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(FlagDouble(5, numbers, "x", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(FlagDouble(5, numbers, "y", 0.0), 7.5);
+
+  // A numeric value that does not parse exits 1 naming the flag, instead of
+  // reading as 0: malformed, trailing junk, out of range, empty and bare.
+  const auto exit_naming = [](std::vector<const char*> args, const char* key, bool integer) {
+    args.insert(args.begin(), "prog");
+    char** raw = const_cast<char**>(args.data());
+    const int argc = static_cast<int>(args.size());
+    const std::string pattern = std::string("flag --") + key;
+    if (integer) {
+      EXPECT_EXIT(FlagInt(argc, raw, key, 1), ::testing::ExitedWithCode(1), pattern) << args[1];
+    } else {
+      EXPECT_EXIT(FlagDouble(argc, raw, key, 1.0), ::testing::ExitedWithCode(1), pattern)
+          << args[1];
+    }
+  };
+  exit_naming({"--epochs=abc"}, "epochs", true);
+  exit_naming({"--epochs=12x"}, "epochs", true);
+  exit_naming({"--epochs=1.5"}, "epochs", true);
+  exit_naming({"--epochs= 3"}, "epochs", true);
+  exit_naming({"--epochs=99999999999999999999"}, "epochs", true);
+  exit_naming({"--epochs="}, "epochs", true);
+  exit_naming({"--epochs"}, "epochs", true);
+  exit_naming({"--scale=abc"}, "scale", false);
+  exit_naming({"--scale=0.5x"}, "scale", false);
+  exit_naming({"--scale=1e999"}, "scale", false);
+  exit_naming({"--scale=nan"}, "scale", false);
+  exit_naming({"--scale"}, "scale", false);
 }
 
 TEST(StringUtilTest, FirstUnknownFlagNamesTheFirstUnreadArgument) {

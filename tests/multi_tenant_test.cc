@@ -1,5 +1,7 @@
 // Tests for the multi-tenant serving runtime (src/serve/): the model
-// registry's RCU generation protocol, per-model checkpoint namespacing,
+// registry's RCU generation protocol and its one weight-load path
+// (transient read retries, no retry for a missing file or a wrong tag),
+// per-model checkpoint namespacing,
 // batch-key separation across tenants and weights versions, weighted-fair
 // scheduling and quota isolation at the server level, a rogue-tenant drill
 // (fault-injected tenant must not hurt its neighbors), zero-downtime weight
@@ -197,6 +199,105 @@ TEST(ModelRegistryTest, PublishFlipsAndRetiresAfterDrain) {
   EXPECT_EQ(retired[0].version, 1);
   // Exactly once.
   EXPECT_TRUE(registry.PollRetired().empty());
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".prev");
+}
+
+// ---- Registry weight loads ----------------------------------------------------------------------
+
+int64_t CheckpointReadRetries() {
+  return metrics::MetricsRegistry::Get()
+      .GetCounter("seastar_serve_checkpoint_read_retries_total")
+      ->value();
+}
+
+// The registered generation serves the snapshot's weights, not the
+// factory's initialization.
+void ExpectWeightsOf(const ModelEntry& entry, GnnModel& source) {
+  std::vector<Var> want = source.Parameters();
+  std::vector<Var> got = entry.model().Parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(got[p].value().numel(), want[p].value().numel());
+    EXPECT_EQ(std::memcmp(got[p].value().data(), want[p].value().data(),
+                          static_cast<size_t>(want[p].value().numel()) * sizeof(float)),
+              0)
+        << "parameter " << p;
+  }
+}
+
+TEST(ModelRegistryTest, RegisterRetriesTransientCheckpointReads) {
+  ScopedFaultClear clear;
+  Dataset data = SmallDataset();
+  auto source = SmallGcn(data);
+  const std::string path =
+      WriteTaggedCheckpoint(*source, "m", TempPath("seastar_mt_register_retry.ckpt"), 0.5f);
+  const int64_t retries0 = CheckpointReadRetries();
+
+  ModelRegistry registry;
+  FaultInjector::Get().Arm(FaultSite::kCheckpointRead, /*after_n=*/0, /*count=*/2);
+  auto entry = registry.Register("m", data, GcnFactory(data), path);
+  FaultInjector::Get().DisarmAll();
+  ASSERT_TRUE(entry.has_value()) << entry.status().ToString();
+  EXPECT_EQ(CheckpointReadRetries() - retries0, 2);
+  ExpectWeightsOf(*entry.value(), *source);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".prev");
+}
+
+TEST(ModelRegistryTest, PrepareSwapRetriesTransientCheckpointReads) {
+  ScopedFaultClear clear;
+  Dataset data = SmallDataset();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Register("m", data, GcnFactory(data)).has_value());
+  auto source = SmallGcn(data);
+  const std::string path =
+      WriteTaggedCheckpoint(*source, "m", TempPath("seastar_mt_swap_retry.ckpt"), 0.25f);
+  const int64_t retries0 = CheckpointReadRetries();
+
+  FaultInjector::Get().Arm(FaultSite::kCheckpointRead, /*after_n=*/0, /*count=*/2);
+  auto staged = registry.PrepareSwap("m", path);
+  FaultInjector::Get().DisarmAll();
+  ASSERT_TRUE(staged.has_value()) << staged.status().ToString();
+  EXPECT_EQ(staged.value()->version(), 2);
+  EXPECT_EQ(CheckpointReadRetries() - retries0, 2);
+  ExpectWeightsOf(*staged.value(), *source);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".prev");
+}
+
+TEST(ModelRegistryTest, MissingCheckpointIsNotRetried) {
+  ScopedFaultClear clear;
+  Dataset data = SmallDataset();
+  const int64_t retries0 = CheckpointReadRetries();
+  ModelRegistry registry;
+  auto entry = registry.Register("m", data, GcnFactory(data), "/nonexistent/dir/never.ckpt");
+  ASSERT_FALSE(entry.has_value());
+  EXPECT_EQ(entry.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.size(), 0u);  // A failed load registers nothing.
+
+  ASSERT_TRUE(registry.Register("m", data, GcnFactory(data)).has_value());
+  auto staged = registry.PrepareSwap("m", "/nonexistent/dir/never.ckpt");
+  EXPECT_EQ(staged.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(CheckpointReadRetries() - retries0, 0);
+}
+
+TEST(ModelRegistryTest, WrongTagIsNotRetried) {
+  ScopedFaultClear clear;
+  Dataset data = SmallDataset();
+  auto source = SmallGcn(data);
+  const std::string path =
+      WriteTaggedCheckpoint(*source, "someone-else", TempPath("seastar_mt_wrong_tag.ckpt"));
+  const int64_t retries0 = CheckpointReadRetries();
+  ModelRegistry registry;
+  auto entry = registry.Register("m", data, GcnFactory(data), path);
+  EXPECT_EQ(entry.status().code(), StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(registry.Register("m", data, GcnFactory(data)).has_value());
+  auto staged = registry.PrepareSwap("m", path);
+  EXPECT_EQ(staged.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(registry.Lookup("m")->version(), 1);
+  EXPECT_EQ(CheckpointReadRetries() - retries0, 0);
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".prev");
 }
@@ -469,7 +570,7 @@ TEST(MultiTenantServeTest, HotSwapUnderLoadLosesNothingAndPinsVersions) {
   config.tenants = {tenant};
   Server server(registry, config);
   ASSERT_TRUE(server.Start().ok());
-  const uint64_t fingerprint_v1 = server.serving_fingerprint();
+  const uint64_t fingerprint_v1 = registry->Lookup("model-a")->fingerprint();
 
   // Stage v2 = current weights nudged, written as a tagged checkpoint.
   const std::string path = TempPath("seastar_mt_swap.ckpt");
@@ -496,7 +597,7 @@ TEST(MultiTenantServeTest, HotSwapUnderLoadLosesNothingAndPinsVersions) {
   StatusOr<int64_t> swapped = server.HotSwap("model-a", path);
   ASSERT_TRUE(swapped.has_value()) << swapped.status().ToString();
   EXPECT_EQ(swapped.value(), 2);
-  EXPECT_NE(server.serving_fingerprint(), fingerprint_v1);
+  EXPECT_NE(registry->Lookup("model-a")->fingerprint(), fingerprint_v1);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true);
@@ -697,6 +798,9 @@ TEST(MultiTenantServeTest, PerTenantMetricsMirrorTenantStats) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(server.Infer(RequestFor({i}, "mt-metrics-alpha")).has_value());
   }
+  // A request naming no configured tenant is rejected and owned by none.
+  EXPECT_EQ(server.Infer(RequestFor({0}, "mt-metrics-nobody")).status().code(),
+            StatusCode::kInvalidArgument);
   const std::string path = TempPath("seastar_mt_metrics_swap.ckpt");
   {
     auto scratch = SmallGcn(data);
@@ -710,6 +814,30 @@ TEST(MultiTenantServeTest, PerTenantMetricsMirrorTenantStats) {
   EXPECT_EQ(counter("seastar_serve_swaps_total") - swaps0, 1);
   StatusOr<TenantStats> stats = server.tenant_stats("mt-metrics-alpha");
   EXPECT_EQ(stats->served, 4);
+
+  // The global identity fields are the per-tenant sum plus the one
+  // unattributed rejection.
+  TenantStats sum;
+  for (const std::string& name : server.tenant_names()) {
+    const TenantStats t = server.tenant_stats(name).value();
+    sum.submitted += t.submitted;
+    sum.rejected += t.rejected;
+    sum.shed += t.shed;
+    sum.quota_shed += t.quota_shed;
+    sum.served += t.served;
+    sum.degraded += t.degraded;
+    sum.expired += t.expired;
+    sum.failed += t.failed;
+  }
+  const ServerStats global = server.stats();
+  EXPECT_EQ(global.submitted, sum.submitted);
+  EXPECT_EQ(global.rejected, sum.rejected + 1);
+  EXPECT_EQ(global.shed, sum.shed);
+  EXPECT_EQ(global.quota_shed, sum.quota_shed);
+  EXPECT_EQ(global.served, sum.served);
+  EXPECT_EQ(global.degraded, sum.degraded);
+  EXPECT_EQ(global.expired, sum.expired);
+  EXPECT_EQ(global.failed, sum.failed);
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".prev");
 }

@@ -1,12 +1,14 @@
 // Tests for the hardened inference serving runtime (src/serve/): admission
 // and shedding, micro-batching, deadline propagation into execution, retry
 // under injected faults, the circuit breaker's trip/probe/recovery cycle,
-// degraded (last-known-good) serving, checkpoint boot, and a soak run
-// asserting the accounting identity under sustained load.
+// degraded (last-known-good) serving, serving a registered checkpoint's
+// weights, the single-model constructor as a one-entry registry, and a soak
+// run asserting the accounting identity under sustained load.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -25,6 +27,7 @@
 #include "src/serve/admission_queue.h"
 #include "src/serve/batcher.h"
 #include "src/serve/circuit_breaker.h"
+#include "src/serve/model_registry.h"
 #include "src/serve/server.h"
 #include "src/tensor/allocator.h"
 
@@ -37,6 +40,7 @@ using serve::BreakerState;
 using serve::CircuitBreaker;
 using serve::InferenceRequest;
 using serve::InferenceResponse;
+using serve::ModelRegistry;
 using serve::PendingRequest;
 using serve::ServeConfig;
 using serve::Server;
@@ -317,13 +321,14 @@ TEST(ServeTest, InvalidRequestsAreRejectedUpFront) {
       server.Infer(RequestFor({static_cast<int32_t>(data.graph.num_vertices())}));
   EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
 
+  const uint64_t fingerprint = server.registry().Lookup("default")->fingerprint();
   InferenceRequest wrong_model = RequestFor({0});
-  wrong_model.model_fingerprint = server.serving_fingerprint() + 1;
+  wrong_model.model_fingerprint = fingerprint + 1;
   StatusOr<InferenceResponse> mismatched = server.Infer(std::move(wrong_model));
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 
   InferenceRequest right_model = RequestFor({0});
-  right_model.model_fingerprint = server.serving_fingerprint();
+  right_model.model_fingerprint = fingerprint;
   EXPECT_TRUE(server.Infer(std::move(right_model)).has_value());
 
   EXPECT_EQ(server.stats().rejected, 3);
@@ -465,7 +470,6 @@ TEST(ServeTest, TransientFaultIsRetriedThenSucceeds) {
   ServeConfig config;
   config.max_retries = 3;
   config.retry_base_backoff_ms = 0.1;
-  config.warmup = true;
   Server server(*model, data, config);
   ASSERT_TRUE(server.Start().ok());
 
@@ -495,15 +499,15 @@ TEST(ServeTest, BreakerTripsServesDegradedThenRecoversViaProbe) {
   config.retry_base_backoff_ms = 0.05;
   config.breaker_trip_after = 2;
   config.breaker_probe_interval_ms = 5.0;
-  config.warmup = true;  // Seeds the last-known-good cache.
   Server server(*model, data, config);
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.Start().ok());  // Its warmup seeds the last-known-good cache.
+  const auto breaker_state = [&server] { return server.tenant_breaker_state("default").value(); };
 
   // Sustained outage: every allocation faults, so every attempt of every
   // batch fails until disarmed.
   FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
   int degraded_seen = 0;
-  for (int i = 0; i < 8 && server.breaker_state() != BreakerState::kOpen; ++i) {
+  for (int i = 0; i < 8 && breaker_state() != BreakerState::kOpen; ++i) {
     StatusOr<InferenceResponse> during = server.Infer(RequestFor({1}));
     ASSERT_TRUE(during.has_value()) << during.status().ToString();
     if (during->degraded) {
@@ -529,7 +533,7 @@ TEST(ServeTest, BreakerTripsServesDegradedThenRecoversViaProbe) {
     recovered = !after->degraded;
   }
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(server.breaker_state(), BreakerState::kClosed);
+  EXPECT_EQ(breaker_state(), BreakerState::kClosed);
   EXPECT_GE(server.stats().breaker_recoveries, 1);
   server.Shutdown();
 }
@@ -539,15 +543,15 @@ TEST(ServeTest, NoFallbackCacheMeansUnavailableWhileOpen) {
   Dataset data = SmallDataset();
   auto model = SmallGcn(data);
   ServeConfig config;
-  config.warmup = false;            // No last-known-good cache...
-  config.degraded_fallback = false;  // ...and no degraded serving either.
   config.max_retries = 0;
   config.breaker_trip_after = 1;
   config.breaker_probe_interval_ms = 10000.0;  // No probe during the test.
   Server server(*model, data, config);
+  // The outage starts before Start(): the warmup forward fails (logged, not
+  // fatal), so there is no last-known-good cache to degrade to.
+  FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
   ASSERT_TRUE(server.Start().ok());
 
-  FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
   StatusOr<InferenceResponse> first = server.Infer(RequestFor({0}));
   EXPECT_FALSE(first.has_value());  // Trips the breaker.
   StatusOr<InferenceResponse> second = server.Infer(RequestFor({0}));
@@ -559,9 +563,9 @@ TEST(ServeTest, NoFallbackCacheMeansUnavailableWhileOpen) {
   server.Shutdown();
 }
 
-// ---- Server: checkpoint boot --------------------------------------------------------------------
+// ---- Server: registered checkpoints and the single-model constructor ----------------------------
 
-TEST(ServeTest, BootsFromTrainedCheckpointAndServesItsWeights) {
+TEST(ServeTest, ServesTheWeightsOfTheRegisteredCheckpoint) {
   ScopedFaultClear clear;
   const std::string path =
       (std::filesystem::temp_directory_path() / "seastar_serve_boot.ckpt").string();
@@ -579,12 +583,15 @@ TEST(ServeTest, BootsFromTrainedCheckpointAndServesItsWeights) {
   ASSERT_FALSE(result.failed) << result.error;
   Tensor expected = trained->Forward(/*training=*/false).value();
 
-  // A *fresh* model restored from the snapshot must serve the trained
-  // logits, not its random initialization.
-  auto fresh = SmallGcn(data);
-  ServeConfig config;
-  config.checkpoint_path = path;
-  Server server(*fresh, data, config);
+  // A *fresh* factory model registered from the snapshot must serve the
+  // trained logits, not its random initialization.
+  auto registry = std::make_shared<ModelRegistry>();
+  ASSERT_TRUE(registry
+                  ->Register("default", data,
+                             [&data]() -> std::unique_ptr<GnnModel> { return SmallGcn(data); },
+                             path)
+                  .has_value());
+  Server server(registry, ServeConfig{});
   ASSERT_TRUE(server.Start().ok());
   StatusOr<InferenceResponse> response = server.Infer(RequestFor({0, 1}));
   ASSERT_TRUE(response.has_value()) << response.status().ToString();
@@ -597,47 +604,66 @@ TEST(ServeTest, BootsFromTrainedCheckpointAndServesItsWeights) {
   std::filesystem::remove(path + ".prev");
 }
 
-TEST(ServeTest, BootRetriesTransientCheckpointFaults) {
-  ScopedFaultClear clear;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "seastar_serve_bootfault.ckpt").string();
-  Dataset data = SmallDataset();
-  auto trained = SmallGcn(data);
-  TrainConfig train;
-  train.epochs = 1;
-  train.warmup_epochs = 0;
-  train.verbose = false;
-  train.checkpoint_path = path;
-  train.checkpoint_every = 1;
-  ASSERT_FALSE(TrainNodeClassification(*trained, data, train).failed);
-
-  auto fresh = SmallGcn(data);
-  ServeConfig config;
-  config.checkpoint_path = path;
-  config.boot_retries = 3;
-  config.retry_base_backoff_ms = 0.1;
-  FaultInjector::Get().Arm(FaultSite::kCheckpointRead, /*after_n=*/0, /*count=*/2);
-  Server server(*fresh, data, config);
-  Status started = server.Start();
-  FaultInjector::Get().DisarmAll();
-  ASSERT_TRUE(started.ok()) << started.ToString();
-  EXPECT_EQ(server.stats().boot_retries, 2);
-  EXPECT_TRUE(server.Infer(RequestFor({0})).has_value());
-  server.Shutdown();
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".prev");
-}
-
-TEST(ServeTest, MissingCheckpointFailsStartCleanly) {
+// Server(model, data, config) is a one-entry registry that borrows `model`
+// under one default tenant: the same requests against an explicitly built
+// one-entry registry give bit-identical logits and equal stats.
+TEST(ServeTest, SingleModelServerIsAOneEntryRegistry) {
   ScopedFaultClear clear;
   Dataset data = SmallDataset();
   auto model = SmallGcn(data);
   ServeConfig config;
-  config.checkpoint_path = "/nonexistent/dir/never.ckpt";
-  Server server(*model, data, config);
-  Status started = server.Start();
-  EXPECT_FALSE(started.ok());
-  EXPECT_EQ(started.code(), StatusCode::kNotFound);
+  config.tracing.enabled = false;
+
+  const auto drive = [](Server& server) {
+    std::vector<Tensor> logits;
+    EXPECT_TRUE(server.Start().ok());
+    for (int i = 0; i < 12; ++i) {
+      StatusOr<InferenceResponse> response = server.Infer(RequestFor({i % 7, 3 * i + 1}));
+      EXPECT_TRUE(response.has_value()) << response.status().ToString();
+      if (response.has_value()) {
+        logits.push_back(response->logits);
+      }
+    }
+    EXPECT_FALSE(server.Infer(RequestFor({})).has_value());  // Rejected by the tenant.
+    InferenceRequest stranger = RequestFor({0});
+    stranger.tenant = "nobody";  // Rejected, owned by no tenant.
+    EXPECT_FALSE(server.Infer(std::move(stranger)).has_value());
+    server.Shutdown();
+    return logits;
+  };
+
+  Server implicit(*model, data, config);
+  const std::vector<Tensor> implicit_logits = drive(implicit);
+
+  auto registry = std::make_shared<ModelRegistry>();
+  ASSERT_TRUE(registry->RegisterBorrowed("default", *model, data).has_value());
+  ServeConfig explicit_config = config;
+  explicit_config.tenants = {serve::TenantConfig{}};
+  Server explicit_server(registry, explicit_config);
+  const std::vector<Tensor> explicit_logits = drive(explicit_server);
+
+  ASSERT_EQ(implicit_logits.size(), 12u);
+  ASSERT_EQ(explicit_logits.size(), implicit_logits.size());
+  for (size_t r = 0; r < implicit_logits.size(); ++r) {
+    ASSERT_EQ(implicit_logits[r].shape(), explicit_logits[r].shape());
+    EXPECT_EQ(std::memcmp(implicit_logits[r].data(), explicit_logits[r].data(),
+                          static_cast<size_t>(implicit_logits[r].numel()) * sizeof(float)),
+              0)
+        << "response " << r;
+  }
+  EXPECT_EQ(implicit.tenant_names(), explicit_server.tenant_names());
+  const auto fields = [](const ServerStats& s) {
+    return std::vector<int64_t>{s.submitted,     s.rejected,       s.shed,
+                                s.quota_shed,    s.served,         s.degraded,
+                                s.expired,       s.failed,         s.retries,
+                                s.batches,       s.breaker_trips,  s.breaker_recoveries,
+                                s.breaker_probes, s.deadline_unit_aborts, s.swaps,
+                                s.swap_failures, s.swap_retired};
+  };
+  EXPECT_EQ(fields(implicit.stats()), fields(explicit_server.stats()));
+  EXPECT_EQ(implicit.stats().served, 12);
+  EXPECT_EQ(implicit.stats().rejected, 2);
+  EXPECT_EQ(implicit.tenant_stats("default")->rejected, 1);
 }
 
 // ---- Server: shutdown ---------------------------------------------------------------------------
@@ -721,13 +747,14 @@ TEST(ServeTest, SoakTenThousandRequestsKeepsAccountingExact) {
   // degraded serving is observed.
   FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
   int sync_used = 0;
-  while (server.breaker_state() != BreakerState::kOpen && sync_used < 60) {
+  const auto breaker_state = [&server] { return server.tenant_breaker_state("default").value(); };
+  while (breaker_state() != BreakerState::kOpen && sync_used < 60) {
     StatusOr<InferenceResponse> r = server.Infer(RequestFor({1}));
     ASSERT_TRUE(r.has_value()) << r.status().ToString();
     ++submitted;
     ++sync_used;
   }
-  ASSERT_EQ(server.breaker_state(), BreakerState::kOpen);
+  ASSERT_EQ(breaker_state(), BreakerState::kOpen);
   StatusOr<InferenceResponse> during = server.Infer(RequestFor({2}));
   ++submitted;
   ++sync_used;
