@@ -30,20 +30,16 @@ int ParseSeverity(const char* text) {
 }
 
 int SeverityFromEnv() {
-  // SEASTAR_LOG is the documented filter (names or numbers); SEASTAR_LOG_LEVEL
-  // is the original numeric spelling, kept working.
-  for (const char* var : {"SEASTAR_LOG", "SEASTAR_LOG_LEVEL"}) {
-    const char* env = std::getenv(var);
-    if (env == nullptr || *env == '\0') {
-      continue;
-    }
-    const int parsed = ParseSeverity(env);
-    if (parsed >= 0) {
-      return parsed;
-    }
-    std::cerr << "[W logging] ignoring unparseable " << var << "='" << env
-              << "' (want debug|info|warning|error|fatal or 0-4)" << std::endl;
+  const char* env = std::getenv("SEASTAR_LOG");
+  if (env == nullptr || *env == '\0') {
+    return static_cast<int>(LogSeverity::kInfo);
   }
+  const int parsed = ParseSeverity(env);
+  if (parsed >= 0) {
+    return parsed;
+  }
+  std::cerr << "[W logging] ignoring unparseable SEASTAR_LOG='" << env
+            << "' (want debug|info|warning|error|fatal or 0-4)" << std::endl;
   return static_cast<int>(LogSeverity::kInfo);
 }
 

@@ -18,8 +18,7 @@ enum class LogSeverity { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal
 // Returns the process-wide minimum severity that is actually emitted.
 // Controlled by the SEASTAR_LOG environment variable, which accepts either a
 // severity name ("debug", "info", "warning", "error", "fatal", any case) or
-// a number 0-4; SEASTAR_LOG_LEVEL (numeric) is honored as the legacy
-// spelling when SEASTAR_LOG is unset. Defaults to kInfo.
+// a number 0-4. Defaults to kInfo (also when the value is unparseable).
 LogSeverity MinLogSeverity();
 
 // Sets the minimum emitted severity programmatically (overrides the env var).

@@ -1,56 +1,19 @@
 // Scalar/vector evaluation of pointwise GIR ops, shared by the fused units'
 // edge prologue and key-side ops and by the baseline executors, so
 // all backends compute identical arithmetic (differences between systems must
-// come from strategy, not math).
+// come from strategy, not math). Each elementwise op's math is its functor in
+// src/tensor/pointwise.h, which the dense tensor ops use too; this header
+// maps an OpKind onto it and holds only the width reductions itself.
 #ifndef SRC_EXEC_POINTWISE_H_
 #define SRC_EXEC_POINTWISE_H_
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "src/common/logging.h"
 #include "src/gir/ir.h"
+#include "src/tensor/pointwise.h"
 
 namespace seastar {
-
-// Applies a binary op with the broadcast pattern hoisted out of the element
-// loop: each variant is a tight loop over constant-stride operands the
-// compiler can autovectorize, instead of a per-element `wa == 1 ? 0 : j`
-// select. Semantics identical to the indexed form for every width mix.
-template <typename F>
-__attribute__((always_inline)) inline void BinaryBroadcastLoop(float* out, int32_t w,
-                                                               const float* a, int32_t wa,
-                                                               const float* b, int32_t wb, F f) {
-  if (wa == w && wb == 1) {
-    const float s = b[0];
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(a[j], s);
-    }
-  } else if (wa == 1 && wb == w) {
-    const float s = a[0];
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(s, b[j]);
-    }
-  } else if (wa == w && wb == w) {
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(a[j], b[j]);
-    }
-  } else {
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(a[wa == 1 ? 0 : j], b[wb == 1 ? 0 : j]);
-    }
-  }
-}
-
-// `take ? a : b` without a branch. The rectifier ops select on the sign of
-// data, which a branch mispredicts about half the time (GAT's attention
-// logits); the result is bit-for-bit the selected operand either way.
-inline float SelectIf(bool take, float a, float b) {
-  const uint32_t mask = 0u - static_cast<uint32_t>(take);
-  return std::bit_cast<float>((std::bit_cast<uint32_t>(a) & mask) |
-                              (std::bit_cast<uint32_t>(b) & ~mask));
-}
 
 // The operand rows of one application: out[0..w) = op(a, b).
 struct PointwiseRows {
@@ -101,52 +64,52 @@ inline void PointwiseApplyRows(OpKind kind, float attr, int64_t n, int32_t w, in
   };
   switch (kind) {
     case OpKind::kAdd:
-      binary([](float x, float y) { return x + y; });
+      binary(pointwise::Add{});
       return;
     case OpKind::kSub:
-      binary([](float x, float y) { return x - y; });
+      binary(pointwise::Sub{});
       return;
     case OpKind::kMul:
-      binary([](float x, float y) { return x * y; });
+      binary(pointwise::Mul{});
       return;
     case OpKind::kDiv:
-      binary([](float x, float y) { return x / y; });
+      binary(pointwise::Div{});
       return;
     case OpKind::kEqualMask:
-      binary([](float x, float y) { return x == y ? 1.0f : 0.0f; });
+      binary(pointwise::EqualMask{});
       return;
-    case OpKind::kReluGrad:  // (grad, y)
-      binary([](float g, float y) { return SelectIf(y > 0.0f, g, 0.0f); });
+    case OpKind::kReluGrad:
+      binary(pointwise::ReluGrad{});
       return;
     case OpKind::kLeakyReluGrad:
-      binary([attr](float g, float y) { return SelectIf(y > 0.0f, g, attr * g); });
+      binary(pointwise::LeakyReluGrad{attr});
       return;
     case OpKind::kSigmoidGrad:
-      binary([](float g, float y) { return g * y * (1.0f - y); });
+      binary(pointwise::SigmoidGrad{});
       return;
     case OpKind::kTanhGrad:
-      binary([](float g, float y) { return g * (1.0f - y * y); });
+      binary(pointwise::TanhGrad{});
       return;
     case OpKind::kNeg:
-      unary([](float x) { return -x; });
+      unary(pointwise::Neg{});
       return;
     case OpKind::kExp:
-      unary([](float x) { return std::exp(x); });
+      unary(pointwise::Exp{});
       return;
     case OpKind::kLog:
-      unary([](float x) { return std::log(x); });
+      unary(pointwise::Log{});
       return;
     case OpKind::kRelu:
-      unary([](float x) { return SelectIf(x > 0.0f, x, 0.0f); });
+      unary(pointwise::Relu{});
       return;
     case OpKind::kLeakyRelu:
-      unary([attr](float x) { return SelectIf(x > 0.0f, x, attr * x); });
+      unary(pointwise::LeakyRelu{attr});
       return;
     case OpKind::kSigmoid:
-      unary([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+      unary(pointwise::Sigmoid{});
       return;
     case OpKind::kTanh:
-      unary([](float x) { return std::tanh(x); });
+      unary(pointwise::Tanh{});
       return;
     case OpKind::kIdentity:  // Broadcasts a width-1 input.
       each([&](float* out, const float* a, const float*) {

@@ -225,39 +225,6 @@ Var Relu(const Var& a) {
       [av](const Tensor& g) { return std::vector<Tensor>{ops::ReluGrad(g, av)}; }, "relu");
 }
 
-Var LeakyRelu(const Var& a, float slope) {
-  Tensor out = ops::LeakyRelu(a.value(), slope);
-  Tensor av = a.value();
-  return Var::MakeNode(
-      std::move(out), {a},
-      [av, slope](const Tensor& g) {
-        return std::vector<Tensor>{ops::LeakyReluGrad(g, av, slope)};
-      },
-      "leaky_relu");
-}
-
-Var Sigmoid(const Var& a) {
-  Tensor out = ops::Sigmoid(a.value());
-  Tensor saved = out;
-  return Var::MakeNode(
-      std::move(out), {a},
-      [saved](const Tensor& g) {
-        return std::vector<Tensor>{ops::SigmoidGradFromOutput(g, saved)};
-      },
-      "sigmoid");
-}
-
-Var Tanh(const Var& a) {
-  Tensor out = ops::Tanh(a.value());
-  Tensor saved = out;
-  return Var::MakeNode(
-      std::move(out), {a},
-      [saved](const Tensor& g) {
-        return std::vector<Tensor>{ops::TanhGradFromOutput(g, saved)};
-      },
-      "tanh");
-}
-
 Var Elu(const Var& a, float alpha) {
   Tensor out = ops::Elu(a.value(), alpha);
   Tensor saved = out;
@@ -267,21 +234,6 @@ Var Elu(const Var& a, float alpha) {
         return std::vector<Tensor>{ops::EluGradFromOutput(g, saved, alpha)};
       },
       "elu");
-}
-
-Var Exp(const Var& a) {
-  Tensor out = ops::Exp(a.value());
-  Tensor saved = out;
-  return Var::MakeNode(
-      std::move(out), {a},
-      [saved](const Tensor& g) { return std::vector<Tensor>{ops::Mul(g, saved)}; }, "exp");
-}
-
-Var MulScalar(const Var& a, float s) {
-  Tensor out = ops::MulScalar(a.value(), s);
-  return Var::MakeNode(
-      std::move(out), {a},
-      [s](const Tensor& g) { return std::vector<Tensor>{ops::MulScalar(g, s)}; }, "mul_scalar");
 }
 
 Var LogSoftmax(const Var& a) {

@@ -93,12 +93,7 @@ Var Mul(const Var& a, const Var& b);                      // same shape
 Var AddRowBroadcast(const Var& matrix, const Var& row);   // [N,D] + [D]
 Var Matmul(const Var& a, const Var& b);                   // [N,K] x [K,M]
 Var Relu(const Var& a);
-Var LeakyRelu(const Var& a, float slope);
-Var Sigmoid(const Var& a);
-Var Tanh(const Var& a);
 Var Elu(const Var& a, float alpha = 1.0f);
-Var Exp(const Var& a);
-Var MulScalar(const Var& a, float s);
 Var LogSoftmax(const Var& a);                             // rows
 Var Dropout(const Var& a, float p, Rng& rng, bool training);
 Var ConcatCols(const std::vector<Var>& parts);

@@ -6,6 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/parallel/thread_pool.h"
+#include "src/tensor/pointwise.h"
 #include "src/tensor/simd.h"
 
 namespace seastar {
@@ -150,97 +151,54 @@ Tensor OneHot(const std::vector<int32_t>& labels, int64_t num_classes) {
   return t;
 }
 
-Tensor Arange(int64_t n) {
-  Tensor t({n});
-  float* p = t.data();
-  for (int64_t i = 0; i < n; ++i) {
-    p[i] = static_cast<float>(i);
-  }
-  return t;
-}
-
-// ---- Elementwise --------------------------------------------------------------------------------
+// ---- Elementwise (the math is src/tensor/pointwise.h's) ----------------------------------------
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryElementwise(a, b, [](float x, float y) { return x + y; }, "Add");
+  return BinaryElementwise(a, b, pointwise::Add{}, "Add");
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryElementwise(a, b, [](float x, float y) { return x - y; }, "Sub");
+  return BinaryElementwise(a, b, pointwise::Sub{}, "Sub");
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryElementwise(a, b, [](float x, float y) { return x * y; }, "Mul");
+  return BinaryElementwise(a, b, pointwise::Mul{}, "Mul");
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryElementwise(a, b, [](float x, float y) { return x / y; }, "Div");
+  return BinaryElementwise(a, b, pointwise::Div{}, "Div");
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  return UnaryElementwise(a, [s](float x) { return x + s; }, "AddScalar");
+  return UnaryElementwise(a, [s](float x) { return pointwise::Add{}(x, s); }, "AddScalar");
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  return UnaryElementwise(a, [s](float x) { return x * s; }, "MulScalar");
+  return UnaryElementwise(a, [s](float x) { return pointwise::Mul{}(x, s); }, "MulScalar");
 }
 
-Tensor Neg(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return -x; }, "Neg");
-}
+Tensor Neg(const Tensor& a) { return UnaryElementwise(a, pointwise::Neg{}, "Neg"); }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return std::exp(x); }, "Exp");
-}
+Tensor Exp(const Tensor& a) { return UnaryElementwise(a, pointwise::Exp{}, "Exp"); }
 
-Tensor Log(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return std::log(x); }, "Log");
-}
+Tensor Log(const Tensor& a) { return UnaryElementwise(a, pointwise::Log{}, "Log"); }
 
-Tensor Sqrt(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return std::sqrt(x); }, "Sqrt");
-}
-
-Tensor Relu(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return x > 0.0f ? x : 0.0f; }, "Relu");
-}
+Tensor Relu(const Tensor& a) { return UnaryElementwise(a, pointwise::Relu{}, "Relu"); }
 
 Tensor LeakyRelu(const Tensor& a, float slope) {
-  return UnaryElementwise(a, [slope](float x) { return x > 0.0f ? x : slope * x; }, "LeakyRelu");
+  return UnaryElementwise(a, pointwise::LeakyRelu{slope}, "LeakyRelu");
 }
 
-Tensor Sigmoid(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); }, "Sigmoid");
-}
+Tensor Sigmoid(const Tensor& a) { return UnaryElementwise(a, pointwise::Sigmoid{}, "Sigmoid"); }
 
-Tensor Tanh(const Tensor& a) {
-  return UnaryElementwise(a, [](float x) { return std::tanh(x); }, "Tanh");
-}
+Tensor Tanh(const Tensor& a) { return UnaryElementwise(a, pointwise::Tanh{}, "Tanh"); }
 
 Tensor Elu(const Tensor& a, float alpha) {
-  return UnaryElementwise(
-      a, [alpha](float x) { return x > 0.0f ? x : alpha * (std::exp(x) - 1.0f); }, "Elu");
+  return UnaryElementwise(a, pointwise::Elu{alpha}, "Elu");
 }
 
 Tensor ReluGrad(const Tensor& grad_out, const Tensor& input) {
-  return BinaryElementwise(
-      grad_out, input, [](float g, float x) { return x > 0.0f ? g : 0.0f; }, "ReluGrad");
-}
-
-Tensor LeakyReluGrad(const Tensor& grad_out, const Tensor& input, float slope) {
-  return BinaryElementwise(
-      grad_out, input, [slope](float g, float x) { return x > 0.0f ? g : slope * g; },
-      "LeakyReluGrad");
-}
-
-Tensor SigmoidGradFromOutput(const Tensor& grad_out, const Tensor& output) {
-  return BinaryElementwise(
-      grad_out, output, [](float g, float y) { return g * y * (1.0f - y); }, "SigmoidGrad");
-}
-
-Tensor TanhGradFromOutput(const Tensor& grad_out, const Tensor& output) {
-  return BinaryElementwise(
-      grad_out, output, [](float g, float y) { return g * (1.0f - y * y); }, "TanhGrad");
+  return BinaryElementwise(grad_out, input, pointwise::ReluGrad{}, "ReluGrad");
 }
 
 Tensor EluGradFromOutput(const Tensor& grad_out, const Tensor& output, float alpha) {
@@ -276,29 +234,6 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
     for (int64_t i = row_begin; i < row_end; ++i) {
       for (int64_t j = 0; j < d; ++j) {
         o[i * d + j] = m[i * d + j] + (scalar ? r[0] : r[j]);
-      }
-    }
-  });
-  return out;
-}
-
-Tensor MulRowBroadcast(const Tensor& matrix, const Tensor& row) {
-  SEASTAR_CHECK_EQ(matrix.ndim(), 2);
-  const int64_t n = matrix.dim(0);
-  const int64_t d = matrix.dim(1);
-  SEASTAR_CHECK(row.numel() == d || row.numel() == 1);
-  Tensor out(matrix.shape());
-  const float* pm = matrix.data();
-  const float* pr = row.data();
-  float* po = out.data();
-  const bool scalar = row.numel() == 1;
-  ParallelRowwise(n, d, [=](int64_t row_begin, int64_t row_end) {
-    const float* __restrict__ m = pm;
-    const float* __restrict__ r = pr;
-    float* __restrict__ o = po;
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      for (int64_t j = 0; j < d; ++j) {
-        o[i * d + j] = m[i * d + j] * (scalar ? r[0] : r[j]);
       }
     }
   });
@@ -821,10 +756,6 @@ Tensor SliceRows(const Tensor& a, int64_t begin, int64_t end) {
   std::memcpy(out.data(), a.data() + begin * d,
               static_cast<size_t>((end - begin) * d) * sizeof(float));
   return out;
-}
-
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return UnaryElementwise(a, fn, "Map");
 }
 
 }  // namespace ops

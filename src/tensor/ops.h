@@ -11,7 +11,6 @@
 #define SRC_TENSOR_OPS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -30,10 +29,10 @@ Tensor RandomNormal(std::vector<int64_t> shape, float mean, float stddev, Rng& r
 Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng& rng);
 // Identity-like one-hot rows: shape [n, num_classes], row i has 1 at labels[i].
 Tensor OneHot(const std::vector<int32_t>& labels, int64_t num_classes);
-// [n] iota as float.
-Tensor Arange(int64_t n);
 
 // ---- Elementwise (same shape, or rhs a scalar tensor of shape {1}) -----------------------------
+// Each op's math is its functor in src/tensor/pointwise.h, shared with the
+// GIR pointwise table of every executor.
 
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
@@ -44,7 +43,6 @@ Tensor MulScalar(const Tensor& a, float s);
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float slope);
 Tensor Sigmoid(const Tensor& a);
@@ -53,14 +51,10 @@ Tensor Tanh(const Tensor& a);
 Tensor Elu(const Tensor& a, float alpha = 1.0f);
 // Gradient helpers.
 Tensor ReluGrad(const Tensor& grad_out, const Tensor& input);
-Tensor LeakyReluGrad(const Tensor& grad_out, const Tensor& input, float slope);
-Tensor SigmoidGradFromOutput(const Tensor& grad_out, const Tensor& output);
 Tensor EluGradFromOutput(const Tensor& grad_out, const Tensor& output, float alpha = 1.0f);
-Tensor TanhGradFromOutput(const Tensor& grad_out, const Tensor& output);
 
 // Broadcast a [D] (or {1}) tensor across the rows of a [N, D] tensor.
 Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row);
-Tensor MulRowBroadcast(const Tensor& matrix, const Tensor& row);
 // Broadcast a [N, 1] column across the columns of a [N, D] tensor.
 Tensor MulColBroadcast(const Tensor& matrix, const Tensor& col);
 
@@ -140,8 +134,6 @@ Tensor SegmentSum(const Tensor& a, const std::vector<int64_t>& offsets);
 Tensor ConcatCols(const std::vector<Tensor>& parts);
 // Select a contiguous row range [begin, end).
 Tensor SliceRows(const Tensor& a, int64_t begin, int64_t end);
-// Elementwise map (test helper; not used on hot paths).
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 
 }  // namespace ops
 }  // namespace seastar

@@ -78,7 +78,7 @@ TEST(AutogradTest, MatmulFiniteDifference) {
 TEST(AutogradTest, ActivationsFiniteDifference) {
   Rng rng(2);
   Tensor x = ops::RandomNormal({4, 3}, 0, 1, rng);
-  // Push values away from 0: ReLU-family kinks break central differences.
+  // Push values away from 0: ReLU's kink breaks central differences.
   for (int64_t i = 0; i < x.numel(); ++i) {
     const float v = x.at(i);
     x.at(i) = v >= 0.0f ? v + 0.1f : v - 0.1f;
@@ -92,14 +92,8 @@ TEST(AutogradTest, ActivationsFiniteDifference) {
   const Case cases[] = {
       {"relu", [](const Var& v) { return ag::Relu(v); },
        [](const Tensor& t) { return ops::Relu(t); }},
-      {"leaky", [](const Var& v) { return ag::LeakyRelu(v, 0.2f); },
-       [](const Tensor& t) { return ops::LeakyRelu(t, 0.2f); }},
-      {"sigmoid", [](const Var& v) { return ag::Sigmoid(v); },
-       [](const Tensor& t) { return ops::Sigmoid(t); }},
-      {"tanh", [](const Var& v) { return ag::Tanh(v); },
-       [](const Tensor& t) { return ops::Tanh(t); }},
-      {"exp", [](const Var& v) { return ag::Exp(v); },
-       [](const Tensor& t) { return ops::Exp(t); }},
+      {"elu", [](const Var& v) { return ag::Elu(v); },
+       [](const Tensor& t) { return ops::Elu(t); }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

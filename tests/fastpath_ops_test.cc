@@ -7,9 +7,11 @@
 // per-element RNG path).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "src/core/program.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/compiled_program.h"
+#include "src/exec/pointwise.h"
 #include "src/exec/seastar_executor.h"
 #include "src/gir/autodiff.h"
 #include "src/gir/builder.h"
@@ -730,6 +733,78 @@ TEST(BroadcastTest, ScalarOnEitherSideOfNonCommutativeOps) {
 
   Tensor div_right = ops::Div(vec, scalar);  // x / 6.
   EXPECT_FLOAT_EQ(div_right.at(1), 2.0f / 6.0f);
+}
+
+// ---- Dense ops and the GIR pointwise table agree bit for bit ---------------
+
+// `n` values: normal draws interleaved (every `stride`-th slot, starting at
+// `phase`) with signed zeros, NaNs, infinities, denormals and values near
+// FLT_MAX, so two such arrays pair special values with each other too.
+std::vector<float> EdgeMixedValues(int64_t n, int64_t stride, int64_t phase, uint64_t seed) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, kNaN, -kNaN, kInf, -kInf, 1e-40f, -1e-40f, 3.4e38f,
+                            -3.4e38f};
+  constexpr int64_t kSpecials = sizeof(specials) / sizeof(specials[0]);
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    v[i] = i % stride == 0 ? specials[(i / stride + phase) % kSpecials]
+                           : 4.0f * static_cast<float>(rng.NextGaussian());
+  }
+  return v;
+}
+
+TEST(PointwiseAgreementTest, DenseOpsMatchTheGirTableBitForBit) {
+  const int64_t n = 40000;
+  const Tensor a({n}, EdgeMixedValues(n, 3, 0, 41));
+  const Tensor b({n}, EdgeMixedValues(n, 2, 7, 43));
+  struct Case {
+    const char* name;
+    OpKind kind;
+    float attr;
+    std::function<Tensor(const Tensor&, const Tensor&)> dense;
+  };
+  const Case cases[] = {
+      {"add", OpKind::kAdd, 0.0f, [](const Tensor& x, const Tensor& y) { return ops::Add(x, y); }},
+      {"sub", OpKind::kSub, 0.0f, [](const Tensor& x, const Tensor& y) { return ops::Sub(x, y); }},
+      {"mul", OpKind::kMul, 0.0f, [](const Tensor& x, const Tensor& y) { return ops::Mul(x, y); }},
+      {"div", OpKind::kDiv, 0.0f, [](const Tensor& x, const Tensor& y) { return ops::Div(x, y); }},
+      {"neg", OpKind::kNeg, 0.0f, [](const Tensor& x, const Tensor&) { return ops::Neg(x); }},
+      {"exp", OpKind::kExp, 0.0f, [](const Tensor& x, const Tensor&) { return ops::Exp(x); }},
+      {"log", OpKind::kLog, 0.0f, [](const Tensor& x, const Tensor&) { return ops::Log(x); }},
+      {"relu", OpKind::kRelu, 0.0f, [](const Tensor& x, const Tensor&) { return ops::Relu(x); }},
+      {"leaky_relu", OpKind::kLeakyRelu, 0.2f,
+       [](const Tensor& x, const Tensor&) { return ops::LeakyRelu(x, 0.2f); }},
+      {"sigmoid", OpKind::kSigmoid, 0.0f,
+       [](const Tensor& x, const Tensor&) { return ops::Sigmoid(x); }},
+      {"tanh", OpKind::kTanh, 0.0f, [](const Tensor& x, const Tensor&) { return ops::Tanh(x); }},
+      {"relu_grad", OpKind::kReluGrad, 0.0f,
+       [](const Tensor& g, const Tensor& x) { return ops::ReluGrad(g, x); }},
+  };
+  const auto count_mismatches = [n](const float* expected, const float* actual) {
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      mismatches += std::bit_cast<uint32_t>(expected[i]) != std::bit_cast<uint32_t>(actual[i]);
+    }
+    return mismatches;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Tensor dense = c.dense(a, b);
+    ASSERT_EQ(dense.numel(), n);
+    // Width 1: one application per element (GAT's attention scalars).
+    std::vector<float> narrow(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      PointwiseApply(c.kind, c.attr, &narrow[i], 1, a.data() + i, 1, b.data() + i, 1);
+    }
+    EXPECT_EQ(count_mismatches(dense.data(), narrow.data()), 0) << "width 1";
+    // Full width: one application over the whole row.
+    std::vector<float> wide(static_cast<size_t>(n));
+    const int32_t w = static_cast<int32_t>(n);
+    PointwiseApply(c.kind, c.attr, wide.data(), w, a.data(), w, b.data(), w);
+    EXPECT_EQ(count_mismatches(dense.data(), wide.data()), 0) << "full width";
+  }
 }
 
 }  // namespace

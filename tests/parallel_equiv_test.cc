@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,14 +40,40 @@ TEST(ParallelEquivTest, ElementwiseChunkingIsBitwiseExact) {
   Tensor a = ops::RandomNormal({kBig}, 0.0f, 1.0f, rng);
   Tensor b = ops::RandomUniform({kBig}, 0.5f, 1.5f, rng);
 
-  const Tensor mul = ops::Mul(a, b);
-  const Tensor div = ops::Div(a, b);
-  for (int64_t begin = 0; begin < kBig; begin += kPiece) {
-    const int64_t end = std::min(begin + kPiece, kBig);
-    Tensor pa = Slice1d(a, begin, end);
-    Tensor pb = Slice1d(b, begin, end);
-    ExpectBitwiseEqual(ops::Mul(pa, pb).data(), mul.data() + begin, end - begin);
-    ExpectBitwiseEqual(ops::Div(pa, pb).data(), div.data() + begin, end - begin);
+  // Every dense elementwise op, as f(a, b); b is positive, so Log takes it.
+  struct Case {
+    const char* name;
+    std::function<Tensor(const Tensor&, const Tensor&)> op;
+  };
+  const Case cases[] = {
+      {"add", [](const Tensor& x, const Tensor& y) { return ops::Add(x, y); }},
+      {"sub", [](const Tensor& x, const Tensor& y) { return ops::Sub(x, y); }},
+      {"mul", [](const Tensor& x, const Tensor& y) { return ops::Mul(x, y); }},
+      {"div", [](const Tensor& x, const Tensor& y) { return ops::Div(x, y); }},
+      {"add_scalar", [](const Tensor& x, const Tensor&) { return ops::AddScalar(x, 0.3f); }},
+      {"mul_scalar", [](const Tensor& x, const Tensor&) { return ops::MulScalar(x, -1.7f); }},
+      {"neg", [](const Tensor& x, const Tensor&) { return ops::Neg(x); }},
+      {"exp", [](const Tensor& x, const Tensor&) { return ops::Exp(x); }},
+      {"log", [](const Tensor&, const Tensor& y) { return ops::Log(y); }},
+      {"relu", [](const Tensor& x, const Tensor&) { return ops::Relu(x); }},
+      {"relu_grad", [](const Tensor& x, const Tensor& y) { return ops::ReluGrad(y, x); }},
+      {"leaky_relu", [](const Tensor& x, const Tensor&) { return ops::LeakyRelu(x, 0.2f); }},
+      {"sigmoid", [](const Tensor& x, const Tensor&) { return ops::Sigmoid(x); }},
+      {"tanh", [](const Tensor& x, const Tensor&) { return ops::Tanh(x); }},
+      {"elu", [](const Tensor& x, const Tensor&) { return ops::Elu(x, 0.7f); }},
+      {"elu_grad",
+       [](const Tensor& x, const Tensor& y) {
+         return ops::EluGradFromOutput(y, ops::Elu(x, 0.7f), 0.7f);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Tensor whole = c.op(a, b);
+    for (int64_t begin = 0; begin < kBig; begin += kPiece) {
+      const int64_t end = std::min(begin + kPiece, kBig);
+      ExpectBitwiseEqual(c.op(Slice1d(a, begin, end), Slice1d(b, begin, end)).data(),
+                         whole.data() + begin, end - begin);
+    }
   }
 }
 
