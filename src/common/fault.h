@@ -43,9 +43,9 @@ enum class FaultSite : int {
   kCheckpointWrite,    // Checkpoint serialization -> truncated write, tmp left behind.
   kCheckpointRead,     // Checkpoint load -> corrupt/unreadable bytes.
   kGraphRead,          // Graph/dataset file loaders -> I/O error.
-  kShardSend,          // Sharded pass 1 -> halo feature push fails on the owner.
-  kShardRecv,          // Sharded pass 2 -> feature drain fails on the mirrorer.
-  kShardCombine,       // Sharded pass 3 -> partial apply fails on the owner.
+  kShardSend,          // Sharded pass 1 -> packing a halo payload fails on the owner.
+  kShardRecv,          // Sharded pass 2 -> absorbing a halo payload fails on the mirrorer.
+  kShardCombine,       // Sharded pass 3 -> applying a peer partial fails on the owner.
   kShardWorker,        // Sharded pass 2 -> per-shard interpreter run fails.
   kNumSites,           // Sentinel.
 };

@@ -16,7 +16,6 @@
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/tracing.h"
-#include "src/parallel/channel.h"
 
 namespace seastar {
 namespace {
@@ -48,32 +47,15 @@ bool IsAdditiveSourceAgg(OpKind kind) {
          kind == OpKind::kAggTypedToSrc;
 }
 
-// One halo transfer: `payload` rows are aligned with the exchange-plan
-// segment the (from, peer) pair agreed on at partition time; `slot` selects
-// the vertex input (feature phase) or additive output (combine phase).
-struct HaloMessage {
-  int from = -1;
-  int slot = -1;
-  Tensor payload;
-};
-
-using Channel = BoundedChannel<HaloMessage>;
-
-// The per-execution cancellation token. The first worker that fails wins the
-// race to store its exception and closes every exchange channel, so no peer
-// ever blocks on a Push/Pop against a dead shard; everyone else observes
-// either a closed channel (Push -> false, Pop -> nullopt) or the cancelled
-// flag at a loop boundary and unwinds without doing further work. Unwind is
-// bounded: after Cancel() no worker starts another inner run, so the
-// slowest path out is one in-flight inner run plus the channel drains.
+// First-error capture for one Execute. The first worker whose pass body
+// throws stores its exception (first caller wins) and raises the stop flag;
+// workers poll stopped() at loop boundaries and the orchestrator skips the
+// passes that remain. No worker ever waits on a peer inside a pass, so the
+// slowest path out is one in-flight inner run finishing.
 class ShardCancellation {
  public:
-  ShardCancellation(std::vector<std::unique_ptr<Channel>>& feature_channels,
-                    std::vector<std::unique_ptr<Channel>>& combine_channels)
-      : feature_channels_(feature_channels), combine_channels_(combine_channels) {}
-
-  // Records the calling worker's current exception (first caller wins) and
-  // releases every blocked peer. Safe to call concurrently from any worker.
+  // Records the calling worker's current exception. Safe to call
+  // concurrently from any worker.
   void Cancel() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -81,16 +63,10 @@ class ShardCancellation {
         error_ = std::current_exception();
       }
     }
-    cancelled_.store(true, std::memory_order_release);
-    for (auto& channel : feature_channels_) {
-      channel->Close();
-    }
-    for (auto& channel : combine_channels_) {
-      channel->Close();
-    }
+    stopped_.store(true, std::memory_order_release);
   }
 
-  bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
+  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
   // Only meaningful after every worker joined.
   std::exception_ptr error() const {
@@ -101,9 +77,7 @@ class ShardCancellation {
  private:
   mutable std::mutex mutex_;
   std::exception_ptr error_;
-  std::atomic<bool> cancelled_{false};
-  std::vector<std::unique_ptr<Channel>>& feature_channels_;
-  std::vector<std::unique_ptr<Channel>>& combine_channels_;
+  std::atomic<bool> stopped_{false};
 };
 
 // Injected-failure check for one shard fault site. Returns without cost in
@@ -213,9 +187,9 @@ void ScatterRows(float* matrix, const float* packed, const std::vector<int32_t>&
 }
 
 void AddRows(float* matrix, const float* packed, const std::vector<int32_t>& rows,
-             int64_t width, int64_t row_offset) {
+             int64_t width) {
   for (size_t i = 0; i < rows.size(); ++i) {
-    float* out = matrix + (static_cast<int64_t>(rows[i]) + row_offset) * width;
+    float* out = matrix + static_cast<int64_t>(rows[i]) * width;
     const float* in = packed + static_cast<int64_t>(i) * width;
     for (int64_t j = 0; j < width; ++j) {
       out[j] += in[j];
@@ -289,6 +263,14 @@ ThreadPool* ShardRuntime::SlicePool(int shard) const {
 
 RunResult ShardRuntime::Execute(const GirGraph& gir, const GraphView& view,
                                 const FeatureMap& features, const RunContext& ctx) const {
+  const std::shared_ptr<const ShardedGraph>& sharded = view.sharded();
+  SEASTAR_CHECK(sharded != nullptr)
+      << "ShardRuntime: the view carries no partition; bind the graph with "
+      << "MakeSession or PrepareView";
+  SEASTAR_CHECK(sharded->num_shards == options_.num_shards)
+      << "ShardRuntime: view partitioned into " << sharded->num_shards
+      << " shards, runtime runs " << options_.num_shards;
+
   const Graph& graph = view.graph();
   const Status shardable = CheckShardable(gir);
   if (!shardable.ok()) {
@@ -297,15 +279,6 @@ RunResult ShardRuntime::Execute(const GirGraph& gir, const GraphView& view,
     Counters().fallbacks->Add(1);
     SEASTAR_LOG(Debug) << "shard runtime fallback: " << shardable.message();
     return inner_.Run(gir, graph, features, ctx);
-  }
-
-  std::shared_ptr<const ShardedGraph> sharded = view.sharded();
-  if (sharded == nullptr) {
-    // Caller bypassed MakeSession/PrepareView; partition per call. Correct
-    // but wasteful — sessions exist to amortize exactly this.
-    SEASTAR_LOG(Debug) << "shard runtime: partitioning on the fly (no prepared view)";
-    sharded = std::make_shared<const ShardedGraph>(
-        Partitioner::Partition(graph, PartitionOptions{options_.num_shards}));
   }
 
   Counters().runs->Add(1);
@@ -323,12 +296,11 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
   const InputSets inputs = CollectInputs(gir);
   const std::vector<OutputInfo> outputs = CollectOutputs(gir);
 
-  const int64_t vertex_like_inputs =
-      static_cast<int64_t>(inputs.vertex.size() + inputs.typed.size());
-  int64_t additive_outputs = 0;
+  const size_t vertex_like_inputs = inputs.vertex.size() + inputs.typed.size();
+  std::vector<OutputInfo> additive;
   for (const OutputInfo& info : outputs) {
     if (info.kind == OutputKind::kAdditiveRows || info.kind == OutputKind::kAdditiveTyped) {
-      ++additive_outputs;
+      additive.push_back(info);
     }
   }
 
@@ -355,31 +327,20 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     }
   }
 
-  // Two channels per shard — halo features inbound, partial sums inbound —
-  // because the phases are not globally synchronized: a fast shard may start
-  // returning partials while a slow one is still absorbing features. Each
-  // capacity is the worst case a phase can put in flight, so within a phase
-  // no Push blocks on a consumer that is itself blocked pushing (deadlock
-  // freedom) while the queue stays bounded.
-  std::vector<std::unique_ptr<Channel>> feature_channels;
-  std::vector<std::unique_ptr<Channel>> combine_channels;
-  feature_channels.reserve(static_cast<size_t>(num_shards));
-  combine_channels.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    const GraphShard& shard = sharded.shards[static_cast<size_t>(s)];
-    const size_t feature_cap = std::max<size_t>(
-        1, shard.recv_plans.size() * static_cast<size_t>(vertex_like_inputs));
-    const size_t combine_cap = std::max<size_t>(
-        1, shard.send_plans.size() * static_cast<size_t>(additive_outputs));
-    feature_channels.push_back(std::make_unique<Channel>(feature_cap));
-    combine_channels.push_back(std::make_unique<Channel>(combine_cap));
-  }
+  // Per-pass mailboxes: one outbox per shard, written only by that shard
+  // during the pass and read by its peers only after the pass has joined.
+  // features_out[s] holds one payload per (send_plans[i], vertex-like input),
+  // partials_out[s] one per (recv_plans[i], additive output); a reader finds
+  // the payloads addressed to it through its own segment's peer_index and
+  // moves each out, releasing it as soon as it is applied.
+  std::vector<std::vector<Tensor>> features_out(static_cast<size_t>(num_shards));
+  std::vector<std::vector<Tensor>> partials_out(static_cast<size_t>(num_shards));
 
   // Propagate the caller's ambient deadline into the shard workers (they are
   // fresh OS threads and would otherwise run unarmed).
   const Deadline* ambient_deadline = CurrentDeadline();
 
-  ShardCancellation cancel(feature_channels, combine_channels);
+  ShardCancellation cancel;
 
   // Per-shard message accounting (disjoint indices; no lock needed) and the
   // per-shard state that must survive between passes.
@@ -387,7 +348,14 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
   std::vector<int64_t> shard_bytes(static_cast<size_t>(num_shards), 0);
   std::vector<FeatureMap> local_feature_sets(static_cast<size_t>(num_shards));
 
-  // ---- Pass 1: bind local features; send halo rows. -----------------------
+  // Records one outgoing payload in the sender's accounting and outbox.
+  const auto post = [&](int shard_id, std::vector<Tensor>& outbox, Tensor payload) {
+    shard_bytes[static_cast<size_t>(shard_id)] += static_cast<int64_t>(payload.nbytes());
+    ++shard_messages[static_cast<size_t>(shard_id)];
+    outbox.push_back(std::move(payload));
+  };
+
+  // ---- Pass 1: bind local features; post halo rows. -----------------------
   const auto pass_features = [&](int shard_id) {
     const GraphShard& shard = sharded.shards[static_cast<size_t>(shard_id)];
     const int64_t owned = shard.owned_count();
@@ -419,58 +387,39 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
       local_features.edge[name] = std::move(local);
     }
 
-    // Send: for every peer mirroring rows we own, pack those rows of every
+    // Post: for every peer mirroring rows we own, pack those rows of every
     // vertex-granularity input from the global tensors (an owned local row r
     // is global row owned_begin + r — the gather below uses global rows).
-    int64_t sent_messages = 0;
-    int64_t sent_bytes = 0;
+    std::vector<Tensor>& outbox = features_out[static_cast<size_t>(shard_id)];
     for (const HaloSegment& seg : shard.send_plans) {
-      if (cancel.cancelled()) {
+      if (cancel.stopped()) {
         return;  // A peer failed; stop producing work.
       }
       const int64_t rows = static_cast<int64_t>(seg.local_rows.size());
-      for (size_t vi = 0; vi < inputs.vertex.size(); ++vi) {
-        const auto& [name, width] = inputs.vertex[vi];
+      for (const auto& [name, width] : inputs.vertex) {
         const Tensor& global = features.vertex.at(name);
         MaybeInjectShardFault(FaultSite::kShardSend, shard_id);
-        HaloMessage message;
-        message.from = shard_id;
-        message.slot = static_cast<int>(vi);
-        message.payload = Tensor({rows, width});
-        GatherRows(message.payload.data(), global.data() + shard.owned_begin * width,
-                   seg.local_rows, width);
-        sent_bytes += static_cast<int64_t>(message.payload.nbytes());
-        ++sent_messages;
-        if (!feature_channels[static_cast<size_t>(seg.peer)]->Push(std::move(message))) {
-          return;  // Closed: another shard failed; unwind quietly.
-        }
+        Tensor payload({rows, width});
+        GatherRows(payload.data(), global.data() + shard.owned_begin * width, seg.local_rows,
+                   width);
+        post(shard_id, outbox, std::move(payload));
       }
-      for (size_t ti = 0; ti < inputs.typed.size(); ++ti) {
-        const auto& [name, width] = inputs.typed[ti];
+      for (const auto& [name, width] : inputs.typed) {
         const Tensor& global = features.typed_vertex.at(name);
         MaybeInjectShardFault(FaultSite::kShardSend, shard_id);
-        HaloMessage message;
-        message.from = shard_id;
-        message.slot = static_cast<int>(inputs.vertex.size() + ti);
-        message.payload = Tensor({static_cast<int64_t>(num_types), rows, width});
+        Tensor payload({static_cast<int64_t>(num_types), rows, width});
         for (int32_t t = 0; t < num_types; ++t) {
-          GatherRows(message.payload.data() + t * rows * width,
+          GatherRows(payload.data() + t * rows * width,
                      global.data() + (t * num_vertices + shard.owned_begin) * width,
                      seg.local_rows, width);
         }
-        sent_bytes += static_cast<int64_t>(message.payload.nbytes());
-        ++sent_messages;
-        if (!feature_channels[static_cast<size_t>(seg.peer)]->Push(std::move(message))) {
-          return;
-        }
+        post(shard_id, outbox, std::move(payload));
       }
     }
-    shard_messages[static_cast<size_t>(shard_id)] += sent_messages;
-    shard_bytes[static_cast<size_t>(shard_id)] += sent_bytes;
   };
 
   // ---- Pass 2: absorb halo, run the unchanged SeastarExecutor
-  // shard-locally, stitch exact outputs, send additive partials. ------------
+  // shard-locally, stitch exact outputs, post additive partials. ------------
   const auto pass_run = [&](int shard_id) {
     const GraphShard& shard = sharded.shards[static_cast<size_t>(shard_id)];
     const int64_t owned = shard.owned_count();
@@ -479,44 +428,30 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     CheckExecutionDeadline("shard_pass_run");
     ScopedThreadPool pool_scope(SlicePool(shard_id));
     FeatureMap& local_features = local_feature_sets[static_cast<size_t>(shard_id)];
-    int64_t sent_messages = 0;
-    int64_t sent_bytes = 0;
 
-    // Drain: every owning peer sent one message per vertex-like input.
-    const int64_t expected_features =
-        static_cast<int64_t>(shard.recv_plans.size()) * vertex_like_inputs;
-    for (int64_t received = 0; received < expected_features; ++received) {
-      std::optional<HaloMessage> message =
-          feature_channels[static_cast<size_t>(shard_id)]->Pop();
-      if (!message.has_value()) {
-        return;  // Closed mid-drain: unwinding an error elsewhere.
-      }
-      MaybeInjectShardFault(FaultSite::kShardRecv, shard_id);
-      const HaloSegment* seg = nullptr;
-      for (const HaloSegment& candidate : shard.recv_plans) {
-        if (candidate.peer == message->from) {
-          seg = &candidate;
-          break;
-        }
-      }
-      SEASTAR_CHECK(seg != nullptr)
-          << "shard " << shard_id << ": halo message from unexpected peer " << message->from;
-      if (message->slot < static_cast<int>(inputs.vertex.size())) {
-        const auto& [name, width] = inputs.vertex[static_cast<size_t>(message->slot)];
-        ScatterRows(local_features.vertex[name].data(), message->payload.data(),
-                    seg->local_rows, width);
-      } else {
-        const auto& [name, width] =
-            inputs.typed[static_cast<size_t>(message->slot) - inputs.vertex.size()];
-        const int64_t rows = message->payload.dim(1);
-        for (int32_t t = 0; t < num_types; ++t) {
-          ScatterRows(local_features.typed_vertex[name].data() + t * local_n * width,
-                      message->payload.data() + t * rows * width, seg->local_rows, width);
+    // Absorb: every owning peer posted one payload per vertex-like input.
+    for (const HaloSegment& seg : shard.recv_plans) {
+      std::vector<Tensor>& sender = features_out[static_cast<size_t>(seg.peer)];
+      const size_t first = static_cast<size_t>(seg.peer_index) * vertex_like_inputs;
+      for (size_t k = 0; k < vertex_like_inputs; ++k) {
+        MaybeInjectShardFault(FaultSite::kShardRecv, shard_id);
+        const Tensor payload = std::move(sender[first + k]);
+        if (k < inputs.vertex.size()) {
+          const auto& [name, width] = inputs.vertex[k];
+          ScatterRows(local_features.vertex[name].data(), payload.data(), seg.local_rows,
+                      width);
+        } else {
+          const auto& [name, width] = inputs.typed[k - inputs.vertex.size()];
+          const int64_t rows = payload.dim(1);
+          for (int32_t t = 0; t < num_types; ++t) {
+            ScatterRows(local_features.typed_vertex[name].data() + t * local_n * width,
+                        payload.data() + t * rows * width, seg.local_rows, width);
+          }
         }
       }
     }
 
-    if (cancel.cancelled()) {
+    if (cancel.stopped()) {
       return;  // Never start an inner run into a cancelled execution.
     }
     MaybeInjectShardFault(FaultSite::kShardWorker, shard_id);
@@ -527,8 +462,7 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     local_feature_sets[static_cast<size_t>(shard_id)] = FeatureMap{};
 
     // Stitch exact outputs; add this shard's own additive partial.
-    for (size_t oi = 0; oi < outputs.size(); ++oi) {
-      const OutputInfo& info = outputs[oi];
+    for (const OutputInfo& info : outputs) {
       const Tensor& local_out = local.outputs.at(info.name);
       Tensor& global_out = result.outputs.at(info.name);
       switch (info.kind) {
@@ -546,7 +480,7 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
           break;
         case OutputKind::kAdditiveRows: {
           // Own partial: this shard's owned rows, added into a zeroed region
-          // that no other shard writes (peers contribute via the channel).
+          // that no other shard writes (peers' partials arrive in pass 3).
           float* dst = global_out.data() + shard.owned_begin * info.width;
           const float* src = local_out.data();
           for (int64_t k = 0; k < owned * info.width; ++k) {
@@ -569,41 +503,28 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
       }
     }
 
-    // Return halo partials to their owners, one message per (owner,
-    // additive output).
-    int additive_slot = 0;
-    for (size_t oi = 0; oi < outputs.size(); ++oi) {
-      const OutputInfo& info = outputs[oi];
-      if (info.kind != OutputKind::kAdditiveRows && info.kind != OutputKind::kAdditiveTyped) {
-        continue;
-      }
-      const Tensor& local_out = local.outputs.at(info.name);
-      for (const HaloSegment& seg : shard.recv_plans) {
-        const int64_t rows = static_cast<int64_t>(seg.local_rows.size());
-        HaloMessage message;
-        message.from = shard_id;
-        message.slot = additive_slot;
+    // Post halo partials for their owners, one payload per (owner, additive
+    // output).
+    std::vector<Tensor>& outbox = partials_out[static_cast<size_t>(shard_id)];
+    for (const HaloSegment& seg : shard.recv_plans) {
+      const int64_t rows = static_cast<int64_t>(seg.local_rows.size());
+      for (const OutputInfo& info : additive) {
+        const Tensor& local_out = local.outputs.at(info.name);
         if (info.kind == OutputKind::kAdditiveRows) {
-          message.payload = Tensor({rows, info.width});
-          GatherRows(message.payload.data(), local_out.data(), seg.local_rows, info.width);
+          Tensor payload({rows, info.width});
+          GatherRows(payload.data(), local_out.data(), seg.local_rows, info.width);
+          post(shard_id, outbox, std::move(payload));
         } else {
-          message.payload = Tensor({static_cast<int64_t>(num_types), rows, info.width});
+          Tensor payload({static_cast<int64_t>(num_types), rows, info.width});
           for (int32_t t = 0; t < num_types; ++t) {
-            GatherRows(message.payload.data() + t * rows * info.width,
+            GatherRows(payload.data() + t * rows * info.width,
                        local_out.data() + t * local_n * info.width, seg.local_rows,
                        info.width);
           }
-        }
-        sent_bytes += static_cast<int64_t>(message.payload.nbytes());
-        ++sent_messages;
-        if (!combine_channels[static_cast<size_t>(seg.peer)]->Push(std::move(message))) {
-          return;
+          post(shard_id, outbox, std::move(payload));
         }
       }
-      ++additive_slot;
     }
-    shard_messages[static_cast<size_t>(shard_id)] += sent_messages;
-    shard_bytes[static_cast<size_t>(shard_id)] += sent_bytes;
   };
 
   // ---- Pass 3: combine peer partials on masters. --------------------------
@@ -612,81 +533,49 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     ScopedDeadline deadline_scope(ambient_deadline);
     CheckExecutionDeadline("shard_pass_combine");
 
-    // Drain partials addressed to this shard and combine deterministically:
-    // own partial is already in place; peer contributions apply in ascending
-    // sender shard id, so the float summation order never depends on thread
-    // timing (bit-reproducible runs).
-    const int64_t expected_partials =
-        static_cast<int64_t>(shard.send_plans.size()) * additive_outputs;
-    std::vector<std::vector<Tensor>> pending(
-        static_cast<size_t>(num_shards),
-        std::vector<Tensor>(static_cast<size_t>(additive_outputs)));
-    for (int64_t received = 0; received < expected_partials; ++received) {
-      std::optional<HaloMessage> message =
-          combine_channels[static_cast<size_t>(shard_id)]->Pop();
-      if (!message.has_value()) {
-        return;
+    // The own partial is already in place; peer partials apply in ascending
+    // sender shard id (send_plans are sorted by peer), so the float
+    // summation order never depends on thread timing (bit-reproducible runs).
+    // The rows each sender packed are the ones our send plan for it lists
+    // (aligned segment pair).
+    for (const HaloSegment& seg : shard.send_plans) {
+      if (cancel.stopped()) {
+        return;  // Peers are unwinding; the result is discarded.
       }
-      MaybeInjectShardFault(FaultSite::kShardCombine, shard_id);
-      pending[static_cast<size_t>(message->from)][static_cast<size_t>(message->slot)] =
-          std::move(message->payload);
-    }
-    if (cancel.cancelled()) {
-      return;  // Peers are unwinding; leave the owned rows as-is.
-    }
-    for (int sender = 0; sender < num_shards; ++sender) {
-      int slot = 0;
-      for (size_t oi = 0; oi < outputs.size(); ++oi) {
-        const OutputInfo& info = outputs[oi];
-        if (info.kind != OutputKind::kAdditiveRows &&
-            info.kind != OutputKind::kAdditiveTyped) {
-          continue;
-        }
-        const Tensor& payload = pending[static_cast<size_t>(sender)][static_cast<size_t>(slot)];
-        ++slot;
-        if (!payload.defined()) {
-          continue;  // That peer mirrors nothing of ours.
-        }
-        // The rows the sender packed are the ones we agreed to in our send
-        // plan for that peer (aligned segment pair).
-        const HaloSegment* seg = nullptr;
-        for (const HaloSegment& candidate : shard.send_plans) {
-          if (candidate.peer == sender) {
-            seg = &candidate;
-            break;
-          }
-        }
-        SEASTAR_CHECK(seg != nullptr)
-            << "shard " << shard_id << ": partial from peer " << sender
-            << " without a matching exchange plan";
+      std::vector<Tensor>& sender = partials_out[static_cast<size_t>(seg.peer)];
+      const size_t first = static_cast<size_t>(seg.peer_index) * additive.size();
+      for (size_t a = 0; a < additive.size(); ++a) {
+        const OutputInfo& info = additive[a];
+        MaybeInjectShardFault(FaultSite::kShardCombine, shard_id);
+        const Tensor payload = std::move(sender[first + a]);
         Tensor& global_out = result.outputs.at(info.name);
         if (info.kind == OutputKind::kAdditiveRows) {
           AddRows(global_out.data() + shard.owned_begin * info.width, payload.data(),
-                  seg->local_rows, info.width, 0);
+                  seg.local_rows, info.width);
         } else {
           const int64_t rows = payload.dim(1);
           for (int32_t t = 0; t < num_types; ++t) {
             AddRows(global_out.data() + (t * num_vertices + shard.owned_begin) * info.width,
-                    payload.data() + t * rows * info.width, seg->local_rows, info.width, 0);
+                    payload.data() + t * rows * info.width, seg.local_rows, info.width);
           }
         }
       }
     }
   };
 
-  // The phases run as barrier-separated passes. Channel capacities equal each
-  // phase's exact worst-case inbound, so every Push of pass N completes before
-  // the first Pop of pass N+1 — no shard ever blocks on a peer inside a pass,
-  // which makes the schedule a free choice. With pool workers available each
-  // pass fans its shards out across threads; without them (single-core hosts)
-  // the shards of a pass run back-to-back on the calling thread, so exactly
-  // one contiguous slice of the feature tensors is hot at a time. That is the
-  // schedule that makes sharding pay on one core: a slice fits in LLC where
-  // the full tensor does not.
+  // The passes are barrier-separated: a pass reads only what earlier passes
+  // posted, and every pass-N outbox is complete when pass N joins, so no
+  // shard ever waits on a peer inside a pass and the schedule is a free
+  // choice. With pool workers available each pass fans its shards out across
+  // threads; without them (single-core hosts) the shards of a pass run
+  // back-to-back on the calling thread, so exactly one contiguous slice of
+  // the feature tensors is hot at a time. That is the schedule that makes
+  // sharding pay on one core: a slice fits in LLC where the full tensor does
+  // not.
   const bool threaded = ThreadPool::Get().num_threads() > 0 && num_shards > 1;
   const auto run_pass = [&](const std::function<void(int)>& pass) {
-    if (cancel.cancelled()) {
-      return;  // An earlier pass failed; channels are closed.
+    if (cancel.stopped()) {
+      return;  // An earlier pass failed.
     }
     if (!threaded) {
       for (int s = 0; s < num_shards; ++s) {
@@ -738,10 +627,9 @@ RunResult ShardRuntime::ExecuteSharded(const GirGraph& gir, const Graph& graph,
     run_pass(pass_combine);
   }
   if (std::exception_ptr error = cancel.error()) {
-    // Every worker has joined: the unwind is complete, the channels are
-    // closed and drained of influence, and the (persistent) slice pools are
-    // reusable by the next Execute. Leave a breadcrumb for post-mortems —
-    // recovery above us may swallow the exception entirely.
+    // Every worker has joined: the unwind is complete and the (persistent)
+    // slice pools are reusable by the next Execute. Leave a breadcrumb for
+    // post-mortems — recovery above us may swallow the exception entirely.
     FlightRecorder::Get().Record("shard", "execute cancelled, unwound", num_shards);
     std::rethrow_exception(error);
   }

@@ -1,28 +1,28 @@
-// Owner/mirror sharded execution runtime (ROADMAP item 1).
+// Owner/mirror sharded execution runtime.
 //
 // ShardRuntime is an Executor that runs the *unchanged* fused-unit executor
 // (SeastarExecutor) once per shard, on shard-local graphs
-// produced by the Partitioner, stitched back together with an explicit
-// halo-exchange protocol over bounded message queues:
+// produced by the Partitioner, stitched back together by a halo exchange in
+// three barrier-separated passes. Each shard posts a pass's payloads into
+// its own outbox; peers read them only after that pass has joined:
 //
 //   1. Feature exchange (owner -> mirror). Each shard packs, per mirroring
-//      peer, the owned rows of every vertex input the peer's halo needs and
-//      pushes them into the peer's channel; each shard drains its channel
-//      and scatters the received rows into the halo slots of its local
-//      input tensors. Owned rows are a single contiguous copy (the
+//      peer, the owned rows of every vertex input the peer's halo needs
+//      into its outbox. Owned rows are a single contiguous copy (the
 //      partition is a vertex-range partition).
-//   2. Local run. The shard's SeastarExecutor runs the GIR on the local
-//      graph on a dedicated thread-pool slice (ThreadPool::Current()), so
-//      shards never contend on the shared process pool and each works a
-//      cache-sized slice of the tensors.
+//   2. Local run. Each shard scatters the payloads addressed to it into
+//      the halo slots of its local input tensors, then its SeastarExecutor
+//      runs the GIR on the local graph on a dedicated thread-pool slice
+//      (ThreadPool::Current()), so shards never contend on the shared
+//      process pool and each works a cache-sized slice of the tensors.
 //   3. Combine (mirror -> master). D-typed outputs are exact shard-locally
 //      (every in-edge of an owned destination is local) and are written
 //      straight into the owned rows of the global output; E-typed outputs
 //      scatter through the local->global edge id map. S-typed (out-edge)
 //      aggregation outputs are only *partial* — a source's out-edges span
-//      shards — so each shard sends its halo rows' partial sums back to
-//      their owners, and the owner combines: own partial first, then peer
-//      messages in ascending shard id order. The fixed order makes the
+//      shards — so in pass 2 each shard posts its halo rows' partial sums,
+//      and in pass 3 each owner combines: own partial first, then peer
+//      partials in ascending shard id order. The fixed order makes the
 //      float summation bit-reproducible run to run.
 //
 // Programs whose GIR reads an S-typed aggregate internally (a non-output
@@ -82,8 +82,8 @@ class ShardRuntime : public Executor {
   ShardRuntime& operator=(const ShardRuntime&) = delete;
 
   // Partitions `graph` once; Execute reuses the decomposition through the
-  // view. A view without a prepared partition (a caller that bypassed
-  // MakeSession) is partitioned on the fly per call — correct but slow.
+  // view. Execute requires a view prepared here (or by a runtime with the
+  // same shard count) and CHECK-fails on any other.
   GraphView PrepareView(const Graph& graph) const override;
 
   RunResult Execute(const GirGraph& gir, const GraphView& view, const FeatureMap& features,

@@ -175,8 +175,10 @@ ShardedGraph Partitioner::Partition(const Graph& graph, const PartitionOptions& 
       GraphShard& master = sharded.shards[static_cast<size_t>(owner)];
       HaloSegment recv;
       recv.peer = owner;
+      recv.peer_index = static_cast<int>(master.send_plans.size());
       HaloSegment send;
       send.peer = s;
+      send.peer_index = static_cast<int>(mirror.recv_plans.size());
       while (i < mirror.halo_globals.size() &&
              sharded.OwnerOf(mirror.halo_globals[i]) == owner) {
         const int32_t g = mirror.halo_globals[i];

@@ -1,6 +1,6 @@
-// Owner/mirror graph partitioning for the sharded execution runtime
-// (ROADMAP item 1; the partition-parallel direction of GraphTensor and the
-// LA3-style owner/mirror vertex model).
+// Owner/mirror graph partitioning for the sharded execution runtime (the
+// partition-parallel direction of GraphTensor and the LA3-style owner/mirror
+// vertex model).
 //
 // The partitioner cuts the vertex id space into `num_shards` contiguous
 // ranges, balanced by in-edge count (a shard's work in the vertex-parallel
@@ -29,6 +29,9 @@
 //     t adds into when s returns partial sums);
 //   shards[s].recv_plans entry for peer t — s's halo local ids for the same
 //     globals, in the same order.
+// Each segment's peer_index is its partner's position in the peer's plan
+// list, so either side reaches the other in O(1). Both lists are sorted by
+// peer.
 // Plans exist only for non-empty segments: no zero-length halo segment is
 // ever emitted (empty shards, isolated vertices and self-loops simply
 // produce no plan).
@@ -52,6 +55,7 @@ struct PartitionOptions {
 // id) order, in their respective local id spaces.
 struct HaloSegment {
   int peer = -1;                     // The shard on the other side.
+  int peer_index = -1;               // This segment's partner in the peer's plans.
   std::vector<int32_t> local_rows;   // Local vertex ids on *this* side.
 };
 

@@ -2,14 +2,11 @@
 
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/parallel/channel.h"
 #include "src/parallel/simt.h"
 #include "src/parallel/thread_pool.h"
 
@@ -227,95 +224,6 @@ TEST(FatGeometryTest, OneItemPerBlock) {
   EXPECT_EQ(g.groups_per_block, 1);
   EXPECT_EQ(g.group_size, 256);
   EXPECT_EQ(g.num_blocks, 42);
-}
-
-// ---- BoundedChannel ------------------------------------------------------
-
-TEST(BoundedChannelTest, PushPopRoundTripAndCloseDrains) {
-  BoundedChannel<int> channel(2);
-  EXPECT_TRUE(channel.Push(1));
-  EXPECT_TRUE(channel.Push(2));
-  EXPECT_FALSE(channel.closed());
-  EXPECT_TRUE(channel.Close());
-  EXPECT_TRUE(channel.closed());
-  // Queued messages stay poppable after Close; new pushes are refused.
-  EXPECT_FALSE(channel.Push(3));
-  EXPECT_EQ(channel.Pop(), std::optional<int>(1));
-  EXPECT_EQ(channel.Pop(), std::optional<int>(2));
-  EXPECT_FALSE(channel.Pop().has_value());
-}
-
-TEST(BoundedChannelTest, CloseIsIdempotent) {
-  BoundedChannel<int> channel(1);
-  EXPECT_TRUE(channel.Close());
-  EXPECT_FALSE(channel.Close());  // Only the transitioning call reports it.
-  EXPECT_FALSE(channel.Close());
-  EXPECT_FALSE(channel.Pop().has_value());
-}
-
-TEST(BoundedChannelTest, CloseReleasesBlockedPushers) {
-  BoundedChannel<int> channel(1);
-  ASSERT_TRUE(channel.Push(0));  // Fill to capacity; the next Push blocks.
-  std::atomic<bool> released{false};
-  std::thread pusher([&] {
-    EXPECT_FALSE(channel.Push(1));  // Must return false once closed.
-    released.store(true);
-  });
-  channel.Close();
-  pusher.join();
-  EXPECT_TRUE(released.load());
-}
-
-TEST(BoundedChannelTest, CloseRacesWithPushPopAndConcurrentClose) {
-  // The shard runtime's cancellation path has every failing worker close
-  // every channel while peers are mid-Push/Pop, so double-close under
-  // contention is the *common* case there. Exactly one Close call may
-  // report the transition, nothing may deadlock, and every message either
-  // pops exactly once or is refused at Push. (Runs under TSan in CI: this
-  // is the dedicated race check for Close.)
-  constexpr int kProducers = 4;
-  constexpr int kClosers = 3;
-  constexpr int kPerProducer = 200;
-  BoundedChannel<int> channel(4);
-  std::atomic<int> pushed{0};
-  std::atomic<int> first_closes{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers + kClosers);
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (!channel.Push(i)) {
-          return;  // Closed under us — expected mid-run.
-        }
-        pushed.fetch_add(1);
-      }
-    });
-  }
-  for (int c = 0; c < kClosers; ++c) {
-    threads.emplace_back([&] {
-      if (channel.Close()) {
-        first_closes.fetch_add(1);
-      }
-    });
-  }
-  // Single consumer (the channel is MPSC): drain until closed-and-empty.
-  int popped = 0;
-  while (channel.Pop().has_value()) {
-    ++popped;
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  // A producer may have slipped a message in between our final Pop and its
-  // own Close observation; drain the leftovers now that everyone joined.
-  while (channel.Pop().has_value()) {
-    ++popped;
-  }
-  EXPECT_EQ(first_closes.load(), 1);
-  EXPECT_EQ(popped, pushed.load());
-  EXPECT_TRUE(channel.closed());
-  EXPECT_FALSE(channel.Push(-1));
-  EXPECT_FALSE(channel.Pop().has_value());
 }
 
 }  // namespace

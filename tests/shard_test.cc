@@ -69,28 +69,40 @@ void CheckPartitionInvariants(const Graph& g, const ShardedGraph& sharded) {
   EXPECT_EQ(owned_total, g.num_vertices());
   EXPECT_EQ(edge_total, g.num_edges());
   // Exchange plans are pairwise aligned: owner's send segment for a peer
-  // matches the peer's recv segment for the owner, row for row.
-  for (const GraphShard& owner : sharded.shards) {
-    for (const HaloSegment& send : owner.send_plans) {
-      const GraphShard& mirrorer = sharded.shards[static_cast<size_t>(send.peer)];
-      const HaloSegment* recv = nullptr;
-      for (const HaloSegment& seg : mirrorer.recv_plans) {
-        if (seg.peer == owner.shard_id) {
-          recv = &seg;
-        }
+  // matches the peer's recv segment for the owner, row for row, and each
+  // segment's peer_index names its partner. Both plan lists ascend by peer.
+  int64_t recv_total = 0;
+  for (const GraphShard& shard : sharded.shards) {
+    recv_total += static_cast<int64_t>(shard.recv_plans.size());
+    for (const auto* plans : {&shard.send_plans, &shard.recv_plans}) {
+      for (size_t i = 1; i < plans->size(); ++i) {
+        EXPECT_LT((*plans)[i - 1].peer, (*plans)[i].peer);
       }
-      ASSERT_NE(recv, nullptr);
-      ASSERT_EQ(send.local_rows.size(), recv->local_rows.size());
+    }
+  }
+  int64_t send_total = 0;
+  for (const GraphShard& owner : sharded.shards) {
+    for (size_t si = 0; si < owner.send_plans.size(); ++si) {
+      ++send_total;
+      const HaloSegment& send = owner.send_plans[si];
+      const GraphShard& mirrorer = sharded.shards[static_cast<size_t>(send.peer)];
+      ASSERT_GE(send.peer_index, 0);
+      ASSERT_LT(static_cast<size_t>(send.peer_index), mirrorer.recv_plans.size());
+      const HaloSegment& recv = mirrorer.recv_plans[static_cast<size_t>(send.peer_index)];
+      EXPECT_EQ(recv.peer, owner.shard_id);
+      EXPECT_EQ(recv.peer_index, static_cast<int>(si));
+      ASSERT_EQ(send.local_rows.size(), recv.local_rows.size());
       for (size_t i = 0; i < send.local_rows.size(); ++i) {
         // Both sides list the same global vertex at the same position.
         const int64_t send_global = owner.owned_begin + send.local_rows[i];
         const int32_t halo_index =
-            recv->local_rows[i] - static_cast<int32_t>(mirrorer.owned_count());
+            recv.local_rows[i] - static_cast<int32_t>(mirrorer.owned_count());
         ASSERT_GE(halo_index, 0);
         EXPECT_EQ(send_global, mirrorer.halo_globals[static_cast<size_t>(halo_index)]);
       }
     }
   }
+  EXPECT_EQ(send_total, recv_total);
 }
 
 TEST(PartitionerTest, CoversVerticesEdgesAndAlignsPlans) {
@@ -228,13 +240,15 @@ TEST(ShardRuntimeTest, ForwardAggregationMatchesFullGraph) {
   const GirGraph gir = b.TakeGraph();
   const FeatureMap features = RandomVertexFeatures(g, 0x78);
 
+  // D-typed outputs are exact shard-locally: each owned destination sees
+  // all of its in-edges in global order, so the sums are bit-identical.
   SeastarExecutor full;
   const Tensor expected = full.Run(gir, g, features).outputs.at("out");
-  for (int k : {1, 2, 4}) {
+  for (int k : {1, 2, 3, 4}) {
     ShardRuntime runtime({.num_shards = k});
     GraphView view = runtime.PrepareView(g);
     Tensor got = runtime.Execute(gir, view, features).outputs.at("out");
-    EXPECT_TRUE(expected.AllClose(got, 1e-6f)) << "shards=" << k;
+    EXPECT_TRUE(expected.AllClose(got, 0.0f)) << "shards=" << k;
   }
 }
 
@@ -264,10 +278,12 @@ TEST(ShardRuntimeTest, EdgeOutputsScatterThroughGlobalEdgeIds) {
 
   SeastarExecutor full;
   const Tensor expected = full.Run(gir, g, features).outputs.at("e_out");
-  ShardRuntime runtime({.num_shards = 3});
-  GraphView view = runtime.PrepareView(g);
-  Tensor got = runtime.Execute(gir, view, features).outputs.at("e_out");
-  EXPECT_TRUE(expected.AllClose(got, 1e-6f));
+  for (int k : {1, 2, 3, 4}) {
+    ShardRuntime runtime({.num_shards = k});
+    GraphView view = runtime.PrepareView(g);
+    Tensor got = runtime.Execute(gir, view, features).outputs.at("e_out");
+    EXPECT_TRUE(expected.AllClose(got, 0.0f)) << "shards=" << k;
+  }
 }
 
 TEST(ShardRuntimeTest, HaloExchangeOrderIsDeterministic) {
@@ -310,27 +326,38 @@ TEST(ShardRuntimeTest, UnshardableProgramFallsBackExactly) {
   EXPECT_EQ(fallbacks->value(), before + 1);
 }
 
-TEST(ShardRuntimeTest, ExecutesWithoutPreparedView) {
-  // Callers that bypass MakeSession get a per-call partition — slower but
-  // identical results.
+// Execute reads the partition from the view and sizes its per-shard state
+// by the runtime's shard count, so a view it did not prepare is a caller bug.
+TEST(ShardRuntimeDeathTest, RejectsViewWithoutPartition) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = RandomGraph(70, 400, 0x81);
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 4)), "out");
   const GirGraph gir = b.TakeGraph();
   const FeatureMap features = RandomVertexFeatures(g, 0x82);
 
-  SeastarExecutor full;
-  const Tensor expected = full.Run(gir, g, features).outputs.at("out");
   ShardRuntime runtime({.num_shards = 2});
-  GraphView bare(g);
-  Tensor got = runtime.Execute(gir, bare, features).outputs.at("out");
-  EXPECT_TRUE(expected.AllClose(got, 1e-6f));
+  EXPECT_DEATH(runtime.Execute(gir, GraphView(g), features), "view carries no partition");
+}
+
+TEST(ShardRuntimeDeathTest, RejectsViewPartitionedForAnotherShardCount) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Graph g = RandomGraph(70, 400, 0x83);
+  GirBuilder b;
+  b.MarkOutput(AggSum(b.Src("h", 4)), "out");
+  const GirGraph gir = b.TakeGraph();
+  const FeatureMap features = RandomVertexFeatures(g, 0x84);
+
+  const GraphView four = ShardRuntime({.num_shards = 4}).PrepareView(g);
+  ShardRuntime runtime({.num_shards = 2});
+  EXPECT_DEATH(runtime.Execute(gir, four, features),
+               "view partitioned into 4 shards, runtime runs 2");
 }
 
 // ---- Fault injection, cancellation and recovery --------------------------
 
 // A program with one D-typed and one S-typed additive output, so at shard
-// counts > 1 every pass carries halo messages and every shard fault site
+// counts > 1 every pass carries halo payloads and every shard fault site
 // (send/recv/worker/combine) has hits to trip on.
 GirGraph FaultProgram() {
   GirBuilder b;
@@ -364,11 +391,12 @@ constexpr FaultSite kShardSites[] = {FaultSite::kShardSend, FaultSite::kShardRec
 
 TEST(ShardFaultTest, EverySiteCancelsCleanlyAndRuntimeIsReusable) {
   // Trip each shard fault site in turn against the bare runtime (no recovery
-  // ladder): the first failing shard must cancel its peers and the Execute
-  // call unwind promptly — never deadlock on a channel against the dead
-  // shard — and the runtime (with its persistent slice pools) must produce
-  // bit-identical results on the very next call. Under TSan this test is the
-  // cancellation-path race check the CI job asserts on.
+  // ladder): the first failing shard must stop its peers and the Execute
+  // call unwind promptly — the passes that remain are skipped, and no shard
+  // reads a mailbox the dead shard never filled — and the runtime (with its
+  // persistent slice pools) must produce bit-identical results on the very
+  // next call. Under TSan this test is the cancellation-path race check the
+  // CI job asserts on.
   const Graph g = RandomGraph(120, 800, 0x90);
   const GirGraph gir = FaultProgram();
   const FeatureMap features = RandomVertexFeatures(g, 0x91);
@@ -383,8 +411,8 @@ TEST(ShardFaultTest, EverySiteCancelsCleanlyAndRuntimeIsReusable) {
     const auto start = std::chrono::steady_clock::now();
     EXPECT_THROW(runtime.Execute(gir, view, features), ShardFault) << FaultSiteName(site);
     const auto elapsed = std::chrono::steady_clock::now() - start;
-    // Bounded unwind: generous wall bound (TSan runs are slow) — a channel
-    // deadlock would hang the test outright, a slow unwind trips this.
+    // Bounded unwind: generous wall bound (TSan runs are slow) — a worker
+    // that kept running after the stop would trip this.
     EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 30)
         << FaultSiteName(site);
     EXPECT_GE(FaultInjector::Get().injected(site), 1) << FaultSiteName(site);

@@ -54,11 +54,13 @@ the gate fails once as worker_mismatch and skips the timing bands (the
 exact parity checks still run).
 
 The shard report (BENCH_shard.json, from ./bench_shard_scaling) adds a
-scaling-floor gate: speedup_at_max_shards must reach --shard-speedup-floor,
-a single-shard run must exchange zero halo messages, and every run must
-report shard_retries == 0 and shard_fallbacks == 0 — a healthy steady-state
-bench that silently retried or demoted itself to the whole-graph
-executor is a regression, not noise.
+scaling-floor gate: speedup_at_max_shards must reach --shard-speedup-floor.
+Every run's halo_messages, halo_bytes and total_mirrors must equal the
+baseline's exactly (they are functions of the seeded graph and the
+partition, not of the machine; a one-shard run exchanges nothing), and every
+run must report shard_retries == 0 and shard_fallbacks == 0 — a healthy
+steady-state bench that silently retried or demoted itself to the
+whole-graph executor is a regression, not noise.
 
 Usage:
   tools/bench_check.py --baseline-dir bench/baselines \
@@ -78,6 +80,7 @@ import sys
 TRAIN_BASELINE = "BENCH_train_epoch.json"
 SERVE_BASELINE = "BENCH_serve.json"
 SHARD_BASELINE = "BENCH_shard.json"
+SHARD_EXACT_KEYS = ("halo_messages", "halo_bytes", "total_mirrors")
 KERNELS_BASELINE = "BENCH_kernels.json"
 
 
@@ -335,12 +338,13 @@ def check_shard(gate, baseline, fresh, timing_tol, speedup_floor):
         gate.check(where, "avg_epoch_ms", run["avg_epoch_ms"],
                    base["avg_epoch_ms"], base["avg_epoch_ms"] * timing_tol,
                    f"{timing_tol:g}x timing band")
-        if shards == 1:
-            # Machine-independent: one shard owns every vertex, so nothing
-            # crosses a shard boundary. A nonzero count means the exchange
-            # plans grew phantom segments.
-            gate.check(where, "halo_messages", run["halo_messages"], 0, 0,
-                       "exact: a single shard exchanges no halo")
+        # Machine-independent: the exchange plans are a function of the
+        # seeded graph and the partition, so the traffic they carry is gated
+        # exactly at every shard count (at one shard, phantom segments).
+        mismatched = [f"{key} {run.get(key)} vs {base.get(key)}"
+                      for key in SHARD_EXACT_KEYS if run.get(key) != base.get(key)]
+        gate.check(where, "halo_mismatches", len(mismatched), 0, 0,
+                   "exact: " + ("; ".join(mismatched) or ", ".join(SHARD_EXACT_KEYS)))
         # Machine-independent recovery gates: the bench runs a shardable
         # program with no faults armed, so any retry or fallback means the
         # runtime failed (and recovered) on a healthy steady-state path.
@@ -473,8 +477,10 @@ def self_test(args):
         "bench": "shard_scaling", "speedup_at_max_shards": 1.8,
         "runs": [
             {"shards": 1, "avg_epoch_ms": 600.0, "halo_messages": 0,
+             "halo_bytes": 0, "total_mirrors": 0,
              "shard_retries": 0, "shard_fallbacks": 0, "speedup": 1.0},
             {"shards": 4, "avg_epoch_ms": 330.0, "halo_messages": 24,
+             "halo_bytes": 98304, "total_mirrors": 512,
              "shard_retries": 0, "shard_fallbacks": 0, "speedup": 1.8},
         ],
     }
@@ -657,6 +663,15 @@ def self_test(args):
     check_shard(g, shard_base, leaky_halo, 3.0, 1.2)
     expect("shard-halo-at-one", g, want_fail=True)
 
+    # 8b. Halo bytes that drift from the baseline fail at any shard count,
+    # in either direction: the exchange moved different data.
+    for delta in (8, -8):
+        drifted = copy.deepcopy(shard_base)
+        drifted["runs"][1]["halo_bytes"] += delta
+        g = Gate()
+        check_shard(g, shard_base, drifted, 3.0, 1.2)
+        expect(f"shard-halo-bytes-drift{delta:+d}", g, want_fail=True)
+
     # 9. A whole-graph fallback in a healthy steady-state run fails exactly —
     # sharding silently degraded to the unsharded interpreter.
     demoted = copy.deepcopy(shard_base)
@@ -744,7 +759,7 @@ def self_test(args):
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(34 cases)")
+          f"(36 cases)")
     return 1 if failures else 0
 
 

@@ -5,8 +5,9 @@ Sweeps every shard fault site x hit index x shard count combination through a
 real training run (examples/seastar_train --executor=sharded:N --faults=...)
 and asserts the failure-handling contract end to end:
 
-  * no deadlock or hang: every run must finish inside --timeout (a worker
-    blocked on a dead peer's channel would hang forever);
+  * no deadlock or hang: every run must finish inside --timeout (a failed
+    shard must stop its peers and the passes that remain, not leave the
+    execution waiting on work that will never come);
   * clean unwind + recovery: the driver must exit 0 -- the recovery ladder
     (retry sharded once, then whole-graph fallback) absorbs every injected
     shard fault, so the train loop never sees an error;
@@ -26,9 +27,9 @@ and asserts the failure-handling contract end to end:
 Usage (full drill):
   tools/chaos_drill.py --train-bin build/examples/seastar_train
 
-CI smoke (small graph, full site sweep at 2 shards):
+CI smoke (small graph, full site sweep at 2 and 4 shards):
   tools/chaos_drill.py --train-bin build/examples/seastar_train \
-      --shards 2 --scale 0.1 --epochs 4 --out chaos_drill.json \
+      --shards 2,4 --scale 0.1 --epochs 4 --out chaos_drill.json \
       --artifacts-dir chaos_artifacts
 """
 
