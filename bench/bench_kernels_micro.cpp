@@ -100,7 +100,7 @@ BENCHMARK(BM_GatKernelSeastarNoFusion);
 
 void BM_GatKernelDglLike(benchmark::State& state) {
   GatFixture& f = Fixture();
-  BaselineExecutor executor({BaselineFlavor::kDglLike, true});
+  BaselineExecutor executor({BaselineFlavor::kDglLike});
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(f.gir, f.graph, f.features).outputs.size());
   }
@@ -110,7 +110,7 @@ BENCHMARK(BM_GatKernelDglLike);
 
 void BM_GatKernelPygLike(benchmark::State& state) {
   GatFixture& f = Fixture();
-  BaselineExecutor executor({BaselineFlavor::kPygLike, true});
+  BaselineExecutor executor({BaselineFlavor::kPygLike});
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(f.gir, f.graph, f.features).outputs.size());
   }

@@ -25,31 +25,6 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return pieces;
 }
 
-std::string Join(const std::vector<std::string>& pieces, const std::string& sep) {
-  std::string result;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) {
-      result += sep;
-    }
-    result += pieces[i];
-  }
-  return result;
-}
-
-std::string WithThousandsSeparators(uint64_t value) {
-  std::string digits = std::to_string(value);
-  std::string result;
-  int count = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (count > 0 && count % 3 == 0) {
-      result.push_back(',');
-    }
-    result.push_back(*it);
-    ++count;
-  }
-  return std::string(result.rbegin(), result.rend());
-}
-
 std::string HumanBytes(uint64_t bytes) {
   constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
   double value = static_cast<double>(bytes);

@@ -12,12 +12,6 @@ namespace seastar {
 // Splits `text` on `sep`, keeping empty pieces.
 std::vector<std::string> Split(const std::string& text, char sep);
 
-// Joins `pieces` with `sep`.
-std::string Join(const std::vector<std::string>& pieces, const std::string& sep);
-
-// "12345678" -> "12,345,678" for table readability.
-std::string WithThousandsSeparators(uint64_t value);
-
 // Bytes -> short human string, e.g. "1.50 GB", "38.2 MB", "512 B".
 std::string HumanBytes(uint64_t bytes);
 

@@ -182,7 +182,6 @@ void RequestTrace::SetArg(int token, Arg key, int64_t value) {
 Tracer::Tracer(TracerConfig config, Retention retention)
     : config_(std::move(config)), retention_(retention), epoch_(Clock::now()) {
   SEASTAR_CHECK_GT(config_.tail_keep, 0);
-  SEASTAR_CHECK_GT(config_.sampled_keep, 0);
   SEASTAR_CHECK_GT(config_.anomaly_keep, 0);
   SEASTAR_CHECK_GT(config_.max_spans_per_trace, 0);
 }
@@ -292,7 +291,7 @@ void Tracer::FinishTrace(RequestTrace* trace, double total_ms, const char* outco
   }
   if (trace->sampled()) {
     sampled_.push_back(std::move(owned));
-    if (static_cast<int>(sampled_.size()) > config_.sampled_keep) {
+    if (static_cast<int>(sampled_.size()) > kSampledKeep) {
       std::unique_ptr<RequestTrace> oldest = std::move(sampled_.front());
       sampled_.pop_front();
       OfferTail(std::move(oldest));
@@ -365,9 +364,6 @@ void WriteTraceEvents(JsonWriter& writer, const RequestTrace& trace, const char*
       if (span.has(static_cast<Arg>(a))) {
         writer.Field(kArgNames[a], span.args[a]);
       }
-    }
-    if (span.schedule != nullptr) {
-      writer.Field("schedule", span.schedule);
     }
     if (span.simd_isa != nullptr) {
       writer.Field("simd_isa", span.simd_isa);

@@ -4,11 +4,11 @@
 // A span is a fixed-size POD record (Span) in its trace's buffer: a static
 // name and category, the named int64 args it set (kernel counters such as
 // edges, blocks, dispatches, tiling, pool and plan-cache reuse; loop
-// positions; serving annotations), two static-string args (block-dispatch
-// schedule, SIMD ISA) and a short dynamic detail. Dynamic names — a fused
-// unit's label "unit3:Identity+DotProduct+Mul+AggSum", a bench run's
-// "cora/seastar" — are interned (Intern), so a span never points into state
-// that can be freed (a PlanCache::Clear() leaves every recorded label whole).
+// positions; serving annotations), one static-string arg (the SIMD ISA)
+// and a short dynamic detail. Dynamic names — a fused unit's label
+// "unit3:Identity+DotProduct+Mul+AggSum", a bench run's "cora/seastar" —
+// are interned (Intern), so a span never points into state that can be
+// freed (a PlanCache::Clear() leaves every recorded label whole).
 //
 // Propagation is ambient, following deadline.h: the caller installs a trace
 // in a thread-local (ScopedTraceContext, or ScopedRun for run-scoped
@@ -105,7 +105,6 @@ const char* Intern(std::string_view text);
 struct Span {
   const char* name = "";      // Static taxonomy name or an Intern()ed label.
   const char* category = "";  // "serve", "exec", "unit", "op", "train", ...
-  const char* schedule = nullptr;  // Block-dispatch mode; null = n/a.
   const char* simd_isa = nullptr;  // Dispatched row-kernel ISA; null = n/a.
   char detail[24] = {};            // Truncated dynamic annotation; "" = none.
   int64_t start_us = 0;            // Relative to the owning Tracer's epoch.
@@ -190,6 +189,9 @@ class RequestTrace {
   std::vector<Span> spans_;  // Capacity survives pool recycling.
 };
 
+// Newest-kept ring capacity for head-sampled clean traces.
+inline constexpr int kSampledKeep = 256;
+
 struct TracerConfig {
   bool enabled = true;
   // Head tier: fraction of traces retained unconditionally (deterministic in
@@ -198,10 +200,10 @@ struct TracerConfig {
   double head_sample_rate = 0.01;
   // Tail tier: the slowest-N non-anomalous finished traces, by total_ms.
   int tail_keep = 32;
-  // Newest-kept ring capacities for head-sampled and anomalous traces.
-  // Overflowing traces are re-offered to the tail heap before recycling, so
-  // the slowest requests survive even a flood of anomalies.
-  int sampled_keep = 256;
+  // Newest-kept ring capacity for anomalous traces (kSampledKeep is the
+  // head-sampled ring's). Overflowing traces are re-offered to the tail heap
+  // before recycling, so the slowest requests survive even a flood of
+  // anomalies.
   int anomaly_keep = 8192;
   // Span budget per trace; recording beyond it drops (counted) rather than
   // growing without bound.

@@ -94,35 +94,6 @@ constexpr int64_t kOptimizerGrain = 16384;
 
 }  // namespace
 
-void Sgd::Step() {
-  for (Var& param : parameters_) {
-    const Tensor& grad = param.grad();
-    if (!grad.defined()) {
-      continue;
-    }
-    Tensor& value = param.mutable_value();
-    float* pv = value.data();
-    const float* pg = grad.data();
-    const float lr = lr_;
-    ParallelFor(
-        value.numel(),
-        [=](int64_t begin, int64_t end) {
-          const float* __restrict__ g = pg;
-          float* __restrict__ v = pv;
-          for (int64_t i = begin; i < end; ++i) {
-            v[i] -= lr * g[i];
-          }
-        },
-        kOptimizerGrain);
-  }
-}
-
-void Sgd::ZeroGrad() {
-  for (Var& param : parameters_) {
-    param.ClearGrad();
-  }
-}
-
 Adam::Adam(std::vector<Var> parameters, float lr, float beta1, float beta2, float eps)
     : parameters_(std::move(parameters)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   m_.reserve(parameters_.size());

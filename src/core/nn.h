@@ -1,5 +1,6 @@
 // Neural-network building blocks on top of the autograd tape: parameter
-// containers, layers used by the four paper models, optimizers, and metrics.
+// containers, layers used by the four paper models, the Adam optimizer, and
+// metrics.
 #ifndef SRC_CORE_NN_H_
 #define SRC_CORE_NN_H_
 
@@ -51,23 +52,7 @@ class Embedding {
 // (both the Seastar path and the paper's DGL-bmm / PyG-bmm baselines).
 Var StackedRelationMatmul(const Var& x, const std::vector<Var>& weights);
 
-// ---- Optimizers ----------------------------------------------------------------------------------
-
-class Sgd {
- public:
-  Sgd(std::vector<Var> parameters, float lr) : parameters_(std::move(parameters)), lr_(lr) {}
-
-  void Step();
-  void ZeroGrad();
-
-  // Recovery policy hook: learning-rate backoff after a rollback.
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
-
- private:
-  std::vector<Var> parameters_;
-  float lr_;
-};
+// ---- Optimizer -----------------------------------------------------------------------------------
 
 class Adam {
  public:

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "src/common/flight_recorder.h"
 #include "src/common/logging.h"
@@ -99,7 +98,7 @@ std::string FirstNonFiniteGrad(const std::vector<Var>& parameters) {
 // deep-copied: the optimizer mutates them in place every step, and a
 // snapshot that shared their storage would silently track the live run.
 TrainCheckpoint MakeSnapshot(GnnModel& model, const std::vector<Var>& parameters,
-                             const Adam* adam, int epoch, float lr, int retries_used,
+                             const Adam& adam, int epoch, float lr, int retries_used,
                              float best_loss) {
   TrainCheckpoint snapshot;
   snapshot.epoch = epoch;
@@ -113,15 +112,13 @@ TrainCheckpoint MakeSnapshot(GnnModel& model, const std::vector<Var>& parameters
   for (const Var& param : parameters) {
     snapshot.parameters.push_back(param.value().Clone());
   }
-  if (adam != nullptr) {
-    snapshot.has_adam = true;
-    snapshot.adam_t = adam->step_count();
-    for (const Tensor& m : adam->moments_m()) {
-      snapshot.adam_m.push_back(m.Clone());
-    }
-    for (const Tensor& v : adam->moments_v()) {
-      snapshot.adam_v.push_back(v.Clone());
-    }
+  snapshot.has_adam = true;
+  snapshot.adam_t = adam.step_count();
+  for (const Tensor& m : adam.moments_m()) {
+    snapshot.adam_m.push_back(m.Clone());
+  }
+  for (const Tensor& v : adam.moments_v()) {
+    snapshot.adam_v.push_back(v.Clone());
   }
   return snapshot;
 }
@@ -131,7 +128,7 @@ TrainCheckpoint MakeSnapshot(GnnModel& model, const std::vector<Var>& parameters
 // untrusted (it may belong to a different model), and mismatches must
 // surface as a structured error.
 Status RestoreSnapshot(const TrainCheckpoint& snapshot, GnnModel& model,
-                       std::vector<Var>& parameters, Adam* adam, Sgd* sgd) {
+                       std::vector<Var>& parameters, Adam& adam) {
   if (snapshot.parameters.size() != parameters.size()) {
     return ErrorStatus(StatusCode::kInvalidArgument)
            << "checkpoint holds " << snapshot.parameters.size() << " parameters, model has "
@@ -146,13 +143,14 @@ Status RestoreSnapshot(const TrainCheckpoint& snapshot, GnnModel& model,
              << value.ShapeString();
     }
   }
-  if (snapshot.has_adam && adam == nullptr) {
-    return ErrorStatus(StatusCode::kInvalidArgument)
-           << "checkpoint carries Adam state but the run uses SGD";
-  }
-  if (!snapshot.has_adam && adam != nullptr) {
+  if (!snapshot.has_adam) {
     return ErrorStatus(StatusCode::kInvalidArgument)
            << "checkpoint carries no Adam state but the run uses Adam";
+  }
+  if (snapshot.adam_m.size() != parameters.size() ||
+      snapshot.adam_v.size() != parameters.size()) {
+    return ErrorStatus(StatusCode::kInvalidArgument)
+           << "checkpoint Adam moments do not match the parameter count";
   }
   for (size_t p = 0; p < parameters.size(); ++p) {
     Tensor& value = parameters[p].mutable_value();
@@ -160,18 +158,8 @@ Status RestoreSnapshot(const TrainCheckpoint& snapshot, GnnModel& model,
               value.data());
     parameters[p].ClearGrad();
   }
-  if (adam != nullptr) {
-    if (snapshot.adam_m.size() != parameters.size() ||
-        snapshot.adam_v.size() != parameters.size()) {
-      return ErrorStatus(StatusCode::kInvalidArgument)
-             << "checkpoint Adam moments do not match the parameter count";
-    }
-    adam->RestoreState(snapshot.adam_m, snapshot.adam_v, snapshot.adam_t);
-    adam->set_learning_rate(snapshot.learning_rate);
-  }
-  if (sgd != nullptr) {
-    sgd->set_learning_rate(snapshot.learning_rate);
-  }
+  adam.RestoreState(snapshot.adam_m, snapshot.adam_v, snapshot.adam_t);
+  adam.set_learning_rate(snapshot.learning_rate);
   if (Rng* rng = model.MutableRng(); rng != nullptr && snapshot.model_rng.has_value()) {
     rng->RestoreState(*snapshot.model_rng);
   }
@@ -188,13 +176,7 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
   allocator.ClearInjectedFailure();
 
   std::vector<Var> parameters = model.Parameters();
-  std::unique_ptr<Adam> adam;
-  std::unique_ptr<Sgd> sgd;
-  if (config.use_adam) {
-    adam = std::make_unique<Adam>(parameters, config.learning_rate);
-  } else {
-    sgd = std::make_unique<Sgd>(parameters, config.learning_rate);
-  }
+  Adam adam(parameters, config.learning_rate);
 
   // Ends the run with a structured error; never aborts.
   const auto fail = [&](const Status& status) {
@@ -221,7 +203,7 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     if (!loaded.has_value()) {
       return fail(loaded.status());
     }
-    if (Status restored = RestoreSnapshot(*loaded, model, parameters, adam.get(), sgd.get());
+    if (Status restored = RestoreSnapshot(*loaded, model, parameters, adam);
         !restored.ok()) {
       return fail(Status::Error(restored.code(),
                                 config.checkpoint_path + ": " + restored.message()));
@@ -241,7 +223,7 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
   // The rollback anchor: refreshed on the checkpoint cadence, restored on
   // every recovery. Taken up front so epoch-0 failures have a target too.
   TrainCheckpoint rollback =
-      MakeSnapshot(model, parameters, adam.get(), epoch, lr, retries_used, best_loss);
+      MakeSnapshot(model, parameters, adam, epoch, lr, retries_used, best_loss);
 
   // Refreshes the anchor and, when configured, atomically rewrites the
   // checkpoint file. A failed write (disk full, injected fault) is itself a
@@ -255,7 +237,7 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
     // pool from its own frees.
     allocator.Trim();
     rollback =
-        MakeSnapshot(model, parameters, adam.get(), completed_epoch, lr, retries_used, best_loss);
+        MakeSnapshot(model, parameters, adam, completed_epoch, lr, retries_used, best_loss);
     if (config.checkpoint_path.empty()) {
       return;
     }
@@ -302,35 +284,26 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
       loss = ag::NllLoss(ag::LogSoftmax(logits), data.labels, data.train_mask);
       loss_value = loss.value().at(0);
     }
-    if (config.health_checks) {
-      if (!std::isfinite(loss_value)) {
-        problem = "non_finite_loss";
-        detail = "loss = " + std::to_string(loss_value);
-      } else if (loss_value > config.divergence_threshold) {
-        problem = "divergence";
-        detail = "loss " + std::to_string(loss_value) + " above threshold " +
-                 std::to_string(config.divergence_threshold);
-      }
+    if (!std::isfinite(loss_value)) {
+      problem = "non_finite_loss";
+      detail = "loss = " + std::to_string(loss_value);
+    } else if (loss_value > kDivergenceLoss) {
+      problem = "divergence";
+      detail = "loss " + std::to_string(loss_value) + " above threshold " +
+               std::to_string(kDivergenceLoss);
     }
     if (problem == nullptr) {
       trace::AmbientSpan backward_span("backward", "train");
       Backward(loss, Tensor::Ones({1}));
-      if (config.health_checks) {
-        if (std::string bad = FirstNonFiniteGrad(parameters); !bad.empty()) {
-          problem = "non_finite_grad";
-          detail = "NaN/Inf gradient in " + bad;
-        }
+      if (std::string bad = FirstNonFiniteGrad(parameters); !bad.empty()) {
+        problem = "non_finite_grad";
+        detail = "NaN/Inf gradient in " + bad;
       }
     }
     if (problem == nullptr) {
       trace::AmbientSpan step_span("optimizer_step", "train");
-      if (adam != nullptr) {
-        adam->Step();
-        adam->ZeroGrad();
-      } else {
-        sgd->Step();
-        sgd->ZeroGrad();
-      }
+      adam.Step();
+      adam.ZeroGrad();
     }
 
     // Allocator verdicts, polled once per epoch. A soft-budget breach is the
@@ -361,21 +334,12 @@ TrainResult TrainNodeClassification(GnnModel& model, const Dataset& data,
       {
         trace::AmbientSpan recovery_span(problem, "recovery");
         // Grads of a poisoned epoch must not leak into the retry.
-        if (adam != nullptr) {
-          adam->ZeroGrad();
-        } else {
-          sgd->ZeroGrad();
-        }
-        lr *= config.lr_backoff;
-        if (adam != nullptr) {
-          adam->set_learning_rate(lr);
-        } else {
-          sgd->set_learning_rate(lr);
-        }
+        adam.ZeroGrad();
+        lr *= kLrBackoff;
         // The anchor matches this model/optimizer by construction; restore
-        // cannot fail here.
+        // cannot fail here. It also sets the backed-off learning rate.
         rollback.learning_rate = lr;
-        Status restored = RestoreSnapshot(rollback, model, parameters, adam.get(), sgd.get());
+        Status restored = RestoreSnapshot(rollback, model, parameters, adam);
         SEASTAR_CHECK(restored.ok()) << restored.ToString();
         // A recovery is a memory-pressure moment (the poisoned epoch's
         // tensors were just dropped): return the pool's cache to the OS

@@ -29,8 +29,7 @@ namespace seastar {
 struct TrainConfig {
   int epochs = 200;
   int warmup_epochs = 3;  // Discarded from timing (paper §7).
-  float learning_rate = 1e-2f;
-  bool use_adam = true;
+  float learning_rate = 1e-2f;  // Adam's initial step size.
   // 0 = unlimited. When the live tensor bytes exceed this during an epoch,
   // training stops and the result is flagged oom.
   uint64_t memory_budget_bytes = 0;
@@ -50,17 +49,18 @@ struct TrainConfig {
   // moments and step counter, model RNG stream, epoch counter, learning
   // rate). A missing/corrupt file yields failed=true, never an abort.
   bool resume = false;
-  // Per-epoch numerical-health monitor: NaN/Inf scan of the loss and every
-  // parameter gradient, plus loss-divergence detection.
-  bool health_checks = true;
-  // A finite loss above this is treated as divergence.
-  float divergence_threshold = 1e6f;
   // Recovery policy: rollback to the last snapshot with learning_rate *=
-  // lr_backoff, at most max_retries times per run; the retry budget is also
+  // kLrBackoff, at most max_retries times per run; the retry budget is also
   // carried across resumes via the checkpoint.
   int max_retries = 3;
-  float lr_backoff = 0.5f;
 };
+
+// The per-epoch numerical-health monitor scans the loss and every parameter
+// gradient for NaN/Inf and treats a finite loss above kDivergenceLoss as
+// divergence; each failure rolls back with the learning rate scaled by
+// kLrBackoff.
+inline constexpr float kDivergenceLoss = 1e6f;
+inline constexpr float kLrBackoff = 0.5f;
 
 // One recovery action taken by the loop, mirrored as a span (category
 // "recovery") on the ambient trace.

@@ -127,7 +127,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
 
   // Nodes skipped by BinaryReduce fusion (value never materialized).
   std::vector<bool> fused_away(static_cast<size_t>(gir.num_nodes()), false);
-  if (!pyg && options_.fuse_binary_reduce) {
+  if (!pyg) {
     for (const Node& node : gir.nodes()) {
       if ((node.kind == OpKind::kAggSum || node.kind == OpKind::kAggMean) &&
           node.type != GraphType::kParam) {

@@ -33,8 +33,6 @@ enum class BaselineFlavor { kDglLike, kPygLike };
 
 struct BaselineExecutorOptions {
   BaselineFlavor flavor = BaselineFlavor::kDglLike;
-  // DGL's BinaryReduce fusion (ignored for kPygLike, which never fuses).
-  bool fuse_binary_reduce = true;
 };
 
 class BaselineExecutor : public Executor {

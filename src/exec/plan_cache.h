@@ -9,9 +9,8 @@
 // and a rebuilt-but-identical GIR still hits.
 //
 // Invalidation rules:
-//   * options change  -> enable_fusion is part of the key; the other
-//     executor options (block schedule, dynamic chunk) do not affect
-//     compilation, only how the launch hands out segments.
+//   * options change  -> enable_fusion, the executor's only option, is
+//     part of the key.
 //   * graph change    -> compilation never reads the graph; the per-graph
 //     state is keyed by graph properties (the tile plans, memoized per
 //     (unit, V, E) inside the CompiledProgram) or cached on the Graph

@@ -14,6 +14,7 @@
 #include "src/exec/plan_cache.h"
 #include "src/exec/pointwise.h"
 #include "src/exec/tiling.h"
+#include "src/parallel/simt.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/simd.h"
@@ -24,15 +25,12 @@ using trace::Arg;
 namespace {
 
 // Always-on per-tile observability (cached handles; bumped once per unit
-// launch on the orchestration path, never inside the edge loops). The SIMD
-// dispatch counter bakes the resolved ISA into a label, Prometheus-style, so
-// an exporter shows which row-kernel variant this process actually ran.
+// launch on the orchestration path, never inside the edge loops).
 struct TilingCounters {
-  metrics::Counter* segments;        // seastar_tiling_segments_total
-  metrics::Counter* tile_passes;     // seastar_tiling_tile_passes_total
-  metrics::Counter* edge_visits;     // seastar_tiling_edge_visits_total
-  metrics::Counter* tiled_units;     // seastar_tiling_units_tiled_total
-  metrics::Counter* simd_dispatch;   // seastar_simd_unit_dispatch_total{isa=...}
+  metrics::Counter* segments;     // seastar_tiling_segments_total
+  metrics::Counter* tile_passes;  // seastar_tiling_tile_passes_total
+  metrics::Counter* edge_visits;  // seastar_tiling_edge_visits_total
+  metrics::Counter* tiled_units;  // seastar_tiling_units_tiled_total
 };
 
 const TilingCounters& Tiling() {
@@ -43,8 +41,6 @@ const TilingCounters& Tiling() {
     c.tile_passes = registry.GetCounter("seastar_tiling_tile_passes_total");
     c.edge_visits = registry.GetCounter("seastar_tiling_edge_visits_total");
     c.tiled_units = registry.GetCounter("seastar_tiling_units_tiled_total");
-    c.simd_dispatch = registry.GetCounter(std::string("seastar_simd_unit_dispatch_total{isa=\"") +
-                                          simd::SimdIsaName() + "\"}");
     registry.GetGauge("seastar_simd_lanes")->Set(static_cast<double>(simd::SimdLanes()));
     return c;
   }();
@@ -59,11 +55,6 @@ inline void AtomicStoreRow(float* dst, const float* src, int32_t width) {
     std::atomic_ref<float>(dst[j]).store(src[j], std::memory_order_relaxed);
   }
 }
-
-// Per-worker hot-loop counter, cacheline-padded against false sharing.
-struct alignas(64) WorkerEdgeCount {
-  int64_t edges = 0;
-};
 
 // ---- The segment launch ------------------------------------------------------------------------
 // A worker's slice of the launch scratch (layout in LoweredWorkFloats).
@@ -185,12 +176,12 @@ void FlushTypeRun(const AggInstr& agg, float* regs, int64_t key, int32_t type,
   std::fill_n(inner, agg.width, 0.0f);
 }
 
-// Runs one tile-plan segment of a unit (see CompiledUnit). Returns the
-// number of edges walked. Every key's result depends only on its own slots,
-// taken in slot order, so the segment and chunk boundaries — and hence the
-// plan, tiled or SingleSegmentPlan — never change a bit.
-int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan& plan,
-                          int64_t segment, const LoweredWork& work, int64_t num_vertices) {
+// Runs one tile-plan segment of a unit (see CompiledUnit). Every key's
+// result depends only on its own slots, taken in slot order, so the segment
+// and chunk boundaries — and hence the plan, tiled or SingleSegmentPlan —
+// never change a bit.
+void RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan& plan,
+                       int64_t segment, const LoweredWork& work, int64_t num_vertices) {
   const int32_t stride = unit.key_stride;
   const auto slot = [&](int64_t k) {
     return unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k)] : int64_t{0};
@@ -202,7 +193,6 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
   const int32_t* types = csr.edge_types.empty() ? nullptr : csr.edge_types.data();
   const auto type_at = [types](int64_t s) { return types != nullptr ? types[s] : 0; };
   const int64_t p_end = plan.bounds[static_cast<size_t>(segment) + 1];
-  int64_t edges = 0;
   for (int64_t k0 = plan.bounds[static_cast<size_t>(segment)]; k0 < p_end;) {
     // Key batch [k0, k1): up to batch_keys keys whose slots fit one chunk. A
     // key whose slots alone overflow a chunk is a batch of its own and runs
@@ -214,7 +204,6 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
       ++k1;
     }
     const int64_t s_end = slot(k1);
-    edges += s_end - s_begin;
 
     // Algorithm 1 lines 5-7 per key: invariant ops, accumulator init.
     for (int64_t k = k0; k < k1; ++k) {
@@ -349,16 +338,9 @@ int64_t RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePl
     }
     k0 = k1;
   }
-  return edges;
 }
 
 }  // namespace
-
-ExecutionPlan SeastarExecutor::Plan(const GirGraph& gir) const {
-  FusionOptions fusion_options;
-  fusion_options.enable_fusion = options_.enable_fusion;
-  return BuildExecutionPlan(gir, fusion_options);
-}
 
 RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
                                const FeatureMap& features, const RunContext& ctx) const {
@@ -462,20 +444,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     node_base[static_cast<size_t>(id)] = tensor.data();
   }
 
-  // Traced-only per-worker traversal counters, zeroed per unit and merged
-  // after its launch (never touched untraced; one padded slot per worker so
-  // the edge loop stays contention-free).
   const int num_workers = ThreadPool::Current().num_threads() + 1;
-  std::vector<WorkerEdgeCount> edge_counts(traced ? static_cast<size_t>(num_workers) : 0);
-  WorkerEdgeCount* edge_slots = edge_counts.empty() ? nullptr : edge_counts.data();
-  const auto edges_counted = [&edge_counts] {
-    int64_t edges = 0;
-    for (WorkerEdgeCount& count : edge_counts) {
-      edges += count.edges;
-      count.edges = 0;
-    }
-    return edges;
-  };
 
   // ---- Run each unit ----------------------------------------------------------------------------
   for (size_t unit_index = 0; unit_index < plan.units.size(); ++unit_index) {
@@ -532,26 +501,22 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     SimtLaunchStats launch_stats;
     SimtLaunchParams launch;
     launch.num_blocks = num_segments;
-    launch.schedule = options_.schedule;
-    launch.chunk_size = options_.dynamic_chunk;
     launch.stats = traced ? &launch_stats : nullptr;
     LaunchBlocks(launch, [&](int64_t segment, int worker) {
       const LoweredWork work = CarveLoweredWork(unit, work_base + worker * work_stride);
-      const int64_t edges = RunLoweredSegment(unit, csr, *tile_plan, segment, work, num_vertices);
-      if (edge_slots != nullptr) {
-        edge_slots[worker].edges += edges;
-      }
+      RunLoweredSegment(unit, csr, *tile_plan, segment, work, num_vertices);
     });
 
     const TilingCounters& counters = Tiling();
     const int64_t tile_passes = num_segments * tile_plan->num_tiles;
     counters.segments->Add(num_segments);
     counters.tile_passes->Add(tile_passes);
-    counters.edge_visits->Add(unit.needs_edge_loop ? csr.num_edges * tile_plan->num_tiles : 0);
+    // The segments cover every key position, so an edge-looping unit walks
+    // each CSR slot once per feature tile.
+    const int64_t edges = unit.needs_edge_loop ? csr.num_edges : 0;
+    counters.edge_visits->Add(edges * tile_plan->num_tiles);
     counters.tiled_units->Add(1);
-    counters.simd_dispatch->Add(1);
 
-    const int64_t edges = edges_counted();
     if (trace::Span* span = unit_span.span()) {
       span->Set(Arg::kEdges, edges);
       span->Set(Arg::kNumBlocks, num_segments);
@@ -561,7 +526,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       span->Set(Arg::kTilePasses, tile_passes);
       span->Set(Arg::kTileWidth, tile_plan->tile_width);
       span->Set(Arg::kBytesMaterialized, bytes_materialized());
-      span->schedule = BlockScheduleName(options_.schedule);
       span->simd_isa = simd::SimdIsaName();
     }
   }

@@ -18,8 +18,9 @@
 // Vertex-parallel edge-sequential execution gives the locality-centric
 // behaviour of §6.3.2 (destination rows loaded once, aggregation in
 // registers, no atomics on accumulators); degree sorting lives in the
-// Graph's CSRs; the block-dispatch discipline (static / atomic / dynamic) is
-// configurable for the §6.3.3 ablations. Only unit-crossing values are
+// Graph's CSRs; segments go out under the chunked dynamic block dispatch
+// (the §6.3.3 ablation of all three disciplines lives in the Fig. 12
+// neighbour-access kernels, neighbor_access.h). Only unit-crossing values are
 // materialized (materialization planning) — everything else stays in
 // registers, which is where the memory savings over the whole-graph tensor
 // systems come from.
@@ -28,15 +29,11 @@
 
 #include "src/exec/executor.h"
 #include "src/exec/runtime.h"
-#include "src/gir/fusion.h"
 #include "src/gir/ir.h"
-#include "src/parallel/simt.h"
 
 namespace seastar {
 
 struct SeastarExecutorOptions {
-  BlockSchedule schedule = BlockSchedule::kChunkedDynamic;
-  int64_t dynamic_chunk = 16;
   // Off = the no-fusion ablation: one unit per op, all intermediates
   // materialized.
   bool enable_fusion = true;
@@ -68,8 +65,6 @@ class SeastarExecutor : public Executor {
   // allocator, pool and plan-cache deltas.
   RunResult Run(const GirGraph& gir, const Graph& graph, const FeatureMap& features,
                 const RunContext& ctx = {}) const;
-
-  ExecutionPlan Plan(const GirGraph& gir) const;
 
   const SeastarExecutorOptions& options() const { return options_; }
 

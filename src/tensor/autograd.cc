@@ -158,6 +158,17 @@ void Backward(const Var& root, const Tensor& seed) {
 }
 
 namespace ag {
+namespace {
+
+// Runs a forward dense kernel inside a "dense" span named after the op, the
+// name its backward node records too.
+template <typename Kernel>
+Tensor DenseForward(const char* op_name, Kernel&& kernel) {
+  trace::AmbientSpan span(op_name, "dense");
+  return kernel();
+}
+
+}  // namespace
 
 Var Add(const Var& a, const Var& b) {
   Tensor out = ops::Add(a.value(), b.value());
@@ -186,7 +197,8 @@ Var Mul(const Var& a, const Var& b) {
 }
 
 Var AddRowBroadcast(const Var& matrix, const Var& row) {
-  Tensor out = ops::AddRowBroadcast(matrix.value(), row.value());
+  Tensor out = DenseForward("add_row_broadcast",
+                             [&] { return ops::AddRowBroadcast(matrix.value(), row.value()); });
   const bool scalar_row = row.value().numel() == 1;
   return Var::MakeNode(
       std::move(out), {matrix, row},
@@ -198,11 +210,7 @@ Var AddRowBroadcast(const Var& matrix, const Var& row) {
 }
 
 Var Matmul(const Var& a, const Var& b) {
-  Tensor out;
-  {
-    trace::AmbientSpan span("matmul", "dense");
-    out = ops::Matmul(a.value(), b.value());
-  }
+  Tensor out = DenseForward("matmul", [&] { return ops::Matmul(a.value(), b.value()); });
   // dA = g @ B^T needs only B, dB = A^T @ g only A. An input that needs no
   // gradient (the features leaf under a first-layer weight) gets none
   // computed: its entry stays undefined, which Backward() skips.
@@ -218,7 +226,7 @@ Var Matmul(const Var& a, const Var& b) {
 }
 
 Var Relu(const Var& a) {
-  Tensor out = ops::Relu(a.value());
+  Tensor out = DenseForward("relu", [&] { return ops::Relu(a.value()); });
   Tensor av = a.value();
   return Var::MakeNode(
       std::move(out), {a},
@@ -226,7 +234,7 @@ Var Relu(const Var& a) {
 }
 
 Var Elu(const Var& a, float alpha) {
-  Tensor out = ops::Elu(a.value(), alpha);
+  Tensor out = DenseForward("elu", [&] { return ops::Elu(a.value(), alpha); });
   Tensor saved = out;
   return Var::MakeNode(
       std::move(out), {a},
@@ -237,7 +245,7 @@ Var Elu(const Var& a, float alpha) {
 }
 
 Var LogSoftmax(const Var& a) {
-  Tensor out = ops::LogSoftmax(a.value());
+  Tensor out = DenseForward("log_softmax", [&] { return ops::LogSoftmax(a.value()); });
   Tensor saved = out;
   return Var::MakeNode(
       std::move(out), {a},
@@ -276,7 +284,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
     values.push_back(part.value());
     widths.push_back(part.value().dim(1));
   }
-  Tensor out = ops::ConcatCols(values);
+  Tensor out = DenseForward("concat_cols", [&] { return ops::ConcatCols(values); });
   return Var::MakeNode(
       std::move(out), parts,
       [widths](const Tensor& g) {
@@ -303,10 +311,12 @@ Var ConcatCols(const std::vector<Var>& parts) {
 }
 
 Var NllLoss(const Var& log_probs, std::vector<int32_t> labels, std::vector<int32_t> mask_rows) {
-  const float loss = ops::NllLoss(log_probs.value(), labels, mask_rows);
+  Tensor loss = DenseForward("nll_loss", [&] {
+    return Tensor::FromScalar(ops::NllLoss(log_probs.value(), labels, mask_rows));
+  });
   Tensor lp = log_probs.value();
   return Var::MakeNode(
-      Tensor::FromScalar(loss), {log_probs},
+      std::move(loss), {log_probs},
       [lp, labels = std::move(labels), mask_rows = std::move(mask_rows)](const Tensor& g) {
         Tensor grad = ops::CrossEntropyGrad(lp, labels, mask_rows);
         return std::vector<Tensor>{ops::MulScalar(grad, g.at(0))};

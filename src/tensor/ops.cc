@@ -141,16 +141,6 @@ Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng& rng) {
   return RandomUniform({fan_in, fan_out}, -bound, bound, rng);
 }
 
-Tensor OneHot(const std::vector<int32_t>& labels, int64_t num_classes) {
-  Tensor t = Tensor::Zeros({static_cast<int64_t>(labels.size()), num_classes});
-  for (size_t i = 0; i < labels.size(); ++i) {
-    SEASTAR_CHECK_GE(labels[i], 0);
-    SEASTAR_CHECK_LT(labels[i], num_classes);
-    t.at(static_cast<int64_t>(i), labels[i]) = 1.0f;
-  }
-  return t;
-}
-
 // ---- Elementwise (the math is src/tensor/pointwise.h's) ----------------------------------------
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -406,11 +396,6 @@ float SumAll(const Tensor& a) {
   return static_cast<float>(acc);
 }
 
-float MeanAll(const Tensor& a) {
-  SEASTAR_CHECK_GT(a.numel(), 0);
-  return SumAll(a) / static_cast<float>(a.numel());
-}
-
 float MaxAll(const Tensor& a) {
   SEASTAR_CHECK_GT(a.numel(), 0);
   const float* p = a.data();
@@ -434,24 +419,6 @@ Tensor RowSum(const Tensor& a) {
       acc += pa[i * d + j];
     }
     po[i] = static_cast<float>(acc);
-  }
-  return out;
-}
-
-Tensor RowMax(const Tensor& a) {
-  SEASTAR_CHECK_EQ(a.ndim(), 2);
-  SEASTAR_CHECK_GT(a.dim(1), 0);
-  const int64_t n = a.dim(0);
-  const int64_t d = a.dim(1);
-  Tensor out({n, 1});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    float best = pa[i * d];
-    for (int64_t j = 1; j < d; ++j) {
-      best = std::max(best, pa[i * d + j]);
-    }
-    po[i] = best;
   }
   return out;
 }

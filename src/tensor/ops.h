@@ -27,8 +27,6 @@ Tensor RandomUniform(std::vector<int64_t> shape, float lo, float hi, Rng& rng);
 Tensor RandomNormal(std::vector<int64_t> shape, float mean, float stddev, Rng& rng);
 // Glorot/Xavier-uniform initialization for a [fan_in, fan_out] weight matrix.
 Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng& rng);
-// Identity-like one-hot rows: shape [n, num_classes], row i has 1 at labels[i].
-Tensor OneHot(const std::vector<int32_t>& labels, int64_t num_classes);
 
 // ---- Elementwise (same shape, or rhs a scalar tensor of shape {1}) -----------------------------
 // Each op's math is its functor in src/tensor/pointwise.h, shared with the
@@ -72,11 +70,9 @@ Tensor Transpose(const Tensor& a);
 // ---- Reductions --------------------------------------------------------------------------------
 
 float SumAll(const Tensor& a);
-float MeanAll(const Tensor& a);
 float MaxAll(const Tensor& a);
-// [N, D] -> [N, 1]: per-row sum / max.
+// [N, D] -> [N, 1]: per-row sum.
 Tensor RowSum(const Tensor& a);
-Tensor RowMax(const Tensor& a);
 // [N, D] -> [D]: column sum (bias gradients).
 Tensor ColSum(const Tensor& a);
 // Per-row argmax of a [N, D] tensor.

@@ -246,17 +246,7 @@ TEST(RngTest, ShufflePermutes) {
 
 TEST(StringUtilTest, SplitAndJoin) {
   const auto pieces = Split("a,b,,c", ',');
-  ASSERT_EQ(pieces.size(), 4u);
-  EXPECT_EQ(pieces[0], "a");
-  EXPECT_EQ(pieces[2], "");
-  EXPECT_EQ(Join(pieces, "|"), "a|b||c");
-}
-
-TEST(StringUtilTest, ThousandsSeparators) {
-  EXPECT_EQ(WithThousandsSeparators(0), "0");
-  EXPECT_EQ(WithThousandsSeparators(999), "999");
-  EXPECT_EQ(WithThousandsSeparators(1000), "1,000");
-  EXPECT_EQ(WithThousandsSeparators(84120742), "84,120,742");
+  EXPECT_EQ(pieces, (std::vector<std::string>{"a", "b", "", "c"}));
 }
 
 TEST(StringUtilTest, HumanBytes) {

@@ -177,8 +177,8 @@ TEST(ExecBackwardTest, AllBackendsComputeSameGradients) {
   features.vertex["h"] = ops::RandomNormal({g.num_vertices(), 4}, 0, 1, rng);
 
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
-  BaselineExecutor pyg({BaselineFlavor::kPygLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
+  BaselineExecutor pyg({BaselineFlavor::kPygLike});
 
   Tensor out = seastar.Run(p.forward, g, features).outputs.at("out");
   FeatureMap bwd_features = features;

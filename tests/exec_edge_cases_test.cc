@@ -25,8 +25,8 @@ GirGraph SumProgram(int32_t width) {
 
 void ExpectAllAgree(const GirGraph& gir, const Graph& g, const FeatureMap& features) {
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
-  BaselineExecutor pyg({BaselineFlavor::kPygLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
+  BaselineExecutor pyg({BaselineFlavor::kPygLike});
   Tensor a = seastar.Run(gir, g, features).outputs.begin()->second;
   Tensor c = dgl.Run(gir, g, features).outputs.begin()->second;
   Tensor d = pyg.Run(gir, g, features).outputs.begin()->second;
@@ -117,7 +117,7 @@ TEST(ExecEdgeCaseTest, MaxFoldMatchesDglBitwiseOnTiesNaNsAndEmptyKeys) {
     }
     features.vertex["h"] = h;
     SeastarExecutor seastar;
-    BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+    BaselineExecutor dgl({BaselineFlavor::kDglLike});
     const Tensor a = seastar.Run(b.graph(), g, features).outputs.at("out");
     const Tensor c = dgl.Run(b.graph(), g, features).outputs.at("out");
     ASSERT_EQ(a.numel(), c.numel());

@@ -589,20 +589,38 @@ TEST(TrainRecoveryTest, RetriesAreBoundedAndFailureIsStructured) {
   }
 }
 
-TEST(TrainRecoveryTest, HealthChecksCanBeDisabled) {
+TEST(TrainRecoveryTest, FiniteLossAboveOneMillionIsDivergenceAndHalvesTheLr) {
+  ScopedFaultClear clear;
   Dataset data = SmallDataset();
   GcnConfig config;
   Gcn model(data, config, SeastarBackend());
+
+  // Scale the output projection until the logits spread by about 1e7: the
+  // loss stays finite but lands far above the monitor's 1e6 bound. The
+  // rollback anchor holds the scaled weights, so every retry diverges too.
+  const Tensor logits = model.Forward(/*training=*/false).value();
+  const auto [lo, hi] = std::minmax_element(logits.data(), logits.data() + logits.numel());
+  const float scale = 1e7f / (*hi - *lo);
+  std::vector<Var> parameters = model.Parameters();
+  Tensor& weight = parameters[static_cast<size_t>(config.num_layers) - 1].mutable_value();
+  for (int64_t i = 0; i < weight.numel(); ++i) {
+    weight.data()[i] *= scale;
+  }
+
   TrainConfig train;
-  train.epochs = 3;
+  train.epochs = 2;
   train.warmup_epochs = 0;
-  train.learning_rate = 1e20f;
-  train.health_checks = false;
-  // Without the monitor the run "completes" with a garbage loss — the knob
-  // exists to measure monitor overhead, and must not abort either way.
+  train.max_retries = 1;
   TrainResult result = TrainNodeClassification(model, data, train);
-  EXPECT_FALSE(result.failed);
-  EXPECT_EQ(result.epochs_run, 3);
+
+  EXPECT_TRUE(result.failed);
+  ASSERT_EQ(result.recovery_events.size(), 2u);
+  const RecoveryEvent& first = result.recovery_events[0];
+  EXPECT_EQ(first.kind, "divergence") << first.detail;
+  EXPECT_EQ(first.epoch, 0);
+  EXPECT_EQ(first.lr_after, 0.5f * train.learning_rate);
+  EXPECT_EQ(result.recovery_events[1].kind, "divergence");
+  EXPECT_EQ(result.recovery_events[1].lr_after, 0.25f * train.learning_rate);
 }
 
 TEST(TrainRecoveryTest, CheckpointWriteFailureIsRecordedButNonFatal) {

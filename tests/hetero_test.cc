@@ -56,8 +56,8 @@ TEST(HeteroTest, RgcnStyleKernelMatchesBaselines) {
   features.vertex["norm"] = ops::RandomUniform({g.num_vertices(), 1}, 0.5f, 1.5f, rng);
 
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
-  BaselineExecutor pyg({BaselineFlavor::kPygLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
+  BaselineExecutor pyg({BaselineFlavor::kPygLike});
   Tensor a = seastar.Run(b.graph(), g, features).outputs.at("out");
   Tensor c = dgl.Run(b.graph(), g, features).outputs.at("out");
   Tensor d = pyg.Run(b.graph(), g, features).outputs.at("out");
@@ -142,7 +142,7 @@ TEST(HeteroTest, TypeSumThenMaxAgreesWithBaseline) {
   FeatureMap features;
   features.vertex["h"] = ops::RandomNormal({g.num_vertices(), 4}, 0, 1, rng);
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
   Tensor a = seastar.Run(b.graph(), g, features).outputs.at("out");
   Tensor c = dgl.Run(b.graph(), g, features).outputs.at("out");
   EXPECT_TRUE(a.AllClose(c, 1e-4f));
@@ -214,7 +214,7 @@ TEST(HeteroTest, TypedGradAgreesAcrossBackends) {
       ops::RandomNormal({g.num_vertices(), 4}, 0, 1, rng);
 
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
   Tensor a = seastar.Run(backward.graph, g, bwd).outputs.begin()->second;
   Tensor c = dgl.Run(backward.graph, g, bwd).outputs.begin()->second;
   EXPECT_TRUE(a.AllClose(c, 1e-3f));
@@ -246,7 +246,7 @@ TEST(HeteroTest, TypedRunsSpanningChunksMatchBaseline) {
   features.edge["norm"] = ops::RandomUniform({g.num_edges(), 1}, 0.5f, 1.5f, rng);
 
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
   const auto expect_close = [&](const GirGraph& gir, const FeatureMap& inputs) {
     const RunResult a = seastar.Run(gir, g, inputs);
     const RunResult c = dgl.Run(gir, g, inputs);

@@ -324,16 +324,6 @@ TEST(NnTest, AdamConvergesOnQuadratic) {
   EXPECT_LT(last, 1e-3f);
 }
 
-TEST(NnTest, SgdStepMovesAgainstGradient) {
-  Var x = Var::Leaf(Tensor({2}, {1.0f, -1.0f}), true);
-  Var y = ag::Mul(x, x);
-  Backward(y, Tensor::Ones({2}));
-  Sgd sgd({x}, 0.1f);
-  sgd.Step();
-  EXPECT_NEAR(x.value().at(0), 0.8f, 1e-6);   // 1 - 0.1*2
-  EXPECT_NEAR(x.value().at(1), -0.8f, 1e-6);
-}
-
 TEST(NnTest, StackedRelationMatmulGradients) {
   Rng rng(2);
   Tensor x_val = ops::RandomNormal({5, 3}, 0, 1, rng);

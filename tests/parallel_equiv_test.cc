@@ -173,18 +173,5 @@ TEST(ParallelEquivTest, AdamStepChunkingIsBitwiseExact) {
   ExpectPiecesMatchWhole(pieces, whole);
 }
 
-TEST(ParallelEquivTest, SgdStepChunkingIsBitwiseExact) {
-  Var whole = MakeParam(kBig, 29);
-  std::vector<Var> pieces = MakeParamPieces(whole);
-
-  Sgd big({whole}, 0.05f);
-  Sgd small(pieces, 0.05f);
-  for (int step = 0; step < 3; ++step) {
-    big.Step();
-    small.Step();
-  }
-  ExpectPiecesMatchWhole(pieces, whole);
-}
-
 }  // namespace
 }  // namespace seastar

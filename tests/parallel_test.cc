@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -171,6 +172,40 @@ TEST(LaunchBlocksTest, ZeroBlocksIsNoop) {
   int calls = 0;
   LaunchBlocks(params, [&](int64_t, int) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+TEST(LaunchBlocksTest, DispatchCountsMatchScheduleMode) {
+  // A dispatch is one work grant (§6.3.3): static hands each worker one
+  // contiguous range, atomic one block per RMW, chunked dynamic one chunk.
+  const int64_t participants = ThreadPool::Current().num_threads() + 1;
+  const auto launch = [](BlockSchedule schedule, int64_t num_blocks, int64_t chunk) {
+    SimtLaunchStats stats;
+    SimtLaunchParams params;
+    params.num_blocks = num_blocks;
+    params.schedule = schedule;
+    params.chunk_size = chunk;
+    params.stats = &stats;
+    LaunchBlocks(params, [](int64_t, int) {});
+    EXPECT_EQ(stats.blocks_run, num_blocks) << BlockScheduleName(schedule);
+    return stats.dispatches;
+  };
+  for (int64_t num_blocks : {int64_t{1}, int64_t{5}, int64_t{37}, int64_t{1000}}) {
+    SCOPED_TRACE(num_blocks);
+    const int64_t per_worker = (num_blocks + participants - 1) / participants;
+    int64_t nonempty_ranges = 0;
+    for (int64_t w = 0; w < participants; ++w) {
+      if (std::min((w + 1) * per_worker, num_blocks) > w * per_worker) {
+        ++nonempty_ranges;
+      }
+    }
+    EXPECT_EQ(launch(BlockSchedule::kStatic, num_blocks, 16), nonempty_ranges);
+    EXPECT_EQ(launch(BlockSchedule::kAtomicPerBlock, num_blocks, 16), num_blocks);
+    for (int64_t chunk : {int64_t{1}, int64_t{16}}) {
+      EXPECT_EQ(launch(BlockSchedule::kChunkedDynamic, num_blocks, chunk),
+                (num_blocks + chunk - 1) / chunk)
+          << "chunk " << chunk;
+    }
+  }
 }
 
 TEST(LaunchBlocksTest, DynamicDispatchIsRoughlyInOrderPerWorker) {

@@ -154,11 +154,11 @@ TEST(KernelCounterTest, SeastarCountsUnitsBaselineCountsOperators) {
   // The two fused GAT units.
   EXPECT_EQ(RunSpanLaunches(SeastarExecutor(), gat), std::vector<int64_t>{2});
   // 7 operators, minus the BinaryReduce-fused Mul: 6 kernels.
-  EXPECT_EQ(RunSpanLaunches(BaselineExecutor({BaselineFlavor::kDglLike, true}), gat),
+  EXPECT_EQ(RunSpanLaunches(BaselineExecutor({BaselineFlavor::kDglLike}), gat),
             std::vector<int64_t>{6});
   // PyG: 7 operator kernels + gathers (eu, ev, h, and sum re-read per edge).
   const std::vector<int64_t> pyg =
-      RunSpanLaunches(BaselineExecutor({BaselineFlavor::kPygLike, true}), gat);
+      RunSpanLaunches(BaselineExecutor({BaselineFlavor::kPygLike}), gat);
   ASSERT_EQ(pyg.size(), 1u);
   EXPECT_GT(pyg[0], 7);
   // The registry counter adds each run's count once.
@@ -170,7 +170,7 @@ TEST(KernelCounterTest, SeastarCountsUnitsBaselineCountsOperators) {
 TEST(KernelCounterTest, ConcurrentRunsCountOnlyTheirOwnLaunches) {
   const GatAttention gat = MakeGatAttention();
   const SeastarExecutor seastar;
-  const BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+  const BaselineExecutor dgl({BaselineFlavor::kDglLike});
   const int64_t seastar_alone = RunSpanLaunches(seastar, gat).at(0);
   const int64_t dgl_alone = RunSpanLaunches(dgl, gat).at(0);
 

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -27,7 +28,6 @@
 #include "src/gir/passes.h"
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
-#include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/simd.h"
 
@@ -134,7 +134,7 @@ TEST(ProfilerTest, ChromeTraceJsonIsWellFormed) {
     ScopedRun run(&tracer, "run", "test");
     AmbientSpan span(trace::Intern("unit0:Mul+AggSum"), "unit");
     span.Set(Arg::kEdges, 100);
-    span.span()->schedule = "dynamic";
+    span.span()->simd_isa = "avx2";
   }
   const std::string json = tracer.ChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -142,7 +142,7 @@ TEST(ProfilerTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_NE(json.find("\"name\": \"unit0:Mul+AggSum\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"edges\": 100"), std::string::npos);
-  EXPECT_NE(json.find("\"schedule\": \"dynamic\""), std::string::npos);
+  EXPECT_NE(json.find("\"simd_isa\": \"avx2\""), std::string::npos);
   EXPECT_NE(json.find("\"retained_by\": \"run\""), std::string::npos);
   EXPECT_NE(json.find("\"retention\": \"run\""), std::string::npos);
   // Balanced braces (crude structural check without a JSON parser).
@@ -182,28 +182,30 @@ TEST(ProfilerTest, SummaryTableAggregatesByName) {
 
 TEST(ProfilerTest, SeastarUnitSpanCountsEveryEdgeOnce) {
   const Graph g = RandomGraph(60, 300, 0x5e1);
-  const GirGraph gir = AggSumProgram(4);
   const FeatureMap features = VertexFeature(g, "h", 4, 0x5e2);
+  GirBuilder vertex_only;
+  vertex_only.MarkOutput(Relu(vertex_only.Dst("h", 4)), "out");
 
-  for (BlockSchedule schedule :
-       {BlockSchedule::kStatic, BlockSchedule::kAtomicPerBlock, BlockSchedule::kChunkedDynamic}) {
-    SCOPED_TRACE(BlockScheduleName(schedule));
-    SeastarExecutorOptions options;
-    options.schedule = schedule;
-    SeastarExecutor executor(options);
+  // Vertex-parallel edge-sequential: an aggregating unit visits each edge
+  // slot exactly once; a vertex-only unit runs no edge loop at all.
+  const struct {
+    const char* name;
+    GirGraph gir;
+    int64_t edges;
+  } cases[] = {{"agg_sum", AggSumProgram(4), g.num_edges()},
+               {"vertex_only", RunStandardPasses(vertex_only.graph()).graph, 0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
     Tracer tracer(TracerConfig{}, Retention::kRun);
     {
       ScopedRun run(&tracer, "run", "test");
-      executor.Run(gir, g, features);
+      SeastarExecutor().Run(c.gir, g, features);
     }
 
     const std::vector<Span> units = SpansInCategory(tracer, "unit");
     ASSERT_EQ(units.size(), 1u) << "expected exactly one fused unit";
     const Span& unit = units[0];
-    // Vertex-parallel edge-sequential: each edge slot visited exactly once.
-    EXPECT_EQ(unit.arg(Arg::kEdges), g.num_edges());
-    ASSERT_NE(unit.schedule, nullptr);
-    EXPECT_STREQ(unit.schedule, BlockScheduleName(schedule));
+    EXPECT_EQ(unit.arg(Arg::kEdges), c.edges);
     EXPECT_GT(unit.arg(Arg::kNumBlocks), 0);
     EXPECT_EQ(std::string(unit.name).rfind("unit0:", 0), 0u) << unit.name;
 
@@ -212,53 +214,6 @@ TEST(ProfilerTest, SeastarUnitSpanCountsEveryEdgeOnce) {
     EXPECT_EQ(runs[0].arg(Arg::kKernelLaunches), 1);
     EXPECT_EQ(runs[0].arg(Arg::kPlanCacheHits) + runs[0].arg(Arg::kPlanCacheMisses), 1);
   }
-}
-
-TEST(ProfilerTest, DispatchCountsMatchScheduleMode) {
-  const Graph g = RandomGraph(200, 900, 0xd15);
-  const GirGraph gir = AggSumProgram(8);
-  const FeatureMap features = VertexFeature(g, "h", 8, 0xd16);
-  const int64_t participants = ThreadPool::Get().num_threads() + 1;
-
-  const auto run = [&](BlockSchedule schedule, int64_t chunk) {
-    SeastarExecutorOptions options;
-    options.schedule = schedule;
-    options.dynamic_chunk = chunk;
-    SeastarExecutor executor(options);
-    Tracer tracer(TracerConfig{}, Retention::kRun);
-    {
-      ScopedRun scope(&tracer, "run", "test");
-      executor.Run(gir, g, features);
-    }
-    const std::vector<Span> units = SpansInCategory(tracer, "unit");
-    if (units.empty()) {
-      ADD_FAILURE() << "no unit span recorded";
-      return Span{};
-    }
-    return units[0];
-  };
-
-  // Static: one contiguous range per participating worker.
-  const Span static_span = run(BlockSchedule::kStatic, 16);
-  const int64_t num_blocks = static_span.arg(Arg::kNumBlocks);
-  const int64_t per_worker = (num_blocks + participants - 1) / participants;
-  int64_t expected_static = 0;
-  for (int64_t w = 0; w < participants; ++w) {
-    if (std::min((w + 1) * per_worker, num_blocks) > w * per_worker) {
-      ++expected_static;
-    }
-  }
-  EXPECT_EQ(static_span.arg(Arg::kDispatches), expected_static);
-
-  // Atomic: one RMW grant per block.
-  const Span atomic_span = run(BlockSchedule::kAtomicPerBlock, 16);
-  EXPECT_EQ(atomic_span.arg(Arg::kDispatches), atomic_span.arg(Arg::kNumBlocks));
-
-  // Chunked dynamic: one grant per chunk of blocks.
-  const int64_t chunk = 16;
-  const Span dynamic_span = run(BlockSchedule::kChunkedDynamic, chunk);
-  EXPECT_EQ(dynamic_span.arg(Arg::kDispatches),
-            (dynamic_span.arg(Arg::kNumBlocks) + chunk - 1) / chunk);
 }
 
 TEST(ProfilerTest, BaselineOpSpansCoverTraversalKernels) {
@@ -348,11 +303,9 @@ TEST(ProfilerTest, RetainThroughRunContextMatchesDefaultRun) {
   features.vertex["h"] = ops::RandomNormal({g.num_vertices(), 4}, 0.0f, 1.0f, rng);
   features.vertex["norm"] = ops::RandomNormal({g.num_vertices(), 1}, 0.0f, 1.0f, rng);
 
-  // No BinaryReduce fusion, so the [E, 4] Mul intermediate really
-  // materializes and the eager-free path has something to release.
-  BaselineExecutorOptions options;
-  options.fuse_binary_reduce = false;
-  BaselineExecutor executor(options);
+  // PyG never fuses, so the [E, 4] Mul intermediate really materializes
+  // and the eager-free path has something to release.
+  BaselineExecutor executor({BaselineFlavor::kPygLike});
   RunResult keep_all = executor.Run(gir, g, features);
   const std::vector<int32_t> no_retain;
   RunContext ctx;
@@ -368,9 +321,10 @@ TEST(ProfilerTest, RetainThroughRunContextMatchesDefaultRun) {
 
 TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
   // The dense half of an epoch is visible in the run trace: each forward
-  // projection gets a "dense" span named "matmul", every tape-op backward
-  // node one named "<op>/backward" (one matmul per layer), and each
-  // training-mode dropout one "dropout" span. The vertex
+  // dense op gets a "dense" span named after the op its backward node
+  // records ("matmul", "add_row_broadcast", "relu", "log_softmax",
+  // "nll_loss"), every tape-op backward node one named "<op>/backward", and
+  // each training-mode dropout one "dropout" span. The vertex
   // program's backward is aggregation: it stays in its own "program" span,
   // outside the dense category.
   DatasetOptions options;
@@ -394,8 +348,17 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
     return std::count_if(dense.begin(), dense.end(),
                          [&name](const Span& span) { return name == span.name; });
   };
-  EXPECT_EQ(count("matmul"), config.num_layers);
-  EXPECT_EQ(count("matmul/backward"), config.num_layers);
+  // Per layer a projection and a bias add, a relu between layers, and one
+  // loss head; each op once forward and once backward.
+  const std::pair<const char*, int> per_epoch[] = {{"matmul", config.num_layers},
+                                                   {"add_row_broadcast", config.num_layers},
+                                                   {"relu", config.num_layers - 1},
+                                                   {"log_softmax", 1},
+                                                   {"nll_loss", 1}};
+  for (const auto& [op, times] : per_epoch) {
+    EXPECT_EQ(count(op), times) << op;
+    EXPECT_EQ(count(std::string(op) + "/backward"), times) << op;
+  }
   EXPECT_EQ(count("dropout"), config.num_layers);
   // Each dropout span counts what it wrote: the features input needs no
   // gradient, so layer 0 writes only its output; layer 1 also its mask.
@@ -414,9 +377,10 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
   // One run, so span indices are positions in the retained list.
   const std::vector<Span> all = RetainedSpans(tracer);
   for (const Span& span : dense) {
-    if (std::string(span.name) == "matmul") {
+    const std::string name = span.name;
+    if (name.find('/') == std::string::npos) {  // A forward dense op.
       ASSERT_GE(span.parent, 0);
-      EXPECT_STREQ(all.at(static_cast<size_t>(span.parent)).name, "forward");
+      EXPECT_STREQ(all.at(static_cast<size_t>(span.parent)).name, "forward") << name;
     }
   }
   EXPECT_EQ(count("vertex_program/backward"), 0);
@@ -474,11 +438,15 @@ TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
     TrainNodeClassification(model, data, train);
   }
   // Each head projects once and scores twice (eu, ev): three forward
-  // matmul spans per head.
+  // matmul spans per head. The two hidden heads concatenate and pass an ELU.
   const std::vector<Span> dense = SpansInCategory(tracer, "dense");
-  EXPECT_EQ(std::count_if(dense.begin(), dense.end(),
-                          [](const Span& span) { return std::string(span.name) == "matmul"; }),
-            3 * 3);
+  const auto count = [&dense](const std::string& name) {
+    return std::count_if(dense.begin(), dense.end(),
+                         [&name](const Span& span) { return name == span.name; });
+  };
+  EXPECT_EQ(count("matmul"), 3 * 3);
+  EXPECT_EQ(count("concat_cols"), 1);
+  EXPECT_EQ(count("elu"), 1);
 
   const std::vector<Span> units = SpansInCategory(tracer, "unit");
   // 2 hidden heads + 1 output head, 2 forward + 6 backward units each.

@@ -219,8 +219,8 @@ TEST_P(RandomProgramTest, AllExecutorsAgreeOnForward) {
   SeastarExecutorOptions nofuse_options;
   nofuse_options.enable_fusion = false;
   SeastarExecutor unfused(nofuse_options);
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
-  BaselineExecutor pyg({BaselineFlavor::kPygLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
+  BaselineExecutor pyg({BaselineFlavor::kPygLike});
 
   Tensor reference = fused.Run(program.forward, g, features).outputs.at("out");
   EXPECT_TRUE(reference.AllClose(unfused.Run(program.forward, g, features).outputs.at("out"),
@@ -241,7 +241,7 @@ TEST_P(RandomProgramTest, BackendsAgreeOnGradients) {
   FeatureMap features = MakeFeatures(g, seed);
 
   SeastarExecutor seastar;
-  BaselineExecutor dgl({BaselineFlavor::kDglLike, true});
+  BaselineExecutor dgl({BaselineFlavor::kDglLike});
 
   Tensor out = seastar.Run(program.forward, g, features).outputs.at("out");
   FeatureMap bwd_features = features;

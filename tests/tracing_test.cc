@@ -284,7 +284,7 @@ TEST(RetentionSoakTest, HeadSampledCleanTracesLandInTheSampledRing) {
     tracer.FinishTrace(trace, SoakLatency(i), anomalous ? "served" : "served");
   }
   ASSERT_GT(sampled_clean_ids.size(), 0u);
-  ASSERT_LE(sampled_clean_ids.size(), static_cast<size_t>(config.sampled_keep))
+  ASSERT_LE(sampled_clean_ids.size(), static_cast<size_t>(trace::kSampledKeep))
       << "test assumes the sampled ring never overflows";
 
   std::set<uint64_t> retained_sampled;

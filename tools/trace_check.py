@@ -312,7 +312,7 @@ def make_run(trace_id, tid):
         make_span(trace_id, 2, 1, "seastar", 300, 900, tid=tid,
                   plan_cache_misses=1, alloc_delta_bytes=-512),
         make_span(trace_id, 3, 2, "unit0:Mul+AggSum", 350, 800, tid=tid,
-                  edges=13265, dispatches=4, tile_width=16, schedule="static"),
+                  edges=13265, dispatches=4, tile_width=16),
     ]
 
 
