@@ -6,7 +6,11 @@
 // (pool cold, plans uncompiled), epochs >= kSteadyFirstEpoch should run with
 // ~zero fresh mallocs and zero plan-cache misses. Emits a machine-readable
 // JSON report (--out=, default BENCH_train_epoch.json) so CI can assert the
-// steady-state invariants and the numbers can be tracked across PRs.
+// steady-state invariants and the numbers can be tracked across PRs. Each
+// epoch also records its kernel_launches (the delta of
+// seastar_exec_kernel_launches_total: one per fused unit run), and each run
+// its steady_kernel_launches; tools/bench_check.py gates those and
+// steady_alloc_requests exactly.
 //
 // The first dataset point of each model also gets a profiled twin: the same
 // loop in pairs of one profiled and one unprofiled epoch, reported as the
@@ -33,6 +37,7 @@
 #include "src/core/models/gat.h"
 #include "src/core/models/gcn.h"
 #include "src/core/nn.h"
+#include "src/exec/executor.h"
 #include "src/exec/plan_cache.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/autograd.h"
@@ -55,6 +60,8 @@ struct EpochStats {
   uint64_t fresh_mallocs = 0;   // Requests that reached std::malloc.
   uint64_t pool_hits = 0;
   uint64_t plan_misses = 0;  // PlanCache misses (compilations) this epoch.
+  // seastar_exec_kernel_launches_total delta: one per fused unit run.
+  int64_t kernel_launches = 0;
   float loss = 0.0f;
 };
 
@@ -67,6 +74,7 @@ struct RunReport {
   double steady_avg_ms = 0.0;
   double steady_fresh_mallocs = 0.0;
   double steady_alloc_requests = 0.0;
+  double steady_kernel_launches = 0.0;
   bool has_twin = false;  // Whether profiling_overhead_pct was measured.
   double profiling_overhead_pct = 0.0;
 };
@@ -82,6 +90,7 @@ EpochStats RunEpoch(GnnModel& model, Adam& adam, const Dataset& data, int epoch)
   const uint64_t mallocs_before = allocator.fresh_mallocs();
   const uint64_t hits_before = allocator.pool_hits();
   const uint64_t plan_misses_before = plans.misses();
+  const int64_t launches_before = KernelLaunchesTotal().value();
   Stopwatch watch;
 
   trace::AmbientSpan epoch_span("epoch", "bench");
@@ -99,6 +108,7 @@ EpochStats RunEpoch(GnnModel& model, Adam& adam, const Dataset& data, int epoch)
   stats.fresh_mallocs = allocator.fresh_mallocs() - mallocs_before;
   stats.pool_hits = allocator.pool_hits() - hits_before;
   stats.plan_misses = plans.misses() - plan_misses_before;
+  stats.kernel_launches = KernelLaunchesTotal().value() - launches_before;
   return stats;
 }
 
@@ -133,12 +143,14 @@ RunReport RunOne(const std::string& model_name, const ModelFactory& factory,
     report.steady_avg_ms += report.epochs[e].wall_ms;
     report.steady_fresh_mallocs += static_cast<double>(report.epochs[e].fresh_mallocs);
     report.steady_alloc_requests += static_cast<double>(report.epochs[e].alloc_requests);
+    report.steady_kernel_launches += static_cast<double>(report.epochs[e].kernel_launches);
     ++steady;
   }
   if (steady > 0) {
     report.steady_avg_ms /= steady;
     report.steady_fresh_mallocs /= steady;
     report.steady_alloc_requests /= steady;
+    report.steady_kernel_launches /= steady;
   }
   return report;
 }
@@ -197,6 +209,7 @@ void WriteReport(const std::string& path, const std::vector<RunReport>& reports,
     json.FieldDouble("steady_avg_ms", report.steady_avg_ms, 3);
     json.FieldDouble("steady_fresh_mallocs", report.steady_fresh_mallocs, 1);
     json.FieldDouble("steady_alloc_requests", report.steady_alloc_requests, 1);
+    json.FieldDouble("steady_kernel_launches", report.steady_kernel_launches, 1);
     if (report.has_twin) {
       json.FieldDouble("profiling_overhead_pct", report.profiling_overhead_pct, 2);
     }
@@ -211,6 +224,7 @@ void WriteReport(const std::string& path, const std::vector<RunReport>& reports,
       json.Field("fresh_mallocs", static_cast<uint64_t>(stats.fresh_mallocs));
       json.Field("pool_hits", static_cast<uint64_t>(stats.pool_hits));
       json.Field("plan_misses", static_cast<uint64_t>(stats.plan_misses));
+      json.Field("kernel_launches", stats.kernel_launches);
       json.FieldDouble("loss", stats.loss, 6);
       json.EndObject();
     }

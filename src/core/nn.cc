@@ -94,8 +94,7 @@ constexpr int64_t kOptimizerGrain = 16384;
 
 }  // namespace
 
-Adam::Adam(std::vector<Var> parameters, float lr, float beta1, float beta2, float eps)
-    : parameters_(std::move(parameters)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+Adam::Adam(std::vector<Var> parameters, float lr) : parameters_(std::move(parameters)), lr_(lr) {
   m_.reserve(parameters_.size());
   v_.reserve(parameters_.size());
   for (const Var& param : parameters_) {
@@ -106,8 +105,8 @@ Adam::Adam(std::vector<Var> parameters, float lr, float beta1, float beta2, floa
 
 void Adam::Step() {
   ++t_;
-  const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (size_t p = 0; p < parameters_.size(); ++p) {
     const Tensor& grad = parameters_[p].grad();
     if (!grad.defined()) {
@@ -119,9 +118,6 @@ void Adam::Step() {
     float* pm = m_[p].data();
     float* pvv = v_[p].data();
     const float lr = lr_;
-    const float beta1 = beta1_;
-    const float beta2 = beta2_;
-    const float eps = eps_;
     ParallelFor(
         value.numel(),
         [=](int64_t begin, int64_t end) {
@@ -130,11 +126,11 @@ void Adam::Step() {
           float* __restrict__ m1 = pm;
           float* __restrict__ m2 = pvv;
           for (int64_t i = begin; i < end; ++i) {
-            m1[i] = beta1 * m1[i] + (1.0f - beta1) * g[i];
-            m2[i] = beta2 * m2[i] + (1.0f - beta2) * g[i] * g[i];
+            m1[i] = kBeta1 * m1[i] + (1.0f - kBeta1) * g[i];
+            m2[i] = kBeta2 * m2[i] + (1.0f - kBeta2) * g[i] * g[i];
             const float m_hat = m1[i] / bias1;
             const float v_hat = m2[i] / bias2;
-            v[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+            v[i] -= lr * m_hat / (std::sqrt(v_hat) + kEps);
           }
         },
         kOptimizerGrain);

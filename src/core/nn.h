@@ -54,10 +54,15 @@ Var StackedRelationMatmul(const Var& x, const std::vector<Var>& weights);
 
 // ---- Optimizer -----------------------------------------------------------------------------------
 
+// Adam with the standard moment decays and epsilon (Kingma & Ba; the
+// defaults of the paper's PyTorch training scripts).
 class Adam {
  public:
-  Adam(std::vector<Var> parameters, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-       float eps = 1e-8f);
+  static constexpr float kBeta1 = 0.9f;
+  static constexpr float kBeta2 = 0.999f;
+  static constexpr float kEps = 1e-8f;
+
+  Adam(std::vector<Var> parameters, float lr);
 
   void Step();
   void ZeroGrad();
@@ -79,9 +84,6 @@ class Adam {
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
   float lr_;
-  float beta1_;
-  float beta2_;
-  float eps_;
   int64_t t_ = 0;
 };
 

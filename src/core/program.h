@@ -11,12 +11,15 @@
 // materialized (autograd saved-tensors, kept alive until backward, which is
 // what the peak-memory experiments observe).
 //
-// Typical use (GAT's attention stage):
+// Typical use (GAT's attention stage, every head at once: eu/ev hold one
+// score per head, h the heads' features side by side, and a * h scales
+// each head's `dim` columns by that head's attention — the GIR's grouped
+// broadcast):
 //
 //   GirBuilder b;
-//   Value e = Exp(LeakyRelu(b.Src("eu", 1) + b.Dst("ev", 1), 0.2f));
+//   Value e = Exp(LeakyRelu(b.Src("eu", heads) + b.Dst("ev", heads), 0.2f));
 //   Value a = e / AggSum(e);
-//   b.MarkOutput(AggSum(a * b.Src("h", hidden)), "out");
+//   b.MarkOutput(AggSum(a * b.Src("h", heads * dim)), "out");
 //   VertexProgram program = VertexProgram::Compile(std::move(b));
 //   ...
 //   ExecutionSession session = MakeSession(executor, graph);

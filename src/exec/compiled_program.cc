@@ -79,9 +79,9 @@ void LowerUnit(CompiledUnit* unit, int32_t register_floats) {
   // The reductions. Max folds with its own reducer; every sum folds with an
   // add, except that a non-materialized Mul feeding a sum and nothing else
   // folds into the reduction kernel (acc += x * y), as long as its operands
-  // are the full row and a width-1 scale, or two full rows. The inner sums
-  // of kAggTypeSumThenMax stay plain adds, so max units keep the bits of
-  // rounding each product.
+  // are the full row and a (grouped) broadcast scale, or two full rows. The
+  // inner sums of kAggTypeSumThenMax stay plain adds, so max units keep the
+  // bits of rounding each product.
   const auto reads = [](const Operand& op, int32_t reg) {
     return op.src == Src::kReg && op.reg == reg;
   };
@@ -107,11 +107,11 @@ void LowerUnit(CompiledUnit* unit, int32_t register_floats) {
       continue;
     }
     const int32_t w = agg.width;
-    if (mul->a.width == w && mul->b.width == 1) {
+    if (mul->a.width == w && mul->b.width < w) {
       agg.reduce = Reduce::kAxpy;
       agg.x = mul->a;
       agg.y = mul->b;
-    } else if (mul->a.width == 1 && mul->b.width == w) {
+    } else if (mul->a.width < w && mul->b.width == w) {
       agg.reduce = Reduce::kAxpy;
       agg.x = mul->b;
       agg.y = mul->a;
@@ -212,6 +212,23 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
   CompiledProgram& program = *result;
   program.plan = BuildExecutionPlan(gir, options);
   const ExecutionPlan& plan = program.plan;
+
+  // The unit after which each materialized intermediate is dead.
+  std::vector<int32_t> last_reader(static_cast<size_t>(gir.num_nodes()), -1);
+  for (const Node& node : gir.nodes()) {
+    const int32_t unit = plan.unit_of[static_cast<size_t>(node.id)];
+    for (int32_t input : node.inputs) {
+      int32_t& last = last_reader[static_cast<size_t>(input)];
+      last = std::max(last, unit);
+    }
+  }
+  program.release_after.assign(plan.units.size(), {});
+  for (int32_t id = 0; id < gir.num_nodes(); ++id) {
+    const int32_t last = last_reader[static_cast<size_t>(id)];
+    if (plan.materialized[static_cast<size_t>(id)] && !gir.IsOutput(id) && last >= 0) {
+      program.release_after[static_cast<size_t>(last)].push_back(id);
+    }
+  }
 
   // Host-side evaluation of P-typed scalars. These depend only on kConst
   // attrs (inputs of a P node are themselves P, in topological order), so

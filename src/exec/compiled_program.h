@@ -82,6 +82,9 @@ struct Instr {
 //             (AddScalarGather) for a width-1 x;
 //   kAxpy   — acc[j] += x[j] * y[0] (AxpyGather): a Mul feeding only this
 //             sum, folded into the reduction, with its width-1 operand as y;
+//             or, for a grouped-broadcast Mul whose narrow operand y has
+//             width g > 1, acc[j] += x[j] * y[j / k] with k = width / g
+//             (AxpyGroupedGather);
 //   kMulAdd — acc[j] += x[j] * y[j] (MulAddGather): the same for a Mul of
 //             two full-width rows;
 //   kMax    — acc[j] = std::max(acc[j], x[j]) (MaxGather).
@@ -92,7 +95,7 @@ struct AggInstr {
   int32_t width = 1;
   Reduce reduce = Reduce::kAdd;
   Operand x;              // The aggregated value (the folded Mul's row operand).
-  Operand y;              // kAxpy: the width-1 scale; kMulAdd: the other row.
+  Operand y;              // kAxpy: the width-1 or grouped scale; kMulAdd: the other row.
   int32_t acc_reg = 0;    // Outer accumulator.
   // Inner accumulator of the two-level aggregations (kAggTypeSumThenMax,
   // kAggTypedToSrc): each (key, edge type) run of slots sums into it, and
@@ -152,6 +155,10 @@ class CompiledProgram {
   // Span names, interned ("unit3:Mul+AggSum"): recorded traces keep them
   // whole after this program is evicted.
   std::vector<const char*> unit_labels;
+  // Per unit: the materialized values no later unit reads and the program
+  // does not output, released as soon as that unit has run (each
+  // materialized value is allocated just before its producing unit runs).
+  std::vector<std::vector<int32_t>> release_after;
   // Host-side values of P-typed nodes (constants and arithmetic on
   // constants), indexed by node id. P values cannot depend on features or the
   // graph, so they are fixed at compile time.

@@ -24,10 +24,11 @@ struct PointwiseRows {
 
 // Applies one op to n rows with a single dispatch on `kind`: for each
 // i < n, rows(i) returns application i's rows, and out = op(a, b) with
-// width-1 broadcast on either operand. The edge-batch prologue of a fused
+// (grouped) broadcast on either operand. The edge-batch prologue of a fused
 // unit (n = a batch) and PointwiseApply (n = 1) share this one definition
 // of every op, so both compute the same bits. For kDotProduct /
-// kReduceWidthSum, w is the *input* width and out has width 1.
+// kReduceWidthSum, w is the output width: w groups of wa / w inputs, each
+// summed in ascending order.
 template <typename Rows>
 inline void PointwiseApplyRows(OpKind kind, float attr, int64_t n, int32_t w, int32_t wa,
                                int32_t wb, const Rows& rows) {
@@ -39,7 +40,8 @@ inline void PointwiseApplyRows(OpKind kind, float attr, int64_t n, int32_t w, in
       body(r.out, r.a, r.b);
     }
   };
-  // Width-1 rows (GAT's attention scalars) skip the column loop.
+  // Width-1 rows (attention scalars of a one-head layer) skip the column
+  // loop.
   const auto unary = [&](auto f) __attribute__((always_inline)) {
     if (w == 1) {
       each([&](float* out, const float* a, const float*)
@@ -118,22 +120,28 @@ inline void PointwiseApplyRows(OpKind kind, float attr, int64_t n, int32_t w, in
         }
       });
       return;
-    case OpKind::kDotProduct:
+    case OpKind::kDotProduct:  // b is a full row, or broadcasts per group.
       each([&](float* out, const float* a, const float* b) {
-        float acc = 0.0f;
-        for (int32_t j = 0; j < wa; ++j) {
-          acc += a[j] * b[wb == 1 ? 0 : j];
+        const int32_t k = wa / w;
+        for (int32_t c = 0; c < w; ++c) {
+          float acc = 0.0f;
+          for (int32_t j = c * k; j < (c + 1) * k; ++j) {
+            acc += a[j] * b[wb == wa ? j : (wb == 1 ? 0 : c)];
+          }
+          out[c] = acc;
         }
-        out[0] = acc;
       });
       return;
     case OpKind::kReduceWidthSum:
       each([&](float* out, const float* a, const float*) {
-        float acc = 0.0f;
-        for (int32_t j = 0; j < wa; ++j) {
-          acc += a[j];
+        const int32_t k = wa / w;
+        for (int32_t c = 0; c < w; ++c) {
+          float acc = 0.0f;
+          for (int32_t j = c * k; j < (c + 1) * k; ++j) {
+            acc += a[j];
+          }
+          out[c] = acc;
         }
-        out[0] = acc;
       });
       return;
     default:

@@ -133,21 +133,36 @@ inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* regs, int64_t 
   }
 }
 
+// One prologue op over the chunk's n rows, kept out of line: inlined, the
+// per-op switch of PointwiseApplyRows grows RunLoweredSegment past what GCC
+// inlines into the launch lambda, which reshapes the reduction loops of
+// every unit, prologue or not.
+__attribute__((noinline)) void RunPrologueOp(const Instr& instr, int64_t n, float* out,
+                                             const simd::Rows& a, const simd::Rows& b) {
+  const int32_t width = instr.width;
+  PointwiseApplyRows(instr.kind, instr.attr, n, width, instr.a.width, instr.b.width,
+                     [&](int64_t i) { return PointwiseRows{out + i * width, a(i), b(i)}; });
+}
+
 // Folds chunk rows [i0, i1) — one key's slots — into acc[0, n) = columns
 // [c0, c0 + n) of the key's accumulator: one gather-reduce kernel call, which
 // keeps the accumulator in registers across the rows, in slot order.
-void ReduceRows(Reduce reduce, const simd::Rows& x, int32_t x_width, const simd::Rows& y,
-                float* acc, int64_t i0, int64_t i1, int32_t c0, int32_t n) {
-  switch (reduce) {
+void ReduceRows(const AggInstr& agg, const simd::Rows& x, const simd::Rows& y, float* acc,
+                int64_t i0, int64_t i1, int32_t c0, int32_t n) {
+  switch (agg.reduce) {
     case Reduce::kAdd:
-      if (x_width == 1) {
+      if (agg.x.width == 1) {
         simd::AddScalarGather(acc, x, i0, i1, n);
       } else {
         simd::AddGather(acc, x, i0, i1, c0, n);
       }
       return;
     case Reduce::kAxpy:
-      simd::AxpyGather(acc, x, y, i0, i1, c0, n);
+      if (agg.y.width == 1) {
+        simd::AxpyGather(acc, x, y, i0, i1, c0, n);
+      } else {
+        simd::AxpyGroupedGather(acc, x, y, i0, i1, c0, n, agg.width / agg.y.width);
+      }
       return;
     case Reduce::kMulAdd:
       simd::MulAddGather(acc, x, y, i0, i1, c0, n);
@@ -249,10 +264,7 @@ void RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan&
         const int32_t width = instr.width;
         const simd::Rows a = BindRows(instr.a, csr, s0, work, stride);
         const simd::Rows b = instr.binary ? BindRows(instr.b, csr, s0, work, stride) : a;
-        PointwiseApplyRows(instr.kind, instr.attr, n, width, instr.a.width, instr.b.width,
-                           [&](int64_t i) {
-                             return PointwiseRows{out + i * width, a(i), b(i)};
-                           });
+        RunPrologueOp(instr, n, out, a, b);
         if (instr.mat == MatKind::kEdgeRow) {  // Scatter the chunk by edge id.
           const int32_t* eids = csr.edge_ids.data() + s0;
           if (width == 1) {
@@ -283,7 +295,7 @@ void RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan&
               const int64_t i0 = std::max(slot(k), s0) - s0;
               const int64_t i1 = std::min(slot(k + 1), s1) - s0;
               float* acc = work.regs + (k - k0) * stride + agg.acc_reg + c0;
-              ReduceRows(agg.reduce, x, agg.x.width, y, acc, i0, i1, c0, cols);
+              ReduceRows(agg, x, y, acc, i0, i1, c0, cols);
             }
           }
           continue;
@@ -303,7 +315,7 @@ void RunLoweredSegment(const CompiledUnit& unit, const Csr& csr, const TilePlan&
               ++r1;
             }
             for (int32_t c0 = 0; c0 < w; c0 += plan.tile_width) {
-              ReduceRows(agg.reduce, x, agg.x.width, y, regs + agg.inner_reg + c0, r0, r1, c0,
+              ReduceRows(agg, x, y, regs + agg.inner_reg + c0, r0, r1, c0,
                          std::min(plan.tile_width, w - c0));
             }
             if (s0 + r1 == key_end || type_at(s0 + r1) != type) {
@@ -416,31 +428,11 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     }
   }
 
-  // Allocate materialized tensors (served from the allocator's pool in
-  // steady state — same shapes every epoch).
-  for (int32_t id = 0; id < gir.num_nodes(); ++id) {
-    if (!plan.materialized[static_cast<size_t>(id)]) {
-      continue;
-    }
-    const Node& node = gir.node(id);
-    Tensor tensor;
-    if (node.kind == OpKind::kAggTypedToSrc) {
-      tensor = Tensor::Zeros({num_types, num_vertices, node.width});
-    } else if (node.type == GraphType::kEdge) {
-      tensor = Tensor({num_edges, node.width});
-    } else {
-      tensor = Tensor({num_vertices, node.width});
-    }
-    (*saved)[id] = std::move(tensor);
-  }
-
   // Per-run base-pointer table, indexed by node id; PatchUnit splices these
-  // into copies of the compiled templates.
+  // into copies of the compiled templates. Materialized tensors join it as
+  // their producing unit is about to run.
   std::vector<float*> node_base(static_cast<size_t>(gir.num_nodes()), nullptr);
   for (auto& [id, tensor] : leaf_value) {
-    node_base[static_cast<size_t>(id)] = tensor.data();
-  }
-  for (auto& [id, tensor] : *saved) {
     node_base[static_cast<size_t>(id)] = tensor.data();
   }
 
@@ -457,6 +449,25 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     // per-kernel attribution and tail-latency attribution ("which fused
     // kernel ate the budget").
     trace::AmbientSpan unit_span(program->unit_labels[unit_index], "unit");
+
+    // This unit's materialized values (served from the allocator's pool in
+    // steady state — same shapes every epoch).
+    for (int32_t id : fused.nodes) {
+      if (!plan.materialized[static_cast<size_t>(id)]) {
+        continue;
+      }
+      const Node& node = gir.node(id);
+      Tensor tensor;
+      if (node.kind == OpKind::kAggTypedToSrc) {
+        tensor = Tensor::Zeros({num_types, num_vertices, node.width});
+      } else if (node.type == GraphType::kEdge) {
+        tensor = Tensor({num_edges, node.width});
+      } else {
+        tensor = Tensor({num_vertices, node.width});
+      }
+      node_base[static_cast<size_t>(id)] = tensor.data();
+      (*saved)[id] = std::move(tensor);
+    }
 
     CompiledUnit unit = program->units[unit_index];  // Copy the template...
     PatchUnit(&unit, node_base);                     // ...and bind this run's pointers.
@@ -516,6 +527,11 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     const int64_t edges = unit.needs_edge_loop ? csr.num_edges : 0;
     counters.edge_visits->Add(edges * tile_plan->num_tiles);
     counters.tiled_units->Add(1);
+    // Intermediates no later unit reads go back to the pool now, so a
+    // many-unit program (GAT's backward) never holds all of them at once.
+    for (int32_t id : program->release_after[unit_index]) {
+      saved->erase(id);
+    }
 
     if (trace::Span* span = unit_span.span()) {
       span->Set(Arg::kEdges, edges);

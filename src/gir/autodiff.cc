@@ -15,24 +15,28 @@ class BackwardBuilder {
   int32_t Binary(OpKind kind, int32_t a, int32_t b) {
     const Node& na = graph_->node(a);
     const Node& nb = graph_->node(b);
-    SEASTAR_CHECK(na.width == nb.width || na.width == 1 || nb.width == 1);
-    Node node;
-    node.kind = kind;
-    node.type = InferElementwiseType({na.type, nb.type});
-    node.width = (kind == OpKind::kDotProduct) ? 1 : std::max(na.width, nb.width);
-    node.inputs = {a, b};
-    return graph_->AddNode(std::move(node));
+    SEASTAR_CHECK(GroupedBroadcast(na.width, nb.width) > 0)
+        << OpKindName(kind) << ": incompatible widths " << na.width << " vs " << nb.width;
+    return Elementwise(kind, {a, b}, std::max(na.width, nb.width));
+  }
+
+  // Grouped row dot of two width-w rows into `width` groups of w / width.
+  int32_t DotProduct(int32_t a, int32_t b, int32_t width) {
+    const int32_t w = graph_->node(a).width;
+    SEASTAR_CHECK(w % width == 0 && graph_->node(b).width == w)
+        << "DotProduct: widths " << w << " and " << graph_->node(b).width << " into " << width;
+    return Elementwise(OpKind::kDotProduct, {a, b}, width);
+  }
+
+  // Grouped width sum of `a` into `width` groups.
+  int32_t ReduceWidthSum(int32_t a, int32_t width) {
+    SEASTAR_CHECK_EQ(graph_->node(a).width % width, 0)
+        << "ReduceWidthSum: width " << graph_->node(a).width << " into " << width;
+    return Elementwise(OpKind::kReduceWidthSum, {a}, width);
   }
 
   int32_t Unary(OpKind kind, int32_t a, float attr = 0.0f) {
-    const Node& na = graph_->node(a);
-    Node node;
-    node.kind = kind;
-    node.type = na.type;
-    node.width = (kind == OpKind::kReduceWidthSum) ? 1 : na.width;
-    node.inputs = {a};
-    node.attr = attr;
-    return graph_->AddNode(std::move(node));
+    return Elementwise(kind, {a}, graph_->node(a).width, attr);
   }
 
   int32_t UnaryGrad(OpKind kind, int32_t grad, int32_t saved, float attr = 0.0f) {
@@ -44,6 +48,22 @@ class BackwardBuilder {
     node.type = InferElementwiseType({ng.type, ns.type});
     node.width = ng.width;
     node.inputs = {grad, saved};
+    node.attr = attr;
+    return graph_->AddNode(std::move(node));
+  }
+
+  // An elementwise node of the given width; its type by the §5.1 rules.
+  int32_t Elementwise(OpKind kind, std::vector<int32_t> inputs, int32_t width,
+                      float attr = 0.0f) {
+    std::vector<GraphType> types;
+    for (int32_t input : inputs) {
+      types.push_back(graph_->node(input).type);
+    }
+    Node node;
+    node.kind = kind;
+    node.type = InferElementwiseType(types);
+    node.width = width;
+    node.inputs = std::move(inputs);
     node.attr = attr;
     return graph_->AddNode(std::move(node));
   }
@@ -136,9 +156,10 @@ BackwardGir BuildBackward(const GirGraph& forward, int32_t output_id) {
       // materialization produces an edge tensor.
       adjusted = b.IdentityAs(g, GraphType::kEdge);
     }
-    // Broadcast in forward (width 1 -> width w) needs a width reduction.
-    if (in_node.width == 1 && result.graph.node(adjusted).width > 1) {
-      adjusted = b.Unary(OpKind::kReduceWidthSum, adjusted);
+    // A broadcast in forward (width g -> width g*k) needs the grouped width
+    // reduction.
+    if (in_node.width < result.graph.node(adjusted).width) {
+      adjusted = b.ReduceWidthSum(adjusted, in_node.width);
     }
     int32_t& slot = grads[static_cast<size_t>(input_id)];
     slot = (slot < 0) ? adjusted : b.Binary(OpKind::kAdd, slot, adjusted);
@@ -164,14 +185,13 @@ BackwardGir BuildBackward(const GirGraph& forward, int32_t output_id) {
       case OpKind::kMul: {
         const int32_t a = node.inputs[0];
         const int32_t c = node.inputs[1];
-        const bool a_broadcast =
-            forward.node(a).width == 1 && node.width > 1;
-        const bool c_broadcast =
-            forward.node(c).width == 1 && node.width > 1;
-        propagate(a, a_broadcast ? b.Binary(OpKind::kDotProduct, g, fwd(c))
-                                 : b.Binary(OpKind::kMul, g, fwd(c)));
-        propagate(c, c_broadcast ? b.Binary(OpKind::kDotProduct, g, fwd(a))
-                                 : b.Binary(OpKind::kMul, g, fwd(a)));
+        // A (grouped) broadcast operand's adjoint sums its group's products.
+        const int32_t wa = forward.node(a).width;
+        const int32_t wc = forward.node(c).width;
+        propagate(a, wa < node.width ? b.DotProduct(g, fwd(c), wa)
+                                     : b.Binary(OpKind::kMul, g, fwd(c)));
+        propagate(c, wc < node.width ? b.DotProduct(g, fwd(a), wc)
+                                     : b.Binary(OpKind::kMul, g, fwd(a)));
         break;
       }
       case OpKind::kDiv: {
@@ -185,7 +205,8 @@ BackwardGir BuildBackward(const GirGraph& forward, int32_t output_id) {
         break;
       }
       case OpKind::kDotProduct: {
-        // out = sum_j a_j b_j (width 1); da = g * b, db = g * a.
+        // out_c = sum_j a_{ck+j} b_{ck+j}; da = g * b, db = g * a, g
+        // broadcast group-wise.
         propagate(node.inputs[0], b.Binary(OpKind::kMul, g, fwd(node.inputs[1])));
         propagate(node.inputs[1], b.Binary(OpKind::kMul, g, fwd(node.inputs[0])));
         break;
@@ -216,8 +237,8 @@ BackwardGir BuildBackward(const GirGraph& forward, int32_t output_id) {
         propagate(node.inputs[0], g);
         break;
       case OpKind::kReduceWidthSum:
-        // Forward reduced width w -> 1; backward broadcasts g back, which the
-        // elementwise width-broadcast rules already handle.
+        // Forward reduced width g*k -> g; backward broadcasts g back, which
+        // the elementwise width-broadcast rules already handle.
         propagate(node.inputs[0], g);
         break;
       case OpKind::kAggSum:

@@ -69,8 +69,9 @@ Value GirBuilder::Binary(OpKind kind, Value a, Value b) {
       << "operands come from different builders";
   const Node& na = graph_.node(a.id());
   const Node& nb = graph_.node(b.id());
-  SEASTAR_CHECK(na.width == nb.width || na.width == 1 || nb.width == 1)
-      << OpKindName(kind) << ": incompatible widths " << na.width << " vs " << nb.width;
+  SEASTAR_CHECK(GroupedBroadcast(na.width, nb.width) > 0)
+      << OpKindName(kind) << ": incompatible widths " << na.width << " vs " << nb.width
+      << " (the narrower width must divide the wider)";
   Node node;
   node.kind = kind;
   node.type = InferElementwiseType({na.type, nb.type});

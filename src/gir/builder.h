@@ -6,16 +6,21 @@
 // the §5.1 rules as the expression is built — this is the "tracer" of Fig. 5
 // realized as an expression-building API instead of operator monkey-patching.
 //
-// Example — the heart of GAT's forward (compare paper Fig. 3):
+// Example — the heart of GAT's forward (compare paper Fig. 3), 8 heads of
+// 16 features:
 //
 //   GirBuilder b;
-//   Value eu = b.Src("eu", 1);           // u.eu
-//   Value ev = b.Dst("ev", 1);           // v.ev
+//   Value eu = b.Src("eu", 8);           // u.eu, one score per head
+//   Value ev = b.Dst("ev", 8);           // v.ev
 //   Value e  = Exp(LeakyRelu(eu + ev, 0.2f));     // E-type by inference
 //   Value s  = AggSum(e);                          // A:D -> D-type
 //   Value a  = e / s;                              // E-type again
-//   Value out = AggSum(a * b.Src("h", 16));        // D-type output
+//   Value out = AggSum(a * b.Src("h", 128));       // head c scales h[16c, 16c+16)
 //   b.MarkOutput(out, "h_out");
+//
+// Binary operands have equal widths, or the narrower width divides the
+// wider and broadcasts group-wise (see GroupedBroadcast in ir.h); width 1
+// is the scalar broadcast.
 #ifndef SRC_GIR_BUILDER_H_
 #define SRC_GIR_BUILDER_H_
 

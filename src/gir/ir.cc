@@ -140,6 +140,12 @@ bool IsLeaf(OpKind kind) {
          kind == OpKind::kDegree;
 }
 
+int32_t GroupedBroadcast(int32_t a, int32_t b) {
+  const int32_t narrow = std::min(a, b);
+  const int32_t wide = std::max(a, b);
+  return narrow > 0 && wide % narrow == 0 ? wide / narrow : 0;
+}
+
 GraphType InferElementwiseType(const std::vector<GraphType>& input_types) {
   // Rule 4: P does not affect the result. Rule 2: a single graph type passes
   // through. Rule 3: two or more distinct types from {S, D, E} give E.

@@ -41,12 +41,18 @@ enum class OpKind : uint8_t {
   // out-degree. Used by AggMean's backward.
   kDegree,
 
-  // Elementwise binary (widths equal, or one operand of width 1 broadcasts).
+  // Elementwise binary. Operand widths are equal, or the narrower width g
+  // divides the wider one, g*k: the narrow operand broadcasts group-wise,
+  // its element c against the wide one's elements [c*k, (c+1)*k) (the width
+  // rule, GroupedBroadcast below). g = 1 is the plain scalar broadcast.
   kAdd,
   kSub,
   kMul,
   kDiv,
-  // sum_j a_j * b_j -> width 1. Backward of a broadcast multiply.
+  // Grouped row dot: out_c = sum_{j<k} a_{c*k+j} * b_{c*k+j} for c < width,
+  // where the inputs have width width*k (one b of width `width` broadcasts
+  // group-wise, as in kMul). Width 1 is the full dot product. Backward of a
+  // broadcast multiply.
   kDotProduct,
   // 1.0 where a == b else 0.0 (argmax masks for AggMax backward).
   kEqualMask,
@@ -60,7 +66,9 @@ enum class OpKind : uint8_t {
   kSigmoid,
   kTanh,
   kIdentity,
-  // sum over the feature width -> width 1. Backward of a broadcast add.
+  // Grouped width sum: out_c = sum_{j<k} a_{c*k+j} for c < width, the input
+  // of width width*k (width 1 sums the whole row). Backward of a broadcast
+  // add.
   kReduceWidthSum,
 
   // Unary gradient helpers (binary nodes: [grad, saved_forward_value]).
@@ -95,6 +103,12 @@ bool IsAggregation(OpKind kind);
 bool IsElementwiseBinary(OpKind kind);
 bool IsElementwiseUnary(OpKind kind);  // Includes the *Grad binaries (pointwise).
 bool IsLeaf(OpKind kind);
+
+// The width rule of elementwise binaries: widths `a` and `b` combine when
+// they are equal, or when the narrower g divides the wider g*k (a grouped
+// broadcast; g = 1 is the scalar broadcast). Returns k for a broadcast, 1
+// for equal widths and 0 when the widths do not combine.
+int32_t GroupedBroadcast(int32_t a, int32_t b);
 
 struct Node {
   int32_t id = -1;

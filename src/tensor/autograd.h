@@ -41,6 +41,8 @@ struct VarNode {
   // "<op_name>/backward". CustomOp nodes clear it: their backward may run
   // anything (a graph executor pass, say) and opens its own spans.
   bool dense_backward = true;
+  // Set once Backward() has run backward_fn and released it.
+  bool released = false;
 
   void AccumulateGrad(const Tensor& g);
 };
@@ -81,6 +83,13 @@ class Var {
 // shape; pass Tensor::Ones for scalar losses). Gradients accumulate into each
 // requires-grad node's grad(); call ClearGrad()/optimizer.ZeroGrad() between
 // steps.
+//
+// As each interior node is differentiated, what only the tape still needs
+// is released, so a deep tape's memory falls as backward walks it (as
+// PyTorch frees a graph's saved tensors): the node's backward_fn and the
+// tensors it saved, and — unless a Var outside the tape still refers to the
+// node — its value. A graph is differentiated once; a second Backward
+// through a released node fails.
 void Backward(const Var& root, const Tensor& seed);
 
 // Differentiable operator library ------------------------------------------------------------------
@@ -92,11 +101,11 @@ Var Sub(const Var& a, const Var& b);                      // same shape
 Var Mul(const Var& a, const Var& b);                      // same shape
 Var AddRowBroadcast(const Var& matrix, const Var& row);   // [N,D] + [D]
 Var Matmul(const Var& a, const Var& b);                   // [N,K] x [K,M]
+Var GroupedRowDot(const Var& a, const Var& b);            // [N,G*K] x [G,K] -> [N,G]
 Var Relu(const Var& a);
 Var Elu(const Var& a, float alpha = 1.0f);
 Var LogSoftmax(const Var& a);                             // rows
 Var Dropout(const Var& a, float p, Rng& rng, bool training);
-Var ConcatCols(const std::vector<Var>& parts);
 // Mean negative log-likelihood over `mask_rows` (all rows when empty),
 // producing a scalar Var of shape {1}. Input must be log-probabilities.
 Var NllLoss(const Var& log_probs, std::vector<int32_t> labels, std::vector<int32_t> mask_rows);

@@ -184,7 +184,36 @@ Tensor Sigmoid(const Tensor& a) { return UnaryElementwise(a, pointwise::Sigmoid{
 Tensor Tanh(const Tensor& a) { return UnaryElementwise(a, pointwise::Tanh{}, "Tanh"); }
 
 Tensor Elu(const Tensor& a, float alpha) {
-  return UnaryElementwise(a, pointwise::Elu{alpha}, "Elu");
+  // exp only where the functor needs it: each block copies its inputs
+  // through while listing, without a branch, the positions that are not
+  // > 0 (the non-positive ones and NaNs), then applies the functor to those
+  // alone. A per-element branch on the sign would mispredict about half the
+  // time on activations; the functor gives every element its bits either way.
+  SEASTAR_CHECK(a.defined()) << "Elu: undefined input";
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  const pointwise::Elu elu{alpha};
+  ParallelPointwise(a.numel(), [=](int64_t begin, int64_t end) {
+    constexpr int64_t kBlock = 1024;
+    const float* __restrict__ x = pa;
+    float* __restrict__ o = po;
+    int32_t listed[kBlock];
+    for (int64_t b = begin; b < end; b += kBlock) {
+      const int64_t e = std::min(end, b + kBlock);
+      int32_t m = 0;
+      for (int64_t i = b; i < e; ++i) {
+        o[i] = x[i];
+        listed[m] = static_cast<int32_t>(i - b);
+        m += !(x[i] > 0.0f);
+      }
+      for (int32_t j = 0; j < m; ++j) {
+        const int64_t i = b + listed[j];
+        o[i] = elu(x[i]);
+      }
+    }
+  });
+  return out;
 }
 
 Tensor ReluGrad(const Tensor& grad_out, const Tensor& input) {
@@ -271,38 +300,40 @@ namespace {
 // chunkings and thread partitionings.
 template <int kRows>
 inline void GemmRowBlock(const float* __restrict__ arows, int64_t lda, int64_t astep,
-                         const float* __restrict__ pb, float* __restrict__ orows, int64_t steps,
-                         int64_t m, bool accumulate) {
+                         const float* __restrict__ pb, int64_t ldb, float* __restrict__ orows,
+                         int64_t ldo, int64_t steps, int64_t m, bool accumulate) {
   static_assert(kRows == 4 || kRows == 1);
   int64_t j0 = 0;
   for (; j0 + 16 <= m; j0 += 16) {
     if constexpr (kRows == 4) {
-      simd::GemmTile4x16(arows, lda, astep, pb + j0, m, orows + j0, m, steps, accumulate);
+      simd::GemmTile4x16(arows, lda, astep, pb + j0, ldb, orows + j0, ldo, steps, accumulate);
     } else {
-      simd::GemmTile1x16(arows, astep, pb + j0, m, orows + j0, steps, accumulate);
+      simd::GemmTile1x16(arows, astep, pb + j0, ldb, orows + j0, steps, accumulate);
     }
   }
   for (; j0 < m; j0 += 8) {
     const int64_t n = std::min<int64_t>(8, m - j0);
     if constexpr (kRows == 4) {
-      simd::GemmTile4xN(arows, lda, astep, pb + j0, m, orows + j0, m, steps, n, accumulate);
+      simd::GemmTile4xN(arows, lda, astep, pb + j0, ldb, orows + j0, ldo, steps, n, accumulate);
     } else {
-      simd::GemmTile1xN(arows, astep, pb + j0, m, orows + j0, steps, n, accumulate);
+      simd::GemmTile1xN(arows, astep, pb + j0, ldb, orows + j0, steps, n, accumulate);
     }
   }
 }
 
 // Output rows [row_begin, row_end) of C[rows, m] (+)= A @ B over `steps`
 // steps: 4-row blocks, then single rows. Output row r reads A elements
-// pa[r * lda + s * astep].
-void GemmRows(const float* pa, int64_t lda, int64_t astep, const float* pb, float* po,
-              int64_t steps, int64_t m, int64_t row_begin, int64_t row_end, bool accumulate) {
+// pa[r * lda + s * astep] and sits at po + r * ldo; B's step rows are ldb
+// apart.
+void GemmRows(const float* pa, int64_t lda, int64_t astep, const float* pb, int64_t ldb,
+              float* po, int64_t ldo, int64_t steps, int64_t m, int64_t row_begin,
+              int64_t row_end, bool accumulate) {
   int64_t r = row_begin;
   for (; r + 4 <= row_end; r += 4) {
-    GemmRowBlock<4>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
+    GemmRowBlock<4>(pa + r * lda, lda, astep, pb, ldb, po + r * ldo, ldo, steps, m, accumulate);
   }
   for (; r < row_end; ++r) {
-    GemmRowBlock<1>(pa + r * lda, lda, astep, pb, po + r * m, steps, m, accumulate);
+    GemmRowBlock<1>(pa + r * lda, lda, astep, pb, ldb, po + r * ldo, ldo, steps, m, accumulate);
   }
 }
 
@@ -313,8 +344,8 @@ Tensor GemmRowMajor(const float* pa, const float* pb, int64_t n, int64_t k, int6
   ParallelFor(
       n,
       [&](int64_t row_begin, int64_t row_end) {
-        GemmRows(pa, /*lda=*/k, /*astep=*/1, pb, po, k, m, row_begin, row_end,
-                 /*accumulate=*/false);
+        GemmRows(pa, /*lda=*/k, /*astep=*/1, pb, /*ldb=*/m, po, /*ldo=*/m, k, m, row_begin,
+                 row_end, /*accumulate=*/false);
       },
       /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, k * m)));
   return out;
@@ -363,9 +394,85 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   float* po = out.data();
   for (int64_t i0 = 0; i0 < n; i0 += kTransposeAChunk) {
-    GemmRows(pa + i0 * k, /*lda=*/1, /*astep=*/k, pb + i0 * m, po,
+    GemmRows(pa + i0 * k, /*lda=*/1, /*astep=*/k, pb + i0 * m, /*ldb=*/m, po, /*ldo=*/m,
              std::min(kTransposeAChunk, n - i0), m, /*row_begin=*/0, /*row_end=*/k,
              /*accumulate=*/true);
+  }
+  return out;
+}
+
+// Each group c is the GEMM the per-group product would run on its own
+// [n, k] slice (columns [c * k, (c + 1) * k) of a, row stride g * k), so
+// every element is the same step-ascending fma chain.
+Tensor GroupedRowDot(const Tensor& a, const Tensor& b) {
+  SEASTAR_CHECK_EQ(a.ndim(), 2);
+  SEASTAR_CHECK_EQ(b.ndim(), 2);
+  const int64_t n = a.dim(0);
+  const int64_t g = b.dim(0);
+  const int64_t k = b.dim(1);
+  SEASTAR_CHECK_EQ(a.dim(1), g * k) << "GroupedRowDot: " << a.ShapeString() << " vs "
+                                    << b.ShapeString();
+  Tensor out({n, g});
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  ParallelFor(
+      n,
+      [&](int64_t row_begin, int64_t row_end) {
+        for (int64_t c = 0; c < g; ++c) {
+          GemmRows(pa + c * k, /*lda=*/g * k, /*astep=*/1, pb + c * k, /*ldb=*/1, po + c,
+                   /*ldo=*/g, /*steps=*/k, /*m=*/1, row_begin, row_end, /*accumulate=*/false);
+        }
+      },
+      /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, g * k)));
+  return out;
+}
+
+Tensor GroupedRowDotGradA(const Tensor& grad, const Tensor& b) {
+  SEASTAR_CHECK_EQ(grad.ndim(), 2);
+  SEASTAR_CHECK_EQ(grad.dim(1), b.dim(0));
+  const int64_t n = grad.dim(0);
+  const int64_t g = b.dim(0);
+  const int64_t k = b.dim(1);
+  Tensor out({n, g * k});
+  const float* pg = grad.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  // Group c: grad[:, c] (a one-step A) times row c of b, as Matmul's
+  // gradient g @ bᵀ computes it.
+  ParallelFor(
+      n,
+      [&](int64_t row_begin, int64_t row_end) {
+        for (int64_t c = 0; c < g; ++c) {
+          GemmRows(pg + c, /*lda=*/g, /*astep=*/1, pb + c * k, /*ldb=*/k, po + c * k,
+                   /*ldo=*/g * k, /*steps=*/1, /*m=*/k, row_begin, row_end,
+                   /*accumulate=*/false);
+        }
+      },
+      /*min_chunk=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, g * k)));
+  return out;
+}
+
+Tensor GroupedRowDotGradB(const Tensor& a, const Tensor& grad) {
+  SEASTAR_CHECK_EQ(a.ndim(), 2);
+  SEASTAR_CHECK_EQ(grad.ndim(), 2);
+  SEASTAR_CHECK_EQ(a.dim(0), grad.dim(0));
+  const int64_t n = a.dim(0);
+  const int64_t g = grad.dim(1);
+  SEASTAR_CHECK_EQ(a.dim(1) % g, 0);
+  const int64_t k = a.dim(1) / g;
+  // Group c is MatmulTransposeA over its slice: aᵀ read in place, the
+  // input walked in the same kTransposeAChunk-row passes.
+  Tensor out = Tensor::Zeros({g, k});
+  const float* pa = a.data();
+  const float* pg = grad.data();
+  float* po = out.data();
+  for (int64_t i0 = 0; i0 < n; i0 += kTransposeAChunk) {
+    for (int64_t c = 0; c < g; ++c) {
+      GemmRows(pa + i0 * g * k + c * k, /*lda=*/1, /*astep=*/g * k, pg + i0 * g + c,
+               /*ldb=*/g, po + c * k, /*ldo=*/1, std::min(kTransposeAChunk, n - i0), /*m=*/1,
+               /*row_begin=*/0, /*row_end=*/k, /*accumulate=*/true);
+    }
   }
   return out;
 }
@@ -689,29 +796,6 @@ Tensor SegmentSum(const Tensor& a, const std::vector<int64_t>& offsets) {
 }
 
 // ---- Misc -------------------------------------------------------------------------------------------
-
-Tensor ConcatCols(const std::vector<Tensor>& parts) {
-  SEASTAR_CHECK(!parts.empty());
-  const int64_t n = parts[0].dim(0);
-  int64_t total_cols = 0;
-  for (const Tensor& part : parts) {
-    SEASTAR_CHECK_EQ(part.ndim(), 2);
-    SEASTAR_CHECK_EQ(part.dim(0), n);
-    total_cols += part.dim(1);
-  }
-  Tensor out({n, total_cols});
-  float* po = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t col = 0;
-    for (const Tensor& part : parts) {
-      const int64_t d = part.dim(1);
-      std::memcpy(po + i * total_cols + col, part.data() + i * d,
-                  static_cast<size_t>(d) * sizeof(float));
-      col += d;
-    }
-  }
-  return out;
-}
 
 Tensor SliceRows(const Tensor& a, int64_t begin, int64_t end) {
   SEASTAR_CHECK_EQ(a.ndim(), 2);

@@ -64,6 +64,16 @@ Tensor Matmul(const Tensor& a, const Tensor& b);
 Tensor MatmulTransposeB(const Tensor& a, const Tensor& b);
 // [N, K]^T x [N, M] -> [K, M] (used for weight gradients).
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b);
+// Grouped row dot: [N, g * k] x [g, k] -> [N, g], out[n, c] = sum_i
+// a[n, c * k + i] * b[c, i] — a per-group [N, k] x [k, 1] GEMM, one
+// i-ascending fma chain per output (GAT's attention scores of all heads).
+Tensor GroupedRowDot(const Tensor& a, const Tensor& b);
+// Its gradients for an output gradient [N, g]: with respect to a,
+// [N, g * k] (grad[n, c] * b[c, i]), and to b, [g, k] (n-ascending sums of
+// a[n, c * k + i] * grad[n, c]). Each group computes what Matmul's backward
+// computes for the per-group GEMM.
+Tensor GroupedRowDotGradA(const Tensor& grad, const Tensor& b);
+Tensor GroupedRowDotGradB(const Tensor& a, const Tensor& grad);
 // 2-D transpose.
 Tensor Transpose(const Tensor& a);
 
@@ -126,8 +136,6 @@ Tensor SegmentSum(const Tensor& a, const std::vector<int64_t>& offsets);
 
 // ---- Misc ---------------------------------------------------------------------------------------
 
-// Concatenate 2-D tensors along columns.
-Tensor ConcatCols(const std::vector<Tensor>& parts);
 // Select a contiguous row range [begin, end).
 Tensor SliceRows(const Tensor& a, int64_t begin, int64_t end);
 

@@ -25,7 +25,10 @@ inline float SelectIf(bool take, float a, float b) {
 // Applies a binary op with the broadcast pattern hoisted out of the element
 // loop: each variant is a tight loop over constant-stride operands the
 // compiler can autovectorize, instead of a per-element `wa == 1 ? 0 : j`
-// select. Semantics identical to the indexed form for every width mix.
+// select. Semantics identical to the indexed form for every width mix. A
+// narrower operand of width g > 1 dividing w broadcasts group-wise: its
+// element c meets the wide operand's elements [c * w / g, (c + 1) * w / g)
+// (the GIR width rule, GroupedBroadcast in src/gir/ir.h).
 template <typename F>
 __attribute__((always_inline)) inline void BinaryBroadcastLoop(float* out, int32_t w,
                                                                const float* a, int32_t wa,
@@ -43,6 +46,22 @@ __attribute__((always_inline)) inline void BinaryBroadcastLoop(float* out, int32
   } else if (wa == w && wb == w) {
     for (int32_t j = 0; j < w; ++j) {
       out[j] = f(a[j], b[j]);
+    }
+  } else if (wa == w && wb > 1 && w % wb == 0) {
+    const int32_t k = w / wb;
+    for (int32_t c = 0; c < wb; ++c) {
+      const float s = b[c];
+      for (int32_t j = c * k; j < (c + 1) * k; ++j) {
+        out[j] = f(a[j], s);
+      }
+    }
+  } else if (wb == w && wa > 1 && w % wa == 0) {
+    const int32_t k = w / wa;
+    for (int32_t c = 0; c < wa; ++c) {
+      const float s = a[c];
+      for (int32_t j = c * k; j < (c + 1) * k; ++j) {
+        out[j] = f(s, b[j]);
+      }
     }
   } else {
     for (int32_t j = 0; j < w; ++j) {
@@ -108,7 +127,7 @@ struct Tanh {
 };
 
 // A branch, not SelectIf: the select would evaluate exp for positive
-// inputs too.
+// inputs too. ops::Elu applies it only to the inputs that are not > 0.
 struct Elu {
   float alpha;
   float operator()(float x) const { return x > 0.0f ? x : alpha * (std::exp(x) - 1.0f); }

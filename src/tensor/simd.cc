@@ -81,6 +81,17 @@ void AxpyGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int6
   });
 }
 
+void AxpyGroupedGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
+                             int64_t c0, int64_t n, int64_t k) {
+  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
+    const float* xr = x(i) + c0 + b;
+    const float* yr = y(i);
+    for (int64_t j = 0; j < bn; ++j) {
+      block[j] = MulAddScalar(xr[j], yr[(c0 + b + j) / k], block[j]);
+    }
+  });
+}
+
 void MulAddGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
                         int64_t c0, int64_t n) {
   GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
@@ -101,8 +112,9 @@ void MaxGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t 
   });
 }
 
-constexpr GatherKernels kScalarGather = {AddGatherScalar, AddScalarGatherScalar,
-                                         AxpyGatherScalar, MulAddGatherScalar, MaxGatherScalar};
+constexpr GatherKernels kScalarGather = {AddGatherScalar,         AddScalarGatherScalar,
+                                         AxpyGatherScalar,        AxpyGroupedGatherScalar,
+                                         MulAddGatherScalar,      MaxGatherScalar};
 
 void ScaleRowScalar(float* __restrict__ x, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -336,8 +348,8 @@ SEASTAR_AVX2 inline void FoldBlockAvx2(float* acc, X x, Y y, int64_t i0, int64_t
   }
 }
 
-// A single column (GAT's attention sums and their gradients) folds as one
-// scalar chain: a masked lane group costs more there than the column's
+// A single column (a one-head attention sum and its gradients) folds as
+// one scalar chain: a masked lane group costs more there than the column's
 // arithmetic. Same add / fma per row, so the same bits.
 template <Fold F, class X, class Y>
 SEASTAR_AVX2 inline void FoldColumnAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1) {
@@ -441,6 +453,126 @@ SEASTAR_AVX2 void AxpyGatherAvx2(float* acc, const Rows& x, const Rows& y, int64
   GatherAvx2<Fold::kAxpy>(acc, x, y, i0, i1, c0, n);
 }
 
+// The grouped Axpy over one block of 8 * G columns (the last group
+// `tail`-masked when kTail) in which every lane group lies inside one scale
+// group: group g's scale, y(i)[scale[g]], is broadcast to its 8 lanes.
+template <int G, bool kTail, class X, class Y>
+SEASTAR_AVX2 inline void FoldGroupedBlockAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1,
+                                              __m256i tail, const int64_t* scale) {
+  __m256 a[G];
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    a[g] = LoadGroup<G, kTail>(acc, g, tail);
+  }
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* xr = x(i);
+    const float* yr = y(i);
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      a[g] = _mm256_fmadd_ps(LoadGroup<G, kTail>(xr, g, tail), _mm256_broadcast_ss(yr + scale[g]),
+                             a[g]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    if (kTail && g == G - 1) {
+      _mm256_maskstore_ps(acc + 8 * g, tail, a[g]);
+    } else {
+      _mm256_storeu_ps(acc + 8 * g, a[g]);
+    }
+  }
+}
+
+// Groups of a multiple of 8 columns starting on a lane-group boundary
+// (GAT's heads of 8k features): blocks of up to 32 columns, each lane group
+// reading one scale. The scale index advances by counting, not dividing:
+// this runs once per key.
+template <class X, class Y>
+SEASTAR_AVX2 void FoldGroupedAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1, int64_t c0,
+                                  int64_t n, int64_t k) {
+  int64_t q = c0 < k ? 0 : c0 / k;
+  int64_t rem = c0 - q * k;
+  for (int64_t b = 0; b < n; b += 32) {
+    const int64_t bn = std::min<int64_t>(32, n - b);
+    const int groups = static_cast<int>((bn + 7) / 8);
+    const int last = static_cast<int>(bn) - 8 * (groups - 1);
+    const __m256i tail = ColumnMask(last);
+    int64_t scale[4];
+    for (int g = 0; g < groups; ++g) {
+      scale[g] = q;
+      rem += 8;
+      if (rem == k) {
+        rem = 0;
+        ++q;
+      }
+    }
+    const X xb = x.At(b);
+    float* ab = acc + b;
+    switch (groups * 2 + (last < 8 ? 1 : 0)) {
+      case 2:
+        FoldGroupedBlockAvx2<1, false>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      case 3:
+        FoldGroupedBlockAvx2<1, true>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      case 4:
+        FoldGroupedBlockAvx2<2, false>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      case 5:
+        FoldGroupedBlockAvx2<2, true>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      case 6:
+        FoldGroupedBlockAvx2<3, false>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      case 7:
+        FoldGroupedBlockAvx2<3, true>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      case 8:
+        FoldGroupedBlockAvx2<4, false>(ab, xb, y, i0, i1, tail, scale);
+        break;
+      default:
+        FoldGroupedBlockAvx2<4, true>(ab, xb, y, i0, i1, tail, scale);
+        break;
+    }
+  }
+}
+
+template <class X>
+SEASTAR_AVX2 void FoldGroupedAvx2WithY(float* acc, X x, const Rows& y, int64_t i0, int64_t i1,
+                                       int64_t c0, int64_t n, int64_t k) {
+  if (y.idx != nullptr) {
+    FoldGroupedAvx2(acc, x, IndexedRows{y.base, y.idx, y.stride}, i0, i1, c0, n, k);
+  } else {
+    FoldGroupedAvx2(acc, x, DenseRows{y.base, y.stride}, i0, i1, c0, n, k);
+  }
+}
+
+SEASTAR_AVX2 void AxpyGroupedGatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i0,
+                                        int64_t i1, int64_t c0, int64_t n, int64_t k) {
+  if (i0 >= i1 || n <= 0) {
+    return;
+  }
+  if (k % 8 != 0 || c0 % 8 != 0) {
+    // Groups that split a lane group: one scalar fma chain per column, the
+    // same fma per row as the vector lanes.
+    for (int64_t j = 0; j < n; ++j) {
+      const int64_t col = c0 + j;
+      const int64_t scale = col / k;
+      float a = acc[j];
+      for (int64_t i = i0; i < i1; ++i) {
+        a = __builtin_fmaf(x(i)[col], y(i)[scale], a);
+      }
+      acc[j] = a;
+    }
+    return;
+  }
+  if (x.idx != nullptr) {
+    FoldGroupedAvx2WithY(acc, IndexedRows{x.base + c0, x.idx, x.stride}, y, i0, i1, c0, n, k);
+  } else {
+    FoldGroupedAvx2WithY(acc, DenseRows{x.base + c0, x.stride}, y, i0, i1, c0, n, k);
+  }
+}
+
 SEASTAR_AVX2 void MulAddGatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i0,
                                    int64_t i1, int64_t c0, int64_t n) {
   GatherAvx2<Fold::kMulAdd>(acc, x, y, i0, i1, c0, n);
@@ -451,8 +583,9 @@ SEASTAR_AVX2 void MaxGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i
   GatherAvx2<Fold::kMax>(acc, x, x, i0, i1, c0, n);
 }
 
-constexpr GatherKernels kAvx2Gather = {AddGatherAvx2, AddScalarGatherAvx2, AxpyGatherAvx2,
-                                       MulAddGatherAvx2, MaxGatherAvx2};
+constexpr GatherKernels kAvx2Gather = {AddGatherAvx2,         AddScalarGatherAvx2,
+                                       AxpyGatherAvx2,        AxpyGroupedGatherAvx2,
+                                       MulAddGatherAvx2,      MaxGatherAvx2};
 
 __attribute__((target("avx2,fma"))) void ScaleRowAvx2(float* __restrict__ x, float s, int64_t n) {
   const __m256 vs = _mm256_set1_ps(s);
@@ -789,6 +922,7 @@ Dispatch ResolveDispatch() {
     AddGather = kAvx2Gather.add;
     AddScalarGather = kAvx2Gather.add_scalar;
     AxpyGather = kAvx2Gather.axpy;
+    AxpyGroupedGather = kAvx2Gather.axpy_grouped;
     MulAddGather = kAvx2Gather.mul_add;
     MaxGather = kAvx2Gather.max;
     ScaleRow = ScaleRowAvx2;
@@ -814,6 +948,7 @@ const Dispatch g_dispatch = ResolveDispatch();
 decltype(AddGather) AddGather = AddGatherScalar;
 decltype(AddScalarGather) AddScalarGather = AddScalarGatherScalar;
 decltype(AxpyGather) AxpyGather = AxpyGatherScalar;
+decltype(AxpyGroupedGather) AxpyGroupedGather = AxpyGroupedGatherScalar;
 decltype(MulAddGather) MulAddGather = MulAddGatherScalar;
 decltype(MaxGather) MaxGather = MaxGatherScalar;
 void (*ScaleRow)(float*, float, int64_t) = ScaleRowScalar;

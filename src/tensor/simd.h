@@ -71,6 +71,12 @@ extern void (*AddScalarGather)(float* acc, const Rows& x, int64_t i0, int64_t i1
 // acc[j] = fma(x(i)[c0 + j], y(i)[0], acc[j])       (Reduce::kAxpy)
 extern void (*AxpyGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
                           int64_t c0, int64_t n);
+// acc[j] = fma(x(i)[c0 + j], y(i)[(c0 + j) / k], acc[j])
+//                                                   (Reduce::kAxpy, grouped:
+// y(i) has one scale per group of k columns, the GIR's grouped broadcast).
+// Column tiles split anywhere: column c0 + j reads its own group's scale.
+extern void (*AxpyGroupedGather)(float* acc, const Rows& x, const Rows& y, int64_t i0,
+                                 int64_t i1, int64_t c0, int64_t n, int64_t k);
 // acc[j] = fma(x(i)[c0 + j], y(i)[c0 + j], acc[j])  (Reduce::kMulAdd)
 extern void (*MulAddGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
                             int64_t c0, int64_t n);
@@ -85,6 +91,7 @@ struct GatherKernels {
   decltype(AddGather) add;
   decltype(AddScalarGather) add_scalar;
   decltype(AxpyGather) axpy;
+  decltype(AxpyGroupedGather) axpy_grouped;
   decltype(MulAddGather) mul_add;
   decltype(MaxGather) max;
 };

@@ -229,14 +229,48 @@ TEST(AutogradTest, DropoutEvalModeIsIdentity) {
   EXPECT_TRUE(y.value().AllClose(x_val));
 }
 
-TEST(AutogradTest, ConcatColsBackwardSplits) {
-  Var a = Var::Leaf(Tensor({2, 1}, {1, 2}), true);
-  Var b = Var::Leaf(Tensor({2, 2}, {3, 4, 5, 6}), true);
-  Var c = ag::ConcatCols({a, b});
-  Tensor seed({2, 3}, {1, 2, 3, 4, 5, 6});
-  Backward(c, seed);
-  EXPECT_TRUE(a.grad().AllClose(Tensor({2, 1}, {1, 4})));
-  EXPECT_TRUE(b.grad().AllClose(Tensor({2, 2}, {2, 3, 5, 6})));
+TEST(AutogradTest, GroupedRowDotMatchesPerGroupMatmulBitwise) {
+  // Two groups of 3: each output column, and each gradient, is exactly what
+  // a per-group Matmul computes on that group's columns — GAT's heads run
+  // batched with the bits they had one at a time.
+  Rng rng(11);
+  const int64_t n = 7;
+  const int64_t g = 2;
+  const int64_t k = 3;
+  Tensor a_val = ops::RandomUniform({n, g * k}, -1.0f, 1.0f, rng);
+  Tensor b_val = ops::RandomUniform({g, k}, -1.0f, 1.0f, rng);
+  Tensor seed = ops::RandomUniform({n, g}, -1.0f, 1.0f, rng);
+  Var a = Var::Leaf(a_val, true);
+  Var b = Var::Leaf(b_val, true);
+  Var out = ag::GroupedRowDot(a, b);
+  Backward(out, seed);
+  for (int64_t c = 0; c < g; ++c) {
+    Tensor a_c({n, k});
+    Tensor b_c({k, 1});
+    Tensor seed_c({n, 1});
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < k; ++j) {
+        a_c.at(i, j) = a_val.at(i, c * k + j);
+      }
+      seed_c.at(i, 0) = seed.at(i, c);
+    }
+    for (int64_t j = 0; j < k; ++j) {
+      b_c.at(j, 0) = b_val.at(c, j);
+    }
+    Var ac = Var::Leaf(a_c, true);
+    Var bc = Var::Leaf(b_c, true);
+    Var out_c = ag::Matmul(ac, bc);
+    Backward(out_c, seed_c);
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out.value().at(i, c), out_c.value().at(i, 0));
+      for (int64_t j = 0; j < k; ++j) {
+        EXPECT_EQ(a.grad().at(i, c * k + j), ac.grad().at(i, j));
+      }
+    }
+    for (int64_t j = 0; j < k; ++j) {
+      EXPECT_EQ(b.grad().at(c, j), bc.grad().at(j, 0));
+    }
+  }
 }
 
 TEST(AutogradTest, DiamondDependencyAccumulatesOnce) {

@@ -807,5 +807,30 @@ TEST(PointwiseAgreementTest, DenseOpsMatchTheGirTableBitForBit) {
   }
 }
 
+TEST(PointwiseAgreementTest, EluMatchesItsFunctorOnEdgeValues) {
+  // ops::Elu calls exp only where x is not > 0; every element keeps the
+  // functor's bits, the edge values included: NaN stays NaN, +0 and -0
+  // give +0, -inf gives -alpha and +inf stays +inf.
+  constexpr float kAlpha = 0.7f;
+  const int64_t n = 40000;  // Several parallel chunks and blocks.
+  const Tensor x({n}, EdgeMixedValues(n, 3, 0, 47));
+  const Tensor y = ops::Elu(x, kAlpha);
+  const pointwise::Elu elu{kAlpha};
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    mismatches +=
+        std::bit_cast<uint32_t>(elu(x.data()[i])) != std::bit_cast<uint32_t>(y.data()[i]);
+  }
+  EXPECT_EQ(mismatches, 0);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const Tensor edges({5}, {std::numeric_limits<float>::quiet_NaN(), 0.0f, -0.0f, -kInf, kInf});
+  const Tensor out = ops::Elu(edges, kAlpha);
+  EXPECT_TRUE(std::isnan(out.data()[0]));
+  EXPECT_EQ(std::bit_cast<uint32_t>(out.data()[1]), std::bit_cast<uint32_t>(0.0f));
+  EXPECT_EQ(std::bit_cast<uint32_t>(out.data()[2]), std::bit_cast<uint32_t>(0.0f));
+  EXPECT_EQ(out.data()[3], -kAlpha);
+  EXPECT_EQ(out.data()[4], kInf);
+}
+
 }  // namespace
 }  // namespace seastar

@@ -1,0 +1,354 @@
+// The GIR's grouped broadcast: a width-g operand against a width-g*k one,
+// element c against the wide operand's group [c*k, (c+1)*k). Covers the
+// width rule, its adjoints (grouped DotProduct / ReduceWidthSum), the
+// grouped Axpy reducer, parity across every executor, finite-difference
+// gradients, and the property the head-batched GAT rests on: a grouped
+// program computes, group by group, the bits of the per-group programs.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/core/executor_factory.h"
+#include "src/core/program.h"
+#include "src/exec/baseline_executor.h"
+#include "src/exec/compiled_program.h"
+#include "src/exec/seastar_executor.h"
+#include "src/exec/tiling.h"
+#include "src/gir/autodiff.h"
+#include "src/gir/builder.h"
+#include "src/graph/generators.h"
+#include "src/parallel/thread_pool.h"
+#include "src/tensor/ops.h"
+
+namespace seastar {
+namespace {
+
+// Restores the process-wide tiling flag on scope exit.
+class TilingFlagGuard {
+ public:
+  TilingFlagGuard() : saved_(TilingEnabled()) {}
+  ~TilingFlagGuard() { SetTilingEnabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
+Graph TestGraph(int64_t n, int64_t m, uint64_t seed) {
+  Rng rng(seed);
+  CooEdges edges = Rmat(n, m, rng);
+  AddSelfLoops(edges);
+  return ToGraph(std::move(edges));
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && std::memcmp(a.data(), b.data(), a.nbytes()) == 0;
+}
+
+// Columns [c * w, (c + 1) * w) of a [N, g * w] tensor.
+Tensor ColumnBlock(const Tensor& t, int64_t c, int64_t w) {
+  const int64_t n = t.dim(0);
+  const int64_t total = t.dim(1);
+  Tensor out({n, w});
+  for (int64_t i = 0; i < n; ++i) {
+    std::memcpy(out.data() + i * w, t.data() + i * total + c * w,
+                static_cast<size_t>(w) * sizeof(float));
+  }
+  return out;
+}
+
+// GAT's attention program (paper Fig. 3) at `heads` x `dim`.
+VertexProgram GatProgram(int32_t heads, int32_t dim) {
+  GirBuilder b;
+  Value e = Exp(LeakyRelu(b.Src("eu", heads) + b.Dst("ev", heads), 0.2f));
+  Value a = e / AggSum(e);
+  b.MarkOutput(AggSum(a * b.Src("h", heads * dim)), "out");
+  return VertexProgram::Compile(std::move(b));
+}
+
+FeatureMap GatFeatures(const Graph& g, int64_t heads, int64_t dim, uint64_t seed) {
+  Rng rng(seed);
+  FeatureMap features;
+  features.vertex["eu"] = ops::RandomNormal({g.num_vertices(), heads}, 0, 1, rng);
+  features.vertex["ev"] = ops::RandomNormal({g.num_vertices(), heads}, 0, 1, rng);
+  features.vertex["h"] = ops::RandomNormal({g.num_vertices(), heads * dim}, 0, 1, rng);
+  features.vertex[kGradInputKey] =
+      ops::RandomNormal({g.num_vertices(), heads * dim}, 0, 1, rng);
+  return features;
+}
+
+struct ProgramRun {
+  Tensor out;
+  std::map<std::string, Tensor> grads;  // By backward output name.
+};
+
+ProgramRun RunProgram(const VertexProgram& program, const ExecutionSession& session,
+                      const FeatureMap& features) {
+  ProgramRun run;
+  run.out = session.Execute(program.forward(), features).outputs.at("out");
+  RunResult bwd = session.Execute(program.backward().graph, features);
+  for (const InputGradInfo& info : program.backward().input_grads) {
+    run.grads[info.output_name] = bwd.outputs.at(info.output_name);
+  }
+  return run;
+}
+
+ExecutionSession Session(const std::string& spec, const Graph& g) {
+  return MakeSession(std::shared_ptr<const Executor>(std::move(*ExecutorFactory::Create(spec))),
+                     g);
+}
+
+// ---- The width rule -----------------------------------------------------------------------------
+
+TEST(GroupedBroadcastTest, WidthRuleAcceptsANarrowWidthThatDivides) {
+  EXPECT_EQ(GroupedBroadcast(6, 6), 1);
+  EXPECT_EQ(GroupedBroadcast(1, 6), 6);
+  EXPECT_EQ(GroupedBroadcast(2, 6), 3);
+  EXPECT_EQ(GroupedBroadcast(6, 2), 3);
+  EXPECT_EQ(GroupedBroadcast(4, 6), 0);
+  GirBuilder b;
+  Value narrow = b.Src("a", 2);
+  Value wide = b.Dst("c", 6);
+  EXPECT_EQ((narrow * wide).width(), 6);
+  EXPECT_EQ((wide - narrow).width(), 6);
+  EXPECT_EQ((b.Edge("s", 1) + wide).width(), 6);  // g = 1: the scalar broadcast.
+}
+
+TEST(GroupedBroadcastDeathTest, WidthsThatDoNotDivideFailNamingBoth) {
+  EXPECT_DEATH(
+      {
+        GirBuilder b;
+        b.Src("a", 4) + b.Dst("c", 6);
+      },
+      "incompatible widths 4 vs 6");
+}
+
+TEST(GroupedBroadcastTest, ScalarBroadcastAdjointKeepsWidthOne) {
+  // g = 1 programs build exactly the nodes they did before the rule grew
+  // groups: the backward's reductions keep width 1.
+  GirBuilder b;
+  b.MarkOutput(AggSum(b.Src("s", 1) * b.Src("h", 8)), "out");
+  const BackwardGir bwd = BuildBackward(b.graph(), b.graph().outputs()[0]);
+  int dots = 0;
+  for (const Node& node : bwd.graph.nodes()) {
+    if (node.kind == OpKind::kDotProduct) {
+      ++dots;
+      EXPECT_EQ(node.width, 1);
+    }
+  }
+  EXPECT_EQ(dots, 1);
+}
+
+// ---- Adjoints -----------------------------------------------------------------------------------
+
+TEST(GroupedBroadcastTest, MulAdjointIsAGroupedDotProduct) {
+  GirBuilder b;
+  b.MarkOutput(AggSum(b.Src("a", 2) * b.Dst("c", 6)), "out");
+  const BackwardGir bwd = BuildBackward(b.graph(), b.graph().outputs()[0]);
+  int dots = 0;
+  for (const Node& node : bwd.graph.nodes()) {
+    if (node.kind == OpKind::kDotProduct) {
+      ++dots;
+      EXPECT_EQ(node.width, 2);
+      for (int32_t input : node.inputs) {
+        EXPECT_EQ(bwd.graph.node(input).width, 6);
+      }
+    }
+  }
+  EXPECT_EQ(dots, 1);
+}
+
+TEST(GroupedBroadcastTest, AddAdjointIsAGroupedWidthSum) {
+  GirBuilder b;
+  b.MarkOutput(AggSum(Tanh(b.Src("a", 2) + b.Dst("c", 6))), "out");
+  const BackwardGir bwd = BuildBackward(b.graph(), b.graph().outputs()[0]);
+  int sums = 0;
+  for (const Node& node : bwd.graph.nodes()) {
+    if (node.kind == OpKind::kReduceWidthSum) {
+      ++sums;
+      EXPECT_EQ(node.width, 2);
+      EXPECT_EQ(bwd.graph.node(node.inputs[0]).width, 6);
+    }
+  }
+  EXPECT_EQ(sums, 1);
+  for (const InputGradInfo& info : bwd.input_grads) {
+    EXPECT_EQ(bwd.graph.node(info.backward_output).width, info.key == "a" ? 2 : 6)
+        << info.output_name;
+  }
+}
+
+TEST(GroupedBroadcastTest, GroupedMulFeedingASumLowersToTheGroupedAxpy) {
+  const VertexProgram program = GatProgram(3, 4);
+  const auto compiled = CompileProgram(program.forward(), FusionOptions{});
+  bool grouped_axpy = false;
+  for (const CompiledUnit& unit : compiled->units) {
+    for (const AggInstr& agg : unit.aggs) {
+      if (agg.reduce == Reduce::kAxpy && agg.y.width == 3 && agg.width == 12) {
+        grouped_axpy = true;
+      }
+    }
+  }
+  EXPECT_TRUE(grouped_axpy);
+}
+
+// ---- Execution ----------------------------------------------------------------------------------
+
+TEST(GroupedBroadcastTest, GroupedProgramComputesThePerGroupBitsTiledAndUntiled) {
+  // The head-batched GAT property: each head's columns of the grouped
+  // program's forward output and gradients are bit for bit what that
+  // head's width-1 program computes. Groups of 4 and 100 split lane groups
+  // (the grouped reducer's per-column path), groups of 8 and 16 take its
+  // lane-group path, and the 300- and 320-wide outputs are cut into
+  // 256-column tiles, one of them mid-group.
+  TilingFlagGuard guard;
+  const Graph g = TestGraph(150, 1200, 0x6a7);
+  const ExecutionSession session = Session("seastar", g);
+  for (const auto& [heads, dim] : {std::pair{3, 4}, std::pair{2, 8}, std::pair{2, 16},
+                                   std::pair{3, 100}, std::pair{40, 8}}) {
+    const VertexProgram grouped = GatProgram(heads, dim);
+    const VertexProgram single = GatProgram(1, dim);
+    const FeatureMap features = GatFeatures(g, heads, dim, 0x5eed + heads);
+    for (const bool tiled : {true, false}) {
+      SetTilingEnabled(tiled);
+      SCOPED_TRACE(std::to_string(heads) + "x" + std::to_string(dim) +
+                   (tiled ? " tiled" : " untiled"));
+      const ProgramRun all = RunProgram(grouped, session, features);
+      for (int64_t c = 0; c < heads; ++c) {
+        FeatureMap head;
+        head.vertex["eu"] = ColumnBlock(features.vertex.at("eu"), c, 1);
+        head.vertex["ev"] = ColumnBlock(features.vertex.at("ev"), c, 1);
+        head.vertex["h"] = ColumnBlock(features.vertex.at("h"), c, dim);
+        head.vertex[kGradInputKey] = ColumnBlock(features.vertex.at(kGradInputKey), c, dim);
+        const ProgramRun one = RunProgram(single, session, head);
+        EXPECT_TRUE(BitEqual(ColumnBlock(all.out, c, dim), one.out)) << "out, head " << c;
+        for (const auto& [name, grad] : one.grads) {
+          const int64_t w = grad.dim(1);
+          EXPECT_TRUE(BitEqual(ColumnBlock(all.grads.at(name), c, w), grad))
+              << name << ", head " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupedBroadcastTest, EveryExecutorAgreesOnTheGroupedProgram) {
+  // Bits where the docs promise them: tiled = untiled, and a sharded run's
+  // destination-keyed results (its source-keyed ones at one shard) equal
+  // the whole graph's. The fused-multiply-add folds and the baselines'
+  // summation orders agree within rounding; pyg runs on one thread, as its
+  // float atomics are ordered only there.
+  TilingFlagGuard guard;
+  const Graph g = TestGraph(200, 1600, 0x6a8);
+  const VertexProgram program = GatProgram(3, 8);
+  const FeatureMap features = GatFeatures(g, 3, 8, 0x6a9);
+  const ExecutionSession seastar = Session("seastar", g);
+  SetTilingEnabled(true);
+  const ProgramRun reference = RunProgram(program, seastar, features);
+  SetTilingEnabled(false);
+  const ProgramRun untiled = RunProgram(program, seastar, features);
+  SetTilingEnabled(true);
+  EXPECT_TRUE(BitEqual(reference.out, untiled.out));
+  for (const auto& [name, grad] : reference.grads) {
+    EXPECT_TRUE(BitEqual(grad, untiled.grads.at(name))) << name;
+  }
+
+  const auto expect_close = [&](const ProgramRun& run, float tol, const std::string& who) {
+    EXPECT_TRUE(reference.out.AllClose(run.out, tol)) << who << " out";
+    for (const auto& [name, grad] : reference.grads) {
+      EXPECT_TRUE(grad.AllClose(run.grads.at(name), tol)) << who << " " << name;
+    }
+  };
+  expect_close(RunProgram(program, Session("seastar-nofuse", g), features), 1e-4f, "nofuse");
+  expect_close(RunProgram(program, Session("dgl", g), features), 1e-4f, "dgl");
+  {
+    ThreadPool single(0);
+    ScopedThreadPool scoped(&single);
+    expect_close(RunProgram(program, Session("pyg", g), features), 1e-4f, "pyg");
+  }
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE("sharded:" + std::to_string(shards));
+    const ProgramRun run = RunProgram(program, Session("sharded:" + std::to_string(shards), g),
+                                      features);
+    EXPECT_TRUE(BitEqual(reference.out, run.out));
+    for (const auto& [name, grad] : reference.grads) {
+      const bool exact = shards == 1 || name.rfind("grad:D:", 0) == 0;
+      EXPECT_TRUE(exact ? BitEqual(grad, run.grads.at(name))
+                        : grad.AllClose(run.grads.at(name), 1e-5f))
+          << name;
+    }
+  }
+}
+
+// ---- Finite differences -------------------------------------------------------------------------
+
+// d(sum of out)/d(feature) of `builder`'s single output against central
+// differences, at every vertex feature element of a small graph.
+void ExpectGradientsMatchFiniteDifferences(GirBuilder builder, FeatureMap features) {
+  const VertexProgram program = VertexProgram::Compile(std::move(builder));
+  Rng rng(0x1d);
+  CooEdges edges = ErdosRenyi(8, 20, rng);
+  AddSelfLoops(edges);
+  const Graph g = ToGraph(std::move(edges));
+  SeastarExecutor executor;
+  const auto loss = [&] {
+    return static_cast<double>(
+        ops::SumAll(executor.Run(program.forward(), g, features).outputs.at("out")));
+  };
+  const Tensor out = executor.Run(program.forward(), g, features).outputs.at("out");
+  FeatureMap bwd = features;
+  bwd.vertex[kGradInputKey] = Tensor::Ones(out.shape());
+  const RunResult result = executor.Run(program.backward().graph, g, bwd);
+  std::map<std::string, Tensor> grads;
+  for (const InputGradInfo& info : program.backward().input_grads) {
+    const Tensor& piece = result.outputs.at(info.output_name);
+    auto it = grads.find(info.key);
+    grads[info.key] = it == grads.end() ? piece.Clone() : ops::Add(it->second, piece);
+  }
+  ASSERT_EQ(grads.size(), features.vertex.size());
+  for (auto& [key, analytic] : grads) {
+    Tensor& value = features.vertex.at(key);
+    for (int64_t i = 0; i < value.numel(); ++i) {
+      const float eps = 1e-2f;
+      const float saved = value.data()[i];
+      value.data()[i] = saved + eps;
+      const double up = loss();
+      value.data()[i] = saved - eps;
+      const double down = loss();
+      value.data()[i] = saved;
+      const double numeric = (up - down) / (2.0 * eps);
+      EXPECT_NEAR(analytic.data()[i], numeric, 2e-2 * std::max(1.0, std::fabs(numeric)))
+          << key << " element " << i;
+    }
+  }
+}
+
+FeatureMap SmallFeatures(const std::vector<std::pair<std::string, int64_t>>& widths) {
+  Rng rng(0x2d);
+  FeatureMap features;
+  for (const auto& [name, width] : widths) {
+    features.vertex[name] = ops::RandomNormal({8, width}, 0, 1, rng);
+  }
+  return features;
+}
+
+TEST(GroupedBroadcastTest, GroupedAxpyAndDotProductGradientsMatchFiniteDifferences) {
+  // Forward: the grouped Axpy. Backward: a grouped DotProduct into a and a
+  // grouped Axpy into h.
+  GirBuilder b;
+  b.MarkOutput(AggSum(b.Src("a", 2) * b.Src("h", 6)), "out");
+  ExpectGradientsMatchFiniteDifferences(std::move(b), SmallFeatures({{"a", 2}, {"h", 6}}));
+}
+
+TEST(GroupedBroadcastTest, GroupedWidthSumGradientsMatchFiniteDifferences) {
+  // The grouped Add's adjoint into a is a grouped ReduceWidthSum.
+  GirBuilder b;
+  b.MarkOutput(AggSum(Tanh(b.Src("a", 2) + b.Dst("c", 6))), "out");
+  ExpectGradientsMatchFiniteDifferences(std::move(b), SmallFeatures({{"a", 2}, {"c", 6}}));
+}
+
+}  // namespace
+}  // namespace seastar

@@ -3,8 +3,12 @@
 // memory ordering the paper reports (PyG materializes the most).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/core/checkpoint.h"
 #include "src/core/executor_factory.h"
 #include "src/core/models/appnp.h"
 #include "src/core/models/gat.h"
@@ -138,6 +142,60 @@ TEST(GatModelTest, TrainsToLowerLoss) {
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainResult result = TrainNodeClassification(model, data, train);
   EXPECT_LT(result.final_loss, first_loss.value().at(0));
+}
+
+// A snapshot in the per-head GAT layout — W_h [in, dim], a_l,h and a_r,h
+// [dim, 1] per head and layer — with zero weights and moments.
+TrainCheckpoint PerHeadGatCheckpoint(const Dataset& data, const GatConfig& config) {
+  TrainCheckpoint checkpoint;
+  int64_t in_dim = data.features.dim(1);
+  for (int layer = 0; layer < config.num_layers; ++layer) {
+    const bool last = layer == config.num_layers - 1;
+    const int64_t heads = last ? 1 : config.num_heads;
+    const int64_t dim = last ? data.spec.num_classes : config.hidden_dim;
+    for (int64_t h = 0; h < heads; ++h) {
+      for (const std::vector<int64_t>& shape :
+           {std::vector<int64_t>{in_dim, dim}, std::vector<int64_t>{dim, 1},
+            std::vector<int64_t>{dim, 1}}) {
+        checkpoint.parameters.push_back(Tensor::Zeros(shape));
+        checkpoint.adam_m.push_back(Tensor::Zeros(shape));
+        checkpoint.adam_v.push_back(Tensor::Zeros(shape));
+      }
+    }
+    in_dim = heads * dim;
+  }
+  checkpoint.has_adam = true;
+  return checkpoint;
+}
+
+TEST(GatModelTest, PerHeadCheckpointIsRefusedOnResume) {
+  // The head-batched layout does not load per-head snapshots: more heads
+  // mean more parameters, one head means transposed attention vectors.
+  // Either way resuming fails with a Status, never a crash.
+  Dataset data = SmallDataset();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "seastar_gat_per_head.ckpt").string();
+  for (const int heads : {2, 1}) {
+    SCOPED_TRACE(std::to_string(heads) + " heads");
+    GatConfig config;
+    config.num_heads = heads;
+    config.hidden_dim = 4;
+    ASSERT_TRUE(SaveCheckpoint(PerHeadGatCheckpoint(data, config), path).ok());
+    Gat model(data, config, Config("seastar"));
+    TrainConfig train;
+    train.epochs = 2;
+    train.checkpoint_path = path;
+    train.resume = true;
+    const TrainResult result = TrainNodeClassification(model, data, train);
+    EXPECT_TRUE(result.failed);
+    EXPECT_EQ(result.error.rfind("INVALID_ARGUMENT", 0), 0u) << result.error;
+    EXPECT_NE(result.error.find(heads == 2 ? "holds 9 parameters, model has 6"
+                                           : "parameter 1 is Tensor[4x1], model expects Tensor[1x4]"),
+              std::string::npos)
+        << result.error;
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".prev");
 }
 
 TEST(AppnpModelTest, AllBackendsProduceSameLogits) {

@@ -24,6 +24,7 @@
 #include "src/common/metrics.h"
 #include "src/core/checkpoint.h"
 #include "src/core/executor_factory.h"
+#include "src/core/models/gat.h"
 #include "src/core/models/gcn.h"
 #include "src/exec/plan_cache.h"
 #include "src/serve/model_registry.h"
@@ -224,6 +225,45 @@ void ExpectWeightsOf(const ModelEntry& entry, GnnModel& source) {
               0)
         << "parameter " << p;
   }
+}
+
+TEST(ModelRegistryTest, RegisterRefusesAPerHeadGatCheckpoint) {
+  // A GAT snapshot in the per-head layout (W_h, a_l,h, a_r,h for each of 2
+  // heads, then the output head): 9 parameters where the head-batched
+  // model has 6. Registration fails with a Status and registers nothing.
+  Dataset data = SmallDataset();
+  GatConfig config;
+  config.num_heads = 2;
+  config.hidden_dim = 4;
+  TrainCheckpoint checkpoint;
+  checkpoint.model_tag = "gat";
+  const int64_t in_dim = data.features.dim(1);
+  for (int h = 0; h < 2; ++h) {
+    checkpoint.parameters.push_back(Tensor::Zeros({in_dim, 4}));
+    checkpoint.parameters.push_back(Tensor::Zeros({4, 1}));
+    checkpoint.parameters.push_back(Tensor::Zeros({4, 1}));
+  }
+  checkpoint.parameters.push_back(Tensor::Zeros({8, data.spec.num_classes}));
+  checkpoint.parameters.push_back(Tensor::Zeros({data.spec.num_classes, 1}));
+  checkpoint.parameters.push_back(Tensor::Zeros({data.spec.num_classes, 1}));
+  const std::string path = TempPath("seastar_mt_gat_per_head.ckpt");
+  ASSERT_TRUE(SaveCheckpoint(checkpoint, path).ok());
+
+  ModelRegistry registry;
+  auto entry = registry.Register(
+      "gat", data,
+      [&data, config]() -> std::unique_ptr<GnnModel> {
+        return std::make_unique<Gat>(data, config, SeastarBackend());
+      },
+      path);
+  ASSERT_FALSE(entry.has_value());
+  EXPECT_EQ(entry.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(entry.status().message().find("holds 9 parameters, model 'GAT' has 6"),
+            std::string::npos)
+      << entry.status().ToString();
+  EXPECT_EQ(registry.Lookup("gat"), nullptr);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".prev");
 }
 
 TEST(ModelRegistryTest, RegisterRetriesTransientCheckpointReads) {

@@ -437,20 +437,22 @@ TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
     ScopedRun run(&tracer, "gat", "train");
     TrainNodeClassification(model, data, train);
   }
-  // Each head projects once and scores twice (eu, ev): three forward
-  // matmul spans per head. The two hidden heads concatenate and pass an ELU.
+  // Each layer projects all its heads in one forward matmul and scores them
+  // (eu, ev) in two grouped row dots; the hidden layer's output passes an
+  // ELU.
   const std::vector<Span> dense = SpansInCategory(tracer, "dense");
   const auto count = [&dense](const std::string& name) {
     return std::count_if(dense.begin(), dense.end(),
                          [&name](const Span& span) { return name == span.name; });
   };
-  EXPECT_EQ(count("matmul"), 3 * 3);
-  EXPECT_EQ(count("concat_cols"), 1);
+  EXPECT_EQ(count("matmul"), 2);
+  EXPECT_EQ(count("grouped_row_dot"), 2 * 2);
   EXPECT_EQ(count("elu"), 1);
 
   const std::vector<Span> units = SpansInCategory(tracer, "unit");
-  // 2 hidden heads + 1 output head, 2 forward + 6 backward units each.
-  EXPECT_EQ(units.size(), 3u * 8u);
+  // One program per layer (both heads of the hidden one at once), 2 forward
+  // + 6 backward units each.
+  EXPECT_EQ(units.size(), 2u * 8u);
   EXPECT_EQ(TiledUnits()->value() - tiled_before, static_cast<int64_t>(units.size()));
   ExpectUnitSpansOnSegmentLaunch(units);
 }

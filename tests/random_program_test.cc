@@ -23,6 +23,9 @@ namespace seastar {
 namespace {
 
 constexpr int32_t kWide = 6;
+// Width of the universe's grouped operand: it broadcasts group-wise
+// against the kWide ones (3 columns per element).
+constexpr int32_t kGroups = 2;
 
 struct RandomProgram {
   GirGraph forward;
@@ -30,7 +33,9 @@ struct RandomProgram {
 };
 
 // Builds a random well-typed vertex program over the fixed feature universe
-// {a[1]:S, b[w]:S, c[w]:D, d[1]:D, e[1]:E}. Division and log are excluded to
+// {a[1]:S, b[w]:S, c[w]:D, d[1]:D, e[1]:E, f[2]:D}: f pairs with b and c as
+// a grouped broadcast (and with the width-1 values as a scalar one), so
+// binaries mix equal, scalar and grouped widths. Division and log are excluded to
 // keep values finite for any input; exp is applied only to bounded values
 // (post-tanh/sigmoid) to avoid overflow.
 RandomProgram MakeRandomProgram(uint64_t seed, bool include_max_ops) {
@@ -38,6 +43,7 @@ RandomProgram MakeRandomProgram(uint64_t seed, bool include_max_ops) {
   GirBuilder b;
   std::vector<Value> pool{
       b.Src("a", 1), b.Src("b", kWide), b.Dst("c", kWide), b.Dst("d", 1), b.Edge("e", 1),
+      b.Dst("f", kGroups),
   };
 
   const auto pick = [&](auto&& predicate) -> Value {
@@ -61,22 +67,22 @@ RandomProgram MakeRandomProgram(uint64_t seed, bool include_max_ops) {
     switch (choice) {
       case 0: {
         Value x = pick(any);
-        Value y = pick([&](const Value& v) { return v.width() == x.width() || v.width() == 1 ||
-                                                    x.width() == 1; });
+        Value y = pick(
+            [&](const Value& v) { return GroupedBroadcast(v.width(), x.width()) > 0; });
         result = x + y;
         break;
       }
       case 1: {
         Value x = pick(any);
-        Value y = pick([&](const Value& v) { return v.width() == x.width() || v.width() == 1 ||
-                                                    x.width() == 1; });
+        Value y = pick(
+            [&](const Value& v) { return GroupedBroadcast(v.width(), x.width()) > 0; });
         result = x - y;
         break;
       }
       case 2: {
         Value x = pick(any);
-        Value y = pick([&](const Value& v) { return v.width() == x.width() || v.width() == 1 ||
-                                                    x.width() == 1; });
+        Value y = pick(
+            [&](const Value& v) { return GroupedBroadcast(v.width(), x.width()) > 0; });
         result = x * y;
         break;
       }
@@ -135,6 +141,7 @@ FeatureMap MakeFeatures(const Graph& g, uint64_t seed) {
   features.vertex["c"] = ops::RandomNormal({g.num_vertices(), kWide}, 0, 1, rng);
   features.vertex["d"] = ops::RandomNormal({g.num_vertices(), 1}, 0, 1, rng);
   features.edge["e"] = ops::RandomNormal({g.num_edges(), 1}, 0, 1, rng);
+  features.vertex["f"] = ops::RandomNormal({g.num_vertices(), kGroups}, 0, 1, rng);
   return features;
 }
 
@@ -311,6 +318,23 @@ TEST_P(RandomProgramTest, GradientsMatchFiniteDifferences) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest, ::testing::Range(0, 24));
+
+TEST(RandomProgramUniverseTest, SeedsExerciseTheGroupedBroadcast) {
+  // Some seeded program combines f with a kWide value, so the seeds above
+  // cover the grouped width rule, forward and backward.
+  int grouped = 0;
+  for (int seed = 0; seed < 24; ++seed) {
+    const RandomProgram program = MakeRandomProgram(static_cast<uint64_t>(seed), true);
+    for (const Node& node : program.forward.nodes()) {
+      if (IsElementwiseBinary(node.kind) &&
+          GroupedBroadcast(program.forward.node(node.inputs[0]).width,
+                           program.forward.node(node.inputs[1]).width) == kWide / kGroups) {
+        ++grouped;
+      }
+    }
+  }
+  EXPECT_GT(grouped, 0);
+}
 
 }  // namespace
 }  // namespace seastar

@@ -321,11 +321,8 @@ TEST(OpsTest, SegmentSum) {
   EXPECT_TRUE(s.AllClose(Tensor({3, 2}, {1, 1, 0, 0, 9, 9})));
 }
 
-TEST(OpsTest, ConcatAndSlice) {
-  Tensor a({2, 1}, {1, 2});
-  Tensor b({2, 2}, {3, 4, 5, 6});
-  Tensor c = ops::ConcatCols({a, b});
-  EXPECT_TRUE(c.AllClose(Tensor({2, 3}, {1, 3, 4, 2, 5, 6})));
+TEST(OpsTest, SliceRows) {
+  Tensor c({2, 3}, {1, 3, 4, 2, 5, 6});
   EXPECT_TRUE(ops::SliceRows(c, 1, 2).AllClose(Tensor({1, 3}, {2, 5, 6})));
 }
 
@@ -445,6 +442,65 @@ TEST(SimdGatherTest, EachFoldMatchesThePerEdgeChainBitwise) {
           check(
               "max", [&](int64_t i, int64_t j, float a) { return std::max(a, x(i)[kC0 + j]); },
               [&](float* acc) { k.max(acc, x, i0, i1, kC0, n); });
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGatherTest, GroupedAxpyMatchesThePerEdgeChainBitwise) {
+  // acc[j] = fma(x(i)[c0 + j], y(i)[(c0 + j) / k], acc[j]): groups that
+  // are lane-group multiples starting on a lane-group boundary, and groups
+  // (or column offsets) that split lane groups, each column one chain.
+  constexpr int64_t kRows = 40;
+  constexpr int64_t kGuard = 8;
+  Rng rng(19);
+  const auto fill = [&](std::vector<float>& v) {
+    for (float& f : v) {
+      f = rng.NextFloat(-3.0f, 3.0f);
+    }
+  };
+  std::vector<int32_t> idx(kRows);
+  for (int32_t& i : idx) {
+    i = static_cast<int32_t>(rng.NextBounded(kRows));
+  }
+  struct Shape {
+    int64_t k;
+    int64_t c0;
+    int64_t n;
+  };
+  const Shape shapes[] = {{8, 0, 64},  {8, 8, 24},  {8, 0, 5},   {16, 0, 64}, {16, 32, 100},
+                          {8, 256, 64}, {1, 0, 9},  {3, 0, 24},  {3, 5, 31},  {4, 2, 40},
+                          {100, 256, 44}, {8, 3, 30}};
+  for (const GatherVariant& variant : GatherVariants()) {
+    for (const Shape& shape : shapes) {
+      const int64_t row = shape.c0 + shape.n + 2;
+      const int64_t groups = (row + shape.k - 1) / shape.k;
+      std::vector<float> xs(static_cast<size_t>(kRows * row));
+      std::vector<float> ys(static_cast<size_t>(kRows * groups));
+      std::vector<float> acc0(static_cast<size_t>(shape.n + kGuard));
+      fill(xs);
+      fill(ys);
+      fill(acc0);
+      for (const bool indexed : {false, true}) {
+        SCOPED_TRACE(std::string(variant.isa) + " k=" + std::to_string(shape.k) +
+                     " c0=" + std::to_string(shape.c0) + " n=" + std::to_string(shape.n) +
+                     (indexed ? " indexed" : " dense"));
+        const int32_t* ix = indexed ? idx.data() : nullptr;
+        const simd::Rows x{xs.data(), ix, row};
+        const simd::Rows y{ys.data(), ix, groups};
+        for (const auto& [i0, i1] : {std::pair<int64_t, int64_t>{3, 29}, {0, kRows}, {7, 7}}) {
+          std::vector<float> want = acc0;
+          for (int64_t i = i0; i < i1; ++i) {
+            for (int64_t j = 0; j < shape.n; ++j) {
+              want[static_cast<size_t>(j)] =
+                  RefMulAdd(x(i)[shape.c0 + j], y(i)[(shape.c0 + j) / shape.k],
+                            want[static_cast<size_t>(j)], variant.fused);
+            }
+          }
+          std::vector<float> got = acc0;
+          variant.kernels->axpy_grouped(got.data(), x, y, i0, i1, shape.c0, shape.n, shape.k);
+          EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0);
         }
       }
     }

@@ -19,6 +19,11 @@ Two kinds of gate:
     so they are gated hard: plan misses must be exactly zero, and fresh
     mallocs may exceed the baseline by at most --malloc-slack (default 5,
     matching the steady-state bound the CI smoke already asserts).
+  * Training step counts are gated exactly too: steady_kernel_launches
+    (fused-unit launches per epoch) and steady_alloc_requests (tensor
+    allocations per epoch) are functions of the models' programs and
+    tensor graph, not of the machine, so any change in either direction
+    fails until the baseline is refreshed with the change that moved it.
   * Training losses are gated exactly: every baseline epoch's loss must
     appear in the fresh run with the same digits at the report's 6-decimal
     precision. Kernel work may get faster, never change the numbers a
@@ -124,6 +129,7 @@ class Gate:
 
 
 TRACING_OVERHEAD_MAX_PCT = 5.0
+TRAIN_EXACT_KEYS = ("steady_kernel_launches", "steady_alloc_requests")
 
 
 def check_overhead(gate, where, metric, baseline, fresh, ceiling, detail):
@@ -178,6 +184,11 @@ def check_train(gate, baseline, fresh, timing_tol, malloc_slack,
             e["plan_misses"] for e in run.get("epochs", [])[first_steady:])
         gate.check(where, "steady_plan_misses", steady_misses, 0, 0,
                    "exact: steady epochs must not recompile plans")
+        mismatched = [f"{key} {run.get(key)} vs {base[key]}"
+                      for key in TRAIN_EXACT_KEYS
+                      if key in base and run.get(key) != base[key]]
+        gate.check(where, "count_mismatches", len(mismatched), 0, 0,
+                   "exact: " + ("; ".join(mismatched) or ", ".join(TRAIN_EXACT_KEYS)))
         check_losses(gate, where, base, run)
     for key in sorted(set(fresh_runs) - set(base_runs)):
         gate.extra(f"train {key[0]}/{key[1]}")
@@ -423,8 +434,10 @@ def self_test(args):
         "bench": "train_epoch", "steady_first_epoch": 3,
         "runs": [{
             "model": "GCN", "dataset": "cora", "steady_avg_ms": 10.0,
-            "steady_fresh_mallocs": 1.0,
-            "epochs": [{"epoch": i, "plan_misses": 0, "loss": 2.0 - 0.1 * i}
+            "steady_fresh_mallocs": 1.0, "steady_alloc_requests": 37.0,
+            "steady_kernel_launches": 16.0,
+            "epochs": [{"epoch": i, "plan_misses": 0, "kernel_launches": 16,
+                        "loss": 2.0 - 0.1 * i}
                        for i in range(6)],
         }],
     }
@@ -522,6 +535,21 @@ def self_test(args):
     g = Gate()
     check_train(g, train_base, recompiles, 3.0, 5.0)
     expect("steady-plan-miss", g, want_fail=True)
+
+    # 3a. A program that launches one more fused unit per epoch (a fusion
+    #     split, say) fails, as does one that allocates one tensor fewer:
+    #     both counts are exact.
+    relaunches = copy.deepcopy(train_base)
+    relaunches["runs"][0]["steady_kernel_launches"] = 17.0
+    g = Gate()
+    check_train(g, train_base, relaunches, 3.0, 5.0)
+    expect("kernel-launches-moved", g, want_fail=True)
+
+    fewer_allocs = copy.deepcopy(train_base)
+    fewer_allocs["runs"][0]["steady_alloc_requests"] = 36.0
+    g = Gate()
+    check_train(g, train_base, fewer_allocs, 3.0, 5.0)
+    expect("alloc-requests-moved", g, want_fail=True)
 
     # 3b. A loss that moves in the 6th decimal fails, timing unchanged; so
     #     does a fresh run that stops before the baseline's last epoch.
