@@ -48,7 +48,7 @@ constexpr FlagName kFlagNames[] = {
 
 // Export keys, in Arg order.
 constexpr const char* kArgNames[kNumArgs] = {
-    "edges", "bytes_materialized", "num_blocks", "dispatches", "kernel_launches",
+    "edges", "bytes_materialized", "dispatches", "kernel_launches",
     "alloc_delta_bytes", "peak_delta_bytes",
     "plan_cache_hits", "plan_cache_misses", "pool_hits", "pool_misses",
     "tile_segments", "tile_passes", "tile_width",
@@ -181,9 +181,7 @@ void RequestTrace::SetArg(int token, Arg key, int64_t value) {
 
 Tracer::Tracer(TracerConfig config, Retention retention)
     : config_(std::move(config)), retention_(retention), epoch_(Clock::now()) {
-  SEASTAR_CHECK_GT(config_.tail_keep, 0);
   SEASTAR_CHECK_GT(config_.anomaly_keep, 0);
-  SEASTAR_CHECK_GT(config_.max_spans_per_trace, 0);
 }
 
 Tracer::~Tracer() = default;
@@ -225,7 +223,7 @@ RequestTrace* Tracer::StartTrace(uint32_t tenant_index, uint64_t request_id) {
   const bool sampled = !run && HeadSampled(trace_id, config_.head_sample_rate);
   std::unique_ptr<RequestTrace> trace = Acquire();
   trace->Reset(trace_id, sampled, tenant_index, request_id, epoch_,
-               run ? INT_MAX : config_.max_spans_per_trace);
+               run ? INT_MAX : kMaxSpansPerTrace);
   ++stats_.started;
   if (sampled) {
     ++stats_.head_sampled;
@@ -240,7 +238,7 @@ void Tracer::OfferTail(std::unique_ptr<RequestTrace> trace) {
                          const std::unique_ptr<RequestTrace>& y) {
     return x->total_ms() > y->total_ms();  // Min-heap on total_ms.
   };
-  if (static_cast<int>(tail_.size()) < config_.tail_keep) {
+  if (static_cast<int>(tail_.size()) < kTailKeep) {
     tail_.push_back(std::move(trace));
     std::push_heap(tail_.begin(), tail_.end(), slower);
     return;
@@ -422,7 +420,7 @@ void Tracer::WriteChromeTrace(JsonWriter& writer) const {
   writer.Field("evicted", stats_.evicted);
   writer.Field("spans_dropped", stats_.spans_dropped);
   writer.Field("pool_misses", stats_.pool_misses);
-  writer.Field("tail_keep", static_cast<int64_t>(config_.tail_keep));
+  writer.Field("tail_keep", int64_t{kTailKeep});
   writer.Field("anomaly_keep", static_cast<int64_t>(config_.anomaly_keep));
   writer.FieldDouble("head_sample_rate", config_.head_sample_rate);
   writer.EndObject();

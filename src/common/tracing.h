@@ -77,15 +77,14 @@ std::string FlagNames(uint32_t flags);
 // sets; exports and the summary table skip the rest.
 enum class Arg : uint8_t {
   // Kernel behaviour (paper §7): edges traversed, tensor bytes written,
-  // simulated thread blocks, block-scheduler dispatch grants, kernel
-  // launches, allocator live-byte delta (signed) and watermark rise.
-  kEdges, kBytesMaterialized, kNumBlocks, kDispatches, kKernelLaunches, kAllocDeltaBytes,
-  kPeakDeltaBytes,
+  // block-scheduler dispatch grants, kernel launches, allocator live-byte
+  // delta (signed) and watermark rise.
+  kEdges, kBytesMaterialized, kDispatches, kKernelLaunches, kAllocDeltaBytes, kPeakDeltaBytes,
   // Steady-state caching: whether the plan came from the PlanCache, and how
   // allocations split between pool reuse and fresh mallocs.
   kPlanCacheHits, kPlanCacheMisses, kPoolHits, kPoolMisses,
-  // Cache-blocked tiling: CSR segments, segment x feature-tile passes, and
-  // columns per tile.
+  // Cache-blocked tiling: CSR segments (one simulated thread block each),
+  // segment x feature-tile passes, and columns per tile.
   kTileSegments, kTilePasses, kTileWidth,
   // Loop position and partitioning.
   kEpoch, kBatch, kShards,
@@ -191,6 +190,11 @@ class RequestTrace {
 
 // Newest-kept ring capacity for head-sampled clean traces.
 inline constexpr int kSampledKeep = 256;
+// Tail tier: the slowest-N non-anomalous finished traces, by total_ms.
+inline constexpr int kTailKeep = 32;
+// Span budget per sampled trace; recording beyond it drops (counted) rather
+// than growing without bound.
+inline constexpr int kMaxSpansPerTrace = 96;
 
 struct TracerConfig {
   bool enabled = true;
@@ -198,16 +202,11 @@ struct TracerConfig {
   // the trace id, so a fixed seed admits a stable subset). 0 disables the
   // head tier; the tail reservoir still runs.
   double head_sample_rate = 0.01;
-  // Tail tier: the slowest-N non-anomalous finished traces, by total_ms.
-  int tail_keep = 32;
   // Newest-kept ring capacity for anomalous traces (kSampledKeep is the
-  // head-sampled ring's). Overflowing traces are re-offered to the tail heap
-  // before recycling, so the slowest requests survive even a flood of
-  // anomalies.
+  // head-sampled ring's, kTailKeep the tail heap's). Overflowing traces are
+  // re-offered to the tail heap before recycling, so the slowest requests
+  // survive even a flood of anomalies.
   int anomaly_keep = 8192;
-  // Span budget per trace; recording beyond it drops (counted) rather than
-  // growing without bound.
-  int max_spans_per_trace = 96;
   // Mixed into trace ids (and thus the head sampler). Fixed seed => fully
   // deterministic ids and sampling decisions.
   uint64_t seed = 0;

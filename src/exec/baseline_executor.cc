@@ -320,14 +320,15 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
       } else {
         row = out_base + (orientation == GraphType::kDst ? dst : src) * w;
       }
-      const int32_t wv = binary ? w : a.width;
+      // The value's width is w: an aggregation keeps its input's width
+      // (GirGraph::AddNode checks it).
       if (node.kind == OpKind::kAggMax) {
         for (int32_t j = 0; j < w; ++j) {
-          AtomicMax(&row[j], value[wv == 1 ? 0 : j]);
+          AtomicMax(&row[j], value[j]);
         }
       } else {
         for (int32_t j = 0; j < w; ++j) {
-          AtomicAdd(&row[j], value[wv == 1 ? 0 : j]);
+          AtomicAdd(&row[j], value[j]);
         }
       }
     };
@@ -408,7 +409,7 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
       const float* value = a.At(e, src, dst, etype);
       float* row = pt + (static_cast<int64_t>(etype) * num_vertices + dst) * w;
       for (int32_t j = 0; j < w; ++j) {
-        row[j] += value[a.width == 1 ? 0 : j];
+        row[j] += value[j];
       }
     }
     (*saved)[-2000 - node.id] = per_type;  // The [T, N, w] temporary is real memory.

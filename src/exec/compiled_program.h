@@ -78,8 +78,7 @@ struct Instr {
 // is one runtime-dispatched SIMD gather-reduce kernel (src/tensor/simd.h),
 // called once per key, chunk and column tile over the key's slots (per
 // (key, edge type) run of them in a typed aggregation):
-//   kAdd    — acc[j] += x[j] (AddGather), or acc[j] += x[0]
-//             (AddScalarGather) for a width-1 x;
+//   kAdd    — acc[j] += x[j] (AddGather);
 //   kAxpy   — acc[j] += x[j] * y[0] (AxpyGather): a Mul feeding only this
 //             sum, folded into the reduction, with its width-1 operand as y;
 //             or, for a grouped-broadcast Mul whose narrow operand y has

@@ -151,11 +151,7 @@ void ReduceRows(const AggInstr& agg, const simd::Rows& x, const simd::Rows& y, f
                 int64_t i0, int64_t i1, int32_t c0, int32_t n) {
   switch (agg.reduce) {
     case Reduce::kAdd:
-      if (agg.x.width == 1) {
-        simd::AddScalarGather(acc, x, i0, i1, n);
-      } else {
-        simd::AddGather(acc, x, i0, i1, c0, n);
-      }
+      simd::AddGather(acc, x, i0, i1, c0, n);
       return;
     case Reduce::kAxpy:
       if (agg.y.width == 1) {
@@ -535,7 +531,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
 
     if (trace::Span* span = unit_span.span()) {
       span->Set(Arg::kEdges, edges);
-      span->Set(Arg::kNumBlocks, num_segments);
       span->Set(Arg::kDispatches, launch_stats.dispatches);
       span->Set(Arg::kKernelLaunches, 1);
       span->Set(Arg::kTileSegments, num_segments);

@@ -173,6 +173,15 @@ int32_t GirGraph::AddNode(Node node) {
     SEASTAR_CHECK_GE(input, 0);
     SEASTAR_CHECK_LT(input, node.id) << "GIR must be built in topological order";
   }
+  // The aggregation kernels fold x(i)[c0 + j] into column j: an aggregation
+  // has no broadcast form, so its width is its input's.
+  if (IsAggregation(node.kind)) {
+    SEASTAR_CHECK_EQ(node.inputs.size(), 1u) << OpKindName(node.kind) << " node " << node.id;
+    const Node& input = nodes_[static_cast<size_t>(node.inputs[0])];
+    SEASTAR_CHECK(node.width == input.width)
+        << OpKindName(node.kind) << " node " << node.id << " has width " << node.width
+        << " but its input node " << input.id << " has width " << input.width;
+  }
   nodes_.push_back(std::move(node));
   return nodes_.back().id;
 }

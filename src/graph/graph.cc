@@ -83,19 +83,6 @@ double Graph::AverageInDegree() const {
                            : 0.0;
 }
 
-uint64_t Graph::IndexBytes() const {
-  uint64_t bytes = 0;
-  auto csr_bytes = [](const Csr& csr) {
-    return csr.offsets.size() * sizeof(int64_t) +
-           (csr.position_vertex.size() + csr.vertex_position.size() + csr.nbr_ids.size() +
-            csr.edge_ids.size() + csr.edge_types.size()) *
-               sizeof(int32_t);
-  };
-  bytes += csr_bytes(in_csr_) + csr_bytes(out_csr_);
-  bytes += (edge_src_.size() + edge_dst_.size() + edge_type_.size()) * sizeof(int32_t);
-  return bytes;
-}
-
 std::string Graph::DebugString() const {
   std::ostringstream os;
   os << "Graph(|V|=" << num_vertices_ << ", |E|=" << num_edges_

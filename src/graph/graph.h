@@ -62,9 +62,6 @@ class Graph {
   const Tensor& InDegreeTensor() const;
   const Tensor& OutDegreeTensor() const;
 
-  // Approximate resident bytes of the graph indexes (both CSRs + COO).
-  uint64_t IndexBytes() const;
-
   std::string DebugString() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -13,51 +12,7 @@
 namespace seastar {
 namespace {
 
-constexpr char kBinaryMagic[4] = {'S', 'S', 'G', '1'};
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-template <typename T>
-void WriteVector(std::ofstream& out, const std::vector<T>& values) {
-  const uint64_t count = values.size();
-  WritePod(out, count);
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-template <typename T>
-bool ReadVector(std::ifstream& in, std::vector<T>* values, uint64_t sanity_limit) {
-  uint64_t count = 0;
-  if (!ReadPod(in, &count) || count > sanity_limit) {
-    return false;
-  }
-  values->resize(count);
-  in.read(reinterpret_cast<char*>(values->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return in.good() || (in.eof() && count == 0);
-}
-
-// Last consumed stream position, for error messages on truncated binaries;
-// -1 (EOF / failed stream) maps to "end of file".
-std::string OffsetString(std::ifstream& in) {
-  in.clear();
-  const std::streampos pos = in.tellg();
-  if (pos < 0) {
-    return "end of file";
-  }
-  return "byte offset " + std::to_string(static_cast<int64_t>(pos));
-}
-
-// Deterministic I/O-error injection shared by all three loaders.
+// Deterministic I/O-error injection shared by both loaders.
 bool InjectedReadFault() {
   FaultInjector& faults = FaultInjector::Get();
   return faults.enabled() && faults.ShouldFail(FaultSite::kGraphRead);
@@ -222,74 +177,6 @@ StatusOr<Graph> LoadMatrixMarket(const std::string& path, const GraphOptions& op
     }
   }
   return Graph::FromCoo(std::max(rows, cols), std::move(src), std::move(dst), {}, 1, options);
-}
-
-bool SaveGraphBinary(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    SEASTAR_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  WritePod(out, static_cast<int64_t>(graph.num_vertices()));
-  WritePod(out, static_cast<int32_t>(graph.num_edge_types()));
-  WriteVector(out, graph.edge_src());
-  WriteVector(out, graph.edge_dst());
-  WriteVector(out, graph.edge_type());
-  return static_cast<bool>(out);
-}
-
-StatusOr<Graph> LoadGraphBinary(const std::string& path, const GraphOptions& options) {
-  if (InjectedReadFault()) {
-    return ErrorStatus(StatusCode::kUnavailable) << path << ": injected I/O fault";
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return ErrorStatus(StatusCode::kNotFound) << path << ": cannot open for reading";
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return ErrorStatus(StatusCode::kDataLoss)
-           << path << ": bad magic at byte offset 0 (not a seastar binary graph)";
-  }
-  int64_t num_vertices = 0;
-  int32_t num_types = 0;
-  if (!ReadPod(in, &num_vertices) || !ReadPod(in, &num_types) || num_vertices < 0 ||
-      num_types < 1) {
-    return ErrorStatus(StatusCode::kDataLoss)
-           << path << ": bad header at " << OffsetString(in);
-  }
-  constexpr uint64_t kSanityLimit = uint64_t{1} << 33;  // 8G entries.
-  std::vector<int32_t> src;
-  std::vector<int32_t> dst;
-  std::vector<int32_t> types;
-  if (!ReadVector(in, &src, kSanityLimit) || !ReadVector(in, &dst, kSanityLimit) ||
-      !ReadVector(in, &types, kSanityLimit) || src.size() != dst.size() ||
-      (!types.empty() && types.size() != src.size())) {
-    return ErrorStatus(StatusCode::kDataLoss)
-           << path << ": corrupt or truncated edge arrays at " << OffsetString(in);
-  }
-  for (int32_t v : src) {
-    if (v < 0 || v >= num_vertices) {
-      return ErrorStatus(StatusCode::kDataLoss)
-             << path << ": edge source " << v << " out of range [0, " << num_vertices << ")";
-    }
-  }
-  for (int32_t v : dst) {
-    if (v < 0 || v >= num_vertices) {
-      return ErrorStatus(StatusCode::kDataLoss)
-             << path << ": edge destination " << v << " out of range [0, " << num_vertices << ")";
-    }
-  }
-  for (int32_t t : types) {
-    if (t < 0 || t >= num_types) {
-      return ErrorStatus(StatusCode::kDataLoss)
-             << path << ": edge type " << t << " out of range [0, " << num_types << ")";
-    }
-  }
-  return Graph::FromCoo(num_vertices, std::move(src), std::move(dst), std::move(types),
-                        num_types, options);
 }
 
 }  // namespace seastar

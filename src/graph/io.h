@@ -1,16 +1,14 @@
 // Graph input/output: bring-your-own-data support.
 //
-// Three interchange formats:
+// Two interchange formats:
 //  * TSV edge lists ("src<TAB>dst[<TAB>type]" with '#' comments) — the
 //    lowest common denominator for graph datasets;
 //  * MatrixMarket coordinate files (.mtx), the format most public sparse
-//    graph collections (SuiteSparse, SNAP mirrors) ship in;
-//  * a compact binary container for round-tripping Graphs losslessly.
+//    graph collections (SuiteSparse, SNAP mirrors) ship in.
 //
 // Loaders return StatusOr<Graph> — never abort: file contents are external,
-// untrusted data. Errors name the file and the line (text formats) or byte
-// offset (binary) where parsing failed, so a recovery log pinpoints the
-// corruption. StatusOr is optional-compatible (has_value / operator*), so
+// untrusted data. Errors name the file and the line where parsing failed,
+// so a recovery log pinpoints the corruption. StatusOr is optional-compatible (has_value / operator*), so
 // call sites written against the earlier std::optional API still compile.
 // All loaders honour FaultSite::kGraphRead for deterministic I/O-error
 // injection in resilience tests.
@@ -43,14 +41,6 @@ StatusOr<Graph> LoadEdgeListTsv(const std::string& path, int64_t num_vertices_hi
 // emit both edge directions. Values of real/integer matrices are ignored
 // (the adjacency structure is what GNN training consumes).
 StatusOr<Graph> LoadMatrixMarket(const std::string& path, const GraphOptions& options = {});
-
-// ---- Binary container ----------------------------------------------------------------------------
-
-// Lossless round-trip of the COO view (vertex count, edges, types); the
-// CSRs are rebuilt on load. Layout: magic "SSG1", then little-endian counts
-// and arrays.
-bool SaveGraphBinary(const Graph& graph, const std::string& path);
-StatusOr<Graph> LoadGraphBinary(const std::string& path, const GraphOptions& options = {});
 
 }  // namespace seastar
 

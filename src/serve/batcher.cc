@@ -26,7 +26,7 @@ std::vector<std::unique_ptr<PendingRequest>> MicroBatcher::NextBatch() {
   std::vector<std::unique_ptr<PendingRequest>> batch;
 
   const auto now = std::chrono::steady_clock::now();
-  std::unique_ptr<PendingRequest> leader = queue_.PopAnyUntil(now + FromMillis(options_.idle_poll_ms));
+  std::unique_ptr<PendingRequest> leader = queue_.PopAnyUntil(now + FromMillis(kIdlePollMs));
   if (leader == nullptr) {
     return batch;
   }

@@ -30,12 +30,13 @@
 namespace seastar {
 namespace serve {
 
+// How long NextBatch blocks for a leader before returning an empty batch
+// (the serving loop's idle poll, so shutdown is noticed promptly).
+inline constexpr double kIdlePollMs = 5.0;
+
 struct BatcherOptions {
   int max_batch = 8;
   double max_delay_ms = 1.0;
-  // How long NextBatch blocks for a leader before returning an empty batch
-  // (the serving loop's idle poll, so shutdown is noticed promptly).
-  double idle_poll_ms = 20.0;
 };
 
 class MicroBatcher {

@@ -143,8 +143,7 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config)
     : config_(NormalizeTenants(std::move(config), *registry)),
       registry_(std::move(registry)),
       queue_(config_.queue_capacity),
-      batcher_(queue_, BatcherOptions{config_.max_batch, config_.max_batch_delay_ms,
-                                      /*idle_poll_ms=*/5.0}) {
+      batcher_(queue_, BatcherOptions{config_.max_batch, config_.max_batch_delay_ms}) {
   if (config_.tracing.enabled) {
     tracer_ = std::make_unique<trace::Tracer>(config_.tracing);
   }
@@ -444,11 +443,6 @@ std::future<StatusOr<int64_t>> Server::RequestHotSwap(const std::string& model_i
     pending_swaps_.push_back(PendingSwap{std::move(staged.value()), std::move(promise)});
   }
   return future;
-}
-
-StatusOr<int64_t> Server::HotSwap(const std::string& model_id,
-                                  const std::string& checkpoint_path) {
-  return RequestHotSwap(model_id, checkpoint_path).get();
 }
 
 void Server::ProcessPendingSwaps() {

@@ -236,9 +236,6 @@ class Server {
   std::future<StatusOr<int64_t>> RequestHotSwap(const std::string& model_id,
                                                 const std::string& checkpoint_path);
 
-  // Blocking convenience wrapper around RequestHotSwap.
-  StatusOr<int64_t> HotSwap(const std::string& model_id, const std::string& checkpoint_path);
-
   ServerStats stats() const;
   StatusOr<TenantStats> tenant_stats(const std::string& tenant) const;
   std::vector<std::string> tenant_names() const;

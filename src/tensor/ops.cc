@@ -159,10 +159,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryElementwise(a, b, pointwise::Div{}, "Div");
 }
 
-Tensor AddScalar(const Tensor& a, float s) {
-  return UnaryElementwise(a, [s](float x) { return pointwise::Add{}(x, s); }, "AddScalar");
-}
-
 Tensor MulScalar(const Tensor& a, float s) {
   return UnaryElementwise(a, [s](float x) { return pointwise::Mul{}(x, s); }, "MulScalar");
 }
@@ -503,16 +499,6 @@ float SumAll(const Tensor& a) {
   return static_cast<float>(acc);
 }
 
-float MaxAll(const Tensor& a) {
-  SEASTAR_CHECK_GT(a.numel(), 0);
-  const float* p = a.data();
-  float best = p[0];
-  for (int64_t i = 1; i < a.numel(); ++i) {
-    best = std::max(best, p[i]);
-  }
-  return best;
-}
-
 Tensor RowSum(const Tensor& a) {
   SEASTAR_CHECK_EQ(a.ndim(), 2);
   const int64_t n = a.dim(0);
@@ -735,64 +721,6 @@ DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask) {
     rng.RestoreState(state);
   }
   return result;
-}
-
-// ---- Row gather / scatter ------------------------------------------------------------------------------
-
-Tensor GatherRows(const Tensor& a, const std::vector<int32_t>& index) {
-  SEASTAR_CHECK_EQ(a.ndim(), 2);
-  const int64_t d = a.dim(1);
-  Tensor out({static_cast<int64_t>(index.size()), d});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (size_t i = 0; i < index.size(); ++i) {
-    SEASTAR_CHECK_GE(index[i], 0);
-    SEASTAR_CHECK_LT(index[i], a.dim(0));
-    std::memcpy(po + static_cast<int64_t>(i) * d, pa + static_cast<int64_t>(index[i]) * d,
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  return out;
-}
-
-Tensor ScatterAddRows(const Tensor& a, const std::vector<int32_t>& index, int64_t num_rows) {
-  SEASTAR_CHECK_EQ(a.ndim(), 2);
-  SEASTAR_CHECK_EQ(a.dim(0), static_cast<int64_t>(index.size()));
-  const int64_t d = a.dim(1);
-  Tensor out = Tensor::Zeros({num_rows, d});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (size_t i = 0; i < index.size(); ++i) {
-    SEASTAR_CHECK_GE(index[i], 0);
-    SEASTAR_CHECK_LT(index[i], num_rows);
-    const float* src = pa + static_cast<int64_t>(i) * d;
-    float* dst = po + static_cast<int64_t>(index[i]) * d;
-    for (int64_t j = 0; j < d; ++j) {
-      dst[j] += src[j];
-    }
-  }
-  return out;
-}
-
-Tensor SegmentSum(const Tensor& a, const std::vector<int64_t>& offsets) {
-  SEASTAR_CHECK_EQ(a.ndim(), 2);
-  SEASTAR_CHECK_GE(offsets.size(), 1u);
-  const int64_t num_segments = static_cast<int64_t>(offsets.size()) - 1;
-  const int64_t d = a.dim(1);
-  SEASTAR_CHECK_EQ(offsets.back(), a.dim(0));
-  Tensor out = Tensor::Zeros({num_segments, d});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (int64_t s = 0; s < num_segments; ++s) {
-    float* dst = po + s * d;
-    for (int64_t r = offsets[static_cast<size_t>(s)]; r < offsets[static_cast<size_t>(s) + 1];
-         ++r) {
-      const float* src = pa + r * d;
-      for (int64_t j = 0; j < d; ++j) {
-        dst[j] += src[j];
-      }
-    }
-  }
-  return out;
 }
 
 // ---- Misc -------------------------------------------------------------------------------------------

@@ -36,7 +36,6 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
-Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
@@ -80,7 +79,6 @@ Tensor Transpose(const Tensor& a);
 // ---- Reductions --------------------------------------------------------------------------------
 
 float SumAll(const Tensor& a);
-float MaxAll(const Tensor& a);
 // [N, D] -> [N, 1]: per-row sum.
 Tensor RowSum(const Tensor& a);
 // [N, D] -> [D]: column sum (bias gradients).
@@ -123,16 +121,6 @@ struct DropoutResult {
   Tensor mask;
 };
 DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask = true);
-
-// ---- Row gather / scatter (graph materialization primitives) ------------------------------------
-
-// out[i, :] = a[index[i], :]. `a` is [N, D]; result is [index.size(), D].
-Tensor GatherRows(const Tensor& a, const std::vector<int32_t>& index);
-// out[index[i], :] += a[i, :]. out has `num_rows` rows.
-Tensor ScatterAddRows(const Tensor& a, const std::vector<int32_t>& index, int64_t num_rows);
-// Segment sum: rows of `a` grouped by contiguous segments given by offsets
-// (size num_segments + 1); out[s, :] = sum of rows in [offsets[s], offsets[s+1]).
-Tensor SegmentSum(const Tensor& a, const std::vector<int64_t>& offsets);
 
 // ---- Misc ---------------------------------------------------------------------------------------
 

@@ -61,15 +61,6 @@ void AddGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t 
   });
 }
 
-void AddScalarGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t n) {
-  GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t /*b*/, int64_t bn) {
-    const float s = x(i)[0];
-    for (int64_t j = 0; j < bn; ++j) {
-      block[j] += s;
-    }
-  });
-}
-
 void AxpyGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
                       int64_t c0, int64_t n) {
   GatherScalar(acc, i0, i1, n, [&](float* block, int64_t i, int64_t b, int64_t bn) {
@@ -112,9 +103,9 @@ void MaxGatherScalar(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t 
   });
 }
 
-constexpr GatherKernels kScalarGather = {AddGatherScalar,         AddScalarGatherScalar,
-                                         AxpyGatherScalar,        AxpyGroupedGatherScalar,
-                                         MulAddGatherScalar,      MaxGatherScalar};
+constexpr GatherKernels kScalarGather = {AddGatherScalar, AxpyGatherScalar,
+                                         AxpyGroupedGatherScalar, MulAddGatherScalar,
+                                         MaxGatherScalar};
 
 void ScaleRowScalar(float* __restrict__ x, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -255,10 +246,9 @@ constexpr DropoutKernels kScalarDropout = {DropoutLanesScalar};
 
 #define SEASTAR_AVX2 __attribute__((target("avx2,fma")))
 
-// Which operand columns a fold reads: x's row slice [c0, c0 + n) unless it
-// broadcasts x(i)[0]; y's only for the elementwise product.
-enum class Fold { kAdd, kAddScalar, kAxpy, kMulAdd, kMax };
-constexpr bool XReadsColumns(Fold f) { return f != Fold::kAddScalar; }
+// Which operand columns a fold reads: x's row slice [c0, c0 + n) always;
+// y's only for the elementwise product.
+enum class Fold { kAdd, kAxpy, kMulAdd, kMax };
 constexpr bool YReadsColumns(Fold f) { return f == Fold::kMulAdd; }
 constexpr bool ReadsY(Fold f) { return f == Fold::kAxpy || f == Fold::kMulAdd; }
 
@@ -309,12 +299,6 @@ SEASTAR_AVX2 inline void FoldBlockAvx2(float* acc, X x, Y y, int64_t i0, int64_t
 #pragma GCC unroll 4
       for (int g = 0; g < G; ++g) {
         a[g] = _mm256_add_ps(a[g], LoadGroup<G, kTail>(xr, g, tail));
-      }
-    } else if constexpr (F == Fold::kAddScalar) {
-      const __m256 s = _mm256_set1_ps(xr[0]);
-#pragma GCC unroll 4
-      for (int g = 0; g < G; ++g) {
-        a[g] = _mm256_add_ps(a[g], s);
       }
     } else if constexpr (F == Fold::kMax) {
       // max_ps returns its second operand unless the first is greater, so
@@ -379,7 +363,7 @@ SEASTAR_AVX2 void FoldAvx2(float* acc, X x, Y y, int64_t i0, int64_t i1, int64_t
     const int groups = static_cast<int>((bn + 7) / 8);
     const int last = static_cast<int>(bn) - 8 * (groups - 1);  // Lanes in use, 1..8.
     const __m256i tail = ColumnMask(last);
-    const X xb = XReadsColumns(F) ? x.At(b) : x;
+    const X xb = x.At(b);
     const Y yb = YReadsColumns(F) ? y.At(b) : y;
     float* ab = acc + b;
     switch (groups * 2 + (last < 8 ? 1 : 0)) {
@@ -430,22 +414,16 @@ SEASTAR_AVX2 void GatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i
   if (i0 >= i1 || n <= 0) {
     return;
   }
-  const int64_t xc = XReadsColumns(F) ? c0 : 0;
   if (x.idx != nullptr) {
-    FoldAvx2WithY<F>(acc, IndexedRows{x.base + xc, x.idx, x.stride}, y, i0, i1, c0, n);
+    FoldAvx2WithY<F>(acc, IndexedRows{x.base + c0, x.idx, x.stride}, y, i0, i1, c0, n);
   } else {
-    FoldAvx2WithY<F>(acc, DenseRows{x.base + xc, x.stride}, y, i0, i1, c0, n);
+    FoldAvx2WithY<F>(acc, DenseRows{x.base + c0, x.stride}, y, i0, i1, c0, n);
   }
 }
 
 SEASTAR_AVX2 void AddGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0,
                                 int64_t n) {
   GatherAvx2<Fold::kAdd>(acc, x, x, i0, i1, c0, n);
-}
-
-SEASTAR_AVX2 void AddScalarGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i1,
-                                      int64_t n) {
-  GatherAvx2<Fold::kAddScalar>(acc, x, x, i0, i1, 0, n);
 }
 
 SEASTAR_AVX2 void AxpyGatherAvx2(float* acc, const Rows& x, const Rows& y, int64_t i0,
@@ -583,9 +561,8 @@ SEASTAR_AVX2 void MaxGatherAvx2(float* acc, const Rows& x, int64_t i0, int64_t i
   GatherAvx2<Fold::kMax>(acc, x, x, i0, i1, c0, n);
 }
 
-constexpr GatherKernels kAvx2Gather = {AddGatherAvx2,         AddScalarGatherAvx2,
-                                       AxpyGatherAvx2,        AxpyGroupedGatherAvx2,
-                                       MulAddGatherAvx2,      MaxGatherAvx2};
+constexpr GatherKernels kAvx2Gather = {AddGatherAvx2, AxpyGatherAvx2, AxpyGroupedGatherAvx2,
+                                       MulAddGatherAvx2, MaxGatherAvx2};
 
 __attribute__((target("avx2,fma"))) void ScaleRowAvx2(float* __restrict__ x, float s, int64_t n) {
   const __m256 vs = _mm256_set1_ps(s);
@@ -920,7 +897,6 @@ Dispatch ResolveDispatch() {
 #if defined(SEASTAR_SIMD_X86)
   if (CpuHasAvx2Fma()) {
     AddGather = kAvx2Gather.add;
-    AddScalarGather = kAvx2Gather.add_scalar;
     AxpyGather = kAvx2Gather.axpy;
     AxpyGroupedGather = kAvx2Gather.axpy_grouped;
     MulAddGather = kAvx2Gather.mul_add;
@@ -946,7 +922,6 @@ const Dispatch g_dispatch = ResolveDispatch();
 }  // namespace
 
 decltype(AddGather) AddGather = AddGatherScalar;
-decltype(AddScalarGather) AddScalarGather = AddScalarGatherScalar;
 decltype(AxpyGather) AxpyGather = AxpyGatherScalar;
 decltype(AxpyGroupedGather) AxpyGroupedGather = AxpyGroupedGatherScalar;
 decltype(MulAddGather) MulAddGather = MulAddGatherScalar;

@@ -66,15 +66,21 @@ struct Rows {
 // acc[j] += x(i)[c0 + j]                            (Reduce::kAdd)
 extern void (*AddGather)(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t c0,
                          int64_t n);
-// acc[j] += x(i)[0]                                 (Reduce::kAdd, width-1 x)
-extern void (*AddScalarGather)(float* acc, const Rows& x, int64_t i0, int64_t i1, int64_t n);
 // acc[j] = fma(x(i)[c0 + j], y(i)[0], acc[j])       (Reduce::kAxpy)
+// AxpyGroupedGather with k = the row width gives the same bits, but the
+// width-1 scale keeps this kernel. One thread on an AVX2 Xeon guest, 41
+// alternating reps, p50, same output bits: the grouped kernel with k = width
+// ran 1.07-2.44x slower at widths 10 and 16 (degrees 4 and 43), and still
+// 1.16-1.31x slower with its vector path widened to a tile inside one
+// group; one shared block body with a per-lane-group scale flag was slower
+// on every shape (2-3x at width 16, degree 4), even force-inlined.
 extern void (*AxpyGather)(float* acc, const Rows& x, const Rows& y, int64_t i0, int64_t i1,
                           int64_t c0, int64_t n);
 // acc[j] = fma(x(i)[c0 + j], y(i)[(c0 + j) / k], acc[j])
 //                                                   (Reduce::kAxpy, grouped:
 // y(i) has one scale per group of k columns, the GIR's grouped broadcast).
 // Column tiles split anywhere: column c0 + j reads its own group's scale.
+// Width-1 scales stay on AxpyGather (measured above), not k = width here.
 extern void (*AxpyGroupedGather)(float* acc, const Rows& x, const Rows& y, int64_t i0,
                                  int64_t i1, int64_t c0, int64_t n, int64_t k);
 // acc[j] = fma(x(i)[c0 + j], y(i)[c0 + j], acc[j])  (Reduce::kMulAdd)
@@ -89,7 +95,6 @@ extern void (*MaxGather)(float* acc, const Rows& x, int64_t i0, int64_t i1, int6
 // The gather kernels of one ISA, so tests can run each variant directly.
 struct GatherKernels {
   decltype(AddGather) add;
-  decltype(AddScalarGather) add_scalar;
   decltype(AxpyGather) axpy;
   decltype(AxpyGroupedGather) axpy_grouped;
   decltype(MulAddGather) mul_add;

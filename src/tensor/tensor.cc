@@ -113,16 +113,6 @@ Tensor Tensor::Clone() const {
   return copy;
 }
 
-Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
-  SEASTAR_CHECK(defined());
-  SEASTAR_CHECK_EQ(NumElements(new_shape), numel_);
-  Tensor view;
-  view.storage_ = storage_;
-  view.shape_ = std::move(new_shape);
-  view.numel_ = numel_;
-  return view;
-}
-
 void Tensor::Fill(float value) {
   SEASTAR_CHECK(defined());
   float* p = storage_->data;

@@ -53,9 +53,6 @@ class Tensor {
   // Deep copy.
   Tensor Clone() const;
 
-  // Returns a tensor sharing storage but with a new shape of equal numel.
-  Tensor Reshape(std::vector<int64_t> new_shape) const;
-
   // Fills all elements with `value`.
   void Fill(float value);
 

@@ -201,29 +201,6 @@ TEST(GraphIoTest, MatrixMarketRejectsBadBanner) {
   std::filesystem::remove(path);
 }
 
-TEST(GraphIoTest, BinaryRoundTrip) {
-  Graph g = SmallHetero(5);
-  const std::string path = TempPath("seastar_io_test.ssg");
-  ASSERT_TRUE(SaveGraphBinary(g, path));
-  auto loaded = LoadGraphBinary(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
-  EXPECT_EQ(loaded->edge_src(), g.edge_src());
-  EXPECT_EQ(loaded->edge_dst(), g.edge_dst());
-  EXPECT_EQ(loaded->edge_type(), g.edge_type());
-  std::filesystem::remove(path);
-}
-
-TEST(GraphIoTest, BinaryRejectsCorruptFiles) {
-  const std::string path = TempPath("seastar_io_corrupt.ssg");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOPE then garbage";
-  }
-  EXPECT_FALSE(LoadGraphBinary(path).has_value());
-  std::filesystem::remove(path);
-}
-
 // ---- Sampling ---------------------------------------------------------------------------------------
 
 TEST(SamplingTest, SeedsComeFirstAndEdgesRespectFanout) {

@@ -141,7 +141,6 @@ TEST(GraphTest, StatsAndDebugString) {
   EXPECT_EQ(g.num_edges(), 7);
   EXPECT_EQ(g.MaxInDegree(), 3);
   EXPECT_NEAR(g.AverageInDegree(), 1.75, 1e-9);
-  EXPECT_GT(g.IndexBytes(), 0u);
   EXPECT_NE(g.DebugString().find("|V|=4"), std::string::npos);
 }
 
@@ -273,7 +272,7 @@ TEST(DatasetTest, UnknownNameIsAStructuredError) {
 }
 
 // ---- Corrupt-fixture loader errors: every failure is a Status naming the
-// file and the line (text) or byte offset (binary) — loaders never abort.
+// file and the line — loaders never abort.
 
 std::string CorruptFixturePath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -340,36 +339,6 @@ TEST(GraphIoErrorTest, MatrixMarketTruncatedEntryListIsDataLoss) {
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(loaded.status().message().find("truncated"), std::string::npos);
-  std::filesystem::remove(path);
-}
-
-TEST(GraphIoErrorTest, TruncatedBinaryNamesByteOffset) {
-  const std::string path = CorruptFixturePath("truncated_graph.ssg");
-  Graph g = Fig7Graph(/*sorted=*/false);
-  ASSERT_TRUE(SaveGraphBinary(g, path));
-  const uintmax_t full_size = std::filesystem::file_size(path);
-  ASSERT_GT(full_size, 12u);
-  std::filesystem::resize_file(path, full_size - 9);
-
-  StatusOr<Graph> loaded = LoadGraphBinary(path);
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find(path), std::string::npos);
-  // The message pinpoints where the bytes ran out.
-  const bool names_offset =
-      loaded.status().message().find("byte offset") != std::string::npos ||
-      loaded.status().message().find("end of file") != std::string::npos;
-  EXPECT_TRUE(names_offset) << loaded.status().ToString();
-  std::filesystem::remove(path);
-}
-
-TEST(GraphIoErrorTest, BinaryWithWrongMagicRejectedUpFront) {
-  const std::string path = CorruptFixturePath("wrong_magic.ssg");
-  WriteText(path, "GIF89a definitely not a graph");
-  StatusOr<Graph> loaded = LoadGraphBinary(path);
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos);
   std::filesystem::remove(path);
 }
 

@@ -127,6 +127,23 @@ TEST(GroupedBroadcastDeathTest, WidthsThatDoNotDivideFailNamingBoth) {
       "incompatible widths 4 vs 6");
 }
 
+TEST(GroupedBroadcastDeathTest, AggregationWiderThanItsInputFailsNamingBoth) {
+  // Aggregations have no broadcast form: a width-1 value summed into a
+  // width-4 row is refused where the node is added, whoever adds it.
+  EXPECT_DEATH(
+      {
+        GirBuilder b;
+        Value s = b.Src("s", 1);
+        Node agg;
+        agg.kind = OpKind::kAggSum;
+        agg.type = GraphType::kDst;
+        agg.width = 4;
+        agg.inputs = {s.id()};
+        b.RawNode(agg);
+      },
+      "AggSum node 1 has width 4 but its input node 0 has width 1");
+}
+
 TEST(GroupedBroadcastTest, ScalarBroadcastAdjointKeepsWidthOne) {
   // g = 1 programs build exactly the nodes they did before the rule grew
   // groups: the backward's reductions keep width 1.

@@ -634,7 +634,7 @@ TEST(MultiTenantServeTest, HotSwapUnderLoadLosesNothingAndPinsVersions) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  StatusOr<int64_t> swapped = server.HotSwap("model-a", path);
+  StatusOr<int64_t> swapped = server.RequestHotSwap("model-a", path).get();
   ASSERT_TRUE(swapped.has_value()) << swapped.status().ToString();
   EXPECT_EQ(swapped.value(), 2);
   EXPECT_NE(registry->Lookup("model-a")->fingerprint(), fingerprint_v1);
@@ -729,7 +729,7 @@ TEST(MultiTenantServeTest, SwapFailuresLeaveTheOldVersionServing) {
   ASSERT_TRUE(server.Start().ok());
 
   // Missing checkpoint: staging fails, v1 stays live.
-  StatusOr<int64_t> missing = server.HotSwap("model-a", "/nonexistent/v2.ckpt");
+  StatusOr<int64_t> missing = server.RequestHotSwap("model-a", "/nonexistent/v2.ckpt").get();
   EXPECT_FALSE(missing.has_value());
   EXPECT_EQ(registry->Lookup("model-a")->version(), 1);
 
@@ -739,7 +739,7 @@ TEST(MultiTenantServeTest, SwapFailuresLeaveTheOldVersionServing) {
     auto scratch = SmallGcn(data);
     WriteTaggedCheckpoint(*scratch, "someone-else", alien);
   }
-  StatusOr<int64_t> mismatched = server.HotSwap("model-a", alien);
+  StatusOr<int64_t> mismatched = server.RequestHotSwap("model-a", alien).get();
   EXPECT_EQ(mismatched.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(registry->Lookup("model-a")->version(), 1);
   EXPECT_GE(server.stats().swap_failures, 2);
@@ -793,7 +793,7 @@ TEST(MultiTenantServeTest, OpenBreakerProbesTheSwappedVersionAndCloses) {
     auto scratch = SmallGcn(data);
     WriteTaggedCheckpoint(*scratch, "model-a", path, /*delta=*/0.0625f);
   }
-  StatusOr<int64_t> swapped = server.HotSwap("model-a", path);
+  StatusOr<int64_t> swapped = server.RequestHotSwap("model-a", path).get();
   ASSERT_TRUE(swapped.has_value()) << swapped.status().ToString();
 
   StatusOr<InferenceResponse> after = server.Infer(RequestFor({2}, "alpha"));
@@ -846,7 +846,7 @@ TEST(MultiTenantServeTest, PerTenantMetricsMirrorTenantStats) {
     auto scratch = SmallGcn(data);
     WriteTaggedCheckpoint(*scratch, "model-a", path, /*delta=*/0.5f);
   }
-  ASSERT_TRUE(server.HotSwap("model-a", path).has_value());
+  ASSERT_TRUE(server.RequestHotSwap("model-a", path).get().has_value());
   server.Shutdown();
 
   EXPECT_EQ(counter(served_name) - served0, 4);

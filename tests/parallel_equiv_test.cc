@@ -50,7 +50,6 @@ TEST(ParallelEquivTest, ElementwiseChunkingIsBitwiseExact) {
       {"sub", [](const Tensor& x, const Tensor& y) { return ops::Sub(x, y); }},
       {"mul", [](const Tensor& x, const Tensor& y) { return ops::Mul(x, y); }},
       {"div", [](const Tensor& x, const Tensor& y) { return ops::Div(x, y); }},
-      {"add_scalar", [](const Tensor& x, const Tensor&) { return ops::AddScalar(x, 0.3f); }},
       {"mul_scalar", [](const Tensor& x, const Tensor&) { return ops::MulScalar(x, -1.7f); }},
       {"neg", [](const Tensor& x, const Tensor&) { return ops::Neg(x); }},
       {"exp", [](const Tensor& x, const Tensor&) { return ops::Exp(x); }},

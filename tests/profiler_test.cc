@@ -206,7 +206,7 @@ TEST(ProfilerTest, SeastarUnitSpanCountsEveryEdgeOnce) {
     ASSERT_EQ(units.size(), 1u) << "expected exactly one fused unit";
     const Span& unit = units[0];
     EXPECT_EQ(unit.arg(Arg::kEdges), c.edges);
-    EXPECT_GT(unit.arg(Arg::kNumBlocks), 0);
+    EXPECT_GT(unit.arg(Arg::kTileSegments), 0);
     EXPECT_EQ(std::string(unit.name).rfind("unit0:", 0), 0u) << unit.name;
 
     const std::vector<Span> runs = SpansInCategory(tracer, "exec");

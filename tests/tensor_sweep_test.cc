@@ -73,7 +73,7 @@ TEST_P(SoftmaxSweepTest, RowsSumToOneAndShiftInvariant) {
     EXPECT_NEAR(total, 1.0f, 1e-4);
   }
   // softmax(a + c) == softmax(a) for a per-row constant shift.
-  Tensor shifted = ops::AddScalar(a, 123.0f);
+  Tensor shifted = ops::Add(a, Tensor::Full(a.shape(), 123.0f));
   EXPECT_TRUE(ops::Softmax(shifted).AllClose(s, 1e-4f));
   // log-softmax consistency.
   EXPECT_TRUE(ops::Exp(ops::LogSoftmax(a)).AllClose(s, 1e-4f));
@@ -85,46 +85,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SoftmaxSweepTest,
                                            std::tuple<int64_t, int64_t>{40, 1},
                                            std::tuple<int64_t, int64_t>{17, 23},
                                            std::tuple<int64_t, int64_t>{200, 7}));
-
-class GatherScatterSweepTest : public ::testing::TestWithParam<int64_t> {};
-
-TEST_P(GatherScatterSweepTest, ScatterIsGatherAdjoint) {
-  // <Gather(x, idx), y> == <x, Scatter(y, idx)> — the defining adjoint
-  // identity that makes scatter the correct gather gradient.
-  const int64_t n = GetParam();
-  Rng rng(static_cast<uint64_t>(n));
-  const int64_t rows = 3 * n;
-  Tensor x = ops::RandomNormal({n, 4}, 0, 1, rng);
-  std::vector<int32_t> index(static_cast<size_t>(rows));
-  for (int64_t i = 0; i < rows; ++i) {
-    index[static_cast<size_t>(i)] = static_cast<int32_t>(rng.NextBounded(
-        static_cast<uint64_t>(n)));
-  }
-  Tensor y = ops::RandomNormal({rows, 4}, 0, 1, rng);
-  const float lhs = ops::SumAll(ops::Mul(ops::GatherRows(x, index), y));
-  const float rhs = ops::SumAll(ops::Mul(x, ops::ScatterAddRows(y, index, n)));
-  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0f, std::fabs(lhs)));
-}
-
-TEST_P(GatherScatterSweepTest, SegmentSumMatchesScatterWithSortedIndex) {
-  const int64_t segments = GetParam();
-  Rng rng(static_cast<uint64_t>(segments) ^ 0xbeef);
-  std::vector<int64_t> offsets{0};
-  std::vector<int32_t> index;
-  for (int64_t s = 0; s < segments; ++s) {
-    const int64_t len = rng.NextBounded(5);
-    for (int64_t i = 0; i < len; ++i) {
-      index.push_back(static_cast<int32_t>(s));
-    }
-    offsets.push_back(static_cast<int64_t>(index.size()));
-  }
-  Tensor rows = ops::RandomNormal({static_cast<int64_t>(index.size()), 3}, 0, 1, rng);
-  Tensor a = ops::SegmentSum(rows, offsets);
-  Tensor b = ops::ScatterAddRows(rows, index, segments);
-  EXPECT_TRUE(a.AllClose(b, 1e-4f));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, GatherScatterSweepTest, ::testing::Values(1, 5, 32, 257));
 
 }  // namespace
 }  // namespace seastar

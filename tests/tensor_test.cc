@@ -40,14 +40,6 @@ TEST(TensorTest, CloneIsDeep) {
   EXPECT_FLOAT_EQ(a.at(0), 1.0f);
 }
 
-TEST(TensorTest, ReshapeSharesStorage) {
-  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor b = a.Reshape({3, 2});
-  b.at(0, 0) = 42.0f;
-  EXPECT_FLOAT_EQ(a.at(0, 0), 42.0f);
-  EXPECT_EQ(b.dim(0), 3);
-}
-
 TEST(TensorTest, AllCloseDetectsDifference) {
   Tensor a({3}, {1.0f, 2.0f, 3.0f});
   Tensor b({3}, {1.0f, 2.0f, 3.0f});
@@ -102,7 +94,6 @@ TEST(OpsTest, ScalarBroadcast) {
   Tensor a({3}, {1, 2, 3});
   Tensor s = Tensor::FromScalar(2.0f);
   EXPECT_TRUE(ops::Mul(a, s).AllClose(Tensor({3}, {2, 4, 6})));
-  EXPECT_TRUE(ops::AddScalar(a, 1.0f).AllClose(Tensor({3}, {2, 3, 4})));
   EXPECT_TRUE(ops::MulScalar(a, -1.0f).AllClose(Tensor({3}, {-1, -2, -3})));
 }
 
@@ -199,7 +190,6 @@ TEST(OpsTest, MatmulTransposeABitwiseMatchesExplicitTranspose) {
 TEST(OpsTest, Reductions) {
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
   EXPECT_FLOAT_EQ(ops::SumAll(a), 21.0f);
-  EXPECT_FLOAT_EQ(ops::MaxAll(a), 6.0f);
   EXPECT_TRUE(ops::RowSum(a).AllClose(Tensor({2, 1}, {6, 15})));
   EXPECT_TRUE(ops::ColSum(a).AllClose(Tensor({3}, {5, 7, 9})));
   const auto argmax = ops::RowArgmax(a);
@@ -307,20 +297,6 @@ TEST(OpsTest, DropoutMaskConsistency) {
   EXPECT_NEAR(zeros, 500, 60);
 }
 
-TEST(OpsTest, GatherScatterRoundTrip) {
-  Tensor a({3, 2}, {1, 2, 3, 4, 5, 6});
-  Tensor g = ops::GatherRows(a, {2, 0, 2});
-  EXPECT_TRUE(g.AllClose(Tensor({3, 2}, {5, 6, 1, 2, 5, 6})));
-  Tensor s = ops::ScatterAddRows(g, {0, 0, 1}, 2);
-  EXPECT_TRUE(s.AllClose(Tensor({2, 2}, {6, 8, 5, 6})));
-}
-
-TEST(OpsTest, SegmentSum) {
-  Tensor a({4, 2}, {1, 1, 2, 2, 3, 3, 4, 4});
-  Tensor s = ops::SegmentSum(a, {0, 1, 1, 4});
-  EXPECT_TRUE(s.AllClose(Tensor({3, 2}, {1, 1, 0, 0, 9, 9})));
-}
-
 TEST(OpsTest, SliceRows) {
   Tensor c({2, 3}, {1, 3, 4, 2, 5, 6});
   EXPECT_TRUE(ops::SliceRows(c, 1, 2).AllClose(Tensor({1, 3}, {2, 5, 6})));
@@ -330,8 +306,11 @@ TEST(OpsTest, XavierBoundsRespectFanInOut) {
   Rng rng(7);
   Tensor w = ops::XavierUniform(100, 50, rng);
   const float bound = std::sqrt(6.0f / 150.0f);
-  EXPECT_LE(ops::MaxAll(w), bound);
-  EXPECT_GE(-ops::MaxAll(ops::Neg(w)), -bound);
+  float max_abs = 0.0f;
+  for (int64_t i = 0; i < w.numel(); ++i) {
+    max_abs = std::max(max_abs, std::fabs(w.data()[i]));
+  }
+  EXPECT_LE(max_abs, bound);
 }
 
 // ---- Gather-reduce kernels ----------------------------------------------------------------------
@@ -402,7 +381,6 @@ TEST(SimdGatherTest, EachFoldMatchesThePerEdgeChainBitwise) {
         const simd::Rows x{xs.data(), ix, row};
         const simd::Rows y{ys.data(), ix, row};
         const simd::Rows s{scales.data(), ix, 1};
-        const simd::Rows x1{scales.data(), ix, 1};  // A width-1 x.
         for (const auto& [i0, i1] : ranges) {
           SCOPED_TRACE(std::string(variant.isa) + " n=" + std::to_string(n) +
                        (indexed ? " indexed" : " dense") + " rows [" + std::to_string(i0) +
@@ -424,9 +402,6 @@ TEST(SimdGatherTest, EachFoldMatchesThePerEdgeChainBitwise) {
           check(
               "add", [&](int64_t i, int64_t j, float a) { return a + x(i)[kC0 + j]; },
               [&](float* acc) { k.add(acc, x, i0, i1, kC0, n); });
-          check(
-              "add_scalar", [&](int64_t i, int64_t, float a) { return a + x1(i)[0]; },
-              [&](float* acc) { k.add_scalar(acc, x1, i0, i1, n); });
           check(
               "axpy",
               [&](int64_t i, int64_t j, float a) {
@@ -549,7 +524,6 @@ TEST(SimdGatherTest, DispatchedKernelsAreTheWidestVariant) {
   const simd::GatherKernels* avx2 = simd::Avx2GatherKernels();
   const simd::GatherKernels& want = avx2 != nullptr ? *avx2 : simd::ScalarGatherKernels();
   EXPECT_EQ(simd::AddGather, want.add);
-  EXPECT_EQ(simd::AddScalarGather, want.add_scalar);
   EXPECT_EQ(simd::AxpyGather, want.axpy);
   EXPECT_EQ(simd::MulAddGather, want.mul_add);
   EXPECT_EQ(simd::MaxGather, want.max);

@@ -161,21 +161,19 @@ TEST(SpanTreeTest, DetailTruncatesToTheFixedBuffer) {
 }
 
 TEST(SpanTreeTest, BudgetDropsBeyondMaxSpansAndCountsThem) {
-  TracerConfig config;
-  config.max_spans_per_trace = 4;
-  Tracer tracer(config);
+  Tracer tracer(TracerConfig{});
   RequestTrace* trace = tracer.StartTrace(0, 1);
   const int root = trace->BeginSpan("request");
-  for (int i = 0; i < 10; ++i) {
+  // The root holds one slot of the budget: attempts past the first
+  // kMaxSpansPerTrace - 1 are dropped.
+  for (int i = 0; i < trace::kMaxSpansPerTrace + 6; ++i) {
     const int token = trace->BeginSpan("attempt");
-    if (i >= 3) {
-      EXPECT_EQ(token, -1) << "span " << i << " should be over budget";
-    }
+    EXPECT_EQ(token == -1, i >= trace::kMaxSpansPerTrace - 1) << "span " << i;
     trace->SetDetail(token, "ignored");  // Must not crash on a dropped token.
     trace->SetArg(token, trace::Arg::kAttempt, i);
     trace->EndSpan(token);
   }
-  EXPECT_EQ(trace->num_spans(), 4);
+  EXPECT_EQ(trace->num_spans(), trace::kMaxSpansPerTrace);
   EXPECT_EQ(trace->dropped_spans(), 7);
   trace->EndSpan(root);
   tracer.FinishTrace(trace, 0.1, "served");
@@ -193,7 +191,6 @@ TEST(RetentionSoakTest, EveryAnomalyKeptAndTailHoldsExactlyTheSlowestN) {
   // the anomalous are inspectable even when sampling keeps nothing.
   TracerConfig config;
   config.head_sample_rate = 0.0;
-  config.tail_keep = 32;
   config.anomaly_keep = 16384;
   config.seed = 7;
   Tracer tracer(config);
@@ -241,7 +238,7 @@ TEST(RetentionSoakTest, EveryAnomalyKeptAndTailHoldsExactlyTheSlowestN) {
   EXPECT_EQ(stats.retained_anomaly, static_cast<int64_t>(anomalous_ids.size()))
       << "the anomaly ring did not overflow, so nothing may be dropped";
   EXPECT_EQ(stats.retained_sampled, 0);
-  EXPECT_EQ(stats.retained_tail, config.tail_keep);
+  EXPECT_EQ(stats.retained_tail, trace::kTailKeep);
 
   std::set<uint64_t> retained_anomalies;
   std::vector<double> tail_latencies;
@@ -257,9 +254,9 @@ TEST(RetentionSoakTest, EveryAnomalyKeptAndTailHoldsExactlyTheSlowestN) {
       << "every shed/expired/degraded request must be retained";
 
   // The tail heap must hold *exactly* the slowest-N clean requests.
-  ASSERT_EQ(tail_latencies.size(), static_cast<size_t>(config.tail_keep));
+  ASSERT_EQ(tail_latencies.size(), static_cast<size_t>(trace::kTailKeep));
   std::sort(clean_latencies.begin(), clean_latencies.end(), std::greater<double>());
-  clean_latencies.resize(static_cast<size_t>(config.tail_keep));
+  clean_latencies.resize(static_cast<size_t>(trace::kTailKeep));
   std::sort(clean_latencies.begin(), clean_latencies.end());
   std::sort(tail_latencies.begin(), tail_latencies.end());
   EXPECT_EQ(tail_latencies, clean_latencies);
@@ -268,7 +265,6 @@ TEST(RetentionSoakTest, EveryAnomalyKeptAndTailHoldsExactlyTheSlowestN) {
 TEST(RetentionSoakTest, HeadSampledCleanTracesLandInTheSampledRing) {
   TracerConfig config;
   config.head_sample_rate = 0.05;
-  config.tail_keep = 8;
   config.seed = 11;
   Tracer tracer(config);
 
@@ -305,7 +301,6 @@ TEST(RetentionSoakTest, HeadSampledCleanTracesLandInTheSampledRing) {
 TEST(PoolTest, SteadyStatePerformsNoFreshTraceAllocations) {
   TracerConfig config;
   config.head_sample_rate = 0.0;
-  config.tail_keep = 4;
   Tracer tracer(config);
 
   auto run_one = [&](uint64_t i) {
@@ -314,11 +309,13 @@ TEST(PoolTest, SteadyStatePerformsNoFreshTraceAllocations) {
     trace->EndSpan(root);
     tracer.FinishTrace(trace, SoakLatency(i), "served");
   };
-  for (uint64_t i = 0; i < 100; ++i) {
+  // Warm past a full tail heap: from then on every finish recycles a trace.
+  const uint64_t warm = 4 * trace::kTailKeep;
+  for (uint64_t i = 0; i < warm; ++i) {
     run_one(i);
   }
   const int64_t warm_misses = tracer.stats().pool_misses;
-  for (uint64_t i = 100; i < 2000; ++i) {
+  for (uint64_t i = warm; i < 2000; ++i) {
     run_one(i);
   }
   EXPECT_EQ(tracer.stats().pool_misses, warm_misses)
@@ -373,13 +370,14 @@ TEST(AmbientTest, ScopedContextNestsAndRestores) {
 
 TEST(RunRetentionTest, KeepsEveryRunWholeWithNoSpanBudget) {
   TracerConfig config;
-  config.max_spans_per_trace = 4;  // Ignored: runs have no span budget.
   config.head_sample_rate = 0.0;
   Tracer tracer(config, trace::Retention::kRun);
+  // More spans per run than a sampled trace's budget allows.
+  constexpr int kEpochs = trace::kMaxSpansPerTrace + 4;
   for (int r = 0; r < 3; ++r) {
     trace::ScopedRun run(&tracer, "run", "bench");
     ASSERT_NE(trace::CurrentTrace(), nullptr);
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0; i < kEpochs; ++i) {
       AmbientSpan span("epoch", "train");
       span.Set(trace::Arg::kEpoch, i);
     }
@@ -393,11 +391,11 @@ TEST(RunRetentionTest, KeepsEveryRunWholeWithNoSpanBudget) {
   int runs = 0;
   tracer.ForEachRetained([&runs](const RequestTrace& run) {
     ++runs;
-    ASSERT_EQ(run.num_spans(), 51);
+    ASSERT_EQ(run.num_spans(), kEpochs + 1);
     EXPECT_STREQ(run.span(0).name, "run");
     EXPECT_EQ(run.span(0).parent, -1);
     EXPECT_GE(run.span(0).dur_us, 0);
-    EXPECT_EQ(run.span(50).arg(trace::Arg::kEpoch), 49);
+    EXPECT_EQ(run.span(kEpochs).arg(trace::Arg::kEpoch), kEpochs - 1);
     EXPECT_STREQ(run.outcome(), "done");
   });
   EXPECT_EQ(runs, 3);
@@ -417,7 +415,6 @@ TEST(RunRetentionTest, InternReturnsOneStablePointerPerString) {
 TEST(ConcurrencyTest, ParallelStartFinishKeepsAccountingExact) {
   TracerConfig config;
   config.head_sample_rate = 0.02;
-  config.tail_keep = 16;
   Tracer tracer(config);
 
   const int kThreads = 8;

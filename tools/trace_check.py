@@ -61,8 +61,8 @@ import sys
 # Span args that count something: non-negative integers wherever they
 # appear. SIGNED_ARGS are deltas or opaque ids: integers of either sign.
 COUNTER_ARGS = frozenset((
-    "edges", "bytes_materialized", "num_blocks", "dispatches",
-    "kernel_launches", "peak_delta_bytes", "plan_cache_hits",
+    "edges", "bytes_materialized", "dispatches", "kernel_launches",
+    "peak_delta_bytes", "plan_cache_hits",
     "plan_cache_misses", "pool_hits", "pool_misses", "tile_segments",
     "tile_passes", "tile_width", "epoch", "batch", "shards", "queued_ahead",
     "occupancy", "attempt", "status", "retries", "vertices"))
