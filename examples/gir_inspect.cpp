@@ -4,6 +4,8 @@
 // FSM produced for a given per-vertex program.
 //
 //   ./gir_inspect [--model=gat|gcn|appnp|rgcn|gin|sage] [--width=8]
+//
+// --width is the feature width; for gat, the width of each of its 8 heads.
 #include <cstdio>
 #include <string>
 
@@ -18,8 +20,11 @@ GirBuilder BuildModelKernel(const std::string& model, int32_t width) {
   if (model == "gcn") {
     b.MarkOutput(AggSum(b.Src("h", width) * b.Src("norm", 1)), "out");
   } else if (model == "gat") {
-    Value e = Exp(LeakyRelu(b.Src("eu", 1) + b.Dst("ev", 1), 0.2f));
-    b.MarkOutput(AggSum(e / AggSum(e) * b.Src("h", width)), "out");
+    // Every head at once, as src/core/models/gat.cc runs a hidden layer:
+    // one score per head in eu/ev, the heads' features side by side in h.
+    constexpr int32_t kHeads = 8;
+    Value e = Exp(LeakyRelu(b.Src("eu", kHeads) + b.Dst("ev", kHeads), 0.2f));
+    b.MarkOutput(AggSum(e / AggSum(e) * b.Src("h", kHeads * width)), "out");
   } else if (model == "appnp") {
     Value prop = AggSum(b.Src("h", width) * b.Src("norm", 1)) * b.Dst("norm", 1);
     b.MarkOutput(prop * 0.9f + b.Dst("h0", width) * 0.1f, "out");
@@ -49,7 +54,8 @@ int main(int argc, char** argv) {
   std::fputs(program.DebugString().c_str(), stdout);
   std::printf(
       "\nlegend: %%id:TYPE[width] — S source-wise, D destination-wise, E edge-wise,\n"
-      "P parameter; '*' marks materialized values; everything else lives in registers\n"
-      "inside the fused kernel loop.\n");
+      "P parameter; '*' marks materialized values; '^' marks a value this unit\n"
+      "recomputes from materialized inputs instead of reading it; everything else lives\n"
+      "in registers inside the fused kernel loop.\n");
   return 0;
 }

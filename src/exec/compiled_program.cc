@@ -214,12 +214,14 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
   const ExecutionPlan& plan = program.plan;
 
   // The unit after which each materialized intermediate is dead.
+  // A recomputed value reads its inputs in every unit that lists it.
   std::vector<int32_t> last_reader(static_cast<size_t>(gir.num_nodes()), -1);
-  for (const Node& node : gir.nodes()) {
-    const int32_t unit = plan.unit_of[static_cast<size_t>(node.id)];
-    for (int32_t input : node.inputs) {
-      int32_t& last = last_reader[static_cast<size_t>(input)];
-      last = std::max(last, unit);
+  for (size_t unit = 0; unit < plan.units.size(); ++unit) {
+    for (int32_t id : plan.units[unit].nodes) {
+      for (int32_t input : gir.node(id).inputs) {
+        int32_t& last = last_reader[static_cast<size_t>(input)];
+        last = std::max(last, static_cast<int32_t>(unit));
+      }
     }
   }
   program.release_after.assign(plan.units.size(), {});

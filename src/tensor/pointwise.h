@@ -13,6 +13,16 @@
 
 namespace seastar {
 
+// Four floats as one vector (GCC vector extension; an SSE register on any
+// x86-64), and the lane mask a comparison of two of them yields. The
+// functors whose math is IEEE arithmetic and selects are templates that
+// take a float or a Float4, so the GIR row kernels (src/exec/pointwise.h)
+// apply them to four columns at once; every lane computes the bits the
+// float form computes. The libm ones (exp, log, tanh) stay float-only and
+// are applied column by column.
+using Float4 = float __attribute__((vector_size(16)));
+using Mask4 = int32_t __attribute__((vector_size(16)));
+
 // `take ? a : b` without a branch. The rectifier ops select on the sign of
 // data, which a branch mispredicts about half the time (GAT's attention
 // logits); the result is bit-for-bit the selected operand either way.
@@ -22,72 +32,52 @@ inline float SelectIf(bool take, float a, float b) {
                               (std::bit_cast<uint32_t>(b) & ~mask));
 }
 
-// Applies a binary op with the broadcast pattern hoisted out of the element
-// loop: each variant is a tight loop over constant-stride operands the
-// compiler can autovectorize, instead of a per-element `wa == 1 ? 0 : j`
-// select. Semantics identical to the indexed form for every width mix. A
-// narrower operand of width g > 1 dividing w broadcasts group-wise: its
-// element c meets the wide operand's elements [c * w / g, (c + 1) * w / g)
-// (the GIR width rule, GroupedBroadcast in src/gir/ir.h).
-template <typename F>
-__attribute__((always_inline)) inline void BinaryBroadcastLoop(float* out, int32_t w,
-                                                               const float* a, int32_t wa,
-                                                               const float* b, int32_t wb, F f) {
-  if (wa == w && wb == 1) {
-    const float s = b[0];
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(a[j], s);
-    }
-  } else if (wa == 1 && wb == w) {
-    const float s = a[0];
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(s, b[j]);
-    }
-  } else if (wa == w && wb == w) {
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(a[j], b[j]);
-    }
-  } else if (wa == w && wb > 1 && w % wb == 0) {
-    const int32_t k = w / wb;
-    for (int32_t c = 0; c < wb; ++c) {
-      const float s = b[c];
-      for (int32_t j = c * k; j < (c + 1) * k; ++j) {
-        out[j] = f(a[j], s);
-      }
-    }
-  } else if (wb == w && wa > 1 && w % wa == 0) {
-    const int32_t k = w / wa;
-    for (int32_t c = 0; c < wa; ++c) {
-      const float s = a[c];
-      for (int32_t j = c * k; j < (c + 1) * k; ++j) {
-        out[j] = f(s, b[j]);
-      }
-    }
-  } else {
-    for (int32_t j = 0; j < w; ++j) {
-      out[j] = f(a[wa == 1 ? 0 : j], b[wb == 1 ? 0 : j]);
-    }
-  }
-}
+// The same per lane (a blend: each lane is a or b, bit for bit).
+inline Float4 SelectIf(Mask4 take, Float4 a, Float4 b) { return take ? a : b; }
 
 namespace pointwise {
+
+// acc + x * y as every scalar multiply-add chain rounds it: fused where the
+// build targets FMA, a rounded multiply then add on baseline builds. Written
+// out, not left to contraction, which the optimizer applies per loop shape:
+// at -O3 GCC vectorizes the products of a fixed-width dot product and adds
+// them unfused, while the same chain at a runtime width contracts.
+inline float MulAdd(float x, float y, float acc) {
+#if defined(__FMA__)
+  return __builtin_fmaf(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
 
 // ---- Binary: out = f(x, y) ----
 
 struct Add {
-  float operator()(float x, float y) const { return x + y; }
+  template <typename T>
+  T operator()(T x, T y) const {
+    return x + y;
+  }
 };
 
 struct Sub {
-  float operator()(float x, float y) const { return x - y; }
+  template <typename T>
+  T operator()(T x, T y) const {
+    return x - y;
+  }
 };
 
 struct Mul {
-  float operator()(float x, float y) const { return x * y; }
+  template <typename T>
+  T operator()(T x, T y) const {
+    return x * y;
+  }
 };
 
 struct Div {
-  float operator()(float x, float y) const { return x / y; }
+  template <typename T>
+  T operator()(T x, T y) const {
+    return x / y;
+  }
 };
 
 // 1 where the operands are equal, else 0 (AggMax's argmax masks).
@@ -98,7 +88,10 @@ struct EqualMask {
 // ---- Unary: out = f(x) ----
 
 struct Neg {
-  float operator()(float x) const { return -x; }
+  template <typename T>
+  T operator()(T x) const {
+    return -x;
+  }
 };
 
 struct Exp {
@@ -110,12 +103,18 @@ struct Log {
 };
 
 struct Relu {
-  float operator()(float x) const { return SelectIf(x > 0.0f, x, 0.0f); }
+  template <typename T>
+  T operator()(T x) const {
+    return SelectIf(x > T{}, x, T{});
+  }
 };
 
 struct LeakyRelu {
   float slope;
-  float operator()(float x) const { return SelectIf(x > 0.0f, x, slope * x); }
+  template <typename T>
+  T operator()(T x) const {
+    return SelectIf(x > T{}, x, slope * x);
+  }
 };
 
 struct Sigmoid {
@@ -137,23 +136,35 @@ struct Elu {
 
 // Saved value: the forward *input* x.
 struct ReluGrad {
-  float operator()(float g, float x) const { return SelectIf(x > 0.0f, g, 0.0f); }
+  template <typename T>
+  T operator()(T g, T x) const {
+    return SelectIf(x > T{}, g, T{});
+  }
 };
 
 // Saved value: the forward *input* x.
 struct LeakyReluGrad {
   float slope;
-  float operator()(float g, float x) const { return SelectIf(x > 0.0f, g, slope * g); }
+  template <typename T>
+  T operator()(T g, T x) const {
+    return SelectIf(x > T{}, g, slope * g);
+  }
 };
 
 // Saved value: the forward *output* y.
 struct SigmoidGrad {
-  float operator()(float g, float y) const { return g * y * (1.0f - y); }
+  template <typename T>
+  T operator()(T g, T y) const {
+    return g * y * (1.0f - y);
+  }
 };
 
 // Saved value: the forward *output* y.
 struct TanhGrad {
-  float operator()(float g, float y) const { return g * (1.0f - y * y); }
+  template <typename T>
+  T operator()(T g, T y) const {
+    return g * (1.0f - y * y);
+  }
 };
 
 }  // namespace pointwise

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/common/rng.h"
+#include "src/tensor/pointwise.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SEASTAR_SIMD_X86 1
@@ -20,17 +21,6 @@ namespace {
 // the autovectorizer still widens these; the point of the explicit AVX2
 // variants below is the SEASTAR_NATIVE_ARCH=OFF binary, where the baseline is
 // SSE2 and the 8-wide FMA forms are only reachable via runtime dispatch.
-
-// Multiply-add as the scalar bodies round it: fused where the build targets
-// FMA (the compiler contracts `acc += x * y` to exactly this there), a
-// rounded multiply then add on baseline builds.
-inline float MulAddScalar(float x, float y, float acc) {
-#if defined(__FMA__)
-  return __builtin_fmaf(x, y, acc);
-#else
-  return acc + x * y;
-#endif
-}
 
 // Gather-reduce bodies: the accumulator columns are folded a block at a
 // time in a local array, over every row of the range, then stored once.
@@ -67,7 +57,7 @@ void AxpyGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, int6
     const float* xr = x(i) + c0 + b;
     const float s = y(i)[0];
     for (int64_t j = 0; j < bn; ++j) {
-      block[j] = MulAddScalar(xr[j], s, block[j]);
+      block[j] = pointwise::MulAdd(xr[j], s, block[j]);
     }
   });
 }
@@ -78,7 +68,7 @@ void AxpyGroupedGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i
     const float* xr = x(i) + c0 + b;
     const float* yr = y(i);
     for (int64_t j = 0; j < bn; ++j) {
-      block[j] = MulAddScalar(xr[j], yr[(c0 + b + j) / k], block[j]);
+      block[j] = pointwise::MulAdd(xr[j], yr[(c0 + b + j) / k], block[j]);
     }
   });
 }
@@ -89,7 +79,7 @@ void MulAddGatherScalar(float* acc, const Rows& x, const Rows& y, int64_t i0, in
     const float* xr = x(i) + c0 + b;
     const float* yr = y(i) + c0 + b;
     for (int64_t j = 0; j < bn; ++j) {
-      block[j] = MulAddScalar(xr[j], yr[j], block[j]);
+      block[j] = pointwise::MulAdd(xr[j], yr[j], block[j]);
     }
   });
 }
@@ -132,7 +122,7 @@ inline void GemmTileScalar(const float* __restrict__ pa, int64_t lda, int64_t as
     for (int r = 0; r < kRows; ++r) {
       const float av = pa[r * lda + kk * astep];
       for (int64_t j = 0; j < n; ++j) {
-        acc[r][j] = MulAddScalar(av, brow[j], acc[r][j]);
+        acc[r][j] = pointwise::MulAdd(av, brow[j], acc[r][j]);
       }
     }
   }

@@ -21,6 +21,7 @@
 #include "src/exec/tiling.h"
 #include "src/gir/autodiff.h"
 #include "src/gir/builder.h"
+#include "src/gir/fusion.h"
 #include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
@@ -257,47 +258,93 @@ TEST(GroupedBroadcastTest, EveryExecutorAgreesOnTheGroupedProgram) {
   // destination-keyed results (its source-keyed ones at one shard) equal
   // the whole graph's. The fused-multiply-add folds and the baselines'
   // summation orders agree within rounding; pyg runs on one thread, as its
-  // float atomics are ordered only there.
+  // float atomics are ordered only there. 3 heads of 8, and the 8 heads of
+  // 8 that GAT trains with, whose backward recomputes two edge values.
   TilingFlagGuard guard;
   const Graph g = TestGraph(200, 1600, 0x6a8);
-  const VertexProgram program = GatProgram(3, 8);
-  const FeatureMap features = GatFeatures(g, 3, 8, 0x6a9);
-  const ExecutionSession seastar = Session("seastar", g);
-  SetTilingEnabled(true);
-  const ProgramRun reference = RunProgram(program, seastar, features);
-  SetTilingEnabled(false);
-  const ProgramRun untiled = RunProgram(program, seastar, features);
-  SetTilingEnabled(true);
-  EXPECT_TRUE(BitEqual(reference.out, untiled.out));
-  for (const auto& [name, grad] : reference.grads) {
-    EXPECT_TRUE(BitEqual(grad, untiled.grads.at(name))) << name;
-  }
+  for (const int32_t heads : {3, 8}) {
+    SCOPED_TRACE(std::to_string(heads) + " heads");
+    const VertexProgram program = GatProgram(heads, 8);
+    const FeatureMap features = GatFeatures(g, heads, 8, 0x6a9);
+    const ExecutionSession seastar = Session("seastar", g);
+    SetTilingEnabled(true);
+    const ProgramRun reference = RunProgram(program, seastar, features);
+    SetTilingEnabled(false);
+    const ProgramRun untiled = RunProgram(program, seastar, features);
+    SetTilingEnabled(true);
+    EXPECT_TRUE(BitEqual(reference.out, untiled.out));
+    for (const auto& [name, grad] : reference.grads) {
+      EXPECT_TRUE(BitEqual(grad, untiled.grads.at(name))) << name;
+    }
 
-  const auto expect_close = [&](const ProgramRun& run, float tol, const std::string& who) {
-    EXPECT_TRUE(reference.out.AllClose(run.out, tol)) << who << " out";
-    for (const auto& [name, grad] : reference.grads) {
-      EXPECT_TRUE(grad.AllClose(run.grads.at(name), tol)) << who << " " << name;
+    const auto expect_close = [&](const ProgramRun& run, float tol, const std::string& who) {
+      EXPECT_TRUE(reference.out.AllClose(run.out, tol)) << who << " out";
+      for (const auto& [name, grad] : reference.grads) {
+        EXPECT_TRUE(grad.AllClose(run.grads.at(name), tol)) << who << " " << name;
+      }
+    };
+    expect_close(RunProgram(program, Session("seastar-nofuse", g), features), 1e-4f, "nofuse");
+    expect_close(RunProgram(program, Session("dgl", g), features), 1e-4f, "dgl");
+    {
+      ThreadPool single(0);
+      ScopedThreadPool scoped(&single);
+      expect_close(RunProgram(program, Session("pyg", g), features), 1e-4f, "pyg");
     }
-  };
-  expect_close(RunProgram(program, Session("seastar-nofuse", g), features), 1e-4f, "nofuse");
-  expect_close(RunProgram(program, Session("dgl", g), features), 1e-4f, "dgl");
-  {
-    ThreadPool single(0);
-    ScopedThreadPool scoped(&single);
-    expect_close(RunProgram(program, Session("pyg", g), features), 1e-4f, "pyg");
-  }
-  for (const int shards : {1, 2, 4}) {
-    SCOPED_TRACE("sharded:" + std::to_string(shards));
-    const ProgramRun run = RunProgram(program, Session("sharded:" + std::to_string(shards), g),
-                                      features);
-    EXPECT_TRUE(BitEqual(reference.out, run.out));
-    for (const auto& [name, grad] : reference.grads) {
-      const bool exact = shards == 1 || name.rfind("grad:D:", 0) == 0;
-      EXPECT_TRUE(exact ? BitEqual(grad, run.grads.at(name))
-                        : grad.AllClose(run.grads.at(name), 1e-5f))
-          << name;
+    for (const int shards : {1, 2, 4}) {
+      SCOPED_TRACE("sharded:" + std::to_string(shards));
+      const ProgramRun run = RunProgram(
+          program, Session("sharded:" + std::to_string(shards), g), features);
+      EXPECT_TRUE(BitEqual(reference.out, run.out));
+      for (const auto& [name, grad] : reference.grads) {
+        const bool exact = shards == 1 || name.rfind("grad:D:", 0) == 0;
+        EXPECT_TRUE(exact ? BitEqual(grad, run.grads.at(name))
+                          : grad.AllClose(run.grads.at(name), 1e-5f))
+            << name;
+      }
     }
   }
+}
+
+TEST(GroupedBroadcastTest, GatBackwardPlanRecomputesItsPointwiseEdgeValues) {
+  // GAT's backward at 8 heads of 8, as training runs it. The recompute
+  // post-pass (docs/INTERNALS.md §4) keeps the FSM's units but drops the
+  // edge-only Div(Exp, AggSum) unit: its one reader, the DotProduct unit,
+  // divides in its prologue (%6). The LeakyReluGrad unit rebuilds
+  // Add(eu, ev) from its key and neighbour rows (%2^). That leaves 5 units,
+  // each with an aggregation, and 4 materialized [E, 8] values where the
+  // FSM alone wrote 6.
+  const VertexProgram program = GatProgram(8, 8);
+  const GirGraph& backward = program.backward().graph;
+  const ExecutionPlan plan = BuildExecutionPlan(backward);
+  EXPECT_EQ(plan.ToString(backward),
+            "unit 0 [A:D agg edges]: %2=Add %3=LeakyRelu %4=Exp* %5=AggSum* %15=Mul*\n"
+            "unit 1 [A:S agg edges]: %6=Div %9=Identity %10=DotProduct %11=Mul %12=AggSum* "
+            "%13=Div* %14=Mul*\n"
+            "unit 2 [A:D agg edges]: %16=Div %17=Neg %18=AggSum*\n"
+            "unit 3 [A:S agg edges]: %2=Add^ %19=Identity %20=Add %21=Mul %22=LeakyReluGrad* "
+            "%23=AggSum*\n"
+            "unit 4 [A:D agg edges]: %24=AggSum*\n");
+  ASSERT_EQ(plan.units.size(), 5u);
+  for (const FusedUnit& unit : plan.units) {
+    EXPECT_TRUE(unit.has_aggregation);
+  }
+  std::vector<std::string> edge_tensors;
+  for (const Node& node : backward.nodes()) {
+    if (node.type == GraphType::kEdge && plan.materialized[static_cast<size_t>(node.id)]) {
+      edge_tensors.emplace_back(OpKindName(node.kind));
+    }
+  }
+  EXPECT_EQ(edge_tensors, (std::vector<std::string>{"Exp", "Div", "Mul", "LeakyReluGrad"}));
+
+  // Without fusion nothing is recomputed: one unit per compute node.
+  FusionOptions nofuse;
+  nofuse.enable_fusion = false;
+  const ExecutionPlan unfused = BuildExecutionPlan(backward, nofuse);
+  int compute_nodes = 0;
+  for (const Node& node : backward.nodes()) {
+    compute_nodes += !IsLeaf(node.kind) && node.type != GraphType::kParam;
+  }
+  EXPECT_EQ(static_cast<int>(unfused.units.size()), compute_nodes);
 }
 
 // ---- Finite differences -------------------------------------------------------------------------

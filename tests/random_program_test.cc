@@ -6,7 +6,9 @@
 // operator DAG shapes no hand-written model exercises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "src/common/rng.h"
@@ -159,16 +161,24 @@ TEST_P(RandomProgramTest, PlanInvariantsHold) {
   RandomProgram program = MakeRandomProgram(seed, /*include_max_ops=*/true);
   for (const GirGraph* gir : {&program.forward, &program.backward.graph}) {
     ExecutionPlan plan = BuildExecutionPlan(*gir);
-    // 1. Every compute node is in exactly one unit.
-    std::set<int32_t> seen;
+    // 1. Every compute node is in a unit. One listed in several is an
+    //    elementwise edge value that each of them recomputes; it is not
+    //    materialized.
+    std::map<int32_t, int> listed;
     for (const FusedUnit& unit : plan.units) {
       for (int32_t id : unit.nodes) {
-        EXPECT_TRUE(seen.insert(id).second) << "node in two units";
+        ++listed[id];
       }
     }
     for (const Node& node : gir->nodes()) {
       const bool compute = !IsLeaf(node.kind) && node.type != GraphType::kParam;
-      EXPECT_EQ(seen.count(node.id) == 1, compute) << "%" << node.id;
+      const auto it = listed.find(node.id);
+      EXPECT_EQ(it != listed.end(), compute) << "%" << node.id;
+      if (it != listed.end() && it->second > 1) {
+        EXPECT_EQ(node.type, GraphType::kEdge) << "%" << node.id;
+        EXPECT_FALSE(IsAggregation(node.kind)) << "%" << node.id;
+        EXPECT_FALSE(plan.materialized[static_cast<size_t>(node.id)]) << "%" << node.id;
+      }
     }
     // 2. One aggregation orientation per unit.
     for (const FusedUnit& unit : plan.units) {
@@ -180,36 +190,33 @@ TEST_P(RandomProgramTest, PlanInvariantsHold) {
       }
       EXPECT_LE(orientations.size(), 1u);
     }
-    // 3. Cross-unit reads point backwards (acyclic, topologically ordered).
-    for (const Node& node : gir->nodes()) {
-      if (node.id >= static_cast<int32_t>(plan.unit_of.size())) {
-        continue;
-      }
-      const int32_t my_unit = plan.unit_of[static_cast<size_t>(node.id)];
-      if (my_unit < 0) {
-        continue;
-      }
-      for (int32_t input : node.inputs) {
-        const int32_t in_unit = plan.unit_of[static_cast<size_t>(input)];
-        if (in_unit >= 0 && in_unit != my_unit) {
-          EXPECT_LT(in_unit, my_unit);
-          EXPECT_TRUE(plan.materialized[static_cast<size_t>(input)])
-              << "cross-unit value not materialized";
+    // 3. A unit reads every value it does not compute from an earlier unit,
+    //    which materializes it (acyclic, topologically ordered).
+    for (size_t u = 0; u < plan.units.size(); ++u) {
+      const std::vector<int32_t>& nodes = plan.units[u].nodes;
+      for (int32_t id : nodes) {
+        EXPECT_LE(plan.unit_of[static_cast<size_t>(id)], static_cast<int32_t>(u));
+        for (int32_t input : gir->node(id).inputs) {
+          const int32_t in_unit = plan.unit_of[static_cast<size_t>(input)];
+          if (in_unit >= 0 && std::find(nodes.begin(), nodes.end(), input) == nodes.end()) {
+            EXPECT_LT(in_unit, static_cast<int32_t>(u));
+            EXPECT_TRUE(plan.materialized[static_cast<size_t>(input)])
+                << "cross-unit value not materialized";
+          }
         }
       }
     }
     // 4. Pre-stage ops never consume same-unit aggregation results.
-    for (const Node& node : gir->nodes()) {
-      if (node.id >= static_cast<int32_t>(plan.unit_of.size()) ||
-          plan.unit_of[static_cast<size_t>(node.id)] < 0 ||
-          plan.stage[static_cast<size_t>(node.id)] != NodeStage::kPre) {
-        continue;
-      }
-      for (int32_t input : node.inputs) {
-        if (plan.unit_of[static_cast<size_t>(input)] ==
-            plan.unit_of[static_cast<size_t>(node.id)]) {
-          EXPECT_NE(plan.stage[static_cast<size_t>(input)], NodeStage::kAgg);
-          EXPECT_NE(plan.stage[static_cast<size_t>(input)], NodeStage::kPost);
+    for (const FusedUnit& unit : plan.units) {
+      for (int32_t id : unit.nodes) {
+        if (plan.stage[static_cast<size_t>(id)] != NodeStage::kPre) {
+          continue;
+        }
+        for (int32_t input : gir->node(id).inputs) {
+          if (std::find(unit.nodes.begin(), unit.nodes.end(), input) != unit.nodes.end()) {
+            EXPECT_NE(plan.stage[static_cast<size_t>(input)], NodeStage::kAgg);
+            EXPECT_NE(plan.stage[static_cast<size_t>(input)], NodeStage::kPost);
+          }
         }
       }
     }
