@@ -345,10 +345,9 @@ Headroom MeasureParallelHeadroom() {
 //    Matmul(Transpose(X), G) — both are one i-ascending chain per element;
 //  * matmul (the forward projection X·W) against
 //    MatmulTransposeA(Transpose(X), W), the same chains read the other way;
-//  * dropout (no mask, as on a features input) and dropout_mask (with the
-//    mask, at a hidden layer's shape and at 2709x127, not a multiple of 8
-//    elements) against x * mask with the mask drawn per element as
-//    NextDouble() < p, plus the Rng state after.
+//  * dropout (at GCN/amz_comp's input and at 2709x127, not a multiple of 8
+//    elements) against x * keep with keep drawn per element as
+//    NextDouble() < p ? 0 : 1/(1-p), plus the Rng state after.
 struct DensePoint {
   std::string kernel;
   std::string shape;
@@ -396,45 +395,37 @@ std::vector<DensePoint> RunDensePoints() {
     points.push_back(forward);
   }
 
-  // Dropout at GCN/amz_comp's input (no mask, as on a features input) and
-  // hidden layer (with the mask backward reads), and at an element count
-  // that is not a multiple of the 8 lanes (a serial tail and ragged lane
-  // tiles).
+  // Dropout at GCN/amz_comp's input, and at an element count that is not a
+  // multiple of the 8 lanes (a serial tail and ragged lane tiles).
   struct DropoutShape {
     int64_t rows, cols;
-    bool with_mask;
   };
-  for (const DropoutShape& d : {DropoutShape{13753, 128, false}, DropoutShape{13753, 16, true},
-                                DropoutShape{2709, 127, true}}) {
+  for (const DropoutShape& d : {DropoutShape{13753, 128}, DropoutShape{2709, 127}}) {
     Rng rng(37);
     const Tensor features = ops::RandomNormal({d.rows, d.cols}, 0, 1, rng);
     const float p = 0.5f;
     const float keep = 1.0f / (1.0f - p);
     const auto reference = [&](Rng& stream) {
-      ops::DropoutResult result{Tensor(features.shape()), Tensor(features.shape())};
+      Tensor out(features.shape());
       for (int64_t i = 0; i < features.numel(); ++i) {
-        const float m = stream.NextDouble() < p ? 0.0f : keep;
-        result.mask.data()[i] = m;
-        result.output.data()[i] = features.data()[i] * m;
+        out.data()[i] = features.data()[i] * (stream.NextDouble() < p ? 0.0f : keep);
       }
-      return result;
+      return out;
     };
     Rng drawn(41);
     Rng replayed(41);
-    DensePoint dropout{d.with_mask ? "dropout_mask" : "dropout",
-                       std::to_string(d.rows) + "x" + std::to_string(d.cols)};
-    const ops::DropoutResult got = ops::Dropout(features, p, drawn, d.with_mask);
-    const ops::DropoutResult want = reference(replayed);
+    DensePoint dropout{"dropout", std::to_string(d.rows) + "x" + std::to_string(d.cols)};
+    const Tensor got = ops::Dropout(features, p, drawn);
+    const Tensor want = reference(replayed);
     const RngState drawn_state = drawn.SaveState();
     const RngState replayed_state = replayed.SaveState();
     dropout.bitwise_equal =
-        SameBits(got.output, want.output) && (!d.with_mask || SameBits(got.mask, want.mask)) &&
+        SameBits(got, want) &&
         std::memcmp(drawn_state.words, replayed_state.words, sizeof(drawn_state.words)) == 0;
-    dropout.ms = BestOfMs(kDenseReps, [&] {
-      benchmark::DoNotOptimize(ops::Dropout(features, p, drawn, d.with_mask).output);
-    });
+    dropout.ms =
+        BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(ops::Dropout(features, p, drawn)); });
     dropout.reference_ms =
-        BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(reference(drawn).output); });
+        BestOfMs(kDenseReps, [&] { benchmark::DoNotOptimize(reference(drawn)); });
     points.push_back(dropout);
   }
 

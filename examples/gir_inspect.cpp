@@ -1,7 +1,9 @@
 // Developer tool: prints the forward GIR, backward GIR, and fused execution
 // plans for each built-in model's graph kernel — the Fig. 5/6 pipeline made
 // visible. Useful for understanding what the tracer, autodiff, and fusion
-// FSM produced for a given per-vertex program.
+// FSM produced for a given per-vertex program. The backward is the one a
+// Seastar training step runs: it reads what the forward plan materialized
+// as Input<__saved<id>> leaves.
 //
 //   ./gir_inspect [--model=gat|gcn|appnp|rgcn|gin|sage] [--width=8]
 //
@@ -56,6 +58,8 @@ int main(int argc, char** argv) {
       "\nlegend: %%id:TYPE[width] — S source-wise, D destination-wise, E edge-wise,\n"
       "P parameter; '*' marks materialized values; '^' marks a value this unit\n"
       "recomputes from materialized inputs instead of reading it; everything else lives\n"
-      "in registers inside the fused kernel loop.\n");
+      "in registers inside the fused kernel loop. Input<__savedN> is forward value %%N,\n"
+      "materialized by the forward plan and read by the backward instead of recomputed\n"
+      "(the sharded runtime returns no forward values and recomputes them).\n");
   return 0;
 }

@@ -84,11 +84,34 @@ struct VertexProgram::Data {
   BackwardGir backward;
 
   // Restrictions of `backward` by requires-grad mask (VertexProgram::
-  // backward(needs_grad)), each built once and shared by every later Run;
-  // the plan cache keys on GIR content, so each also compiles once.
+  // backward(needs_grad)) and their variants reading a set of saved forward
+  // values as leaves (backward(needs_grad, saved)), each built once and
+  // shared by every later Run; the plan cache keys on GIR content, so each
+  // also compiles once.
   mutable std::mutex mu;
   mutable std::map<std::vector<bool>, std::shared_ptr<const BackwardGir>> selected;
+  mutable std::map<std::pair<std::vector<bool>, std::vector<int32_t>>,
+                   std::shared_ptr<const BackwardGir>>
+      reading;
 };
+
+namespace {
+
+// The forward values `backward` reads through a forward copy that an
+// executor could hand over: every non-leaf, non-scalar one. What the
+// forward run is asked to retain.
+std::vector<int32_t> SavableValues(const GirGraph& forward, const BackwardGir& backward) {
+  std::vector<int32_t> ids;
+  for (const Node& node : forward.nodes()) {
+    if (backward.forward_copy[static_cast<size_t>(node.id)] >= 0 && !IsLeaf(node.kind) &&
+        node.type != GraphType::kParam) {
+      ids.push_back(node.id);
+    }
+  }
+  return ids;
+}
+
+}  // namespace
 
 VertexProgram VertexProgram::Compile(GirBuilder&& builder) {
   auto data = std::make_shared<Data>();
@@ -123,6 +146,20 @@ std::shared_ptr<const BackwardGir> VertexProgram::backward(
   std::shared_ptr<const BackwardGir>& slot = data_->selected[needs_grad];
   if (slot == nullptr) {
     slot = std::make_shared<const BackwardGir>(SelectInputGrads(data_->backward, needs_grad));
+  }
+  return slot;
+}
+
+std::shared_ptr<const BackwardGir> VertexProgram::backward(
+    const std::vector<bool>& needs_grad, const std::vector<int32_t>& saved) const {
+  std::shared_ptr<const BackwardGir> selected = backward(needs_grad);
+  if (saved.empty()) {
+    return selected;
+  }
+  std::lock_guard<std::mutex> lock(data_->mu);
+  std::shared_ptr<const BackwardGir>& slot = data_->reading[{needs_grad, saved}];
+  if (slot == nullptr) {
+    slot = std::make_shared<const BackwardGir>(ReadSavedValues(*selected, saved));
   }
   return slot;
 }
@@ -166,17 +203,15 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
   for (const InputGradInfo& info : data->backward.input_grads) {
     needs_grad.push_back(input_var(info).requires_grad());
   }
-  const std::shared_ptr<const BackwardGir> backward = this->backward(needs_grad);
+  const bool any_grad = std::find(needs_grad.begin(), needs_grad.end(), true) != needs_grad.end();
 
-  // What autograd retains from the forward pass: exactly the values the
-  // backward GIR reads through its (seeded) forward-copy nodes. Everything
-  // else is a temporary the framework frees eagerly.
-  std::vector<int32_t> forward_retain;
-  for (size_t fwd_id = 0; fwd_id < backward->forward_copy.size(); ++fwd_id) {
-    if (backward->forward_copy[fwd_id] >= 0) {
-      forward_retain.push_back(static_cast<int32_t>(fwd_id));
-    }
-  }
+  // What autograd retains from the forward pass: the values the backward
+  // GIR reads through its forward-copy nodes, and nothing when no input
+  // needs a gradient. Everything else is a temporary the executor frees
+  // eagerly.
+  const std::vector<int32_t> forward_retain =
+      any_grad ? SavableValues(data->forward, *this->backward(needs_grad))
+               : std::vector<int32_t>{};
   RunResult fwd;
   {
     trace::AmbientSpan forward_span("vertex_program/forward", "program");
@@ -186,6 +221,32 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
   }
   SEASTAR_CHECK_EQ(fwd.outputs.size(), 1u);
   Tensor output = fwd.outputs.begin()->second;
+
+  // The retained values the executor returned become input leaves of the
+  // backward, which then no longer recomputes them or what only fed them.
+  // The Seastar executor returns what its plan materialized, the baselines
+  // every retained value, the sharded runtime none (its backward recomputes).
+  std::vector<int32_t> saved_ids;
+  for (int32_t id : forward_retain) {
+    if (fwd.saved != nullptr && fwd.saved->count(id) > 0) {
+      saved_ids.push_back(id);
+    }
+  }
+  const std::shared_ptr<const BackwardGir> backward = this->backward(needs_grad, saved_ids);
+  for (int32_t id : saved_ids) {
+    const int32_t leaf = backward->forward_copy[static_cast<size_t>(id)];
+    if (leaf < 0 || backward->graph.node(leaf).name != SavedValueKey(id)) {
+      continue;  // No gradient reads it.
+    }
+    auto& bound = data->forward.node(id).type == GraphType::kEdge ? features.edge
+                                                                  : features.vertex;
+    bound[SavedValueKey(id)] = fwd.saved->at(id);
+  }
+  // Everything the run returned stays alive until the backward runs or the
+  // tape is dropped (autograd's saved tensors): for the baselines that
+  // includes PyG's gathered [E, w] copies, which the peak-memory
+  // experiments count.
+  std::shared_ptr<const std::map<int32_t, Tensor>> saved = std::move(fwd.saved);
 
   struct TapeInput {
     Var var;
@@ -209,14 +270,6 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
     tape_vars.push_back(entry.var);
   }
 
-  // The baselines keep every forward intermediate alive for backward
-  // (autograd saved tensors); Seastar recomputes in fused kernels and frees
-  // eagerly (§5.3), so its saved map is dropped here.
-  std::shared_ptr<std::map<int32_t, Tensor>> saved;
-  if (session.executor().saves_intermediates()) {
-    saved = fwd.saved;
-  }
-
   std::vector<std::vector<std::string>> grad_output_names;
   grad_output_names.reserve(tape_inputs.size());
   for (const TapeInput& entry : tape_inputs) {
@@ -233,29 +286,12 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
     FeatureMap backward_features = features;
     backward_features.vertex[kGradInputKey] = grad_out;
 
-    SeedMap seed;
-    const SeedMap* seed_ptr = nullptr;
-    if (saved != nullptr) {
-      for (size_t fwd_id = 0; fwd_id < backward->forward_copy.size(); ++fwd_id) {
-        const int32_t bwd_id = backward->forward_copy[fwd_id];
-        if (bwd_id < 0) {
-          continue;
-        }
-        auto it = saved->find(static_cast<int32_t>(fwd_id));
-        if (it != saved->end()) {
-          seed.emplace(bwd_id, it->second);
-        }
-      }
-      seed_ptr = &seed;
-    }
-
     // Backward temporaries are released as soon as consumed (empty retain).
     const std::vector<int32_t> no_retain;
     RunResult bwd;
     {
       trace::AmbientSpan backward_span("vertex_program/backward", "program");
       RunContext backward_ctx;
-      backward_ctx.seed = seed_ptr;
       backward_ctx.retain = &no_retain;
       // Through the same recovery ladder as the session's forward Execute —
       // a transient shard fault mid-backward must not escape into autograd.
@@ -289,13 +325,22 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
 
 std::string VertexProgram::DebugString() const {
   SEASTAR_CHECK(data_ != nullptr);
+  // The backward a Seastar training step runs when every input needs a
+  // gradient: it reads what the forward plan materialized as leaves.
+  const ExecutionPlan forward_plan = BuildExecutionPlan(data_->forward);
+  std::vector<int32_t> saved;
+  for (int32_t id : SavableValues(data_->forward, data_->backward)) {
+    if (forward_plan.materialized[static_cast<size_t>(id)]) {
+      saved.push_back(id);
+    }
+  }
+  const GirGraph& backward =
+      this->backward(std::vector<bool>(data_->backward.input_grads.size(), true), saved)->graph;
   std::ostringstream os;
   os << "=== forward GIR ===\n" << data_->forward.ToString();
-  os << "=== forward plan ===\n"
-     << BuildExecutionPlan(data_->forward).ToString(data_->forward);
-  os << "=== backward GIR ===\n" << data_->backward.graph.ToString();
-  os << "=== backward plan ===\n"
-     << BuildExecutionPlan(data_->backward.graph).ToString(data_->backward.graph);
+  os << "=== forward plan ===\n" << forward_plan.ToString(data_->forward);
+  os << "=== backward GIR ===\n" << backward.ToString();
+  os << "=== backward plan ===\n" << BuildExecutionPlan(backward).ToString(backward);
   return os.str();
 }
 

@@ -5,11 +5,13 @@
 // passes, differentiates the (single) output into a backward GIR, and
 // optimizes that too. Run() executes the forward program on a chosen executor
 // and registers a custom autograd function whose backward executes the
-// backward GIR — for the Seastar executor by *recomputing* intra-unit edge
-// values inside fused kernels (nothing saved), for the baseline executors by
-// seeding the recompute nodes from the tensors their forward pass
-// materialized (autograd saved-tensors, kept alive until backward, which is
-// what the peak-memory experiments observe).
+// backward GIR. The forward run retains the values the backward reads;
+// those the executor materialized (the Seastar executor's unit-crossing
+// values, every value for the whole-graph baselines) become input leaves of
+// the backward and stay alive until it runs, which is what the peak-memory
+// experiments observe. The backward recomputes the rest inside its fused
+// kernels, and the sharded runtime, which returns no forward values,
+// recomputes everything.
 //
 // Typical use (GAT's attention stage, every head at once: eu/ev hold one
 // score per head, h the heads' features side by side, and a * h scales
@@ -61,8 +63,8 @@ class VertexProgram {
   // missing or mis-shaped inputs fail with an error naming the input.
   //
   // Under an ambient trace (tracing.h) it records forward/backward program
-  // spans around the executors' per-unit / per-op spans; seed and retain are
-  // managed internally by the autograd bridge.
+  // spans around the executors' per-unit / per-op spans; what the forward
+  // retains for backward is managed internally by the autograd bridge.
   Var Run(const Inputs& inputs, const ExecutionSession& session) const;
 
   const GirGraph& forward() const;
@@ -71,8 +73,17 @@ class VertexProgram {
   // needs_grad[i] (indexed like backward().input_grads): what Run executes
   // when only those inputs require grad. Built once per mask.
   std::shared_ptr<const BackwardGir> backward(const std::vector<bool>& needs_grad) const;
+  // That backward reading the forward values `saved` (sorted forward node
+  // ids) as Input<__saved<id>> leaves instead of recomputing them
+  // (ReadSavedValues): what Run executes after a forward that returned
+  // those values. Built once per (mask, saved set); an empty set is
+  // backward(needs_grad).
+  std::shared_ptr<const BackwardGir> backward(const std::vector<bool>& needs_grad,
+                                              const std::vector<int32_t>& saved) const;
 
-  // Human-readable dump of both GIRs and the Seastar execution plans.
+  // Human-readable dump of the forward GIR, its Seastar plan, and the
+  // backward GIR and plan a Seastar training step runs when every input
+  // needs a gradient (the forward's materialized values as leaves).
   std::string DebugString() const;
 
  private:

@@ -80,7 +80,6 @@ struct EdgeOperand {
 
 RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
                                 const FeatureMap& features, const RunContext& ctx) const {
-  const SeedMap* seed = ctx.seed;
   const std::vector<int32_t>* retain = ctx.retain;
   trace::AmbientSpan run_span(options_.flavor == BaselineFlavor::kDglLike ? "dgl" : "pyg",
                              "exec");
@@ -132,9 +131,8 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
       if ((node.kind == OpKind::kAggSum || node.kind == OpKind::kAggMean) &&
           node.type != GraphType::kParam) {
         const Node& input = gir.node(node.inputs[0]);
-        const bool seeded = seed != nullptr && seed->count(input.id) > 0;
         if (IsElementwiseBinary(input.kind) &&
-            (input.type == GraphType::kEdge || input.type == GraphType::kSrc) && !seeded &&
+            (input.type == GraphType::kEdge || input.type == GraphType::kSrc) &&
             consumers[static_cast<size_t>(input.id)].size() == 1 && !gir.IsOutput(input.id)) {
           // Its operands must themselves be plain tensors (not fused away).
           fused_away[static_cast<size_t>(input.id)] = true;
@@ -602,13 +600,6 @@ RunResult BaselineExecutor::Run(const GirGraph& gir, const Graph& graph,
   for (const Node& node : gir.nodes()) {
     // Per-op deadline poll, mirroring the Seastar executor's per-unit check.
     CheckExecutionDeadline("baseline op");
-    if (seed != nullptr) {
-      auto it = seed->find(node.id);
-      if (it != seed->end()) {
-        (*saved)[node.id] = it->second;
-        continue;
-      }
-    }
     if (fused_away[static_cast<size_t>(node.id)]) {
       continue;
     }

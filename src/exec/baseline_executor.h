@@ -47,20 +47,13 @@ class BaselineExecutor : public Executor {
   const char* name() const override {
     return options_.flavor == BaselineFlavor::kDglLike ? "dgl" : "pyg";
   }
-  // Both baselines keep every materialized intermediate alive in
-  // RunResult.saved — the autograd saved-tensors behaviour Fig. 11 measures.
   bool saves_intermediates() const override { return true; }
-
-  // `ctx.seed` maps node ids to already-known values (the forward
-  // intermediates saved by a previous Run) — seeded nodes are not
-  // recomputed, modelling autograd backward functions reading their saved
-  // tensors.
-  //
   // `ctx.retain` (optional) lists node ids whose values must survive the
-  // run — the tensors autograd saves for backward. When given, every other
-  // intermediate is freed as soon as its last consumer has executed, the way
-  // a real tensor framework releases temporaries; when null, everything is
-  // kept (useful for tests and for seeding).
+  // run — the tensors autograd saves for backward, returned in
+  // RunResult.saved (the saved-tensors memory Fig. 11 measures). When given,
+  // every other intermediate is freed as soon as its last consumer has
+  // executed, the way a real tensor framework releases temporaries; when
+  // null, everything is kept (useful for tests).
   //
   // Under an ambient trace (tracing.h) it records one span per operator
   // kernel with edges traversed, bytes materialized, kernel-launch and

@@ -65,8 +65,8 @@ class Executor {
   virtual ~Executor() = default;
 
   // Runs `gir` over the view's graph with `features`, returning globally
-  // indexed outputs. `ctx` carries the per-run state (seed, retain) exactly
-  // as RunContext documents.
+  // indexed outputs. `ctx` carries the per-run state (retain) exactly as
+  // RunContext documents.
   virtual RunResult Execute(const GirGraph& gir, const GraphView& view,
                             const FeatureMap& features, const RunContext& ctx = {}) const = 0;
 
@@ -78,10 +78,11 @@ class Executor {
   // Stable lowercase identifier ("seastar", "dgl", "sharded", ...).
   virtual const char* name() const = 0;
 
-  // True when Execute materializes every intermediate and returns it in
-  // RunResult.saved (the whole-graph tensor baselines) — the autograd bridge
-  // then keeps the saved map alive for backward instead of recomputing.
-  virtual bool saves_intermediates() const = 0;
+  // True when Execute without a retain set returns every intermediate in
+  // RunResult.saved (the whole-graph tensor baselines). The autograd bridge
+  // does not read it: every executor hands the backward what it retained.
+  // perfbench/harness.cc forwards it through its timing wrapper.
+  virtual bool saves_intermediates() const { return false; }
 
   // Non-null when this executor has a slower-but-safe strategy for the same
   // program after a transient failure: the shard runtime returns its inner
@@ -129,8 +130,8 @@ class ExecutionSession {
   // call sites.
   PlanCache& plan_cache() const;
 
-  // Runs through the session's executor. `ctx` carries seed/retain state
-  // for callers that thread it (the autograd bridge).
+  // Runs through the session's executor. `ctx` carries the retain set for
+  // callers that thread it (the autograd bridge).
   RunResult Execute(const GirGraph& gir, const FeatureMap& features,
                     const RunContext& ctx = {}) const;
 

@@ -29,36 +29,26 @@ struct RunResult {
   // Program outputs by output name. D/S outputs are [N, w]; E outputs are
   // [num_edges, w]; typed grads are [num_types, N, w].
   std::map<std::string, Tensor> outputs;
-  // Values this run materialized, by node id. For the baseline executors
-  // this holds *every* intermediate (they are whole-tensor systems); keeping
-  // it alive between forward and backward models autograd's saved tensors
-  // and is what the peak-memory benchmarks observe. The Seastar executor
-  // only records unit-crossing values.
+  // Values this run materialized and kept, by node id: the outputs plus
+  // every value named in RunContext::retain that the run materialized. The
+  // baseline executors keep every intermediate when retain is null (they
+  // are whole-tensor systems); the sharded runtime keeps none. The autograd
+  // bridge hands the retained values to the backward as input leaves.
   std::shared_ptr<std::map<int32_t, Tensor>> saved;
 };
 
-// Values already known before a run (node id -> value). Used to seed the
-// recompute copies inside a backward GIR from the forward pass's saved
-// tensors in the baseline executors.
-using SeedMap = std::map<int32_t, Tensor>;
-
 // Run-scoped execution context threaded through the executors and
-// VertexProgram::Run. Replaces the old raw-pointer tail
-// parameters (SeedMap*, retain vector) with one named carrier, so growing
-// the execution API means adding a field here instead of another defaulted
-// pointer at every call site. Observability is not a field: executors
-// record into the caller's ambient trace (src/common/tracing.h).
+// VertexProgram::Run: one named carrier, so growing the execution API means
+// adding a field here instead of another defaulted pointer at every call
+// site. Observability is not a field: executors record into the caller's
+// ambient trace (src/common/tracing.h).
 struct RunContext {
-  // Node values already known before the run; seeded nodes are not
-  // recomputed (the baseline executors' autograd saved-tensor path). The
-  // Seastar executor ignores this: it recomputes inside fused kernels.
-  const SeedMap* seed = nullptr;
-
   // Node ids whose values must survive the run (what autograd retains for
-  // backward). When set, baseline executors free every other intermediate as
-  // soon as its last consumer has executed; when null everything is kept.
-  // Ignored by the Seastar executor, which only materializes unit-crossing
-  // values in the first place.
+  // backward). A retained value the executor materializes is not freed after
+  // its last reader and comes back in RunResult.saved; every other
+  // intermediate is freed as soon as its last reader has run. When null the
+  // baseline executors keep everything; the Seastar executor always frees
+  // what no later unit reads.
   const std::vector<int32_t>* retain = nullptr;
 };
 

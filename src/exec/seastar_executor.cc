@@ -382,6 +382,14 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
 
   // Materialized tensors by node id.
   auto saved = std::make_shared<std::map<int32_t, Tensor>>();
+  std::vector<bool> retained(static_cast<size_t>(gir.num_nodes()), false);
+  if (ctx.retain != nullptr) {
+    for (int32_t id : *ctx.retain) {
+      if (id >= 0 && id < gir.num_nodes()) {
+        retained[static_cast<size_t>(id)] = true;
+      }
+    }
+  }
   // Leaf bindings by node id (not owned by `saved` — caller inputs, plus the
   // graph's cached degree tensors).
   std::map<int32_t, Tensor> leaf_value;
@@ -529,8 +537,11 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     counters.tiled_units->Add(1);
     // Intermediates no later unit reads go back to the pool now, so a
     // many-unit program (GAT's backward) never holds all of them at once.
+    // Retained values outlive the run.
     for (int32_t id : program->release_after[unit_index]) {
-      saved->erase(id);
+      if (!retained[static_cast<size_t>(id)]) {
+        saved->erase(id);
+      }
     }
 
     if (trace::Span* span = unit_span.span()) {

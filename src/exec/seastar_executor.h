@@ -51,15 +51,13 @@ class SeastarExecutor : public Executor {
   const char* name() const override {
     return options_.enable_fusion ? "seastar" : "seastar-nofuse";
   }
-  // Seastar recomputes intra-unit values in backward kernels (§6.3.4); only
-  // unit-crossing values are ever materialized, and none are saved.
-  bool saves_intermediates() const override { return false; }
-
-  // Executes `gir` over `graph` with `features`. `ctx.seed` / `ctx.retain`
-  // are accepted for interface parity with the baselines but ignored:
-  // Seastar recomputes intra-unit values in backward kernels instead of
-  // saving them (§6.3.4), and only materializes unit-crossing values in the
-  // first place. Under an ambient trace (tracing.h) it records one span per
+  // Executes `gir` over `graph` with `features`. Only unit-crossing values
+  // are materialized, and each is freed after the last unit that reads it
+  // unless `ctx.retain` names it: then it outlives the run in
+  // RunResult.saved (the forward values the backward reads as leaves).
+  // Values that stay in registers cannot be retained; the backward
+  // recomputes those inside its fused kernels (§6.3.4). Under an ambient
+  // trace (tracing.h) it records one span per
   // fused unit with the §6.3 kernel counters (tile plan, dispatch grants,
   // edges traversed, bytes materialized) inside a run span carrying the
   // allocator, pool and plan-cache deltas.

@@ -90,7 +90,6 @@ class ShardRuntime : public Executor {
                     const RunContext& ctx = {}) const override;
 
   const char* name() const override { return "sharded"; }
-  bool saves_intermediates() const override { return false; }
 
   // The recovery ladder's last rung: the same whole-graph executor the
   // CheckShardable fallback path uses, run over the plain full graph.

@@ -19,11 +19,13 @@
 //    pattern again (§6.3.4) and hence fusible by the same FSM.
 //
 // The backward GIR embeds a copy of the forward computation (the
-// `forward_copy` map) instead of capturing saved tensors: Seastar never
-// materialized intra-unit edge values in the forward pass, so the fused
-// backward kernels recompute them on the fly. Baseline executors, which DO
-// materialize intermediates (and pay the memory for keeping them alive),
-// seed these copies from their saved forward values instead of recomputing.
+// `forward_copy` map). After a forward run, the copies of the values that
+// run materialized and returned are cut off: ReadSavedValues
+// (src/gir/passes.h) turns each into an input leaf, SavedValueKey(id), and
+// the standard passes drop what only fed it. What the forward kept in
+// registers (Seastar's intra-unit edge values) the fused backward kernels
+// recompute on the fly, and so does everything on the sharded runtime,
+// which returns no forward values.
 #ifndef SRC_GIR_AUTODIFF_H_
 #define SRC_GIR_AUTODIFF_H_
 
@@ -38,6 +40,12 @@ namespace seastar {
 // program.
 inline constexpr char kGradInputKey[] = "__grad";
 
+// Feature key under which a backward GIR reads forward node `fwd_id`'s
+// saved value (ReadSavedValues, src/gir/passes.h): "__saved<fwd_id>".
+inline std::string SavedValueKey(int32_t fwd_id) {
+  return "__saved" + std::to_string(fwd_id);
+}
+
 struct InputGradInfo {
   int32_t forward_input = -1;      // Forward node id of the kInput[TypedSrc].
   std::string key;                 // Feature key of that input.
@@ -49,8 +57,9 @@ struct InputGradInfo {
 
 struct BackwardGir {
   GirGraph graph;
-  // forward_copy[fwd_id] = backward node id of the recomputed forward value,
-  // or -1 once eliminated by a pass.
+  // forward_copy[fwd_id] = backward node id of the recomputed forward value
+  // (its saved-value leaf after ReadSavedValues), or -1 once eliminated by
+  // a pass.
   std::vector<int32_t> forward_copy;
   std::vector<InputGradInfo> input_grads;
 };

@@ -286,4 +286,21 @@ BackwardGir SelectInputGrads(const BackwardGir& backward, const std::vector<bool
   return selected;
 }
 
+BackwardGir ReadSavedValues(const BackwardGir& backward, const std::vector<int32_t>& saved) {
+  BackwardGir result = backward;
+  for (int32_t fwd_id : saved) {
+    const int32_t id = backward.forward_copy.at(static_cast<size_t>(fwd_id));
+    SEASTAR_CHECK_GE(id, 0) << "forward value %" << fwd_id << " has no copy in the backward";
+    Node& node = result.graph.mutable_node(id);
+    SEASTAR_CHECK(!IsLeaf(node.kind) && node.type != GraphType::kParam)
+        << "forward value %" << fwd_id << " is a leaf or a scalar";
+    node.kind = OpKind::kInput;
+    node.inputs.clear();
+    node.attr = 0.0f;
+    node.name = SavedValueKey(fwd_id);
+  }
+  OptimizeBackward(&result);
+  return result;
+}
+
 }  // namespace seastar

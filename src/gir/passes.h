@@ -48,6 +48,14 @@ void OptimizeBackward(BackwardGir* backward);
 // everything only they needed (forward_copy / input_grads follow the remap).
 BackwardGir SelectInputGrads(const BackwardGir& backward, const std::vector<bool>& keep);
 
+// The backward GIR reading the forward values `saved` (sorted forward node
+// ids, each a non-leaf, non-P node with a forward copy) instead of
+// recomputing them: each one's forward-copy node becomes the input leaf
+// Input<SavedValueKey(id)> of the same type and width, then the standard
+// passes eliminate everything only those copies needed. forward_copy[id]
+// then names the leaf, or -1 when no gradient reads the value.
+BackwardGir ReadSavedValues(const BackwardGir& backward, const std::vector<int32_t>& saved);
+
 }  // namespace seastar
 
 #endif  // SRC_GIR_PASSES_H_

@@ -304,15 +304,20 @@ Var Dropout(const Var& a, float p, Rng& rng, bool training) {
     return a;
   }
   trace::AmbientSpan span("dropout", "dense");
-  // An input that needs no gradient (the features leaf) gets no mask tensor.
-  ops::DropoutResult result = ops::Dropout(a.value(), p, rng, a.requires_grad());
-  span.Set(trace::Arg::kBytesMaterialized,
-           static_cast<int64_t>(result.output.nbytes() +
-                                (result.mask.defined() ? result.mask.nbytes() : 0)));
-  Tensor mask = std::move(result.mask);
+  // No mask is kept: the backward replays the keep values from a copy of
+  // the stream state this draw starts from (g[i] * keep_i, the bits of
+  // g * mask), leaving the model's own Rng where the forward left it.
+  const RngState state = rng.SaveState();
+  Tensor out = ops::Dropout(a.value(), p, rng);
+  span.Set(trace::Arg::kBytesMaterialized, static_cast<int64_t>(out.nbytes()));
   return Var::MakeNode(
-      std::move(result.output), {a},
-      [mask](const Tensor& g) { return std::vector<Tensor>{ops::Mul(g, mask)}; }, "dropout");
+      std::move(out), {a},
+      [state, p](const Tensor& g) {
+        Rng replay;
+        replay.RestoreState(state);
+        return std::vector<Tensor>{ops::Dropout(g, p, replay)};
+      },
+      "dropout");
 }
 
 Var NllLoss(const Var& log_probs, std::vector<int32_t> labels, std::vector<int32_t> mask_rows) {

@@ -686,10 +686,10 @@ Tensor CrossEntropyGrad(const Tensor& log_probs, const std::vector<int32_t>& lab
 
 // ---- Dropout ----------------------------------------------------------------------------------------
 
-DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask) {
+Tensor Dropout(const Tensor& a, float p, Rng& rng) {
   SEASTAR_CHECK_GE(p, 0.0f);
   SEASTAR_CHECK_LT(p, 1.0f);
-  DropoutResult result{Tensor(a.shape()), with_mask ? Tensor(a.shape()) : Tensor()};
+  Tensor out(a.shape());
   const int64_t n = a.numel();
   const float keep_scale = 1.0f / (1.0f - p);
   // Element i drops when NextBernoulli(p) would be true: u * 2^-53 < p for
@@ -711,8 +711,8 @@ DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask) {
       lanes.words[w][j] = state.words[w];
     }
   }
-  simd::DropoutLanes(a.data(), result.output.data(), with_mask ? result.mask.data() : nullptr,
-                     block, n - simd::kDropoutLanes * block, threshold, keep_scale, lanes);
+  simd::DropoutLanes(a.data(), out.data(), block, n - simd::kDropoutLanes * block, threshold,
+                     keep_scale, lanes);
   // NextBernoulli(0) draws nothing: p == 0 leaves the stream where it was.
   if (p > 0.0f) {
     for (int w = 0; w < 4; ++w) {
@@ -720,7 +720,7 @@ DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask) {
     }
     rng.RestoreState(state);
   }
-  return result;
+  return out;
 }
 
 // ---- Misc -------------------------------------------------------------------------------------------

@@ -102,25 +102,21 @@ Tensor CrossEntropyGrad(const Tensor& log_probs, const std::vector<int32_t>& lab
 
 // ---- Dropout ------------------------------------------------------------------------------------
 
-// Inverted dropout: zeroes with prob p, scales survivors by 1/(1-p). The
-// returned mask (same shape, values 0 or 1/(1-p)) is needed for backward.
-// With `with_mask` false (an input that needs no gradient) no mask is
-// allocated and `mask` stays undefined; the output bits and the Rng draws
-// are the same either way. Element i drops exactly when the i-th of
-// numel() successive NextBernoulli(p) calls would be true, and the Rng ends
-// where those calls would leave it (p = 0 draws nothing), so checkpointed
-// streams replay identically. One fused pass (simd::DropoutLanes) draws
-// and applies the mask: 8 xoshiro lanes, each jumped (RngJump) to its block
-// of numel() / 8 draws, then a serial tail.
+// Inverted dropout: zeroes with prob p, scales survivors by 1/(1-p):
+// out[i] = a[i] * keep_i, keep_i 0 or 1/(1-p). Element i drops exactly when
+// the i-th of numel() successive NextBernoulli(p) calls would be true, and
+// the Rng ends where those calls would leave it (p = 0 draws nothing), so
+// checkpointed streams replay identically. A second call on a copy of the
+// stream state the first one started from draws the same keep values, which
+// is how ag::Dropout's backward forms g[i] * keep_i without a stored mask.
+// One fused pass (simd::DropoutLanes) draws and applies the keep values: 8
+// xoshiro lanes, each jumped (RngJump) to its block of numel() / 8 draws,
+// then a serial tail.
 // Calls with fewer than kDropoutMinLaneBlock elements per lane skip the
 // jump and draw everything on the serial tail: the jump's fixed cost
 // would exceed what the lanes save.
 inline constexpr int64_t kDropoutMinLaneBlock = 512;
-struct DropoutResult {
-  Tensor output;
-  Tensor mask;
-};
-DropoutResult Dropout(const Tensor& a, float p, Rng& rng, bool with_mask = true);
+Tensor Dropout(const Tensor& a, float p, Rng& rng);
 
 // ---- Misc ---------------------------------------------------------------------------------------
 

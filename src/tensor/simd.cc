@@ -173,20 +173,14 @@ inline float KeepValue(uint64_t u, uint64_t threshold, uint32_t keep_bits) {
 }
 
 // The serial tail: elements [i0, i1) drawn in order from lane 7.
-template <bool kMask>
-void DropoutSerial(const float* __restrict__ x, float* __restrict__ out, float* __restrict__ mask,
-                   int64_t i0, int64_t i1, uint64_t threshold, uint32_t keep_bits,
-                   XoshiroLanes& lanes) {
+void DropoutSerial(const float* __restrict__ x, float* __restrict__ out, int64_t i0, int64_t i1,
+                   uint64_t threshold, uint32_t keep_bits, XoshiroLanes& lanes) {
   uint64_t s0 = lanes.words[0][7];
   uint64_t s1 = lanes.words[1][7];
   uint64_t s2 = lanes.words[2][7];
   uint64_t s3 = lanes.words[3][7];
   for (int64_t i = i0; i < i1; ++i) {
-    const float keep = KeepValue(XoshiroNext(s0, s1, s2, s3), threshold, keep_bits);
-    out[i] = x[i] * keep;
-    if constexpr (kMask) {
-      mask[i] = keep;
-    }
+    out[i] = x[i] * KeepValue(XoshiroNext(s0, s1, s2, s3), threshold, keep_bits);
   }
   lanes.words[0][7] = s0;
   lanes.words[1][7] = s1;
@@ -194,35 +188,20 @@ void DropoutSerial(const float* __restrict__ x, float* __restrict__ out, float* 
   lanes.words[3][7] = s3;
 }
 
-template <bool kMask>
-void DropoutLanesScalarImpl(const float* __restrict__ x, float* __restrict__ out,
-                            float* __restrict__ mask, int64_t block, int64_t tail,
-                            uint64_t threshold, float keep_scale, XoshiroLanes& lanes) {
+void DropoutLanesScalar(const float* __restrict__ x, float* __restrict__ out, int64_t block,
+                        int64_t tail, uint64_t threshold, float keep_scale, XoshiroLanes& lanes) {
   const uint32_t keep_bits = std::bit_cast<uint32_t>(keep_scale);
   XoshiroLanes s = lanes;
   for (int64_t t = 0; t < block; ++t) {
     for (int j = 0; j < kDropoutLanes; ++j) {
       const uint64_t u = XoshiroNext(s.words[0][j], s.words[1][j], s.words[2][j], s.words[3][j]);
-      const float keep = KeepValue(u, threshold, keep_bits);
       const int64_t i = j * block + t;
-      out[i] = x[i] * keep;
-      if constexpr (kMask) {
-        mask[i] = keep;
-      }
+      out[i] = x[i] * KeepValue(u, threshold, keep_bits);
     }
   }
   lanes = s;
-  DropoutSerial<kMask>(x, out, mask, kDropoutLanes * block, kDropoutLanes * block + tail,
-                       threshold, keep_bits, lanes);
-}
-
-void DropoutLanesScalar(const float* x, float* out, float* mask, int64_t block, int64_t tail,
-                        uint64_t threshold, float keep_scale, XoshiroLanes& lanes) {
-  if (mask != nullptr) {
-    DropoutLanesScalarImpl<true>(x, out, mask, block, tail, threshold, keep_scale, lanes);
-  } else {
-    DropoutLanesScalarImpl<false>(x, out, mask, block, tail, threshold, keep_scale, lanes);
-  }
+  DropoutSerial(x, out, kDropoutLanes * block, kDropoutLanes * block + tail, threshold, keep_bits,
+                lanes);
 }
 
 constexpr DropoutKernels kScalarDropout = {DropoutLanesScalar};
@@ -808,9 +787,9 @@ SEASTAR_AVX2 inline void Transpose8x8(__m256 v[8]) {
 // x. A partial tile (kPartial, steps < 8) loads and stores only its `steps`
 // columns (`columns` = ColumnMask(steps)): the next lane's block, or the
 // buffer's end, starts right after.
-template <bool kMask, bool kPartial>
-SEASTAR_AVX2 inline void DropoutTileAvx2(const float* x, float* out, float* mask, int64_t block,
-                                         int64_t t, int steps, __m256i columns, XoshiroVec& lo,
+template <bool kPartial>
+SEASTAR_AVX2 inline void DropoutTileAvx2(const float* x, float* out, int64_t block, int64_t t,
+                                         int steps, __m256i columns, XoshiroVec& lo,
                                          XoshiroVec& hi, __m256i threshold, __m256 keep) {
   __m256 tile[8];
 #pragma GCC unroll 8
@@ -824,49 +803,30 @@ SEASTAR_AVX2 inline void DropoutTileAvx2(const float* x, float* out, float* mask
     if constexpr (kPartial) {
       const __m256 xv = _mm256_maskload_ps(x + i, columns);
       _mm256_maskstore_ps(out + i, columns, _mm256_mul_ps(xv, tile[c]));
-      if constexpr (kMask) {
-        _mm256_maskstore_ps(mask + i, columns, tile[c]);
-      }
     } else {
       _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), tile[c]));
-      if constexpr (kMask) {
-        _mm256_storeu_ps(mask + i, tile[c]);
-      }
     }
   }
 }
 
-template <bool kMask>
-SEASTAR_AVX2 void DropoutLanesAvx2Impl(const float* x, float* out, float* mask, int64_t block,
-                                       int64_t tail, uint64_t threshold, float keep_scale,
-                                       XoshiroLanes& lanes) {
+SEASTAR_AVX2 void DropoutLanesAvx2(const float* x, float* out, int64_t block, int64_t tail,
+                                   uint64_t threshold, float keep_scale, XoshiroLanes& lanes) {
   XoshiroVec lo = LoadLanesAvx2(lanes, 0);
   XoshiroVec hi = LoadLanesAvx2(lanes, 4);
   const __m256i thr = _mm256_set1_epi64x(static_cast<int64_t>(threshold));
   const __m256 keep = _mm256_set1_ps(keep_scale);
   int64_t t = 0;
   for (; t + 8 <= block; t += 8) {
-    DropoutTileAvx2<kMask, false>(x, out, mask, block, t, 8, __m256i{}, lo, hi, thr, keep);
+    DropoutTileAvx2<false>(x, out, block, t, 8, __m256i{}, lo, hi, thr, keep);
   }
   if (t < block) {
     const int steps = static_cast<int>(block - t);
-    DropoutTileAvx2<kMask, true>(x, out, mask, block, t, steps, ColumnMask(steps), lo, hi, thr,
-                                 keep);
+    DropoutTileAvx2<true>(x, out, block, t, steps, ColumnMask(steps), lo, hi, thr, keep);
   }
   StoreLanesAvx2(lo, lanes, 0);
   StoreLanesAvx2(hi, lanes, 4);
-  DropoutSerial<kMask>(x, out, mask, kDropoutLanes * block, kDropoutLanes * block + tail,
-                       threshold, std::bit_cast<uint32_t>(keep_scale), lanes);
-}
-
-SEASTAR_AVX2 void DropoutLanesAvx2(const float* x, float* out, float* mask, int64_t block,
-                                   int64_t tail, uint64_t threshold, float keep_scale,
-                                   XoshiroLanes& lanes) {
-  if (mask != nullptr) {
-    DropoutLanesAvx2Impl<true>(x, out, mask, block, tail, threshold, keep_scale, lanes);
-  } else {
-    DropoutLanesAvx2Impl<false>(x, out, mask, block, tail, threshold, keep_scale, lanes);
-  }
+  DropoutSerial(x, out, kDropoutLanes * block, kDropoutLanes * block + tail, threshold,
+                std::bit_cast<uint32_t>(keep_scale), lanes);
 }
 
 constexpr DropoutKernels kAvx2Dropout = {DropoutLanesAvx2};

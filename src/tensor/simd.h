@@ -156,18 +156,17 @@ const GemmKernels* Avx2GemmKernels();
 // return. With lane j started j * block draws into one stream (RngJump),
 // the call draws exactly what 8 * block + tail successive draws would.
 // Element i with draw u keeps when u >> 11 >= threshold: keep_i =
-// keep_scale if so, else 0.0f; out[i] = x[i] * keep_i and, unless mask is
-// null, mask[i] = keep_i. threshold must not exceed 2^53. The AVX2 body
-// steps all 8 lanes at once (two 4-lane ymm states, the multiplies by 5 and
-// 9 as shift+add) and transposes each 8-step × 8-lane tile of keep values so
-// that every lane writes 8 consecutive elements; the scalar body steps 8
-// independent chains. Integer draws and one multiply per element: both give
-// the same bits.
+// keep_scale if so, else 0.0f; out[i] = x[i] * keep_i. threshold must not
+// exceed 2^53. The AVX2 body steps all 8 lanes at once (two 4-lane ymm
+// states, the multiplies by 5 and 9 as shift+add) and transposes each
+// 8-step × 8-lane tile of keep values so that every lane writes 8
+// consecutive elements; the scalar body steps 8 independent chains. Integer
+// draws and one multiply per element: both give the same bits.
 constexpr int kDropoutLanes = 8;
 struct XoshiroLanes {
   uint64_t words[4][kDropoutLanes];
 };
-extern void (*DropoutLanes)(const float* x, float* out, float* mask, int64_t block, int64_t tail,
+extern void (*DropoutLanes)(const float* x, float* out, int64_t block, int64_t tail,
                             uint64_t threshold, float keep_scale, XoshiroLanes& lanes);
 
 // The dropout kernel of one ISA, so tests can run each variant directly.

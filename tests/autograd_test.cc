@@ -197,28 +197,73 @@ TEST(AutogradTest, MatmulComputesNoGradientForANoGradInput) {
 }
 
 TEST(AutogradTest, DropoutOnANoGradInputAllocatesNoMask) {
-  // Backward never reads a no-grad input's mask, so only the output is
-  // allocated; its bits and the Rng's draws match the masked path.
+  // No dropout keeps a mask (its backward replays the draws), so each one
+  // allocates only its output, whether its input needs a gradient or not;
+  // the bits and the Rng's draws are the same either way.
   Rng data_rng(10);
   const Tensor x_val = ops::RandomNormal({64, 32}, 0.0f, 1.0f, data_rng);
   TensorAllocator& allocator = TensorAllocator::Get();
-  Rng masked_rng(11);
-  Rng unmasked_rng(11);
+  Rng grad_rng(11);
+  Rng no_grad_rng(11);
 
   uint64_t before = allocator.total_allocations();
-  Var masked = ag::Dropout(Var::Leaf(x_val, true), 0.5f, masked_rng, /*training=*/true);
-  EXPECT_EQ(allocator.total_allocations() - before, 2u);  // Output + mask.
-
-  before = allocator.total_allocations();
-  Var unmasked = ag::Dropout(Var::Leaf(x_val, false), 0.5f, unmasked_rng, /*training=*/true);
+  Var with_grad = ag::Dropout(Var::Leaf(x_val, true), 0.5f, grad_rng, /*training=*/true);
   EXPECT_EQ(allocator.total_allocations() - before, 1u);  // Output only.
 
-  EXPECT_FALSE(unmasked.requires_grad());
-  EXPECT_TRUE(unmasked.value().AllClose(masked.value(), 0.0f));
-  EXPECT_EQ(std::memcmp(unmasked.value().data(), masked.value().data(),
+  before = allocator.total_allocations();
+  Var no_grad = ag::Dropout(Var::Leaf(x_val, false), 0.5f, no_grad_rng, /*training=*/true);
+  EXPECT_EQ(allocator.total_allocations() - before, 1u);  // Output only.
+
+  EXPECT_FALSE(no_grad.requires_grad());
+  EXPECT_EQ(std::memcmp(no_grad.value().data(), with_grad.value().data(),
                         sizeof(float) * x_val.numel()),
             0);
-  EXPECT_EQ(masked_rng.NextUint64(), unmasked_rng.NextUint64());
+  EXPECT_EQ(grad_rng.NextUint64(), no_grad_rng.NextUint64());
+}
+
+TEST(AutogradTest, DropoutBackwardReplaysTheKeepValuesBitwise) {
+  // The backward replays the forward's draws from the saved stream state:
+  // g[i] * keep_i, keep_i 0 or 1/(1-p), which are the bits of g * mask.
+  // Below the lane block (serial draws), at it, and above it with a tail.
+  constexpr int64_t kMin = ops::kDropoutMinLaneBlock;
+  for (const int64_t n : {int64_t{37}, 8 * kMin - 1, 8 * kMin, 8 * kMin + 13, 40 * kMin + 5}) {
+    for (const float p : {0.5f, 0.6f, 0.1f}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << p);
+      Rng data_rng(static_cast<uint64_t>(n));
+      const Tensor x_val = ops::RandomNormal({n}, 0.0f, 1.0f, data_rng);
+      const Tensor g = ops::RandomNormal({n}, 0.0f, 1.0f, data_rng);
+      Rng rng(21);
+      Rng keep_rng(21);
+      Var y = ag::Dropout(Var::Leaf(x_val, true), p, rng, /*training=*/true);
+      const Tensor keep = ops::Dropout(Tensor::Ones({n}), p, keep_rng);
+      const std::vector<Tensor> grads = y.node()->backward_fn(g);
+      ASSERT_EQ(grads.size(), 1u);
+      const Tensor want = ops::Mul(g, keep);
+      EXPECT_EQ(std::memcmp(grads[0].data(), want.data(), sizeof(float) * n), 0);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(keep.at(i) == 0.0f || keep.at(i) == 1.0f / (1.0f - p));
+      }
+    }
+  }
+}
+
+TEST(AutogradTest, DropoutBackwardLeavesTheModelRngAlone) {
+  // A forward drawn after a backward equals one drawn without that
+  // backward: the replay steps a copy of the stream, not the model's Rng.
+  Rng data_rng(12);
+  const Tensor x_val = ops::RandomNormal({5000}, 0.0f, 1.0f, data_rng);
+  Rng with_backward(13);
+  Rng without_backward(13);
+  Var first = ag::Dropout(Var::Leaf(x_val, true), 0.5f, with_backward, /*training=*/true);
+  Backward(first, Tensor::Ones({5000}));
+  Var second = ag::Dropout(Var::Leaf(x_val, true), 0.5f, with_backward, /*training=*/true);
+
+  ag::Dropout(Var::Leaf(x_val, true), 0.5f, without_backward, /*training=*/true);
+  Var unperturbed = ag::Dropout(Var::Leaf(x_val, true), 0.5f, without_backward, /*training=*/true);
+  EXPECT_EQ(std::memcmp(second.value().data(), unperturbed.value().data(),
+                        sizeof(float) * x_val.numel()),
+            0);
+  EXPECT_EQ(with_backward.NextUint64(), without_backward.NextUint64());
 }
 
 TEST(AutogradTest, DropoutEvalModeIsIdentity) {

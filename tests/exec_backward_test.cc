@@ -1,7 +1,8 @@
 // End-to-end gradient checks: backward GIRs (built by GIR autodiff, fused by
 // the FSM, executed by each backend) are validated against central finite
 // differences of the forward program, and the backends are cross-checked
-// against one another — including the baselines' saved-tensor seeding path.
+// against one another — including the baselines' saved-tensor path (the
+// backward reading their forward values as leaves).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -186,22 +187,28 @@ TEST(ExecBackwardTest, AllBackendsComputeSameGradients) {
 
   RunResult rs = seastar.Run(p.backward.graph, g, bwd_features);
 
-  // Baselines: forward first to collect saved tensors, then seed the
-  // backward recompute copies from them (autograd's saved-tensor path).
+  // Baselines: forward first to collect saved tensors, then run the
+  // backward that reads them as leaves (autograd's saved-tensor path).
   for (BaselineExecutor* baseline : {&dgl, &pyg}) {
     RunResult fwd = baseline->Run(p.forward, g, features);
-    SeedMap seed;
-    for (size_t fwd_id = 0; fwd_id < p.backward.forward_copy.size(); ++fwd_id) {
-      const int32_t bwd_id = p.backward.forward_copy[fwd_id];
-      if (bwd_id < 0) {
-        continue;
-      }
-      auto it = fwd.saved->find(static_cast<int32_t>(fwd_id));
-      if (it != fwd.saved->end()) {
-        seed.emplace(bwd_id, it->second);
+    std::vector<int32_t> saved;
+    for (const Node& node : p.forward.nodes()) {
+      if (p.backward.forward_copy[static_cast<size_t>(node.id)] >= 0 && !IsLeaf(node.kind) &&
+          node.type != GraphType::kParam && fwd.saved->count(node.id) > 0) {
+        saved.push_back(node.id);
       }
     }
-    RunResult rb = baseline->Run(p.backward.graph, g, bwd_features, {.seed = &seed});
+    ASSERT_FALSE(saved.empty());
+    const BackwardGir reading = ReadSavedValues(p.backward, saved);
+    FeatureMap reading_features = bwd_features;
+    for (int32_t id : saved) {
+      if (reading.forward_copy[static_cast<size_t>(id)] >= 0) {
+        (p.forward.node(id).type == GraphType::kEdge ? reading_features.edge
+                                                      : reading_features.vertex)
+            [SavedValueKey(id)] = fwd.saved->at(id);
+      }
+    }
+    RunResult rb = baseline->Run(reading.graph, g, reading_features);
     for (const InputGradInfo& info : p.backward.input_grads) {
       SCOPED_TRACE(info.output_name);
       EXPECT_TRUE(rs.outputs.at(info.output_name).AllClose(rb.outputs.at(info.output_name), 1e-3f));

@@ -542,7 +542,7 @@ Tensor DropoutInput(int64_t n, uint64_t seed) {
 
 struct DropoutReference {
   std::vector<float> out;
-  std::vector<float> mask;
+  std::vector<float> keep;  // 0 or 1/(1-p) per element.
   RngState state;
 };
 
@@ -551,9 +551,9 @@ struct DropoutReference {
 DropoutReference PerElementDropout(const float* x, int64_t n, double p, float keep, Rng rng) {
   DropoutReference ref;
   for (int64_t i = 0; i < n; ++i) {
-    const float m = rng.NextBernoulli(p) ? 0.0f : keep;
-    ref.mask.push_back(m);
-    ref.out.push_back(x[i] * m);
+    const float k = rng.NextBernoulli(p) ? 0.0f : keep;
+    ref.keep.push_back(k);
+    ref.out.push_back(x[i] * k);
   }
   ref.state = rng.SaveState();
   return ref;
@@ -582,23 +582,25 @@ TEST(DropoutMaskTest, BatchedFillMatchesPerElementBernoulliDrawForDraw) {
       const float p = static_cast<float>(p_double);
       const float keep = 1.0f / (1.0f - p);
       const DropoutReference ref = PerElementDropout(x.data(), n, p, keep, Rng(12345));
-      for (const bool with_mask : {true, false}) {
-        SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << p << " mask=" << with_mask);
-        Rng rng(12345);
-        const ops::DropoutResult got = ops::Dropout(x, p, rng, with_mask);
-        ASSERT_TRUE(SameBits(got.output.data(), ref.out));
-        if (with_mask) {
-          ASSERT_TRUE(SameBits(got.mask.data(), ref.mask));
-        } else {
-          EXPECT_FALSE(got.mask.defined());
-        }
-        // Streams must be in sync afterwards, or a resumed run would diverge.
-        EXPECT_TRUE(SameWords(rng.SaveState(), ref.state));
+      SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << p);
+      Rng rng(12345);
+      const Tensor got = ops::Dropout(x, p, rng);
+      ASSERT_TRUE(SameBits(got.data(), ref.out));
+      // Streams must be in sync afterwards, or a resumed run would diverge.
+      EXPECT_TRUE(SameWords(rng.SaveState(), ref.state));
+      // Replayed from the same start state over another tensor, the call
+      // multiplies by the same keep values: ag::Dropout's backward.
+      const Tensor g = DropoutInput(n, static_cast<uint64_t>(n) + 5);
+      std::vector<float> g_keep(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) {
+        g_keep[static_cast<size_t>(i)] = g.data()[i] * ref.keep[static_cast<size_t>(i)];
       }
+      Rng replay(12345);
+      ASSERT_TRUE(SameBits(ops::Dropout(g, p, replay).data(), g_keep));
       if (n >= 1000) {  // Sanity: the drop rate is in the right ballpark.
         int64_t dropped = 0;
-        for (const float m : ref.mask) {
-          dropped += m == 0.0f;
+        for (const float k : ref.keep) {
+          dropped += k == 0.0f;
         }
         EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(n), p, 0.08);
       }
@@ -639,8 +641,7 @@ simd::XoshiroLanes JumpedLanes(const Rng& rng, int64_t block) {
 TEST(DropoutMaskTest, EachKernelVariantMatchesPerElementDraws) {
   // Every block length through two full 8-step tiles, with ragged tiles and
   // tails of every length, and a long block; double p (non-integer
-  // p * 2^53 included); with and without a mask. Guard elements past the
-  // end must stay untouched.
+  // p * 2^53 included). Guard elements past the end must stay untouched.
   constexpr int64_t kGuard = 8;
   constexpr float kSentinel = -7.0f;
   std::vector<std::pair<int64_t, int64_t>> shapes;  // (block, tail)
@@ -659,25 +660,17 @@ TEST(DropoutMaskTest, EachKernelVariantMatchesPerElementDraws) {
         const uint64_t threshold = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
         const Rng start(static_cast<uint64_t>(n) * 7 + 1);
         const DropoutReference ref = PerElementDropout(x.data(), n, p, keep, start);
-        for (const bool with_mask : {true, false}) {
-          SCOPED_TRACE(testing::Message() << variant.isa << " block=" << block << " tail=" << tail
-                                          << " p=" << p << " mask=" << with_mask);
-          std::vector<float> out(static_cast<size_t>(n + kGuard), kSentinel);
-          std::vector<float> mask(out.size(), kSentinel);
-          simd::XoshiroLanes lanes = JumpedLanes(start, block);
-          variant.kernels->lanes(x.data(), out.data(), with_mask ? mask.data() : nullptr, block,
-                                 tail, threshold, keep, lanes);
-          ASSERT_TRUE(SameBits(out.data(), ref.out));
-          if (with_mask) {
-            ASSERT_TRUE(SameBits(mask.data(), ref.mask));
-          }
-          for (int64_t i = n; i < n + kGuard; ++i) {
-            ASSERT_EQ(out[static_cast<size_t>(i)], kSentinel) << "guard " << i - n;
-            ASSERT_EQ(mask[static_cast<size_t>(i)], kSentinel) << "guard " << i - n;
-          }
-          for (int w = 0; w < 4; ++w) {
-            EXPECT_EQ(lanes.words[w][simd::kDropoutLanes - 1], ref.state.words[w]);
-          }
+        SCOPED_TRACE(testing::Message() << variant.isa << " block=" << block << " tail=" << tail
+                                        << " p=" << p);
+        std::vector<float> out(static_cast<size_t>(n + kGuard), kSentinel);
+        simd::XoshiroLanes lanes = JumpedLanes(start, block);
+        variant.kernels->lanes(x.data(), out.data(), block, tail, threshold, keep, lanes);
+        ASSERT_TRUE(SameBits(out.data(), ref.out));
+        for (int64_t i = n; i < n + kGuard; ++i) {
+          ASSERT_EQ(out[static_cast<size_t>(i)], kSentinel) << "guard " << i - n;
+        }
+        for (int w = 0; w < 4; ++w) {
+          EXPECT_EQ(lanes.words[w][simd::kDropoutLanes - 1], ref.state.words[w]);
         }
       }
     }
@@ -708,8 +701,7 @@ TEST(DropoutMaskTest, ThresholdIsExactAtTheDrawnValue) {
           const int64_t n = simd::kDropoutLanes * block + 1;
           std::vector<float> ones(static_cast<size_t>(n), 1.0f);
           std::vector<float> out(ones.size(), -1.0f);
-          variant.kernels->lanes(ones.data(), out.data(), nullptr, block, 1, threshold, 2.0f,
-                                 lanes);
+          variant.kernels->lanes(ones.data(), out.data(), block, 1, threshold, 2.0f, lanes);
           for (int64_t j = 0; j < simd::kDropoutLanes && block > 0; ++j) {
             EXPECT_EQ(out[static_cast<size_t>(j * block)], want)
                 << variant.isa << " seed " << seed << " p " << p << " lane " << j;
@@ -729,8 +721,8 @@ TEST(DropoutMaskTest, ThresholdIsExactAtTheDrawnValue) {
         continue;  // The op takes p in [0, 1); 0 draws nothing.
       }
       Rng rng(seed);
-      const ops::DropoutResult result = ops::Dropout(Tensor::Ones({1}), p, rng);
-      EXPECT_EQ(result.mask.at(0), dropped ? 0.0f : 1.0f / (1.0f - p))
+      // On ones the output is the keep value itself.
+      EXPECT_EQ(ops::Dropout(Tensor::Ones({1}), p, rng).at(0), dropped ? 0.0f : 1.0f / (1.0f - p))
           << "seed " << seed << " p " << p;
     }
   }
@@ -746,18 +738,10 @@ TEST(DropoutMaskTest, DegenerateProbabilitiesConsumeNoDraws) {
     for (int64_t i = 0; i < n; ++i) {
       want[static_cast<size_t>(i)] = x.data()[i] * 1.0f;
     }
-    for (const bool with_mask : {true, false}) {
-      Rng a(7);
-      const Rng b(7);
-      const ops::DropoutResult result = ops::Dropout(x, 0.0f, a, with_mask);
-      EXPECT_TRUE(SameBits(result.output.data(), want)) << "n=" << n;
-      if (with_mask) {
-        for (int64_t i = 0; i < n; ++i) {
-          ASSERT_EQ(result.mask.data()[i], 1.0f);
-        }
-      }
-      EXPECT_TRUE(SameWords(a.SaveState(), b.SaveState())) << "n=" << n;
-    }
+    Rng a(7);
+    const Rng b(7);
+    EXPECT_TRUE(SameBits(ops::Dropout(x, 0.0f, a).data(), want)) << "n=" << n;
+    EXPECT_TRUE(SameWords(a.SaveState(), b.SaveState())) << "n=" << n;
   }
   Rng rng(7);
   EXPECT_DEATH(ops::Dropout(Tensor::Ones({4}), 1.0f, rng), "");

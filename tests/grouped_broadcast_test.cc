@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/core/executor_factory.h"
 #include "src/core/program.h"
@@ -24,6 +25,8 @@
 #include "src/gir/fusion.h"
 #include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
+#include "src/tensor/allocator.h"
+#include "src/tensor/autograd.h"
 #include "src/tensor/ops.h"
 
 namespace seastar {
@@ -305,36 +308,76 @@ TEST(GroupedBroadcastTest, EveryExecutorAgreesOnTheGroupedProgram) {
   }
 }
 
-TEST(GroupedBroadcastTest, GatBackwardPlanRecomputesItsPointwiseEdgeValues) {
-  // GAT's backward at 8 heads of 8, as training runs it. The recompute
-  // post-pass (docs/INTERNALS.md §4) keeps the FSM's units but drops the
-  // edge-only Div(Exp, AggSum) unit: its one reader, the DotProduct unit,
-  // divides in its prologue (%6). The LeakyReluGrad unit rebuilds
-  // Add(eu, ev) from its key and neighbour rows (%2^). That leaves 5 units,
-  // each with an aggregation, and 4 materialized [E, 8] values where the
-  // FSM alone wrote 6.
-  const VertexProgram program = GatProgram(8, 8);
-  const GirGraph& backward = program.backward().graph;
-  const ExecutionPlan plan = BuildExecutionPlan(backward);
-  EXPECT_EQ(plan.ToString(backward),
-            "unit 0 [A:D agg edges]: %2=Add %3=LeakyRelu %4=Exp* %5=AggSum* %15=Mul*\n"
-            "unit 1 [A:S agg edges]: %6=Div %9=Identity %10=DotProduct %11=Mul %12=AggSum* "
-            "%13=Div* %14=Mul*\n"
-            "unit 2 [A:D agg edges]: %16=Div %17=Neg %18=AggSum*\n"
-            "unit 3 [A:S agg edges]: %2=Add^ %19=Identity %20=Add %21=Mul %22=LeakyReluGrad* "
-            "%23=AggSum*\n"
-            "unit 4 [A:D agg edges]: %24=AggSum*\n");
-  ASSERT_EQ(plan.units.size(), 5u);
-  for (const FusedUnit& unit : plan.units) {
-    EXPECT_TRUE(unit.has_aggregation);
-  }
-  std::vector<std::string> edge_tensors;
-  for (const Node& node : backward.nodes()) {
-    if (node.type == GraphType::kEdge && plan.materialized[static_cast<size_t>(node.id)]) {
-      edge_tensors.emplace_back(OpKindName(node.kind));
+// The backward a Seastar training step runs when every input needs a
+// gradient: it reads the forward values the forward plan materialized as
+// Input<__saved…> leaves.
+std::shared_ptr<const BackwardGir> TrainingBackward(const VertexProgram& program) {
+  const ExecutionPlan forward_plan = BuildExecutionPlan(program.forward());
+  std::vector<int32_t> saved;
+  for (const Node& node : program.forward().nodes()) {
+    const auto id = static_cast<size_t>(node.id);
+    if (program.backward().forward_copy[id] >= 0 && !IsLeaf(node.kind) &&
+        forward_plan.materialized[id]) {
+      saved.push_back(node.id);
     }
   }
-  EXPECT_EQ(edge_tensors, (std::vector<std::string>{"Exp", "Div", "Mul", "LeakyReluGrad"}));
+  return program.backward(std::vector<bool>(program.backward().input_grads.size(), true), saved);
+}
+
+// The kinds of the [E, w] values `plan` materializes, in node order.
+std::vector<std::string> MaterializedEdgeValues(const GirGraph& gir, const ExecutionPlan& plan) {
+  std::vector<std::string> kinds;
+  for (const Node& node : gir.nodes()) {
+    if (node.type == GraphType::kEdge && plan.materialized[static_cast<size_t>(node.id)]) {
+      kinds.emplace_back(OpKindName(node.kind));
+    }
+  }
+  return kinds;
+}
+
+TEST(GroupedBroadcastTest, GatBackwardPlanRecomputesItsPointwiseEdgeValues) {
+  // GAT's backward at 8 heads of 8, as training runs it. The forward
+  // materialized Exp and its AggSum; the backward reads both as leaves
+  // instead of re-deriving them, so no unit computes Exp or that AggSum, and
+  // Mul(s, s) runs key-side in the Neg+AggSum unit (%14). The recompute
+  // post-pass (docs/INTERNALS.md §4) folds Div(Exp, AggSum) into its one
+  // reader, the DotProduct unit (%5), and the LeakyReluGrad unit rebuilds
+  // Add(eu, ev) from its key and neighbour rows (%2). That leaves 4 units,
+  // each with an aggregation, and 3 materialized [E, 8] values.
+  const VertexProgram program = GatProgram(8, 8);
+  const GirGraph& backward = TrainingBackward(program)->graph;
+  std::vector<std::string> saved_leaves;
+  for (const Node& node : backward.nodes()) {
+    if (node.name.rfind("__saved", 0) == 0) {
+      saved_leaves.push_back(node.name);
+    }
+  }
+  const auto first = [&](OpKind kind) {
+    for (const Node& node : program.forward().nodes()) {
+      if (node.kind == kind) {
+        return SavedValueKey(node.id);
+      }
+    }
+    return std::string();
+  };
+  EXPECT_EQ(saved_leaves, (std::vector<std::string>{first(OpKind::kExp), first(OpKind::kAggSum)}));
+  const ExecutionPlan plan = BuildExecutionPlan(backward);
+  EXPECT_EQ(plan.ToString(backward),
+            "unit 0 [A:S agg edges]: %5=Div %8=Identity %9=DotProduct %10=Mul %11=AggSum* "
+            "%12=Div* %13=Mul*\n"
+            "unit 1 [A:D agg edges]: %14=Mul %15=Div %16=Neg %17=AggSum*\n"
+            "unit 2 [A:S agg edges]: %2=Add %18=Identity %19=Add %20=Mul %21=LeakyReluGrad* "
+            "%22=AggSum*\n"
+            "unit 3 [A:D agg edges]: %23=AggSum*\n");
+  ASSERT_EQ(plan.units.size(), 4u);
+  for (const FusedUnit& unit : plan.units) {
+    EXPECT_TRUE(unit.has_aggregation);
+    for (int32_t id : unit.nodes) {
+      EXPECT_NE(backward.node(id).kind, OpKind::kExp) << "%" << id;
+    }
+  }
+  EXPECT_EQ(MaterializedEdgeValues(backward, plan),
+            (std::vector<std::string>{"Div", "Mul", "LeakyReluGrad"}));
 
   // Without fusion nothing is recomputed: one unit per compute node.
   FusionOptions nofuse;
@@ -345,6 +388,94 @@ TEST(GroupedBroadcastTest, GatBackwardPlanRecomputesItsPointwiseEdgeValues) {
     compute_nodes += !IsLeaf(node.kind) && node.type != GraphType::kParam;
   }
   EXPECT_EQ(static_cast<int>(unfused.units.size()), compute_nodes);
+
+  // The sharded runtime returns no forward values, so it runs the backward
+  // that recomputes them: 5 units, the first re-deriving Exp and its AggSum,
+  // and 4 materialized [E, 8] values where the FSM alone wrote 6.
+  const GirGraph& recompute = program.backward().graph;
+  const ExecutionPlan recompute_plan = BuildExecutionPlan(recompute);
+  EXPECT_EQ(recompute_plan.ToString(recompute),
+            "unit 0 [A:D agg edges]: %2=Add %3=LeakyRelu %4=Exp* %5=AggSum* %15=Mul*\n"
+            "unit 1 [A:S agg edges]: %6=Div %9=Identity %10=DotProduct %11=Mul %12=AggSum* "
+            "%13=Div* %14=Mul*\n"
+            "unit 2 [A:D agg edges]: %16=Div %17=Neg %18=AggSum*\n"
+            "unit 3 [A:S agg edges]: %2=Add^ %19=Identity %20=Add %21=Mul %22=LeakyReluGrad* "
+            "%23=AggSum*\n"
+            "unit 4 [A:D agg edges]: %24=AggSum*\n");
+  ASSERT_EQ(recompute_plan.units.size(), 5u);
+  for (const FusedUnit& unit : recompute_plan.units) {
+    EXPECT_TRUE(unit.has_aggregation);
+  }
+  EXPECT_EQ(MaterializedEdgeValues(recompute, recompute_plan),
+            (std::vector<std::string>{"Exp", "Div", "Mul", "LeakyReluGrad"}));
+}
+
+TEST(GroupedBroadcastTest, SavedLeafBackwardMatchesTheRecomputeBackwardBitwise) {
+  // Through the autograd tape: on seastar the backward reads the forward's
+  // Exp and AggSum as leaves (4 units), on sharded:1 it recomputes them (the
+  // sharded runtime returns no forward values). Every gradient bit agrees,
+  // and with the recompute backward GIR run directly; 8 heads of 8 and 3 of
+  // 4, tiled and untiled.
+  TilingFlagGuard guard;
+  const Graph g = TestGraph(200, 1600, 0x5a7);
+  for (const auto& [heads, dim] : {std::pair{8, 8}, std::pair{3, 4}}) {
+    const VertexProgram program = GatProgram(heads, dim);
+    const FeatureMap features = GatFeatures(g, heads, dim, 0x5a8);
+    for (const bool tiled : {true, false}) {
+      SCOPED_TRACE(testing::Message() << heads << "x" << dim << (tiled ? " tiled" : " untiled"));
+      SetTilingEnabled(tiled);
+      const ProgramRun reference = RunProgram(program, Session("seastar", g), features);
+      for (const std::string spec : {"seastar", "sharded:1"}) {
+        SCOPED_TRACE(spec);
+        VertexProgram::Inputs inputs;
+        for (const char* key : {"eu", "ev", "h"}) {
+          inputs.vertex[key] = Var::Leaf(features.vertex.at(key), /*requires_grad=*/true);
+        }
+        const ExecutionSession session = Session(spec, g);
+        const Var out = program.Run(inputs, session);
+        EXPECT_TRUE(BitEqual(out.value(), reference.out));
+        const int64_t launches_before = KernelLaunchesTotal().value();
+        Backward(out, features.vertex.at(kGradInputKey));
+        if (spec == "seastar") {
+          EXPECT_EQ(KernelLaunchesTotal().value() - launches_before, 4);
+        }
+        for (const InputGradInfo& info : program.backward().input_grads) {
+          EXPECT_TRUE(BitEqual(inputs.vertex.at(info.key).grad(),
+                               reference.grads.at(info.output_name)))
+              << info.output_name;
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupedBroadcastTest, ForwardRetainsOnlyWhatABackwardReads) {
+  // A training forward keeps the Exp and AggSum its backward reads alive
+  // with the tape; an eval forward, where no input needs a gradient, keeps
+  // nothing but its output.
+  const Graph g = TestGraph(200, 1600, 0x5b1);
+  const VertexProgram program = GatProgram(8, 8);
+  const FeatureMap features = GatFeatures(g, 8, 8, 0x5b2);
+  const ExecutionSession session = Session("seastar", g);
+  const TensorAllocator& allocator = TensorAllocator::Get();
+  const auto held_bytes = [&](bool requires_grad) {
+    VertexProgram::Inputs inputs;
+    for (const char* key : {"eu", "ev", "h"}) {
+      inputs.vertex[key] = Var::Leaf(features.vertex.at(key), requires_grad);
+    }
+    const uint64_t before = allocator.live_bytes();
+    Var out = program.Run(inputs, session);
+    const uint64_t after = allocator.live_bytes();
+    const uint64_t output_bytes = out.value().nbytes();
+    out = Var();
+    EXPECT_EQ(allocator.live_bytes(), before);  // Dropping the tape frees them.
+    return after - before - output_bytes;
+  };
+  held_bytes(true);  // Warm the plan and tile caches.
+  EXPECT_EQ(held_bytes(false), 0u);
+  const uint64_t edge_exp = static_cast<uint64_t>(g.num_edges()) * 8 * sizeof(float);
+  const uint64_t vertex_sum = static_cast<uint64_t>(g.num_vertices()) * 8 * sizeof(float);
+  EXPECT_EQ(held_bytes(true), edge_exp + vertex_sum);
 }
 
 // ---- Finite differences -------------------------------------------------------------------------

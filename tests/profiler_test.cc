@@ -360,8 +360,8 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
     EXPECT_EQ(count(std::string(op) + "/backward"), times) << op;
   }
   EXPECT_EQ(count("dropout"), config.num_layers);
-  // Each dropout span counts what it wrote: the features input needs no
-  // gradient, so layer 0 writes only its output; layer 1 also its mask.
+  // Each dropout span counts what it wrote: only its output, since no
+  // dropout keeps a mask (the backward replays the draws).
   std::vector<int64_t> dropout_bytes;
   for (const Span& span : dense) {
     if (std::string(span.name) == "dropout") {
@@ -373,7 +373,7 @@ TEST(ProfilerTest, GcnEpochRecordsDenseSpansPerLayer) {
   const int64_t bytes = static_cast<int64_t>(sizeof(float));
   EXPECT_EQ(dropout_bytes,
             (std::vector<int64_t>{n * data.features.dim(1) * bytes,
-                                  2 * n * config.hidden_dim * bytes}));
+                                  n * config.hidden_dim * bytes}));
   // One run, so span indices are positions in the retained list.
   const std::vector<Span> all = RetainedSpans(tracer);
   for (const Span& span : dense) {
@@ -451,9 +451,11 @@ TEST(ProfilerTest, GatEpochEveryUnitSpanReportsTilePlanAndIsa) {
 
   const std::vector<Span> units = SpansInCategory(tracer, "unit");
   // One program per layer (both heads of the hidden one at once), 2 forward
-  // + 5 backward units each (the backward's Div(Exp, AggSum) is recomputed
-  // in the unit that reads it, not run as an edge-only unit of its own).
-  EXPECT_EQ(units.size(), 2u * 7u);
+  // + 4 backward units each: the backward reads the forward's Exp and its
+  // AggSum as saved leaves instead of recomputing them, and its
+  // Div(Exp, AggSum) is recomputed in the unit that reads it, not run as an
+  // edge-only unit of its own.
+  EXPECT_EQ(units.size(), 2u * 6u);
   EXPECT_EQ(TiledUnits()->value() - tiled_before, static_cast<int64_t>(units.size()));
   ExpectUnitSpansOnSegmentLaunch(units);
 }

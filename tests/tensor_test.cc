@@ -284,17 +284,26 @@ TEST(OpsTest, NllLossHandComputed) {
 }
 
 TEST(OpsTest, DropoutMaskConsistency) {
+  // On ones the output is the keep value itself (0 or 2). A second call on a
+  // copy of the start state replays those keep values over another tensor.
   Rng rng(6);
+  const Rng start = rng;
   Tensor a = Tensor::Ones({1000});
-  auto result = ops::Dropout(a, 0.5f, rng);
+  const Tensor out = ops::Dropout(a, 0.5f, rng);
+  Rng replay = start;
+  const Tensor g = ops::RandomNormal({1000}, 0.0f, 1.0f, replay);
+  replay = start;
+  const Tensor replayed = ops::Dropout(g, 0.5f, replay);
   int zeros = 0;
   for (int64_t i = 0; i < 1000; ++i) {
-    const float m = result.mask.at(i);
-    EXPECT_TRUE(m == 0.0f || std::fabs(m - 2.0f) < 1e-6);
-    EXPECT_FLOAT_EQ(result.output.at(i), m);
-    zeros += m == 0.0f ? 1 : 0;
+    const float keep = out.at(i);
+    EXPECT_TRUE(keep == 0.0f || keep == 2.0f);
+    const float want = g.at(i) * keep;
+    EXPECT_EQ(std::memcmp(replayed.data() + i, &want, sizeof(float)), 0) << i;
+    zeros += keep == 0.0f ? 1 : 0;
   }
   EXPECT_NEAR(zeros, 500, 60);
+  EXPECT_EQ(replay.NextUint64(), rng.NextUint64());
 }
 
 TEST(OpsTest, SliceRows) {
