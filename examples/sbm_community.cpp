@@ -1,8 +1,7 @@
 // End-to-end learning demo on data with real structure: community detection
 // on a stochastic block model, where (unlike the scale-matched synthetic
 // stand-ins used by the benchmarks) a GCN can genuinely generalize. Trains
-// on 10% of vertices, reports held-out accuracy, and shows mini-batch
-// sampled training on the same data.
+// on 10% of vertices and reports held-out accuracy.
 //
 //   ./sbm_community [--vertices=600] [--communities=4] [--epochs=60]
 #include <cmath>
@@ -10,7 +9,6 @@
 
 #include "src/common/string_util.h"
 #include "src/core/executor_factory.h"
-#include "src/core/minibatch.h"
 #include "src/core/models/gcn.h"
 #include "src/core/nn.h"
 #include "src/core/train.h"
@@ -57,7 +55,6 @@ int main(int argc, char** argv) {
               data.graph.DebugString().c_str(), communities, data.train_mask.size(),
               holdout.size());
 
-  // Full-graph training.
   std::shared_ptr<const Executor> executor = std::move(*ExecutorFactory::Create("seastar"));
   GcnConfig gcn;
   gcn.hidden_dim = 16;
@@ -69,15 +66,5 @@ int main(int argc, char** argv) {
   const float holdout_accuracy = Accuracy(model.Forward(false).value(), data.labels, holdout);
   std::printf("full-graph GCN : loss %.3f, train acc %.3f, HOLD-OUT acc %.3f (%.1f ms/epoch)\n",
               result.final_loss, result.train_accuracy, holdout_accuracy, result.avg_epoch_ms);
-
-  // Mini-batch sampled training on the same data.
-  MiniBatchConfig mini;
-  mini.epochs = std::max(1, epochs / 10);
-  mini.batch_size = 64;
-  mini.fanouts = {10, 10};
-  MiniBatchResult mini_result = TrainMiniBatchGcn(data, mini, executor);
-  std::printf("mini-batch GCN : loss %.3f, seed acc %.3f (%d batches, %.1f ms/batch)\n",
-              mini_result.final_loss, mini_result.seed_accuracy, mini_result.batches_run,
-              mini_result.avg_batch_ms);
   return 0;
 }

@@ -19,7 +19,6 @@ class Stopwatch {
   }
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -52,7 +52,7 @@ constexpr const char* kArgNames[kNumArgs] = {
     "alloc_delta_bytes", "peak_delta_bytes",
     "plan_cache_hits", "plan_cache_misses", "pool_hits", "pool_misses",
     "tile_segments", "tile_passes", "tile_width",
-    "epoch", "batch", "shards",
+    "epoch", "shards",
     "stride_lag_x1000", "queued_ahead", "occupancy", "batch_key", "attempt", "status", "retries",
     "leader_trace", "vertices",
 };

@@ -27,7 +27,7 @@
 //    are never lost even at a 0% head rate. Traces are pooled and recycled
 //    and each has a span budget, so steady state performs no fresh
 //    allocation and no locks outside StartTrace/FinishTrace.
-//  * Retention::kRun (training, minibatch, benches, examples). Every
+//  * Retention::kRun (training, benches, examples). Every
 //    finished trace is kept whole, with no span budget: one trace per run,
 //    rooted at the run's span.
 //
@@ -87,7 +87,7 @@ enum class Arg : uint8_t {
   // segment x feature-tile passes, and columns per tile.
   kTileSegments, kTilePasses, kTileWidth,
   // Loop position and partitioning.
-  kEpoch, kBatch, kShards,
+  kEpoch, kShards,
   // Serving annotations.
   kStrideLagX1000, kQueuedAhead, kOccupancy, kBatchKey, kAttempt, kStatus, kRetries,
   kLeaderTrace, kVertices,

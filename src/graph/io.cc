@@ -1,8 +1,10 @@
 #include "src/graph/io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/fault.h"
@@ -11,6 +13,17 @@
 
 namespace seastar {
 namespace {
+
+// Vertex ids and edge types are int32; so are the type count (1 + the
+// largest type) and a MatrixMarket dimension.
+constexpr int64_t kMaxIndex = std::numeric_limits<int32_t>::max();
+
+// Parses all of `token` as a decimal integer.
+bool ParseInt64(const std::string& token, int64_t* value) {
+  const char* end = token.data() + token.size();
+  const auto [parsed_to, error] = std::from_chars(token.data(), end, *value);
+  return error == std::errc() && parsed_to == end;
+}
 
 // Deterministic I/O-error injection shared by both loaders.
 bool InjectedReadFault() {
@@ -61,17 +74,27 @@ StatusOr<Graph> LoadEdgeListTsv(const std::string& path, int64_t num_vertices_hi
     if (line.empty() || line[0] == '#') {
       continue;
     }
+    // src, dst and an optional type: every token a whole integer, no others.
     std::istringstream fields(line);
-    int64_t s = -1;
-    int64_t d = -1;
-    int64_t t = -1;
-    fields >> s >> d;
-    if (fields.fail() || s < 0 || d < 0) {
+    std::string token;
+    int64_t field[3] = {-1, -1, -1};
+    int columns = 0;
+    bool well_formed = true;
+    while (well_formed && fields >> token) {
+      well_formed = columns < 3 && ParseInt64(token, &field[columns]);
+      ++columns;
+    }
+    const auto [s, d, t] = field;
+    if (!well_formed || columns < 2 || s < 0 || d < 0) {
       return ErrorStatus(StatusCode::kInvalidArgument)
              << path << ":" << line_number << ": malformed edge line '" << line << "'";
     }
-    const bool has_type = static_cast<bool>(fields >> t);
-    const int columns = has_type ? 3 : 2;
+    if (s > kMaxIndex || d > kMaxIndex) {
+      return ErrorStatus(StatusCode::kInvalidArgument)
+             << path << ":" << line_number << ": vertex id out of int32 range in '" << line
+             << "'";
+    }
+    const bool has_type = columns == 3;
     if (column_count == 0) {
       column_count = columns;
     } else if (column_count != columns) {
@@ -82,9 +105,10 @@ StatusOr<Graph> LoadEdgeListTsv(const std::string& path, int64_t num_vertices_hi
     src.push_back(static_cast<int32_t>(s));
     dst.push_back(static_cast<int32_t>(d));
     if (has_type) {
-      if (t < 0) {
+      if (t < 0 || t >= kMaxIndex) {
         return ErrorStatus(StatusCode::kInvalidArgument)
-               << path << ":" << line_number << ": negative edge type " << t;
+               << path << ":" << line_number << ": edge type " << t << " out of range [0, "
+               << kMaxIndex << ")";
       }
       types.push_back(static_cast<int32_t>(t));
     }
@@ -147,11 +171,15 @@ StatusOr<Graph> LoadMatrixMarket(const std::string& path, const GraphOptions& op
     return ErrorStatus(StatusCode::kInvalidArgument)
            << path << ":" << line_number << ": malformed size line '" << line << "'";
   }
+  if (rows > kMaxIndex || cols > kMaxIndex) {
+    return ErrorStatus(StatusCode::kInvalidArgument)
+           << path << ":" << line_number << ": matrix " << rows << "x" << cols
+           << " exceeds int32 vertex ids";
+  }
 
+  // `entries` is untrusted: the edge lists grow as entries are read.
   std::vector<int32_t> src;
   std::vector<int32_t> dst;
-  src.reserve(static_cast<size_t>(entries));
-  dst.reserve(static_cast<size_t>(entries));
   for (int64_t i = 0; i < entries; ++i) {
     int64_t r = 0;
     int64_t c = 0;

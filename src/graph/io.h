@@ -27,10 +27,11 @@ namespace seastar {
 // Writes "src\tdst[\ttype]" lines. Returns false on I/O failure.
 bool SaveEdgeListTsv(const Graph& graph, const std::string& path);
 
-// Reads an edge list. Vertex ids must be non-negative; the vertex count is
-// max id + 1 unless `num_vertices_hint` is larger. Lines starting with '#'
-// or empty lines are skipped. Type column is optional (all lines must agree
-// on having it or not).
+// Reads an edge list. Vertex ids and types must be non-negative int32s; the
+// vertex count is max id + 1 unless `num_vertices_hint` is larger. Lines
+// starting with '#' or empty lines are skipped. Type column is optional (all
+// lines must agree on having it or not); a line with any other token is
+// malformed.
 StatusOr<Graph> LoadEdgeListTsv(const std::string& path, int64_t num_vertices_hint = 0,
                                 const GraphOptions& options = {});
 

@@ -168,13 +168,4 @@ FatGeometry FatGeometry::Compute(int64_t num_items, int64_t feature_dim, int blo
   return geometry;
 }
 
-FatGeometry FatGeometry::OneItemPerBlock(int64_t num_items, int block_size) {
-  FatGeometry geometry;
-  geometry.block_size = block_size;
-  geometry.group_size = block_size;  // The whole block is one group.
-  geometry.groups_per_block = 1;
-  geometry.num_blocks = num_items;
-  return geometry;
-}
-
 }  // namespace seastar

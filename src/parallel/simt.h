@@ -79,10 +79,6 @@ struct FatGeometry {
   // num_blocks = ceil(num_items / groups_per_block).
   static FatGeometry Compute(int64_t num_items, int64_t feature_dim, int block_size = 256);
 
-  // The degenerate geometry of the paper's "Basic" variant: one vertex per
-  // whole block, i.e. a single group of block_size lanes.
-  static FatGeometry OneItemPerBlock(int64_t num_items, int block_size = 256);
-
   // First item index handled by `block_id` (items are assigned contiguously,
   // groups_per_block per block).
   int64_t FirstItemOfBlock(int64_t block_id) const {

@@ -131,14 +131,6 @@ class TensorAllocator {
   std::unordered_map<size_t, std::vector<void*>> pool_;
 };
 
-// RAII window for peak-memory measurement around one training epoch/run.
-class PeakMemoryScope {
- public:
-  PeakMemoryScope() { TensorAllocator::Get().ResetPeak(); }
-
-  uint64_t PeakBytes() const { return TensorAllocator::Get().peak_bytes(); }
-};
-
 }  // namespace seastar
 
 #endif  // SRC_TENSOR_ALLOCATOR_H_

@@ -1,5 +1,5 @@
 // Tests for the graph substrate extensions: the §6.3.5 edge-type storage
-// study, graph IO, and neighbor sampling.
+// study and graph IO.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,9 +11,7 @@
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
-#include "src/graph/sampling.h"
 #include "src/graph/type_storage.h"
-#include "src/tensor/ops.h"
 
 namespace seastar {
 namespace {
@@ -143,6 +141,20 @@ TEST(GraphIoTest, TsvRejectsMalformedInput) {
     out << "-1\t2\n";  // Negative id.
   }
   EXPECT_FALSE(LoadEdgeListTsv(path).has_value());
+  // A type whose count (type + 1) overflows int32, an id past int32, and
+  // tokens after the src/dst/type columns: a Status naming the line, never
+  // an abort.
+  for (const char* text : {"0\t1\t2147483647\n", "0\t4294967297\n", "1 2 x\n", "1 2 3 4\n"}) {
+    {
+      std::ofstream out(path);
+      out << "# src dst [type]\n" << text;
+    }
+    StatusOr<Graph> loaded = LoadEdgeListTsv(path);
+    ASSERT_FALSE(loaded.has_value()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(loaded.status().message().find(path + ":2"), std::string::npos)
+        << loaded.status().ToString();
+  }
   std::filesystem::remove(path);
   EXPECT_FALSE(LoadEdgeListTsv(TempPath("does_not_exist.tsv")).has_value());
 }
@@ -198,99 +210,28 @@ TEST(GraphIoTest, MatrixMarketRejectsBadBanner) {
     out << "%%MatrixMarket matrix array real general\n1 1\n0.5\n";
   }
   EXPECT_FALSE(LoadMatrixMarket(path).has_value());
+  // Dimensions past int32 vertex ids are rejected at the size line.
+  for (const char* size_line : {"3000000000 2 1\n", "2 3000000000 1\n"}) {
+    {
+      std::ofstream out(path);
+      out << "%%MatrixMarket matrix coordinate pattern general\n" << size_line << "1 1\n";
+    }
+    StatusOr<Graph> loaded = LoadMatrixMarket(path);
+    ASSERT_FALSE(loaded.has_value()) << size_line;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << size_line;
+    EXPECT_NE(loaded.status().message().find(path + ":2"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  // An entry count far past what the file holds is a truncated list, not an
+  // allocation of that many edges.
+  {
+    std::ofstream out(path);
+    out << "%%MatrixMarket matrix coordinate pattern general\n1 1 999999999999999\n1 1\n";
+  }
+  StatusOr<Graph> loaded = LoadMatrixMarket(path);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << loaded.status().ToString();
   std::filesystem::remove(path);
-}
-
-// ---- Sampling ---------------------------------------------------------------------------------------
-
-TEST(SamplingTest, SeedsComeFirstAndEdgesRespectFanout) {
-  Rng rng(6);
-  Graph g = ToGraph(Rmat(200, 3000, rng));
-  Rng sample_rng(7);
-  const std::vector<int32_t> seeds{5, 17, 42};
-  SampledSubgraph sub = SampleNeighborhood(g, seeds, {4, 4}, sample_rng);
-  ASSERT_EQ(sub.num_seeds, 3);
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(sub.local_to_global[i], seeds[i]);
-  }
-  // Hop-1 constraint: each seed has at most 4 in-edges in the subgraph...
-  // plus hop-2 edges pointing at hop-1 vertices; check seeds only.
-  std::vector<int> in_count(sub.local_to_global.size(), 0);
-  for (int64_t e = 0; e < sub.graph.num_edges(); ++e) {
-    ++in_count[static_cast<size_t>(sub.graph.edge_dst()[static_cast<size_t>(e)])];
-  }
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_LE(in_count[i], 4);
-  }
-}
-
-TEST(SamplingTest, EveryEdgeExistsInOriginalGraph) {
-  Rng rng(8);
-  Graph g = ToGraph(ErdosRenyi(100, 1000, rng));
-  std::set<std::pair<int32_t, int32_t>> original;
-  for (int64_t e = 0; e < g.num_edges(); ++e) {
-    original.emplace(g.edge_src()[static_cast<size_t>(e)],
-                     g.edge_dst()[static_cast<size_t>(e)]);
-  }
-  Rng sample_rng(9);
-  SampledSubgraph sub = SampleNeighborhood(g, {0, 1, 2, 3}, {3, 3}, sample_rng);
-  for (int64_t e = 0; e < sub.graph.num_edges(); ++e) {
-    const int32_t u = sub.local_to_global[static_cast<size_t>(
-        sub.graph.edge_src()[static_cast<size_t>(e)])];
-    const int32_t v = sub.local_to_global[static_cast<size_t>(
-        sub.graph.edge_dst()[static_cast<size_t>(e)])];
-    EXPECT_TRUE(original.count({u, v})) << u << "->" << v;
-  }
-}
-
-TEST(SamplingTest, FullFanoutTakesAllNeighbors) {
-  Graph g = ToGraph(Star(6));  // All of 1..5 point at 0.
-  Rng rng(10);
-  SampledSubgraph sub = SampleNeighborhood(g, {0}, {0}, rng);
-  EXPECT_EQ(sub.graph.num_edges(), 5);
-  EXPECT_EQ(sub.local_to_global.size(), 6u);
-}
-
-TEST(SamplingTest, HeteroSubgraphKeepsEdgeTypes) {
-  Graph g = SmallHetero(11, 40, 400, 5);
-  Rng rng(12);
-  SampledSubgraph sub = SampleNeighborhood(g, {0, 1}, {5}, rng);
-  EXPECT_EQ(sub.graph.num_edge_types(), 5);
-  EXPECT_EQ(sub.graph.edge_type().size(), static_cast<size_t>(sub.graph.num_edges()));
-}
-
-TEST(SamplingTest, GatherLocalFeaturesAndLabels) {
-  Rng rng(13);
-  Graph g = ToGraph(ErdosRenyi(50, 300, rng));
-  Tensor features = ops::RandomNormal({50, 4}, 0, 1, rng);
-  std::vector<int32_t> labels(50);
-  for (int i = 0; i < 50; ++i) {
-    labels[static_cast<size_t>(i)] = i % 3;
-  }
-  Rng sample_rng(14);
-  SampledSubgraph sub = SampleNeighborhood(g, {7, 8}, {2}, sample_rng);
-  Tensor local = GatherLocalFeatures(sub, features);
-  auto local_labels = GatherLocalLabels(sub, labels);
-  for (size_t i = 0; i < sub.local_to_global.size(); ++i) {
-    const int32_t global = sub.local_to_global[i];
-    EXPECT_EQ(local_labels[i], labels[static_cast<size_t>(global)]);
-    for (int64_t j = 0; j < 4; ++j) {
-      EXPECT_FLOAT_EQ(local.at(static_cast<int64_t>(i), j), features.at(global, j));
-    }
-  }
-}
-
-TEST(SamplingTest, SeedBatchesPartitionAllVertices) {
-  Rng rng(15);
-  auto batches = MakeSeedBatches(103, 10, rng);
-  EXPECT_EQ(batches.size(), 11u);
-  std::set<int32_t> seen;
-  for (const auto& batch : batches) {
-    for (int32_t v : batch) {
-      EXPECT_TRUE(seen.insert(v).second);
-    }
-  }
-  EXPECT_EQ(seen.size(), 103u);
 }
 
 }  // namespace

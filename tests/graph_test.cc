@@ -201,6 +201,19 @@ TEST(GeneratorTest, EdgeTypesInRangeAndSkewed) {
   EXPECT_GT(counts[0], counts[9]);  // Zipf-ish bias.
 }
 
+TEST(SbmTest, GeneratorIsCommunityBiased) {
+  Rng rng(5);
+  SbmResult sbm = StochasticBlockModel(150, 3, 0.1, 0.005, rng);
+  int64_t intra = 0;
+  int64_t inter = 0;
+  for (size_t e = 0; e < sbm.edges.src.size(); ++e) {
+    const bool same = sbm.labels[static_cast<size_t>(sbm.edges.src[e])] ==
+                      sbm.labels[static_cast<size_t>(sbm.edges.dst[e])];
+    (same ? intra : inter) += 1;
+  }
+  EXPECT_GT(intra, inter * 3);
+}
+
 TEST(DatasetTest, CatalogMatchesPaperTable2) {
   ASSERT_EQ(DatasetCatalog().size(), 12u);
   const DatasetSpec* reddit = FindDataset("reddit");

@@ -254,12 +254,5 @@ TEST(FatGeometryTest, PaperExample) {
   EXPECT_EQ(g.num_blocks, 10);
 }
 
-TEST(FatGeometryTest, OneItemPerBlock) {
-  const FatGeometry g = FatGeometry::OneItemPerBlock(42, 256);
-  EXPECT_EQ(g.groups_per_block, 1);
-  EXPECT_EQ(g.group_size, 256);
-  EXPECT_EQ(g.num_blocks, 42);
-}
-
 }  // namespace
 }  // namespace seastar

@@ -64,7 +64,7 @@ COUNTER_ARGS = frozenset((
     "edges", "bytes_materialized", "dispatches", "kernel_launches",
     "peak_delta_bytes", "plan_cache_hits",
     "plan_cache_misses", "pool_hits", "pool_misses", "tile_segments",
-    "tile_passes", "tile_width", "epoch", "batch", "shards", "queued_ahead",
+    "tile_passes", "tile_width", "epoch", "shards", "queued_ahead",
     "occupancy", "attempt", "status", "retries", "vertices"))
 SIGNED_ARGS = frozenset(("alloc_delta_bytes", "stride_lag_x1000",
                          "batch_key", "leader_trace"))
